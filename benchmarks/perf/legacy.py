@@ -11,7 +11,9 @@ the same process, so the reported speedup is machine-independent.  The
 emulation is conservative: parts of the current stack that cannot be swapped
 back (e.g. the channel's cached delivery lists, slotted headers) stay fast in
 legacy mode, so the measured speedup *understates* the true improvement over
-the pre-optimisation tree.
+the pre-optimisation tree.  The channel's signal edges are one of them: the
+legacy kernel answers every ``claim`` with "not next", which is always exact,
+so each edge takes the trip through its event list that it used to.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
+from repro.core.engine import EdgeKeys
 from repro.core.errors import SchedulingError
 from repro.net.packet import Packet
 
@@ -45,7 +48,7 @@ class LegacyEvent:
         return not self.cancelled
 
 
-class LegacySimulator:
+class LegacySimulator(EdgeKeys):
     """Pre-optimisation event-list simulator (same public API as Simulator)."""
 
     def __init__(self) -> None:
@@ -53,6 +56,7 @@ class LegacySimulator:
         self._queue: list[LegacyEvent] = []
         self._sequence: int = 0
         self._events_processed: int = 0
+        self.edges_in_place: int = 0
         self._running: bool = False
         self._stop_requested: bool = False
 
@@ -74,6 +78,9 @@ class LegacySimulator:
     def cancel(self, event: Optional[LegacyEvent]) -> None:
         if event is not None:
             event.cancel()
+
+    def claim(self, time: float, sequence: int) -> bool:
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         processed = 0

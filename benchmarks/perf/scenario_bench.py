@@ -16,9 +16,11 @@ Four workloads bracket the simulator's operating range:
   channel-side cost is isolated by
   :func:`benchmarks.perf.mobility_bench.bench_position_churn`).
 
-Each benchmark reports wall time, processed engine events and events/sec, and
-is also run with the legacy kernel swapped in (see
-:mod:`benchmarks.perf.legacy`) to yield a same-machine speedup.
+Each benchmark reports wall time, handlers run and handlers/sec (``events`` /
+``events_per_sec``: events through the queue plus signal edges run in place,
+a count that is the same on every kernel), and is also run with the legacy
+kernel swapped in (see :mod:`benchmarks.perf.legacy`) to yield a same-machine
+speedup.
 
 ``chain7_metrics`` additionally runs the chain workload with the time-series
 metrics plane enabled and reports ``overhead_vs_disabled`` (wall-time ratio
@@ -58,7 +60,7 @@ def _run_and_measure(scenario: Scenario) -> Dict[str, float]:
     start = time.perf_counter()
     result = scenario.run()
     wall = time.perf_counter() - start
-    events = scenario.sim.events_processed
+    events = scenario.sim.events_processed + scenario.sim.edges_in_place
     return {
         "wall_time": wall,
         "events": events,

@@ -22,7 +22,10 @@ Two backends ship built in:
 
 Every registered backend must honour the full :class:`Simulator` contract
 (``schedule``/``schedule_at``/``cancel``/``run``/``stop``/``reset``,
-``(time, sequence)`` FIFO tie-breaking, tombstone cancellation) — the
+``(time, sequence)`` FIFO tie-breaking, tombstone cancellation, and the edge
+keys the channel drives its signal edges with: inherit
+:class:`repro.core.engine.EdgeKeys` and add a ``claim`` that may say "not
+next" whenever it is unsure) — the
 cross-backend differential harness (``tests/regression`` and
 ``tests/properties/test_backend_lockstep.py``) runs every registered backend
 and fails the suite when one diverges from ``reference`` by a single trace

@@ -29,12 +29,27 @@ little purity for speed:
   introspection; the run loop reads the callback straight out of the tuple.
 * Cancellation is a tombstone: the event is flagged and skipped when it
   reaches the top of the heap, so ``cancel`` is O(1).
+
+Edge keys
+---------
+A component that knows a whole series of its own future callbacks (the
+channel's per-receiver signal edges) can skip the heap without changing the
+order anything runs in.  It *reserves* each callback's sequence number where
+it would have called ``schedule`` (:meth:`reserve_sequences`), so every edge
+owns exactly the ``(time, sequence)`` key its own event would have had.  After
+one edge has run it asks :meth:`claim` for the next: the kernel says yes — and
+moves the clock — only when that key is strictly smaller than every queued
+event's (tombstones included), the run has not been stopped and neither the
+``until`` horizon nor the ``max_events`` budget is passed; the caller then
+runs the edge in place.  Otherwise the edge goes through the queue under its
+reserved key (:meth:`schedule_reserved`).  Handler order is the same either
+way.
 """
 
 from __future__ import annotations
 
 import heapq
-from math import isfinite as _isfinite
+from math import inf as _inf, isfinite as _isfinite
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.errors import SchedulingError
@@ -95,11 +110,41 @@ class Event:
         return not self.cancelled
 
 
-class Simulator:
+class EdgeKeys:
+    """Reserved ``(time, sequence)`` keys (see the module docstring), shared
+    by every kernel; each kernel adds its own ``claim``.
+
+    ``edges_in_place`` counts the handlers run through ``claim``, so
+    ``events_processed + edges_in_place`` is the number of handlers invoked,
+    whichever way each one got its turn.
+    """
+
+    _sequence: int
+    edges_in_place: int
+
+    def reserve_sequences(self, count: int = 1) -> int:
+        """Take the next ``count`` sequence numbers; return the first."""
+        first = self._sequence
+        self._sequence = first + count
+        return first
+
+    def schedule_reserved(self, time: float, sequence: int,
+                          callback: Callable[..., None], *args: Any) -> "Event":
+        """:meth:`schedule_at` under a sequence from :meth:`reserve_sequences`."""
+        upcoming = self._sequence
+        self._sequence = sequence
+        try:
+            return self.schedule_at(time, callback, *args)
+        finally:
+            self._sequence = upcoming
+
+
+class Simulator(EdgeKeys):
     """Event-list discrete-event simulator.
 
     Attributes:
         now: Current simulation time in seconds.
+        edges_in_place: Handlers run through :meth:`claim` so far.
     """
 
     def __init__(self) -> None:
@@ -107,8 +152,12 @@ class Simulator:
         self._queue: List[_Entry] = []
         self._sequence: int = 0
         self._events_processed: int = 0
+        self.edges_in_place: int = 0
         self._running: bool = False
         self._stop_requested: bool = False
+        # The running call's horizon and handler budget, as claim() sees them.
+        self._until: float = _inf
+        self._handler_limit: float = _inf
 
     # ------------------------------------------------------------------
     # Scheduling API
@@ -164,6 +213,29 @@ class Simulator:
         if event is not None:
             event.cancelled = True
 
+    def claim(self, time: float, sequence: int) -> bool:
+        """Move the clock to ``time`` if the edge ``(time, sequence)`` is next.
+
+        True means the run loop would have popped exactly this key now, so
+        the caller runs the edge in place; False means it must go through
+        :meth:`schedule_reserved`.  Only a handler at the top of its dispatch
+        (nothing left to do at the current time) may ask.
+        """
+        if (not self._running or self._stop_requested or time > self._until
+                or self._events_processed + self.edges_in_place + 1
+                >= self._handler_limit):
+            return False
+        queue = self._queue
+        if queue:
+            # A cancelled head counts too: the run loop is the one place
+            # tombstones are dropped, so run() sees the queue it always did.
+            head = queue[0]
+            if head[0] < time or (head[0] == time and head[1] < sequence):
+                return False
+        self.now = time
+        self.edges_in_place += 1
+        return True
+
     # ------------------------------------------------------------------
     # Execution API
     # ------------------------------------------------------------------
@@ -173,22 +245,26 @@ class Simulator:
         Args:
             until: Stop once the next event's time exceeds this value.  The
                 clock is advanced to ``until`` when the horizon is reached.
-            max_events: Stop after processing this many events (safety valve
-                for tests).
+            max_events: Stop after this many handlers, counting edges run in
+                place (safety valve for tests).
 
         Returns:
-            The number of events processed during this call.
+            The number of events dispatched from the queue during this call.
         """
         processed = 0
         queue = self._queue
         pop = heapq.heappop
         self._running = True
         self._stop_requested = False
+        self._until = _inf if until is None else until
+        self._handler_limit = limit = _inf if max_events is None else (
+            self._events_processed + self.edges_in_place + max_events)
         try:
             while queue:
                 if self._stop_requested:
                     break
-                if max_events is not None and processed >= max_events:
+                if (max_events is not None and
+                        self._events_processed + self.edges_in_place >= limit):
                     break
                 entry = queue[0]
                 if entry[4].cancelled:
@@ -234,6 +310,7 @@ class Simulator:
         self.now = 0.0
         self._sequence = 0
         self._events_processed = 0
+        self.edges_in_place = 0
         self._stop_requested = False
 
 

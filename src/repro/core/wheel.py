@@ -65,10 +65,10 @@ from __future__ import annotations
 
 import sys
 from heapq import heapify, heappop, heappush
-from math import isfinite as _isfinite
+from math import inf as _inf, isfinite as _isfinite
 from typing import Any, Callable, List, Optional
 
-from repro.core.engine import Event
+from repro.core.engine import EdgeKeys, Event
 from repro.core.errors import ConfigurationError, SchedulingError
 
 #: Initial wheel slot width in simulated seconds (re-tuned adaptively at
@@ -107,7 +107,7 @@ _SLAB_CAPACITY = 512
 _UNREFERENCED = 3
 
 
-class WheelSimulator:
+class WheelSimulator(EdgeKeys):
     """Drop-in :class:`~repro.core.engine.Simulator` with a timer-wheel core.
 
     Attributes:
@@ -139,8 +139,12 @@ class WheelSimulator:
         self._adaptive = bool(adaptive)
         self._sequence: int = 0
         self._events_processed: int = 0
+        self.edges_in_place: int = 0
         self._running: bool = False
         self._stop_requested: bool = False
+        #: The running call's horizon and handler budget, as claim() sees them.
+        self._until: float = _inf
+        self._handler_limit: float = _inf
         #: Events with ``time < _near_limit`` — the currently draining slice
         #: of simulated time, kept as a (small) heap of entries.
         self._near: List[tuple] = []
@@ -232,6 +236,29 @@ class WheelSimulator:
         """Cancel a previously scheduled event (tombstone; always safe)."""
         if event is not None:
             event.cancelled = True
+
+    def claim(self, time: float, sequence: int) -> bool:
+        """Same contract as :meth:`repro.core.engine.Simulator.claim`.
+
+        Only the near heap is consulted: every bucketed or overflow event
+        lies at or beyond ``_near_limit``, so an edge before that boundary is
+        next if it beats the near heap's head (tombstone or not).  An edge
+        at or beyond it gets "not next" — sending an edge through the queue
+        is always exact.
+        """
+        if (not self._running or self._stop_requested or time > self._until
+                or time >= self._near_limit
+                or self._events_processed + self.edges_in_place + 1
+                >= self._handler_limit):
+            return False
+        near = self._near
+        if near:
+            head = near[0]
+            if head[0] < time or (head[0] == time and head[1] < sequence):
+                return False
+        self.now = time
+        self.edges_in_place += 1
+        return True
 
     # ------------------------------------------------------------------
     # Internal structure
@@ -365,6 +392,9 @@ class WheelSimulator:
         getrefcount = sys.getrefcount
         self._running = True
         self._stop_requested = False
+        self._until = _inf if until is None else until
+        self._handler_limit = limit = _inf if max_events is None else (
+            self._events_processed + self.edges_in_place + max_events)
         try:
             while True:
                 if not near:
@@ -374,8 +404,9 @@ class WheelSimulator:
                             self.now = until
                         break
                     continue
-                if self._stop_requested or (max_events is not None
-                                            and processed >= max_events):
+                if self._stop_requested or (
+                        max_events is not None and
+                        self._events_processed + self.edges_in_place >= limit):
                     break
                 entry = pop(near)
                 event = entry[4]
@@ -440,6 +471,7 @@ class WheelSimulator:
         self.now = 0.0
         self._sequence = 0
         self._events_processed = 0
+        self.edges_in_place = 0
         self._stop_requested = False
         self._rebase_time = 0.0
         self._rebase_processed = 0

@@ -509,6 +509,12 @@ class Scenario:
         now = self.sim.now
         metrics = self.metrics
         energy = self._energy_report(now)
+        # Handlers invoked = events through the queue + edges run in place;
+        # the sum does not depend on the kernel, the split does.
+        metrics.gauge("core.events_processed", unit="events").set(
+            self.sim.events_processed)
+        metrics.gauge("core.edges_in_place", unit="events").set(
+            self.sim.edges_in_place)
         for bus in self.buses:
             bus.finalize_utilization(now)
 
@@ -709,6 +715,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"{result.name}: {result.delivered_packets} packets in "
           f"{result.simulated_time:.1f} s simulated, aggregate goodput "
           f"{result.aggregate_goodput_kbps:.1f} kbit/s")
+    sim = scenario.sim
+    print(f"{sim.events_processed + sim.edges_in_place} handlers run: "
+          f"{sim.events_processed} events through the queue, "
+          f"{sim.edges_in_place} signal edges in place")
     if result.timeseries is not None:
         print(f"{len(result.timeseries)} time series collected:")
         for name, data in sorted(result.timeseries.items()):

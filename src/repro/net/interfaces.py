@@ -15,11 +15,22 @@ from repro.net.packet import Packet
 
 
 class PhyListener(abc.ABC):
-    """Callbacks a PHY delivers to the layer above it (the MAC)."""
+    """Callbacks a PHY delivers to the layer above it (the MAC).
+
+    They run at the receiving radio's own signal edges — each at the
+    ``(time, sequence)`` place in the event order that an event of its own
+    would have — whether or not the edge took a trip through the event queue
+    (see :class:`repro.phy.channel._Transmission`).
+    """
 
     @abc.abstractmethod
     def on_frame_received(self, packet: Packet) -> None:
-        """A frame was successfully received (addressed to anyone)."""
+        """A frame was successfully received (addressed to anyone).
+
+        ``packet`` is the one snapshot of the frame that every receiver of
+        the transmission is given: read it freely, ``packet.copy()`` before
+        changing anything or passing it to code that might.
+        """
 
     @abc.abstractmethod
     def on_carrier_busy(self) -> None:

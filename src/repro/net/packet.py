@@ -3,12 +3,15 @@
 A :class:`Packet` carries an application payload size plus a stack of headers
 added as it descends the protocol stack.  Its :attr:`Packet.size` is the sum of
 the payload and all attached header sizes, which is what the PHY uses for
-serialization delay.  Packets are copied (not shared) when broadcast to several
-receivers so per-hop mutation (TTL, MAC addressing) stays local.
+serialization delay.  A frame on the air is one snapshot, copied from the
+sender's packet once per transmission and shared read-only by every receiver;
+per-hop mutation (TTL, MAC addressing) stays local because whoever wants to
+change a received packet copies it first — the MAC does when it hands a frame
+up to routing.
 
 Packets and their headers use ``__slots__`` and hand-rolled ``copy`` paths:
-the channel clones every frame once per potential receiver, making packet
-copying one of the hottest allocation sites in the simulator.
+one copy per transmission and one per frame delivered up still make packet
+copying a hot allocation site.
 """
 
 from __future__ import annotations
@@ -108,8 +111,9 @@ class Packet:
 
         Implemented with ``__new__`` plus per-header ``clone()`` calls rather
         than :func:`copy.deepcopy` or the dataclass constructor: the channel
-        copies every frame once per potential receiver, so this is one of the
-        hottest paths in the simulator.
+        snapshots every frame it carries and every MAC copies what it
+        delivers up, so this is a hot path.  Call it before changing a packet
+        somebody else may hold — a frame received from the PHY above all.
         """
         new = object.__new__(Packet)
         new.payload_size = self.payload_size

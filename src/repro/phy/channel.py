@@ -14,6 +14,9 @@ lists are still emitted in *registration order* — the grid only narrows the
 candidate set, it never reorders scheduled deliveries — which keeps golden
 traces bit-identical to the pre-index channel.
 
+A transmission makes one trip through the event queue for its signal starts
+and one for its signal ends, not one per receiver: see :class:`_Transmission`.
+
 Positions may change mid-run: a :class:`~repro.mobility.base.MobilityManager`
 pushes updated positions through :meth:`WirelessChannel.set_positions`.
 Invalidation is *lazy* and generation-stamped: moving a node only bumps a
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.engine import Simulator
@@ -38,13 +42,94 @@ from repro.core.errors import ConfigurationError
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.net.packet import Packet
 from repro.phy.propagation import Position, RangePropagationModel
-from repro.phy.radio import Radio
+from repro.phy.radio import Radio, _Signal
 from repro.phy.spatial import BLOCK_OFFSETS, CellKey, GridIndex
 
 #: A stamped cache entry: ``[validated_move_generation, cell_key, block_stamp,
 #: payload]``.  Mutable on purpose — successful revalidation refreshes the
 #: generation in place so the next lookup takes the single-compare fast path.
 _StampedEntry = list
+
+#: One receiver of a sender's frames: ``(radio, delay, receivable, power,
+#: offset)``; ``offset`` is its place among them in registration order, hence
+#: its signal start's place in the block of sequences a transmission reserves.
+_Edge = Tuple[Radio, float, bool, float, int]
+
+
+class _Transmission:
+    """One frame on the air: every receiver's signal start and signal end.
+
+    Each edge has the ``(time, sequence)`` key an event of its own would have:
+    the starts' sequences are reserved as one block when the frame is sent
+    (numbered in registration order, whatever order the signals arrive in),
+    each end's sequence by the radio at the end of its ``signal_start``.  Both
+    series of keys rise along ``edges``, so each is a chain with only its
+    head in the event queue: after an edge has run, the next one runs in
+    place if the kernel confirms nothing queued comes before it
+    (:meth:`~repro.core.engine.Simulator.claim`) and is queued under its
+    reserved key otherwise.  Handler order is that of one event per edge.
+    """
+
+    __slots__ = ("sim", "edges", "packet", "duration", "sent_at",
+                 "first_sequence", "signals", "ended")
+
+    def __init__(self, sim: Simulator, edges: List[_Edge], packet: Packet,
+                 duration: float) -> None:
+        self.sim = sim
+        self.edges = edges
+        self.packet = packet
+        self.duration = duration
+        self.sent_at = sim.now
+        self.first_sequence = sim.reserve_sequences(len(edges))
+        #: Signals started so far, in ``edges`` order; ``ended`` of them ended.
+        self.signals: List[_Signal] = []
+        self.ended = 0
+        sim.schedule_reserved(self.sent_at + edges[0][1],
+                              self.first_sequence + edges[0][4], self._run_starts)
+
+    def _run_starts(self) -> None:
+        sim = self.sim
+        edges = self.edges
+        signals = self.signals
+        packet = self.packet
+        duration = self.duration
+        index = len(signals)
+        radio, _, receivable, power, _ = edges[index]
+        while True:
+            signal = radio.signal_start(packet, duration, receivable, power)
+            signals.append(signal)
+            if self.ended == index:
+                # No started signal was left to end, so the end chain has no
+                # head in the queue: this is the first start, or the frame is
+                # shorter than the spread of delays and the chain ran dry.
+                sim.schedule_reserved(signal.end_time, signal.end_sequence,
+                                      self._run_ends)
+            index += 1
+            if index == len(edges):
+                return
+            radio, delay, receivable, power, offset = edges[index]
+            time = self.sent_at + delay
+            sequence = self.first_sequence + offset
+            if not sim.claim(time, sequence):
+                sim.schedule_reserved(time, sequence, self._run_starts)
+                return
+
+    def _run_ends(self) -> None:
+        sim = self.sim
+        edges = self.edges
+        signals = self.signals
+        index = self.ended
+        while True:
+            edges[index][0]._signal_end(signals[index])
+            index += 1
+            if index == len(signals):
+                break
+            signal = signals[index]
+            if not sim.claim(signal.end_time, signal.end_sequence):
+                sim.schedule_reserved(signal.end_time, signal.end_sequence,
+                                      self._run_ends)
+                break
+        self.ended = index
 
 
 @dataclass
@@ -98,9 +183,10 @@ class WirelessChannel:
         #
         # _link_cache payload: {dst: (receivable, interferes, delay, power)}.
         self._link_cache: Dict[int, _StampedEntry] = {}
-        # _delivery_cache payload: [(radio, delay, receivable, power), ...]
-        # for every radio inside interference range, in registration order.
-        # Lets broadcast() skip out-of-range radios without touching them.
+        # _delivery_cache payload: ([_Edge, ...], tie_gap) — every radio
+        # inside interference range in (delay, registration) order, i.e. the
+        # order their signals start in, and the smallest difference in delay
+        # that must not round away (see _build_deliveries).
         self._delivery_cache: Dict[int, _StampedEntry] = {}
         # _neighbor_cache payload: in-transmission-range node ids, in
         # registration order (the geometric_neighbors_of answer).
@@ -365,9 +451,11 @@ class WirelessChannel:
     def broadcast(self, sender: Radio, packet: Packet, duration: float) -> None:
         """Deliver ``packet`` from ``sender`` to every radio in range.
 
-        Called by :meth:`repro.phy.radio.Radio.transmit`.  Each potential
-        receiver gets its own copy of the packet after the (tiny) propagation
-        delay; whether the copy is decodable is decided by the receiving radio.
+        Called by :meth:`repro.phy.radio.Radio.transmit`.  The signal reaches
+        each potential receiver after its own (tiny) propagation delay;
+        whether it is decodable is decided by the receiving radio.  All
+        receivers share one snapshot of the packet, taken here: the sender
+        may go on changing its own, and nobody may change the snapshot.
         """
         stats = self.stats
         stats.transmissions += 1
@@ -376,21 +464,31 @@ class WirelessChannel:
         deliveries = self._cached_payload(self._delivery_cache, sender_id)
         if deliveries is None:
             deliveries = self._build_deliveries(sender_id)
-        stats.deliveries_attempted += len(deliveries)
-        schedule = self.sim.schedule
-        for radio, delay, receivable, power in deliveries:
-            schedule(delay, radio.signal_start, packet.copy(), duration, receivable, power)
+        edges, tie_gap = deliveries
+        if not edges:
+            return
+        stats.deliveries_attempted += len(edges)
+        now = self.sim.now
+        if tie_gap <= math.ulp(now + edges[-1][1]):
+            # Two delays this close can round to one arrival time, where the
+            # sequence numbers decide: order by the keys as they are now.
+            edges = sorted(edges, key=lambda edge: (now + edge[1], edge[4]))
+        _Transmission(self.sim, edges, packet.copy(), duration)
 
-    def _build_deliveries(self, sender_id: int) -> List[Tuple[Radio, float, bool, float]]:
+    def _build_deliveries(self, sender_id: int) -> Tuple[List[_Edge], float]:
         """Compute and cache the in-range receiver list for ``sender_id``.
 
         Candidates come from the sender's 3×3 grid neighbourhood (every radio
-        inside interference range by construction) and are sorted back into
-        registration order, so scheduled delivery order (and with it the
-        event sequence numbers) is identical to scanning the full radio
-        table — golden traces depend on that order.
+        inside interference range by construction) and are numbered in
+        registration order, so each signal start gets the sequence number it
+        would from scanning the full radio table — golden traces depend on
+        that.  The list is then sorted by delay, the order the signals start
+        in.  ``tie_gap`` is the smallest delay difference between neighbours
+        in it that are out of registration order: should ``now + delay``
+        round that away, the two start in the same instant and the sort by
+        delay has them the wrong way round (:meth:`broadcast` checks).
         """
-        deliveries: List[Tuple[Radio, float, bool, float]] = []
+        deliveries: List[_Edge] = []
         links = self._link_map(sender_id)
         if sender_id not in self._down_nodes:
             radios = self._radios
@@ -408,13 +506,18 @@ class WirelessChannel:
                     cached = links[receiver_id] = self._classify(sender_id, receiver_id)
                 receivable, interferes, delay, power = cached
                 if interferes:
-                    deliveries.append((radios[receiver_id], delay, receivable, power))
+                    deliveries.append((radios[receiver_id], delay, receivable, power,
+                                       len(deliveries)))
+        deliveries.sort(key=itemgetter(1, 4))      # by delay, then offset
+        tie_gap = min((after[1] - before[1]
+                       for before, after in zip(deliveries, deliveries[1:])
+                       if before[4] > after[4]), default=math.inf)
         cell = self._grid.cell_of(sender_id)
         self._delivery_cache[sender_id] = [
-            self._move_generation, cell, self._block_stamp(cell), deliveries
+            self._move_generation, cell, self._block_stamp(cell), (deliveries, tie_gap)
         ]
         self.stats.delivery_rebuilds += 1
-        return deliveries
+        return deliveries, tie_gap
 
     def _link_map(self, src: int) -> Dict[int, Tuple[bool, bool, float, float]]:
         """The still-valid per-destination link map for ``src`` (fresh if stale)."""

@@ -21,6 +21,13 @@ This is exactly the mechanism behind the paper's hidden-terminal losses: a
 weak frame from a hidden node that arrives *first* destroys the stronger frame
 that follows, while the reverse order is saved by capture.
 
+The radio does not schedule its own signal edges.  The channel's transmission
+object calls :meth:`Radio.signal_start` and, one frame duration later,
+:meth:`Radio._signal_end` for each receiver, each at the ``(time, sequence)``
+key the edge's own event would have had (see
+:class:`repro.phy.channel._Transmission`).  The frame it passes is one
+snapshot shared by every receiver: read it, never change it.
+
 The radio also provides carrier sensing to the MAC: the medium is busy while
 any signal from within the carrier-sense (interference) range is on the air or
 the radio itself is transmitting.
@@ -29,7 +36,7 @@ the radio itself is transmitting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.core.engine import Simulator
 from repro.core.tracing import NULL_TRACER, Tracer
@@ -45,12 +52,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 class _Signal:
     """One signal currently arriving at this radio."""
 
-    key: int
     packet: Packet
     receivable: bool
     power: float
     end_time: float
-    duration: float = 0.0
+    duration: float
+    #: Sequence half of the end edge's key, reserved in ``signal_start``.
+    end_sequence: int = 0
     corrupted: bool = False
 
 
@@ -137,10 +145,11 @@ class Radio:
         self.tracer = tracer
         self.listener: Optional["PhyListener"] = None
         self.stats = RadioStats(metrics, prefix=f"phy.node{node_id}")
-        self._signals: Dict[int, _Signal] = {}
         self._locked: Optional[_Signal] = None
         self._transmitting_until: float = 0.0
-        self._signal_counter = 0
+        # Latest end time of any signal that has started arriving; signals
+        # end exactly at their end time, so the carrier is busy until then.
+        self._signals_until: float = 0.0
         self._carrier_was_busy = False
 
     # ------------------------------------------------------------------
@@ -178,21 +187,26 @@ class Radio:
     # Receive path (called by the channel)
     # ------------------------------------------------------------------
     def signal_start(self, packet: Packet, duration: float, receivable: bool,
-                     power: float = 1.0) -> None:
+                     power: float = 1.0) -> _Signal:
         """A signal begins arriving at this radio.
 
         Args:
             packet: The frame carried by the signal (only decoded if the lock
-                survives to the end of the frame).
+                survives to the end of the frame); shared with every other
+                receiver of the transmission.
             duration: On-air time of the frame in seconds.
             receivable: True if the transmitter is within transmission range.
             power: Relative received power (two-ray-ground, ∝ d^-4).
+
+        Returns:
+            The signal, carrying the ``(end_time, end_sequence)`` key at
+            which the caller owes this radio a :meth:`_signal_end`.
         """
         now = self.sim.now
-        key = self._signal_counter + 1
-        self._signal_counter = key
-        signal = _Signal(key, packet, receivable, power, now + duration, duration)
-        self._signals[key] = signal
+        end_time = now + duration
+        signal = _Signal(packet, receivable, power, end_time, duration)
+        if end_time > self._signals_until:
+            self._signals_until = end_time
 
         locked = self._locked
         if now < self._transmitting_until:
@@ -215,12 +229,12 @@ class Radio:
                 signal.corrupted = True
 
         self._update_carrier()
-        self.sim.schedule(duration, self._signal_end, signal.key)
+        # The end edge takes its place in the event order here: after
+        # whatever the carrier callbacks above have just scheduled.
+        signal.end_sequence = self.sim.reserve_sequences()
+        return signal
 
-    def _signal_end(self, key: int) -> None:
-        signal = self._signals.pop(key, None)
-        if signal is None:
-            return
+    def _signal_end(self, signal: _Signal) -> None:
         if self._locked is signal:
             self._locked = None
             # The radio was listening to this signal for its whole duration
@@ -246,15 +260,11 @@ class Radio:
     def carrier_busy(self) -> bool:
         """True if the medium is sensed busy (any signal arriving or own TX)."""
         now = self.sim.now
-        if now < self._transmitting_until:
-            return True
-        for sig in self._signals.values():
-            if sig.end_time > now:
-                return True
-        return False
+        return now < self._transmitting_until or now < self._signals_until
 
     def _update_carrier(self) -> None:
-        busy = self.carrier_busy
+        now = self.sim.now      # carrier_busy inlined: runs at every signal edge
+        busy = now < self._transmitting_until or now < self._signals_until
         if busy == self._carrier_was_busy:
             return
         self._carrier_was_busy = busy

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -214,23 +212,11 @@ class TestStudyCache:
         assert len(list(tmp_path.glob("*.json"))) == 2
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                    reason="parallel speedup needs at least 2 cores")
-def test_parallel_study_is_faster_than_serial():
-    import time
-
+def test_parallel_study_equals_serial_at_eight_runs():
+    # No wall-clock assertion: speed claims live in benchmarks/ledger.
     spec = tiny_spec(
         axes={"variant": ["vegas", "newreno"], "hops": [2, 3]},
         base=tiny_config(packet_target=120, max_sim_time=120.0),
         replications=2,
     )
-    start = time.perf_counter()
-    serial = run_study(spec, parallel=False)
-    serial_time = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = run_study(spec, parallel=True)
-    parallel_time = time.perf_counter() - start
-
-    assert serial == parallel
-    assert parallel_time < serial_time
+    assert run_study(spec, parallel=False) == run_study(spec, parallel=True)

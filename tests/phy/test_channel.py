@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.net.headers import IpHeader, IpProtocol
 from repro.net.interfaces import PhyListener
 from repro.net.packet import Packet
 from repro.phy.channel import WirelessChannel
@@ -82,17 +83,22 @@ class TestBroadcastDelivery:
         sim.run()
         assert sender.listener.received == []
 
-    def test_receivers_get_independent_copies(self, sim, channel):
+    def test_receivers_share_a_snapshot_taken_at_transmit(self, sim, channel):
         sender = add_node(sim, channel, 0, 0, 0)
         a = add_node(sim, channel, 1, 200, 0)
         b = add_node(sim, channel, 2, -200, 0)
-        original = Packet(payload_size=10)
+        original = Packet(payload_size=10, ip=IpHeader(src=0, dst=1, protocol=IpProtocol.UDP, ttl=9))
         sender.transmit(original, duration=0.001)
+        # What the sender does to its packet afterwards (a MAC retry flag, a
+        # queue re-addressing it) must not reach frames already on the air.
+        original.ip.ttl = 1
+        original.payload_size = 99
         sim.run()
         received_a = a.listener.received[0]
         received_b = b.listener.received[0]
-        assert received_a is not received_b
-        assert received_a.uid == received_b.uid == original.uid
+        assert received_a is received_b and received_a is not original
+        assert received_a.uid == original.uid
+        assert (received_a.ip.ttl, received_a.payload_size) == (9, 10)
 
     def test_channel_stats_counted(self, sim, channel):
         sender = add_node(sim, channel, 0, 0, 0)

@@ -110,19 +110,25 @@ class TestScenarioEnergy:
 class TestRadioTransitionAccounting:
     """Energy accounting driven through actual radio tx/rx/idle transitions."""
 
-    def _radio(self, sim):
+    def _radios(self, sim, *xs):
+        """One radio per x coordinate (metres), all on one channel."""
         channel = WirelessChannel(sim)
-        radio = Radio(sim, node_id=0, channel=channel)
-        channel.register(radio, Position(0, 0))
-        return radio
+        radios = [Radio(sim, node_id=index, channel=channel)
+                  for index in range(len(xs))]
+        for radio, x in zip(radios, xs):
+            channel.register(radio, Position(x, 0))
+        return radios
+
+    def _radio(self, sim):
+        return self._radios(sim, 0)[0]
 
     def test_airtime_accumulates_across_transitions(self):
         sim = Simulator()
-        radio = self._radio(sim)
+        radio, peer = self._radios(sim, 0, 200)
         # transmit 2 ms, idle until t=0.01, receive 3 ms, idle again.
         radio.transmit(Packet(payload_size=100), duration=0.002)
         sim.run()
-        sim.schedule(0.008, radio.signal_start, Packet(), 0.003, True, 1.0)
+        sim.schedule(0.008, peer.transmit, Packet(), 0.003)
         sim.run()
         assert radio.stats.time_transmitting == pytest.approx(0.002)
         assert radio.stats.time_receiving == pytest.approx(0.003)
@@ -136,9 +142,9 @@ class TestRadioTransitionAccounting:
 
     def test_overheard_frames_count_as_receive_time(self):
         sim = Simulator()
-        radio = self._radio(sim)
+        radio, sensed_only = self._radios(sim, 0, 400)
         # A locked but undecodable (out-of-range) signal still burns rx power.
-        radio.signal_start(Packet(), duration=0.004, receivable=False, power=0.01)
+        sensed_only.transmit(Packet(), duration=0.004)
         sim.run()
         assert radio.stats.frames_below_threshold == 1
         assert radio.stats.time_receiving == pytest.approx(0.004)

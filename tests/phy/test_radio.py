@@ -1,4 +1,10 @@
-"""Tests for the radio reception/capture/collision state machine."""
+"""Tests for the radio reception/capture/collision state machine.
+
+Signals reach the radio the way they do in a run: a peer radio transmits and
+the channel drives this radio's signal edges.  A peer 200 m away is decodable
+(``near``/``other``, equal power); one 400 m away is sensed only and, by the
+two-ray law, 16 times weaker (``far``).
+"""
 
 from __future__ import annotations
 
@@ -37,62 +43,91 @@ def radio(sim, channel):
     return radio
 
 
+def _peer(sim, channel, node_id, x):
+    peer = Radio(sim, node_id=node_id, channel=channel)
+    channel.register(peer, Position(x, 0))
+    return peer
+
+
+@pytest.fixture
+def near(sim, channel, radio):
+    return _peer(sim, channel, 1, 200)
+
+
+@pytest.fixture
+def other(sim, channel, radio):
+    return _peer(sim, channel, 2, -200)
+
+
+@pytest.fixture
+def far(sim, channel, radio):
+    return _peer(sim, channel, 3, 400)
+
+
 class TestReception:
-    def test_clean_reception_delivered(self, sim, radio):
-        packet = Packet(payload_size=100)
-        radio.signal_start(packet, duration=0.001, receivable=True, power=1.0)
+    def test_clean_reception_delivered(self, sim, radio, near):
+        near.transmit(Packet(payload_size=100), duration=0.001)
         sim.run()
         assert len(radio.listener.received) == 1
         assert radio.stats.frames_received == 1
 
-    def test_weak_signal_not_delivered(self, sim, radio):
-        radio.signal_start(Packet(), duration=0.001, receivable=False, power=0.01)
+    def test_weak_signal_not_delivered(self, sim, radio, far):
+        far.transmit(Packet(), duration=0.001)
         sim.run()
         assert radio.listener.received == []
         assert radio.stats.frames_below_threshold == 1
 
-    def test_equal_power_overlap_collides(self, sim, radio):
-        radio.signal_start(Packet(), duration=0.002, receivable=True, power=1.0)
-        sim.schedule(0.0005, radio.signal_start, Packet(), 0.002, True, 1.0)
+    def test_equal_power_overlap_collides(self, sim, radio, near, other):
+        near.transmit(Packet(), duration=0.002)
+        sim.schedule(0.0005, other.transmit, Packet(), 0.002)
         sim.run()
         assert radio.listener.received == []
         assert radio.stats.frames_corrupted >= 1
 
-    def test_capture_first_strong_frame_survives_weak_late_interferer(self, sim, radio):
+    def test_capture_first_strong_frame_survives_weak_late_interferer(
+            self, sim, radio, near, far):
         strong = Packet(payload_size=10)
-        radio.signal_start(strong, duration=0.002, receivable=True, power=1.0)
+        near.transmit(strong, duration=0.002)
         # 16x weaker interferer arriving later is captured away.
-        sim.schedule(0.0005, radio.signal_start, Packet(), 0.001, False, 1.0 / 16.0)
+        sim.schedule(0.0005, far.transmit, Packet(), 0.001)
         sim.run()
         assert [p.uid for p in radio.listener.received] == [strong.uid]
         assert radio.stats.frames_captured == 1
 
-    def test_weak_first_frame_destroys_later_strong_frame(self, sim, radio):
+    def test_weak_first_frame_destroys_later_strong_frame(self, sim, radio, near, far):
         # The ns-2 hidden-terminal mechanism: a weak frame locks the receiver,
         # the later strong frame cannot be captured and both are lost.
-        radio.signal_start(Packet(), duration=0.002, receivable=False, power=1.0 / 16.0)
-        strong = Packet(payload_size=10)
-        sim.schedule(0.0005, radio.signal_start, strong, 0.002, True, 1.0)
+        far.transmit(Packet(), duration=0.002)
+        sim.schedule(0.0005, near.transmit, Packet(payload_size=10), 0.002)
         sim.run()
         assert radio.listener.received == []
+        assert radio.stats.frames_corrupted == 1
 
-    def test_back_to_back_non_overlapping_frames_both_received(self, sim, radio):
-        radio.signal_start(Packet(), duration=0.001, receivable=True, power=1.0)
-        sim.schedule(0.002, radio.signal_start, Packet(), 0.001, True, 1.0)
+    def test_back_to_back_non_overlapping_frames_both_received(self, sim, radio, near):
+        near.transmit(Packet(), duration=0.001)
+        sim.schedule(0.002, near.transmit, Packet(), 0.001)
         sim.run()
         assert len(radio.listener.received) == 2
 
+    def test_a_signal_ends_only_when_the_channel_says_so(self, sim, radio):
+        signal = radio.signal_start(Packet(), duration=0.001, receivable=True)
+        sim.run()
+        assert sim.now == 0.0 and radio.listener.received == []
+        assert (signal.end_time, signal.end_sequence) == (0.001, 0)
+        assert sim.reserve_sequences() == 1        # the end edge's place is taken
+
 
 class TestHalfDuplex:
-    def test_reception_aborted_by_own_transmission(self, sim, radio):
-        radio.signal_start(Packet(), duration=0.003, receivable=True, power=1.0)
+    def test_reception_aborted_by_own_transmission(self, sim, radio, near):
+        near.transmit(Packet(), duration=0.003)
         sim.schedule(0.001, radio.transmit, Packet(), 0.001)
         sim.run()
         assert radio.listener.received == []
+        assert radio.stats.frames_corrupted == 1
 
-    def test_signal_arriving_during_transmission_lost(self, sim, radio):
+    def test_signal_arriving_during_transmission_lost(self, sim, radio, near):
         radio.transmit(Packet(), duration=0.003)
-        sim.schedule(0.001, radio.signal_start, Packet(), 0.001, True, 1.0)
+        sim.schedule(0.001, near.transmit, Packet(), 0.001)
         sim.run()
         assert radio.listener.received == []
 
@@ -111,11 +146,23 @@ class TestHalfDuplex:
 
 
 class TestCarrierSense:
-    def test_carrier_busy_during_signal(self, sim, radio):
-        radio.signal_start(Packet(), duration=0.002, receivable=False, power=0.1)
+    def test_carrier_busy_during_signal(self, sim, radio, far):
+        far.transmit(Packet(), duration=0.002)
+        sim.run(until=0.001)
         assert radio.carrier_busy
         sim.run()
         assert not radio.carrier_busy
+
+    def test_carrier_busy_until_the_last_overlapping_signal_ends(
+            self, sim, radio, near, far):
+        far.transmit(Packet(), duration=0.003)
+        sim.schedule(0.001, near.transmit, Packet(), 0.001)
+        sim.run(until=0.0025)            # the later, shorter signal is over
+        assert radio.carrier_busy
+        assert radio.listener.idle_events == 0
+        sim.run()
+        assert not radio.carrier_busy
+        assert (radio.listener.busy_events, radio.listener.idle_events) == (1, 1)
 
     def test_carrier_busy_while_transmitting(self, sim, radio):
         radio.transmit(Packet(), duration=0.001)
@@ -123,8 +170,8 @@ class TestCarrierSense:
         sim.run()
         assert not radio.carrier_busy
 
-    def test_busy_idle_callbacks_fire(self, sim, radio):
-        radio.signal_start(Packet(), duration=0.001, receivable=True, power=1.0)
+    def test_busy_idle_callbacks_fire(self, sim, radio, near):
+        near.transmit(Packet(), duration=0.001)
         sim.run()
         assert radio.listener.busy_events >= 1
         assert radio.listener.idle_events >= 1

@@ -7,6 +7,10 @@ asserts the observable behaviour is indistinguishable: same dispatch order
 from :meth:`run`, same clock and same post-run engine state
 (``pending_events`` / ``events_processed``).
 
+``TestEdgeKeys`` holds every kernel's reserved-key primitive (``reserve_
+sequences`` / ``claim`` / ``schedule_reserved``) to an oracle — the same
+kernel scheduling each edge as an event of its own.
+
 The strategies are biased toward the wheel's structural boundaries: equal
 timestamps (FIFO tie-breaking), delays spanning microseconds to minutes
 (near heap / wheel bucket / overflow-heap routing and rebase), zero-delay
@@ -171,3 +175,109 @@ class TestLockstep:
             second = sim.run()
             logs.append((first, mid, second, sim.now, log))
         assert logs[0] == logs[1]
+
+
+# ----------------------------------------------------------------------
+# Edge keys against one-event-per-edge
+# ----------------------------------------------------------------------
+def _run_edge_program(sim, seed, in_place):
+    """A seeded reactive program with bursts of edges; returns its record.
+
+    A burst is what a transmission is to the channel: a handful of callbacks
+    a few microseconds apart whose sequence numbers are taken when the burst
+    starts.  With ``in_place`` false each is an ordinary event (the oracle);
+    with it true they form a chain in key order, only the head queued, each
+    next edge claimed or queued under its reserved key.  Every handler draws
+    from the same RNG, so one handler out of order derails the whole log.
+    """
+    rng = random.Random(seed)
+    log = []
+    handles = []
+
+    def react(tag):
+        log.append((sim.now, tag))
+        roll = rng.random()
+        if roll < 0.45:
+            handle = sim.schedule(rng.choice([0.0, 1e-6, 2e-6, 3e-4, 0.02, 1.5, 40.0]),
+                                  react, rng.randrange(1_000_000))
+            if rng.random() < 0.5:
+                handles.append(handle)
+        elif roll < 0.6:
+            burst(rng.randrange(1_000_000))
+        elif roll < 0.63:
+            sim.stop()
+        if handles and rng.random() < 0.3:
+            sim.cancel(handles.pop(rng.randrange(len(handles))))
+
+    def burst(tag):
+        delays = [rng.choice([0.0, 1e-6, 1e-6, 2e-6, 3e-6, 6e-4])
+                  for _ in range(rng.randrange(1, 9))]
+        if not in_place:
+            for index, delay in enumerate(delays):
+                sim.schedule(delay, react, (tag, index))
+            return
+        first = sim.reserve_sequences(len(delays))
+        keys = sorted((sim.now + delay, first + index)
+                      for index, delay in enumerate(delays))
+        sim.schedule_reserved(*keys[0], chain, keys, 0, (tag, first))
+
+    def chain(keys, position, burst_id):
+        tag, first = burst_id
+        while True:
+            react((tag, keys[position][1] - first))
+            position += 1
+            if position == len(keys):
+                return
+            if not sim.claim(*keys[position]):
+                sim.schedule_reserved(*keys[position], chain, keys, position, burst_id)
+                return
+
+    for index in range(12):
+        sim.schedule(rng.choice([0.0, 1e-6, 5e-4, 0.3, 2.0]), react, index)
+    checkpoints = []
+    driver = random.Random(seed ^ 0x5EED)
+    for _ in range(30):
+        mode = driver.random()
+        if mode < 0.4:
+            sim.run(until=sim.now + driver.choice([0.0, 1e-6, 4e-6, 1e-3, 0.7, 5.0]))
+        elif mode < 0.8:
+            sim.run(max_events=driver.randrange(1, 40))
+        else:
+            sim.run(max_events=400)
+        checkpoints.append((len(log), sim.now,
+                            sim.events_processed + sim.edges_in_place))
+    return log, checkpoints, sim.edges_in_place
+
+
+@pytest.mark.parametrize("backend", kernel_backend_names())
+class TestEdgeKeys:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_edges_in_place_match_one_event_per_edge(self, backend, seed):
+        """Same ``(time, tag)`` handler log, same clock and same handler count
+        after every ``run(until=...)`` / ``run(max_events=...)`` / ``stop()``,
+        whether an edge took the queue or not."""
+        oracle = create_kernel(backend)
+        expected_log, expected_checkpoints, _ = _run_edge_program(
+            oracle, seed, in_place=False)
+        assert oracle.edges_in_place == 0
+        log, checkpoints, _ = _run_edge_program(
+            create_kernel(backend), seed, in_place=True)
+        assert log == expected_log
+        assert checkpoints == expected_checkpoints
+        # Handler order is also the reference kernel's.  (Clocks are held to
+        # the same kernel's oracle only: where run() leaves the clock once
+        # nothing but tombstones is queued is each kernel's own business.)
+        assert log == _run_edge_program(
+            create_kernel("reference"), seed, in_place=False)[0]
+
+    def test_the_programs_do_run_edges_in_place(self, backend):
+        """The property above is not vacuous: over a few seeds most edges
+        skip the queue on every kernel."""
+        in_place = handlers = 0
+        for seed in range(20):
+            log, _, edges = _run_edge_program(create_kernel(backend), seed,
+                                              in_place=True)
+            in_place += edges
+            handlers += len(log)
+        assert in_place > handlers // 10

@@ -167,3 +167,109 @@ class TestEventHandle:
         event.cancel()
         assert not event.is_pending
         assert sim.run() == 0
+
+
+class TestEdgeKeys:
+    """Reserved ``(time, sequence)`` keys: unit checks on every kernel.  The
+    program-level property is in ``test_backend_lockstep.py``."""
+
+    def test_a_reserved_key_fires_where_its_own_event_would(self, make_sim):
+        sim = make_sim()
+        fired = []
+        sim.schedule(1.0, fired.append, "before")
+        reserved = sim.reserve_sequences()
+        sim.schedule(1.0, fired.append, "after")
+        sim.schedule_reserved(1.0, reserved, fired.append, "reserved")
+        assert sim.reserve_sequences(3) == 3 and sim.reserve_sequences() == 6
+        sim.run()
+        assert fired == ["before", "reserved", "after"]
+
+    def test_claim_is_refused_outside_run(self, make_sim):
+        sim = make_sim()
+        assert not sim.claim(0.0, sim.reserve_sequences())
+        assert (sim.now, sim.edges_in_place) == (0.0, 0)
+
+    @pytest.mark.parametrize("rival, claimed", [
+        (None, True),               # nothing else pending
+        ("later time", True),
+        ("same time, later sequence", True),
+        ("same time, earlier sequence", False),
+        ("earlier time", False),
+        ("earlier time, cancelled", False),     # tombstones are run()'s to drop
+    ])
+    def test_claim_succeeds_only_for_the_strictly_next_key(self, make_sim, rival,
+                                                           claimed):
+        # Microseconds apart, as signal edges are: a kernel may refuse an
+        # edge it cannot place cheaply (the wheel, beyond its current slot)
+        # but none may refuse these, and none may ever grant a wrong one.
+        sim = make_sim()
+        answers = []
+        edge_time = 1.0 + 2e-6
+
+        def first():
+            if rival and "earlier sequence" in rival:
+                sim.schedule_at(edge_time, lambda: None)
+            edge = sim.reserve_sequences()
+            if rival and "later sequence" in rival:
+                sim.schedule_at(edge_time, lambda: None)
+            if rival == "later time":
+                sim.schedule_at(1.0 + 3e-6, lambda: None)
+            if rival and rival.startswith("earlier time"):
+                event = sim.schedule_at(1.0 + 1e-6, lambda: None)
+                if "cancelled" in rival:
+                    sim.cancel(event)
+            answers.append((sim.claim(edge_time, edge), sim.now, sim.edges_in_place))
+
+        sim.schedule(1.0, first)
+        sim.run(until=3.0)
+        assert answers == [(True, edge_time, 1) if claimed else (False, 1.0, 0)]
+
+    def test_claim_respects_stop_and_until(self, make_sim):
+        sim = make_sim()
+        answers = []
+
+        def beyond_the_horizon():
+            answers.append(sim.claim(5.0, sim.reserve_sequences()))
+
+        def stopped():
+            sim.stop()
+            answers.append(sim.claim(sim.now, sim.reserve_sequences()))
+
+        sim.schedule(1.0, beyond_the_horizon)
+        sim.run(until=4.0)
+        sim.schedule(0.0, stopped)
+        sim.run()
+        assert answers == [False, False] and sim.edges_in_place == 0
+
+    @given(st.integers(min_value=1, max_value=12))
+    @settings(max_examples=24, deadline=None)
+    def test_max_events_counts_edges_run_in_place(self, make_sim, budget):
+        sim = make_sim()
+        ran = []
+
+        def chain(sequence):
+            while True:
+                ran.append(sequence)
+                sequence += 1
+                if sequence == first + 10:
+                    return
+                if not sim.claim(1.0, sequence):
+                    sim.schedule_reserved(1.0, sequence, chain, sequence)
+                    return
+
+        first = sim.reserve_sequences(10)
+        sim.schedule_reserved(1.0, first, chain, first)
+        sim.schedule(2.0, ran.append, "tail")
+        sim.run(max_events=budget)
+        assert len(ran) == min(budget, 11)
+        assert sim.events_processed + sim.edges_in_place == len(ran)
+        sim.run()
+        assert ran == list(range(10)) + ["tail"]
+
+    def test_reset_clears_the_edge_counter(self, make_sim):
+        sim = make_sim()
+        sim.schedule(0.0, lambda: sim.claim(0.0, sim.reserve_sequences()))
+        sim.run()
+        assert sim.edges_in_place == 1
+        sim.reset()
+        assert (sim.edges_in_place, sim.reserve_sequences()) == (0, 0)

@@ -46,13 +46,30 @@ def brute_force_in_range(channel, node_id, radius):
             and origin.distance_to(channel.position_of(other)) <= radius]
 
 
+def receivers_in_registration_order(deliveries):
+    """Receiver ids of a delivery-cache payload, by their sequence offsets.
+
+    The payload lists receivers in the order their signals start — by
+    ``(delay, offset)`` — and numbers them (``offset``) in registration
+    order, the order the per-receiver sequence numbers are handed out in.
+    """
+    edges, tie_gap = deliveries
+    assert edges == sorted(edges, key=lambda edge: (edge[1], edge[4]))
+    assert tie_gap == min((after[1] - before[1]
+                           for before, after in zip(edges, edges[1:])
+                           if before[4] > after[4]), default=float("inf")) > 0
+    by_offset = sorted(edges, key=lambda edge: edge[4])
+    assert [edge[4] for edge in by_offset] == list(range(len(edges)))
+    return [edge[0].node_id for edge in by_offset]
+
+
 def assert_views_match_brute_force(channel):
     propagation = channel.propagation
     for node_id in channel.node_ids:
         assert channel.geometric_neighbors_of(node_id) == brute_force_in_range(
             channel, node_id, propagation.transmission_range)
         deliveries = channel._build_deliveries(node_id)
-        assert [entry[0].node_id for entry in deliveries] == brute_force_in_range(
+        assert receivers_in_registration_order(deliveries) == brute_force_in_range(
             channel, node_id, propagation.interference_range)
 
 
@@ -131,7 +148,7 @@ class TestLazyInvalidationEquivalence:
         cached = channel._cached_payload(channel._delivery_cache, node_id)
         if cached is None:
             cached = channel._build_deliveries(node_id)
-        return [entry[0].node_id for entry in cached]
+        return receivers_in_registration_order(cached)
 
     @given(placement=placements,
            tx_range=st.floats(min_value=50.0, max_value=600.0),

@@ -98,12 +98,27 @@ def _golden_builders():
 
 GOLDEN_BUILDERS = _golden_builders()
 
+#: ``events_processed`` of each golden run when every per-receiver signal
+#: edge was an event of its own (PR 11, both kernels).  Since PR 12 most edges
+#: run in place, and ``events_processed + edges_in_place`` must still be this
+#: number to the digit: the handlers invoked did not change, only how many of
+#: them took a trip through the queue.
+GOLDEN_HANDLERS = {
+    "backbone2x7-newreno": 103771,
+    "chain7-vegas-2mbps": 122816,
+    "grid-newreno-2mbps": 172902,
+    "mobile-chain7-rwp-vegas-2mbps": 35483,
+    "random50-vegas-2mbps": 466338,
+}
+
 
 def _run_golden_on(name: str, backend: str) -> dict:
     reset_packet_ids()
     tracer = Tracer(enabled=True)
     result = GOLDEN_BUILDERS[name](tracer, backend).run()
-    return {"trace_sha256": trace_digest(tracer), "metrics": _metrics(result)}
+    return {"trace_sha256": trace_digest(tracer), "metrics": _metrics(result),
+            "events": result.metrics["core.events_processed"],
+            "edges": result.metrics["core.edges_in_place"]}
 
 
 def _run_preset_on(name: str, backend: str) -> dict:
@@ -139,6 +154,9 @@ def test_golden_trace_identical_on_backend(name, backend):
         f"{name} on backend {backend!r}: event trace diverged from the "
         "pinned golden run (backend changed simulation behaviour)"
     )
+    assert actual["events"] + actual["edges"] == GOLDEN_HANDLERS[name]
+    # At least half the handlers are signal edges that skipped the queue.
+    assert actual["edges"] > actual["events"]
 
 
 @pytest.mark.parametrize("backend",
