@@ -4,9 +4,9 @@ Mobile scenarios add two costs on top of a static run:
 
 * ``position_churn`` (micro) — the channel-side cost in isolation: batch
   position updates (:meth:`~repro.phy.channel.WirelessChannel.set_positions`)
-  each invalidating the per-pair link cache and the per-sender delivery
-  lists, followed by a broadcast per node that forces the delivery lists to
-  be rebuilt from the new geometry.  This is exactly what every
+  each invalidating the per-sender delivery lists, followed by a broadcast
+  per node that forces the delivery lists to be rebuilt from the new
+  geometry.  This is exactly what every
   :class:`~repro.mobility.base.MobilityManager` update interval does to the
   channel, with the protocol stack stripped away.
 * ``position_churn_50`` / ``_250`` / ``_1000`` / ``_10000`` (micro, scaling

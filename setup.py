@@ -1,8 +1,8 @@
-"""Setuptools shim for environments without the ``wheel`` package.
+"""Project metadata.
 
-The canonical project metadata lives in ``pyproject.toml``; this file only
-enables legacy ``pip install -e . --no-use-pep517`` editable installs on
-offline machines that lack ``wheel``.
+The package runs on the standard library alone.  The ``test`` extra names what
+the test suite uses besides pytest: scipy and networkx as oracles for the
+Student-t quantile and the connectivity graph, hypothesis to generate inputs.
 """
 
 from setuptools import find_packages, setup
@@ -13,5 +13,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=[],
+    extras_require={"test": ["pytest", "hypothesis", "scipy", "networkx"]},
 )

@@ -51,20 +51,6 @@ from repro.experiments.workload import (
     Workload,
     mixed_transport_workload,
 )
-from repro.experiments.exec import (
-    ResultStore,
-    backend_names,
-    execute_study,
-    register_backend,
-)
-from repro.experiments.study import (
-    PointResult,
-    Study,
-    StudyResult,
-    StudyRunner,
-    SweepSpec,
-    run_study,
-)
 from repro.metrics import Counter, Gauge, MetricsRegistry, TimeSeries
 from repro.mobility.registry import (
     MobilityProfile,
@@ -89,6 +75,18 @@ from repro.transport.registry import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # Reached only for names not bound above: of those in __all__, that is the
+    # study plane (SweepSpec, run_study, ResultStore, ...), which
+    # repro.experiments loads on first use so that a process which only runs
+    # scenarios never imports it.
+    if name in __all__:
+        from repro import experiments
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ScenarioConfig",

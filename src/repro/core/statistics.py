@@ -14,35 +14,65 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-try:  # scipy is available in the target environment, but keep a fallback.
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_stats = None
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction ``cf`` in ``I_x(a, b) = x^a (1-x)^b cf / (a B(a, b))``.
+
+    Modified Lentz evaluation; it converges in O(sqrt(max(a, b))) terms for
+    ``x < (a + 1) / (a + b + 2)``, and ``I_x(a, b) = 1 - I_{1-x}(b, a)``
+    covers the rest.
+    """
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    result = d
+    for m in range(1, 100_000):
+        for numerator in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                          -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            if abs(c) < tiny:
+                c = tiny
+            result *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return result
 
 
-# Two-sided 97.5 % quantiles of the Student t distribution for small degrees
-# of freedom, used when scipy is unavailable.
-_T_975 = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365,
-    8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179, 13: 2.160, 14: 2.145,
-    15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093, 20: 2.086,
-    25: 2.060, 30: 2.042, 40: 2.021, 60: 2.000, 120: 1.980,
-}
+def student_t_quantile(confidence: float, dof: float) -> float:
+    """The ``t`` with ``P(|T| <= t) = confidence`` for ``dof`` degrees of freedom.
 
-
-def _t_quantile_975(dof: int) -> float:
-    """Return the two-sided 95 % Student-t quantile for ``dof`` degrees of freedom."""
-    if dof <= 0:
-        return float("inf")
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.975, dof))
-    if dof in _T_975:
-        return _T_975[dof]
-    # Fall back to the closest tabulated value below, then the normal quantile.
-    candidates = [k for k in _T_975 if k <= dof]
-    if candidates:
-        return _T_975[max(candidates)]
-    return 1.96
+    ``P(|T| <= t)`` is the regularised incomplete beta function
+    ``I_y(1/2, dof/2)`` at ``y = t² / (dof + t²)``.  It is concave in ``t``, so
+    Newton's iteration started below the root rises to it without overshooting.
+    Infinite for ``dof <= 0``: one sample says nothing about the spread.
+    """
+    if dof <= 0 or confidence >= 1.0:
+        return math.inf
+    if confidence <= 0.0:
+        return 0.0
+    a, b = 0.5, dof / 2.0
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    root_dof = math.sqrt(dof)
+    direct_below = (a + 1.0) / (a + b + 2.0)
+    # Newton's first step from t = 0, where the density is 1 / (sqrt(dof) B(a, b)).
+    t = confidence * root_dof * math.exp(log_beta) / 2.0
+    for _ in range(200):
+        y = t * t / (dof + t * t)
+        x = dof / (dof + t * t)         # 1 - y without the cancellation
+        front = math.exp(a * math.log(y) + b * math.log(x) - log_beta)
+        if y < direct_below:
+            inside = front * _beta_continued_fraction(a, b, y) / a
+        else:
+            inside = 1.0 - front * _beta_continued_fraction(b, a, x) / b
+        density = math.exp((b + 0.5) * math.log(x) - log_beta) / root_dof
+        step = (confidence - inside) / (2.0 * density)
+        t += step
+        if abs(step) <= 1e-10 * t:      # quadratic: the step just taken was the error
+            break
+    return t
 
 
 @dataclass(frozen=True)
@@ -107,8 +137,7 @@ def confidence_interval(values: Sequence[float], confidence: float = 0.95) -> Co
 
     Args:
         values: Sample observations (e.g. per-batch goodputs).
-        confidence: Only 0.95 is supported without scipy; with scipy any level
-            works.
+        confidence: Two-sided confidence level, strictly between 0 and 1.
 
     Returns:
         A :class:`ConfidenceInterval`; the half-width is 0 for fewer than two
@@ -118,11 +147,7 @@ def confidence_interval(values: Sequence[float], confidence: float = 0.95) -> Co
     mu = mean(values)
     if len(values) < 2:
         return ConfidenceInterval(mean=mu, half_width=0.0, confidence=confidence)
-    dof = len(values) - 1
-    if _scipy_stats is not None and confidence != 0.95:
-        quantile = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    else:
-        quantile = _t_quantile_975(dof)
+    quantile = student_t_quantile(confidence, len(values) - 1)
     std_err = math.sqrt(sample_variance(values) / len(values))
     return ConfidenceInterval(mean=mu, half_width=quantile * std_err, confidence=confidence)
 

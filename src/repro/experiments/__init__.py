@@ -29,6 +29,8 @@ Four layers, from low-level to high-level:
   result into the nested dictionaries the benchmark scripts consume.
 """
 
+import importlib
+
 from repro.experiments.config import (
     DEFAULT_HOP_COUNTS,
     PAPER_BANDWIDTHS,
@@ -38,29 +40,12 @@ from repro.experiments.config import (
     resolve_variant,
     variant_label,
 )
-from repro.experiments.exec import (
-    ExecutorBackend,
-    ResultStore,
-    StudyExecutionError,
-    backend_names,
-    execute_study,
-    get_backend,
-    register_backend,
-)
 from repro.experiments.results import FlowResult, ScenarioResult, format_table
 from repro.experiments.runner import Scenario, run_scenario
 from repro.experiments.scenarios import (
     available_scenarios,
     build_named_scenario,
     register_scenario,
-)
-from repro.experiments.study import (
-    PointResult,
-    Study,
-    StudyResult,
-    StudyRunner,
-    SweepSpec,
-    run_study,
 )
 from repro.experiments.workload import (
     FlowSpec,
@@ -70,6 +55,25 @@ from repro.experiments.workload import (
     Workload,
     mixed_transport_workload,
 )
+
+#: Study-plane names and the module each lives in, imported on first use
+#: (PEP 562): running a scenario loads neither the sweep machinery nor the
+#: executor backends' multiprocessing and concurrent.futures.
+_STUDY_PLANE = {
+    **dict.fromkeys(("PointResult", "Study", "StudyResult", "StudyRunner",
+                     "SweepSpec", "run_study"), "repro.experiments.study"),
+    **dict.fromkeys(("ExecutorBackend", "ResultStore", "StudyExecutionError",
+                     "backend_names", "execute_study", "get_backend",
+                     "register_backend"), "repro.experiments.exec"),
+}
+
+
+def __getattr__(name: str):
+    module = _STUDY_PLANE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "FlowSpec",

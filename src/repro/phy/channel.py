@@ -21,7 +21,7 @@ Positions may change mid-run: a :class:`~repro.mobility.base.MobilityManager`
 pushes updated positions through :meth:`WirelessChannel.set_positions`.
 Invalidation is *lazy* and generation-stamped: moving a node only bumps a
 per-cell generation counter on the cells it touched — O(movers) regardless of
-population size — and every cached link/delivery/neighbour entry carries the
+population size — and every cached delivery/neighbour entry carries the
 cell and 3×3 block stamp it was built under.  A lookup first compares a single
 global move-generation integer (the static fast path), then revalidates the
 stamp (nine dict reads) and rebuilds only if the entry's neighbourhood really
@@ -181,12 +181,12 @@ class WirelessChannel:
         # ``[move_generation, cell_key, block_stamp, payload]`` validated on
         # lookup by _cached_payload(); set_positions never walks them.
         #
-        # _link_cache payload: {dst: (receivable, interferes, delay, power)}.
-        self._link_cache: Dict[int, _StampedEntry] = {}
         # _delivery_cache payload: ([_Edge, ...], tie_gap) — every radio
         # inside interference range in (delay, registration) order, i.e. the
         # order their signals start in, and the smallest difference in delay
-        # that must not round away (see _build_deliveries).
+        # that must not round away (see _build_deliveries).  This is the only
+        # per-pair state the channel holds: a pair out of interference range
+        # is classified when a list is built and then forgotten.
         self._delivery_cache: Dict[int, _StampedEntry] = {}
         # _neighbor_cache payload: in-transmission-range node ids, in
         # registration order (the geometric_neighbors_of answer).
@@ -489,24 +489,27 @@ class WirelessChannel:
         delay has them the wrong way round (:meth:`broadcast` checks).
         """
         deliveries: List[_Edge] = []
-        links = self._link_map(sender_id)
         if sender_id not in self._down_nodes:
             radios = self._radios
             down = self._down_nodes
             blocked = self._blocked_links
             candidates = sorted(self._grid.neighborhood(sender_id),
                                 key=self._registration_index.__getitem__)
+            positions = self._positions
+            origin = positions[sender_id]
+            propagation = self.propagation
             for receiver_id in candidates:
                 if receiver_id in down:
                     continue
                 if blocked and self.is_link_blocked(sender_id, receiver_id):
                     continue
-                cached = links.get(receiver_id)
-                if cached is None:
-                    cached = links[receiver_id] = self._classify(sender_id, receiver_id)
-                receivable, interferes, delay, power = cached
+                distance = origin.distance_to(positions[receiver_id])
+                receivable, interferes = propagation.classify(distance)
                 if interferes:
-                    deliveries.append((radios[receiver_id], delay, receivable, power,
+                    deliveries.append((radios[receiver_id],
+                                       propagation.propagation_delay(distance),
+                                       receivable,
+                                       propagation.relative_power(distance),
                                        len(deliveries)))
         deliveries.sort(key=itemgetter(1, 4))      # by delay, then offset
         tie_gap = min((after[1] - before[1]
@@ -518,29 +521,3 @@ class WirelessChannel:
         ]
         self.stats.delivery_rebuilds += 1
         return deliveries, tie_gap
-
-    def _link_map(self, src: int) -> Dict[int, Tuple[bool, bool, float, float]]:
-        """The still-valid per-destination link map for ``src`` (fresh if stale)."""
-        links = self._cached_payload(self._link_cache, src)
-        if links is None:
-            links = {}
-            cell = self._grid.cell_of(src)
-            self._link_cache[src] = [
-                self._move_generation, cell, self._block_stamp(cell), links
-            ]
-        return links
-
-    def _link(self, src: int, dst: int) -> Tuple[bool, bool, float, float]:
-        """Classification of the ``src``→``dst`` link, via the stamped cache."""
-        links = self._link_map(src)
-        cached = links.get(dst)
-        if cached is None:
-            cached = links[dst] = self._classify(src, dst)
-        return cached
-
-    def _classify(self, src: int, dst: int) -> Tuple[bool, bool, float, float]:
-        distance = self.distance(src, dst)
-        receivable, interferes = self.propagation.classify(distance)
-        delay = self.propagation.propagation_delay(distance)
-        power = self.propagation.relative_power(distance)
-        return (receivable, interferes, delay, power)

@@ -3,16 +3,15 @@
 A :class:`Topology` is a declarative description — node positions plus the
 source/destination pairs of the traffic flows — that the experiment runner
 turns into a live network.  Graph helpers (connectivity, shortest-path next
-hops) are built on networkx and are used both by the static-routing baseline
-and by the random-topology generator's connectivity check.
+hops) run on :class:`ConnectivityGraph`, a breadth-first search over
+insertion-ordered adjacency lists, and are used both by the static-routing
+baseline and by the random-topology generator's connectivity check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import TopologyError
 from repro.phy.propagation import Position, RangePropagationModel
@@ -45,6 +44,66 @@ class FlowSpec:
     def endpoints(self) -> Tuple[int, int]:
         """The ``(source, destination)`` node pair."""
         return (self.source, self.destination)
+
+
+class ConnectivityGraph:
+    """Undirected graph over node ids: who is in transmission range of whom.
+
+    Nodes and each node's neighbours are kept in insertion order and searched
+    breadth-first level by level, so among equally short paths the one whose
+    nodes were discovered first wins — the tie-break static routes are pinned
+    to.
+    """
+
+    def __init__(self, nodes: Iterable[int]) -> None:
+        self._adjacency: Dict[int, List[int]] = {node: [] for node in nodes}
+        self._edge_count = 0
+
+    def add_edge(self, a: int, b: int) -> None:
+        """Connect two of the graph's nodes; call once per unordered pair."""
+        self._adjacency[a].append(b)
+        self._adjacency[b].append(a)
+        self._edge_count += 1
+
+    @property
+    def nodes(self) -> List[int]:
+        """Node ids in insertion order."""
+        return list(self._adjacency)
+
+    def number_of_edges(self) -> int:
+        """How many pairs are connected."""
+        return self._edge_count
+
+    def has_edge(self, a: int, b: int) -> bool:
+        """True if ``a`` and ``b`` are in transmission range of each other."""
+        return b in self._adjacency.get(a, ())
+
+    def reach(self, source: int, cutoff: Optional[int] = None) -> Dict[int, Tuple[int, int]]:
+        """``{node: (hops, first hop)}`` for every node within ``cutoff`` hops.
+
+        In discovery order, ``source`` first (0 hops, its own first hop);
+        empty if ``source`` is not in the graph.
+        """
+        adjacency = self._adjacency
+        found = {source: (0, source)} if source in adjacency else {}
+        level = list(found)
+        hops = 0
+        while level and (cutoff is None or hops < cutoff):
+            hops += 1
+            next_level = []
+            for node in level:
+                first_hop = found[node][1]
+                for neighbor in adjacency[node]:
+                    if neighbor not in found:
+                        found[neighbor] = (hops, neighbor if node == source else first_hop)
+                        next_level.append(neighbor)
+            level = next_level
+        return found
+
+    def is_connected(self) -> bool:
+        """True if every node reaches every other (an empty graph does)."""
+        nodes = self._adjacency
+        return not nodes or len(self.reach(next(iter(nodes)))) == len(nodes)
 
 
 @dataclass
@@ -83,7 +142,7 @@ class Topology:
 
     def connectivity_graph(
         self, propagation: RangePropagationModel | None = None
-    ) -> nx.Graph:
+    ) -> ConnectivityGraph:
         """Graph with an edge between every pair of nodes in transmission range.
 
         For large placements the candidate pairs come from a
@@ -93,8 +152,7 @@ class Topology:
         strictly farther apart than the transmission range).
         """
         propagation = propagation or RangePropagationModel()
-        graph = nx.Graph()
-        graph.add_nodes_from(self.positions)
+        graph = ConnectivityGraph(self.positions)
         positions = self.positions
         if len(positions) > _GRID_GRAPH_THRESHOLD:
             from repro.phy.spatial import GridIndex
@@ -106,24 +164,19 @@ class Topology:
                 for b in grid.neighborhood(a):
                     if b < a:
                         continue  # each unordered pair once
-                    distance = position.distance_to(positions[b])
-                    if propagation.can_receive(distance):
-                        graph.add_edge(a, b, weight=1.0, distance=distance)
+                    if propagation.can_receive(position.distance_to(positions[b])):
+                        graph.add_edge(a, b)
             return graph
         ids = list(positions)
         for index, a in enumerate(ids):
             for b in ids[index + 1:]:
-                distance = positions[a].distance_to(positions[b])
-                if propagation.can_receive(distance):
-                    graph.add_edge(a, b, weight=1.0, distance=distance)
+                if propagation.can_receive(positions[a].distance_to(positions[b])):
+                    graph.add_edge(a, b)
         return graph
 
     def is_connected(self, propagation: RangePropagationModel | None = None) -> bool:
         """True if every node can reach every other node over one or more hops."""
-        graph = self.connectivity_graph(propagation)
-        if graph.number_of_nodes() == 0:
-            return True
-        return nx.is_connected(graph)
+        return self.connectivity_graph(propagation).is_connected()
 
     def hop_count(
         self, source: int, destination: int,
@@ -134,31 +187,25 @@ class Topology:
         Raises:
             TopologyError: If no path exists.
         """
-        graph = self.connectivity_graph(propagation)
-        try:
-            return nx.shortest_path_length(graph, source, destination)
-        except nx.NetworkXNoPath as exc:
+        found = self.connectivity_graph(propagation).reach(source)
+        if destination not in found:
             raise TopologyError(
-                f"no path between {source} and {destination} in {self.name}"
-            ) from exc
+                f"no path between {source} and {destination} in {self.name}")
+        return found[destination][0]
 
 
-def shortest_path_next_hops(graph: nx.Graph, node: int) -> Dict[int, int]:
+def shortest_path_next_hops(graph: ConnectivityGraph, node: int) -> Dict[int, int]:
     """Next-hop table for ``node`` derived from shortest paths in ``graph``.
 
     Returns:
         Mapping from every reachable destination to the first hop on a
         shortest path towards it.
     """
-    next_hops: Dict[int, int] = {}
-    paths = nx.single_source_shortest_path(graph, node)
-    for destination, path in paths.items():
-        if destination == node or len(path) < 2:
-            continue
-        next_hops[destination] = path[1]
-    return next_hops
+    return {destination: first_hop
+            for destination, (_, first_hop) in graph.reach(node).items()
+            if destination != node}
 
 
-def all_next_hop_tables(graph: nx.Graph) -> Dict[int, Dict[int, int]]:
+def all_next_hop_tables(graph: ConnectivityGraph) -> Dict[int, Dict[int, int]]:
     """Next-hop tables for every node in the graph (for static routing)."""
     return {node: shortest_path_next_hops(graph, node) for node in graph.nodes}

@@ -131,8 +131,6 @@ def _draw_flows(
     min_flow_hops: int,
 ) -> List[FlowSpec]:
     graph = topology.connectivity_graph(propagation)
-    import networkx as nx
-
     nodes = list(topology.positions)
     flows: List[FlowSpec] = []
     used: set[int] = set()
@@ -149,9 +147,7 @@ def _draw_flows(
         # of radius ``min_flow_hops - 1`` around the source — O(local) on a
         # 10k-node mesh instead of a full-graph shortest-path search, with
         # accept/reject decisions (and the RNG draw sequence) identical.
-        too_close = nx.single_source_shortest_path_length(
-            graph, source, cutoff=min_flow_hops - 1)
-        if destination in too_close:
+        if destination in graph.reach(source, cutoff=min_flow_hops - 1):
             continue
         flows.append(FlowSpec(source=source, destination=destination))
         used.add(source)

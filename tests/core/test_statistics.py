@@ -17,6 +17,7 @@ from repro.core.statistics import (
     mean,
     relative_change,
     sample_variance,
+    student_t_quantile,
 )
 
 
@@ -73,6 +74,54 @@ class TestConfidenceInterval:
     def test_str_representation(self):
         text = str(ConfidenceInterval(mean=10.0, half_width=0.5))
         assert "10" in text and "±" in text
+
+
+class TestStudentTQuantile:
+    LEVELS = (0.80, 0.90, 0.95, 0.99)
+
+    def test_matches_scipy(self):
+        # scipy is the oracle here and nowhere in src/.
+        t = pytest.importorskip("scipy.stats").t
+        for confidence in self.LEVELS:
+            for dof in range(1, 201):
+                assert student_t_quantile(confidence, dof) == pytest.approx(
+                    float(t.ppf(0.5 + confidence / 2.0, dof)), rel=1e-9), (confidence, dof)
+
+    @pytest.mark.parametrize("confidence", LEVELS + (1e-6, 0.5, 0.999999))
+    def test_closed_forms(self, confidence):
+        # One degree of freedom is the Cauchy distribution, two has an
+        # algebraic quantile: exact oracles that need no scipy.
+        assert student_t_quantile(confidence, 1) == pytest.approx(
+            math.tan(math.pi * confidence / 2.0), rel=1e-9)
+        assert student_t_quantile(confidence, 2) == pytest.approx(
+            confidence * math.sqrt(2.0 / (1.0 - confidence ** 2)), rel=1e-9)
+
+    def test_approaches_the_normal_quantile(self):
+        assert student_t_quantile(0.95, 10 ** 6) == pytest.approx(1.959964, rel=1e-5)
+
+    @pytest.mark.parametrize("dof", [0, -1])
+    def test_no_degrees_of_freedom_is_infinite(self, dof):
+        assert math.isinf(student_t_quantile(0.95, dof))
+
+    def test_degenerate_levels(self):
+        assert student_t_quantile(0.0, 5) == 0.0
+        assert math.isinf(student_t_quantile(1.0, 5))
+
+    def test_interval_uses_the_level_it_was_asked_for(self):
+        # Used to be the 95 % quantile whatever the level when scipy was absent.
+        values = [10.0, 12.0, 9.0, 11.0, 10.5]
+        at_95 = confidence_interval(values)
+        assert at_95.half_width == pytest.approx(2.7764451052 * math.sqrt(1.25 / 5), rel=1e-9)
+        for confidence in self.LEVELS:
+            ci = confidence_interval(values, confidence=confidence)
+            assert ci.confidence == confidence
+            assert ci.half_width / at_95.half_width == pytest.approx(
+                student_t_quantile(confidence, 4) / student_t_quantile(0.95, 4))
+
+    @pytest.mark.parametrize("values", [[], [7.0]])
+    def test_fewer_than_two_samples_have_zero_half_width(self, values):
+        for confidence in self.LEVELS:
+            assert confidence_interval(values, confidence=confidence).half_width == 0.0
 
 
 class TestJainFairness:

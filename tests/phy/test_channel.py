@@ -270,3 +270,93 @@ class TestSpatialIndexIntegration:
             for node_id in range(4, 8)})
         assert channel._cached_payload(channel._delivery_cache, 0) is not None
         assert channel.stats.delivery_rebuilds == rebuilds + 1
+
+
+# Node ids start at 1000 so that no counter, offset or stamp in the channel's
+# state can be mistaken for one.
+FIELD = {1000 + index: Position(x, y) for index, (x, y) in enumerate([
+    (0, 0), (200, 0), (400, 30), (600, 0), (820, 10), (1100, 0), (1240, 300),
+    (1400, 0), (300, 400), (310, 560), (900, 700), (1650, 20)])}
+
+
+def populate(sim, channel):
+    for node_id, position in FIELD.items():
+        add_node(sim, channel, node_id, position.x, position.y)
+    return channel
+
+
+def delivery_lists(channel):
+    """Every sender's delivery list as broadcast would read it, radios by id."""
+    lists = {}
+    for node_id in channel.node_ids:
+        cached = channel._cached_payload(channel._delivery_cache, node_id)
+        edges, tie_gap = cached if cached is not None else channel._build_deliveries(node_id)
+        lists[node_id] = ([(radio.node_id, delay, receivable, power, offset)
+                           for radio, delay, receivable, power, offset in edges], tie_gap)
+    return lists
+
+
+class TestDeliveryListIsTheLinkStructure:
+    """No per-pair cache sits behind the delivery lists: an impairment change
+    drops them and each is classified afresh from positions on its next use."""
+
+    def test_impairment_round_trips_rebuild_the_never_impaired_lists(self, sim, channel):
+        populate(sim, channel)
+        pristine = delivery_lists(populate(sim, WirelessChannel(sim)))
+        senders = len(FIELD)
+        assert delivery_lists(channel) == pristine
+        assert channel.stats.delivery_rebuilds == senders
+
+        channel.set_link_blocked(1000, 1001)
+        blocked = delivery_lists(channel)
+        assert 1001 not in [edge[0] for edge in blocked[1000][0]]
+        assert 1000 not in [edge[0] for edge in blocked[1001][0]]
+        assert {n: blocked[n] for n in blocked if n not in (1000, 1001)} == \
+            {n: pristine[n] for n in pristine if n not in (1000, 1001)}
+        channel.set_link_blocked(1000, 1001, blocked=False)
+        assert delivery_lists(channel) == pristine
+        assert channel.stats.delivery_rebuilds == 3 * senders
+
+        channel.set_node_down(1002)
+        down = delivery_lists(channel)
+        assert down[1002] == ([], float("inf"))
+        assert all(1002 not in [edge[0] for edge in edges] for edges, _ in down.values())
+        channel.set_node_down(1002, down=False)
+        assert delivery_lists(channel) == pristine
+        assert channel.stats.delivery_rebuilds == 5 * senders
+        # Reading again rebuilds nothing.
+        assert delivery_lists(channel) == pristine
+        assert channel.stats.delivery_rebuilds == 5 * senders
+
+    def test_only_interfering_pairs_are_remembered(self, sim, channel):
+        populate(sim, channel)
+        interference_range = channel.propagation.interference_range
+        for radio in list(channel._radios.values()):
+            radio.transmit(Packet(payload_size=10), duration=0.0001)
+            sim.run()
+            channel.neighbors_of(radio.node_id)
+        # The field has pairs that share a 3×3 block and do not interfere:
+        # candidates a list is built from, and nothing to keep afterwards.
+        assert any(channel.distance(node_id, other) > interference_range
+                   for node_id in FIELD for other in channel._grid.neighborhood(node_id))
+
+        def peers(value):
+            """Node ids mentioned anywhere inside a per-sender value."""
+            if isinstance(value, Radio):
+                return {value.node_id}
+            if isinstance(value, int):
+                return {value} & set(FIELD)
+            if isinstance(value, dict):
+                return peers(list(value)) | peers(list(value.values()))
+            if isinstance(value, (list, tuple, set, frozenset)):
+                return set().union(*map(peers, value))
+            return set()
+
+        per_sender = {name: value for name, value in vars(channel).items()
+                      if isinstance(value, dict) and value and set(value) <= set(FIELD)}
+        assert {"_delivery_cache", "_neighbor_cache"} <= set(per_sender)
+        for name, table in per_sender.items():
+            for node_id, value in table.items():
+                for other in peers(value) - {node_id}:
+                    assert channel.distance(node_id, other) <= interference_range, \
+                        f"{name}[{node_id}] holds non-interfering peer {other}"
