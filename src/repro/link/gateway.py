@@ -117,12 +117,6 @@ class GatewayForwardingMixin:
     # ------------------------------------------------------------------
     def on_wired_delivery(self, packet: Packet) -> None:
         """Packet handed up by the wired port."""
-        ip = packet.require_ip()
-        if ip.dst != self.node_id and ip.dst != BROADCAST:
-            ip.ttl -= 1
-            if ip.ttl <= 0:
-                self.stats._packets_dropped_no_route.value += 1
-                return
         self._deliver_or_forward(packet)
 
     def on_wired_send_failure(self, packet: Packet, next_hop: int) -> None:

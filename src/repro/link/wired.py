@@ -254,7 +254,8 @@ class WiredBus:
             if frozenset((sender_id, node_id)) in self._blocked:
                 continue
             if mac.dst == node_id or mac.dst == BROADCAST:
-                port.on_frame_received(packet.copy())
+                # As on the air: one frame for all, read-only to receivers.
+                port.on_frame_received(packet)
                 delivered = True
         if delivered:
             self._frames_delivered.inc()

@@ -97,7 +97,7 @@ class Ieee80211Mac(PhyListener):
         self.stats = MacStats(metrics, prefix=f"mac.node{node_id}")
 
         self.state = MacState.IDLE
-        self._access_phase = _AccessPhase.INACTIVE
+        self._enter(_AccessPhase.INACTIVE)
         self._current: Optional[Packet] = None
         self._current_next_hop: int = BROADCAST
         self._short_retries = 0
@@ -134,8 +134,14 @@ class Ieee80211Mac(PhyListener):
     # ==================================================================
     # Channel access: DIFS + backoff with physical & virtual carrier sense
     # ==================================================================
+    def _enter(self, phase: _AccessPhase) -> None:
+        """Change access phase.  Carrier transitions matter in every phase but
+        ``INACTIVE`` and to nothing else here, so the radio reports them then."""
+        self._access_phase = phase
+        self.radio.notify_carrier = phase is not _AccessPhase.INACTIVE
+
     def _begin_access(self) -> None:
-        self._access_phase = _AccessPhase.WAIT_IDLE
+        self._enter(_AccessPhase.WAIT_IDLE)
         self._try_access()
 
     def _try_access(self) -> None:
@@ -147,7 +153,7 @@ class Ieee80211Mac(PhyListener):
         if now < self._nav_until:
             self._schedule_nav_wakeup()
             return
-        self._access_phase = _AccessPhase.DIFS
+        self._enter(_AccessPhase.DIFS)
         self._difs_event = self.sim.schedule(self.timing.difs, self._difs_complete)
 
     def _schedule_nav_wakeup(self) -> None:
@@ -165,7 +171,7 @@ class Ieee80211Mac(PhyListener):
         if self._backoff_slots_remaining is None:
             window = self.timing.contention_window(self._attempt_index())
             self._backoff_slots_remaining = self.rng.randint(0, window)
-        self._access_phase = _AccessPhase.BACKOFF
+        self._enter(_AccessPhase.BACKOFF)
         self._backoff_started_at = self.sim.now
         delay = self._backoff_slots_remaining * self.timing.slot_time
         self._backoff_event = self.sim.schedule(delay, self._backoff_complete)
@@ -173,14 +179,14 @@ class Ieee80211Mac(PhyListener):
     def _backoff_complete(self) -> None:
         self._backoff_event = None
         self._backoff_slots_remaining = None
-        self._access_phase = _AccessPhase.INACTIVE
+        self._enter(_AccessPhase.INACTIVE)
         self._transmit_current()
 
     def _pause_access(self) -> None:
         if self._access_phase is _AccessPhase.DIFS:
             self.sim.cancel(self._difs_event)
             self._difs_event = None
-            self._access_phase = _AccessPhase.WAIT_IDLE
+            self._enter(_AccessPhase.WAIT_IDLE)
         elif self._access_phase is _AccessPhase.BACKOFF:
             self.sim.cancel(self._backoff_event)
             self._backoff_event = None
@@ -188,7 +194,7 @@ class Ieee80211Mac(PhyListener):
             slots_elapsed = int(elapsed / self.timing.slot_time)
             remaining = (self._backoff_slots_remaining or 0) - slots_elapsed
             self._backoff_slots_remaining = max(0, remaining)
-            self._access_phase = _AccessPhase.WAIT_IDLE
+            self._enter(_AccessPhase.WAIT_IDLE)
 
     def _attempt_index(self) -> int:
         return self._short_retries + self._long_retries
@@ -281,12 +287,12 @@ class Ieee80211Mac(PhyListener):
         return False
 
     def _deliver_up(self, packet: Packet) -> None:
-        # The MAC header is left attached so the routing layer can learn the
-        # previous hop (needed by AODV for reverse routes); routing replaces it
-        # when the packet is forwarded.
+        # Handed up as received — the frame's receivers share it, routing
+        # copies it if it forwards it — with the MAC header attached so routing
+        # can learn the previous hop (needed by AODV for reverse routes).
         self.stats._frames_delivered_up.value += 1
         if self.listener is not None:
-            self.listener.on_mac_delivery(packet.copy())
+            self.listener.on_mac_delivery(packet)
 
     # ==================================================================
     # Transmit side
@@ -396,14 +402,15 @@ class Ieee80211Mac(PhyListener):
         self._long_retries = 0
         self._backoff_slots_remaining = None
         self.state = MacState.IDLE
-        self._access_phase = _AccessPhase.INACTIVE
+        self._enter(_AccessPhase.INACTIVE)
         if packet is not None and self.listener is not None:
-            delivered = packet.copy()
-            delivered.mac = None
+            # Nobody else holds this packet: the MAC has let go of it and the
+            # air carried snapshots.
+            packet.mac = None
             if success:
-                self.listener.on_mac_send_success(delivered, next_hop)
+                self.listener.on_mac_send_success(packet, next_hop)
             else:
-                self.listener.on_mac_send_failure(delivered, next_hop)
+                self.listener.on_mac_send_failure(packet, next_hop)
         self._dequeue_next()
 
     # ==================================================================

@@ -20,7 +20,8 @@ class PhyListener(abc.ABC):
     They run at the receiving radio's own signal edges — each at the
     ``(time, sequence)`` place in the event order that an event of its own
     would have — whether or not the edge took a trip through the event queue
-    (see :class:`repro.phy.channel._Transmission`).
+    (see :class:`repro.phy.channel._Transmission`).  The two carrier callbacks
+    are made only while the listener keeps ``Radio.notify_carrier`` set.
     """
 
     @abc.abstractmethod
@@ -29,7 +30,7 @@ class PhyListener(abc.ABC):
 
         ``packet`` is the one snapshot of the frame that every receiver of
         the transmission is given: read it freely, ``packet.copy()`` before
-        changing anything or passing it to code that might.
+        changing anything.  Whoever it is passed on to is held to the same.
         """
 
     @abc.abstractmethod
@@ -46,7 +47,11 @@ class MacListener(abc.ABC):
 
     @abc.abstractmethod
     def on_mac_delivery(self, packet: Packet) -> None:
-        """A unicast or broadcast data frame addressed to this node arrived."""
+        """A unicast or broadcast data frame addressed to this node arrived.
+
+        ``packet`` is the received frame itself, shared with its other
+        receivers: ``packet.copy()`` before changing anything.
+        """
 
     @abc.abstractmethod
     def on_mac_send_failure(self, packet: Packet, next_hop: int) -> None:

@@ -4,14 +4,15 @@ A :class:`Packet` carries an application payload size plus a stack of headers
 added as it descends the protocol stack.  Its :attr:`Packet.size` is the sum of
 the payload and all attached header sizes, which is what the PHY uses for
 serialization delay.  A frame on the air is one snapshot, copied from the
-sender's packet once per transmission and shared read-only by every receiver;
-per-hop mutation (TTL, MAC addressing) stays local because whoever wants to
-change a received packet copies it first — the MAC does when it hands a frame
-up to routing.
+sender's packet once per transmission and shared read-only by every receiver
+and every layer above it; per-hop mutation (TTL, MAC addressing) stays local
+because whoever wants to change a received packet copies it first — routing
+does, where it forwards one.  A frame that is read and dropped, or delivered
+to the local transport, is never copied.
 
 Packets and their headers use ``__slots__`` and hand-rolled ``copy`` paths:
-one copy per transmission and one per frame delivered up still make packet
-copying a hot allocation site.
+one copy per transmission and one per hop forwarded still make packet copying
+a hot allocation site.
 """
 
 from __future__ import annotations
@@ -111,9 +112,9 @@ class Packet:
 
         Implemented with ``__new__`` plus per-header ``clone()`` calls rather
         than :func:`copy.deepcopy` or the dataclass constructor: the channel
-        snapshots every frame it carries and every MAC copies what it
-        delivers up, so this is a hot path.  Call it before changing a packet
-        somebody else may hold — a frame received from the PHY above all.
+        snapshots every frame it carries and routing copies every packet it
+        forwards, so this is a hot path.  Call it before changing a packet
+        somebody else may hold — a received frame above all.
         """
         new = object.__new__(Packet)
         new.payload_size = self.payload_size

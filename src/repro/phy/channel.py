@@ -14,8 +14,9 @@ lists are still emitted in *registration order* — the grid only narrows the
 candidate set, it never reorders scheduled deliveries — which keeps golden
 traces bit-identical to the pre-index channel.
 
-A transmission makes one trip through the event queue for its signal starts
-and one for its signal ends, not one per receiver: see :class:`_Transmission`.
+A transmission makes two trips through the event queue, not one per receiver:
+one for its signal starts, one for the sender's end of the frame and the
+signal ends behind it: see :class:`_Transmission`.
 
 Positions may change mid-run: a :class:`~repro.mobility.base.MobilityManager`
 pushes updated positions through :meth:`WirelessChannel.set_positions`.
@@ -57,35 +58,42 @@ _Edge = Tuple[Radio, float, bool, float, int]
 
 
 class _Transmission:
-    """One frame on the air: every receiver's signal start and signal end.
+    """One frame on the air: every receiver's signal start, the sender's own
+    end of the frame, and every receiver's signal end.
 
     Each edge has the ``(time, sequence)`` key an event of its own would have:
     the starts' sequences are reserved as one block when the frame is sent
     (numbered in registration order, whatever order the signals arrive in),
-    each end's sequence by the radio at the end of its ``signal_start``.  Both
-    series of keys rise along ``edges``, so each is a chain with only its
-    head in the event queue: after an edge has run, the next one runs in
+    the sender's end takes the next one the sending radio draws, each
+    receiver's end is given its own by the radio at the end of its
+    ``signal_start``.  The starts' keys rise along ``edges``; so do the ends',
+    after the sender's, which is older than and never later than any of them.
+    So each series is a chain with only its head in the event queue — two
+    queue trips per transmission: after an edge has run, the next one runs in
     place if the kernel confirms nothing queued comes before it
     (:meth:`~repro.core.engine.Simulator.claim`) and is queued under its
     reserved key otherwise.  Handler order is that of one event per edge.
     """
 
-    __slots__ = ("sim", "edges", "packet", "duration", "sent_at",
+    __slots__ = ("sim", "sender", "edges", "packet", "duration", "sent_at",
                  "first_sequence", "signals", "ended")
 
-    def __init__(self, sim: Simulator, edges: List[_Edge], packet: Packet,
-                 duration: float) -> None:
+    def __init__(self, sim: Simulator, sender: Radio, edges: List[_Edge],
+                 packet: Packet, duration: float) -> None:
         self.sim = sim
+        self.sender = sender
         self.edges = edges
         self.packet = packet
         self.duration = duration
         self.sent_at = sim.now
         self.first_sequence = sim.reserve_sequences(len(edges))
-        #: Signals started so far, in ``edges`` order; ``ended`` of them ended.
+        #: Signals started so far, in ``edges`` order; ``ended`` of them have
+        #: ended, -1 while the sender's end (queued by the sender) is to come.
         self.signals: List[_Signal] = []
-        self.ended = 0
-        sim.schedule_reserved(self.sent_at + edges[0][1],
-                              self.first_sequence + edges[0][4], self._run_starts)
+        self.ended = -1
+        if edges:
+            sim.schedule_reserved(self.sent_at + edges[0][1],
+                                  self.first_sequence + edges[0][4], self._run_starts)
 
     def _run_starts(self) -> None:
         sim = self.sim
@@ -99,11 +107,11 @@ class _Transmission:
             signal = radio.signal_start(packet, duration, receivable, power)
             signals.append(signal)
             if self.ended == index:
-                # No started signal was left to end, so the end chain has no
-                # head in the queue: this is the first start, or the frame is
-                # shorter than the spread of delays and the chain ran dry.
+                # Every edge of the end chain so far has run, so it has no
+                # head in the queue: the frame is shorter than the spread of
+                # delays and the chain ran dry.
                 sim.schedule_reserved(signal.end_time, signal.end_sequence,
-                                      self._run_ends)
+                                      self.run_ends)
             index += 1
             if index == len(edges):
                 return
@@ -114,21 +122,26 @@ class _Transmission:
                 sim.schedule_reserved(time, sequence, self._run_starts)
                 return
 
-    def _run_ends(self) -> None:
+    def run_ends(self) -> None:
+        """Run the end chain from its head for as long as the kernel allows."""
         sim = self.sim
         edges = self.edges
         signals = self.signals
         index = self.ended
-        while True:
+        if index < 0:
+            self.sender._transmit_complete()
+        else:
             edges[index][0]._signal_end(signals[index])
+        while True:
             index += 1
             if index == len(signals):
                 break
             signal = signals[index]
             if not sim.claim(signal.end_time, signal.end_sequence):
                 sim.schedule_reserved(signal.end_time, signal.end_sequence,
-                                      self._run_ends)
+                                      self.run_ends)
                 break
+            edges[index][0]._signal_end(signal)
         self.ended = index
 
 
@@ -448,14 +461,17 @@ class WirelessChannel:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def broadcast(self, sender: Radio, packet: Packet, duration: float) -> None:
+    def broadcast(self, sender: Radio, packet: Packet,
+                  duration: float) -> _Transmission:
         """Deliver ``packet`` from ``sender`` to every radio in range.
 
-        Called by :meth:`repro.phy.radio.Radio.transmit`.  The signal reaches
-        each potential receiver after its own (tiny) propagation delay;
-        whether it is decodable is decided by the receiving radio.  All
-        receivers share one snapshot of the packet, taken here: the sender
-        may go on changing its own, and nobody may change the snapshot.
+        Called by :meth:`repro.phy.radio.Radio.transmit`, which queues the
+        returned transmission's ``run_ends`` for the end of the frame.  The
+        signal reaches each potential receiver after its own (tiny)
+        propagation delay; whether it is decodable is decided by the
+        receiving radio.  All receivers share one snapshot of the packet,
+        taken here: the sender may go on changing its own, and nobody may
+        change the snapshot.
         """
         stats = self.stats
         stats.transmissions += 1
@@ -465,15 +481,13 @@ class WirelessChannel:
         if deliveries is None:
             deliveries = self._build_deliveries(sender_id)
         edges, tie_gap = deliveries
-        if not edges:
-            return
         stats.deliveries_attempted += len(edges)
         now = self.sim.now
-        if tie_gap <= math.ulp(now + edges[-1][1]):
+        if edges and tie_gap <= math.ulp(now + edges[-1][1]):
             # Two delays this close can round to one arrival time, where the
             # sequence numbers decide: order by the keys as they are now.
             edges = sorted(edges, key=lambda edge: (now + edge[1], edge[4]))
-        _Transmission(self.sim, edges, packet.copy(), duration)
+        return _Transmission(self.sim, sender, edges, packet.copy(), duration)
 
     def _build_deliveries(self, sender_id: int) -> Tuple[List[_Edge], float]:
         """Compute and cache the in-range receiver list for ``sender_id``.

@@ -26,11 +26,16 @@ object calls :meth:`Radio.signal_start` and, one frame duration later,
 :meth:`Radio._signal_end` for each receiver, each at the ``(time, sequence)``
 key the edge's own event would have had (see
 :class:`repro.phy.channel._Transmission`).  The frame it passes is one
-snapshot shared by every receiver: read it, never change it.
+snapshot shared by every receiver: read it, never change it.  The sender's
+own end of the frame heads that transmission's end chain: it is the one event
+:meth:`Radio.transmit` queues.
 
 The radio also provides carrier sensing to the MAC: the medium is busy while
 any signal from within the carrier-sense (interference) range is on the air or
-the radio itself is transmitting.
+the radio itself is transmitting.  ``carrier_busy`` always answers; the
+busy/idle callbacks are made only while the listener keeps
+:attr:`Radio.notify_carrier` set — most signal edges find a MAC with nothing
+to send, which has no use for them.
 """
 
 from __future__ import annotations
@@ -151,6 +156,9 @@ class Radio:
         # end exactly at their end time, so the carrier is busy until then.
         self._signals_until: float = 0.0
         self._carrier_was_busy = False
+        #: Written by the listener: False while it has no use for
+        #: ``on_carrier_busy`` / ``on_carrier_idle``.
+        self.notify_carrier = True
 
     # ------------------------------------------------------------------
     # Transmit path (called by the MAC)
@@ -171,12 +179,23 @@ class Radio:
         if self.tracer.enabled:
             self.tracer.record(now, "phy", "tx_start", node=self.node_id, uid=packet.uid,
                                size=packet.size, duration=duration)
-        self.channel.broadcast(self, packet, duration)
-        self._update_carrier()
-        self.sim.schedule(duration, self._transmit_complete)
+        transmission = self.channel.broadcast(self, packet, duration)
+        if not self._carrier_was_busy:
+            self._carrier_was_busy = True
+            if self.notify_carrier and self.listener is not None:
+                self.listener.on_carrier_busy()
+        # Our own end of the frame heads the transmission's end chain: this
+        # one event goes on to run the receivers' signal ends.
+        self.sim.schedule(duration, transmission.run_ends)
 
     def _transmit_complete(self) -> None:
-        self._update_carrier()
+        """Our frame has left the antenna (called by its transmission)."""
+        if self._carrier_was_busy:
+            now = self.sim.now
+            if now >= self._transmitting_until and now >= self._signals_until:
+                self._carrier_was_busy = False
+                if self.notify_carrier and self.listener is not None:
+                    self.listener.on_carrier_idle()
 
     @property
     def is_transmitting(self) -> bool:
@@ -228,9 +247,13 @@ class Radio:
                 locked.corrupted = True
                 signal.corrupted = True
 
-        self._update_carrier()
+        # A signal is arriving, so the carrier is busy.
+        if not self._carrier_was_busy:
+            self._carrier_was_busy = True
+            if self.notify_carrier and self.listener is not None:
+                self.listener.on_carrier_busy()
         # The end edge takes its place in the event order here: after
-        # whatever the carrier callbacks above have just scheduled.
+        # whatever the carrier callback above has just scheduled.
         signal.end_sequence = self.sim.reserve_sequences()
         return signal
 
@@ -251,7 +274,14 @@ class Radio:
                                        uid=signal.packet.uid)
                 if self.listener is not None:
                     self.listener.on_frame_received(signal.packet)
-        self._update_carrier()
+        # Nothing has started since the carrier was last found idle, so only
+        # busy -> idle needs a look (as in _transmit_complete).
+        if self._carrier_was_busy:
+            now = self.sim.now
+            if now >= self._transmitting_until and now >= self._signals_until:
+                self._carrier_was_busy = False
+                if self.notify_carrier and self.listener is not None:
+                    self.listener.on_carrier_idle()
 
     # ------------------------------------------------------------------
     # Carrier sensing
@@ -261,16 +291,3 @@ class Radio:
         """True if the medium is sensed busy (any signal arriving or own TX)."""
         now = self.sim.now
         return now < self._transmitting_until or now < self._signals_until
-
-    def _update_carrier(self) -> None:
-        now = self.sim.now      # carrier_busy inlined: runs at every signal edge
-        busy = now < self._transmitting_until or now < self._signals_until
-        if busy == self._carrier_was_busy:
-            return
-        self._carrier_was_busy = busy
-        if self.listener is None:
-            return
-        if busy:
-            self.listener.on_carrier_busy()
-        else:
-            self.listener.on_carrier_idle()

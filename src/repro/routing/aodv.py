@@ -279,11 +279,6 @@ class AodvRouting(RoutingProtocol):
         if ip.protocol is IpProtocol.AODV:
             self._handle_control(packet, previous_hop)
             return
-        if ip.dst != self.node_id and ip.dst != BROADCAST:
-            ip.ttl -= 1
-            if ip.ttl <= 0:
-                self.stats._packets_dropped_no_route.value += 1
-                return
         self._deliver_or_forward(packet)
 
     def on_mac_send_failure(self, packet: Packet, next_hop: int) -> None:
@@ -366,12 +361,12 @@ class AodvRouting(RoutingProtocol):
 
         # Rebroadcast with decremented TTL after a small jitter.
         ip = packet.require_ip()
-        ip.ttl -= 1
-        if ip.ttl <= 0:
+        ttl = ip.ttl - 1
+        if ttl <= 0:
             return
         forwarded = Packet(
             payload_size=0,
-            ip=IpHeader(src=ip.src, dst=BROADCAST, protocol=IpProtocol.AODV, ttl=ip.ttl),
+            ip=IpHeader(src=ip.src, dst=BROADCAST, protocol=IpProtocol.AODV, ttl=ttl),
             aodv=AodvHeader(
                 message_type=AodvMessageType.RREQ,
                 originator=header.originator,

@@ -151,12 +151,21 @@ class RoutingProtocol(MacListener, abc.ABC):
     # Shared helpers
     # ------------------------------------------------------------------
     def _deliver_or_forward(self, packet: Packet) -> None:
-        """Deliver packets addressed to this node, otherwise forward them."""
+        """Deliver a received packet addressed to this node, forward any other.
+
+        ``packet`` is shared with the frame's other receivers and is read
+        only; what goes on is a copy, one hop older and readdressed on the
+        way down.
+        """
         ip = packet.require_ip()
         if ip.dst == self.node_id or ip.dst == BROADCAST:
             self.stats._packets_delivered.value += 1
             self.deliver_local(packet)
+        elif ip.ttl <= 1:
+            self.stats._packets_dropped_no_route.value += 1
         else:
+            packet = packet.copy()
+            packet.ip.ttl -= 1
             self.forward_packet(packet)
 
     @abc.abstractmethod

@@ -90,12 +90,6 @@ class StaticRouting(RoutingProtocol):
     # ------------------------------------------------------------------
     def on_mac_delivery(self, packet: Packet) -> None:
         """Deliver local packets, forward everything else."""
-        ip = packet.require_ip()
-        if ip.dst != self.node_id and ip.dst != BROADCAST:
-            ip.ttl -= 1
-            if ip.ttl <= 0:
-                self.stats._packets_dropped_no_route.value += 1
-                return
         self._deliver_or_forward(packet)
 
     def on_mac_send_failure(self, packet: Packet, next_hop: int) -> None:

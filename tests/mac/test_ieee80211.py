@@ -128,17 +128,19 @@ class TestBroadcast:
         assert len(bed.listeners[2].delivered) == 1
         assert bed.listeners[3].delivered == []
 
-    def test_each_mac_delivers_its_own_copy_of_the_shared_frame(self, sim):
-        # The PHY hands every receiver the same read-only frame; what a MAC
-        # passes up is the upper layers' to change (TTL, MAC readdressing).
+    def test_macs_hand_up_the_shared_frame_and_the_sender_its_own_packet(self, sim):
+        # The PHY hands every receiver the same read-only frame and the MAC
+        # passes it up as it is: whoever forwards it copies it first.  What
+        # the sender gets back is the packet it queued, MAC header taken off.
         bed = MacTestbed(sim, {0: (0, 0), 1: (200, 0), 2: (-200, 0)})
         sent = bed.send(0, BROADCAST, payload=64)
         sim.run(until=1.0)
         (first,), (second,) = bed.listeners[1].delivered, bed.listeners[2].delivered
-        assert first is not second and first.uid == second.uid == sent.uid
-        assert first.ip is not second.ip and first.mac is not second.mac
-        first.ip.ttl -= 1
-        assert second.ip.ttl == sent.ip.ttl
+        assert first is second and first is not sent and first.uid == sent.uid
+        assert first.ip is not sent.ip and first.ip.ttl == sent.ip.ttl
+        assert (first.mac.src, first.mac.dst) == (0, BROADCAST)
+        assert bed.listeners[0].successes == [(sent, BROADCAST)]
+        assert sent.mac is None
 
     def test_broadcast_has_no_rts_or_retries(self, sim):
         bed = MacTestbed(sim, {0: (0, 0), 1: (200, 0)})

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, SchedulingError
 from repro.net.headers import IpHeader, IpProtocol
 from repro.net.interfaces import PhyListener
 from repro.net.packet import Packet
 from repro.phy.channel import WirelessChannel
-from repro.phy.propagation import Position
+from repro.phy.propagation import SPEED_OF_LIGHT, Position
 from repro.phy.radio import Radio
 
 
@@ -107,6 +107,54 @@ class TestBroadcastDelivery:
         sim.run()
         assert channel.stats.transmissions == 1
         assert channel.stats.deliveries_attempted == 1
+
+
+class TestTwoQueueTripsPerFrame:
+    """One event starts the signals, one — the sender's own end of the frame —
+    ends them; every other edge runs in place."""
+
+    @pytest.mark.parametrize("receivers", [1, 2, 7])
+    def test_one_sender_n_receivers(self, sim, channel, receivers):
+        sender = add_node(sim, channel, 0, 0, 0)
+        for index in range(receivers):
+            add_node(sim, channel, index + 1, 60.0 * (index + 1), 0)    # up to 420 m
+        sender.transmit(Packet(payload_size=10), duration=0.001)
+        sim.run()
+        assert sim.events_processed == 2
+        assert sim.edges_in_place == 2 * receivers - 1
+        assert sim.now == pytest.approx(0.001 + 60.0 * receivers / SPEED_OF_LIGHT, rel=1e-12)
+
+    def test_a_sender_alone_still_ends_its_frame(self, sim, channel):
+        sender = add_node(sim, channel, 0, 0, 0)
+        add_node(sim, channel, 1, 900, 0)
+        busy_idle = []
+        sender.listener.on_carrier_busy = lambda: busy_idle.append(("busy", sim.now))
+        sender.listener.on_carrier_idle = lambda: busy_idle.append(("idle", sim.now))
+        sender.transmit(Packet(), duration=0.001)
+        assert sender.carrier_busy
+        sim.run()
+        assert (sim.events_processed, sim.edges_in_place) == (1, 0)
+        assert busy_idle == [("busy", 0.0), ("idle", 0.001)] and not sender.carrier_busy
+
+    def test_a_frame_over_before_it_arrives_ends_at_each_receiver_all_the_same(
+            self, sim, channel):
+        # 1e-7 s on the air, 5e-7 s and 1.5e-6 s away: the sender is done
+        # before any signal has started and the end chain runs dry twice.
+        sender = add_node(sim, channel, 0, 0, 0)
+        near = add_node(sim, channel, 1, 150, 0)
+        far = add_node(sim, channel, 2, 450, 0)
+        sender.transmit(Packet(), duration=1e-7)
+        sim.run()
+        assert near.stats.frames_received == 1 and far.stats.frames_below_threshold == 1
+        assert not near.carrier_busy and not far.carrier_busy
+        assert sim.events_processed + sim.edges_in_place == 5
+
+    @pytest.mark.parametrize("duration", [-1e-3, float("inf"), float("nan")])
+    def test_a_frame_needs_a_duration(self, sim, channel, duration):
+        sender = add_node(sim, channel, 0, 0, 0)
+        add_node(sim, channel, 1, 200, 0)
+        with pytest.raises(SchedulingError):
+            sender.transmit(Packet(), duration=duration)
 
 
 class TestUnknownNodeErrors:

@@ -2,14 +2,20 @@
 
 :class:`OracleChannel` delivers the way the channel did before transmissions
 walked their own edges: every receiver gets an event for its signal start and
-another for its signal end, and a packet copy of its own.  It exists only
-here.  A seeded world — random or lattice geometry, reactive listeners that
-transmit back, simultaneous senders, frames shorter than the spread of
-propagation delays, nodes going down and moving while frames are in the air,
-runs cut by ``until``, ``max_events`` and ``stop()`` — is played once on each
-channel, and every listener callback ``(time, node, callback, uid)``, every
-``RadioStats`` field, the clock, the handler count and the next free sequence
-number must agree.
+another for its signal end, the sender one for its own end of the frame, and
+every receiver a packet copy of its own.  It exists only here.  A seeded
+world — random or lattice geometry plus a hermit nobody can hear, reactive
+listeners that transmit back, simultaneous senders, frames shorter than the
+spread of propagation delays, nodes going down (senders in mid-frame among
+them) and moving while frames are in the air, runs cut by ``until``,
+``max_events`` and ``stop()`` — is played once on each channel, and every
+listener callback ``(time, node, callback, uid)``, every ``RadioStats``
+field, the clock, the handler count and the next free sequence number must
+agree.
+
+A second differential holds the radio's carrier flag on the real channel
+alone: listeners that switch ``Radio.notify_carrier`` off and on at random
+against listeners that leave it on and ignore the callbacks themselves.
 """
 
 from __future__ import annotations
@@ -27,8 +33,17 @@ from repro.phy.propagation import Position
 from repro.phy.radio import Radio, RadioStats
 
 
+class _SendersEndAlone:
+    """What the oracle hands ``Radio.transmit`` to queue for the end of the
+    frame, under the key drawn there: the sender's end and nothing behind it."""
+
+    def __init__(self, sender):
+        self.run_ends = sender._transmit_complete
+
+
 class OracleChannel(WirelessChannel):
-    """One event per receiver per edge, one packet copy per receiver."""
+    """One event per edge, the sender's end included; one packet copy per
+    receiver."""
 
     def broadcast(self, sender, packet, duration):
         self.stats.transmissions += 1
@@ -41,6 +56,7 @@ class OracleChannel(WirelessChannel):
         for radio, delay, receivable, power, _ in in_registration_order:
             self.sim.schedule(delay, self._signal_start, radio, packet.copy(),
                               duration, receivable, power)
+        return _SendersEndAlone(sender)
 
     def _signal_start(self, radio, packet, duration, receivable, power):
         signal = radio.signal_start(packet, duration, receivable, power)
@@ -75,24 +91,70 @@ class Talker(PhyListener):
         self._note("idle")
 
 
+class FlagTalker(Talker):
+    """A talker that, like a MAC, wants carrier callbacks only now and then.
+
+    ``gated`` ones tell the radio (``Radio.notify_carrier``); the others leave
+    the radio's flag on and drop the callbacks they did not want themselves.
+    Either way the world must see the same thing.
+    """
+
+    gated = True
+
+    def __init__(self, world, radio):
+        super().__init__(world, radio)
+        self.watching = True
+
+    def _note(self, callback, uid=None):
+        super()._note(callback, uid)
+        if self.world.rng.random() < 0.25:
+            self.switch()
+
+    def switch(self):
+        self.watching = not self.watching
+        if self.gated:
+            self.radio.notify_carrier = self.watching
+        self.world.log.append((self.world.sim.now, self.radio.node_id,
+                               "watching" if self.watching else "not watching",
+                               self.radio.carrier_busy))
+
+    def on_carrier_busy(self):
+        assert self.watching or not self.gated
+        if self.watching:
+            super().on_carrier_busy()
+
+    def on_carrier_idle(self):
+        assert self.watching or not self.gated
+        if self.watching:
+            super().on_carrier_idle()
+
+
+class DeafenedTalker(FlagTalker):
+    gated = False
+
+
 class World:
     """One seeded scenario on one channel class and one kernel."""
 
     DURATIONS = [1e-7, 1e-6, 3e-6, 2e-4, 2e-4, 1e-3]    # the first three are shorter
                                                         # than 550 m of propagation
+    #: Out of everybody's range, wherever ``disturb`` moves it: a sender with
+    #: no receiver at all.
+    HERMIT = (9000.0, 9000.0)
 
-    def __init__(self, channel_class, backend, seed, positions):
+    def __init__(self, channel_class, backend, seed, positions, talker_class=Talker):
         reset_packet_ids()
         self.rng = random.Random(seed)
         self.sim = create_kernel(backend)
         self.channel = channel_class(self.sim)
         self.log = []
         self.budget = 60
+        self.downed_on_air = 0
         self.radios = []
-        for node_id, (x, y) in enumerate(positions):
+        for node_id, (x, y) in enumerate(list(positions) + [self.HERMIT]):
             radio = Radio(self.sim, node_id, self.channel)
             self.channel.register(radio, Position(x, y))
-            radio.listener = Talker(self, radio)
+            radio.listener = talker_class(self, radio)
             self.radios.append(radio)
 
     def transmit(self, radio):
@@ -103,7 +165,12 @@ class World:
     def disturb(self):
         rng, channel = self.rng, self.channel
         node = rng.randrange(len(self.radios))
-        if rng.random() < 0.5:
+        on_air = [radio.node_id for radio in self.radios if radio.is_transmitting]
+        if on_air and rng.random() < 0.5:
+            node = rng.choice(on_air)       # a sender goes down in mid-frame
+            channel.set_node_down(node, down=True)
+            self.downed_on_air += 1
+        elif rng.random() < 0.5:
             channel.set_node_down(node, down=not channel.is_node_down(node))
         else:
             old = channel.position_of(node)
@@ -117,6 +184,9 @@ class World:
             sim.schedule(at, self.transmit, rng.choice(self.radios))
         for _ in range(4):
             sim.schedule(rng.choice([1e-6, 1e-4, 1.5e-4, 3e-4, 1e-3]), self.disturb)
+        for radio in self.radios:
+            if isinstance(radio.listener, FlagTalker):
+                sim.schedule(rng.choice([0.0, 1e-4, 2.5e-4, 1e-3]), radio.listener.switch)
         sim.schedule(rng.choice([1e-6, 2e-4, 1.1e-3]), sim.stop)
         checkpoints = []
         for step in range(16):
@@ -148,6 +218,15 @@ def assert_same_as_oracle(backend, seed, positions):
     return world
 
 
+def assert_carrier_flag_only_silences(backend, seed, positions):
+    expected = World(WirelessChannel, backend, seed, positions, DeafenedTalker).play()
+    world = World(WirelessChannel, backend, seed, positions, FlagTalker)
+    actual = world.play()
+    for key in expected:
+        assert actual[key] == expected[key], key
+    return world
+
+
 _metres = st.floats(min_value=0.0, max_value=900.0, allow_nan=False)
 _scattered = st.lists(st.tuples(_metres, _metres), min_size=2, max_size=12)
 #: Lattice points 200 m apart: most receivers tie with another on distance,
@@ -170,16 +249,45 @@ class TestAgainstOneEventPerEdge:
         assert_same_as_oracle(backend, seed, positions)
 
     def test_the_worlds_exercise_what_they_claim_to(self, backend):
-        """Most edges skip the queue, and the worlds are busy ones."""
-        frames = in_place = handlers = 0
+        """Most edges skip the queue, and the worlds are busy ones: the hermit
+        sends to nobody, senders go down in mid-frame."""
+        frames = in_place = handlers = hermit_frames = downed_on_air = 0
         for seed in range(30):
             world = assert_same_as_oracle(
                 backend, seed, [(150.0 * (seed % 4 + i), 90.0 * i) for i in range(8)])
             frames += sum(1 for entry in world.log if entry[2] == "frame")
             in_place += world.sim.edges_in_place
             handlers += world.sim.events_processed + world.sim.edges_in_place
+            hermit_frames += world.radios[-1].stats.frames_sent
+            downed_on_air += world.downed_on_air
         assert frames > 100
         assert in_place > handlers // 4
+        assert hermit_frames > 10 and downed_on_air > 10
+
+
+@pytest.mark.parametrize("backend", kernel_backend_names())
+class TestCarrierFlag:
+    """``Radio.notify_carrier`` off means the listener is not called, and
+    nothing else: same callbacks while it is on, same keys, same counters."""
+
+    @given(seed=st.integers(0, 2**32 - 1), positions=_scattered)
+    @settings(max_examples=60, deadline=None)
+    def test_scattered_nodes(self, backend, seed, positions):
+        assert_carrier_flag_only_silences(backend, seed, positions)
+
+    @given(seed=st.integers(0, 2**32 - 1), positions=_lattice)
+    @settings(max_examples=60, deadline=None)
+    def test_equidistant_receivers(self, backend, seed, positions):
+        assert_carrier_flag_only_silences(backend, seed, positions)
+
+    def test_the_flag_is_off_much_of_the_time_and_callbacks_still_come(self, backend):
+        silent = heard = 0
+        for seed in range(30):
+            world = assert_carrier_flag_only_silences(
+                backend, seed, [(150.0 * (seed % 4 + i), 90.0 * i) for i in range(8)])
+            silent += sum(1 for entry in world.log if entry[2] == "not watching")
+            heard += sum(1 for entry in world.log if entry[2] in ("busy", "idle"))
+        assert silent > 100 and heard > 100
 
 
 @pytest.mark.parametrize("backend", kernel_backend_names())
