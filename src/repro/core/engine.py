@@ -35,15 +35,16 @@ Edge keys
 A component that knows a whole series of its own future callbacks (the
 channel's per-receiver signal edges) can skip the heap without changing the
 order anything runs in.  It *reserves* each callback's sequence number where
-it would have called ``schedule`` (:meth:`reserve_sequences`), so every edge
-owns exactly the ``(time, sequence)`` key its own event would have had.  After
-one edge has run it asks :meth:`claim` for the next: the kernel says yes — and
-moves the clock — only when that key is strictly smaller than every queued
-event's (tombstones included), the run has not been stopped and neither the
-``until`` horizon nor the ``max_events`` budget is passed; the caller then
-runs the edge in place.  Otherwise the edge goes through the queue under its
-reserved key (:meth:`schedule_reserved`).  Handler order is the same either
-way.
+it would have called ``schedule`` (:meth:`~Simulator.reserve_sequences`), so
+every edge owns exactly the ``(time, sequence)`` key its own event would have
+had.  After one edge has run it asks :meth:`~Simulator.claim` for the next:
+the simulator says yes — and moves the clock — only when that key is strictly
+smaller than every queued event's (tombstones included), the run has not been
+stopped and neither the ``until`` horizon nor the ``max_events`` budget is
+passed; the caller then runs the edge in place.  Otherwise the edge goes
+through the queue under its reserved key (:meth:`~Simulator.schedule_reserved`).
+Handler order is the same either way, and so is the clock after every
+:meth:`~Simulator.run`.
 """
 
 from __future__ import annotations
@@ -110,41 +111,14 @@ class Event:
         return not self.cancelled
 
 
-class EdgeKeys:
-    """Reserved ``(time, sequence)`` keys (see the module docstring), shared
-    by every kernel; each kernel adds its own ``claim``.
-
-    ``edges_in_place`` counts the handlers run through ``claim``, so
-    ``events_processed + edges_in_place`` is the number of handlers invoked,
-    whichever way each one got its turn.
-    """
-
-    _sequence: int
-    edges_in_place: int
-
-    def reserve_sequences(self, count: int = 1) -> int:
-        """Take the next ``count`` sequence numbers; return the first."""
-        first = self._sequence
-        self._sequence = first + count
-        return first
-
-    def schedule_reserved(self, time: float, sequence: int,
-                          callback: Callable[..., None], *args: Any) -> "Event":
-        """:meth:`schedule_at` under a sequence from :meth:`reserve_sequences`."""
-        upcoming = self._sequence
-        self._sequence = sequence
-        try:
-            return self.schedule_at(time, callback, *args)
-        finally:
-            self._sequence = upcoming
-
-
-class Simulator(EdgeKeys):
+class Simulator:
     """Event-list discrete-event simulator.
 
     Attributes:
         now: Current simulation time in seconds.
-        edges_in_place: Handlers run through :meth:`claim` so far.
+        edges_in_place: Handlers run through :meth:`claim` so far, so
+            ``events_processed + edges_in_place`` is the number of handlers
+            invoked, whichever way each one got its turn.
     """
 
     def __init__(self) -> None:
@@ -212,6 +186,25 @@ class Simulator(EdgeKeys):
         """
         if event is not None:
             event.cancelled = True
+
+    # ------------------------------------------------------------------
+    # Edge keys (see the module docstring)
+    # ------------------------------------------------------------------
+    def reserve_sequences(self, count: int = 1) -> int:
+        """Take the next ``count`` sequence numbers; return the first."""
+        first = self._sequence
+        self._sequence = first + count
+        return first
+
+    def schedule_reserved(self, time: float, sequence: int,
+                          callback: Callable[..., None], *args: Any) -> Event:
+        """:meth:`schedule_at` under a sequence from :meth:`reserve_sequences`."""
+        upcoming = self._sequence
+        self._sequence = sequence
+        try:
+            return self.schedule_at(time, callback, *args)
+        finally:
+            self._sequence = upcoming
 
     def claim(self, time: float, sequence: int) -> bool:
         """Move the clock to ``time`` if the edge ``(time, sequence)`` is next.

@@ -1,8 +1,8 @@
 """Shared mechanics behind the named registries.
 
-Six subsystems resolve pluggable components by short name — transports,
-topologies, mobility models, link layers, kernel backends and executor
-backends — and before this module each reimplemented the same ~60 lines:
+Five subsystems resolve pluggable components by short name — transports,
+topologies, mobility models, link layers and executor backends — and
+before this module each reimplemented the same ~60 lines:
 a module-level dict keyed by a case/space-normalised name, duplicate
 detection with a ``replace=`` escape hatch, alias lookup with hijack
 protection, a monotone generation counter for preset-cache invalidation,
@@ -43,7 +43,7 @@ class NamedRegistry:
 
     Args:
         kind: Human-readable component kind used verbatim in error messages
-            (``"topology"``, ``"kernel backend"``, ``"mobility model"``).
+            (``"topology"``, ``"link layer"``, ``"mobility model"``).
         suggestion_listing: When set, :meth:`get` raises unknown-name errors
             in the difflib-suggestion style, pointing at this CLI listing
             command (``"python -m ... --list-backends"``); when ``None`` it

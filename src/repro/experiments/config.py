@@ -27,7 +27,6 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
-from repro.core.backends import get_kernel_backend
 from repro.link.registry import get_link_layer
 from repro.core.errors import ConfigurationError
 from repro.mobility.registry import get_mobility
@@ -150,12 +149,6 @@ class ScenarioConfig:
             extra events (golden traces stay bit-identical).
         metrics_interval: Cadence of the periodic probe sampler in simulated
             seconds.
-        kernel_backend: Simulation-engine family resolved through
-            :mod:`repro.core.backends` (``"reference"``, the tuple-heap
-            baseline, or ``"wheel"``, the timer-wheel fast path).  Backends
-            are dispatch-order equivalent — golden traces are bit-identical
-            across them — so this is purely a performance knob, sweepable
-            like any other axis.
         aodv_expanding_ring: Enable AODV's expanding-ring RREQ search
             (RFC 3561 §6.4): discoveries probe small TTL rings before
             flooding the full ``net_diameter_ttl``.  Off by default — flood
@@ -194,7 +187,6 @@ class ScenarioConfig:
     mobility_update_interval: float = 0.5
     metrics: bool = False
     metrics_interval: float = 0.1
-    kernel_backend: str = "reference"
     aodv_expanding_ring: bool = False
     link_layer: str = "wireless"
     wired_rate_mbps: float = 10.0
@@ -227,7 +219,6 @@ class ScenarioConfig:
             raise ConfigurationError("mobility_update_interval must be positive")
         if self.metrics_interval <= 0:
             raise ConfigurationError("metrics_interval must be positive")
-        get_kernel_backend(self.kernel_backend)  # fail fast on unknown engines
         get_link_layer(self.link_layer)  # fail fast on unknown link layers
         if self.wired_rate_mbps <= 0:
             raise ConfigurationError("wired_rate_mbps must be positive")

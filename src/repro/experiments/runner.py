@@ -49,7 +49,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.core.backends import create_kernel, kernel_backend_profiles
+from repro.core.engine import Simulator
 from repro.core.errors import ConfigurationError
 from repro.core.randomness import RandomManager
 from repro.core.tracing import NULL_TRACER, Tracer
@@ -139,7 +139,7 @@ class Scenario:
         self.profile = get_transport(self.config.variant)
 
         config = self.config
-        self.sim = create_kernel(config.kernel_backend)
+        self.sim = Simulator()
         self.randomness = RandomManager(config.seed)
         self.timing: MacTiming = timing_for_bandwidth(config.bandwidth_mbps)
         propagation = RangePropagationModel(capture_threshold=config.capture_threshold)
@@ -509,8 +509,7 @@ class Scenario:
         now = self.sim.now
         metrics = self.metrics
         energy = self._energy_report(now)
-        # Handlers invoked = events through the queue + edges run in place;
-        # the sum does not depend on the kernel, the split does.
+        # Handlers invoked = events through the queue + edges run in place.
         metrics.gauge("core.events_processed", unit="events").set(
             self.sim.events_processed)
         metrics.gauge("core.edges_in_place", unit="events").set(
@@ -644,13 +643,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="preset name (default: %(default)s); see --list")
     parser.add_argument("--list", action="store_true",
                         help="list available scenario presets and exit")
-    parser.add_argument("--kernel-backend", default=None, metavar="NAME",
-                        help="simulation-engine backend (see "
-                             "--list-kernel-backends); backends are "
-                             "dispatch-order equivalent, this is purely a "
-                             "performance knob")
-    parser.add_argument("--list-kernel-backends", action="store_true",
-                        help="list registered kernel backends and exit")
     parser.add_argument("--link-layer", default=None, metavar="NAME",
                         help="link-layer profile (see --list-link-layers); "
                              "topologies with their own link plan, e.g. the "
@@ -678,18 +670,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in sorted(available_scenarios()):
             print(name)
         return 0
-    if args.list_kernel_backends:
-        for profile in kernel_backend_profiles():
-            print(f"{profile.name}: {profile.description}")
-        return 0
     if args.list_link_layers:
         for profile in link_layer_profiles():
             print(f"{profile.name}: {profile.description}")
         return 0
 
     overrides: Dict[str, object] = {}
-    if args.kernel_backend is not None:
-        overrides["kernel_backend"] = args.kernel_backend
     if args.link_layer is not None:
         overrides["link_layer"] = args.link_layer
     if args.metrics:

@@ -12,9 +12,8 @@ Scripts opt in by routing their scale knobs through :func:`smoke_scaled`::
                         default=smoke_scaled(3, 1))
 
 With ``REPRO_SMOKE`` unset (or ``0``/empty) the full-scale default is used;
-any other value selects the reduced smoke default.  This mirrors the
-``--smoke`` budget of ``benchmarks/perf`` but works through the environment
-so CI does not need to know each script's flag spelling.
+any other value selects the reduced smoke default.  It works through the
+environment so CI does not need to know each script's flag spelling.
 """
 
 from __future__ import annotations

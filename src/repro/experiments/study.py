@@ -828,10 +828,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: %(default)s)")
     parser.add_argument("--bandwidth", type=float, default=2.0,
                         help="link bandwidth in Mbit/s (default: %(default)s)")
-    parser.add_argument("--kernel-backend", default=None, metavar="NAME",
-                        help="simulation-engine backend for every point "
-                             "(default: reference; sweep it instead with "
-                             "--axis kernel_backend=reference,wheel)")
     parser.add_argument("--seed", type=int, default=None,
                         help="base seed of replication 0")
     parser.add_argument("--max-workers", type=int, default=None,
@@ -881,9 +877,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             topology=args.topology,
             axes=axes,
             base=ScenarioConfig(bandwidth_mbps=args.bandwidth,
-                                packet_target=args.packets,
-                                kernel_backend=(args.kernel_backend
-                                                or "reference")),
+                                packet_target=args.packets),
             replications=args.replications,
             base_seed=args.seed,
         )

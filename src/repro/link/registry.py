@@ -1,8 +1,8 @@
 """Named link-layer registry.
 
 Mirrors :mod:`repro.transport.registry`, :mod:`repro.topology.registry`,
-:mod:`repro.mobility.registry` and the kernel/executor backend registries for
-the link layer: every profile registers a *plan builder* under a short name,
+:mod:`repro.mobility.registry` and the executor-backend registry for the link
+layer: every profile registers a *plan builder* under a short name,
 so a scenario selects its link layer declaratively
 (``ScenarioConfig(link_layer="wired")``), the Study API sweeps it like any
 other config axis (``axes={"link_layer": ["wireless", "wired"]}``) and the

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.errors import TopologyError
 from repro.phy.propagation import Position, RangePropagationModel
-from repro.topology.base import FlowSpec, Topology
+from repro.topology.base import ConnectivityGraph, FlowSpec, Topology
 
 #: Defaults from the paper.
 DEFAULT_NODE_COUNT = 120
@@ -71,9 +71,10 @@ def random_topology(
             for node in range(node_count)
         }
         topology = Topology(name=f"random-{node_count}", positions=positions)
-        if topology.is_connected(propagation):
+        graph = topology.connectivity_graph(propagation)
+        if graph.is_connected():
             topology.flows = _draw_flows(
-                topology, flow_count, rng, propagation, min_flow_hops
+                topology, flow_count, rng, graph, min_flow_hops
             )
             return topology
     raise TopologyError(
@@ -127,10 +128,9 @@ def _draw_flows(
     topology: Topology,
     flow_count: int,
     rng: random.Random,
-    propagation: RangePropagationModel,
+    graph: ConnectivityGraph,
     min_flow_hops: int,
 ) -> List[FlowSpec]:
-    graph = topology.connectivity_graph(propagation)
     nodes = list(topology.positions)
     flows: List[FlowSpec] = []
     used: set[int] = set()

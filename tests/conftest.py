@@ -11,11 +11,23 @@ from repro.mac.timing import MacTiming, timing_for_bandwidth
 from repro.phy.channel import WirelessChannel
 from repro.phy.propagation import Position
 
+from tests.helpers import KERNELS
+
 
 @pytest.fixture
 def sim() -> Simulator:
     """A fresh simulator for each test."""
     return Simulator()
+
+
+@pytest.fixture(scope="module", params=sorted(KERNELS))
+def make_sim(request):
+    """Builds a simulator of one of ``tests.helpers.KERNELS`` per call.
+
+    Module-scoped (hypothesis forbids function-scoped fixtures under
+    ``@given``); every call builds a new one, so examples never share state.
+    """
+    return KERNELS[request.param]
 
 
 @pytest.fixture

@@ -1,109 +1,61 @@
-"""Kernel-backend registry: registration, resolution and CLI error paths."""
+"""The kernel profile the performance ledger looks up.
+
+``benchmarks/ledger/trace.py`` finds the class whose ``schedule`` /
+``schedule_at`` it counts through :func:`kernel_backend_profiles`; these
+tests hold that lookup to the simulator scenarios actually run on.
+"""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.backends import (
-    KernelBackendProfile,
-    create_kernel,
-    get_kernel_backend,
-    kernel_backend_names,
-    kernel_backend_profiles,
-    register_kernel_backend,
-    unregister_kernel_backend,
-)
+from benchmarks.ledger import trace
+from repro.core.backends import kernel_backend_profiles
 from repro.core.engine import Simulator
-from repro.core.errors import ConfigurationError
-from repro.core.wheel import WheelSimulator
-from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import main as runner_main
+from repro.experiments.scenarios import build_named_scenario
 
 
-class TestRegistry:
-    def test_builtin_backends_resolve(self):
-        assert isinstance(get_kernel_backend("reference").create(), Simulator)
-        assert isinstance(get_kernel_backend("wheel").create(), WheelSimulator)
+class TestProfile:
+    def test_one_profile_named_reference(self):
+        assert [profile.name for profile in kernel_backend_profiles()] == ["reference"]
 
-    def test_names_are_sorted_and_include_builtins(self):
-        names = kernel_backend_names()
-        assert names == sorted(names)
-        assert {"reference", "wheel"} <= set(names)
-
-    def test_profiles_align_with_names(self):
-        assert [p.name for p in kernel_backend_profiles()] == kernel_backend_names()
-
-    def test_lookup_is_case_and_space_insensitive(self):
-        assert get_kernel_backend("  Wheel ") is get_kernel_backend("wheel")
-
-    def test_create_kernel_builds_fresh_instances(self):
-        first, second = create_kernel("wheel"), create_kernel("wheel")
+    def test_create_builds_a_new_simulator_per_call(self):
+        (profile,) = kernel_backend_profiles()
+        first, second = profile.create(), profile.create()
+        assert type(first) is Simulator and type(second) is Simulator
         assert first is not second
 
-    def test_unknown_backend_suggests_close_matches(self):
-        with pytest.raises(ConfigurationError, match=r"did you mean 'wheel'"):
-            get_kernel_backend("whel")
+    def test_the_ledger_wraps_the_simulator(self):
+        assert trace.kernel_classes() == [Simulator]
 
-    def test_unknown_backend_points_at_listing(self):
-        with pytest.raises(ConfigurationError,
-                           match=r"--list-kernel-backends"):
-            get_kernel_backend("no-such-engine")
+    def test_scenarios_run_on_the_profiled_class(self):
+        (profile,) = kernel_backend_profiles()
+        scenario = build_named_scenario("chain7-vegas-2mbps", packet_target=10)
+        assert type(scenario.sim) is type(profile.create())
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_kernel_backend(KernelBackendProfile(
-                name="wheel", factory=WheelSimulator))
+    def test_class_level_wrappers_see_every_queue_entry(self, monkeypatch):
+        """Wrappers on the class's ``schedule`` / ``schedule_at``, as the
+        ledger installs them, see every event that enters the queue, a
+        reserved key included; an edge claimed in place enters none."""
+        (profile,) = kernel_backend_profiles()
+        kernel_class = type(profile.create())
+        seen = []
+        for name in ("schedule", "schedule_at"):
+            def wrapper(self, when, callback, *args, _name=name,
+                        _original=getattr(kernel_class, name)):
+                seen.append(_name)
+                return _original(self, when, callback, *args)
+            monkeypatch.setattr(kernel_class, name, wrapper)
 
-    def test_replace_and_unregister_roundtrip(self):
-        class Custom(Simulator):
-            pass
+        sim = profile.create()
+        fired = []
 
-        profile = KernelBackendProfile(name="custom-engine", factory=Custom,
-                                       description="test engine")
-        register_kernel_backend(profile)
-        try:
-            assert isinstance(create_kernel("custom-engine"), Custom)
-            # replace=True may overwrite an existing registration in place.
-            register_kernel_backend(profile, replace=True)
-        finally:
-            unregister_kernel_backend("custom-engine")
-        assert "custom-engine" not in kernel_backend_names()
-        # Unregistering an unknown name is a no-op, not an error.
-        unregister_kernel_backend("custom-engine")
+        def head():
+            first = sim.reserve_sequences(2)
+            sim.schedule_reserved(2.0, first + 1, fired.append, "queued")
+            if sim.claim(1.0, first):
+                fired.append("in place")
 
-
-class TestScenarioConfigIntegration:
-    def test_default_backend_is_reference(self):
-        assert ScenarioConfig().kernel_backend == "reference"
-
-    def test_unknown_backend_fails_fast_with_suggestion(self):
-        with pytest.raises(ConfigurationError, match=r"did you mean"):
-            ScenarioConfig(kernel_backend="referense")
-
-    def test_scenario_uses_selected_backend(self):
-        from repro.experiments.scenarios import build_named_scenario
-
-        scenario = build_named_scenario("chain7-vegas-2mbps",
-                                        kernel_backend="wheel",
-                                        packet_target=10)
-        assert isinstance(scenario.sim, WheelSimulator)
-
-
-class TestRunnerCli:
-    def test_list_kernel_backends_exits_zero(self, capsys):
-        assert runner_main(["--list-kernel-backends"]) == 0
-        out = capsys.readouterr().out
-        assert "reference" in out and "wheel" in out
-
-    def test_unknown_backend_exits_two_with_suggestion(self, capsys):
-        code = runner_main(["chain7-vegas-2mbps", "--kernel-backend", "whel"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "did you mean 'wheel'" in err
-
-    def test_selected_backend_runs(self, capsys):
-        code = runner_main(["chain7-vegas-2mbps", "--packets", "10",
-                            "--kernel-backend", "wheel",
-                            "--max-sim-time", "10"])
-        assert code == 0
-        assert "packets" in capsys.readouterr().out
+        sim.schedule(1.0, head)
+        sim.run()
+        assert fired == ["in place", "queued"]
+        assert seen == ["schedule", "schedule_at"]
+        assert (sim.events_processed, sim.edges_in_place) == (2, 1)

@@ -135,6 +135,40 @@ class TestRunControl:
         sim.run()
         assert fired == ["stop"]
 
+    @staticmethod
+    def _stop_and_cancel(sim, live_at=None):
+        """Run to a handler that calls ``stop()`` and cancels everything
+        else, leaving only tombstones queued (at, before and beyond the
+        horizon used below) plus, if ``live_at`` is given, one live event."""
+        cancelled = []
+
+        def stopper():
+            sim.stop()
+            for event in cancelled:
+                sim.cancel(event)
+
+        sim.schedule(1.0, stopper)
+        cancelled.extend(sim.schedule(delay, lambda: None)
+                         for delay in (1.0, 3.0, 5.0, 9.0))
+        live = None if live_at is None else sim.schedule(live_at, lambda: None)
+        assert sim.run() == 1 and sim.now == 1.0
+        return live
+
+    def test_run_until_after_stop_over_tombstones_lands_on_the_horizon(self, make_sim):
+        sim = make_sim()
+        self._stop_and_cancel(sim)
+        assert sim.pending_events == 0
+        assert sim.run(until=5.0) == 0
+        assert sim.now == 5.0
+
+    def test_run_until_after_stop_leaves_a_later_live_event_pending(self, make_sim):
+        sim = make_sim()
+        live = self._stop_and_cancel(sim, live_at=7.0)
+        assert sim.run(until=5.0) == 0
+        assert sim.now == 5.0
+        assert live.is_pending and sim.pending_events == 1
+        assert sim.run() == 1 and sim.now == 7.0
+
     def test_events_processed_counter(self, sim):
         for _ in range(3):
             sim.schedule(0.5, lambda: None)
@@ -152,6 +186,132 @@ class TestRunControl:
         for _ in range(5):
             sim.schedule(0.1, lambda: None)
         assert sim.run() == 5
+
+    def test_a_handle_from_before_reset_cancels_nothing_after_it(self, sim):
+        stale = sim.schedule(1.0, lambda: None)
+        sim.reset()
+        fired = []
+        fresh = sim.schedule(1.0, fired.append, "fresh")
+        # Same (time, sequence) key, so the handles compare equal ...
+        assert fresh == stale
+        sim.cancel(stale)
+        # ... but only the stale one is a tombstone.
+        assert sim.run() == 1 and fired == ["fresh"]
+
+
+class TestRunContract:
+    """The run contract, on each kernel of ``tests.helpers.KERNELS``."""
+
+    def test_run_until_reinserts_overshot_event(self, make_sim):
+        sim = make_sim()
+        fired = []
+        sim.schedule(5.0, fired.append, "late")
+        assert sim.run(until=1.0) == 0
+        assert sim.now == 1.0
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["late"]
+
+    def test_run_until_drained_advances_clock(self, make_sim):
+        sim = make_sim()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert sim.now == 1.0
+        sim.run(until=9.0)
+        assert sim.now == 9.0
+
+    def test_max_events_and_stop(self, make_sim):
+        sim = make_sim()
+        count = []
+        for i in range(10):
+            sim.schedule(0.1 * i, count.append, i)
+        assert sim.run(max_events=3) == 3
+        sim.schedule(0.0, sim.stop)
+        # stop() returns after the current event (the stop event itself);
+        # the remaining seven fire on the next run call.
+        assert sim.run() == 1
+        assert sim.run() == 7
+        assert count == list(range(10))
+
+    def test_reset_clears_everything(self, make_sim):
+        sim = make_sim()
+        sim.schedule(0.5, lambda: None)
+        sim.schedule(2.5, lambda: None)
+        sim.schedule(10.0, lambda: None)
+        sim.run(max_events=1)
+        sim.reset()
+        assert sim.now == 0.0
+        assert sim.pending_events == 0
+        assert sim.events_processed == 0
+        fired = []
+        sim.schedule(0.0, fired.append, "fresh")
+        sim.run()
+        assert fired == ["fresh"]
+
+    def test_dispatch_order_spans_time_scales(self, make_sim):
+        """Microseconds to minutes, scheduled out of order: dispatch follows
+        (time, schedule order) alone."""
+        sim = make_sim()
+        delays = [240.0, 5.0, 3e-5, 0.2, 7e-4, 0.0, 5.0, 3e-5, 7e-4]
+        log = []
+        for index, delay in enumerate(delays):
+            sim.schedule(delay, log.append, (delay, index))
+        sim.run()
+        assert log == sorted(log)
+        assert sim.now == 240.0
+
+    def test_cancelling_a_fired_event_is_a_no_op(self, make_sim):
+        sim = make_sim()
+        kept = sim.schedule(0.1, lambda: None)
+        sim.run()
+        fired = []
+        sim.schedule(0.0, fired.append, "live")
+        sim.cancel(kept)
+        assert sim.run() == 1 and fired == ["live"]
+
+    def test_far_tombstones_neither_fire_nor_hold_the_clock(self, make_sim):
+        sim = make_sim()
+        victims = [sim.schedule(100.0 + i, lambda: None) for i in range(10)]
+        keeper = []
+        sim.schedule(120.0, keeper.append, "far")
+        for victim in victims:
+            sim.cancel(victim)
+        assert sim.run() == 1
+        assert keeper == ["far"] and sim.now == 120.0
+        assert sim.pending_events == 0
+
+    def test_an_event_cancelled_by_the_handler_that_scheduled_it_never_fires(
+            self, make_sim):
+        sim = make_sim()
+        fired = []
+
+        def plant():
+            sim.cancel(sim.schedule(0.0, fired.append, "victim"))
+            sim.schedule(0.0, fired.append, "sibling")
+
+        sim.schedule(0.1, plant)
+        assert sim.run() == 2
+        assert fired == ["sibling"]
+
+    @pytest.mark.parametrize("delay", [-1.0, -1e-9, float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_invalid_delays_rejected(self, make_sim, delay):
+        sim = make_sim()
+        with pytest.raises(SchedulingError):
+            sim.schedule(delay, lambda: None)
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("time", [-0.5, float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_invalid_absolute_times_rejected(self, make_sim, time):
+        sim = make_sim()
+        with pytest.raises(SchedulingError):
+            sim.schedule_at(time, lambda: None)
+        with pytest.raises(SchedulingError):
+            sim.schedule_reserved(time, sim.reserve_sequences(), lambda: None)
+        assert sim.pending_events == 0
+        # A refused reserved key gives back nothing but the sequence it took.
+        assert sim.reserve_sequences() == 1
 
 
 class TestTimer:

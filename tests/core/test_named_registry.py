@@ -1,7 +1,7 @@
 """Unit tests for the shared NamedRegistry mechanics.
 
-The per-subsystem registry tests (transport, topology, mobility, kernel,
-executor, link layer) pin the public wording of each registry's errors;
+The per-subsystem registry tests (transport, topology, mobility, executor,
+link layer) pin the public wording of each registry's errors;
 these tests pin the shared semantics every registry inherits — alias hijack
 protection, stale-alias cleanup on replace, generation accounting and the
 two unknown-name message styles.
@@ -14,7 +14,7 @@ from repro.core.registry import NamedRegistry, normalize_name
 
 
 def test_normalize_name_strips_and_lowercases():
-    assert normalize_name("  Wheel ") == "wheel"
+    assert normalize_name("  Wired ") == "wired"
     assert normalize_name("CHAIN") == "chain"
 
 

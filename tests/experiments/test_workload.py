@@ -19,6 +19,7 @@ from repro.experiments.workload import (
 from repro.net.packet import reset_packet_ids
 from repro.topology.chain import chain_topology
 from repro.topology.grid import grid_topology
+from repro.transport.registry import TransportProfile, transport_names
 from repro.transport.tcp_base import TcpConfig
 
 
@@ -171,6 +172,27 @@ class TestScenarioSpec:
                          newreno_max_cwnd=3.0),
             )),
         )
+
+    @pytest.mark.parametrize("variant", transport_names())
+    def test_a_thousand_uniform_flows_share_one_validated_config(self, monkeypatch,
+                                                                 variant):
+        """Set-up cost is per distinct flow config, not per flow: the memo in
+        ``FlowSpec.effective_config`` hands every flow the same object, and
+        ``ScenarioSpec`` checks that object once, whatever the transport."""
+        monkeypatch.setattr("repro.experiments.workload._EFFECTIVE_CONFIG_CACHE", {})
+        # The window clamp the optimal-window variants require; the others
+        # ignore it.
+        base = ScenarioConfig(packet_target=100, newreno_max_cwnd=3)
+        flows = tuple(FlowSpec(source=index % 3, destination=3, variant=variant)
+                      for index in range(1000))
+        shared = flows[0].effective_config(base)
+        checked = []
+        monkeypatch.setattr(TransportProfile, "validate_config",
+                            lambda profile, config: checked.append(config))
+        spec = ScenarioSpec(topology=chain_topology(hops=3),
+                            workload=Workload(flows=flows), config=base)
+        assert len(checked) == 1 and checked[0] is shared
+        assert all(flow.effective_config(base) is shared for flow in spec.workload)
 
     def test_sorted_timeline_is_stable(self):
         spec = ScenarioSpec(

@@ -130,3 +130,31 @@ def build_vegas_pair(
     network = LoopbackNetwork(sim, delay=delay, drop_data_seqs=drop_data_seqs)
     network.connect(sender, sink)
     return sender, sink, stats, network
+
+
+def reused_simulator() -> Simulator:
+    """A simulator that has run a program and then been ``reset()``.
+
+    The program leaves every piece of run state behind: the clock moved,
+    sequence numbers reserved, an edge run in place, a live event and a
+    tombstone queued, ``stop()`` requested.
+    """
+    sim = Simulator()
+
+    def dirty():
+        sim.claim(sim.now, sim.reserve_sequences(3))
+        sim.cancel(sim.schedule(1.0, lambda: None))
+        sim.schedule_reserved(sim.now + 2.0, sim.reserve_sequences(), lambda: None)
+        sim.stop()
+
+    sim.schedule(0.5, dirty)
+    sim.run(until=10.0)
+    assert sim.edges_in_place == 1 and sim.pending_events == 1
+    sim.reset()
+    return sim
+
+
+#: The kernels the scheduler contract is held to (the ``make_sim`` fixture):
+#: a new simulator, and one reused after ``reset()``, which must be
+#: indistinguishable from a new one.
+KERNELS = {"reference": Simulator, "reset": reused_simulator}

@@ -8,10 +8,11 @@ world — random or lattice geometry plus a hermit nobody can hear, reactive
 listeners that transmit back, simultaneous senders, frames shorter than the
 spread of propagation delays, nodes going down (senders in mid-frame among
 them) and moving while frames are in the air, runs cut by ``until``,
-``max_events`` and ``stop()`` — is played once on each channel, and every
-listener callback ``(time, node, callback, uid)``, every ``RadioStats``
-field, the clock, the handler count and the next free sequence number must
-agree.
+``max_events`` and ``stop()`` — is played once on each channel (the oracle
+always on a new simulator, the real channel on each kernel of
+``tests.helpers.KERNELS``), and every listener callback ``(time, node,
+callback, uid)``, every ``RadioStats`` field, the clock, the handler count
+and the next free sequence number must agree.
 
 A second differential holds the radio's carrier flag on the real channel
 alone: listeners that switch ``Radio.notify_carrier`` off and on at random
@@ -22,10 +23,9 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.backends import create_kernel, kernel_backend_names
+from repro.core.engine import Simulator
 from repro.net.interfaces import PhyListener
 from repro.net.packet import Packet, reset_packet_ids
 from repro.phy.channel import WirelessChannel
@@ -134,7 +134,7 @@ class DeafenedTalker(FlagTalker):
 
 
 class World:
-    """One seeded scenario on one channel class and one kernel."""
+    """One seeded scenario on one channel class and one simulator."""
 
     DURATIONS = [1e-7, 1e-6, 3e-6, 2e-4, 2e-4, 1e-3]    # the first three are shorter
                                                         # than 550 m of propagation
@@ -142,10 +142,10 @@ class World:
     #: no receiver at all.
     HERMIT = (9000.0, 9000.0)
 
-    def __init__(self, channel_class, backend, seed, positions, talker_class=Talker):
+    def __init__(self, channel_class, sim, seed, positions, talker_class=Talker):
         reset_packet_ids()
         self.rng = random.Random(seed)
-        self.sim = create_kernel(backend)
+        self.sim = sim
         self.channel = channel_class(self.sim)
         self.log = []
         self.budget = 60
@@ -209,18 +209,18 @@ class World:
         }
 
 
-def assert_same_as_oracle(backend, seed, positions):
-    expected = World(OracleChannel, "reference", seed, positions).play()
-    world = World(WirelessChannel, backend, seed, positions)
+def assert_same_as_oracle(make_sim, seed, positions):
+    expected = World(OracleChannel, Simulator(), seed, positions).play()
+    world = World(WirelessChannel, make_sim(), seed, positions)
     actual = world.play()
     for key in expected:
         assert actual[key] == expected[key], key
     return world
 
 
-def assert_carrier_flag_only_silences(backend, seed, positions):
-    expected = World(WirelessChannel, backend, seed, positions, DeafenedTalker).play()
-    world = World(WirelessChannel, backend, seed, positions, FlagTalker)
+def assert_carrier_flag_only_silences(make_sim, seed, positions):
+    expected = World(WirelessChannel, make_sim(), seed, positions, DeafenedTalker).play()
+    world = World(WirelessChannel, make_sim(), seed, positions, FlagTalker)
     actual = world.play()
     for key in expected:
         assert actual[key] == expected[key], key
@@ -236,25 +236,24 @@ _lattice = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
     lambda cells: [(200.0 * x, 200.0 * y) for x, y in cells])
 
 
-@pytest.mark.parametrize("backend", kernel_backend_names())
 class TestAgainstOneEventPerEdge:
     @given(seed=st.integers(0, 2**32 - 1), positions=_scattered)
     @settings(max_examples=120, deadline=None)
-    def test_scattered_nodes(self, backend, seed, positions):
-        assert_same_as_oracle(backend, seed, positions)
+    def test_scattered_nodes(self, make_sim, seed, positions):
+        assert_same_as_oracle(make_sim, seed, positions)
 
     @given(seed=st.integers(0, 2**32 - 1), positions=_lattice)
     @settings(max_examples=120, deadline=None)
-    def test_equidistant_receivers(self, backend, seed, positions):
-        assert_same_as_oracle(backend, seed, positions)
+    def test_equidistant_receivers(self, make_sim, seed, positions):
+        assert_same_as_oracle(make_sim, seed, positions)
 
-    def test_the_worlds_exercise_what_they_claim_to(self, backend):
+    def test_the_worlds_exercise_what_they_claim_to(self, make_sim):
         """Most edges skip the queue, and the worlds are busy ones: the hermit
         sends to nobody, senders go down in mid-frame."""
         frames = in_place = handlers = hermit_frames = downed_on_air = 0
         for seed in range(30):
             world = assert_same_as_oracle(
-                backend, seed, [(150.0 * (seed % 4 + i), 90.0 * i) for i in range(8)])
+                make_sim, seed, [(150.0 * (seed % 4 + i), 90.0 * i) for i in range(8)])
             frames += sum(1 for entry in world.log if entry[2] == "frame")
             in_place += world.sim.edges_in_place
             handlers += world.sim.events_processed + world.sim.edges_in_place
@@ -265,40 +264,38 @@ class TestAgainstOneEventPerEdge:
         assert hermit_frames > 10 and downed_on_air > 10
 
 
-@pytest.mark.parametrize("backend", kernel_backend_names())
 class TestCarrierFlag:
     """``Radio.notify_carrier`` off means the listener is not called, and
     nothing else: same callbacks while it is on, same keys, same counters."""
 
     @given(seed=st.integers(0, 2**32 - 1), positions=_scattered)
     @settings(max_examples=60, deadline=None)
-    def test_scattered_nodes(self, backend, seed, positions):
-        assert_carrier_flag_only_silences(backend, seed, positions)
+    def test_scattered_nodes(self, make_sim, seed, positions):
+        assert_carrier_flag_only_silences(make_sim, seed, positions)
 
     @given(seed=st.integers(0, 2**32 - 1), positions=_lattice)
     @settings(max_examples=60, deadline=None)
-    def test_equidistant_receivers(self, backend, seed, positions):
-        assert_carrier_flag_only_silences(backend, seed, positions)
+    def test_equidistant_receivers(self, make_sim, seed, positions):
+        assert_carrier_flag_only_silences(make_sim, seed, positions)
 
-    def test_the_flag_is_off_much_of_the_time_and_callbacks_still_come(self, backend):
+    def test_the_flag_is_off_much_of_the_time_and_callbacks_still_come(self, make_sim):
         silent = heard = 0
         for seed in range(30):
             world = assert_carrier_flag_only_silences(
-                backend, seed, [(150.0 * (seed % 4 + i), 90.0 * i) for i in range(8)])
+                make_sim, seed, [(150.0 * (seed % 4 + i), 90.0 * i) for i in range(8)])
             silent += sum(1 for entry in world.log if entry[2] == "not watching")
             heard += sum(1 for entry in world.log if entry[2] in ("busy", "idle"))
         assert silent > 100 and heard > 100
 
 
-@pytest.mark.parametrize("backend", kernel_backend_names())
-def test_delays_that_round_to_one_arrival_time_start_in_sequence_order(backend):
+def test_delays_that_round_to_one_arrival_time_start_in_sequence_order(make_sim):
     """Node 1 is a hair farther from the sender than node 2, so it comes
     second by delay; an hour into a run the two delays round to the same
     arrival time, and then node 1's smaller sequence number puts it first."""
     positions = [(0.0, 0.0), (200.00001, 0.0), (-200.0, 0.0)]
     logs = []
     for channel_class in (OracleChannel, WirelessChannel):
-        world = World(channel_class, backend, 0, positions)
+        world = World(channel_class, make_sim(), 0, positions)
         world.budget = 0
         sim, channel = world.sim, world.channel
         (near, far), tie_gap = channel._build_deliveries(0)

@@ -2,31 +2,26 @@
 
 The fast-path engine must keep the three invariants every protocol layer
 relies on: FIFO order among same-time events, a monotonically non-decreasing
-clock, and safe cancel/reschedule under arbitrary interleavings.
+clock, and safe cancel/reschedule under arbitrary interleavings.  Edges run
+in place under reserved keys must be indistinguishable from one event per
+edge.  Every property runs on each kernel of ``tests.helpers.KERNELS``
+(the ``make_sim`` fixture): a new simulator and one reused after ``reset()``.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.backends import create_kernel, kernel_backend_names
 from repro.core.engine import Event, Simulator, Timer
+
+from tests.helpers import reused_simulator
 
 #: Delays drawn from a small grid so same-time collisions are common — the
 #: interesting case for tie-breaking.
 _delay_grid = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 2.0, 3.0])
-
-
-#: Every scheduler invariant below must hold on every registered kernel
-#: backend, not just the reference engine (same public contract).
-#: Module-scoped (hypothesis forbids function-scoped fixtures under
-#: ``@given``); the factory builds a fresh engine per call, so examples
-#: never share state.
-@pytest.fixture(scope="module", params=kernel_backend_names())
-def make_sim(request):
-    backend = request.param
-    return lambda: create_kernel(backend)
 
 
 class TestFifoOrdering:
@@ -79,7 +74,8 @@ class TestMonotonicClock:
                     min_size=1, max_size=30),
            st.floats(min_value=0.0, max_value=60.0))
     @settings(max_examples=100, deadline=None)
-    def test_run_until_leaves_clock_at_horizon_or_last_event(self, make_sim, delays, until):
+    def test_run_until_leaves_clock_at_horizon_or_last_event(self, make_sim, delays,
+                                                             until):
         sim = make_sim()
         for delay in delays:
             sim.schedule(delay, lambda: None)
@@ -141,7 +137,8 @@ class TestCancelRescheduleSafety:
     @given(st.lists(_delay_grid, min_size=1, max_size=40),
            st.integers(min_value=0, max_value=39))
     @settings(max_examples=50, deadline=None)
-    def test_pending_events_counts_exclude_tombstones(self, make_sim, delays, cancel_count):
+    def test_pending_events_counts_exclude_tombstones(self, make_sim, delays,
+                                                      cancel_count):
         sim = make_sim()
         events = [sim.schedule(delay, lambda: None) for delay in delays]
         for event in events[:cancel_count]:
@@ -169,9 +166,111 @@ class TestEventHandle:
         assert sim.run() == 0
 
 
+def _run_edge_program(sim, seed, in_place):
+    """A seeded reactive program with bursts of edges; returns its record.
+
+    A burst is what a transmission is to the channel: a handful of callbacks
+    a few microseconds apart whose sequence numbers are taken when the burst
+    starts.  With ``in_place`` false each is an ordinary event (the oracle);
+    with it true they form a chain in key order, only the head queued, each
+    next edge claimed or queued under its reserved key.  Every handler draws
+    from the same RNG, so one handler out of order derails the whole log.
+    """
+    rng = random.Random(seed)
+    log = []
+    handles = []
+
+    def react(tag):
+        log.append((sim.now, tag))
+        roll = rng.random()
+        if roll < 0.45:
+            handle = sim.schedule(rng.choice([0.0, 1e-6, 2e-6, 3e-4, 0.02, 1.5, 40.0]),
+                                  react, rng.randrange(1_000_000))
+            if rng.random() < 0.5:
+                handles.append(handle)
+        elif roll < 0.6:
+            burst(rng.randrange(1_000_000))
+        elif roll < 0.63:
+            sim.stop()
+        if handles and rng.random() < 0.3:
+            sim.cancel(handles.pop(rng.randrange(len(handles))))
+
+    def burst(tag):
+        delays = [rng.choice([0.0, 1e-6, 1e-6, 2e-6, 3e-6, 6e-4])
+                  for _ in range(rng.randrange(1, 9))]
+        if not in_place:
+            for index, delay in enumerate(delays):
+                sim.schedule(delay, react, (tag, index))
+            return
+        first = sim.reserve_sequences(len(delays))
+        keys = sorted((sim.now + delay, first + index)
+                      for index, delay in enumerate(delays))
+        sim.schedule_reserved(*keys[0], chain, keys, 0, (tag, first))
+
+    def chain(keys, position, burst_id):
+        tag, first = burst_id
+        while True:
+            react((tag, keys[position][1] - first))
+            position += 1
+            if position == len(keys):
+                return
+            if not sim.claim(*keys[position]):
+                sim.schedule_reserved(*keys[position], chain, keys, position, burst_id)
+                return
+
+    for index in range(12):
+        sim.schedule(rng.choice([0.0, 1e-6, 5e-4, 0.3, 2.0]), react, index)
+    checkpoints = []
+    runs = random.Random(seed ^ 0x5EED)
+    for _ in range(30):
+        mode = runs.random()
+        if mode < 0.4:
+            sim.run(until=sim.now + runs.choice([0.0, 1e-6, 4e-6, 1e-3, 0.7, 5.0]))
+        elif mode < 0.8:
+            sim.run(max_events=runs.randrange(1, 40))
+        else:
+            sim.run(max_events=400)
+        checkpoints.append((len(log), sim.now,
+                            sim.events_processed + sim.edges_in_place))
+    return log, checkpoints, sim.edges_in_place
+
+
 class TestEdgeKeys:
-    """Reserved ``(time, sequence)`` keys: unit checks on every kernel.  The
-    program-level property is in ``test_backend_lockstep.py``."""
+    """Reserved ``(time, sequence)`` keys: unit checks, then whole programs
+    run with edges in place against the same programs with one event each."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_edges_in_place_match_one_event_per_edge(self, make_sim, seed):
+        """Same ``(time, tag)`` handler log, same clock and same handler count
+        after every ``run(until=...)`` / ``run(max_events=...)`` / ``stop()``,
+        whether an edge took the queue or not.  The oracle is always a new
+        simulator, so a reused one is held to it as well."""
+        oracle = Simulator()
+        expected_log, expected_checkpoints, _ = _run_edge_program(
+            oracle, seed, in_place=False)
+        assert oracle.edges_in_place == 0
+        log, checkpoints, _ = _run_edge_program(make_sim(), seed, in_place=True)
+        assert log == expected_log
+        assert checkpoints == expected_checkpoints
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_a_reset_simulator_replays_a_program_like_a_new_one(self, seed):
+        """The premise of the ``reset`` kernel: same handler log, same
+        checkpoints, same edges run in place."""
+        assert (_run_edge_program(reused_simulator(), seed, in_place=True)
+                == _run_edge_program(Simulator(), seed, in_place=True))
+
+    def test_the_programs_do_run_edges_in_place(self, make_sim):
+        """The property above is not vacuous: over a few seeds most edges
+        skip the queue."""
+        in_place = handlers = 0
+        for seed in range(20):
+            log, _, edges = _run_edge_program(make_sim(), seed, in_place=True)
+            in_place += edges
+            handlers += len(log)
+        assert in_place > handlers // 10
 
     def test_a_reserved_key_fires_where_its_own_event_would(self, make_sim):
         sim = make_sim()
@@ -199,9 +298,7 @@ class TestEdgeKeys:
     ])
     def test_claim_succeeds_only_for_the_strictly_next_key(self, make_sim, rival,
                                                            claimed):
-        # Microseconds apart, as signal edges are: a kernel may refuse an
-        # edge it cannot place cheaply (the wheel, beyond its current slot)
-        # but none may refuse these, and none may ever grant a wrong one.
+        # Microseconds apart, as signal edges are.
         sim = make_sim()
         answers = []
         edge_time = 1.0 + 2e-6

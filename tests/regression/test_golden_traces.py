@@ -81,6 +81,20 @@ SCENARIOS = {
 }
 
 
+#: ``events_processed`` of each golden run when every per-receiver signal
+#: edge was an event of its own.  Most edges now run in place, and
+#: ``events_processed + edges_in_place`` must still be this number to the
+#: digit: the handlers invoked did not change, only how many of them took a
+#: trip through the queue.
+GOLDEN_HANDLERS = {
+    "backbone2x7-newreno": 103771,
+    "chain7-vegas-2mbps": 122816,
+    "grid-newreno-2mbps": 172902,
+    "mobile-chain7-rwp-vegas-2mbps": 35483,
+    "random50-vegas-2mbps": 466338,
+}
+
+
 def _metrics(result: ScenarioResult) -> dict:
     """The result fields pinned alongside the trace hash."""
     return {
@@ -94,12 +108,15 @@ def _metrics(result: ScenarioResult) -> dict:
 
 
 def _run_golden(name: str) -> dict:
+    """The pinned fields of one golden run, plus its handler counts."""
     # Packet uids appear in trace records and come from a process-global
     # counter, so every golden run starts from a known counter state.
     reset_packet_ids()
     tracer = Tracer(enabled=True)
     result = SCENARIOS[name](tracer).run()
-    return {"trace_sha256": trace_digest(tracer), "metrics": _metrics(result)}
+    return {"trace_sha256": trace_digest(tracer), "metrics": _metrics(result),
+            "events": result.metrics["core.events_processed"],
+            "edges": result.metrics["core.edges_in_place"]}
 
 
 def _load_fixtures() -> dict:
@@ -120,6 +137,9 @@ def test_golden_trace(name):
         f"{name}: event trace diverged from the pinned golden run "
         "(simulation behaviour changed)"
     )
+    assert actual["events"] + actual["edges"] == GOLDEN_HANDLERS[name]
+    # At least half the handlers are signal edges that skipped the queue.
+    assert actual["edges"] > actual["events"]
 
 
 def test_golden_runs_are_reproducible_within_process():
@@ -129,9 +149,48 @@ def test_golden_runs_are_reproducible_within_process():
     assert first == second
 
 
+#: A deterministic sample of the preset catalog: one representative per
+#: transport family, each mobility model, the random field with UDP
+#: background, mixed transports and the wired backbone, run small.
+PRESET_SAMPLE = [
+    "chain7-vegas-2mbps",
+    "chain7-newreno-at-optwin-2mbps",
+    "chain7-paced-udp-2mbps",
+    "chain7-mixed-newreno-vegas",
+    "chain7-mht-vegas-at-2mbps",
+    "chain7-rwalk-newreno-2mbps",
+    "chain7-rwp-paced-udp-2mbps",
+    "grid-newreno-5.5mbps",
+    "grid-mht-newreno-at-2mbps",
+    "random50-tcp-with-udp-background",
+    "backbone2x7-mixed-newreno-vegas",
+]
+
+
+def _run_preset(name: str) -> dict:
+    reset_packet_ids()
+    tracer = Tracer(enabled=True)
+    result = build_named_scenario(name, tracer=tracer, packet_target=40, seed=7,
+                                  max_sim_time=2.0).run()
+    return {"trace_sha256": trace_digest(tracer), "metrics": _metrics(result),
+            "handlers": result.metrics["core.events_processed"]
+            + result.metrics["core.edges_in_place"]}
+
+
+@pytest.mark.parametrize("name", PRESET_SAMPLE)
+def test_preset_rerun_is_identical(name):
+    """A second run of a sampled preset in the same process replays the
+    first bit for bit: what one run leaves cached (effective flow configs,
+    generated presets, delivery tables) changes nothing in the next."""
+    first = _run_preset(name)
+    assert first["metrics"]["delivered_packets"] > 0
+    assert _run_preset(name) == first
+
+
 @pytest.mark.skipif(not REGEN, reason="set REGEN_GOLDEN_TRACES=1 to regenerate")
 def test_regenerate_fixtures():
     fixtures = _load_fixtures()
     for name in sorted(SCENARIOS):
-        fixtures[name] = _run_golden(name)
+        run = _run_golden(name)
+        fixtures[name] = {key: run[key] for key in ("trace_sha256", "metrics")}
     FIXTURE_PATH.write_text(json.dumps(fixtures, indent=2) + "\n")

@@ -117,6 +117,23 @@ class TestRandomTopology:
         endpoints = [n for f in topology.flows for n in (f.source, f.destination)]
         assert len(endpoints) == len(set(endpoints))
 
+    def test_each_placement_builds_its_connectivity_graph_once(self, monkeypatch):
+        """The connectivity check and the flow draw share one graph."""
+        built = []
+        original = Topology.connectivity_graph
+
+        def counting(topology, *args, **kwargs):
+            built.append(topology)    # kept alive, so no id is reused
+            return original(topology, *args, **kwargs)
+
+        monkeypatch.setattr(Topology, "connectivity_graph", counting)
+        # Sparse enough that several placements come out disconnected.
+        topology = random_topology(node_count=30, area=(1500.0, 900.0),
+                                   flow_count=3, seed=2, max_attempts=200)
+        assert len(topology.flows) == 3 and len(built) > 1
+        assert len({id(placed) for placed in built}) == len(built)
+        assert built[-1] is topology
+
     def test_impossible_topology_raises(self):
         # Two nodes on a huge area are essentially never connected.
         with pytest.raises(TopologyError):
