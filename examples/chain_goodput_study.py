@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ScenarioConfig, TransportVariant, format_table
+from repro import ScenarioConfig, SweepSpec, TransportVariant, format_table, run_study
 from repro.experiments.smoke import smoke_scaled
-from repro.experiments.chain_experiments import protocol_comparison_vs_hops
 
 
 def main() -> None:
@@ -42,7 +41,9 @@ def main() -> None:
         TransportVariant.NEWRENO_ACK_THINNING,
         TransportVariant.PACED_UDP,
     )
-    results = protocol_comparison_vs_hops(base, hop_counts=args.hops, variants=variants)
+    spec = SweepSpec(name="chain-comparison", topology="chain",
+                     axes={"variant": variants, "hops": args.hops}, base=base)
+    results = run_study(spec).nested("variant", "hops", leaf=lambda p: p.run)
 
     def table_for(title, measure):
         rows = []

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ScenarioConfig, TransportVariant, format_table
+from repro import ScenarioConfig, SweepSpec, TransportVariant, format_table, run_study
 from repro.experiments.smoke import smoke_scaled
-from repro.experiments.chain_experiments import default_sweep_intervals, find_optimal_udp_interval
-from repro.experiments.paced_udp import table2_propagation_delays
+from repro.experiments.paced_udp import default_sweep_intervals, table2_propagation_delays
 
 
 def main() -> None:
@@ -50,8 +49,12 @@ def main() -> None:
         max_sim_time=600.0,
         seed=args.seed,
     )
-    intervals = default_sweep_intervals(args.bandwidth, points=args.points)
-    best, sweep = find_optimal_udp_interval(base, hops=args.hops, intervals=intervals)
+    spec = SweepSpec(name="paced-udp", topology="chain", topology_params={"hops": args.hops},
+                     axes={"udp_interval": default_sweep_intervals(args.bandwidth,
+                                                                   points=args.points)},
+                     base=base)
+    sweep = run_study(spec).nested("udp_interval", leaf=lambda p: p.run)
+    best = max(sweep, key=lambda t: sweep[t].aggregate_goodput_bps)
 
     print(f"\nFigure 10 — paced UDP goodput vs. inter-packet time "
           f"({args.hops}-hop chain, {args.bandwidth:g} Mbit/s):")

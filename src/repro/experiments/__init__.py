@@ -1,6 +1,6 @@
 """Experiment harness: scenarios, workloads, registries, declarative studies.
 
-Four layers, from low-level to high-level:
+Three layers, from low-level to high-level:
 
 * **Workload composition** — :class:`FlowSpec` / :class:`Workload` /
   :class:`ScenarioEvent` / :class:`ScenarioSpec` (and the fluent
@@ -22,11 +22,8 @@ Four layers, from low-level to high-level:
   backend (``serial`` or ``process-pool``), checkpointed into a crash-safe
   :class:`~repro.experiments.exec.store.ResultStore` (resume re-executes
   only missing items) and aggregated into a :class:`StudyResult` with
-  cross-seed confidence intervals.
-* **Per-figure wrappers** — ``chain_experiments``, ``grid_experiments``,
-  ``random_experiments`` and ``bandwidth_experiments`` are thin compatibility
-  wrappers that express each paper figure as a ``SweepSpec`` and reshape the
-  result into the nested dictionaries the benchmark scripts consume.
+  cross-seed confidence intervals.  The paper's figures are rows of one
+  table of such sweeps, ``benchmarks/bench_figures.py``.
 """
 
 import importlib

@@ -261,5 +261,5 @@ PAPER_BANDWIDTHS = (2.0, 5.5, 11.0)
 #: The hop counts plotted on the chain figures (2 to 64 hops).
 PAPER_HOP_COUNTS = (2, 4, 8, 16, 32, 64)
 
-#: A laptop-friendly subset of hop counts used by the default benchmarks.
+#: The hop counts of the chain rows in ``benchmarks/bench_figures.py``.
 DEFAULT_HOP_COUNTS = (2, 4, 8, 16)

@@ -5,13 +5,14 @@ propagation delay of a single packet in the chain (Table 2): node *i* may only
 transmit packet *p_j* once *p_{j-1}* has been forwarded by node *i + 3*, so the
 natural spacing between injections is the time a packet needs to clear four
 hops when there is no queueing and no contention.  The optimal interval is then
-found by sweeping around that value (Figure 10); the sweep itself lives in
-:mod:`repro.experiments.chain_experiments`.
+found by sweeping around that value (Figure 10): :func:`default_sweep_intervals`
+lays out the grid, one ``udp_interval`` axis of a
+:class:`~repro.experiments.study.SweepSpec` runs it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 from repro.mac.timing import MacTiming, timing_for_bandwidth
 from repro.net.headers import IpHeader, MacHeader, UdpHeader
@@ -60,8 +61,25 @@ def default_udp_interval(timing: MacTiming, payload_bytes: int = 1460) -> float:
     """Default pacing interval when no offline-tuned value is supplied.
 
     The interval is the 4-hop propagation delay scaled by
-    :data:`DEFAULT_INTERVAL_FACTOR`; use the Figure 10 sweep
-    (:func:`repro.experiments.chain_experiments.paced_udp_rate_sweep`) to tune
-    it per bandwidth and topology.
+    :data:`DEFAULT_INTERVAL_FACTOR`; sweep ``udp_interval`` over
+    :func:`default_sweep_intervals` (Figure 10) to tune it per bandwidth and
+    topology.
     """
     return DEFAULT_INTERVAL_FACTOR * four_hop_propagation_delay(timing, payload_bytes)
+
+
+def default_sweep_intervals(
+    bandwidth_mbps: float, points: int = 7, spread: float = 0.45
+) -> List[float]:
+    """Sweep grid around the analytic pacing interval for a bandwidth.
+
+    Mirrors the paper's Figure 10 x-axis (28-44 ms at 2 Mbit/s): ``points``
+    evenly spaced intervals within ±``spread`` of :func:`default_udp_interval`.
+    """
+    center = default_udp_interval(timing_for_bandwidth(bandwidth_mbps))
+    low = center * (1.0 - spread)
+    high = center * (1.0 + spread)
+    if points < 2:
+        return [center]
+    step = (high - low) / (points - 1)
+    return [low + i * step for i in range(points)]

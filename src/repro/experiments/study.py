@@ -75,7 +75,6 @@ from repro.core.statistics import ConfidenceInterval, confidence_interval
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.config import ScenarioConfig, resolve_variant
 from repro.experiments.results import ScenarioResult
-from repro.experiments.runner import run_scenario
 from repro.experiments.workload import ScenarioEvent, ScenarioSpec, Workload
 from repro.topology.base import Topology
 from repro.topology.registry import build_topology, get_topology
@@ -558,29 +557,6 @@ class StudyResult:
                 "the study or load it with a matching version"
             )
         return cls.from_dict(data)
-
-
-def _uses_workload_plane(spec: SweepSpec) -> bool:
-    """True when the sweep needs the ScenarioSpec path (workload/timeline).
-
-    Legacy sweeps keep running through ``run_scenario(topology, config)``,
-    whose compiled spec is behaviourally identical — this is purely about not
-    constructing intermediate objects on the hot path.
-    """
-    return (spec.workload is not None or spec.workload_factory is not None
-            or bool(spec.timeline))
-
-
-def _run_sweep_task(payload: Tuple[SweepSpec, Mapping[str, object], int]) -> ScenarioResult:
-    """Legacy process-pool entry point: run one (point, seed) scenario.
-
-    Kept for pickle-by-reference compatibility; the execution plane's
-    equivalent is :func:`repro.experiments.exec.backends.run_work_item`.
-    """
-    spec, values, seed = payload
-    if _uses_workload_plane(spec):
-        return run_scenario(spec.scenario_for(values, seed))
-    return run_scenario(spec.topology_for(values), spec.config_for(values, seed))
 
 
 class StudyRunner:

@@ -12,7 +12,8 @@ cards (≈1.4 W transmit, ≈1.0 W receive, ≈0.83 W idle).
 The per-node airtime inputs come from :class:`repro.phy.radio.RadioStats`; the
 experiment harness aggregates them into joules per node and joules per
 delivered kilobyte, which is the number that lets the paper's qualitative
-claim be checked quantitatively (see ``benchmarks/bench_energy_proxy.py``).
+claim be checked quantitatively (the ``energy-proxy`` row of
+``benchmarks/bench_figures.py``).
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.paced_udp import (
     data_frame_size,
+    default_sweep_intervals,
     default_udp_interval,
     four_hop_propagation_delay,
     single_hop_delay,
@@ -50,3 +51,27 @@ class TestAnalyticDelays:
         slow = default_udp_interval(timing_for_bandwidth(2.0))
         fast = default_udp_interval(timing_for_bandwidth(11.0))
         assert slow > fast
+
+
+class TestSweepIntervals:
+    def test_grid_is_centred_on_the_default_interval(self):
+        intervals = default_sweep_intervals(2.0, points=7, spread=0.4)
+        assert intervals[3] == pytest.approx(default_udp_interval(timing_for_bandwidth(2.0)))
+
+    def test_ends_sit_at_plus_minus_spread(self):
+        centre = default_udp_interval(timing_for_bandwidth(5.5))
+        intervals = default_sweep_intervals(5.5, points=5, spread=0.3)
+        assert intervals[0] == pytest.approx(0.7 * centre)
+        assert intervals[-1] == pytest.approx(1.3 * centre)
+        assert intervals == sorted(intervals)
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_fewer_than_two_points_is_the_centre(self, points):
+        centre = default_udp_interval(timing_for_bandwidth(2.0))
+        assert default_sweep_intervals(2.0, points=points) == [centre]
+
+    def test_figure10_grid(self):
+        # The x values of Figure 10's row in benchmarks/bench_figures.py.
+        intervals = default_sweep_intervals(2.0, points=7, spread=0.4)
+        assert [round(t * 1000, 1) for t in intervals] == [
+            23.7, 29.0, 34.3, 39.5, 44.8, 50.1, 55.3]

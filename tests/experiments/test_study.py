@@ -186,12 +186,12 @@ class TestStudyCache:
         first = runner.run(spec, parallel=False)
         assert len(list(tmp_path.glob("*.json"))) == 1
 
-        import repro.experiments.study as study_module
+        import repro.experiments.runner as runner_module
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("cache miss: scenario was re-simulated")
 
-        monkeypatch.setattr(study_module, "run_scenario", boom)
+        monkeypatch.setattr(runner_module, "run_scenario", boom)
         second = runner.run(spec, parallel=False)
         assert second == first
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from benchmarks.bench_figures import FIGURES, reshape
 from repro.experiments.config import ScenarioConfig, TransportVariant
-from repro.experiments.grid_experiments import fairness_table
 from repro.experiments.runner import run_scenario
+from repro.experiments.study import SweepSpec, run_study
 from repro.topology.grid import grid_topology
 from repro.topology.random_topology import random_topology
 
@@ -39,16 +42,20 @@ class TestSmallGrid:
             sum(flow.goodput_bps for flow in result.flows)
         )
 
-    def test_fairness_table_layout(self, small_grid):
-        results = {
-            TransportVariant.VEGAS: {
-                11.0: run_scenario(small_grid, multiflow_config(TransportVariant.VEGAS))
-            },
-        }
-        table = fairness_table(results)
-        assert 11.0 in table
-        assert TransportVariant.VEGAS in table[11.0]
-        assert 0.0 < table[11.0][TransportVariant.VEGAS] <= 1.0
+    def test_table3_reshape_layout(self, small_grid):
+        # Table 3 / 4 as the figure table lays them out: {variant: {bandwidth: Jain}}.
+        sweep = SweepSpec(
+            name="small-grid", topology=small_grid,
+            axes={"variant": [TransportVariant.VEGAS, TransportVariant.NEWRENO],
+                  "bandwidth_mbps": [11.0]},
+            base=multiflow_config(TransportVariant.VEGAS),
+        )
+        table3 = next(figure for figure in FIGURES if figure.id == "table3")
+        table = reshape(replace(table3, sweeps=(sweep,)),
+                        run=lambda spec: run_study(spec, parallel=False))
+        assert list(table) == ["Vegas", "NewReno"]
+        assert all(list(per_bandwidth) == [11.0] for per_bandwidth in table.values())
+        assert all(1.0 / 3.0 <= table[v][11.0] <= 1.0 for v in table)
 
 
 class TestSmallRandomTopology:
