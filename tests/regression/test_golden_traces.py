@@ -2,10 +2,10 @@
 
 Each test runs a fixed-seed scenario with tracing enabled, hashes the full
 event trace (every record: time, layer, event, node, details) and compares it
-— plus the key :class:`ScenarioResult` metrics — against fixtures pinned in
-``golden_traces.json``.  The fixtures were captured from the kernel *before*
-the fast-path rework, so a passing suite proves the optimised kernel is
-bit-identical to the original.
+— plus the key :class:`ScenarioResult` metrics and a digest of the whole
+metrics snapshot — against fixtures pinned in ``golden_traces.json``.  The
+fixtures were captured from the kernel *before* the fast-path rework, so a
+passing suite proves the optimised kernel is bit-identical to the original.
 
 A mismatch means a kernel or protocol change altered simulation behaviour.
 If the change is intentional, regenerate the fixtures with::
@@ -17,6 +17,7 @@ and justify the behaviour change in the commit message.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -107,6 +108,12 @@ def _metrics(result: ScenarioResult) -> dict:
     }
 
 
+def _snapshot_digest(result: ScenarioResult) -> str:
+    """SHA-256 of the whole metrics snapshot as JSON: every name, every
+    value, and whether it is ``0`` or ``0.0``."""
+    return hashlib.sha256(json.dumps(result.metrics).encode()).hexdigest()
+
+
 def _run_golden(name: str) -> dict:
     """The pinned fields of one golden run, plus its handler counts."""
     # Packet uids appear in trace records and come from a process-global
@@ -115,6 +122,7 @@ def _run_golden(name: str) -> dict:
     tracer = Tracer(enabled=True)
     result = SCENARIOS[name](tracer).run()
     return {"trace_sha256": trace_digest(tracer), "metrics": _metrics(result),
+            "snapshot_sha256": _snapshot_digest(result),
             "events": result.metrics["core.events_processed"],
             "edges": result.metrics["core.edges_in_place"]}
 
@@ -136,6 +144,9 @@ def test_golden_trace(name):
     assert actual["trace_sha256"] == expected["trace_sha256"], (
         f"{name}: event trace diverged from the pinned golden run "
         "(simulation behaviour changed)"
+    )
+    assert actual["snapshot_sha256"] == expected["snapshot_sha256"], (
+        f"{name}: a metric name, value or type in the snapshot changed"
     )
     assert actual["events"] + actual["edges"] == GOLDEN_HANDLERS[name]
     # At least half the handlers are signal edges that skipped the queue.
@@ -192,5 +203,6 @@ def test_regenerate_fixtures():
     fixtures = _load_fixtures()
     for name in sorted(SCENARIOS):
         run = _run_golden(name)
-        fixtures[name] = {key: run[key] for key in ("trace_sha256", "metrics")}
+        fixtures[name] = {key: run[key] for key in
+                          ("trace_sha256", "metrics", "snapshot_sha256")}
     FIXTURE_PATH.write_text(json.dumps(fixtures, indent=2) + "\n")
