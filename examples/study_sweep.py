@@ -2,7 +2,7 @@
 """Declarative study: one SweepSpec instead of nested sweep loops.
 
 Describes a (variant × hop count) chain sweep with seed replication as data,
-runs it through the :class:`repro.StudyRunner` — in parallel over a process
+runs it through :func:`repro.run_study` — in parallel over a process
 pool when the machine has more than one core, with every scenario run cached
 as JSON keyed by its configuration hash — and prints the cross-seed goodput
 confidence intervals.  Re-running the script with the same parameters answers

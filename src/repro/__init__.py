@@ -41,8 +41,6 @@ from repro.experiments.config import (
     TransportVariant,
 )
 from repro.experiments.results import FlowResult, ScenarioResult, format_table
-from repro.experiments.runner import Scenario, run_scenario
-from repro.experiments.scenarios import available_scenarios, build_named_scenario
 from repro.experiments.workload import (
     FlowSpec,
     ScenarioBuilder,
@@ -51,7 +49,7 @@ from repro.experiments.workload import (
     Workload,
     mixed_transport_workload,
 )
-from repro.metrics import Counter, Gauge, MetricsRegistry, TimeSeries
+from repro.metrics import MetricsRegistry, TimeSeries
 from repro.mobility.registry import (
     MobilityProfile,
     get_mobility,
@@ -78,10 +76,12 @@ __version__ = "1.0.0"
 
 
 def __getattr__(name: str):
-    # Reached only for names not bound above: of those in __all__, that is the
-    # study plane (SweepSpec, run_study, ResultStore, ...), which
-    # repro.experiments loads on first use so that a process which only runs
-    # scenarios never imports it.
+    # Reached only for names not bound above: of those in __all__, that is
+    # the runner, the preset catalog and the study plane, which
+    # repro.experiments loads on first use, so that a process which only runs
+    # scenarios never imports the study plane and ``python -m
+    # repro.experiments.runner`` (or ``.scenarios``) finds its module not yet
+    # imported.
     if name in __all__:
         from repro import experiments
         return getattr(experiments, name)
@@ -108,9 +108,7 @@ __all__ = [
     "available_scenarios",
     "build_named_scenario",
     "PointResult",
-    "Study",
     "StudyResult",
-    "StudyRunner",
     "SweepSpec",
     "run_study",
     "ResultStore",
@@ -133,8 +131,6 @@ __all__ = [
     "register_mobility",
     "mobility_names",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "TimeSeries",
     "__version__",
 ]

@@ -9,10 +9,23 @@ UDP sender).
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 from repro.core.engine import Simulator
-from repro.metrics import Counter, Gauge, MetricsRegistry
+from repro.metrics import MetricsRegistry, NULL_METRICS, StatsRecord
+
+
+class AppStats(StatsRecord):
+    """What an application records, published as ``app.flow<N>.<field>``."""
+
+    __slots__ = {
+        "starts": "Times the application started.",
+        "started_at": "Simulated time traffic generation began (s).",
+    }
+
+    def __init__(self, registry: MetricsRegistry = NULL_METRICS,
+                 prefix: str = "") -> None:
+        super().__init__(registry, prefix)
+        self.started_at = 0.0
 
 
 class Application(abc.ABC):
@@ -22,22 +35,17 @@ class Application(abc.ABC):
         self.sim = sim
         self.start_time = start_time
         self._started = False
-        self._starts_counter: Optional[Counter] = None
-        self._started_at_gauge: Optional[Gauge] = None
+        self.stats = AppStats()
 
     def bind_metrics(self, registry: MetricsRegistry, prefix: str) -> None:
-        """Register the application's instruments under ``prefix``.
+        """Publish the application's stats under ``prefix``.
 
         Called by the scenario runner after construction (applications are
         built by transport-profile factories that know nothing about the
         metrics plane).  Registers ``<prefix>.starts`` and
         ``<prefix>.started_at``.
         """
-        self._starts_counter = registry.counter(
-            f"{prefix}.starts", description="Times the application started.")
-        self._started_at_gauge = registry.gauge(
-            f"{prefix}.started_at", unit="s",
-            description="Simulated time traffic generation began.")
+        registry.register(prefix, self.stats)
 
     def schedule_start(self) -> None:
         """Schedule the application to start at its configured start time."""
@@ -61,9 +69,8 @@ class Application(abc.ABC):
         if self._started:
             return
         self._started = True
-        if self._starts_counter is not None:
-            self._starts_counter.inc()
-            self._started_at_gauge.set(self.sim.now)
+        self.stats.starts += 1
+        self.stats.started_at = self.sim.now
         self.on_start()
 
     @property

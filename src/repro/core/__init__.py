@@ -14,7 +14,6 @@ from repro.core.randomness import RandomManager
 from repro.core.statistics import (
     BatchMeans,
     ConfidenceInterval,
-    Counter,
     TimeWeightedAverage,
     confidence_interval,
     jain_fairness_index,
@@ -36,7 +35,6 @@ __all__ = [
     "RandomManager",
     "BatchMeans",
     "ConfidenceInterval",
-    "Counter",
     "TimeWeightedAverage",
     "confidence_interval",
     "jain_fairness_index",

@@ -257,25 +257,6 @@ class TimeWeightedAverage:
         return self._weighted_sum / self._total_time
 
 
-class Counter:
-    """A named monotonically increasing counter with convenience accessors."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-
-    def increment(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (default 1) to the counter."""
-        self.value += amount
-
-    def reset(self) -> None:
-        """Reset the counter to zero."""
-        self.value = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
-
-
 def relative_change(new: float, old: float) -> float:
     """Return (new - old) / old, guarding against a zero baseline."""
     if old == 0:

@@ -16,10 +16,10 @@ Three layers, from low-level to high-level:
   :func:`~repro.experiments.scenarios.build_named_scenario` instantiates
   ready-made presets generated from those registries.
 * **Declarative studies** — :class:`SweepSpec` describes a cartesian sweep
-  (axes × replications) as data; :class:`StudyRunner` / :func:`run_study`
-  execute it through the :mod:`repro.experiments.exec` execution plane: a
-  work queue of fingerprint-keyed items drained by a registered executor
-  backend (``serial`` or ``process-pool``), checkpointed into a crash-safe
+  (axes × replications) as data; :func:`run_study` executes it through the
+  :mod:`repro.experiments.exec` execution plane: a work queue of
+  fingerprint-keyed items drained by a registered executor backend
+  (``serial`` or ``process-pool``), checkpointed into a crash-safe
   :class:`~repro.experiments.exec.store.ResultStore` (resume re-executes
   only missing items) and aggregated into a :class:`StudyResult` with
   cross-seed confidence intervals.  The paper's figures are rows of one
@@ -38,12 +38,6 @@ from repro.experiments.config import (
     variant_label,
 )
 from repro.experiments.results import FlowResult, ScenarioResult, format_table
-from repro.experiments.runner import Scenario, run_scenario
-from repro.experiments.scenarios import (
-    available_scenarios,
-    build_named_scenario,
-    register_scenario,
-)
 from repro.experiments.workload import (
     FlowSpec,
     ScenarioBuilder,
@@ -53,12 +47,17 @@ from repro.experiments.workload import (
     mixed_transport_workload,
 )
 
-#: Study-plane names and the module each lives in, imported on first use
-#: (PEP 562): running a scenario loads neither the sweep machinery nor the
-#: executor backends' multiprocessing and concurrent.futures.
-_STUDY_PLANE = {
-    **dict.fromkeys(("PointResult", "Study", "StudyResult", "StudyRunner",
-                     "SweepSpec", "run_study"), "repro.experiments.study"),
+#: Names imported on first use (PEP 562), and the module each lives in.
+#: Running a scenario loads neither the sweep machinery nor the executor
+#: backends' multiprocessing and concurrent.futures; and since the package
+#: does not import ``runner`` or ``scenarios`` itself, ``python -m`` can run
+#: either as ``__main__`` without finding it already imported.
+_LAZY = {
+    **dict.fromkeys(("Scenario", "run_scenario"), "repro.experiments.runner"),
+    **dict.fromkeys(("available_scenarios", "build_named_scenario",
+                     "register_scenario"), "repro.experiments.scenarios"),
+    **dict.fromkeys(("PointResult", "StudyResult", "SweepSpec", "run_study"),
+                    "repro.experiments.study"),
     **dict.fromkeys(("ExecutorBackend", "ResultStore", "StudyExecutionError",
                      "backend_names", "execute_study", "get_backend",
                      "register_backend"), "repro.experiments.exec"),
@@ -66,7 +65,7 @@ _STUDY_PLANE = {
 
 
 def __getattr__(name: str):
-    module = _STUDY_PLANE.get(name)
+    module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(module), name)
@@ -95,9 +94,7 @@ __all__ = [
     "build_named_scenario",
     "register_scenario",
     "PointResult",
-    "Study",
     "StudyResult",
-    "StudyRunner",
     "SweepSpec",
     "run_study",
     "ExecutorBackend",

@@ -16,9 +16,9 @@ into a fault-tolerant execution pipeline:
   :class:`~repro.experiments.study.StudyResult` with online cross-seed
   confidence intervals and progress/ETA reporting.
 
-:class:`~repro.experiments.study.StudyRunner` is a thin façade over this
-package; use :func:`execute_study` directly for progress callbacks, explicit
-backend selection or crash-resume semantics::
+:func:`~repro.experiments.study.run_study` calls :func:`execute_study`;
+either takes progress callbacks, explicit backend selection and a store to
+resume from::
 
     from repro.experiments.exec import execute_study
 

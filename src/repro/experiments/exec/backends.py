@@ -20,7 +20,8 @@ stored, aggregated results.  Two backends ship built in:
     they are re-queued with backoff and the pool is rebuilt.
 
 Both drive the same queue/store/aggregator machinery via
-:func:`execute_study`, the single entry point the Study API façade calls.
+:func:`execute_study`, the single entry point
+:func:`~repro.experiments.study.run_study` calls.
 The registry seam is what a future multi-host backend plugs into: anything
 that can lease items and publish fingerprint-keyed results is a backend.
 """

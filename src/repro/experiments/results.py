@@ -94,8 +94,8 @@ class ScenarioResult:
     """Aggregate measures for one scenario run.
 
     Attributes (beyond the headline scalars):
-        metrics: Flat snapshot of every counter/gauge instrument at the end
-            of the run, keyed by hierarchical name
+        metrics: Flat snapshot of every scalar metric at the end of the
+            run, keyed by hierarchical name
             (``mac.node3.data_dropped_retry``).  Populated for every run; see
             :meth:`metric_total` for wildcard aggregation.
         timeseries: Time-series payloads (``{name: {unit, times, values}}``)
@@ -171,7 +171,7 @@ class ScenarioResult:
         """Sum of the snapshot values whose names match ``pattern``.
 
         ``pattern`` uses shell-style wildcards over the hierarchical
-        instrument name, e.g. ``metric_total("mac.node*.data_dropped_retry")``
+        metric name, e.g. ``metric_total("mac.node*.data_dropped_retry")``
         for the network-wide retry-drop count or
         ``metric_total("route.node*.rerrs_sent")`` for total RERRs.  Returns
         0.0 when no snapshot was collected or nothing matches.

@@ -71,7 +71,7 @@ from repro.phy.energy import (
     EnergyModel,
     install_energy_probes,
     scenario_energy,
-    set_energy_gauges,
+    set_energy_values,
 )
 from repro.phy.propagation import RangePropagationModel
 from repro.routing.aodv import AodvConfig
@@ -107,8 +107,8 @@ class Scenario:
         metrics: The scenario's freshly created
             :class:`~repro.metrics.registry.MetricsRegistry` (its time-series
             plane follows ``config.metrics``).  Each scenario owns its own
-            registry — counters are get-or-create, so sharing one across
-            scenarios would double-count every harvested result.
+            registry: its stats records register by name, so a registry
+            shared across scenarios would keep only the last one's.
     """
 
     def __init__(
@@ -158,6 +158,8 @@ class Scenario:
         self.senders: List[object] = []
         self.sinks: List[object] = []
         self.applications: List[object] = []
+        #: Timeline events applied so far, by action.
+        self._timeline_counts: Dict[str, int] = {}
         self._build()
 
     # ==================================================================
@@ -434,12 +436,10 @@ class Scenario:
         event stream is as deterministic as an unscripted one.
         """
         for event in timeline:
-            # Register the per-action counter up front (deterministic
-            # registry contents regardless of which events end up firing
-            # before the run stops).
-            self.metrics.counter(
-                f"scenario.timeline.{event.action}", unit="events",
-                description="Timeline events applied by the scenario runner.")
+            # Every action in the timeline is counted, zero or not, so the
+            # snapshot's names do not depend on which events fired before
+            # the run stopped.
+            self._timeline_counts[event.action] = 0
             self.sim.schedule_at(event.time, self._apply_event, event)
 
     def _apply_event(self, event: ScenarioEvent) -> None:
@@ -447,7 +447,7 @@ class Scenario:
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "scenario", event.action,
                                target=event.target, peer=event.peer)
-        self.metrics.counter(f"scenario.timeline.{event.action}").inc()
+        self._timeline_counts[event.action] += 1
         action = event.action
         if action == "flow-start":
             self.applications[event.target - 1].start_now()
@@ -510,10 +510,10 @@ class Scenario:
         metrics = self.metrics
         energy = self._energy_report(now)
         # Handlers invoked = events through the queue + edges run in place.
-        metrics.gauge("core.events_processed", unit="events").set(
-            self.sim.events_processed)
-        metrics.gauge("core.edges_in_place", unit="events").set(
-            self.sim.edges_in_place)
+        metrics.set("core.events_processed", self.sim.events_processed)
+        metrics.set("core.edges_in_place", self.sim.edges_in_place)
+        for action, count in self._timeline_counts.items():
+            metrics.set(f"scenario.timeline.{action}", count)
         for bus in self.buses:
             bus.finalize_utilization(now)
 
@@ -548,7 +548,7 @@ class Scenario:
         radio_stats = {node_id: node.radio.stats
                        for node_id, node in self.nodes.items()
                        if node.radio is not None}
-        set_energy_gauges(self.metrics, model, now, radio_stats)
+        set_energy_values(self.metrics, model, now, radio_stats)
         airtimes = [
             {
                 "time_transmitting": stats.time_transmitting,

@@ -7,9 +7,9 @@ sweeps as *data* instead of bespoke nested loops:
 * :class:`SweepSpec` describes a cartesian sweep — a topology family (from
   :mod:`repro.topology.registry`), axes of scenario/topology parameters and a
   number of seed replications.
-* :class:`StudyRunner` executes every sweep point.  It is a thin façade over
-  the :mod:`repro.experiments.exec` execution plane: the sweep is exploded
-  into fingerprint-keyed work items on a
+* :func:`run_study` executes every sweep point through the
+  :mod:`repro.experiments.exec` execution plane: the sweep is exploded into
+  fingerprint-keyed work items on a
   :class:`~repro.experiments.exec.workqueue.WorkQueue`, drained by a
   registered :class:`~repro.experiments.exec.backends.ExecutorBackend`
   (``serial`` or ``process-pool``), checkpointed into a crash-safe
@@ -394,17 +394,17 @@ class PointResult:
     # Metric selection
     # ------------------------------------------------------------------
     def metric_values(self, pattern: str) -> List[float]:
-        """Per-replication totals of the instruments matching ``pattern``.
+        """Per-replication totals of the metrics matching ``pattern``.
 
-        ``pattern`` is a shell-style wildcard over hierarchical instrument
+        ``pattern`` is a shell-style wildcard over hierarchical metric
         names (see :meth:`repro.experiments.results.ScenarioResult.metric_total`),
-        so a sweep can aggregate *any* instrument the stack registers, e.g.
+        so a sweep can aggregate *any* scalar the stack records, e.g.
         ``point.metric_values("route.node*.rerrs_sent")``.
         """
         return [run.metric_total(pattern) for run in self.runs]
 
     def metric_interval(self, pattern: str) -> ConfidenceInterval:
-        """Cross-seed confidence interval of the matched instrument total.
+        """Cross-seed confidence interval of the matched metric total.
 
         Composes with :meth:`StudyResult.nested` for whole-study tables::
 
@@ -559,134 +559,6 @@ class StudyResult:
         return cls.from_dict(data)
 
 
-class StudyRunner:
-    """Executes :class:`SweepSpec` sweeps — a façade over the execution plane.
-
-    The heavy lifting lives in :mod:`repro.experiments.exec`: the sweep is
-    exploded into idempotent, fingerprint-keyed work items, completed items
-    are checkpointed into a crash-safe
-    :class:`~repro.experiments.exec.store.ResultStore` at ``cache_dir``, and
-    a registered executor backend drains the queue.  Identical
-    configurations are therefore never simulated twice — across runners,
-    processes and sessions — and a study interrupted at any point resumes
-    from ``cache_dir``, re-executing only the missing items.
-
-    Args:
-        max_workers: Process-pool size (default: ``os.cpu_count()``).
-        cache_dir: Directory of the per-item result store; ``None`` disables
-            checkpointing (and resume).
-        tracer: Tracer passed to serially executed scenarios.  Worker
-            processes cannot share a tracer object, so pool runs trace
-            into :data:`~repro.core.tracing.NULL_TRACER`; run serially when
-            traces matter.
-        backend: Executor backend name (see
-            :func:`repro.experiments.exec.backends.backend_names`) forced
-            for every run; ``None`` lets ``run``'s ``parallel`` argument and
-            the auto heuristic decide.
-        progress: Optional callback receiving a
-            :class:`~repro.experiments.exec.aggregate.ProgressSnapshot`
-            after every work-item transition.
-    """
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        cache_dir: Optional[Union[str, Path]] = None,
-        tracer: Tracer = NULL_TRACER,
-        backend: Optional[str] = None,
-        progress: Optional[Callable[..., None]] = None,
-    ) -> None:
-        self.max_workers = max_workers
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.tracer = tracer
-        self.backend = backend
-        self.progress = progress
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run(self, spec: SweepSpec, parallel: Optional[bool] = None) -> StudyResult:
-        """Run every (point, seed) combination of ``spec``.
-
-        Args:
-            spec: The sweep to execute.
-            parallel: ``True`` forces the ``process-pool`` backend,
-                ``False`` forces ``serial``, ``None`` (default) picks the
-                pool when more than one unfinished item exists and more
-                than one worker is available.  Ignored when the runner was
-                constructed with an explicit ``backend``.
-
-        Returns:
-            A :class:`StudyResult` with points in cartesian sweep order and
-            replications in seed order — bit-identical whether it ran
-            serial, pooled, fresh or resumed.
-
-        Raises:
-            StudyExecutionError: If any work item stayed FAILED after its
-                retry budget (transient errors are retried with backoff; a
-                :class:`~repro.core.errors.ConfigurationError` from a bad
-                sweep point fails immediately, without retries).  The
-                exception carries the failed items and a partial
-                :class:`StudyResult`; with a ``cache_dir`` the completed
-                items are checkpointed, so a later :meth:`run`/:meth:`resume`
-                re-executes only the failures.  Note this wraps whatever the
-                scenario originally raised — callers that previously caught
-                the task's own exception type should catch
-                :class:`~repro.experiments.exec.backends.StudyExecutionError`
-                and inspect ``.failed[*].error``.
-        """
-        from repro.experiments.exec.backends import execute_study
-
-        backend = self.backend
-        if backend is None and parallel is not None:
-            backend = "process-pool" if parallel else "serial"
-        return execute_study(
-            spec,
-            backend=backend,
-            max_workers=self.max_workers,
-            store=self.cache_dir,
-            tracer=self.tracer,
-            progress=self.progress,
-        )
-
-    def resume(self, spec: SweepSpec, parallel: Optional[bool] = None) -> StudyResult:
-        """Resume an interrupted run of ``spec`` from ``cache_dir``.
-
-        Every run of a cache-backed runner resumes implicitly; this spelling
-        exists to make intent explicit and to fail fast when there is no
-        store to resume from.
-
-        Raises:
-            ConfigurationError: If the runner has no ``cache_dir``.
-        """
-        if self.cache_dir is None:
-            raise ConfigurationError(
-                "resume() needs a cache_dir holding the interrupted study's "
-                "checkpointed items"
-            )
-        return self.run(spec, parallel=parallel)
-
-
-class Study:
-    """Convenience bundle of a :class:`SweepSpec` and a :class:`StudyRunner`.
-
-    Either wrap an existing spec (``Study(spec)``) or build one in place::
-
-        Study(topology="chain", axes={"hops": [2, 4, 8]}, replications=3).run()
-    """
-
-    def __init__(self, spec: Optional[SweepSpec] = None,
-                 runner: Optional[StudyRunner] = None, **spec_kwargs: object) -> None:
-        if spec is not None and spec_kwargs:
-            raise ConfigurationError("pass either a SweepSpec or spec kwargs, not both")
-        self.spec = spec if spec is not None else SweepSpec(**spec_kwargs)
-        self.runner = runner or StudyRunner()
-
-    def run(self, parallel: Optional[bool] = None) -> StudyResult:
-        """Execute the study; see :meth:`StudyRunner.run`."""
-        return self.runner.run(self.spec, parallel=parallel)
-
-
 def run_study(
     spec: SweepSpec,
     parallel: Optional[bool] = None,
@@ -696,10 +568,56 @@ def run_study(
     backend: Optional[str] = None,
     progress: Optional[Callable[..., None]] = None,
 ) -> StudyResult:
-    """One-call convenience wrapper around :class:`StudyRunner`."""
-    runner = StudyRunner(max_workers=max_workers, cache_dir=cache_dir,
-                         tracer=tracer, backend=backend, progress=progress)
-    return runner.run(spec, parallel=parallel)
+    """Run every (point, seed) combination of ``spec``.
+
+    The sweep is exploded into idempotent, fingerprint-keyed work items and
+    drained by an executor backend (:mod:`repro.experiments.exec`).  With a
+    ``cache_dir``, completed items are checkpointed into a crash-safe
+    :class:`~repro.experiments.exec.store.ResultStore`, so identical
+    configurations are never simulated twice — across calls, processes and
+    sessions — and an interrupted study resumes from the store, re-executing
+    only the missing items.
+
+    Args:
+        spec: The sweep to execute.
+        parallel: ``True`` forces the ``process-pool`` backend, ``False``
+            forces ``serial``, ``None`` (default) picks the pool when more
+            than one unfinished item exists and more than one worker is
+            available.  Ignored when ``backend`` is given.
+        max_workers: Process-pool size (default: ``os.cpu_count()``).
+        cache_dir: Directory of the per-item result store; ``None`` disables
+            checkpointing (and resume).
+        tracer: Tracer passed to serially executed scenarios.  Worker
+            processes cannot share a tracer object, so pool runs trace into
+            :data:`~repro.core.tracing.NULL_TRACER`; run serially when traces
+            matter.
+        backend: Executor backend name (see
+            :func:`repro.experiments.exec.backends.backend_names`).
+        progress: Optional callback receiving a
+            :class:`~repro.experiments.exec.aggregate.ProgressSnapshot` after
+            every work-item transition.
+
+    Returns:
+        A :class:`StudyResult` with points in cartesian sweep order and
+        replications in seed order — bit-identical whether it ran serial,
+        pooled, fresh or resumed.
+
+    Raises:
+        StudyExecutionError: If any work item stayed FAILED after its retry
+            budget (transient errors are retried with backoff; a
+            :class:`~repro.core.errors.ConfigurationError` from a bad sweep
+            point fails immediately, without retries).  The exception
+            carries the failed items and a partial :class:`StudyResult`;
+            with a ``cache_dir`` the completed items are checkpointed, so a
+            later run re-executes only the failures.  It wraps whatever the
+            scenario raised: inspect ``.failed[*].error`` for the cause.
+    """
+    from repro.experiments.exec.backends import execute_study
+
+    if backend is None and parallel is not None:
+        backend = "process-pool" if parallel else "serial"
+    return execute_study(spec, backend=backend, max_workers=max_workers,
+                         store=cache_dir, tracer=tracer, progress=progress)
 
 
 # ======================================================================

@@ -38,6 +38,7 @@ from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.phy.propagation import Position
 from repro.routing.aodv import AodvConfig, AodvRouting
+from repro.routing.base import RoutingStats
 from repro.routing.static import StaticRouting
 
 
@@ -61,6 +62,15 @@ class _WiredIngress(MacListener):
         pass
 
 
+class GatewayRoutingStats(RoutingStats):
+    """A gateway's routing counters: the common ones plus its own drop."""
+
+    __slots__ = {
+        "unknown_subnet_drops": "Packets dropped at a gateway because no subnet "
+                                "(wireless or wired) claims the destination.",
+    }
+
+
 class GatewayForwardingMixin:
     """Wired dispatch shared by the static and AODV gateway routings.
 
@@ -76,15 +86,9 @@ class GatewayForwardingMixin:
         self._wired_next_hops = dict(wired_next_hops)
         self._wireless_subnet = frozenset(wireless_subnet)
         self.wired_listener: MacListener = _WiredIngress(self)
-        self._unknown_subnet_drops = metrics.counter(
-            f"route.node{self.node_id}.unknown_subnet_drops", unit="packets",
-            description="Packets dropped at a gateway because no subnet "
-                        "(wireless or wired) claims the destination.")
-
-    @property
-    def unknown_subnet_drops(self) -> int:
-        """Packets dropped for a destination no attached plane claims."""
-        return self._unknown_subnet_drops.value
+        # Takes over the node's ``route.node<N>`` prefix from the record the
+        # routing agent just registered (and from the agent it replaces).
+        self.stats = GatewayRoutingStats(metrics, prefix=f"route.node{self.node_id}")
 
     @property
     def wired_next_hops(self) -> Mapping[int, int]:
@@ -100,15 +104,15 @@ class GatewayForwardingMixin:
                            retry=False)
         accepted = self._wired_queue.enqueue(packet)
         if not accepted:
-            self.stats._packets_dropped_queue_full.value += 1
+            self.stats.packets_dropped_queue_full += 1
             self.tracer.record(self.sim.now, "route", "queue_drop",
                                node=self.node_id, uid=packet.uid)
         return accepted
 
     def _drop_unknown_subnet(self, packet: Packet) -> None:
         ip = packet.require_ip()
-        self._unknown_subnet_drops.inc()
-        self.stats._packets_dropped_no_route.value += 1
+        self.stats.unknown_subnet_drops += 1
+        self.stats.packets_dropped_no_route += 1
         self.tracer.record(self.sim.now, "route", "unknown_subnet",
                            node=self.node_id, dst=ip.dst, uid=packet.uid)
 
@@ -121,8 +125,8 @@ class GatewayForwardingMixin:
 
     def on_wired_send_failure(self, packet: Packet, next_hop: int) -> None:
         """Wired ports have no repair: count the loss and drop the packet."""
-        self.stats._link_failures.value += 1
-        self.stats._packets_dropped_link_failure.value += 1
+        self.stats.link_failures += 1
+        self.stats.packets_dropped_link_failure += 1
         self.tracer.record(self.sim.now, "route", "link_failure",
                            node=self.node_id, next_hop=next_hop,
                            uid=packet.uid)

@@ -22,8 +22,9 @@ so :class:`~repro.routing.static.StaticRouting` and
 :class:`~repro.routing.aodv.AodvRouting` run over a wired port unchanged.
 
 Instrumentation lands under ``link.wired.*``: per-port counters
-(``link.wired.node<N>.frames_sent`` …) via :class:`WiredStats` and per-bus
-collision/utilization figures (``link.wired.bus<K>.collisions`` …).
+(``link.wired.node<N>.frames_sent`` …) in :class:`WiredStats` and per-bus
+collision/utilization figures (``link.wired.bus<K>.collisions`` …) in
+:class:`BusStats`.
 """
 
 from __future__ import annotations
@@ -34,53 +35,42 @@ from repro.core.engine import Simulator
 from repro.core.errors import ConfigurationError
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.mac.queue import DropTailQueue
-from repro.metrics import MetricsRegistry, NULL_METRICS, instrument_property
+from repro.metrics import MetricsRegistry, NULL_METRICS, StatsRecord
 from repro.net.headers import BROADCAST
 from repro.net.interfaces import MacListener
 from repro.net.packet import Packet
 
 
-class WiredStats:
-    """Counters maintained by each wired port.
+class WiredStats(StatsRecord):
+    """Counters maintained by each wired port, published as
+    ``link.wired.node<N>.<field>``."""
 
-    Args:
-        registry: Metrics registry the counters are registered in; stand-alone
-            instances (no registry) get live but unregistered counters.
-        prefix: Hierarchical name prefix, e.g. ``"link.wired.node3"``.
-    """
+    __slots__ = {
+        "frames_sent": "Frames transmitted without a collision.",
+        "bytes_sent": "Payload bytes of successfully transmitted frames.",
+        "frames_received": "Frames received and passed up to the listener.",
+        "collisions": "Transmission attempts that ended in a collision.",
+        "backoffs": "Binary-exponential backoff rounds entered.",
+        "frames_dropped_excess_collisions":
+            "Frames dropped after exhausting the 16-attempt limit.",
+        "broadcasts_sent": "Broadcast frames put on the bus.",
+    }
 
-    _COUNTERS = (
-        "frames_sent",
-        "bytes_sent",
-        "frames_received",
-        "collisions",
-        "backoffs",
-        "frames_dropped_excess_collisions",
-        "broadcasts_sent",
-    )
+
+class BusStats(StatsRecord):
+    """Bus-level figures, published as ``link.wired.bus<K>.<field>``."""
+
+    __slots__ = {
+        "collisions": "Collision events on the bus.",
+        "frames_delivered": "Frames successfully carried by the bus.",
+        "utilization": "Fraction of simulated time the bus carried a "
+                       "successful transmission (set at harvest time).",
+    }
 
     def __init__(self, registry: MetricsRegistry = NULL_METRICS,
-                 prefix: str = "link.wired") -> None:
-        for field in self._COUNTERS:
-            unit = "bytes" if field == "bytes_sent" else "frames"
-            setattr(self, f"_{field}",
-                    registry.counter(f"{prefix}.{field}", unit=unit))
-
-    frames_sent = instrument_property(
-        "_frames_sent", "Frames transmitted without a collision.")
-    bytes_sent = instrument_property(
-        "_bytes_sent", "Payload bytes of successfully transmitted frames.")
-    frames_received = instrument_property(
-        "_frames_received", "Frames received and passed up to the listener.")
-    collisions = instrument_property(
-        "_collisions", "Transmission attempts that ended in a collision.")
-    backoffs = instrument_property(
-        "_backoffs", "Binary-exponential backoff rounds entered.")
-    frames_dropped_excess_collisions = instrument_property(
-        "_frames_dropped_excess_collisions",
-        "Frames dropped after exhausting the 16-attempt limit.")
-    broadcasts_sent = instrument_property(
-        "_broadcasts_sent", "Broadcast frames put on the bus.")
+                 prefix: str = "") -> None:
+        super().__init__(registry, prefix)
+        self.utilization = 0.0
 
 
 class _Transmission:
@@ -106,7 +96,7 @@ class WiredBus:
         propagation_delay: One-way propagation delay in seconds.
         bus_id: Index used in metric names (``link.wired.bus<K>.*``).
         tracer: Scenario tracer for collision/drop events.
-        metrics: Metrics registry for the bus-level counters.
+        metrics: Metrics registry for the bus-level stats.
     """
 
     def __init__(self, sim: Simulator, rate_mbps: float = 10.0,
@@ -127,17 +117,7 @@ class WiredBus:
         self._active: List[_Transmission] = []
         self._blocked: Set[FrozenSet[int]] = set()
         self._busy_seconds = 0.0
-        prefix = f"link.wired.bus{bus_id}"
-        self._collisions = metrics.counter(
-            f"{prefix}.collisions", unit="events",
-            description="Collision events on the bus.")
-        self._frames_delivered = metrics.counter(
-            f"{prefix}.frames_delivered", unit="frames",
-            description="Frames successfully carried by the bus.")
-        self._utilization = metrics.gauge(
-            f"{prefix}.utilization", unit="fraction",
-            description="Fraction of simulated time the bus carried a "
-                        "successful transmission.")
+        self.stats = BusStats(metrics, prefix=f"link.wired.bus{bus_id}")
 
     # ==================================================================
     # Attachment and introspection
@@ -218,7 +198,7 @@ class WiredBus:
             transmission.corrupted = True
             for other in colliding:
                 other.corrupted = True
-            self._collisions.inc()
+            self.stats.collisions += 1
             self.tracer.record(now, "link", "collision", node=port.node_id,
                                bus=self.bus_id, uid=packet.uid)
         self._active.append(transmission)
@@ -258,15 +238,15 @@ class WiredBus:
                 port.on_frame_received(packet)
                 delivered = True
         if delivered:
-            self._frames_delivered.inc()
+            self.stats.frames_delivered += 1
 
     # ==================================================================
     # Harvest helpers
     # ==================================================================
     def finalize_utilization(self, now: float) -> float:
-        """Set and return the bus utilization gauge at harvest time."""
+        """Set and return the bus utilization at harvest time."""
         utilization = self._busy_seconds / now if now > 0 else 0.0
-        self._utilization.set(utilization)
+        self.stats.utilization = utilization
         return utilization
 
 
@@ -361,16 +341,16 @@ class WiredPort:
         if success:
             self._finish_current(success=True)
         else:
-            self.stats._collisions.value += 1
+            self.stats.collisions += 1
             self._attempts += 1
             if self._attempts >= self.MAX_ATTEMPTS:
-                self.stats._frames_dropped_excess_collisions.value += 1
+                self.stats.frames_dropped_excess_collisions += 1
                 self.tracer.record(self.sim.now, "link", "excess_collisions",
                                    node=self.node_id,
                                    uid=self._current.uid)
                 self._finish_current(success=False)
             else:
-                self.stats._backoffs.value += 1
+                self.stats.backoffs += 1
                 slots = self.rng.randint(
                     0, 2 ** min(self._attempts, self.BACKOFF_LIMIT) - 1)
                 self._in_backoff = True
@@ -388,9 +368,9 @@ class WiredPort:
         self._attempts = 0
         if success:
             if next_hop == BROADCAST:
-                self.stats._broadcasts_sent.value += 1
-            self.stats._frames_sent.value += 1
-            self.stats._bytes_sent.value += packet.size
+                self.stats.broadcasts_sent += 1
+            self.stats.frames_sent += 1
+            self.stats.bytes_sent += packet.size
         if self.listener is not None:
             delivered = packet.copy()
             delivered.mac = None
@@ -405,6 +385,6 @@ class WiredPort:
     # ==================================================================
     def on_frame_received(self, packet: Packet) -> None:
         """Frame addressed to this port arrived (called by the bus)."""
-        self.stats._frames_received.value += 1
+        self.stats.frames_received += 1
         if self.listener is not None:
             self.listener.on_mac_delivery(packet)

@@ -243,7 +243,7 @@ class Ieee80211Mac(PhyListener):
             return  # virtual carrier says the medium is reserved
         nav = max(0.0, mac.duration - self.timing.cts_duration - self.timing.sifs)
         cts = make_cts(self.node_id, mac.src, nav)
-        self.stats._cts_tx.value += 1
+        self.stats.cts_tx += 1
         self.sim.schedule(
             self.timing.sifs, self.radio.transmit, cts, self.timing.cts_duration
         )
@@ -261,12 +261,12 @@ class Ieee80211Mac(PhyListener):
             return
         # Unicast: acknowledge after SIFS regardless of our own state.
         ack = make_ack(self.node_id, mac.src)
-        self.stats._ack_tx.value += 1
+        self.stats.ack_tx += 1
         self.sim.schedule(
             self.timing.sifs, self.radio.transmit, ack, self.timing.ack_duration
         )
         if self._is_duplicate(mac.src, packet.uid):
-            self.stats._duplicates_suppressed.value += 1
+            self.stats.duplicates_suppressed += 1
             return
         self._deliver_up(packet)
 
@@ -274,7 +274,7 @@ class Ieee80211Mac(PhyListener):
         if self.state is not MacState.WAIT_ACK or self._current is None:
             return
         self._response_timer.cancel()
-        self.stats._data_tx_success.value += 1
+        self.stats.data_tx_success += 1
         self._finish_current(success=True)
 
     def _is_duplicate(self, src: int, uid: int) -> bool:
@@ -290,7 +290,7 @@ class Ieee80211Mac(PhyListener):
         # Handed up as received — the frame's receivers share it, routing
         # copies it if it forwards it — with the MAC header attached so routing
         # can learn the previous hop (needed by AODV for reverse routes).
-        self.stats._frames_delivered_up.value += 1
+        self.stats.frames_delivered_up += 1
         if self.listener is not None:
             self.listener.on_mac_delivery(packet)
 
@@ -311,7 +311,7 @@ class Ieee80211Mac(PhyListener):
         frame_size = self._current.network_size + MacHeader.SIZE_DATA
         duration = self.timing.data_duration(frame_size)
         self._current.require_mac().duration = 0.0
-        self.stats._broadcasts_sent.value += 1
+        self.stats.broadcasts_sent += 1
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "mac", "broadcast", node=self.node_id,
                                uid=self._current.uid)
@@ -327,7 +327,7 @@ class Ieee80211Mac(PhyListener):
         nav = self.timing.nav_for_rts(frame_size)
         rts = make_rts(self.node_id, self._current_next_hop, nav)
         self.state = MacState.WAIT_CTS
-        self.stats._rts_tx.value += 1
+        self.stats.rts_tx += 1
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "mac", "rts", node=self.node_id,
                                dst=self._current_next_hop, uid=self._current.uid,
@@ -348,7 +348,7 @@ class Ieee80211Mac(PhyListener):
             retry=self._long_retries > 0,
         )
         self.state = MacState.WAIT_ACK
-        self.stats._data_tx_attempts.value += 1
+        self.stats.data_tx_attempts += 1
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "mac", "data", node=self.node_id,
                                dst=self._current_next_hop, uid=self._current.uid)
@@ -362,7 +362,7 @@ class Ieee80211Mac(PhyListener):
         if self._current is None:
             return
         if self.state is MacState.WAIT_CTS:
-            self.stats._rts_timeouts.value += 1
+            self.stats.rts_timeouts += 1
             self._short_retries += 1
             if self.tracer.enabled:
                 self.tracer.record(self.sim.now, "mac", "cts_timeout", node=self.node_id,
@@ -371,7 +371,7 @@ class Ieee80211Mac(PhyListener):
                 self._drop_current()
                 return
         elif self.state is MacState.WAIT_ACK:
-            self.stats._ack_timeouts.value += 1
+            self.stats.ack_timeouts += 1
             self._long_retries += 1
             if self.tracer.enabled:
                 self.tracer.record(self.sim.now, "mac", "ack_timeout", node=self.node_id,
@@ -387,7 +387,7 @@ class Ieee80211Mac(PhyListener):
         self._begin_access()
 
     def _drop_current(self) -> None:
-        self.stats._data_dropped_retry.value += 1
+        self.stats.data_dropped_retry += 1
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "mac", "retry_drop", node=self.node_id,
                                uid=self._current.uid if self._current else None)

@@ -4,77 +4,32 @@ Figure 14 of the paper reports the overall link-layer packet dropping
 probability (averaged over intermediate nodes); Figure 9 depends on the number
 of frames dropped after exhausting the retry limits.  These counters feed both.
 
-Since the metrics refactor, :class:`MacStats` is a *view* over
-:class:`repro.metrics.instruments.Counter` instruments registered in the
-scenario's :class:`~repro.metrics.registry.MetricsRegistry` under
-``mac.node<N>.<field>``.  The historical public fields keep working through
-thin compatibility properties: reads return the counter value; writes
-(``stats.rts_tx += 1``) emit a :class:`DeprecationWarning` and should be
-replaced by incrementing the underlying registry counters — only the owning
-MAC updates these numbers.  Test fixtures can pass initial values as keyword
-arguments instead.
+:class:`MacStats` is a slotted record registered once in the scenario's
+:class:`~repro.metrics.registry.MetricsRegistry` under ``mac.node<N>``, so
+its fields read as ``mac.node<N>.<field>``; only the owning MAC updates them.
 """
 
 from __future__ import annotations
 
-from repro.metrics import MetricsRegistry, NULL_METRICS, instrument_property
+from repro.metrics import StatsRecord
 
 
-class MacStats:
-    """Counters maintained by each 802.11 MAC instance.
+class MacStats(StatsRecord):
+    """Counters maintained by each 802.11 MAC instance (unit: frames)."""
 
-    Args:
-        registry: Metrics registry the counters are registered in; stand-alone
-            instances (no registry) get live but unregistered counters.
-        prefix: Hierarchical name prefix, e.g. ``"mac.node3"``.
-        **initial: Optional initial counter values by field name (mainly for
-            tests constructing a stats object in a known state).
-    """
-
-    _COUNTERS = (
-        "data_tx_attempts",
-        "data_tx_success",
-        "data_dropped_retry",
-        "rts_tx",
-        "cts_tx",
-        "ack_tx",
-        "rts_timeouts",
-        "ack_timeouts",
-        "broadcasts_sent",
-        "frames_delivered_up",
-        "duplicates_suppressed",
-    )
-
-    def __init__(self, registry: MetricsRegistry = NULL_METRICS,
-                 prefix: str = "mac", **initial: int) -> None:
-        unknown = set(initial) - set(self._COUNTERS)
-        if unknown:
-            raise TypeError(f"unknown MacStats fields: {sorted(unknown)}")
-        for field in self._COUNTERS:
-            counter = registry.counter(f"{prefix}.{field}", unit="frames")
-            if field in initial:
-                counter.value = initial[field]
-            setattr(self, f"_{field}", counter)
-
-    data_tx_attempts = instrument_property(
-        "_data_tx_attempts", "Unicast DATA transmission attempts.")
-    data_tx_success = instrument_property(
-        "_data_tx_success", "Unicast DATA frames acknowledged by the receiver.")
-    data_dropped_retry = instrument_property(
-        "_data_dropped_retry", "Frames dropped after exhausting a retry limit.")
-    rts_tx = instrument_property("_rts_tx", "RTS frames transmitted.")
-    cts_tx = instrument_property("_cts_tx", "CTS frames transmitted.")
-    ack_tx = instrument_property("_ack_tx", "MAC ACK frames transmitted.")
-    rts_timeouts = instrument_property(
-        "_rts_timeouts", "CTS timeouts after an RTS transmission.")
-    ack_timeouts = instrument_property(
-        "_ack_timeouts", "ACK timeouts after a DATA transmission.")
-    broadcasts_sent = instrument_property(
-        "_broadcasts_sent", "Broadcast frames transmitted (no RTS/CTS/ACK).")
-    frames_delivered_up = instrument_property(
-        "_frames_delivered_up", "Frames handed up to the routing layer.")
-    duplicates_suppressed = instrument_property(
-        "_duplicates_suppressed", "Duplicate receptions suppressed by the cache.")
+    __slots__ = {
+        "data_tx_attempts": "Unicast DATA transmission attempts.",
+        "data_tx_success": "Unicast DATA frames acknowledged by the receiver.",
+        "data_dropped_retry": "Frames dropped after exhausting a retry limit.",
+        "rts_tx": "RTS frames transmitted.",
+        "cts_tx": "CTS frames transmitted.",
+        "ack_tx": "MAC ACK frames transmitted.",
+        "rts_timeouts": "CTS timeouts after an RTS transmission.",
+        "ack_timeouts": "ACK timeouts after a DATA transmission.",
+        "broadcasts_sent": "Broadcast frames transmitted (no RTS/CTS/ACK).",
+        "frames_delivered_up": "Frames handed up to the routing layer.",
+        "duplicates_suppressed": "Duplicate receptions suppressed by the cache.",
+    }
 
     @property
     def drop_probability(self) -> float:

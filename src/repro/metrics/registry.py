@@ -1,43 +1,54 @@
-"""The per-scenario metrics registry and its periodic sampler.
+"""The per-scenario metrics registry, its stats records and time series.
 
 One :class:`MetricsRegistry` instance exists per scenario and is shared by
 every layer of the stack, exactly like the scenario's
-:class:`~repro.core.tracing.Tracer`.  Components register instruments under
-hierarchical dotted names (``mac.node3.data_dropped_retry``,
-``tcp.flow1.cwnd``) and the experiment harness harvests them at the end of a
-run with :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.total`.
+:class:`~repro.core.tracing.Tracer`.  It holds three things:
+
+* **stats records** — each layer keeps its counts in a slotted
+  :class:`StatsRecord` (``MacStats``, ``RoutingStats``, …) that registers
+  itself once under a dotted prefix; the owning layer updates the fields in
+  place (``stats.rts_tx += 1``) and the registry reads them as
+  ``<prefix>.<field>`` (``mac.node3.data_dropped_retry``);
+* **end-of-run values** — scalars computed once when results are collected
+  (energy, event counts), written with :meth:`MetricsRegistry.set`;
+* **time series** — timestamped samples (``tcp.flow1.cwnd``), fed by their
+  owners or by periodic probes.
+
+The experiment harness harvests the scalars at the end of a run with
+:meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.total`.
 
 Enabled vs. disabled
 --------------------
-Counters and gauges are *always* live — they are the system of record for the
-end-of-run scalars (goodput, retransmissions, drop probabilities) every run
-needs, and an increment costs no more than the dataclass field it replaced.
-The registry's ``enabled`` flag gates only the *time-series plane*:
+Records and end-of-run values are *always* live — they are the system of
+record for the scalars (goodput, retransmissions, drop probabilities) every
+run needs, and an update is one attribute write.  The registry's ``enabled``
+flag gates only the *time-series plane*:
 
-* :meth:`timeseries` still returns an instrument, but stats views only create
+* :meth:`timeseries` still returns a series, but stats records only create
   (and feed) series when ``enabled`` is true;
 * :meth:`add_probe` registers nothing when disabled;
 * :meth:`start_sampling` schedules no engine events when disabled.
 
 A disabled run therefore schedules exactly the same events as a run built
 before the metrics plane existed — the golden-trace regression suite pins
-this — and pays only a pointer-indirection per counter update.
+this.
 
 Components constructed without a registry receive the shared
-:data:`NULL_METRICS`, whose instruments are live but unregistered (so
-stand-alone unit-test components keep counting) and which can never be
-enabled, mirroring :class:`repro.core.tracing.NullTracer`.
+:data:`NULL_METRICS`, which retains nothing (their records still count, but
+appear in no snapshot) and can never be enabled, mirroring
+:class:`repro.core.tracing.NullTracer`.
 """
 
 from __future__ import annotations
 
 from fnmatch import fnmatchcase
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
-
-from repro.metrics.instruments import Counter, Gauge, Instrument, TimeSeries
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional,
+                    Tuple, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.engine import Simulator
+
+Number = Union[int, float]
 
 #: Default cadence (simulated seconds) of the periodic probe sampler.
 DEFAULT_SAMPLE_INTERVAL = 0.1
@@ -48,13 +59,70 @@ DEFAULT_SAMPLE_INTERVAL = 0.1
 DEFAULT_MAX_SAMPLES = 4096
 
 
+class TimeSeries:
+    """Timestamped samples of one quantity.
+
+    Args:
+        max_samples: Optional retention budget.  When the series reaches the
+            budget it halves itself (keeping every other sample) and doubles
+            the recording stride, so the memory stays within the budget while
+            samples keep spanning the whole run.  ``None`` retains everything.
+    """
+
+    __slots__ = ("name", "unit", "description", "times", "values",
+                 "max_samples", "_stride", "_skip")
+
+    def __init__(self, name: str, unit: str = "", description: str = "",
+                 max_samples: Optional[int] = None) -> None:
+        if max_samples is not None and max_samples < 2:
+            raise ValueError(f"max_samples must be at least 2, got {max_samples}")
+        self.name = name
+        self.unit = unit
+        self.description = description
+        self.times: List[float] = []
+        self.values: List[float] = []
+        self.max_samples = max_samples
+        self._stride = 1
+        self._skip = 0
+
+    def record(self, time: float, value: Number) -> None:
+        """Append a sample (subject to the decimation stride)."""
+        if self._skip:
+            self._skip -= 1
+            return
+        self._skip = self._stride - 1
+        self.times.append(time)
+        self.values.append(float(value))
+        if self.max_samples is not None and len(self.times) >= self.max_samples:
+            self.times = self.times[::2]
+            self.values = self.values[::2]
+            self._stride *= 2
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @property
+    def last(self) -> Optional[float]:
+        """Most recent sample value, or None for an empty series."""
+        return self.values[-1] if self.values else None
+
+    @property
+    def last_time(self) -> Optional[float]:
+        """Timestamp of the most recent sample, or None for an empty series."""
+        return self.times[-1] if self.times else None
+
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-serializable representation ``{unit, times, values}``."""
+        return {"unit": self.unit, "times": list(self.times),
+                "values": list(self.values)}
+
+
 class MetricsRegistry:
-    """Hierarchically named instruments for one scenario.
+    """Stats records, end-of-run values and time series for one scenario.
 
     Args:
         enabled: Whether the time-series plane (series recording + periodic
-            probe sampling) is active.  Scalar counters/gauges work either
-            way.
+            probe sampling) is active.  Records and values work either way.
         max_series_samples: Retention budget handed to every
             :class:`TimeSeries` created through the registry (``None``
             retains every sample).
@@ -64,71 +132,64 @@ class MetricsRegistry:
                  max_series_samples: Optional[int] = DEFAULT_MAX_SAMPLES) -> None:
         self.enabled = enabled
         self.max_series_samples = max_series_samples
-        self._instruments: Dict[str, Instrument] = {}
+        self._records: Dict[str, StatsRecord] = {}
+        self._values: Dict[str, Number] = {}
+        self._series: Dict[str, TimeSeries] = {}
         self._probes: List[Tuple[TimeSeries, Callable[[], float]]] = []
         self._sampling_started = False
         self.samples_taken = 0
 
     # ------------------------------------------------------------------
-    # Instrument creation (get-or-create)
+    # Scalars
     # ------------------------------------------------------------------
-    def _get_or_create(self, cls, name: str, unit: str, description: str,
-                       **kwargs: Any) -> Instrument:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise TypeError(
-                    f"instrument {name!r} is a {existing.kind}, not a {cls.kind}"
-                )
-            return existing
-        instrument = cls(name, unit=unit, description=description, **kwargs)
-        self._instruments[name] = instrument
-        return instrument
+    def register(self, prefix: str, record: "StatsRecord") -> None:
+        """Publish ``record``'s fields as ``<prefix>.<field>``.
 
-    def counter(self, name: str, unit: str = "", description: str = "") -> Counter:
-        """Get or create the :class:`Counter` registered under ``name``."""
-        return self._get_or_create(Counter, name, unit, description)
+        A record registered later under the same prefix replaces the earlier
+        one (a gateway's routing agent takes over its node's prefix).
+        """
+        self._records[prefix] = record
 
-    def gauge(self, name: str, unit: str = "", description: str = "") -> Gauge:
-        """Get or create the :class:`Gauge` registered under ``name``."""
-        return self._get_or_create(Gauge, name, unit, description)
+    def set(self, name: str, value: Number) -> None:
+        """Set the end-of-run scalar ``name`` to ``value``."""
+        self._values[name] = value
 
+    def _scalars(self) -> Iterator[Tuple[str, Number]]:
+        for prefix, record in self._records.items():
+            for field in record.fields:
+                yield f"{prefix}.{field}", getattr(record, field)
+        yield from self._values.items()
+
+    def snapshot(self) -> Dict[str, Number]:
+        """Current value of every record field and end-of-run value, keyed by
+        name (sorted).
+
+        This is the one harvesting path the experiment harness uses.
+        """
+        return dict(sorted(self._scalars()))
+
+    def total(self, pattern: str) -> Number:
+        """Sum of every scalar whose name matches ``pattern``.
+
+        e.g. ``total("mac.node*.data_dropped_retry")`` is the network-wide
+        retry-drop count.
+        """
+        return sum(value for name, value in self._scalars()
+                   if fnmatchcase(name, pattern))
+
+    # ------------------------------------------------------------------
+    # Time series, probes and periodic sampling
+    # ------------------------------------------------------------------
     def timeseries(self, name: str, unit: str = "",
                    description: str = "") -> TimeSeries:
         """Get or create the :class:`TimeSeries` registered under ``name``."""
-        return self._get_or_create(TimeSeries, name, unit, description,
-                                   max_samples=self.max_series_samples)
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = TimeSeries(
+                name, unit=unit, description=description,
+                max_samples=self.max_series_samples)
+        return series
 
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    def get(self, name: str) -> Optional[Instrument]:
-        """The instrument registered under ``name``, or None."""
-        return self._instruments.get(name)
-
-    def names(self, pattern: Optional[str] = None) -> List[str]:
-        """Sorted instrument names, optionally fnmatch-filtered.
-
-        ``pattern`` uses shell-style wildcards over the full dotted name,
-        e.g. ``"mac.*.data_dropped_retry"`` or ``"tcp.flow1.*"``.
-        """
-        names = sorted(self._instruments)
-        if pattern is None:
-            return names
-        return [name for name in names if fnmatchcase(name, pattern)]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def __iter__(self) -> Iterator[Instrument]:
-        return iter(self._instruments.values())
-
-    # ------------------------------------------------------------------
-    # Probes and periodic sampling
-    # ------------------------------------------------------------------
     def add_probe(self, name: str, fn: Callable[[], float], unit: str = "",
                   description: str = "") -> Optional[TimeSeries]:
         """Register a callable sampled into a :class:`TimeSeries` every tick.
@@ -173,61 +234,31 @@ class MetricsRegistry:
         self.sample(sim.now)
         sim.schedule(interval, tick)
 
-    # ------------------------------------------------------------------
-    # Harvesting
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, float]:
-        """Current value of every counter and gauge, keyed by name (sorted).
-
-        This is the one harvesting path the experiment harness uses; it
-        replaces the per-layer point-to-point sums the runner used to do.
-        """
-        return {
-            name: instrument.value
-            for name, instrument in sorted(self._instruments.items())
-            if isinstance(instrument, (Counter, Gauge))
-        }
-
-    def total(self, pattern: str) -> float:
-        """Sum of all counter/gauge values whose names match ``pattern``.
-
-        e.g. ``total("mac.node*.data_dropped_retry")`` is the network-wide
-        retry-drop count.
-        """
-        return sum(
-            instrument.value
-            for name, instrument in self._instruments.items()
-            if isinstance(instrument, (Counter, Gauge)) and fnmatchcase(name, pattern)
-        )
-
     def timeseries_data(self, pattern: Optional[str] = None) -> Dict[str, Dict[str, object]]:
         """All (optionally filtered) time series as JSON-ready dicts."""
         return {
-            name: instrument.as_dict()
-            for name, instrument in sorted(self._instruments.items())
-            if isinstance(instrument, TimeSeries)
-            and (pattern is None or fnmatchcase(name, pattern))
+            name: series.as_dict()
+            for name, series in sorted(self._series.items())
+            if pattern is None or fnmatchcase(name, pattern)
         }
 
 
 class NullMetricsRegistry(MetricsRegistry):
     """A registry that can never be enabled and retains nothing.
 
-    Components constructed without an explicit registry share this instance.
-    Instrument factories hand back *live but unregistered* instruments, so a
-    stand-alone component (e.g. a MAC built directly in a unit test) still
-    counts correctly into its own stats view; the instruments are simply
-    invisible to snapshots, and two components can never collide on a name.
+    Components constructed without an explicit registry share this instance:
+    their records still count, but are invisible to snapshots, and
+    :meth:`timeseries` hands back a fresh unregistered series.
     """
 
     def __init__(self) -> None:
         super().__init__(enabled=False, max_series_samples=DEFAULT_MAX_SAMPLES)
 
-    def counter(self, name: str, unit: str = "", description: str = "") -> Counter:
-        return Counter(name, unit=unit, description=description)
+    def register(self, prefix: str, record: "StatsRecord") -> None:
+        return None
 
-    def gauge(self, name: str, unit: str = "", description: str = "") -> Gauge:
-        return Gauge(name, unit=unit, description=description)
+    def set(self, name: str, value: Number) -> None:
+        return None
 
     def timeseries(self, name: str, unit: str = "",
                    description: str = "") -> TimeSeries:
@@ -253,3 +284,37 @@ class NullMetricsRegistry(MetricsRegistry):
 #: Shared always-disabled registry; components built without an explicit
 #: registry use this one so they never need a None check.
 NULL_METRICS = NullMetricsRegistry()
+
+
+class StatsRecord:
+    """Base of the per-layer stats records.
+
+    A subclass names its fields in ``__slots__``, a dict from each field to
+    its docstring.  Every field starts at ``0``; the owning layer updates it
+    in place (``stats.rts_tx += 1``).  The record registers itself once under
+    ``prefix``, so the registry reads ``<prefix>.<field>`` straight off it.
+    A subclass may add fields of its own; one without ``__slots__`` keeps
+    further, unpublished state.
+
+    Args:
+        registry: Registry the record is published in; a stand-alone record
+            (the default :data:`NULL_METRICS`) counts but is published
+            nowhere.
+        prefix: Dotted name prefix, e.g. ``"mac.node3"``.
+    """
+
+    __slots__ = ()
+
+    #: Field names, base class first (set per subclass).
+    fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.fields = tuple(field for klass in reversed(cls.__mro__)
+                           for field in vars(klass).get("__slots__", ()))
+
+    def __init__(self, registry: MetricsRegistry = NULL_METRICS,
+                 prefix: str = "") -> None:
+        for field in self.fields:
+            setattr(self, field, 0)
+        registry.register(prefix, self)

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.core.engine import Simulator
 from repro.core.errors import ConfigurationError
 from repro.core.tracing import NULL_TRACER, Tracer
-from repro.metrics import MetricsRegistry, NULL_METRICS, instrument_property
+from repro.metrics import MetricsRegistry, NULL_METRICS, StatsRecord
 from repro.phy.channel import WirelessChannel
 from repro.phy.propagation import Position
 
@@ -137,36 +137,18 @@ class MobilityModel(ABC):
         """Return ``node_id``'s position ``dt`` seconds after ``position``."""
 
 
-class MobilityStats:
-    """Counters the manager maintains about movement and link dynamics.
+class MobilityStats(StatsRecord):
+    """Counters the manager maintains about movement and link dynamics,
+    published as ``mobility.<field>``."""
 
-    A view over registry counters named ``mobility.<field>``; public fields
-    stay readable/writable, but direct mutation from outside the manager is
-    deprecated.
-    """
-
-    _COUNTERS = ("updates", "position_changes", "links_broken", "links_formed")
-
-    def __init__(self, registry: MetricsRegistry = NULL_METRICS,
-                 prefix: str = "mobility", **initial: int) -> None:
-        unknown = set(initial) - set(self._COUNTERS)
-        if unknown:
-            raise TypeError(f"unknown MobilityStats fields: {sorted(unknown)}")
-        for field in self._COUNTERS:
-            counter = registry.counter(f"{prefix}.{field}")
-            if field in initial:
-                counter.value = initial[field]
-            setattr(self, f"_{field}", counter)
-
-    updates = instrument_property("_updates", "Periodic position updates run.")
-    position_changes = instrument_property(
-        "_position_changes", "Individual node moves applied to the channel.")
-    links_broken = instrument_property(
-        "_links_broken",
-        "Transmission-range links lost to movement or scripted outage.")
-    links_formed = instrument_property(
-        "_links_formed",
-        "Transmission-range links created by movement or outage recovery.")
+    __slots__ = {
+        "updates": "Periodic position updates run.",
+        "position_changes": "Individual node moves applied to the channel.",
+        "links_broken":
+            "Transmission-range links lost to movement or scripted outage.",
+        "links_formed":
+            "Transmission-range links created by movement or outage recovery.",
+    }
 
 
 class MobilityManager:
@@ -212,7 +194,7 @@ class MobilityManager:
         self.rng = rng if rng is not None else Random(0)
         self.tracer = tracer
         self.metrics = metrics
-        self.stats = MobilityStats(metrics)
+        self.stats = MobilityStats(metrics, prefix="mobility")
         self._node_ids: List[int] = sorted(channel.node_ids)
         self._started = False
         self._links: Set[Tuple[int, int]] = set()
@@ -260,8 +242,8 @@ class MobilityManager:
         if moved:
             channel.set_positions(moved)
         stats = self.stats
-        stats._updates.value += 1
-        stats._position_changes.value += len(moved)
+        stats.updates += 1
+        stats.position_changes += len(moved)
         if moved or channel.impairment_generation != self._seen_impairments:
             self._diff_links(moved)
         elif self.tracer.enabled:
@@ -301,8 +283,8 @@ class MobilityManager:
             broken, formed = self._diff_movers(moved)
             self._links.difference_update(broken)
             self._links.update(formed)
-        self.stats._links_broken.value += len(broken)
-        self.stats._links_formed.value += len(formed)
+        self.stats.links_broken += len(broken)
+        self.stats.links_formed += len(formed)
         if not self.tracer.enabled:
             return
         self.tracer.record(self.sim.now, "mobility", "update",

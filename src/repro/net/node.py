@@ -61,8 +61,8 @@ class Node:
         aodv_config: Optional AODV constants override.
         tracer: Optional tracer shared across the stack.
         metrics: Optional metrics registry shared across the stack; every
-            layer of this node registers its instruments under
-            ``<layer>.node<N>.*``.
+            layer of this node registers its stats under
+            ``<layer>.node<N>``.
     """
 
     def __init__(

@@ -150,8 +150,8 @@ def install_energy_probes(
 ) -> None:
     """Register per-node cumulative-energy probes (``phy.node<N>.energy``).
 
-    Each probe evaluates the linear power model against the radio's airtime
-    gauges at the moment it is sampled, giving an energy-vs-time series per
+    Each probe evaluates the linear power model against the radio's
+    cumulative airtimes at the moment it is sampled, giving an energy-vs-time series per
     node when the registry's periodic sampler is enabled.  No-op on a
     disabled registry.
     """
@@ -163,22 +163,22 @@ def install_energy_probes(
                            description="Cumulative radio energy (linear model).")
 
 
-def set_energy_gauges(
+def set_energy_values(
     registry: MetricsRegistry,
     model: EnergyModel,
     elapsed: float,
     radio_stats: Mapping[int, "RadioStats"],
 ) -> float:
-    """Set the end-of-run ``phy.node<N>.energy_joules`` gauges.
+    """Set the end-of-run ``phy.node<N>.energy_joules`` values (J).
 
-    Returns the network-wide total, which is also published as the
-    ``phy.energy_total_joules`` gauge.
+    Returns the network-wide total, which is also published as
+    ``phy.energy_total_joules``.
     """
     total = 0.0
     for node_id, stats in sorted(radio_stats.items()):
         joules = model.node_energy(elapsed, stats.time_transmitting,
                                    stats.time_receiving)
-        registry.gauge(f"phy.node{node_id}.energy_joules", unit="J").set(joules)
+        registry.set(f"phy.node{node_id}.energy_joules", joules)
         total += joules
-    registry.gauge("phy.energy_total_joules", unit="J").set(total)
+    registry.set("phy.energy_total_joules", total)
     return total

@@ -45,7 +45,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.core.engine import Simulator
 from repro.core.tracing import NULL_TRACER, Tracer
-from repro.metrics import MetricsRegistry, NULL_METRICS, instrument_property
+from repro.metrics import MetricsRegistry, NULL_METRICS, StatsRecord
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -67,58 +67,26 @@ class _Signal:
     corrupted: bool = False
 
 
-class RadioStats:
-    """Counters the radio maintains for diagnostics and energy accounting.
+class RadioStats(StatsRecord):
+    """Counters the radio maintains for diagnostics and energy accounting,
+    published as ``phy.node<N>.<field>``.  The two cumulative airtimes feed
+    the energy model and start at ``0.0``."""
 
-    A view over registry instruments named ``phy.node<N>.<field>``: the frame
-    counts are :class:`~repro.metrics.instruments.Counter` instruments, the
-    cumulative airtimes (``time_transmitting`` / ``time_receiving``, which
-    feed the energy model) are :class:`~repro.metrics.instruments.Gauge`
-    instruments.  The public fields remain readable and writable, but direct
-    mutation by anything other than the owning radio is deprecated.
-    """
-
-    _COUNTERS = (
-        "frames_sent",
-        "bytes_sent",
-        "frames_received",
-        "frames_corrupted",
-        "frames_captured",
-        "frames_below_threshold",
-    )
-    _GAUGES = ("time_transmitting", "time_receiving")
+    __slots__ = {
+        "frames_sent": "Frames transmitted.",
+        "bytes_sent": "Bytes transmitted.",
+        "frames_received": "Frames decoded and handed to the MAC.",
+        "frames_corrupted": "Receptions lost to collisions or own transmissions.",
+        "frames_captured": "Later overlapping frames ignored by capture.",
+        "frames_below_threshold": "Locked frames from outside transmission range.",
+        "time_transmitting": "Cumulative transmit airtime in seconds.",
+        "time_receiving": "Cumulative receive/overhear airtime in seconds.",
+    }
 
     def __init__(self, registry: MetricsRegistry = NULL_METRICS,
-                 prefix: str = "phy", **initial: float) -> None:
-        unknown = set(initial) - set(self._COUNTERS) - set(self._GAUGES)
-        if unknown:
-            raise TypeError(f"unknown RadioStats fields: {sorted(unknown)}")
-        for field in self._COUNTERS:
-            unit = "bytes" if field == "bytes_sent" else "frames"
-            counter = registry.counter(f"{prefix}.{field}", unit=unit)
-            if field in initial:
-                counter.value = initial[field]
-            setattr(self, f"_{field}", counter)
-        for field in self._GAUGES:
-            gauge = registry.gauge(f"{prefix}.{field}", unit="s")
-            if field in initial:
-                gauge.value = initial[field]
-            setattr(self, f"_{field}", gauge)
-
-    frames_sent = instrument_property("_frames_sent", "Frames transmitted.")
-    bytes_sent = instrument_property("_bytes_sent", "Bytes transmitted.")
-    frames_received = instrument_property(
-        "_frames_received", "Frames decoded and handed to the MAC.")
-    frames_corrupted = instrument_property(
-        "_frames_corrupted", "Receptions lost to collisions or own transmissions.")
-    frames_captured = instrument_property(
-        "_frames_captured", "Later overlapping frames ignored by capture.")
-    frames_below_threshold = instrument_property(
-        "_frames_below_threshold", "Locked frames from outside transmission range.")
-    time_transmitting = instrument_property(
-        "_time_transmitting", "Cumulative transmit airtime in seconds.")
-    time_receiving = instrument_property(
-        "_time_receiving", "Cumulative receive/overhear airtime in seconds.")
+                 prefix: str = "") -> None:
+        super().__init__(registry, prefix)
+        self.time_transmitting = self.time_receiving = 0.0
 
 
 class Radio:
@@ -130,8 +98,8 @@ class Radio:
         channel: The shared wireless channel.
         capture_threshold: Power ratio for the capture decision (ns-2 default 10).
         tracer: Optional tracer for debugging.
-        metrics: Optional metrics registry; the radio's instruments register
-            under ``phy.node<N>.*``.
+        metrics: Optional metrics registry; the radio's stats register
+            under ``phy.node<N>``.
     """
 
     def __init__(
@@ -168,13 +136,13 @@ class Radio:
         now = self.sim.now
         self._transmitting_until = max(self._transmitting_until, now + duration)
         stats = self.stats
-        stats._frames_sent.value += 1
-        stats._bytes_sent.value += packet.size
-        stats._time_transmitting.value += duration
+        stats.frames_sent += 1
+        stats.bytes_sent += packet.size
+        stats.time_transmitting += duration
         # Transmitting corrupts anything we were in the middle of receiving.
         if self._locked is not None:
             self._locked.corrupted = True
-            stats._frames_corrupted.value += 1
+            stats.frames_corrupted += 1
             self._locked = None
         if self.tracer.enabled:
             self.tracer.record(now, "phy", "tx_start", node=self.node_id, uid=packet.uid,
@@ -237,10 +205,10 @@ class Radio:
         else:
             # Overlap with the locked signal: capture or collision.
             if locked.power / max(power, 1e-30) >= self.capture_threshold:
-                self.stats._frames_captured.value += 1
+                self.stats.frames_captured += 1
                 signal.corrupted = True
             else:
-                self.stats._frames_corrupted.value += 1
+                self.stats.frames_corrupted += 1
                 if self.tracer.enabled:
                     self.tracer.record(now, "phy", "collision", node=self.node_id,
                                        ongoing=locked.packet.uid, new=packet.uid)
@@ -262,13 +230,13 @@ class Radio:
             self._locked = None
             # The radio was listening to this signal for its whole duration
             # (energy accounting counts overheard and corrupted frames too).
-            self.stats._time_receiving.value += signal.duration
+            self.stats.time_receiving += signal.duration
             if signal.corrupted or self.is_transmitting:
                 pass
             elif not signal.receivable:
-                self.stats._frames_below_threshold.value += 1
+                self.stats.frames_below_threshold += 1
             else:
-                self.stats._frames_received.value += 1
+                self.stats.frames_received += 1
                 if self.tracer.enabled:
                     self.tracer.record(self.sim.now, "phy", "rx_ok", node=self.node_id,
                                        uid=signal.packet.uid)

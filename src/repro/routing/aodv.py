@@ -129,12 +129,12 @@ class AodvRouting(RoutingProtocol):
     # ==================================================================
     def send_packet(self, packet: Packet) -> None:
         """Route a locally originated IP packet (discovering if necessary)."""
-        self.stats._packets_originated.value += 1
+        self.stats.packets_originated += 1
         self._route_data(packet, originated=True)
 
     def forward_packet(self, packet: Packet) -> None:
         """Forward a transit data packet."""
-        self.stats._packets_forwarded.value += 1
+        self.stats.packets_forwarded += 1
         self._route_data(packet, originated=False)
 
     def _route_data(self, packet: Packet, originated: bool) -> None:
@@ -152,7 +152,7 @@ class AodvRouting(RoutingProtocol):
         else:
             # An intermediate node without a route reports the breakage back
             # towards the source and drops the packet (no salvaging in AODV).
-            self.stats._packets_dropped_no_route.value += 1
+            self.stats.packets_dropped_no_route += 1
             self._originate_rerr([(ip.dst, self._seq_for(ip.dst) + 1)])
 
     def _buffer_and_discover(self, packet: Packet) -> None:
@@ -162,12 +162,12 @@ class AodvRouting(RoutingProtocol):
             discovery = _Discovery(destination=ip.dst)
             self._discoveries[ip.dst] = discovery
             discovery.buffer.append(packet)
-            self.stats._route_discoveries.value += 1
+            self.stats.route_discoveries += 1
             self._send_rreq(discovery)
         else:
             if len(discovery.buffer) >= self.config.packet_buffer_size:
                 discovery.buffer.popleft()
-                self.stats._packets_dropped_no_route.value += 1
+                self.stats.packets_dropped_no_route += 1
             discovery.buffer.append(packet)
 
     # ==================================================================
@@ -202,7 +202,7 @@ class AodvRouting(RoutingProtocol):
             aodv=header,
         )
         self._remember_rreq(self.node_id, self._rreq_id)
-        self.stats._control_packets_sent.value += 1
+        self.stats.control_packets_sent += 1
         if config.expanding_ring:
             # The extra ttl key only exists on the opt-in path, so traces of
             # flood-mode scenarios (everything the goldens pin) are unchanged.
@@ -245,7 +245,7 @@ class AodvRouting(RoutingProtocol):
         if discovery.retries > self.config.rreq_retries:
             self.tracer.record(self.sim.now, "aodv", "discovery_failed", node=self.node_id,
                                dst=discovery.destination, dropped=len(discovery.buffer))
-            self.stats._packets_dropped_no_route.value += len(discovery.buffer)
+            self.stats.packets_dropped_no_route += len(discovery.buffer)
             if discovery.timer is not None:
                 discovery.timer.cancel()
             del self._discoveries[discovery.destination]
@@ -262,7 +262,7 @@ class AodvRouting(RoutingProtocol):
         while discovery.buffer:
             packet = discovery.buffer.popleft()
             if route is None:
-                self.stats._packets_dropped_no_route.value += 1
+                self.stats.packets_dropped_no_route += 1
                 continue
             self._refresh_route(route)
             self._enqueue_to_mac(packet, route.next_hop)
@@ -293,12 +293,12 @@ class AodvRouting(RoutingProtocol):
         all link-layer route failures, contention-caused or movement-caused —
         the MAC cannot tell them apart, and neither does AODV).
         """
-        self.stats._link_failures.value += 1
+        self.stats.link_failures += 1
         if next_hop == BROADCAST:
             return
         affected = self.table.invalidate_next_hop(next_hop)
-        self.stats._false_route_failures.value += 1
-        self.stats._packets_dropped_link_failure.value += 1
+        self.stats.false_route_failures += 1
+        self.stats.packets_dropped_link_failure += 1
         self.tracer.record(self.sim.now, "aodv", "link_failure", node=self.node_id,
                            next_hop=next_hop, routes=len(affected), uid=packet.uid)
         if affected:
@@ -377,7 +377,7 @@ class AodvRouting(RoutingProtocol):
                 rreq_id=header.rreq_id,
             ),
         )
-        self.stats._control_packets_sent.value += 1
+        self.stats.control_packets_sent += 1
         jitter = self.rng.uniform(0.0, self.config.rreq_jitter)
         self.sim.schedule(jitter, self._broadcast_to_mac, forwarded)
 
@@ -402,7 +402,7 @@ class AodvRouting(RoutingProtocol):
             ip=IpHeader(src=self.node_id, dst=originator, protocol=IpProtocol.AODV),
             aodv=header,
         )
-        self.stats._control_packets_sent.value += 1
+        self.stats.control_packets_sent += 1
         self.tracer.record(self.sim.now, "aodv", "rrep_send", node=self.node_id,
                            originator=originator, destination=destination)
         self._enqueue_to_mac(packet, next_hop)
@@ -436,7 +436,7 @@ class AodvRouting(RoutingProtocol):
                 hop_count=header.hop_count + 1,
             ),
         )
-        self.stats._control_packets_sent.value += 1
+        self.stats.control_packets_sent += 1
         self._enqueue_to_mac(forwarded, reverse.next_hop)
 
     def _originate_rerr(self, unreachable) -> None:
@@ -446,8 +446,8 @@ class AodvRouting(RoutingProtocol):
             ip=IpHeader(src=self.node_id, dst=BROADCAST, protocol=IpProtocol.AODV, ttl=1),
             aodv=header,
         )
-        self.stats._control_packets_sent.value += 1
-        self.stats._rerrs_sent.value += 1
+        self.stats.control_packets_sent += 1
+        self.stats.rerrs_sent += 1
         self.tracer.record(self.sim.now, "aodv", "rerr_send", node=self.node_id,
                            unreachable=list(unreachable))
         self._broadcast_to_mac(packet)

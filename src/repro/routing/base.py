@@ -17,70 +17,34 @@ from repro.core.engine import Simulator
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.mac.frames import attach_data_header
 from repro.mac.queue import DropTailQueue
-from repro.metrics import MetricsRegistry, NULL_METRICS, instrument_property
+from repro.metrics import MetricsRegistry, NULL_METRICS, StatsRecord
 from repro.net.headers import BROADCAST
 from repro.net.interfaces import MacListener
 from repro.net.packet import Packet
 
 
-class RoutingStats:
-    """Counters common to all routing protocols.
+class RoutingStats(StatsRecord):
+    """Counters common to all routing protocols (unit: packets), published
+    as ``route.node<N>.<field>``.
 
-    A view over registry counters named ``route.node<N>.<field>``.  The
-    public fields remain readable and writable for backward compatibility,
-    but direct mutation from outside the owning routing agent is deprecated.
     ``route_discoveries`` and ``rerrs_sent`` stay zero for protocols without
     on-demand discovery (static routing).
     """
 
-    _COUNTERS = (
-        "packets_originated",
-        "packets_forwarded",
-        "packets_delivered",
-        "packets_dropped_no_route",
-        "packets_dropped_link_failure",
-        "packets_dropped_queue_full",
-        "link_failures",
-        "false_route_failures",
-        "control_packets_sent",
-        "route_discoveries",
-        "rerrs_sent",
-    )
-
-    def __init__(self, registry: MetricsRegistry = NULL_METRICS,
-                 prefix: str = "route", **initial: int) -> None:
-        unknown = set(initial) - set(self._COUNTERS)
-        if unknown:
-            raise TypeError(f"unknown RoutingStats fields: {sorted(unknown)}")
-        for field in self._COUNTERS:
-            counter = registry.counter(f"{prefix}.{field}", unit="packets")
-            if field in initial:
-                counter.value = initial[field]
-            setattr(self, f"_{field}", counter)
-
-    packets_originated = instrument_property(
-        "_packets_originated", "Locally originated data packets routed.")
-    packets_forwarded = instrument_property(
-        "_packets_forwarded", "Transit data packets forwarded.")
-    packets_delivered = instrument_property(
-        "_packets_delivered", "Packets delivered to the local stack.")
-    packets_dropped_no_route = instrument_property(
-        "_packets_dropped_no_route", "Packets dropped for lack of a route.")
-    packets_dropped_link_failure = instrument_property(
-        "_packets_dropped_link_failure", "Packets dropped on a link failure.")
-    packets_dropped_queue_full = instrument_property(
-        "_packets_dropped_queue_full", "Packets dropped at a full interface queue.")
-    link_failures = instrument_property(
-        "_link_failures", "MAC retry-limit failures reported to routing.")
-    false_route_failures = instrument_property(
-        "_false_route_failures",
-        "Link failures on routes that were actually intact (Fig. 9).")
-    control_packets_sent = instrument_property(
-        "_control_packets_sent", "Routing control packets originated.")
-    route_discoveries = instrument_property(
-        "_route_discoveries", "Route discoveries started (AODV RREQ floods).")
-    rerrs_sent = instrument_property(
-        "_rerrs_sent", "Route-error messages originated (AODV RERR).")
+    __slots__ = {
+        "packets_originated": "Locally originated data packets routed.",
+        "packets_forwarded": "Transit data packets forwarded.",
+        "packets_delivered": "Packets delivered to the local stack.",
+        "packets_dropped_no_route": "Packets dropped for lack of a route.",
+        "packets_dropped_link_failure": "Packets dropped on a link failure.",
+        "packets_dropped_queue_full": "Packets dropped at a full interface queue.",
+        "link_failures": "MAC retry-limit failures reported to routing.",
+        "false_route_failures":
+            "Link failures on routes that were actually intact (Fig. 9).",
+        "control_packets_sent": "Routing control packets originated.",
+        "route_discoveries": "Route discoveries started (AODV RREQ floods).",
+        "rerrs_sent": "Route-error messages originated (AODV RERR).",
+    }
 
 
 class RoutingProtocol(MacListener, abc.ABC):
@@ -124,7 +88,7 @@ class RoutingProtocol(MacListener, abc.ABC):
         attach_data_header(packet, src=self.node_id, dst=next_hop, nav=0.0, retry=False)
         accepted = self.queue.enqueue(packet)
         if not accepted:
-            self.stats._packets_dropped_queue_full.value += 1
+            self.stats.packets_dropped_queue_full += 1
             self.tracer.record(self.sim.now, "route", "queue_drop", node=self.node_id,
                                uid=packet.uid)
         return accepted
@@ -159,10 +123,10 @@ class RoutingProtocol(MacListener, abc.ABC):
         """
         ip = packet.require_ip()
         if ip.dst == self.node_id or ip.dst == BROADCAST:
-            self.stats._packets_delivered.value += 1
+            self.stats.packets_delivered += 1
             self.deliver_local(packet)
         elif ip.ttl <= 1:
-            self.stats._packets_dropped_no_route.value += 1
+            self.stats.packets_dropped_no_route += 1
         else:
             packet = packet.copy()
             packet.ip.ttl -= 1

@@ -64,12 +64,12 @@ class StaticRouting(RoutingProtocol):
     # ------------------------------------------------------------------
     def send_packet(self, packet: Packet) -> None:
         """Route a locally originated packet."""
-        self.stats._packets_originated.value += 1
+        self.stats.packets_originated += 1
         self._route(packet)
 
     def forward_packet(self, packet: Packet) -> None:
         """Forward a transit packet."""
-        self.stats._packets_forwarded.value += 1
+        self.stats.packets_forwarded += 1
         self._route(packet)
 
     def _route(self, packet: Packet) -> None:
@@ -79,7 +79,7 @@ class StaticRouting(RoutingProtocol):
             return
         next_hop = self._next_hops.get(ip.dst, self._default_next_hop)
         if next_hop is None:
-            self.stats._packets_dropped_no_route.value += 1
+            self.stats.packets_dropped_no_route += 1
             self.tracer.record(self.sim.now, "route", "no_route", node=self.node_id,
                                dst=ip.dst, uid=packet.uid)
             return
@@ -94,7 +94,7 @@ class StaticRouting(RoutingProtocol):
 
     def on_mac_send_failure(self, packet: Packet, next_hop: int) -> None:
         """Static routing has no repair: count the loss and drop the packet."""
-        self.stats._link_failures.value += 1
-        self.stats._packets_dropped_link_failure.value += 1
+        self.stats.link_failures += 1
+        self.stats.packets_dropped_link_failure += 1
         self.tracer.record(self.sim.now, "route", "link_failure", node=self.node_id,
                            next_hop=next_hop, uid=packet.uid)

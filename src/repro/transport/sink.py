@@ -96,7 +96,7 @@ class TcpSink(TransportAgent):
                         protocol=IpProtocol.TCP),
             tcp=header,
         )
-        self.stats._acks_sent.value += 1
+        self.stats.acks_sent += 1
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "tcp", "ack", node=self.local_node,
                                ack=self.next_expected, flow=self.stats.flow_id)

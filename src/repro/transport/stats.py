@@ -5,17 +5,13 @@ experiment harness reads to produce the paper's measures: goodput (bytes
 delivered at the sink per unit time, via batch means), transport-layer
 retransmissions, and the time-averaged congestion window.
 
-Since the metrics refactor, the scalar counts are
-:class:`~repro.metrics.instruments.Counter` instruments registered under
-``tcp.flow<N>.<field>``, and — when the scenario's
-:class:`~repro.metrics.registry.MetricsRegistry` is enabled — the flow also
+The scalar counts live in :class:`FlowCounters`, a slotted record registered
+once under ``tcp.flow<N>``, so they read as ``tcp.flow<N>.<field>``; only the
+flow's sender and sink update them.  When the scenario's
+:class:`~repro.metrics.registry.MetricsRegistry` is enabled the flow also
 feeds two event-driven time series, ``tcp.flow<N>.cwnd`` (sampled on every
 congestion-window change) and ``tcp.flow<N>.rtt`` (sampled per RTT
-measurement), which reproduce the paper's window-evolution figures.  The
-historical public fields keep working through compatibility properties for
-reads; *writing* them emits a :class:`DeprecationWarning` (the owning
-sender/sink mutates the instruments directly, and test fixtures can pass
-initial counter values as keyword arguments).
+measurement), which reproduce the paper's window-evolution figures.
 """
 
 from __future__ import annotations
@@ -23,44 +19,40 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.statistics import BatchMeans, ConfidenceInterval, TimeWeightedAverage
-from repro.metrics import MetricsRegistry, NULL_METRICS, instrument_property
+from repro.metrics import MetricsRegistry, NULL_METRICS, StatsRecord
 
 
-class FlowStats:
-    """Statistics for one end-to-end flow.
+class FlowCounters(StatsRecord):
+    """The published counters of one flow."""
+
+    __slots__ = {
+        "packets_sent": "Data packets sent (including retransmissions).",
+        "packets_delivered": "In-order packets delivered at the sink.",
+        "bytes_delivered": "In-order payload bytes delivered at the sink.",
+        "retransmissions": "Transport-layer retransmissions at the sender.",
+        "timeouts": "Retransmission timeouts at the sender.",
+        "acks_received": "ACKs processed by the sender.",
+        "acks_sent": "ACKs generated by the sink.",
+    }
+
+
+class FlowStats(FlowCounters):
+    """Statistics for one end-to-end flow: the counters of
+    :class:`FlowCounters` plus the state behind the derived measures.
 
     Args:
         flow_id: Integer flow identifier.
         batch_size: Number of delivered packets per batch-means batch.
-        registry: Metrics registry the instruments register in; stand-alone
-            instances get live but unregistered instruments.
-        prefix: Instrument name prefix (default ``tcp.flow<flow_id>``).
+        registry: Metrics registry the counters and series register in;
+            stand-alone instances publish nothing.
+        prefix: Name prefix (default ``tcp.flow<flow_id>``).
 
     Attributes:
-        packets_sent: Data packets transmitted by the sender (including
-            retransmissions).
-        packets_delivered: In-order data packets delivered to the receiving
-            application.
-        bytes_delivered: In-order payload bytes delivered.
-        retransmissions: Transport-layer retransmissions at the sender.
-        timeouts: Retransmission timeouts at the sender.
-        acks_received: ACK packets processed by the sender.
-        acks_sent: ACK packets generated by the sink.
         first_delivery_time: Time of the first in-order delivery.
         last_delivery_time: Time of the most recent in-order delivery.
         series_enabled: True when the cwnd/RTT time series are being
             collected (callers may guard per-sample work on this flag).
     """
-
-    _COUNTERS = (
-        "packets_sent",
-        "packets_delivered",
-        "bytes_delivered",
-        "retransmissions",
-        "timeouts",
-        "acks_received",
-        "acks_sent",
-    )
 
     def __init__(
         self,
@@ -68,20 +60,11 @@ class FlowStats:
         batch_size: int = 1000,
         registry: MetricsRegistry = NULL_METRICS,
         prefix: Optional[str] = None,
-        **initial: int,
     ) -> None:
-        unknown = set(initial) - set(self._COUNTERS)
-        if unknown:
-            raise TypeError(f"unknown FlowStats fields: {sorted(unknown)}")
+        prefix = prefix if prefix is not None else f"tcp.flow{flow_id}"
+        super().__init__(registry, prefix)
         self.flow_id = flow_id
         self.batch_size = batch_size
-        prefix = prefix if prefix is not None else f"tcp.flow{flow_id}"
-        for field in self._COUNTERS:
-            unit = "bytes" if field == "bytes_delivered" else "packets"
-            counter = registry.counter(f"{prefix}.{field}", unit=unit)
-            if field in initial:
-                counter.value = initial[field]
-            setattr(self, f"_{field}", counter)
         self.first_delivery_time: Optional[float] = None
         self.last_delivery_time: Optional[float] = None
         self.window_average = TimeWeightedAverage()
@@ -98,20 +81,6 @@ class FlowStats:
             self._cwnd_series = None
             self._rtt_series = None
 
-    packets_sent = instrument_property(
-        "_packets_sent", "Data packets sent (including retransmissions).")
-    packets_delivered = instrument_property(
-        "_packets_delivered", "In-order packets delivered at the sink.")
-    bytes_delivered = instrument_property(
-        "_bytes_delivered", "In-order payload bytes delivered at the sink.")
-    retransmissions = instrument_property(
-        "_retransmissions", "Transport-layer retransmissions at the sender.")
-    timeouts = instrument_property(
-        "_timeouts", "Retransmission timeouts at the sender.")
-    acks_received = instrument_property(
-        "_acks_received", "ACKs processed by the sender.")
-    acks_sent = instrument_property("_acks_sent", "ACKs generated by the sink.")
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
@@ -120,8 +89,8 @@ class FlowStats:
         if self.first_delivery_time is None:
             self.first_delivery_time = now
         self.last_delivery_time = now
-        self._packets_delivered.value += packets
-        self._bytes_delivered.value += payload_bytes
+        self.packets_delivered += packets
+        self.bytes_delivered += payload_bytes
         self._batches.record_delivery(now, float(self.bytes_delivered), packets)
 
     def record_window(self, now: float, window_packets: float) -> None:

@@ -209,9 +209,9 @@ class TcpSender(TransportAgent):
                         protocol=IpProtocol.TCP),
             tcp=header,
         )
-        self.stats._packets_sent.value += 1
+        self.stats.packets_sent += 1
         if is_retransmission:
-            self.stats._retransmissions.value += 1
+            self.stats.retransmissions += 1
         previous = self._send_times.get(seq)
         retransmitted = is_retransmission or (previous is not None and previous[1])
         self._send_times[seq] = (now, retransmitted)
@@ -232,7 +232,7 @@ class TcpSender(TransportAgent):
         tcp = packet.require_tcp()
         if not tcp.is_ack:
             return
-        self.stats._acks_received.value += 1
+        self.stats.acks_received += 1
         ack = tcp.ack
         if ack > self.snd_una:
             self._handle_new_ack(ack, packet)
@@ -295,7 +295,7 @@ class TcpSender(TransportAgent):
     def _on_rtx_timeout(self) -> None:
         if self.snd_una >= self.snd_nxt:
             return
-        self.stats._timeouts.value += 1
+        self.stats.timeouts += 1
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "tcp", "rto", node=self.local_node,
                                flow=self.stats.flow_id, una=self.snd_una)

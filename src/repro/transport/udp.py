@@ -61,7 +61,7 @@ class UdpSender(TransportAgent):
             udp=header,
         )
         self._next_seq += 1
-        self.stats._packets_sent.value += 1
+        self.stats.packets_sent += 1
         self._send_ip(packet)
 
     @property

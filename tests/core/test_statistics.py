@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from repro.core.statistics import (
     BatchMeans,
     ConfidenceInterval,
-    Counter,
     TimeWeightedAverage,
     confidence_interval,
     jain_fairness_index,
@@ -249,16 +248,3 @@ class TestTimeWeightedAverage:
         avg.finalize(now)
         assert min(values) - 1e-9 <= avg.average <= max(values) + 1e-9
 
-
-class TestCounter:
-    def test_increment_default(self):
-        counter = Counter("x")
-        counter.increment()
-        counter.increment(2.5)
-        assert counter.value == pytest.approx(3.5)
-
-    def test_reset(self):
-        counter = Counter("x")
-        counter.increment(5)
-        counter.reset()
-        assert counter.value == 0.0

@@ -4,6 +4,7 @@ The paper's method is many short runs, so a run's fixed cost is paid hundreds
 of times per figure and once per pool worker.  Each check starts a fresh
 interpreter with only ``src`` on its path: the run path has to work on the
 standard library alone and must not load the study plane it does not use.
+The package roots must not import the modules ``python -m`` runs either.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -60,13 +63,13 @@ PUBLIC_NAMES = sorted([
     "DEFAULT_HOP_COUNTS", "FlowResult", "ScenarioResult", "format_table", "Scenario",
     "run_scenario", "FlowSpec", "Workload", "ScenarioEvent", "ScenarioSpec",
     "ScenarioBuilder", "mixed_transport_workload", "available_scenarios",
-    "build_named_scenario", "PointResult", "Study", "StudyResult", "StudyRunner",
+    "build_named_scenario", "PointResult", "StudyResult",
     "SweepSpec", "run_study", "ResultStore", "backend_names", "execute_study",
     "register_backend", "chain_topology", "grid_topology", "random_topology",
     "TopologyProfile", "build_topology", "register_topology", "topology_names",
     "TransportProfile", "get_transport", "register_transport", "transport_names",
     "MobilityProfile", "get_mobility", "register_mobility", "mobility_names",
-    "MetricsRegistry", "Counter", "Gauge", "TimeSeries", "__version__",
+    "MetricsRegistry", "TimeSeries", "__version__",
 ])
 
 
@@ -97,3 +100,16 @@ def test_the_study_plane_still_imports_from_the_package_roots():
     assert report["homes"] == ["repro.experiments.study", "repro.experiments.study",
                                "repro.experiments.exec.store"]
     assert report["same_objects"] and report["study_loaded"]
+
+
+@pytest.mark.parametrize("module", ["repro.experiments.runner",
+                                    "repro.experiments.scenarios"])
+def test_python_m_runs_the_cli_modules_without_a_runpy_warning(module):
+    """The package roots resolve these modules on first use, so ``python -m``
+    does not find them already imported (runpy's RuntimeWarning)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+                           "--help"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

@@ -8,12 +8,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.tracing import Tracer
 from repro.experiments.config import ScenarioConfig, TransportVariant
 from repro.experiments.runner import run_scenario
-from repro.experiments.study import (
-    Study,
-    StudyRunner,
-    SweepSpec,
-    run_study,
-)
+from repro.experiments.study import SweepSpec, run_study
 from repro.topology.chain import chain_topology
 
 
@@ -163,27 +158,16 @@ class TestStudyExecution:
         monkeypatch.setattr(study_module, "_CODE_FINGERPRINT", "different-code")
         assert spec.fingerprint(values, 1) != before
 
-    def test_study_convenience_wrapper(self):
-        study = Study(topology="chain", axes={"hops": [2]}, base=tiny_config())
-        result = study.run(parallel=False)
-        assert result.points[0].run.reached_packet_target
-
-    def test_study_rejects_spec_and_kwargs_together(self):
-        with pytest.raises(ConfigurationError):
-            Study(tiny_spec(), topology="chain")
-
     def test_tracer_reaches_serial_scenarios(self):
         tracer = Tracer(enabled=True)
-        runner = StudyRunner(tracer=tracer)
-        runner.run(tiny_spec(axes={"hops": [2]}), parallel=False)
+        run_study(tiny_spec(axes={"hops": [2]}), parallel=False, tracer=tracer)
         assert len(list(tracer)) > 0
 
 
 class TestStudyCache:
     def test_cache_hit_skips_simulation(self, tmp_path, monkeypatch):
         spec = tiny_spec(axes={"hops": [2]})
-        runner = StudyRunner(cache_dir=tmp_path)
-        first = runner.run(spec, parallel=False)
+        first = run_study(spec, parallel=False, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 1
 
         import repro.experiments.runner as runner_module
@@ -192,23 +176,21 @@ class TestStudyCache:
             raise AssertionError("cache miss: scenario was re-simulated")
 
         monkeypatch.setattr(runner_module, "run_scenario", boom)
-        second = runner.run(spec, parallel=False)
+        second = run_study(spec, parallel=False, cache_dir=tmp_path)
         assert second == first
 
     def test_corrupt_cache_entry_triggers_rerun(self, tmp_path):
         spec = tiny_spec(axes={"hops": [2]})
-        runner = StudyRunner(cache_dir=tmp_path)
-        first = runner.run(spec, parallel=False)
+        first = run_study(spec, parallel=False, cache_dir=tmp_path)
         for path in tmp_path.glob("*.json"):
             path.write_text("{not json")
-        second = runner.run(spec, parallel=False)
+        second = run_study(spec, parallel=False, cache_dir=tmp_path)
         assert second == first
 
     def test_config_change_misses_cache(self, tmp_path):
-        runner = StudyRunner(cache_dir=tmp_path)
-        runner.run(tiny_spec(axes={"hops": [2]}), parallel=False)
-        runner.run(tiny_spec(axes={"hops": [2]},
-                             base=tiny_config(queue_capacity=10)), parallel=False)
+        run_study(tiny_spec(axes={"hops": [2]}), parallel=False, cache_dir=tmp_path)
+        run_study(tiny_spec(axes={"hops": [2]}, base=tiny_config(queue_capacity=10)),
+                  parallel=False, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 2
 
 

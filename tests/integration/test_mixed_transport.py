@@ -90,7 +90,7 @@ class TestMixedTransportEndToEnd:
         assert not scenario.applications[1].started
         scenario.run()
         assert scenario.applications[1].started
-        assert scenario.metrics.get("app.flow2.started_at").value == pytest.approx(2.0)
+        assert scenario.metrics.snapshot()["app.flow2.started_at"] == pytest.approx(2.0)
 
     def test_mixed_scenario_with_timeline_is_deterministic(self):
         """Acceptance criterion: mixed variants + a timeline event, same seed

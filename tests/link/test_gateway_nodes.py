@@ -78,9 +78,8 @@ class TestUnknownSubnet:
         gateway = scenario.nodes[0].routing
         scenario.nodes[0].send_from_transport(make_udp_packet(0, 999))
         scenario.sim.run(until=1.0)
-        assert gateway.unknown_subnet_drops == 1
-        assert scenario.metrics.counter(
-            "route.node0.unknown_subnet_drops").value == 1
+        assert gateway.stats.unknown_subnet_drops == 1
+        assert scenario.metrics.snapshot()["route.node0.unknown_subnet_drops"] == 1
 
     def test_transit_packet_to_unknown_subnet_reaches_gateway_and_drops(self):
         scenario = backbone_scenario()
@@ -88,7 +87,7 @@ class TestUnknownSubnet:
         scenario.nodes[4].send_from_transport(make_udp_packet(4, 999))
         scenario.sim.run(until=5.0)
         gateway = scenario.nodes[0].routing
-        assert gateway.unknown_subnet_drops == 1
+        assert gateway.stats.unknown_subnet_drops == 1
         assert gateway.stats.packets_dropped_no_route == 1
 
 
@@ -127,8 +126,7 @@ class TestWiredTimelineEvents:
         baseline_result = baseline.run()
         # The event landed on the bus, not the wireless channel.
         assert scenario.buses[0].is_link_blocked(0, 1)
-        assert scenario.metrics.counter(
-            "scenario.timeline.link-down").value == 1
+        assert result.metrics["scenario.timeline.link-down"] == 1
         # Cross-cell flows stall once the spine is cut.
         assert result.delivered_packets < baseline_result.delivered_packets
 

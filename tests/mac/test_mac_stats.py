@@ -7,20 +7,28 @@ import pytest
 from repro.mac.stats import MacStats
 
 
+def mac_stats(**fields: int) -> MacStats:
+    """A stand-alone record with the given fields set."""
+    stats = MacStats()
+    for field, value in fields.items():
+        setattr(stats, field, value)
+    return stats
+
+
 class TestDropProbability:
     def test_zero_when_nothing_started(self):
         assert MacStats().drop_probability == 0.0
 
     def test_fraction_of_completed_transmissions(self):
-        stats = MacStats(data_tx_success=8, data_dropped_retry=2)
+        stats = mac_stats(data_tx_success=8, data_dropped_retry=2)
         assert stats.drop_probability == pytest.approx(0.2)
 
     def test_all_drops(self):
-        stats = MacStats(data_dropped_retry=5)
+        stats = mac_stats(data_dropped_retry=5)
         assert stats.drop_probability == 1.0
 
     def test_successes_alone_give_zero(self):
-        stats = MacStats(data_tx_success=100)
+        stats = mac_stats(data_tx_success=100)
         assert stats.drop_probability == 0.0
 
 
@@ -29,17 +37,17 @@ class TestAttemptDropProbability:
         assert MacStats().attempt_drop_probability == 0.0
 
     def test_counts_both_timeout_kinds(self):
-        stats = MacStats(data_tx_attempts=10, rts_timeouts=2, ack_timeouts=3)
+        stats = mac_stats(data_tx_attempts=10, rts_timeouts=2, ack_timeouts=3)
         assert stats.attempt_drop_probability == pytest.approx(0.5)
 
     def test_capped_at_one(self):
         # RTS timeouts are not data attempts, so failures can exceed attempts;
         # the probability is clamped.
-        stats = MacStats(data_tx_attempts=1, rts_timeouts=7)
+        stats = mac_stats(data_tx_attempts=1, rts_timeouts=7)
         assert stats.attempt_drop_probability == 1.0
 
     def test_no_failures_is_zero(self):
-        stats = MacStats(data_tx_attempts=50)
+        stats = mac_stats(data_tx_attempts=50)
         assert stats.attempt_drop_probability == 0.0
 
 
@@ -59,6 +67,6 @@ class TestCounterDefaults:
         assert stats.duplicates_suppressed == 0
 
     def test_counters_are_independent_per_instance(self):
-        a, b = MacStats(rts_tx=3), MacStats()
+        a, b = mac_stats(rts_tx=3), MacStats()
         assert a.rts_tx == 3
         assert b.rts_tx == 0

@@ -1,36 +1,10 @@
-"""Tests for the metric instruments (Counter, Gauge, TimeSeries)."""
+"""Tests for TimeSeries, the metrics plane's time-series holder."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.metrics import Counter, Gauge, TimeSeries, instrument_property
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter("x").value == 0
-
-    def test_inc_default_and_amount(self):
-        counter = Counter("x")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_metadata(self):
-        counter = Counter("mac.node3.rts_tx", unit="frames", description="RTS sent")
-        assert counter.name == "mac.node3.rts_tx"
-        assert counter.unit == "frames"
-        assert counter.kind == "counter"
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        gauge = Gauge("phy.node0.time_transmitting", unit="s")
-        gauge.set(1.5)
-        gauge.add(0.5)
-        gauge.add(-1.0)
-        assert gauge.value == pytest.approx(1.0)
+from repro.metrics import TimeSeries
 
 
 class TestTimeSeries:
@@ -77,20 +51,3 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries("x", max_samples=1)
 
-
-class TestInstrumentProperty:
-    def test_read_write_through_property(self):
-        class View:
-            def __init__(self):
-                self._c = Counter("c")
-
-            c = instrument_property("_c", "doc")
-
-        view = View()
-        with pytest.warns(DeprecationWarning):
-            view.c += 2
-        assert view.c == 2
-        assert view._c.value == 2
-        with pytest.warns(DeprecationWarning):
-            view.c = 10
-        assert view._c.value == 10

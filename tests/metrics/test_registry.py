@@ -7,43 +7,39 @@ import pytest
 from repro.core.engine import Simulator
 from repro.metrics import (
     NULL_METRICS,
-    Counter,
-    Gauge,
     MetricsRegistry,
     NullMetricsRegistry,
+    StatsRecord,
     TimeSeries,
 )
 
 
-class TestGetOrCreate:
-    def test_counter_is_get_or_create(self):
-        registry = MetricsRegistry()
-        a = registry.counter("mac.node0.rts_tx")
-        b = registry.counter("mac.node0.rts_tx")
-        assert a is b
+class Drops(StatsRecord):
+    __slots__ = {"drops": "Frames dropped.", "rts_tx": "RTS frames sent."}
 
-    def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
 
-    def test_lookup_and_containment(self):
+class TestRecordsAndValues:
+    def test_record_fields_read_under_its_prefix(self):
         registry = MetricsRegistry()
-        counter = registry.counter("a.b")
-        assert registry.get("a.b") is counter
-        assert registry.get("missing") is None
-        assert "a.b" in registry
-        assert len(registry) == 1
+        record = Drops(registry, prefix="mac.node0")
+        record.drops += 2
+        assert registry.snapshot() == {"mac.node0.drops": 2, "mac.node0.rts_tx": 0}
 
-    def test_names_pattern_filter(self):
+    def test_later_record_replaces_earlier_under_same_prefix(self):
         registry = MetricsRegistry()
-        registry.counter("mac.node0.drops")
-        registry.counter("mac.node1.drops")
-        registry.counter("mac.node1.rts_tx")
-        registry.counter("tcp.flow1.packets_sent")
-        assert registry.names("mac.*.drops") == ["mac.node0.drops", "mac.node1.drops"]
-        assert registry.names() == sorted(registry.names())
+        Drops(registry, prefix="mac.node0").drops = 4
+        Drops(registry, prefix="mac.node0")
+        assert registry.snapshot()["mac.node0.drops"] == 0
+
+    def test_set_overwrites(self):
+        registry = MetricsRegistry()
+        registry.set("core.events_processed", 10)
+        registry.set("core.events_processed", 12)
+        assert registry.snapshot() == {"core.events_processed": 12}
+
+    def test_timeseries_is_get_or_create(self):
+        registry = MetricsRegistry()
+        assert registry.timeseries("x") is registry.timeseries("x")
 
     def test_timeseries_inherits_sample_budget(self):
         registry = MetricsRegistry(enabled=True, max_series_samples=16)
@@ -52,19 +48,23 @@ class TestGetOrCreate:
 
 
 class TestSnapshotAndTotal:
-    def test_snapshot_covers_counters_and_gauges_only(self):
+    def test_snapshot_covers_records_and_values_only(self):
         registry = MetricsRegistry(enabled=True)
-        registry.counter("a").inc(3)
-        registry.gauge("b").set(1.5)
+        Drops(registry, prefix="b").drops = 3
+        registry.set("a", 1.5)
         registry.timeseries("c").record(0.0, 9.0)
-        assert registry.snapshot() == {"a": 3, "b": 1.5}
+        snapshot = registry.snapshot()
+        assert snapshot == {"a": 1.5, "b.drops": 3, "b.rts_tx": 0}
+        assert list(snapshot) == sorted(snapshot)
 
     def test_total_sums_matching_names(self):
         registry = MetricsRegistry()
-        registry.counter("mac.node0.drops").inc(2)
-        registry.counter("mac.node1.drops").inc(3)
-        registry.counter("mac.node1.rts_tx").inc(100)
-        assert registry.total("mac.node*.drops") == 5
+        Drops(registry, prefix="mac.node0").drops = 2
+        node1 = Drops(registry, prefix="mac.node1")
+        node1.drops = 3
+        node1.rts_tx = 100
+        registry.set("mac.node2.drops", 1)
+        assert registry.total("mac.node*.drops") == 6
         assert registry.total("nothing.*") == 0
 
 
@@ -77,7 +77,7 @@ class TestProbesAndSampling:
         registry.start_sampling(sim, interval=1.0)
         state["value"] = 7
         sim.run(until=2.5)
-        series = registry.get("net.queue")
+        series = registry.timeseries("net.queue")
         # Immediate t=0 sample plus ticks at t=1 and t=2.
         assert series.times == [0.0, 1.0, 2.0]
         assert series.values == [0.0, 7.0, 7.0]
@@ -113,19 +113,19 @@ class TestProbesAndSampling:
 
 
 class TestNullRegistry:
-    def test_instruments_are_live_but_unregistered(self):
-        counter = NULL_METRICS.counter("mac.rts_tx")
-        counter.inc()
-        assert counter.value == 1
-        assert len(NULL_METRICS) == 0
-        assert NULL_METRICS.get("mac.rts_tx") is None
+    def test_records_count_but_are_not_retained(self):
+        record = Drops(NULL_METRICS, prefix="mac")
+        record.drops += 1
+        NULL_METRICS.set("core.events_processed", 5)
+        assert record.drops == 1
+        assert NULL_METRICS.snapshot() == {}
 
-    def test_same_name_gives_independent_instruments(self):
-        a = NULL_METRICS.counter("x")
-        b = NULL_METRICS.counter("x")
+    def test_same_name_gives_independent_series(self):
+        a = NULL_METRICS.timeseries("x")
+        b = NULL_METRICS.timeseries("x")
         assert a is not b
-        a.inc()
-        assert b.value == 0
+        a.record(0.0, 1.0)
+        assert len(b) == 0
 
     def test_enabled_is_pinned_false(self):
         NULL_METRICS.enabled = True
@@ -137,8 +137,6 @@ class TestNullRegistry:
         NULL_METRICS.start_sampling(sim, interval=0.1)
         assert sim.pending_events == 0
 
-    def test_instrument_kinds(self):
-        assert isinstance(NULL_METRICS.counter("a"), Counter)
-        assert isinstance(NULL_METRICS.gauge("b"), Gauge)
+    def test_types(self):
         assert isinstance(NULL_METRICS.timeseries("c"), TimeSeries)
         assert isinstance(NULL_METRICS, NullMetricsRegistry)

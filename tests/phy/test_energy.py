@@ -12,7 +12,7 @@ from repro.phy.energy import (
     EnergyReport,
     install_energy_probes,
     scenario_energy,
-    set_energy_gauges,
+    set_energy_values,
 )
 from repro.phy.propagation import Position
 from repro.phy.radio import Radio, RadioStats
@@ -159,25 +159,27 @@ class TestRadioTransitionAccounting:
         assert radio.stats.time_transmitting == pytest.approx(0.003)
 
 
-class TestEnergyGauges:
+class TestEnergyMetrics:
     def _stats(self, registry, node_id, tx, rx):
-        return RadioStats(registry, prefix=f"phy.node{node_id}",
-                          time_transmitting=tx, time_receiving=rx)
+        stats = RadioStats(registry, prefix=f"phy.node{node_id}")
+        stats.time_transmitting, stats.time_receiving = tx, rx
+        return stats
 
-    def test_set_energy_gauges(self):
+    def test_set_energy_values(self):
         registry = MetricsRegistry()
         model = EnergyModel(tx_power=2.0, rx_power=1.0, idle_power=0.5)
         radio_stats = {
             0: self._stats(registry, 0, tx=1.0, rx=2.0),
             1: self._stats(registry, 1, tx=0.0, rx=0.0),
         }
-        total = set_energy_gauges(registry, model, elapsed=10.0,
+        total = set_energy_values(registry, model, elapsed=10.0,
                                   radio_stats=radio_stats)
         node0 = 1 * 2.0 + 2 * 1.0 + 7 * 0.5
         node1 = 10 * 0.5
-        assert registry.get("phy.node0.energy_joules").value == pytest.approx(node0)
-        assert registry.get("phy.node1.energy_joules").value == pytest.approx(node1)
-        assert registry.get("phy.energy_total_joules").value == pytest.approx(total)
+        snapshot = registry.snapshot()
+        assert snapshot["phy.node0.energy_joules"] == pytest.approx(node0)
+        assert snapshot["phy.node1.energy_joules"] == pytest.approx(node1)
+        assert snapshot["phy.energy_total_joules"] == pytest.approx(total)
         assert total == pytest.approx(node0 + node1)
 
     def test_install_energy_probes_samples_over_time(self):
@@ -188,13 +190,13 @@ class TestEnergyGauges:
         install_energy_probes(registry, model, sim, {0: stats})
         registry.start_sampling(sim, interval=1.0)
         sim.run(until=2.5)
-        series = registry.get("phy.node0.energy")
+        series = registry.timeseries_data()["phy.node0.energy"]
         # Idle-only node: energy grows linearly with idle power.
-        assert series.values == pytest.approx([0.0, 0.5, 1.0])
+        assert series["values"] == pytest.approx([0.0, 0.5, 1.0])
 
     def test_install_energy_probes_noop_when_disabled(self):
         sim = Simulator()
         registry = MetricsRegistry(enabled=False)
         stats = self._stats(registry, 0, tx=0.0, rx=0.0)
         install_energy_probes(registry, EnergyModel(), sim, {0: stats})
-        assert registry.names("phy.node0.energy") == []
+        assert registry.timeseries_data() == {}

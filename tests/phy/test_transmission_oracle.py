@@ -202,7 +202,7 @@ class World:
             "log": self.log,
             "checkpoints": checkpoints,
             "radio stats": [{field: getattr(radio.stats, field)
-                             for field in RadioStats._COUNTERS + RadioStats._GAUGES}
+                             for field in RadioStats.fields}
                             for radio in self.radios],
             "channel stats": vars(self.channel.stats),
             "next sequence": sim.reserve_sequences(),

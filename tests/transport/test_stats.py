@@ -27,7 +27,8 @@ class TestFlowStats:
         assert stats.goodput_bps(now=0.0) == 0.0
 
     def test_retransmissions_per_delivered_packet(self):
-        stats = FlowStats(flow_id=1, retransmissions=5)
+        stats = FlowStats(flow_id=1)
+        stats.retransmissions = 5
         assert stats.retransmissions_per_delivered_packet() == 0.0
         stats.record_delivery(now=1.0, payload_bytes=1460, packets=50)
         assert stats.retransmissions_per_delivered_packet() == pytest.approx(0.1)
