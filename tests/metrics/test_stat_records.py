@@ -4,7 +4,9 @@ Pins the contracts of the stats records: (1) each record is a slotted object
 whose fields start at ``0`` (``0.0`` for the radio's airtimes) and are
 written in place by the owning layer, (2) the same numbers are visible
 through the registry under ``<prefix>.<field>``, with their types, and
-(3) a record registered under a taken prefix replaces the earlier one.
+(3) a record registered under a taken prefix replaces the earlier one,
+and (4) writing a field never warns and no record takes a field it does
+not declare.
 """
 
 from __future__ import annotations
@@ -21,7 +23,60 @@ from repro.metrics import MetricsRegistry
 from repro.mobility.base import MobilityStats
 from repro.phy.radio import RadioStats
 from repro.routing.base import RoutingStats
-from repro.transport.stats import FlowStats
+from repro.transport.stats import FlowCounters, FlowStats
+
+#: Every record class with the fields it exports as floats; all others are
+#: ints.
+RECORDS = {
+    "radio": (RadioStats, {"time_transmitting", "time_receiving"}),
+    "mac": (MacStats, set()),
+    "routing": (RoutingStats, set()),
+    "gateway-routing": (GatewayRoutingStats, set()),
+    "flow-counters": (FlowCounters, set()),
+    "flow": (FlowStats, set()),
+    "mobility": (MobilityStats, set()),
+    "wired": (WiredStats, set()),
+    "bus": (BusStats, {"utilization"}),
+    "app": (AppStats, {"started_at"}),
+}
+
+
+def build(cls, registry):
+    if cls is FlowStats:
+        return FlowStats(flow_id=1, registry=registry, prefix="rec")
+    return cls(registry, prefix="rec")
+
+
+class TestEveryRecord:
+    @pytest.mark.parametrize("kind", RECORDS)
+    def test_fresh_record_is_zero_with_its_exported_type(self, kind):
+        cls, float_fields = RECORDS[kind]
+        registry = MetricsRegistry()
+        build(cls, registry)
+        snapshot = registry.snapshot()
+        assert snapshot == {f"rec.{field}": 0 for field in cls.fields}
+        for field in cls.fields:
+            expected = float if field in float_fields else int
+            assert type(snapshot[f"rec.{field}"]) is expected, field
+
+    @pytest.mark.parametrize("kind", RECORDS)
+    def test_every_field_write_lands_without_a_warning(self, kind):
+        cls, _ = RECORDS[kind]
+        registry = MetricsRegistry()
+        stats = build(cls, registry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value, field in enumerate(cls.fields, start=1):
+                setattr(stats, field, getattr(stats, field) + value)
+        assert registry.snapshot() == {
+            f"rec.{field}": value
+            for value, field in enumerate(cls.fields, start=1)}
+
+    @pytest.mark.parametrize("kind", [kind for kind in RECORDS if kind != "flow"])
+    def test_undeclared_field_rejected(self, kind):
+        cls, _ = RECORDS[kind]
+        with pytest.raises(AttributeError):
+            build(cls, MetricsRegistry()).not_a_field = 1
 
 
 class TestMacStatsRecord:
