@@ -19,13 +19,17 @@ Run with::
 
 Under ``REPRO_SMOKE=1`` (CI) the run is shortened but keeps the full
 population, so the smoke lane genuinely exercises the index and the lazy
-caches at the selected scale.
+caches at the selected scale.  On Linux the last line is the process's peak
+resident set, which CI holds to a ceiling on the 10k run.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
+import sys
 import time
+from typing import Optional
 
 from repro import format_table
 from repro.experiments.scenarios import build_named_scenario
@@ -70,6 +74,18 @@ def run_preset(name: str, args: argparse.Namespace) -> None:
           f"{formed} formed")
 
 
+def peak_rss_mb() -> Optional[float]:
+    """This interpreter's peak resident set in MB, or None off Linux.
+
+    Read from ``VmHWM``, not ``ru_maxrss``: Linux carries the launching
+    process's peak across exec, so ``ru_maxrss`` can report the launcher's.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmHWM:\s+(\d+) kB", status.read()).group(1)) / 1024
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nodes", type=int, default=1000,
@@ -87,6 +103,9 @@ def main() -> None:
     args = parser.parse_args()
 
     run_preset(preset_name(args.nodes, args.mobility), args)
+    peak = peak_rss_mb()
+    if peak is not None:
+        print(f"peak RSS {peak:.1f} MB")
 
 
 if __name__ == "__main__":

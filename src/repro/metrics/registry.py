@@ -154,19 +154,34 @@ class MetricsRegistry:
         """Set the end-of-run scalar ``name`` to ``value``."""
         self._values[name] = value
 
-    def _scalars(self) -> Iterator[Tuple[str, Number]]:
+    def _fields(self) -> Iterator[Tuple[str, Number]]:
         for prefix, record in self._records.items():
             for field in record.fields:
                 yield f"{prefix}.{field}", getattr(record, field)
+
+    def _scalars(self) -> Iterator[Tuple[str, Number]]:
+        yield from self._fields()
         yield from self._values.items()
 
     def snapshot(self) -> Dict[str, Number]:
         """Current value of every record field and end-of-run value, keyed by
         name (sorted).
 
-        This is the one harvesting path the experiment harness uses.
+        This is the one harvesting path the experiment harness uses.  The
+        sorted names become the keys first and the values are written into
+        them in place, so no list of (name, value) pairs is built beside the
+        result (at city scale that list was the run's memory peak).  A value
+        set under a record field's name keeps the larger of the two, the set
+        one on a tie: what sorting the pairs by name and value gave.
         """
-        return dict(sorted(self._scalars()))
+        snapshot: Dict[str, Any] = dict.fromkeys(
+            sorted(name for name, _ in self._scalars()))
+        snapshot.update(self._fields())
+        for name, value in self._values.items():
+            held = snapshot[name]
+            if held is None or not held > value:
+                snapshot[name] = value
+        return snapshot
 
     def total(self, pattern: str) -> Number:
         """Sum of every scalar whose name matches ``pattern``.

@@ -34,9 +34,9 @@ every mover survive untouched.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import Simulator
 from repro.core.errors import ConfigurationError
@@ -51,10 +51,43 @@ from repro.phy.spatial import BLOCK_OFFSETS, CellKey, GridIndex
 #: generation in place so the next lookup takes the single-compare fast path.
 _StampedEntry = list
 
-#: One receiver of a sender's frames: ``(radio, delay, receivable, power,
-#: offset)``; ``offset`` is its place among them in registration order, hence
-#: its signal start's place in the block of sequences a transmission reserves.
-_Edge = Tuple[Radio, float, bool, float, int]
+
+class _Deliveries:
+    """One sender's receivers as parallel columns, in the order their signals
+    start: by delay, then by offset.
+
+    Entry ``k`` of the columns is one receiver: its radio, whether it can
+    decode the sender's frames, its propagation delay and relative power, and
+    its offset — its place among the receivers in registration order, hence
+    its signal start's place in the block of sequences a transmission
+    reserves.  Delays, powers and offsets are unboxed ``array`` columns.
+    ``tie_gap`` is the smallest delay difference between neighbours that are
+    out of registration order: should ``now + delay`` round that away, the two
+    start in the same instant and the order by delay has them the wrong way
+    round (:meth:`WirelessChannel.broadcast` checks).
+
+    Args:
+        radios, receivable, delays, powers, offsets: The columns in any order.
+        order: The positions in them of the receivers, in start order.
+    """
+
+    __slots__ = ("radios", "receivable", "delays", "powers", "offsets", "tie_gap")
+
+    def __init__(self, radios: Sequence[Radio], receivable: Sequence[bool],
+                 delays: Sequence[float], powers: Sequence[float],
+                 offsets: Sequence[int], order: Sequence[int]) -> None:
+        self.radios = [radios[k] for k in order]
+        self.receivable = [receivable[k] for k in order]
+        self.delays = delays = array("d", [delays[k] for k in order])
+        self.powers = array("d", [powers[k] for k in order])
+        self.offsets = offsets = array("i", [offsets[k] for k in order])
+        self.tie_gap = min((delays[k] - delays[k - 1] for k in range(1, len(order))
+                            if offsets[k - 1] > offsets[k]), default=math.inf)
+
+    def reordered(self, order: Sequence[int]) -> "_Deliveries":
+        """The same receivers, entry ``order[k]`` of these columns at ``k``."""
+        return _Deliveries(self.radios, self.receivable, self.delays,
+                           self.powers, self.offsets, order)
 
 
 class _Transmission:
@@ -66,7 +99,7 @@ class _Transmission:
     (numbered in registration order, whatever order the signals arrive in),
     the sender's end takes the next one the sending radio draws, each
     receiver's end is given its own by the radio at the end of its
-    ``signal_start``.  The starts' keys rise along ``edges``; so do the ends',
+    ``signal_start``.  The starts' keys rise along ``deliveries``; so do the ends',
     after the sender's, which is older than and never later than any of them.
     So each series is a chain with only its head in the event queue — two
     queue trips per transmission: after an edge has run, the next one runs in
@@ -75,36 +108,42 @@ class _Transmission:
     reserved key otherwise.  Handler order is that of one event per edge.
     """
 
-    __slots__ = ("sim", "sender", "edges", "packet", "duration", "sent_at",
+    __slots__ = ("sim", "sender", "deliveries", "packet", "duration", "sent_at",
                  "first_sequence", "signals", "ended")
 
-    def __init__(self, sim: Simulator, sender: Radio, edges: List[_Edge],
+    def __init__(self, sim: Simulator, sender: Radio, deliveries: _Deliveries,
                  packet: Packet, duration: float) -> None:
         self.sim = sim
         self.sender = sender
-        self.edges = edges
+        self.deliveries = deliveries
         self.packet = packet
         self.duration = duration
         self.sent_at = sim.now
-        self.first_sequence = sim.reserve_sequences(len(edges))
-        #: Signals started so far, in ``edges`` order; ``ended`` of them have
-        #: ended, -1 while the sender's end (queued by the sender) is to come.
+        self.first_sequence = sim.reserve_sequences(len(deliveries.radios))
+        #: Signals started so far, in ``deliveries`` order; ``ended`` of them
+        #: have ended, -1 while the sender's end (queued by the sender) is to come.
         self.signals: List[_Signal] = []
         self.ended = -1
-        if edges:
-            sim.schedule_reserved(self.sent_at + edges[0][1],
-                                  self.first_sequence + edges[0][4], self._run_starts)
+        if deliveries.radios:
+            sim.schedule_reserved(self.sent_at + deliveries.delays[0],
+                                  self.first_sequence + deliveries.offsets[0],
+                                  self._run_starts)
 
     def _run_starts(self) -> None:
         sim = self.sim
-        edges = self.edges
+        deliveries = self.deliveries
+        radios = deliveries.radios
+        receivable = deliveries.receivable
+        delays = deliveries.delays
+        powers = deliveries.powers
+        offsets = deliveries.offsets
         signals = self.signals
         packet = self.packet
         duration = self.duration
         index = len(signals)
-        radio, _, receivable, power, _ = edges[index]
         while True:
-            signal = radio.signal_start(packet, duration, receivable, power)
+            signal = radios[index].signal_start(packet, duration, receivable[index],
+                                                powers[index])
             signals.append(signal)
             if self.ended == index:
                 # Every edge of the end chain so far has run, so it has no
@@ -113,11 +152,10 @@ class _Transmission:
                 sim.schedule_reserved(signal.end_time, signal.end_sequence,
                                       self.run_ends)
             index += 1
-            if index == len(edges):
+            if index == len(radios):
                 return
-            radio, delay, receivable, power, offset = edges[index]
-            time = self.sent_at + delay
-            sequence = self.first_sequence + offset
+            time = self.sent_at + delays[index]
+            sequence = self.first_sequence + offsets[index]
             if not sim.claim(time, sequence):
                 sim.schedule_reserved(time, sequence, self._run_starts)
                 return
@@ -125,13 +163,13 @@ class _Transmission:
     def run_ends(self) -> None:
         """Run the end chain from its head for as long as the kernel allows."""
         sim = self.sim
-        edges = self.edges
+        radios = self.deliveries.radios
         signals = self.signals
         index = self.ended
         if index < 0:
             self.sender._transmit_complete()
         else:
-            edges[index][0]._signal_end(signals[index])
+            radios[index]._signal_end(signals[index])
         while True:
             index += 1
             if index == len(signals):
@@ -141,7 +179,7 @@ class _Transmission:
                 sim.schedule_reserved(signal.end_time, signal.end_sequence,
                                       self.run_ends)
                 break
-            edges[index][0]._signal_end(signal)
+            radios[index]._signal_end(signal)
         self.ended = index
 
 
@@ -194,12 +232,11 @@ class WirelessChannel:
         # ``[move_generation, cell_key, block_stamp, payload]`` validated on
         # lookup by _cached_payload(); set_positions never walks them.
         #
-        # _delivery_cache payload: ([_Edge, ...], tie_gap) — every radio
-        # inside interference range in (delay, registration) order, i.e. the
-        # order their signals start in, and the smallest difference in delay
-        # that must not round away (see _build_deliveries).  This is the only
-        # per-pair state the channel holds: a pair out of interference range
-        # is classified when a list is built and then forgotten.
+        # _delivery_cache payload: a _Deliveries — every radio inside
+        # interference range as columns in (delay, registration) order, i.e.
+        # the order their signals start in.  This is the only per-pair state
+        # the channel holds: a pair out of interference range is classified
+        # when a list is built and then forgotten.
         self._delivery_cache: Dict[int, _StampedEntry] = {}
         # _neighbor_cache payload: in-transmission-range node ids, in
         # registration order (the geometric_neighbors_of answer).
@@ -480,31 +517,33 @@ class WirelessChannel:
         deliveries = self._cached_payload(self._delivery_cache, sender_id)
         if deliveries is None:
             deliveries = self._build_deliveries(sender_id)
-        edges, tie_gap = deliveries
-        stats.deliveries_attempted += len(edges)
+        stats.deliveries_attempted += len(deliveries.radios)
         now = self.sim.now
-        if edges and tie_gap <= math.ulp(now + edges[-1][1]):
+        delays = deliveries.delays
+        if deliveries.radios and deliveries.tie_gap <= math.ulp(now + delays[-1]):
             # Two delays this close can round to one arrival time, where the
             # sequence numbers decide: order by the keys as they are now.
-            edges = sorted(edges, key=lambda edge: (now + edge[1], edge[4]))
-        return _Transmission(self.sim, sender, edges, packet.copy(), duration)
+            offsets = deliveries.offsets
+            deliveries = deliveries.reordered(sorted(
+                range(len(offsets)), key=lambda k: (now + delays[k], offsets[k])))
+        return _Transmission(self.sim, sender, deliveries, packet.copy(), duration)
 
-    def _build_deliveries(self, sender_id: int) -> Tuple[List[_Edge], float]:
+    def _build_deliveries(self, sender_id: int) -> _Deliveries:
         """Compute and cache the in-range receiver list for ``sender_id``.
 
         Candidates come from the sender's 3×3 grid neighbourhood (every radio
         inside interference range by construction) and are numbered in
         registration order, so each signal start gets the sequence number it
         would from scanning the full radio table — golden traces depend on
-        that.  The list is then sorted by delay, the order the signals start
-        in.  ``tie_gap`` is the smallest delay difference between neighbours
-        in it that are out of registration order: should ``now + delay``
-        round that away, the two start in the same instant and the sort by
-        delay has them the wrong way round (:meth:`broadcast` checks).
+        that.  The columns are then put in delay order, the order the signals
+        start in.
         """
-        deliveries: List[_Edge] = []
+        radios: List[Radio] = []
+        receivable: List[bool] = []
+        delays: List[float] = []
+        powers: List[float] = []
         if sender_id not in self._down_nodes:
-            radios = self._radios
+            all_radios = self._radios
             down = self._down_nodes
             blocked = self._blocked_links
             candidates = sorted(self._grid.neighborhood(sender_id),
@@ -518,20 +557,19 @@ class WirelessChannel:
                 if blocked and self.is_link_blocked(sender_id, receiver_id):
                     continue
                 distance = origin.distance_to(positions[receiver_id])
-                receivable, interferes = propagation.classify(distance)
+                can_decode, interferes = propagation.classify(distance)
                 if interferes:
-                    deliveries.append((radios[receiver_id],
-                                       propagation.propagation_delay(distance),
-                                       receivable,
-                                       propagation.relative_power(distance),
-                                       len(deliveries)))
-        deliveries.sort(key=itemgetter(1, 4))      # by delay, then offset
-        tie_gap = min((after[1] - before[1]
-                       for before, after in zip(deliveries, deliveries[1:])
-                       if before[4] > after[4]), default=math.inf)
+                    radios.append(all_radios[receiver_id])
+                    receivable.append(can_decode)
+                    delays.append(propagation.propagation_delay(distance))
+                    powers.append(propagation.relative_power(distance))
+        count = len(radios)
+        # By delay; a stable sort keeps equal delays in registration order.
+        deliveries = _Deliveries(radios, receivable, delays, powers, range(count),
+                                 sorted(range(count), key=delays.__getitem__))
         cell = self._grid.cell_of(sender_id)
         self._delivery_cache[sender_id] = [
-            self._move_generation, cell, self._block_stamp(cell), (deliveries, tie_gap)
+            self._move_generation, cell, self._block_stamp(cell), deliveries
         ]
         self.stats.delivery_rebuilds += 1
-        return deliveries, tie_gap
+        return deliveries

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry:
-    """One destination's routing state.
+    """One destination's routing state (slotted: a city-scale run holds one
+    per node and destination it has heard of).
 
     Attributes:
         destination: Destination node id.

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from array import array
+
 import pytest
 
 from repro.core.errors import ConfigurationError, SchedulingError
+from repro.experiments.scenarios import build_named_scenario
 from repro.net.headers import IpHeader, IpProtocol
 from repro.net.interfaces import PhyListener
 from repro.net.packet import Packet
@@ -338,9 +342,13 @@ def delivery_lists(channel):
     lists = {}
     for node_id in channel.node_ids:
         cached = channel._cached_payload(channel._delivery_cache, node_id)
-        edges, tie_gap = cached if cached is not None else channel._build_deliveries(node_id)
+        deliveries = cached if cached is not None else channel._build_deliveries(node_id)
+        columns = (deliveries.radios, deliveries.delays, deliveries.receivable,
+                   deliveries.powers, deliveries.offsets)
+        assert len(set(map(len, columns))) == 1
         lists[node_id] = ([(radio.node_id, delay, receivable, power, offset)
-                           for radio, delay, receivable, power, offset in edges], tie_gap)
+                           for radio, delay, receivable, power, offset in zip(*columns)],
+                          deliveries.tie_gap)
     return lists
 
 
@@ -396,9 +404,10 @@ class TestDeliveryListIsTheLinkStructure:
                 return {value} & set(FIELD)
             if isinstance(value, dict):
                 return peers(list(value)) | peers(list(value.values()))
-            if isinstance(value, (list, tuple, set, frozenset)):
+            if isinstance(value, (list, tuple, set, frozenset, array)):
                 return set().union(*map(peers, value))
-            return set()
+            slots = getattr(type(value), "__slots__", ())
+            return set().union(*(peers(getattr(value, name)) for name in slots))
 
         per_sender = {name: value for name, value in vars(channel).items()
                       if isinstance(value, dict) and value and set(value) <= set(FIELD)}
@@ -408,3 +417,26 @@ class TestDeliveryListIsTheLinkStructure:
                 for other in peers(value) - {node_id}:
                     assert channel.distance(node_id, other) <= interference_range, \
                         f"{name}[{node_id}] holds non-interfering peer {other}"
+
+
+class TestDeliveryListFootprint:
+    """Delivery lists are columns: a cached receiver costs its share of two
+    lists and three arrays, not a tuple with two boxed floats (≈141 bytes)."""
+
+    def test_every_senders_list_costs_at_most_80_bytes_per_edge(self):
+        channel = build_named_scenario("random-rwalk-vegas-2mbps", seed=3).channel
+        channel._delivery_cache.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for node_id in channel.node_ids:
+                channel._build_deliveries(node_id)
+            cost = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        node_ids = channel.node_ids
+        reach = channel.propagation.interference_range
+        edges = sum(channel.distance(a, b) <= reach
+                    for a in node_ids for b in node_ids if a != b)
+        assert (len(channel._delivery_cache), edges) == (120, 3652)
+        assert cost / edges <= 80

@@ -51,11 +51,13 @@ class OracleChannel(WirelessChannel):
         deliveries = self._cached_payload(self._delivery_cache, sender.node_id)
         if deliveries is None:
             deliveries = self._build_deliveries(sender.node_id)
-        in_registration_order = sorted(deliveries[0], key=lambda edge: edge[4])
+        offsets = deliveries.offsets
+        in_registration_order = sorted(range(len(offsets)), key=offsets.__getitem__)
         self.stats.deliveries_attempted += len(in_registration_order)
-        for radio, delay, receivable, power, _ in in_registration_order:
-            self.sim.schedule(delay, self._signal_start, radio, packet.copy(),
-                              duration, receivable, power)
+        for k in in_registration_order:
+            self.sim.schedule(deliveries.delays[k], self._signal_start,
+                              deliveries.radios[k], packet.copy(), duration,
+                              deliveries.receivable[k], deliveries.powers[k])
         return _SendersEndAlone(sender)
 
     def _signal_start(self, radio, packet, duration, receivable, power):
@@ -298,9 +300,10 @@ def test_delays_that_round_to_one_arrival_time_start_in_sequence_order(make_sim)
         world = World(channel_class, make_sim(), 0, positions)
         world.budget = 0
         sim, channel = world.sim, world.channel
-        (near, far), tie_gap = channel._build_deliveries(0)
-        assert (near[0].node_id, far[0].node_id) == (2, 1) and 0 < tie_gap < 1e-13
-        assert 4096.0 + near[1] == 4096.0 + far[1]
+        deliveries = channel._build_deliveries(0)
+        (near, far), (near_delay, far_delay) = deliveries.radios, deliveries.delays
+        assert (near.node_id, far.node_id) == (2, 1) and 0 < deliveries.tie_gap < 1e-13
+        assert 4096.0 + near_delay == 4096.0 + far_delay
         for at in (1.0, 4096.0):
             sim.schedule_at(at, world.radios[0].transmit, Packet(), 1e-3)
         sim.run()

@@ -49,18 +49,21 @@ def brute_force_in_range(channel, node_id, radius):
 def receivers_in_registration_order(deliveries):
     """Receiver ids of a delivery-cache payload, by their sequence offsets.
 
-    The payload lists receivers in the order their signals start — by
-    ``(delay, offset)`` — and numbers them (``offset``) in registration
+    The payload's columns list receivers in the order their signals start —
+    by ``(delay, offset)`` — and number them (``offsets``) in registration
     order, the order the per-receiver sequence numbers are handed out in.
     """
-    edges, tie_gap = deliveries
-    assert edges == sorted(edges, key=lambda edge: (edge[1], edge[4]))
-    assert tie_gap == min((after[1] - before[1]
-                           for before, after in zip(edges, edges[1:])
-                           if before[4] > after[4]), default=float("inf")) > 0
-    by_offset = sorted(edges, key=lambda edge: edge[4])
-    assert [edge[4] for edge in by_offset] == list(range(len(edges)))
-    return [edge[0].node_id for edge in by_offset]
+    radios, delays, offsets = deliveries.radios, deliveries.delays, deliveries.offsets
+    assert len(radios) == len(deliveries.receivable) == len(delays) \
+        == len(deliveries.powers) == len(offsets)
+    keys = list(zip(delays, offsets))
+    assert keys == sorted(keys)
+    assert deliveries.tie_gap == min((after[0] - before[0]
+                                      for before, after in zip(keys, keys[1:])
+                                      if before[1] > after[1]), default=float("inf")) > 0
+    by_offset = sorted(range(len(offsets)), key=offsets.__getitem__)
+    assert [offsets[k] for k in by_offset] == list(range(len(offsets)))
+    return [radios[k].node_id for k in by_offset]
 
 
 def assert_views_match_brute_force(channel):

@@ -66,7 +66,7 @@ class FrameWatch:
 
         def watched_run_ends(transmission):
             run_ends(transmission)
-            if transmission.ended == len(transmission.edges):
+            if transmission.ended == len(transmission.deliveries.radios):
                 watch.compare(transmission.packet, "somebody who kept it")
                 del watch.sent[id(transmission.packet)]
 

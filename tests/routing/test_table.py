@@ -22,6 +22,12 @@ class TestRouteEntry:
     def test_not_usable_when_invalid(self):
         assert not entry(valid=False).is_usable(now=1.0)
 
+    def test_entry_is_slotted(self):
+        # A city-scale run holds one entry per node and destination heard of.
+        assert not hasattr(entry(), "__dict__")
+        with pytest.raises(AttributeError):
+            entry().next_hopp = 3
+
 
 class TestRoutingTable:
     def test_lookup_returns_usable_entry(self):
