@@ -117,7 +117,7 @@ _STUDIES: Dict[str, StudyResult] = {}
 def study(sweep: SweepSpec) -> StudyResult:
     """The result of ``sweep``, run through :func:`run_study` once per session."""
     if sweep.name not in _STUDIES:
-        _STUDIES[sweep.name] = run_study(sweep, cache_dir=CACHE_DIR)
+        _STUDIES[sweep.name] = run_study(sweep, store=CACHE_DIR)
     return _STUDIES[sweep.name]
 
 

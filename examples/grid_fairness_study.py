@@ -16,7 +16,14 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ScenarioConfig, TransportVariant, format_table, grid_topology, run_scenario
+from repro import (
+    Scenario,
+    ScenarioConfig,
+    ScenarioSpec,
+    TransportVariant,
+    format_table,
+    grid_topology,
+)
 from repro.experiments.smoke import smoke_scaled
 
 
@@ -46,7 +53,7 @@ def main() -> None:
             max_sim_time=400.0,
             seed=args.seed,
         )
-        result = run_scenario(topology, config)
+        result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         rows.append(
             [variant.value]
             + [round(flow.goodput_kbps, 1) for flow in result.flows]

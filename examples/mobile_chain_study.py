@@ -65,7 +65,7 @@ def sweep_speed(args: argparse.Namespace) -> None:
         replications=args.replications,
     )
     started = time.perf_counter()
-    study = run_study(spec, cache_dir=args.cache_dir or None)
+    study = run_study(spec, store=args.cache_dir or None)
     elapsed = time.perf_counter() - started
 
     rows = []

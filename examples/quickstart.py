@@ -15,7 +15,14 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ScenarioConfig, TransportVariant, chain_topology, format_table, run_scenario
+from repro import (
+    Scenario,
+    ScenarioConfig,
+    ScenarioSpec,
+    TransportVariant,
+    chain_topology,
+    format_table,
+)
 from repro.experiments.smoke import smoke_scaled
 
 
@@ -47,7 +54,7 @@ def main() -> None:
             max_sim_time=600.0,
             seed=args.seed,
         )
-        result = run_scenario(topology, config)
+        result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         flow = result.flows[0]
         rows.append([
             variant.value,

@@ -18,7 +18,14 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ScenarioConfig, TransportVariant, format_table, random_topology, run_scenario
+from repro import (
+    Scenario,
+    ScenarioConfig,
+    ScenarioSpec,
+    TransportVariant,
+    format_table,
+    random_topology,
+)
 from repro.experiments.smoke import smoke_scaled
 
 
@@ -57,7 +64,7 @@ def main() -> None:
             variant=variant, bandwidth_mbps=args.bandwidth,
             packet_target=args.packets, max_sim_time=400.0, seed=args.seed,
         )
-        result = run_scenario(topology, config)
+        result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         rows.append(
             [variant.value]
             + [round(flow.goodput_kbps, 1) for flow in result.flows]

@@ -62,8 +62,8 @@ def main() -> None:
     started = time.perf_counter()
     study = run_study(
         spec,
-        parallel=False if args.serial else None,
-        cache_dir=args.cache_dir or None,
+        backend="serial" if args.serial else None,
+        store=args.cache_dir or None,
     )
     elapsed = time.perf_counter() - started
 

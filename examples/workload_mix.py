@@ -18,9 +18,14 @@ from __future__ import annotations
 import argparse
 
 from repro import (
-    ScenarioBuilder,
+    FlowSpec,
+    Scenario,
     ScenarioConfig,
+    ScenarioEvent,
+    ScenarioSpec,
     SweepSpec,
+    Workload,
+    chain_topology,
     format_table,
     mixed_transport_workload,
     run_study,
@@ -41,18 +46,20 @@ def two_flow_chain(hops: int) -> Topology:
 
 def run_scripted_scenario(args) -> None:
     """One mixed scenario with a timeline: late Vegas entry + node outage."""
-    result = (
-        ScenarioBuilder("newreno-vs-late-vegas")
-        .topology("chain", hops=args.hops)
-        .configure(packet_target=args.packets, max_sim_time=240.0,
-                   seed=args.seed)
-        .flow(0, args.hops, variant="newreno")
-        .flow(0, args.hops, variant="vegas", label="latecomer")
-        .start_flow(2, at=5.0)
-        .node_down(args.hops // 2, at=20.0)
-        .node_up(args.hops // 2, at=28.0)
-        .run()
+    spec = ScenarioSpec(
+        name="newreno-vs-late-vegas",
+        topology=chain_topology(hops=args.hops),
+        workload=Workload(flows=(
+            FlowSpec(0, args.hops, variant="newreno"),
+            FlowSpec(0, args.hops, variant="vegas", label="latecomer"),
+        )),
+        config=ScenarioConfig(packet_target=args.packets, max_sim_time=240.0,
+                              seed=args.seed),
+        timeline=(ScenarioEvent.flow_start(5.0, flow=2),
+                  ScenarioEvent.node_down(20.0, args.hops // 2),
+                  ScenarioEvent.node_up(28.0, args.hops // 2)),
     )
+    result = Scenario(spec).run()
 
     print(f"\n=== {result.name} ===")
     rows = [
@@ -82,8 +89,8 @@ def run_mix_study(args) -> None:
                             seed=args.seed),
         replications=args.replications,
     )
-    study = run_study(spec, parallel=not args.serial,
-                      cache_dir=args.cache_dir or None)
+    study = run_study(spec, backend="serial" if args.serial else "process-pool",
+                      store=args.cache_dir or None)
 
     print(f"\n=== traffic-mix sweep ({args.replications} seed(s)/point) ===")
     rows = []

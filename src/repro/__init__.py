@@ -10,17 +10,18 @@ with mobile ones (``ScenarioConfig(mobility="random-waypoint")``).
 
 Typical use (single scenario)::
 
-    from repro import ScenarioConfig, TransportVariant, chain_topology, run_scenario
+    from repro import Scenario, ScenarioConfig, ScenarioSpec, chain_topology
 
-    result = run_scenario(
-        chain_topology(hops=7),
-        ScenarioConfig(variant=TransportVariant.VEGAS, bandwidth_mbps=2.0,
-                       packet_target=500),
+    spec = ScenarioSpec(
+        topology=chain_topology(hops=7),
+        config=ScenarioConfig(variant="vegas", bandwidth_mbps=2.0,
+                              packet_target=500),
     )
+    result = Scenario(spec).run()
     print(result.aggregate_goodput_kbps, "kbit/s")
 
 Declarative sweep with seed replication, parallel execution and crash-safe
-checkpointing (an interrupted study resumes from ``cache_dir``, re-executing
+checkpointing (an interrupted study resumes from its ``store``, re-executing
 only the missing items)::
 
     from repro import ScenarioConfig, SweepSpec, run_study
@@ -28,7 +29,7 @@ only the missing items)::
     spec = SweepSpec(topology="chain",
                      axes={"variant": ["vegas", "newreno"], "hops": [2, 4, 8]},
                      base=ScenarioConfig(packet_target=250), replications=3)
-    study = run_study(spec, parallel=True, cache_dir=".study-cache")
+    study = run_study(spec, backend="process-pool", store=".study-store")
     for point in study.points:
         print(point.values, point.goodput_interval)
 """
@@ -43,7 +44,6 @@ from repro.experiments.config import (
 from repro.experiments.results import FlowResult, ScenarioResult, format_table
 from repro.experiments.workload import (
     FlowSpec,
-    ScenarioBuilder,
     ScenarioEvent,
     ScenarioSpec,
     Workload,
@@ -98,12 +98,10 @@ __all__ = [
     "ScenarioResult",
     "format_table",
     "Scenario",
-    "run_scenario",
     "FlowSpec",
     "Workload",
     "ScenarioEvent",
     "ScenarioSpec",
-    "ScenarioBuilder",
     "mixed_transport_workload",
     "available_scenarios",
     "build_named_scenario",
@@ -113,7 +111,6 @@ __all__ = [
     "run_study",
     "ResultStore",
     "backend_names",
-    "execute_study",
     "register_backend",
     "chain_topology",
     "grid_topology",

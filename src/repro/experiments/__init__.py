@@ -3,23 +3,23 @@
 Three layers, from low-level to high-level:
 
 * **Workload composition** — :class:`FlowSpec` / :class:`Workload` /
-  :class:`ScenarioEvent` / :class:`ScenarioSpec` (and the fluent
-  :class:`ScenarioBuilder`) describe *what runs*: per-flow transport
-  variants, application timing and budgets, and a scripted timeline of
-  mid-run interventions.  See :mod:`repro.experiments.workload`.
+  :class:`ScenarioEvent` / :class:`ScenarioSpec` describe *what runs*:
+  per-flow transport variants, application timing and budgets, and a
+  scripted timeline of mid-run interventions.  See
+  :mod:`repro.experiments.workload`.
 
-* **Scenario execution** — :class:`Scenario` / :func:`run_scenario` turn one
-  (:class:`~repro.topology.base.Topology`, :class:`ScenarioConfig`) pair into
-  a :class:`ScenarioResult`.  The runner is transport-agnostic: variants are
-  resolved through :mod:`repro.transport.registry`, topologies are addressable
-  by name through :mod:`repro.topology.registry`, and
+* **Scenario execution** — ``Scenario(spec).run()`` turns one
+  :class:`ScenarioSpec` into a :class:`ScenarioResult`; it is the only way
+  to run a scenario.  The runner is transport-agnostic: variants are
+  resolved through :mod:`repro.transport.registry`, topologies are
+  addressable by name through :mod:`repro.topology.registry`, and
   :func:`~repro.experiments.scenarios.build_named_scenario` instantiates
   ready-made presets generated from those registries.
 * **Declarative studies** — :class:`SweepSpec` describes a cartesian sweep
-  (axes × replications) as data; :func:`run_study` executes it through the
-  :mod:`repro.experiments.exec` execution plane: a work queue of
-  fingerprint-keyed items drained by a registered executor backend
-  (``serial`` or ``process-pool``), checkpointed into a crash-safe
+  (axes × replications) as data; :func:`run_study`, the only study driver,
+  executes it through the :mod:`repro.experiments.exec` execution plane: a
+  work queue of fingerprint-keyed items drained by a registered executor
+  backend (``serial`` or ``process-pool``), checkpointed into a crash-safe
   :class:`~repro.experiments.exec.store.ResultStore` (resume re-executes
   only missing items) and aggregated into a :class:`StudyResult` with
   cross-seed confidence intervals.  The paper's figures are rows of one
@@ -40,7 +40,6 @@ from repro.experiments.config import (
 from repro.experiments.results import FlowResult, ScenarioResult, format_table
 from repro.experiments.workload import (
     FlowSpec,
-    ScenarioBuilder,
     ScenarioEvent,
     ScenarioSpec,
     Workload,
@@ -53,14 +52,14 @@ from repro.experiments.workload import (
 #: does not import ``runner`` or ``scenarios`` itself, ``python -m`` can run
 #: either as ``__main__`` without finding it already imported.
 _LAZY = {
-    **dict.fromkeys(("Scenario", "run_scenario"), "repro.experiments.runner"),
+    "Scenario": "repro.experiments.runner",
     **dict.fromkeys(("available_scenarios", "build_named_scenario",
                      "register_scenario"), "repro.experiments.scenarios"),
     **dict.fromkeys(("PointResult", "StudyResult", "SweepSpec", "run_study"),
                     "repro.experiments.study"),
     **dict.fromkeys(("ExecutorBackend", "ResultStore", "StudyExecutionError",
-                     "backend_names", "execute_study", "get_backend",
-                     "register_backend"), "repro.experiments.exec"),
+                     "backend_names", "get_backend", "register_backend"),
+                    "repro.experiments.exec"),
 }
 
 
@@ -73,7 +72,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "FlowSpec",
-    "ScenarioBuilder",
     "ScenarioEvent",
     "ScenarioSpec",
     "Workload",
@@ -89,7 +87,6 @@ __all__ = [
     "ScenarioResult",
     "format_table",
     "Scenario",
-    "run_scenario",
     "available_scenarios",
     "build_named_scenario",
     "register_scenario",
@@ -101,7 +98,6 @@ __all__ = [
     "ResultStore",
     "StudyExecutionError",
     "backend_names",
-    "execute_study",
     "get_backend",
     "register_backend",
 ]

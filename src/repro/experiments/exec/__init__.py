@@ -11,20 +11,19 @@ into a fault-tolerant execution pipeline:
   interrupted study resumes;
 * :mod:`~repro.experiments.exec.backends` — the :class:`ExecutorBackend`
   registry (``serial`` reference loop, ``process-pool`` pull workers) and
-  :func:`execute_study`, the single driver;
+  :func:`run_work_item`, the task every backend runs;
 * :mod:`~repro.experiments.exec.aggregate` — streaming assembly of the
   :class:`~repro.experiments.study.StudyResult` with online cross-seed
   confidence intervals and progress/ETA reporting.
 
-:func:`~repro.experiments.study.run_study` calls :func:`execute_study`;
-either takes progress callbacks, explicit backend selection and a store to
+:func:`~repro.experiments.study.run_study` is the one driver of this plane;
+it takes progress callbacks, explicit backend selection and a store to
 resume from::
 
-    from repro.experiments.exec import execute_study
+    from repro.experiments.study import run_study
 
-    study = execute_study(spec, backend="process-pool",
-                          store=".study-store",
-                          progress=lambda s: print(s.describe()))
+    study = run_study(spec, backend="process-pool", store=".study-store",
+                      progress=lambda s: print(s.describe()))
 
 See ``docs/studies.md`` for the execution model and resume semantics.
 """
@@ -36,7 +35,6 @@ from repro.experiments.exec.backends import (
     SimulatedCrash,
     StudyExecutionError,
     backend_names,
-    execute_study,
     executor_backends,
     get_backend,
     register_backend,
@@ -60,7 +58,6 @@ __all__ = [
     "SimulatedCrash",
     "StudyExecutionError",
     "backend_names",
-    "execute_study",
     "executor_backends",
     "get_backend",
     "register_backend",

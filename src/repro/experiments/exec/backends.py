@@ -19,9 +19,9 @@ stored, aggregated results.  Two backends ship built in:
     dead worker process (``BrokenProcessPool``) costs only the items it held:
     they are re-queued with backoff and the pool is rebuilt.
 
-Both drive the same queue/store/aggregator machinery via
-:func:`execute_study`, the single entry point
-:func:`~repro.experiments.study.run_study` calls.
+Both drive the same queue/store/aggregator machinery through an
+:class:`ExecutionContext` that :func:`~repro.experiments.study.run_study`,
+the single study driver, builds.
 The registry seam is what a future multi-host backend plugs into: anything
 that can lease items and publish fingerprint-keyed results is a backend.
 """
@@ -34,7 +34,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING, Union,
+    Callable, Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING,
 )
 
 from repro.core.errors import ConfigurationError, SimulationError
@@ -43,8 +43,6 @@ from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.exec.aggregate import ProgressSnapshot, StreamingAggregator
 from repro.experiments.exec.store import ResultStore
 from repro.experiments.exec.workqueue import (
-    DEFAULT_LEASE_TIMEOUT,
-    DEFAULT_MAX_RETRIES,
     WorkItem,
     WorkItemState,
     WorkQueue,
@@ -112,15 +110,9 @@ def run_work_item(spec: "SweepSpec", values: Mapping[str, object], seed: int,
     inputs always produce the same result bits (determinism is the
     scenario's own guarantee).
     """
-    from repro.experiments.runner import run_scenario
+    from repro.experiments.runner import Scenario
 
-    uses_workload_plane = (spec.workload is not None
-                           or spec.workload_factory is not None
-                           or bool(spec.timeline))
-    if uses_workload_plane:
-        return run_scenario(spec.scenario_for(values, seed), tracer=tracer)
-    return run_scenario(spec.topology_for(values), spec.config_for(values, seed),
-                        tracer=tracer)
+    return Scenario(spec.scenario_for(values, seed), tracer=tracer).run()
 
 
 #: Signature of the per-item task a backend executes (test seam: the
@@ -464,97 +456,3 @@ register_backend(ExecutorBackend(
     description="N worker processes pulling items from the queue; survives "
                 "worker death via lease re-queue and pool rebuild",
 ))
-
-
-# ======================================================================
-# The driver
-# ======================================================================
-def execute_study(
-    spec: "SweepSpec",
-    backend: Optional[Union[str, ExecutorBackend]] = None,
-    max_workers: Optional[int] = None,
-    store: Optional[Union[str, ResultStore]] = None,
-    tracer: Tracer = NULL_TRACER,
-    progress: Optional[Callable[[ProgressSnapshot], None]] = None,
-    lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    task: WorkTask = run_work_item,
-    fail_after: Optional[int] = None,
-) -> "StudyResult":
-    """Run every work item of ``spec`` and assemble the study result.
-
-    This is the execution plane's single entry point: explode the sweep into
-    a :class:`WorkQueue`, resume completed items from the ``store``, drain
-    the remainder through the chosen ``backend``, and stream completions into
-    a :class:`StreamingAggregator` whose final read-out is bit-identical to
-    the legacy all-at-once assembly.
-
-    Args:
-        spec: The sweep to execute.
-        backend: Backend name or instance; ``None`` auto-selects
-            ``process-pool`` when more than one item remains and more than
-            one worker is available, ``serial`` otherwise.
-        max_workers: Pool-size bound for process-based backends.
-        store: Result store (or its directory); enables checkpointing and
-            crash-resume.  ``None`` keeps everything in memory.
-        tracer: Tracer for serially executed scenarios (process pools cannot
-            share one).
-        progress: Callback invoked with a :class:`ProgressSnapshot` after
-            every queue transition.
-        lease_timeout: Seconds before an unfinished lease counts as a crash.
-        max_retries: Retry budget per item beyond the first attempt.  Only
-            transient failures consume it: a :class:`ConfigurationError`
-            (e.g. a bad sweep point) is deterministic and turns the item
-            terminally FAILED without retries.
-        task: The per-item callable (test seam; defaults to
-            :func:`run_work_item`).
-        fail_after: Test/CI hook — simulate a crash (raise
-            :class:`SimulatedCrash`) after this many items completed in this
-            run; completed items are already checkpointed.
-
-    Returns:
-        The complete :class:`~repro.experiments.study.StudyResult`.
-
-    Raises:
-        StudyExecutionError: When items exhausted their retries; carries the
-            failed items and the partial result.
-        SimulatedCrash: When the ``fail_after`` hook fires.
-    """
-    queue = WorkQueue.from_spec(spec, lease_timeout=lease_timeout,
-                                max_retries=max_retries)
-    aggregator = StreamingAggregator(spec)
-    if store is not None and not isinstance(store, ResultStore):
-        store = ResultStore(store)
-
-    resumed = 0
-    if store is not None:
-        recovered = store.resume({item.key for item in queue.items})
-        for item in queue.items:
-            result = recovered.get(item.key)
-            if result is not None:
-                queue.mark_done(item)
-                aggregator.add(item.point_index, item.replication, result)
-                resumed += 1
-        if resumed:
-            store.append_journal({"event": "resume", "recovered": resumed,
-                                  "total": queue.total})
-
-    if backend is None:
-        workers = max_workers or os.cpu_count() or 1
-        backend = ("process-pool"
-                   if queue.pending_count > 1 and workers > 1 else "serial")
-    if not isinstance(backend, ExecutorBackend):
-        backend = get_backend(backend)
-
-    ctx = ExecutionContext(
-        spec=spec, queue=queue, aggregator=aggregator, store=store,
-        tracer=tracer, max_workers=max_workers, progress=progress,
-        task=task, fail_after=fail_after, resumed=resumed,
-    )
-    ctx.notify()
-    backend.runner(ctx)
-
-    failed = queue.failed_items()
-    if failed:
-        raise StudyExecutionError(failed, aggregator.partial())
-    return aggregator.result()

@@ -7,10 +7,13 @@ live simulated network (channel, nodes, transport agents, applications), runs
 it until the configured number of packets has been delivered (or the time
 limit is hit) and returns a
 :class:`repro.experiments.results.ScenarioResult` with the measures the paper
-reports.  The legacy ``Scenario(topology, config)`` entry point still works:
-the pair is compiled into a :class:`ScenarioSpec` whose flows all inherit the
-scenario-wide defaults, which reproduces the original single-variant
-behaviour bit-for-bit (pinned by the golden-trace suite).
+reports.  ``Scenario(spec).run()`` is the one way to run a scenario; a spec
+without a workload lifts the topology's own flows, every one inheriting the
+scenario-wide defaults::
+
+    spec = ScenarioSpec(topology=chain_topology(hops=7),
+                        config=ScenarioConfig(variant="vegas"))
+    result = Scenario(spec).run()
 
 The runner is registry-driven on every axis: each flow's transport variant is
 resolved through :mod:`repro.transport.registry` (the registered
@@ -23,12 +26,13 @@ no events at all).  Adding a transport variant or mobility model therefore
 never requires touching this module.
 
 Timeline events (:class:`~repro.experiments.workload.ScenarioEvent`) are
-scheduled at build time in (time, declaration) order, so a scripted scenario
-is exactly as deterministic as an unscripted one: the same seed always yields
-the same trace digest.  ``flow-start`` events take over a flow's start
-entirely (the flow is not auto-started); ``flow-stop`` stops the driving
-application; ``node-down``/``node-up`` and ``link-down``/``link-up`` toggle
-scripted radio silence and link blocks at the channel.
+checked against the built link plan and scheduled at build time in (time,
+declaration) order, so a scripted scenario is exactly as deterministic as an
+unscripted one: the same seed always yields the same trace digest.
+``flow-start`` events take over a flow's start entirely (the flow is not
+auto-started); ``flow-stop`` stops the driving application;
+``node-down``/``node-up`` and ``link-down``/``link-up`` toggle scripted radio
+silence and link blocks at the channel.
 
 Every scenario also owns a :class:`~repro.metrics.registry.MetricsRegistry`
 shared by all layers of the stack.  End-of-run scalars are harvested from a
@@ -47,13 +51,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.core.engine import Simulator
 from repro.core.errors import ConfigurationError
 from repro.core.randomness import RandomManager
 from repro.core.tracing import NULL_TRACER, Tracer
-from repro.experiments.config import ScenarioConfig
 from repro.experiments.results import FlowResult, ScenarioResult
 from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.link.gateway import WiredNode, make_gateway
@@ -88,19 +91,13 @@ _DST_PORT_BASE = 6000
 class Scenario:
     """One runnable simulation scenario.
 
-    Accepts either a complete :class:`~repro.experiments.workload.ScenarioSpec`
-    (``Scenario(spec)``) or the legacy ``Scenario(topology, config)`` pair,
-    which is compiled into an all-defaults spec.
-
     Args:
-        spec_or_topology: A :class:`ScenarioSpec`, or a topology (node
-            placement and flow pattern) paired with ``config``.
-        config: Scenario parameters (variant, bandwidth, run length, …);
-            required with a topology, forbidden with a spec.
+        spec: The complete :class:`~repro.experiments.workload.ScenarioSpec`
+            to build (topology, workload, config and timeline).
         tracer: Optional tracer shared by every component.
 
     Attributes:
-        spec: The (possibly compiled) :class:`ScenarioSpec` being run.
+        spec: The :class:`ScenarioSpec` being run.
         workload: The spec's per-flow workload.
         profiles: One resolved transport profile per flow, aligned with
             ``workload.flows`` / ``flow_stats`` / ``senders``.
@@ -109,26 +106,19 @@ class Scenario:
             plane follows ``config.metrics``).  Each scenario owns its own
             registry: its stats records register by name, so a registry
             shared across scenarios would keep only the last one's.
+
+    Raises:
+        ConfigurationError: If ``spec`` is not a :class:`ScenarioSpec`, or a
+            timeline event targets a node or link the built link plan cannot
+            act on (a node-down on a wired-only node, say).
     """
 
-    def __init__(
-        self,
-        spec_or_topology: Union[ScenarioSpec, Topology],
-        config: Optional[ScenarioConfig] = None,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
-        if isinstance(spec_or_topology, ScenarioSpec):
-            if config is not None:
-                raise ConfigurationError(
-                    "pass either a ScenarioSpec or (topology, config), not both"
-                )
-            spec = spec_or_topology
-        else:
-            if config is None:
-                raise ConfigurationError(
-                    "Scenario(topology, ...) requires a ScenarioConfig"
-                )
-            spec = ScenarioSpec.from_legacy(spec_or_topology, config)
+    def __init__(self, spec: ScenarioSpec, *, tracer: Tracer = NULL_TRACER) -> None:
+        if not isinstance(spec, ScenarioSpec):
+            raise ConfigurationError(
+                f"Scenario takes a ScenarioSpec, got {type(spec).__name__}; "
+                "build one with ScenarioSpec(topology=..., config=...)"
+            )
         self.spec = spec
         self.topology = spec.topology
         self.config = spec.config
@@ -381,12 +371,6 @@ class Scenario:
         base, remainder = divmod(self.config.packet_target, flows)
         return [base + (1 if index < remainder else 0) for index in range(flows)]
 
-    def _per_flow_batch_size(self) -> int:
-        """Deprecated equal-share batch size (kept for external callers);
-        the builder now uses :meth:`_flow_packet_shares` per flow."""
-        flows = max(1, len(self.workload))
-        return max(1, self.config.packet_target // (flows * self.config.batch_count))
-
     def _build_flow(self, index: int, flow_spec: FlowSpec, packet_share: int) -> None:
         config = flow_spec.effective_config(self.config)
         profile = get_transport(config.variant)
@@ -433,9 +417,13 @@ class Scenario:
         """Schedule every timeline event in (time, declaration) order.
 
         Scheduling happens entirely at build time, so a scripted scenario's
-        event stream is as deterministic as an unscripted one.
+        event stream is as deterministic as an unscripted one.  The spec
+        checked that each targeted node exists; here each event is checked
+        against the built link plan too, so an event nothing could act on
+        fails now rather than at its time in the middle of the run.
         """
         for event in timeline:
+            self._check_event_target(event)
             # Every action in the timeline is counted, zero or not, so the
             # snapshot's names do not depend on which events fired before
             # the run stopped.
@@ -464,15 +452,41 @@ class Scenario:
         else:  # pragma: no cover - ScenarioEvent validates its action
             raise ConfigurationError(f"unknown timeline action {action!r}")
 
-    def _set_link_blocked(self, target: int, peer: int, blocked: bool) -> None:
-        """Route a link block to the bus carrying both endpoints, falling
-        back to the wireless channel (which validates unknown nodes)."""
+    def _check_event_target(self, event: ScenarioEvent) -> None:
+        """Reject a node or link event the built link plan cannot act on."""
+        if event.is_flow_event:
+            return
+        if event.peer is None:
+            if self.nodes[event.target].radio is None:
+                raise ConfigurationError(
+                    f"timeline event {event.action!r} targets node "
+                    f"{event.target}, which has no radio"
+                )
+        elif self._bus_of_link(event.target, event.peer) is None and (
+                self.nodes[event.target].radio is None
+                or self.nodes[event.peer].radio is None):
+            raise ConfigurationError(
+                f"timeline event {event.action!r} targets the link "
+                f"{event.target}-{event.peer}, whose nodes share neither a "
+                "bus nor radios"
+            )
+
+    def _bus_of_link(self, target: int, peer: int) -> Optional[WiredBus]:
+        """The bus carrying both endpoints, or ``None``."""
         for bus in self.buses:
             node_ids = set(bus.node_ids)
             if target in node_ids and peer in node_ids:
-                bus.set_link_blocked(target, peer, blocked)
-                return
-        self.channel.set_link_blocked(target, peer, blocked)
+                return bus
+        return None
+
+    def _set_link_blocked(self, target: int, peer: int, blocked: bool) -> None:
+        """Route a link block to the bus carrying both endpoints, falling
+        back to the wireless channel."""
+        bus = self._bus_of_link(target, peer)
+        if bus is not None:
+            bus.set_link_blocked(target, peer, blocked)
+        else:
+            self.channel.set_link_blocked(target, peer, blocked)
 
     # ==================================================================
     # Execution
@@ -599,19 +613,6 @@ class Scenario:
             variant=variant_label,
             label=flow_spec.label,
         )
-
-
-def run_scenario(
-    spec_or_topology: Union[ScenarioSpec, Topology],
-    config: Optional[ScenarioConfig] = None,
-    tracer: Tracer = NULL_TRACER,
-) -> ScenarioResult:
-    """Convenience wrapper: build a :class:`Scenario` and run it.
-
-    Accepts a :class:`~repro.experiments.workload.ScenarioSpec`
-    (``run_scenario(spec)``) or the legacy ``(topology, config)`` pair.
-    """
-    return Scenario(spec_or_topology, config, tracer=tracer).run()
 
 
 # ======================================================================

@@ -1,8 +1,8 @@
 """Named scenario presets, generated from the transport/topology registries.
 
-A registry of ready-made (topology, config) pairs for the scenarios the paper
-evaluates, so examples, notebooks and ad-hoc exploration can run a standard
-setup by name::
+A registry of ready-made :class:`~repro.experiments.workload.ScenarioSpec` s
+for the scenarios the paper evaluates, so examples, notebooks and ad-hoc
+exploration can run a standard setup by name::
 
     from repro.experiments.scenarios import build_named_scenario
 
@@ -30,8 +30,7 @@ This module is also the scenario-catalog generator::
 from __future__ import annotations
 
 import difflib
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.tracing import NULL_TRACER, Tracer
@@ -45,16 +44,14 @@ from repro.experiments.workload import (
 )
 from repro.mobility.registry import mobility_profiles
 from repro.mobility.registry import registry_generation as _mobility_generation
-from repro.topology.base import Topology
 from repro.topology.registry import get_topology, topology_profiles
 from repro.topology.registry import registry_generation as _topology_generation
 from repro.transport.registry import transport_profiles
 from repro.transport.registry import registry_generation as _transport_generation
 
-#: Scenario factory type: returns either a complete
-#: :class:`~repro.experiments.workload.ScenarioSpec` or the legacy
-#: ``(topology, config)`` pair (compiled into a spec when built).
-ScenarioFactory = Callable[[], Union[ScenarioSpec, Tuple[Topology, ScenarioConfig]]]
+#: Scenario factory type: returns a complete
+#: :class:`~repro.experiments.workload.ScenarioSpec`.
+ScenarioFactory = Callable[[], ScenarioSpec]
 
 #: Hand-registered presets layered on top of the generated table.
 _EXTRA_SCENARIOS: Dict[str, ScenarioFactory] = {}
@@ -68,11 +65,12 @@ def _bandwidth_tag(bandwidth: float) -> str:
 
 def _preset_factory(family: str, params: Dict[str, object], variant_name: str,
                     bandwidth: float, overrides: Dict[str, object]) -> ScenarioFactory:
-    def factory() -> Tuple[Topology, ScenarioConfig]:
-        topology = get_topology(family).build(**params)
-        config = ScenarioConfig(variant=variant_name, bandwidth_mbps=bandwidth,
-                                **overrides)
-        return topology, config
+    def factory() -> ScenarioSpec:
+        return ScenarioSpec(
+            topology=get_topology(family).build(**params),
+            config=ScenarioConfig(variant=variant_name, bandwidth_mbps=bandwidth,
+                                  **overrides),
+        )
     return factory
 
 
@@ -191,9 +189,10 @@ def city_scenario_spec(
 
     The placement comes from
     :func:`repro.topology.random_topology.city_topology` (paper node density,
-    area scaled with ``sqrt(node_count/1000)``) and the flows are lifted into
-    an explicit Workload API v2 flow list; only the channel's grid spatial
-    index and lazy cache invalidation make populations of this size tractable.
+    area scaled with ``sqrt(node_count/1000)``) and the topology's flows run
+    the config's variant, so a ``variant=`` override switches them all; only
+    the channel's grid spatial index and lazy cache invalidation make
+    populations of this size tractable.
     ``mobility`` selects any registered mobile profile — the shipped presets
     use ``random-waypoint`` and ``manhattan``.  Above 1000 nodes the spec
     turns on expanding-ring AODV search so route discoveries stop flooding
@@ -215,7 +214,6 @@ def city_scenario_spec(
     return ScenarioSpec(
         name=f"city{node_count}-{mobility}",
         topology=topology,
-        workload=Workload.from_topology(topology, variant="newreno"),
         config=ScenarioConfig(
             variant="newreno",
             bandwidth_mbps=2.0,
@@ -242,7 +240,8 @@ def backbone_scenario_spec(variant: str = "newreno", cells: int = 2,
     :mod:`repro.link.gateway` documents.
 
     Args:
-        variant: Transport variant every flow runs.
+        variant: Transport variant every flow runs (the config's variant,
+            which a ``variant=`` override replaces).
         cells: Gateways (= wireless cells) on the spine.
         cell_hops: Wireless hops from each gateway to its cell's tail.
     """
@@ -252,7 +251,6 @@ def backbone_scenario_spec(variant: str = "newreno", cells: int = 2,
     return ScenarioSpec(
         name=f"backbone{cells}x{cell_hops}-{variant}",
         topology=topology,
-        workload=Workload.from_topology(topology, variant=variant),
         config=ScenarioConfig(variant=variant, bandwidth_mbps=2.0,
                               routing="static", max_sim_time=600.0),
     )
@@ -301,13 +299,6 @@ register_scenario(
                                flow_count=1000))
 
 
-#: Snapshot (a copy) of the preset table at import time, kept for backwards
-#: compatibility.  Prefer :func:`available_scenarios` /
-#: :func:`register_scenario`: this snapshot neither reflects transports
-#: registered later nor feeds lookups if mutated.
-SCENARIOS: Dict[str, ScenarioFactory] = dict(_generated_presets())
-
-
 def available_scenarios() -> List[str]:
     """Sorted list of all registered scenario names."""
     return sorted(_generated_presets())
@@ -328,7 +319,8 @@ def build_named_scenario(
 
     Raises:
         ConfigurationError: If the name is unknown (the message suggests
-            close matches).
+            close matches), or its factory returns anything but a
+            :class:`ScenarioSpec`.
     """
     factory = _generated_presets().get(name)
     if factory is None:
@@ -341,14 +333,15 @@ def build_named_scenario(
             f"(run `python -m repro.experiments.runner --list` for all "
             f"{len(available_scenarios())} presets)"
         )
-    built = factory()
-    if isinstance(built, ScenarioSpec):
-        spec = built.with_config(**config_overrides) if config_overrides else built
-        return Scenario(spec, tracer=tracer)
-    topology, config = built
+    spec = factory()
+    if not isinstance(spec, ScenarioSpec):
+        raise ConfigurationError(
+            f"scenario {name!r}: its factory returned {type(spec).__name__}, "
+            "not a ScenarioSpec; return ScenarioSpec(topology=..., config=...)"
+        )
     if config_overrides:
-        config = replace(config, **config_overrides)
-    return Scenario(topology, config, tracer=tracer)
+        spec = spec.with_config(**config_overrides)
+    return Scenario(spec, tracer=tracer)
 
 
 # ======================================================================

@@ -13,7 +13,7 @@ sweeps as *data* instead of bespoke nested loops:
   :class:`~repro.experiments.exec.workqueue.WorkQueue`, drained by a
   registered :class:`~repro.experiments.exec.backends.ExecutorBackend`
   (``serial`` or ``process-pool``), checkpointed into a crash-safe
-  :class:`~repro.experiments.exec.store.ResultStore` (``cache_dir``) and
+  :class:`~repro.experiments.exec.store.ResultStore` (``store=``) and
   streamed into the result as items complete — so an interrupted study
   resumes from disk, re-executing only the missing items.
 * :class:`StudyResult` aggregates the per-seed results into cross-seed
@@ -33,7 +33,7 @@ Quickstart::
         base=ScenarioConfig(packet_target=250),
         replications=3,
     )
-    study = run_study(spec, parallel=True)
+    study = run_study(spec, backend="process-pool", store=".study-store")
     for point in study.points:
         print(point.values, point.goodput_interval)
 
@@ -46,8 +46,8 @@ number of Vegas flows competing with NewReno); every other key is passed to
 the topology builder (so ``hops`` reaches
 :func:`repro.topology.chain.chain_topology`).  Seeds are never an axis:
 replication ``r`` runs with ``base_seed + r``, which makes a
-single-replication study bit-identical to a direct ``run_scenario`` call with
-the base config's seed.
+single-replication study bit-identical to ``Scenario(spec).run()`` on the
+point's spec with the base config's seed.
 
 Parallel execution requires every sweep point to be picklable and every
 referenced transport/topology to be registered at import time of a module the
@@ -63,6 +63,7 @@ import enum
 import hashlib
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -74,6 +75,23 @@ from repro.core.io import atomic_write_text
 from repro.core.statistics import ConfidenceInterval, confidence_interval
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.config import ScenarioConfig, resolve_variant
+from repro.experiments.exec.aggregate import ProgressSnapshot, StreamingAggregator
+from repro.experiments.exec.backends import (
+    ExecutionContext,
+    ExecutorBackend,
+    SimulatedCrash,
+    StudyExecutionError,
+    WorkTask,
+    executor_backends,
+    get_backend,
+    run_work_item,
+)
+from repro.experiments.exec.store import ResultStore
+from repro.experiments.exec.workqueue import (
+    DEFAULT_LEASE_TIMEOUT,
+    DEFAULT_MAX_RETRIES,
+    WorkQueue,
+)
 from repro.experiments.results import ScenarioResult
 from repro.experiments.workload import ScenarioEvent, ScenarioSpec, Workload
 from repro.topology.base import Topology
@@ -315,7 +333,8 @@ class SweepSpec:
 
     def workload_for(self, values: Mapping[str, object],
                      topology: Topology) -> Optional[Workload]:
-        """The :class:`Workload` of one sweep point (None = legacy flows)."""
+        """The :class:`Workload` of one sweep point (``None`` = the
+        topology's own flows)."""
         if self.workload_factory is not None:
             return self.workload_factory(topology, **self.workload_params_for(values))
         return self.workload
@@ -561,41 +580,51 @@ class StudyResult:
 
 def run_study(
     spec: SweepSpec,
-    parallel: Optional[bool] = None,
+    backend: Optional[Union[str, ExecutorBackend]] = None,
     max_workers: Optional[int] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
+    store: Optional[Union[str, Path, ResultStore]] = None,
     tracer: Tracer = NULL_TRACER,
-    backend: Optional[str] = None,
-    progress: Optional[Callable[..., None]] = None,
+    progress: Optional[Callable[[ProgressSnapshot], None]] = None,
+    lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+    task: WorkTask = run_work_item,
+    fail_after: Optional[int] = None,
 ) -> StudyResult:
     """Run every (point, seed) combination of ``spec``.
 
-    The sweep is exploded into idempotent, fingerprint-keyed work items and
-    drained by an executor backend (:mod:`repro.experiments.exec`).  With a
-    ``cache_dir``, completed items are checkpointed into a crash-safe
-    :class:`~repro.experiments.exec.store.ResultStore`, so identical
+    The sweep is exploded into idempotent, fingerprint-keyed work items on a
+    :class:`~repro.experiments.exec.workqueue.WorkQueue`, items already in
+    the ``store`` are resumed from it, the remainder is drained by an
+    executor backend (:mod:`repro.experiments.exec`) and completions stream
+    into a :class:`~repro.experiments.exec.aggregate.StreamingAggregator`.
+    With a ``store``, completed items are checkpointed, so identical
     configurations are never simulated twice — across calls, processes and
-    sessions — and an interrupted study resumes from the store, re-executing
-    only the missing items.
+    sessions — and an interrupted study re-executes only the missing items.
 
     Args:
         spec: The sweep to execute.
-        parallel: ``True`` forces the ``process-pool`` backend, ``False``
-            forces ``serial``, ``None`` (default) picks the pool when more
-            than one unfinished item exists and more than one worker is
-            available.  Ignored when ``backend`` is given.
+        backend: Backend name or instance (see
+            :func:`repro.experiments.exec.backends.backend_names`); ``None``
+            picks ``process-pool`` when more than one unfinished item exists
+            and more than one worker is available, ``serial`` otherwise.
         max_workers: Process-pool size (default: ``os.cpu_count()``).
-        cache_dir: Directory of the per-item result store; ``None`` disables
-            checkpointing (and resume).
+        store: A :class:`~repro.experiments.exec.store.ResultStore` or its
+            directory; ``None`` keeps everything in memory (no resume).
         tracer: Tracer passed to serially executed scenarios.  Worker
             processes cannot share a tracer object, so pool runs trace into
             :data:`~repro.core.tracing.NULL_TRACER`; run serially when traces
             matter.
-        backend: Executor backend name (see
-            :func:`repro.experiments.exec.backends.backend_names`).
         progress: Optional callback receiving a
             :class:`~repro.experiments.exec.aggregate.ProgressSnapshot` after
             every work-item transition.
+        lease_timeout: Seconds before an unfinished lease counts as a crash.
+        max_retries: Retry budget per item beyond the first attempt.  Only
+            transient failures consume it.
+        task: The per-item callable (test seam; defaults to
+            :func:`~repro.experiments.exec.backends.run_work_item`).
+        fail_after: Test/CI hook — simulate a crash (raise
+            :class:`~repro.experiments.exec.backends.SimulatedCrash`) after
+            this many items completed in this run; they are checkpointed.
 
     Returns:
         A :class:`StudyResult` with points in cartesian sweep order and
@@ -608,16 +637,48 @@ def run_study(
             :class:`~repro.core.errors.ConfigurationError` from a bad sweep
             point fails immediately, without retries).  The exception
             carries the failed items and a partial :class:`StudyResult`;
-            with a ``cache_dir`` the completed items are checkpointed, so a
+            with a ``store`` the completed items are checkpointed, so a
             later run re-executes only the failures.  It wraps whatever the
             scenario raised: inspect ``.failed[*].error`` for the cause.
     """
-    from repro.experiments.exec.backends import execute_study
+    queue = WorkQueue.from_spec(spec, lease_timeout=lease_timeout,
+                                max_retries=max_retries)
+    aggregator = StreamingAggregator(spec)
+    if store is not None and not isinstance(store, ResultStore):
+        store = ResultStore(store)
 
-    if backend is None and parallel is not None:
-        backend = "process-pool" if parallel else "serial"
-    return execute_study(spec, backend=backend, max_workers=max_workers,
-                         store=cache_dir, tracer=tracer, progress=progress)
+    resumed = 0
+    if store is not None:
+        recovered = store.resume({item.key for item in queue.items})
+        for item in queue.items:
+            result = recovered.get(item.key)
+            if result is not None:
+                queue.mark_done(item)
+                aggregator.add(item.point_index, item.replication, result)
+                resumed += 1
+        if resumed:
+            store.append_journal({"event": "resume", "recovered": resumed,
+                                  "total": queue.total})
+
+    if backend is None:
+        workers = max_workers or os.cpu_count() or 1
+        backend = ("process-pool"
+                   if queue.pending_count > 1 and workers > 1 else "serial")
+    if not isinstance(backend, ExecutorBackend):
+        backend = get_backend(backend)
+
+    ctx = ExecutionContext(
+        spec=spec, queue=queue, aggregator=aggregator, store=store,
+        tracer=tracer, max_workers=max_workers, progress=progress,
+        task=task, fail_after=fail_after, resumed=resumed,
+    )
+    ctx.notify()
+    backend.runner(ctx)
+
+    failed = queue.failed_items()
+    if failed:
+        raise StudyExecutionError(failed, aggregator.partial())
+    return aggregator.result()
 
 
 # ======================================================================
@@ -681,12 +742,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     error (unknown backend/topology/variant); 3 simulated crash
     (``--fail-after`` test hook).
     """
-    from repro.experiments.exec.backends import (
-        SimulatedCrash,
-        StudyExecutionError,
-        executor_backends,
-        get_backend,
-    )
     from repro.experiments.smoke import smoke_scaled
 
     parser = argparse.ArgumentParser(
@@ -779,12 +834,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    from repro.experiments.exec.backends import execute_study
-
     progress = None if args.quiet else _progress_printer(sys.stdout)
     started = time.perf_counter()
     try:
-        study = execute_study(
+        study = run_study(
             spec,
             backend=args.backend,
             max_workers=args.max_workers,

@@ -1,9 +1,8 @@
 """Workload API v2: per-flow specs, heterogeneous transports, timelines.
 
-The paper's experiments all run *one* transport variant per scenario, which is
-what the legacy ``ScenarioConfig.variant`` + ``Topology.flows`` entry point
-expresses: a scalar knob applied to every flow.  This module makes the
-workload a first-class composable object instead:
+The paper's experiments all run *one* transport variant per scenario: a
+scalar ``ScenarioConfig.variant`` applied to every flow of the topology.
+This module makes the workload a first-class composable object instead:
 
 * :class:`FlowSpec` — one traffic flow with its *own* transport variant,
   application timing (start/stop), an optional packet budget, and per-flow
@@ -16,48 +15,38 @@ workload a first-class composable object instead:
   unblock an individual link.
 * :class:`ScenarioSpec` — the complete declarative description the runner
   executes: topology + workload + scenario-wide config + a deterministic
-  **timeline** of events.
-* :class:`ScenarioBuilder` — a fluent front end for composing a spec.
+  **timeline** of events.  It is the only input of
+  :class:`~repro.experiments.runner.Scenario`.
 
 Quickstart — NewReno competing with a late-starting Vegas flow while node 3
 drops off the air for ten seconds::
 
-    from repro.experiments.workload import ScenarioBuilder
+    from repro.experiments.runner import Scenario
+    from repro.topology.chain import chain_topology
 
-    spec = (
-        ScenarioBuilder("coexistence-demo")
-        .topology("chain", hops=7)
-        .configure(packet_target=400, seed=3)
-        .flow(0, 7, variant="newreno")
-        .flow(0, 7, variant="vegas", label="latecomer")
-        .start_flow(2, at=5.0)
-        .node_down(3, at=20.0)
-        .node_up(3, at=30.0)
-        .build()
+    spec = ScenarioSpec(
+        name="coexistence-demo",
+        topology=chain_topology(hops=7),
+        workload=Workload(flows=(
+            FlowSpec(0, 7, variant="newreno"),
+            FlowSpec(0, 7, variant="vegas", label="latecomer"),
+        )),
+        config=ScenarioConfig(packet_target=400, seed=3),
+        timeline=(ScenarioEvent.flow_start(5.0, flow=2),
+                  ScenarioEvent.node_down(20.0, 3),
+                  ScenarioEvent.node_up(30.0, 3)),
     )
-    result = spec.run()
+    result = Scenario(spec).run()
 
-The legacy entry points still work: ``Scenario(topology, config)`` compiles
-the (topology, config) pair into a :class:`ScenarioSpec` whose flows all use
-the scenario-wide defaults, which reproduces the original behaviour
-bit-for-bit (pinned by the golden-trace suite).
+A spec without a workload lifts the topology's own flows, each inheriting
+every scenario-wide default: ``ScenarioSpec(topology=..., config=...)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig, VariantLike, resolve_variant
@@ -71,7 +60,6 @@ __all__ = [
     "Workload",
     "ScenarioEvent",
     "ScenarioSpec",
-    "ScenarioBuilder",
     "mixed_transport_workload",
 ]
 
@@ -90,8 +78,8 @@ class FlowSpec:
     """One traffic flow of a scenario workload.
 
     Every optional field defaults to "inherit from the scenario config", so a
-    bare ``FlowSpec(source, destination)`` behaves exactly like a legacy
-    topology flow.
+    bare ``FlowSpec(source, destination)`` behaves exactly like a topology
+    flow lifted by a spec without a workload.
 
     Attributes:
         source: Source node id (must exist in the scenario's topology).
@@ -166,10 +154,6 @@ class FlowSpec:
         """The ``(source, destination)`` node pair."""
         return (self.source, self.destination)
 
-    def effective_variant(self, default: VariantLike) -> VariantLike:
-        """This flow's transport variant, falling back to ``default``."""
-        return self.variant if self.variant is not None else default
-
     def config_overrides(self) -> Dict[str, object]:
         """The non-``None`` per-flow config overrides, including ``variant``."""
         overrides: Dict[str, object] = {}
@@ -184,8 +168,8 @@ class FlowSpec:
     def effective_config(self, base: ScenarioConfig) -> ScenarioConfig:
         """The flow-level :class:`ScenarioConfig` this flow is built with.
 
-        Returns ``base`` itself when the flow overrides nothing, so the legacy
-        single-variant path constructs flows from the identical config object.
+        Returns ``base`` itself when the flow overrides nothing, so flows that
+        inherit everything are built from the identical config object.
         Flows with identical overrides against the same base share one
         validated config object (see ``_EFFECTIVE_CONFIG_CACHE``), making
         thousand-flow uniform scenarios pay for validation once, not per flow.
@@ -250,17 +234,6 @@ class Workload:
 
     def __getitem__(self, index: int) -> FlowSpec:
         return self.flows[index]
-
-    def variant_keys(self, default: VariantLike) -> List[str]:
-        """Ordered unique canonical variant names used by this workload."""
-        from repro.transport.registry import transport_key
-
-        keys: List[str] = []
-        for flow in self.flows:
-            key = transport_key(flow.effective_variant(default))
-            if key not in keys:
-                keys.append(key)
-        return keys
 
     def is_uniform(self, default: VariantLike) -> bool:
         """True when every flow runs the scenario-wide default variant.
@@ -371,7 +344,7 @@ class ScenarioSpec:
     Attributes:
         topology: Node placement (flow endpoints come from the workload).
         workload: The traffic mix; ``None`` lifts the topology's own flows
-            into an all-defaults workload (the legacy behaviour).
+            into a workload whose flows all inherit the config's defaults.
         config: Scenario-wide defaults (bandwidth, seed, routing, mobility,
             metrics, run length); flows inherit anything they don't override.
         timeline: Scheduled :class:`ScenarioEvent` interventions, executed
@@ -431,17 +404,6 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_legacy(cls, topology: Topology, config: ScenarioConfig,
-                    name: Optional[str] = None) -> "ScenarioSpec":
-        """Compile the legacy ``(topology, config)`` pair into a spec.
-
-        Every flow inherits all defaults, so running the compiled spec is
-        bit-identical to the pre-workload runner (golden traces pin this).
-        """
-        return cls(topology=topology, workload=Workload.from_topology(topology),
-                   config=config, name=name)
-
     def with_config(self, **overrides: object) -> "ScenarioSpec":
         """Copy of this spec with scenario-config fields overridden."""
         return replace(self, config=replace(self.config, **overrides))
@@ -454,126 +416,6 @@ class ScenarioSpec:
     def display_name(self) -> str:
         """The spec's name, falling back to the topology name."""
         return self.name if self.name is not None else self.topology.name
-
-    def run(self, tracer=None):
-        """Build and run this spec; returns a
-        :class:`~repro.experiments.results.ScenarioResult`."""
-        # Imported lazily: the runner imports this module.
-        from repro.core.tracing import NULL_TRACER
-        from repro.experiments.runner import Scenario
-
-        return Scenario(self, tracer=tracer if tracer is not None else NULL_TRACER).run()
-
-
-class ScenarioBuilder:
-    """Fluent composer for :class:`ScenarioSpec`.
-
-    Every method returns the builder, so a whole scenario reads as one
-    expression (see the module docstring for a complete example).  ``build()``
-    validates and freezes the spec; the builder can keep being mutated to
-    derive variations afterwards.
-    """
-
-    def __init__(self, name: Optional[str] = None) -> None:
-        self.name = name
-        self._topology: Optional[Topology] = None
-        self._base_config: Optional[ScenarioConfig] = None
-        self._config_fields: Dict[str, object] = {}
-        self._flows: List[FlowSpec] = []
-        self._timeline: List[ScenarioEvent] = []
-
-    # -- topology -------------------------------------------------------
-    def topology(self, topology: Union[str, Topology],
-                 **params: object) -> "ScenarioBuilder":
-        """Set the topology: an instance, or a registered family name plus
-        builder parameters (``.topology("chain", hops=7)``)."""
-        if isinstance(topology, str):
-            from repro.topology.registry import build_topology
-
-            topology = build_topology(topology, **params)
-        elif params:
-            raise ConfigurationError(
-                "topology builder parameters require a family name, "
-                "not a prebuilt Topology"
-            )
-        self._topology = topology
-        return self
-
-    # -- configuration --------------------------------------------------
-    def base_config(self, config: ScenarioConfig) -> "ScenarioBuilder":
-        """Start from an existing :class:`ScenarioConfig` instead of defaults."""
-        self._base_config = config
-        return self
-
-    def configure(self, **fields: object) -> "ScenarioBuilder":
-        """Override scenario-config fields (accumulates across calls)."""
-        self._config_fields.update(fields)
-        return self
-
-    # -- workload -------------------------------------------------------
-    def flow(self, source: int, destination: int, **spec: object) -> "ScenarioBuilder":
-        """Append a :class:`FlowSpec`; keyword arguments are its fields."""
-        self._flows.append(FlowSpec(source=source, destination=destination, **spec))
-        return self
-
-    def flows_from_topology(self, **common: object) -> "ScenarioBuilder":
-        """Append one flow per topology flow (requires the topology first)."""
-        if self._topology is None:
-            raise ConfigurationError("set the topology before flows_from_topology()")
-        for source, destination in self._topology.flow_endpoints():
-            self.flow(source, destination, **common)
-        return self
-
-    # -- timeline -------------------------------------------------------
-    def event(self, event: ScenarioEvent) -> "ScenarioBuilder":
-        """Append a timeline event."""
-        self._timeline.append(event)
-        return self
-
-    def start_flow(self, flow: int, at: float) -> "ScenarioBuilder":
-        """Start flow ``flow`` (1-based) at time ``at``."""
-        return self.event(ScenarioEvent.flow_start(at, flow))
-
-    def stop_flow(self, flow: int, at: float) -> "ScenarioBuilder":
-        """Stop flow ``flow`` (1-based) at time ``at``."""
-        return self.event(ScenarioEvent.flow_stop(at, flow))
-
-    def node_down(self, node: int, at: float) -> "ScenarioBuilder":
-        """Silence ``node``'s radio at time ``at``."""
-        return self.event(ScenarioEvent.node_down(at, node))
-
-    def node_up(self, node: int, at: float) -> "ScenarioBuilder":
-        """Restore ``node``'s radio at time ``at``."""
-        return self.event(ScenarioEvent.node_up(at, node))
-
-    def link_down(self, a: int, b: int, at: float) -> "ScenarioBuilder":
-        """Block the link between ``a`` and ``b`` at time ``at``."""
-        return self.event(ScenarioEvent.link_down(at, a, b))
-
-    def link_up(self, a: int, b: int, at: float) -> "ScenarioBuilder":
-        """Unblock the link between ``a`` and ``b`` at time ``at``."""
-        return self.event(ScenarioEvent.link_up(at, a, b))
-
-    # -- finalization ---------------------------------------------------
-    def build(self) -> ScenarioSpec:
-        """Validate and freeze the composed :class:`ScenarioSpec`."""
-        if self._topology is None:
-            raise ConfigurationError("a scenario needs a topology")
-        base = self._base_config if self._base_config is not None else ScenarioConfig()
-        config = replace(base, **self._config_fields) if self._config_fields else base
-        workload = (Workload(tuple(self._flows)) if self._flows
-                    else Workload.from_topology(self._topology))
-        return ScenarioSpec(
-            topology=self._topology,
-            workload=workload,
-            config=config,
-            timeline=tuple(self._timeline),
-            name=self.name,
-        )
-
-    def run(self, tracer=None):
-        """``build()`` and run; returns a ``ScenarioResult``."""
-        return self.build().run(tracer=tracer)
 
 
 def mixed_transport_workload(

@@ -44,9 +44,6 @@ BLOCK_OFFSETS = (
     (1, -1), (1, 0), (1, 1),
 )
 
-#: Backwards-compatible private alias.
-_NEIGHBOR_OFFSETS = BLOCK_OFFSETS
-
 #: Relative padding applied to the bucketing cell side.  A computed distance
 #: ``d <= cell_size`` bounds the true coordinate span by ``cell_size`` only up
 #: to a few rounding errors (one from the subtraction, one from the hypot);

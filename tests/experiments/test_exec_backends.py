@@ -1,4 +1,4 @@
-"""Tests for executor backends, the registry and the execute_study driver."""
+"""Tests for executor backends, the registry and the run_study driver."""
 
 from __future__ import annotations
 
@@ -15,13 +15,13 @@ from repro.experiments.exec import (
     StreamingAggregator,
     StudyExecutionError,
     backend_names,
-    execute_study,
     get_backend,
     register_backend,
     unregister_backend,
 )
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import Scenario
 from repro.experiments.study import SweepSpec, run_study
+from repro.experiments.workload import ScenarioSpec
 from repro.topology.chain import chain_topology
 
 
@@ -45,7 +45,8 @@ def tiny_spec(**overrides) -> SweepSpec:
 
 @pytest.fixture(scope="module")
 def canned_result():
-    return run_scenario(chain_topology(hops=2), tiny_config(packet_target=10))
+    return Scenario(ScenarioSpec(topology=chain_topology(hops=2),
+                                 config=tiny_config(packet_target=10))).run()
 
 
 class TestRegistry:
@@ -76,23 +77,23 @@ class TestRegistry:
 
 
 class TestBackendsAgree:
-    def test_serial_process_pool_and_legacy_runner_identical(self):
+    def test_serial_process_pool_and_auto_selected_identical(self):
         spec = tiny_spec(axes={"variant": ["vegas"], "hops": [2, 3]},
                          replications=2)
-        serial = execute_study(spec, backend="serial")
-        pooled = execute_study(spec, backend="process-pool", max_workers=2)
-        legacy = run_study(spec, parallel=False)
-        assert serial == pooled == legacy
+        serial = run_study(spec, backend="serial")
+        pooled = run_study(spec, backend="process-pool", max_workers=2)
+        auto = run_study(spec)
+        assert serial == pooled == auto
 
     def test_auto_selects_serial_for_single_item(self):
         # a 1-item study must not pay process-pool start-up cost
         spec = tiny_spec(axes={"hops": [2]})
-        study = execute_study(spec)  # would be bit-identical either way;
+        study = run_study(spec)  # would be bit-identical either way;
         assert len(study.points) == 1  # asserts it runs, heuristic covered below
 
     def test_backend_instance_accepted(self):
         spec = tiny_spec(axes={"hops": [2]})
-        study = execute_study(spec, backend=get_backend("serial"))
+        study = run_study(spec, backend=get_backend("serial"))
         assert study.points[0].run.reached_packet_target
 
 
@@ -100,7 +101,7 @@ class TestStreamingAggregation:
     def test_out_of_order_ingest_matches_final_ci(self, canned_result):
         spec = tiny_spec(axes={"hops": [2]}, replications=3)
         agg = StreamingAggregator(spec)
-        study = execute_study(spec, backend="serial")
+        study = run_study(spec, backend="serial")
         runs = study.points[0].runs
         # feed replications backwards; read-out must still be seed-ordered
         for rep in (2, 1, 0):
@@ -137,15 +138,15 @@ class TestDriver:
     def test_progress_callback_sees_monotone_done_counts(self):
         spec = tiny_spec(axes={"hops": [2]}, replications=2)
         seen = []
-        execute_study(spec, backend="serial",
-                      progress=lambda snap: seen.append(snap))
+        run_study(spec, backend="serial",
+                  progress=lambda snap: seen.append(snap))
         assert [s.done for s in seen] == [0, 1, 2]
         assert seen[-1].total == 2 and seen[-1].failed == 0
 
     def test_fail_after_raises_with_checkpointed_items(self, tmp_path):
         spec = tiny_spec(axes={"hops": [2]}, replications=3)
         with pytest.raises(SimulatedCrash) as excinfo:
-            execute_study(spec, backend="serial", store=tmp_path, fail_after=2)
+            run_study(spec, backend="serial", store=tmp_path, fail_after=2)
         assert excinfo.value.completed == 2
         assert len(list(ResultStore(tmp_path).stored_keys())) == 2
 
@@ -160,7 +161,7 @@ class TestDriver:
             return canned_result
 
         with pytest.raises(StudyExecutionError) as excinfo:
-            execute_study(spec, backend="serial", task=flaky, max_retries=1)
+            run_study(spec, backend="serial", task=flaky, max_retries=1)
         error = excinfo.value
         assert len(error.failed) == 1
         assert error.failed[0].values["hops"] == 3
@@ -183,8 +184,8 @@ class TestDriver:
             return canned_result
 
         with pytest.raises(StudyExecutionError) as excinfo:
-            execute_study(spec, backend="serial", task=bad_point,
-                          max_retries=5)
+            run_study(spec, backend="serial", task=bad_point,
+                      max_retries=5)
         # 1 success + exactly 1 attempt for the bad point — no retries
         assert len(calls) == 2
         assert len(excinfo.value.failed) == 1
@@ -201,15 +202,15 @@ class TestDriver:
             return canned_result
 
         seen = []
-        study = execute_study(spec, backend="serial", task=flaky_once,
-                              progress=lambda snap: seen.append(snap))
+        study = run_study(spec, backend="serial", task=flaky_once,
+                          progress=lambda snap: seen.append(snap))
         assert len(attempts) == 2
         assert study.points[0].run == canned_result
         assert seen[-1].retried == 1
 
     def test_store_resume_skips_completed_items(self, tmp_path, canned_result):
         spec = tiny_spec(axes={"hops": [2]}, replications=3)
-        first = execute_study(spec, backend="serial", store=tmp_path)
+        first = run_study(spec, backend="serial", store=tmp_path)
         executed = []
 
         def counting(spec_, values, seed, tracer=None):
@@ -217,9 +218,9 @@ class TestDriver:
             raise AssertionError("resume must not re-execute stored items")
 
         seen = []
-        second = execute_study(spec, backend="serial", store=tmp_path,
-                               task=counting,
-                               progress=lambda snap: seen.append(snap))
+        second = run_study(spec, backend="serial", store=tmp_path,
+                           task=counting,
+                           progress=lambda snap: seen.append(snap))
         assert executed == []
         assert second == first
         assert seen[-1].resumed == 3 and seen[-1].done == 3

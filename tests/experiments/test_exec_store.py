@@ -15,14 +15,16 @@ from repro.experiments.exec.store import (
     StoreWarning,
 )
 from repro.experiments.results import ScenarioResult
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import Scenario
+from repro.experiments.workload import ScenarioSpec
 from repro.topology.chain import chain_topology
 
 
 @pytest.fixture(scope="module")
 def result() -> ScenarioResult:
-    return run_scenario(chain_topology(hops=2),
-                        ScenarioConfig(packet_target=15, max_sim_time=25.0))
+    return Scenario(ScenarioSpec(
+        topology=chain_topology(hops=2),
+        config=ScenarioConfig(packet_target=15, max_sim_time=25.0))).run()
 
 
 class TestAtomicWriteText:

@@ -61,10 +61,10 @@ print(json.dumps({
 PUBLIC_NAMES = sorted([
     "ScenarioConfig", "TransportVariant", "PAPER_BANDWIDTHS", "PAPER_HOP_COUNTS",
     "DEFAULT_HOP_COUNTS", "FlowResult", "ScenarioResult", "format_table", "Scenario",
-    "run_scenario", "FlowSpec", "Workload", "ScenarioEvent", "ScenarioSpec",
-    "ScenarioBuilder", "mixed_transport_workload", "available_scenarios",
+    "FlowSpec", "Workload", "ScenarioEvent", "ScenarioSpec",
+    "mixed_transport_workload", "available_scenarios",
     "build_named_scenario", "PointResult", "StudyResult",
-    "SweepSpec", "run_study", "ResultStore", "backend_names", "execute_study",
+    "SweepSpec", "run_study", "ResultStore", "backend_names",
     "register_backend", "chain_topology", "grid_topology", "random_topology",
     "TopologyProfile", "build_topology", "register_topology", "topology_names",
     "TransportProfile", "get_transport", "register_transport", "transport_names",

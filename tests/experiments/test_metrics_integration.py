@@ -15,10 +15,11 @@ import pytest
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.results import ScenarioResult
+from repro.experiments.runner import Scenario
 from repro.experiments.runner import main as runner_main
-from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import build_named_scenario
 from repro.experiments.study import SweepSpec, run_study
+from repro.experiments.workload import ScenarioSpec
 from repro.topology.chain import chain_topology
 
 
@@ -67,30 +68,33 @@ class TestMetricsEnabledRun:
 
 class TestMetricsDisabledRun:
     def test_snapshot_present_but_no_series(self):
-        result = run_scenario(
-            chain_topology(hops=2),
-            ScenarioConfig(variant="vegas", packet_target=40, max_sim_time=30.0),
-        )
+        result = Scenario(ScenarioSpec(
+            topology=chain_topology(hops=2),
+            config=ScenarioConfig(variant="vegas", packet_target=40,
+                                  max_sim_time=30.0),
+        )).run()
         assert result.timeseries is None
         assert result.metrics  # scalar snapshot is always collected
         assert result.metric_total("mac.node*.data_tx_success") > 0
 
     def test_unknown_series_raises(self):
-        result = run_scenario(
-            chain_topology(hops=2),
-            ScenarioConfig(variant="vegas", packet_target=20, max_sim_time=20.0),
-        )
+        result = Scenario(ScenarioSpec(
+            topology=chain_topology(hops=2),
+            config=ScenarioConfig(variant="vegas", packet_target=20,
+                                  max_sim_time=20.0),
+        )).run()
         with pytest.raises(KeyError):
             result.series("tcp.flow1.cwnd")
 
     def test_disabled_and_enabled_runs_agree_on_behaviour(self):
         """Metrics collection must observe, never perturb, the simulation."""
-        config = ScenarioConfig(variant="vegas", packet_target=60, seed=7,
-                                max_sim_time=60.0)
-        plain = run_scenario(chain_topology(hops=3), config)
-        import dataclasses
-        observed = run_scenario(chain_topology(hops=3),
-                                dataclasses.replace(config, metrics=True))
+        spec = ScenarioSpec(
+            topology=chain_topology(hops=3),
+            config=ScenarioConfig(variant="vegas", packet_target=60, seed=7,
+                                  max_sim_time=60.0),
+        )
+        plain = Scenario(spec).run()
+        observed = Scenario(spec.with_config(metrics=True)).run()
         assert observed.delivered_packets == plain.delivered_packets
         assert observed.simulated_time == plain.simulated_time
         assert observed.mac_frames_sent == plain.mac_frames_sent
@@ -108,7 +112,7 @@ class TestStudyMetricSelection:
             base=ScenarioConfig(packet_target=30, max_sim_time=30.0),
             replications=2,
         )
-        study = run_study(spec, parallel=False)
+        study = run_study(spec, backend="serial")
         point = study.points[0]
         values = point.metric_values("mac.node*.data_tx_success")
         assert len(values) == 2
@@ -124,7 +128,7 @@ class TestStudyMetricSelection:
             base=ScenarioConfig(variant="vegas", packet_target=20,
                                 max_sim_time=20.0),
         )
-        study = run_study(spec, parallel=False)
+        study = run_study(spec, backend="serial")
         table = study.nested(
             "hops", leaf=lambda p: p.metric_interval("phy.node*.frames_sent").mean)
         assert set(table) == {2, 3}

@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.config import ScenarioConfig, TransportVariant
 from repro.experiments.runner import Scenario
 from repro.experiments.scenarios import available_scenarios, build_named_scenario
+from repro.experiments.workload import ScenarioSpec
 from repro.core.errors import ConfigurationError
 from repro.routing.aodv import AodvRouting
 from repro.routing.static import StaticRouting
@@ -21,7 +22,8 @@ from repro.transport.vegas import VegasSender
 def scenario_for(variant, topology=None, **overrides):
     defaults = dict(variant=variant, packet_target=50, max_sim_time=20.0)
     defaults.update(overrides)
-    return Scenario(topology or chain_topology(hops=2), ScenarioConfig(**defaults))
+    return Scenario(ScenarioSpec(topology=topology or chain_topology(hops=2),
+                                 config=ScenarioConfig(**defaults)))
 
 
 class TestScenarioWiring:

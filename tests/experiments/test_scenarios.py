@@ -11,12 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenarios import (
     available_scenarios,
     build_named_scenario,
     catalog_markdown,
     register_scenario,
 )
+from repro.experiments.workload import ScenarioSpec
 from repro.mobility.registry import (
     MobilityProfile,
     register_mobility,
@@ -31,6 +33,7 @@ from repro.transport.registry import (
     register_transport,
     unregister_transport,
 )
+from repro.transport.vegas import VegasSender
 
 
 def _dummy_transport(name: str) -> TransportProfile:
@@ -106,9 +109,8 @@ class TestRegisterScenario:
         from repro.experiments import scenarios as scenarios_module
 
         def factory():
-            from repro.experiments.config import ScenarioConfig
-
-            return chain_topology(hops=2), ScenarioConfig(packet_target=10)
+            return ScenarioSpec(topology=chain_topology(hops=2),
+                                config=ScenarioConfig(packet_target=10))
 
         register_scenario("custom-pair", factory)
         try:
@@ -116,10 +118,26 @@ class TestRegisterScenario:
             with pytest.raises(ConfigurationError):
                 register_scenario("custom-pair", factory)
             register_scenario("custom-pair", factory, replace_existing=True)
+            scenario = build_named_scenario("custom-pair", seed=4)
+            assert scenario.config.packet_target == 10
+            assert scenario.config.seed == 4
         finally:
             # No public unregister exists for hand-written presets; drop the
             # test entry so later tests see the pristine generated table.
             scenarios_module._EXTRA_SCENARIOS.pop("custom-pair", None)
+            scenarios_module._EXTRA_GENERATION += 1
+
+    def test_factory_returning_a_topology_config_pair_is_rejected(self):
+        from repro.experiments import scenarios as scenarios_module
+
+        register_scenario("custom-legacy-pair", lambda: (
+            chain_topology(hops=2), ScenarioConfig(packet_target=10)))
+        try:
+            with pytest.raises(ConfigurationError,
+                               match="'custom-legacy-pair'.*not a ScenarioSpec"):
+                build_named_scenario("custom-legacy-pair")
+        finally:
+            scenarios_module._EXTRA_SCENARIOS.pop("custom-legacy-pair", None)
             scenarios_module._EXTRA_GENERATION += 1
 
     def test_cannot_shadow_generated_preset_without_replace(self):
@@ -145,6 +163,28 @@ class TestBuildNamedScenarioErrors:
                                         seed=9)
         assert scenario.config.packet_target == 77
         assert scenario.config.seed == 9
+
+
+class TestVariantOverride:
+    """``variant=`` switches every flow of a uniform preset, not just the
+    config.  The city10k presets come from the same ``city_scenario_spec``
+    as city1k and are too large to build here."""
+
+    @pytest.mark.parametrize("name", ["city1k-rwp", "city1k-manhattan",
+                                      "backbone2x7-newreno",
+                                      "chain7-newreno-2mbps"])
+    def test_every_flow_runs_the_overridden_variant(self, name):
+        scenario = build_named_scenario(name, variant="vegas")
+        assert [profile.name for profile in scenario.profiles] == (
+            ["vegas"] * len(scenario.workload))
+        assert all(isinstance(sender, VegasSender)
+                   for sender in scenario.senders)
+
+    def test_mixed_presets_keep_their_per_flow_variants(self):
+        scenario = build_named_scenario("backbone2x7-mixed-newreno-vegas",
+                                        variant="vegas")
+        assert [profile.name for profile in scenario.profiles] == [
+            "newreno", "vegas"]
 
 
 class TestCatalog:

@@ -9,8 +9,9 @@ import pytest
 from repro.core.statistics import ConfidenceInterval
 from repro.experiments.config import ScenarioConfig, TransportVariant
 from repro.experiments.results import FlowResult, ScenarioResult
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import Scenario
 from repro.experiments.study import StudyResult, SweepSpec, run_study
+from repro.experiments.workload import ScenarioSpec
 from repro.phy.energy import EnergyReport
 from repro.topology.chain import chain_topology
 
@@ -62,11 +63,11 @@ class TestScenarioResultRoundTrip:
         assert ScenarioResult.from_dict(json_round_trip(result.to_dict())) == result
 
     def test_real_run_round_trip(self):
-        result = run_scenario(
-            chain_topology(hops=2),
-            ScenarioConfig(variant=TransportVariant.VEGAS, packet_target=25,
-                           max_sim_time=30.0),
-        )
+        result = Scenario(ScenarioSpec(
+            topology=chain_topology(hops=2),
+            config=ScenarioConfig(variant=TransportVariant.VEGAS,
+                                  packet_target=25, max_sim_time=30.0),
+        )).run()
         rebuilt = ScenarioResult.from_dict(json_round_trip(result.to_dict()))
         assert rebuilt == result
         assert rebuilt.aggregate_goodput_kbps == result.aggregate_goodput_kbps
@@ -82,7 +83,7 @@ class TestStudyResultRoundTrip:
             base=ScenarioConfig(packet_target=20, max_sim_time=25.0),
             replications=2,
         )
-        study = run_study(spec, parallel=False)
+        study = run_study(spec, backend="serial")
         rebuilt = StudyResult.from_dict(json_round_trip(study.to_dict()))
         assert rebuilt == study
         point = rebuilt.point(variant=TransportVariant.VEGAS, hops=2)
@@ -95,6 +96,6 @@ class TestStudyResultRoundTrip:
             axes={"hops": [2]},
             base=ScenarioConfig(packet_target=15, max_sim_time=20.0),
         )
-        study = run_study(spec, parallel=False)
+        study = run_study(spec, backend="serial")
         path = study.save(tmp_path / "study.json")
         assert StudyResult.load(path) == study

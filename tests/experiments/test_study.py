@@ -7,8 +7,9 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.tracing import Tracer
 from repro.experiments.config import ScenarioConfig, TransportVariant
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import Scenario
 from repro.experiments.study import SweepSpec, run_study
+from repro.experiments.workload import ScenarioSpec
 from repro.topology.chain import chain_topology
 
 
@@ -104,15 +105,16 @@ class TestSweepSpec:
 
 
 class TestStudyExecution:
-    def test_single_replication_matches_run_scenario(self):
+    def test_single_replication_matches_a_direct_scenario_run(self):
         spec = tiny_spec(axes={"hops": [3]})
-        study = run_study(spec, parallel=False)
-        direct = run_scenario(chain_topology(hops=3), tiny_config())
+        study = run_study(spec, backend="serial")
+        direct = Scenario(ScenarioSpec(topology=chain_topology(hops=3),
+                                       config=tiny_config())).run()
         assert study.points[0].run == direct
 
     def test_replications_use_distinct_seeds_and_aggregate(self):
         spec = tiny_spec(axes={"hops": [2]}, replications=3)
-        study = run_study(spec, parallel=False)
+        study = run_study(spec, backend="serial")
         point = study.points[0]
         assert len(point.runs) == 3
         assert point.seeds == [1, 2, 3]
@@ -123,27 +125,27 @@ class TestStudyExecution:
 
     def test_serial_and_parallel_runs_are_identical(self):
         spec = tiny_spec(replications=2, axes={"variant": ["vegas"], "hops": [2, 3]})
-        serial = run_study(spec, parallel=False)
-        parallel = run_study(spec, parallel=True, max_workers=2)
-        assert serial == parallel
+        serial = run_study(spec, backend="serial")
+        pooled = run_study(spec, backend="process-pool", max_workers=2)
+        assert serial == pooled
 
     def test_nested_reshapes_by_axis(self):
         spec = tiny_spec()
-        study = run_study(spec, parallel=False)
+        study = run_study(spec, backend="serial")
         nested = study.nested("variant", "hops", leaf=lambda p: p.run)
         assert set(nested) == {TransportVariant.VEGAS, TransportVariant.NEWRENO}
         assert set(nested[TransportVariant.VEGAS]) == {2, 3}
         assert nested[TransportVariant.VEGAS][2].delivered_packets >= 20
 
     def test_point_lookup_and_missing_point(self):
-        study = run_study(tiny_spec(axes={"hops": [2]}), parallel=False)
+        study = run_study(tiny_spec(axes={"hops": [2]}), backend="serial")
         assert study.point(hops=2).run.delivered_packets >= 20
         with pytest.raises(KeyError):
             study.point(hops=99)
 
     def test_point_lookup_accepts_any_variant_spelling(self):
         study = run_study(tiny_spec(axes={"variant": ["vegas"], "hops": [2]}),
-                          parallel=False)
+                          backend="serial")
         by_name = study.point(variant="vegas", hops=2)
         by_label = study.point(variant="Vegas", hops=2)
         by_enum = study.point(variant=TransportVariant.VEGAS, hops=2)
@@ -160,14 +162,14 @@ class TestStudyExecution:
 
     def test_tracer_reaches_serial_scenarios(self):
         tracer = Tracer(enabled=True)
-        run_study(tiny_spec(axes={"hops": [2]}), parallel=False, tracer=tracer)
+        run_study(tiny_spec(axes={"hops": [2]}), backend="serial", tracer=tracer)
         assert len(list(tracer)) > 0
 
 
 class TestStudyCache:
     def test_cache_hit_skips_simulation(self, tmp_path, monkeypatch):
         spec = tiny_spec(axes={"hops": [2]})
-        first = run_study(spec, parallel=False, cache_dir=tmp_path)
+        first = run_study(spec, backend="serial", store=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 1
 
         import repro.experiments.runner as runner_module
@@ -175,22 +177,22 @@ class TestStudyCache:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("cache miss: scenario was re-simulated")
 
-        monkeypatch.setattr(runner_module, "run_scenario", boom)
-        second = run_study(spec, parallel=False, cache_dir=tmp_path)
+        monkeypatch.setattr(runner_module, "Scenario", boom)
+        second = run_study(spec, backend="serial", store=tmp_path)
         assert second == first
 
     def test_corrupt_cache_entry_triggers_rerun(self, tmp_path):
         spec = tiny_spec(axes={"hops": [2]})
-        first = run_study(spec, parallel=False, cache_dir=tmp_path)
+        first = run_study(spec, backend="serial", store=tmp_path)
         for path in tmp_path.glob("*.json"):
             path.write_text("{not json")
-        second = run_study(spec, parallel=False, cache_dir=tmp_path)
+        second = run_study(spec, backend="serial", store=tmp_path)
         assert second == first
 
     def test_config_change_misses_cache(self, tmp_path):
-        run_study(tiny_spec(axes={"hops": [2]}), parallel=False, cache_dir=tmp_path)
+        run_study(tiny_spec(axes={"hops": [2]}), backend="serial", store=tmp_path)
         run_study(tiny_spec(axes={"hops": [2]}, base=tiny_config(queue_capacity=10)),
-                  parallel=False, cache_dir=tmp_path)
+                  backend="serial", store=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 2
 
 
@@ -201,4 +203,4 @@ def test_parallel_study_equals_serial_at_eight_runs():
         base=tiny_config(packet_target=120, max_sim_time=120.0),
         replications=2,
     )
-    assert run_study(spec, parallel=False) == run_study(spec, parallel=True)
+    assert run_study(spec, backend="serial") == run_study(spec, backend="process-pool")

@@ -1,4 +1,4 @@
-"""Unit tests for the Workload API v2 layer (specs, events, builder)."""
+"""Unit tests for the Workload API v2 layer (flows, events, specs)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.experiments.config import ScenarioConfig, TransportVariant
 from repro.experiments.runner import Scenario
 from repro.experiments.workload import (
     FlowSpec,
-    ScenarioBuilder,
     ScenarioEvent,
     ScenarioSpec,
     Workload,
@@ -66,9 +65,6 @@ class TestFlowSpec:
         # Non-overridden fields are inherited.
         assert config.packet_target == base.packet_target
 
-    def test_effective_variant_falls_back_to_default(self):
-        flow = FlowSpec(source=0, destination=1)
-        assert flow.effective_variant("vegas") == "vegas"
 
 
 class TestWorkload:
@@ -91,13 +87,6 @@ class TestWorkload:
         assert not Workload.from_topology(topology,
                                           variant="newreno").is_uniform("vegas")
 
-    def test_variant_keys_ordered_unique(self):
-        workload = Workload(flows=(
-            FlowSpec(0, 2, variant="newreno"),
-            FlowSpec(0, 2, variant="vegas"),
-            FlowSpec(0, 2, variant="newreno"),
-        ))
-        assert workload.variant_keys("vegas") == ["newreno", "vegas"]
 
 
 class TestScenarioEvent:
@@ -213,80 +202,46 @@ class TestScenarioSpec:
         spec = ScenarioSpec(topology=chain_topology(hops=2))
         assert spec.with_config(packet_target=77).config.packet_target == 77
 
-    def test_legacy_compile_is_bit_identical(self):
-        """Scenario(topology, config) and the compiled spec produce the
-        identical event stream — the compatibility guarantee the golden
-        traces rely on."""
+    def test_lifted_and_named_flows_run_identically(self):
+        """A spec without a workload runs the topology's flows on the
+        config's defaults: the same event stream as naming them by hand."""
+        topology = chain_topology(hops=3)
         config = ScenarioConfig(variant="vegas", packet_target=60,
                                 max_sim_time=40.0, seed=3)
 
-        def run_legacy():
+        def run(spec):
             reset_packet_ids()
             tracer = Tracer(enabled=True)
-            Scenario(chain_topology(hops=3), config, tracer=tracer).run()
-            return trace_digest(tracer)
-
-        def run_spec():
-            reset_packet_ids()
-            tracer = Tracer(enabled=True)
-            spec = ScenarioSpec.from_legacy(chain_topology(hops=3), config)
             Scenario(spec, tracer=tracer).run()
             return trace_digest(tracer)
 
-        assert run_legacy() == run_spec()
+        lifted = ScenarioSpec(topology=topology, config=config)
+        named = ScenarioSpec(topology=topology, config=config,
+                             workload=Workload(flows=(FlowSpec(0, 3),)))
+        assert lifted.workload == named.workload
+        assert run(lifted) == run(named)
 
-    def test_scenario_rejects_spec_plus_config(self):
-        spec = ScenarioSpec(topology=chain_topology(hops=2))
-        with pytest.raises(ConfigurationError):
-            Scenario(spec, ScenarioConfig())
 
-    def test_scenario_requires_config_with_topology(self):
-        with pytest.raises(ConfigurationError):
+class TestOneWayToBuildAndRun:
+    def test_scenario_rejects_a_topology_first_argument(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"ScenarioSpec\(topology=\.\.\., config=\.\.\.\)"):
             Scenario(chain_topology(hops=2))
 
+    def test_scenario_takes_the_tracer_by_keyword_only(self):
+        spec = ScenarioSpec(topology=chain_topology(hops=2))
+        with pytest.raises(TypeError):
+            Scenario(spec, Tracer(enabled=True))
 
-class TestScenarioBuilder:
-    def test_fluent_composition(self):
-        spec = (
-            ScenarioBuilder("demo")
-            .topology("chain", hops=4)
-            .configure(packet_target=50, seed=9)
-            .flow(0, 4, variant="newreno")
-            .flow(0, 4, variant="vegas", label="bg")
-            .start_flow(2, at=3.0)
-            .node_down(2, at=10.0)
-            .node_up(2, at=12.0)
-            .build()
-        )
-        assert spec.name == "demo"
-        assert spec.config.packet_target == 50
-        assert len(spec.workload) == 2
-        assert [event.action for event in spec.timeline] == [
-            "flow-start", "node-down", "node-up"]
+    @pytest.mark.parametrize("package", ["repro", "repro.experiments"])
+    @pytest.mark.parametrize("name", ["ScenarioBuilder", "run_scenario",
+                                      "execute_study"])
+    def test_removed_entry_points_are_gone(self, package, name):
+        import importlib
 
-    def test_topology_required(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioBuilder().build()
-
-    def test_params_with_prebuilt_topology_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioBuilder().topology(chain_topology(hops=2), hops=3)
-
-    def test_flows_from_topology_requires_topology_first(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioBuilder().flows_from_topology()
-
-    def test_flows_from_topology_defaults_to_topology_flows(self):
-        spec = (ScenarioBuilder().topology("grid")
-                .flows_from_topology(variant="vegas").build())
-        assert len(spec.workload) == 6
-
-    def test_base_config_plus_configure(self):
-        base = ScenarioConfig(packet_target=500, seed=4)
-        spec = (ScenarioBuilder().topology("chain", hops=2)
-                .base_config(base).configure(seed=11).build())
-        assert spec.config.packet_target == 500
-        assert spec.config.seed == 11
+        module = importlib.import_module(package)
+        assert name not in module.__all__
+        assert not hasattr(module, name)
 
 
 class TestMixedTransportWorkload:

@@ -10,17 +10,19 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import ScenarioConfig, TransportVariant
-from repro.experiments.runner import Scenario, run_scenario
+from repro.experiments.runner import Scenario
+from repro.experiments.workload import ScenarioSpec
 from repro.topology.chain import chain_topology
 
 
-def small_config(variant, **overrides):
+def small_spec(hops, variant, **overrides):
     defaults = dict(
         variant=variant, bandwidth_mbps=2.0, packet_target=120, max_sim_time=120.0,
         seed=3,
     )
     defaults.update(overrides)
-    return ScenarioConfig(**defaults)
+    return ScenarioSpec(topology=chain_topology(hops=hops),
+                        config=ScenarioConfig(**defaults))
 
 
 class TestChainDelivery:
@@ -32,58 +34,53 @@ class TestChainDelivery:
         TransportVariant.PACED_UDP,
     ])
     def test_every_variant_delivers_packets_on_3hop_chain(self, variant):
-        result = run_scenario(chain_topology(hops=3), small_config(variant))
+        result = Scenario(small_spec(3, variant)).run()
         assert result.delivered_packets >= 120
         assert result.aggregate_goodput_bps > 0
         assert result.reached_packet_target
 
     def test_optimal_window_variant_runs(self):
-        config = small_config(TransportVariant.NEWRENO_OPTIMAL_WINDOW,
-                              newreno_max_cwnd=3.0)
-        result = run_scenario(chain_topology(hops=3), config)
+        spec = small_spec(3, TransportVariant.NEWRENO_OPTIMAL_WINDOW,
+                          newreno_max_cwnd=3.0)
+        result = Scenario(spec).run()
         assert result.delivered_packets >= 120
         assert result.flows[0].average_window <= 3.01
 
     def test_static_routing_ablation_runs(self):
-        config = small_config(TransportVariant.VEGAS, routing="static")
-        result = run_scenario(chain_topology(hops=3), config)
+        spec = small_spec(3, TransportVariant.VEGAS, routing="static")
+        result = Scenario(spec).run()
         assert result.delivered_packets >= 120
         # Static routing never reports false route failures.
         assert result.false_route_failures == 0
 
     def test_higher_bandwidth_improves_goodput(self):
-        slow = run_scenario(chain_topology(hops=3),
-                            small_config(TransportVariant.VEGAS, bandwidth_mbps=2.0))
-        fast = run_scenario(chain_topology(hops=3),
-                            small_config(TransportVariant.VEGAS, bandwidth_mbps=11.0))
+        slow = Scenario(small_spec(3, TransportVariant.VEGAS, bandwidth_mbps=2.0)).run()
+        fast = Scenario(small_spec(3, TransportVariant.VEGAS, bandwidth_mbps=11.0)).run()
         assert fast.aggregate_goodput_bps > slow.aggregate_goodput_bps
 
     def test_sublinear_goodput_growth_with_bandwidth(self):
         # 5.5x more bandwidth must give far less than 5.5x more goodput
         # because control frames stay at 1 Mbit/s (Figure 4 discussion).
-        slow = run_scenario(chain_topology(hops=3),
-                            small_config(TransportVariant.VEGAS, bandwidth_mbps=2.0))
-        fast = run_scenario(chain_topology(hops=3),
-                            small_config(TransportVariant.VEGAS, bandwidth_mbps=11.0))
+        slow = Scenario(small_spec(3, TransportVariant.VEGAS, bandwidth_mbps=2.0)).run()
+        fast = Scenario(small_spec(3, TransportVariant.VEGAS, bandwidth_mbps=11.0)).run()
         ratio = fast.aggregate_goodput_bps / slow.aggregate_goodput_bps
         assert ratio < 5.5 / 2.0
 
     def test_goodput_decreases_with_hops(self):
-        short = run_scenario(chain_topology(hops=2), small_config(TransportVariant.VEGAS))
-        long = run_scenario(chain_topology(hops=6),
-                            small_config(TransportVariant.VEGAS, packet_target=80))
+        short = Scenario(small_spec(2, TransportVariant.VEGAS)).run()
+        long = Scenario(small_spec(6, TransportVariant.VEGAS, packet_target=80)).run()
         assert short.aggregate_goodput_bps > long.aggregate_goodput_bps
 
     def test_deterministic_given_seed(self):
-        config = small_config(TransportVariant.VEGAS, packet_target=60)
-        first = run_scenario(chain_topology(hops=2), config)
-        second = run_scenario(chain_topology(hops=2), config)
+        spec = small_spec(2, TransportVariant.VEGAS, packet_target=60)
+        first = Scenario(spec).run()
+        second = Scenario(spec).run()
         assert first.aggregate_goodput_bps == pytest.approx(second.aggregate_goodput_bps)
         assert first.delivered_packets == second.delivered_packets
 
     def test_different_seed_changes_details(self):
-        a = run_scenario(chain_topology(hops=3), small_config(TransportVariant.NEWRENO, seed=1))
-        b = run_scenario(chain_topology(hops=3), small_config(TransportVariant.NEWRENO, seed=2))
+        a = Scenario(small_spec(3, TransportVariant.NEWRENO, seed=1)).run()
+        b = Scenario(small_spec(3, TransportVariant.NEWRENO, seed=2)).run()
         assert a.simulated_time != b.simulated_time or (
             a.aggregate_goodput_bps != b.aggregate_goodput_bps
         )
@@ -98,7 +95,8 @@ class TestPaperQualitativeResults:
         for variant in (TransportVariant.VEGAS, TransportVariant.NEWRENO):
             config = ScenarioConfig(variant=variant, bandwidth_mbps=2.0,
                                     packet_target=250, max_sim_time=200.0, seed=3)
-            results[variant] = run_scenario(chain_topology(hops=7), config)
+            results[variant] = Scenario(ScenarioSpec(
+                topology=chain_topology(hops=7), config=config)).run()
         return results
 
     def test_vegas_outperforms_newreno_goodput(self, seven_hop_results):

@@ -24,12 +24,11 @@ from repro.experiments.exec import (
     SimulatedCrash,
     StreamingAggregator,
     WorkQueue,
-    execute_study,
     get_backend,
     run_work_item,
 )
 from repro.experiments.exec.backends import ExecutionContext
-from repro.experiments.study import SweepSpec
+from repro.experiments.study import SweepSpec, run_study
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -52,13 +51,13 @@ class TestCrashThenResume:
         crash_after = 3
 
         # uninterrupted reference run (no store: pure in-memory)
-        reference = execute_study(spec, backend="serial")
+        reference = run_study(spec, backend="serial")
 
         # run 1: simulated kill after 3 checkpointed items
         store = tmp_path / "store"
         with pytest.raises(SimulatedCrash) as excinfo:
-            execute_study(spec, backend="serial", store=store,
-                          fail_after=crash_after)
+            run_study(spec, backend="serial", store=store,
+                      fail_after=crash_after)
         assert excinfo.value.completed == crash_after
         assert len(list(ResultStore(store).stored_keys())) == crash_after
 
@@ -69,8 +68,8 @@ class TestCrashThenResume:
             executed.append((dict(values), seed))
             return run_work_item(spec_, values, seed)
 
-        resumed = execute_study(spec, backend="serial", store=store,
-                                task=counting_task)
+        resumed = run_study(spec, backend="serial", store=store,
+                            task=counting_task)
         assert len(executed) == total - crash_after
 
         # bit-identical to the uninterrupted run, CIs included
@@ -84,13 +83,13 @@ class TestCrashThenResume:
     def test_double_resume_is_a_pure_replay(self, tmp_path):
         spec = small_spec(axes={"hops": [2]}, replications=2)
         store = tmp_path / "store"
-        first = execute_study(spec, backend="serial", store=store)
+        first = run_study(spec, backend="serial", store=store)
 
         def forbidden(spec_, values, seed, tracer=None):
             raise AssertionError("fully stored study must not execute")
 
-        again = execute_study(spec, backend="serial", store=store,
-                              task=forbidden)
+        again = run_study(spec, backend="serial", store=store,
+                          task=forbidden)
         assert again == first
 
 
@@ -114,7 +113,7 @@ class TestLeaseExpiry:
         assert queue.retried == 1  # exactly the expired lease
         assert doomed.state.value == "done"
         study = ctx.aggregator.result()
-        assert study == execute_study(spec, backend="serial")
+        assert study == run_study(spec, backend="serial")
 
 
 # Module-level so it pickles by reference into pool worker processes.
@@ -147,10 +146,10 @@ class TestHungWorkerRecovery:
         monkeypatch.setenv("REPRO_TEST_SLOW_LOG", str(log))
         spec = small_spec(axes={"hops": [2]}, replications=2)
 
-        study = execute_study(spec, backend="process-pool", max_workers=1,
-                              task=_slow_logged_task, lease_timeout=0.2)
+        study = run_study(spec, backend="process-pool", max_workers=1,
+                          task=_slow_logged_task, lease_timeout=0.2)
 
-        assert study == execute_study(spec, backend="serial")
+        assert study == run_study(spec, backend="serial")
         # each item executed exactly once: late results were salvaged,
         # never double-executed
         assert len(log.read_text().splitlines()) == 2
@@ -163,8 +162,8 @@ class TestProcessPoolWorkerDeath:
         monkeypatch.setenv("REPRO_TEST_CRASH_MARKER", str(marker))
         spec = small_spec(axes={"hops": [2]}, replications=2)
 
-        study = execute_study(spec, backend="process-pool", max_workers=2,
-                              task=_die_once_task, max_retries=3)
+        study = run_study(spec, backend="process-pool", max_workers=2,
+                          task=_die_once_task, max_retries=3)
 
         assert marker.exists()  # the kill actually happened
-        assert study == execute_study(spec, backend="serial")
+        assert study == run_study(spec, backend="serial")

@@ -18,7 +18,6 @@ from repro.experiments.scenarios import build_named_scenario
 from repro.experiments.study import SweepSpec, run_study
 from repro.experiments.workload import (
     FlowSpec,
-    ScenarioBuilder,
     ScenarioEvent,
     ScenarioSpec,
     Workload,
@@ -126,14 +125,13 @@ class TestMixedTransportEndToEnd:
 
 class TestTimelineNodeEvents:
     def test_node_down_breaks_and_node_up_repairs_the_chain(self):
-        spec = (
-            ScenarioBuilder("break-repair")
-            .topology("chain", hops=3)
-            .configure(packet_target=400, max_sim_time=120.0, seed=3)
-            .flow(0, 3, variant="newreno")
-            .node_down(2, at=8.0)
-            .node_up(2, at=16.0)
-            .build()
+        spec = ScenarioSpec(
+            name="break-repair",
+            topology=chain_topology(hops=3),
+            workload=Workload(flows=(FlowSpec(0, 3, variant="newreno"),)),
+            config=ScenarioConfig(packet_target=400, max_sim_time=120.0, seed=3),
+            timeline=(ScenarioEvent.node_down(8.0, 2),
+                      ScenarioEvent.node_up(16.0, 2)),
         )
         scenario = Scenario(spec)
         result = scenario.run()
@@ -146,13 +144,13 @@ class TestTimelineNodeEvents:
         assert result.reached_packet_target
 
     def test_flow_stop_time_stops_the_application(self):
-        spec = (
-            ScenarioBuilder("bounded-udp")
-            .topology("chain", hops=2)
-            .configure(variant="paced-udp", packet_target=10_000,
-                       max_sim_time=20.0, seed=1)
-            .flow(0, 2, variant="paced-udp", stop_time=5.0)
-            .build()
+        spec = ScenarioSpec(
+            name="bounded-udp",
+            topology=chain_topology(hops=2),
+            workload=Workload(flows=(
+                FlowSpec(0, 2, variant="paced-udp", stop_time=5.0),)),
+            config=ScenarioConfig(variant="paced-udp", packet_target=10_000,
+                                  max_sim_time=20.0, seed=1),
         )
         scenario = Scenario(spec)
         result = scenario.run()
@@ -166,14 +164,14 @@ class TestTimelineNodeEvents:
     def test_flow_start_event_overrides_a_later_cbr_start_time(self):
         # The event takes over the schedule even though the CBR source holds
         # its own copy of the (later) configured start time.
-        spec = (
-            ScenarioBuilder("early-udp")
-            .topology("chain", hops=2)
-            .configure(variant="paced-udp", packet_target=10_000,
-                       max_sim_time=10.0, seed=1)
-            .flow(0, 2, variant="paced-udp", start_time=30.0)
-            .start_flow(1, at=1.0)
-            .build()
+        spec = ScenarioSpec(
+            name="early-udp",
+            topology=chain_topology(hops=2),
+            workload=Workload(flows=(
+                FlowSpec(0, 2, variant="paced-udp", start_time=30.0),)),
+            config=ScenarioConfig(variant="paced-udp", packet_target=10_000,
+                                  max_sim_time=10.0, seed=1),
+            timeline=(ScenarioEvent.flow_start(1.0, flow=1),),
         )
         scenario = Scenario(spec)
         result = scenario.run()
@@ -183,12 +181,12 @@ class TestTimelineNodeEvents:
         assert result.flow(1).delivered_packets > 0
 
     def test_flow_packet_limit_bounds_the_transfer(self):
-        spec = (
-            ScenarioBuilder("bounded-tcp")
-            .topology("chain", hops=2)
-            .configure(packet_target=10_000, max_sim_time=30.0, seed=1)
-            .flow(0, 2, variant="newreno", packet_limit=25)
-            .build()
+        spec = ScenarioSpec(
+            name="bounded-tcp",
+            topology=chain_topology(hops=2),
+            workload=Workload(flows=(
+                FlowSpec(0, 2, variant="newreno", packet_limit=25),)),
+            config=ScenarioConfig(packet_target=10_000, max_sim_time=30.0, seed=1),
         )
         result = Scenario(spec).run()
         assert result.flow(1).delivered_packets == 25
@@ -208,7 +206,7 @@ class TestWorkloadAxisStudy:
         assert spec.workload_axes == ("workload.secondary_flows",)
         assert spec.topology_axes == ()
 
-        study = run_study(spec, parallel=False)
+        study = run_study(spec, backend="serial")
         assert len(study.points) == 3
         for point in study.points:
             assert point.seeds == [3, 4]

@@ -14,8 +14,11 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.tracing import Tracer, trace_digest
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import Scenario
 from repro.experiments.scenarios import build_named_scenario
+from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec, Workload
 from repro.net.packet import reset_packet_ids
+from repro.topology.chain import chain_topology
 
 #: The acceptance scenario: moderate vehicular speed over the paper's 7-hop
 #: chain, long enough for several route breaks at seed 3.
@@ -86,26 +89,25 @@ class TestScriptedOutageUnderMobility:
 
     @pytest.fixture(scope="class")
     def outage_run(self):
-        from repro.experiments.workload import ScenarioBuilder
-
         reset_packet_ids()
         tracer = Tracer(enabled=True)
-        result = (
-            ScenarioBuilder("node-outage-under-mobility")
-            .topology("chain", hops=3)
+        spec = ScenarioSpec(
+            name="node-outage-under-mobility",
+            topology=chain_topology(hops=3),
+            workload=Workload(flows=(FlowSpec(0, 3, variant="newreno"),)),
             # Near-zero speed: the nodes technically move (so the manager
             # runs) but never far enough to change any link by geometry —
             # every link event below is caused by the scripted outage.
             # packet_target far beyond what 40 simulated seconds can deliver,
             # so the run spans the whole outage and recovery window.
-            .configure(packet_target=100_000, seed=5, max_sim_time=40.0,
-                       mobility="random-walk", mobility_speed=0.001,
-                       mobility_pause=5.0, metrics=True)
-            .flow(0, 3, variant="newreno")
-            .node_down(1, at=5.0)
-            .node_up(1, at=25.0)
-            .run(tracer=tracer)
+            config=ScenarioConfig(packet_target=100_000, seed=5,
+                                  max_sim_time=40.0, mobility="random-walk",
+                                  mobility_speed=0.001, mobility_pause=5.0,
+                                  metrics=True),
+            timeline=(ScenarioEvent.node_down(5.0, 1),
+                      ScenarioEvent.node_up(25.0, 1)),
         )
+        result = Scenario(spec, tracer=tracer).run()
         return result, tracer
 
     def test_outage_drops_both_links_of_the_downed_node(self, outage_run):

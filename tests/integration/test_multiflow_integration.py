@@ -8,8 +8,9 @@ import pytest
 
 from benchmarks.bench_figures import FIGURES, reshape
 from repro.experiments.config import ScenarioConfig, TransportVariant
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import Scenario
 from repro.experiments.study import SweepSpec, run_study
+from repro.experiments.workload import ScenarioSpec
 from repro.topology.grid import grid_topology
 from repro.topology.random_topology import random_topology
 
@@ -23,6 +24,11 @@ def multiflow_config(variant, **overrides):
     return ScenarioConfig(**defaults)
 
 
+def multiflow_spec(topology, variant, **overrides):
+    return ScenarioSpec(topology=topology,
+                        config=multiflow_config(variant, **overrides))
+
+
 class TestSmallGrid:
     @pytest.fixture(scope="class")
     def small_grid(self):
@@ -31,13 +37,13 @@ class TestSmallGrid:
         return grid_topology(columns=5, rows=2, vertical_flow_columns=(2,))
 
     def test_flows_deliver_and_fairness_defined(self, small_grid):
-        result = run_scenario(small_grid, multiflow_config(TransportVariant.VEGAS))
+        result = Scenario(multiflow_spec(small_grid, TransportVariant.VEGAS)).run()
         assert result.delivered_packets >= 180
         assert len(result.flows) == 3
         assert 1.0 / 3.0 <= result.fairness_index <= 1.0
 
     def test_aggregate_is_sum_of_flows(self, small_grid):
-        result = run_scenario(small_grid, multiflow_config(TransportVariant.NEWRENO))
+        result = Scenario(multiflow_spec(small_grid, TransportVariant.NEWRENO)).run()
         assert result.aggregate_goodput_bps == pytest.approx(
             sum(flow.goodput_bps for flow in result.flows)
         )
@@ -52,7 +58,7 @@ class TestSmallGrid:
         )
         table3 = next(figure for figure in FIGURES if figure.id == "table3")
         table = reshape(replace(table3, sweeps=(sweep,)),
-                        run=lambda spec: run_study(spec, parallel=False))
+                        run=lambda spec: run_study(spec, backend="serial"))
         assert list(table) == ["Vegas", "NewReno"]
         assert all(list(per_bandwidth) == [11.0] for per_bandwidth in table.values())
         assert all(1.0 / 3.0 <= table[v][11.0] <= 1.0 for v in table)
@@ -64,20 +70,21 @@ class TestSmallRandomTopology:
         return random_topology(node_count=30, area=(1200.0, 600.0), flow_count=3, seed=13)
 
     def test_flows_deliver_on_random_topology(self, small_random):
-        config = multiflow_config(TransportVariant.VEGAS, packet_target=120)
-        result = run_scenario(small_random, config)
+        result = Scenario(multiflow_spec(small_random, TransportVariant.VEGAS,
+                                         packet_target=120)).run()
         assert result.delivered_packets >= 120
         assert len(result.flows) == 3
 
     def test_ack_thinning_variant_runs_on_random_topology(self, small_random):
-        config = multiflow_config(TransportVariant.VEGAS_ACK_THINNING, packet_target=120)
-        result = run_scenario(small_random, config)
+        result = Scenario(multiflow_spec(small_random,
+                                         TransportVariant.VEGAS_ACK_THINNING,
+                                         packet_target=120)).run()
         assert result.delivered_packets >= 120
 
     def test_same_topology_reused_across_variants(self, small_random):
         # The comparison in the paper keeps placements and endpoints fixed.
         before = {nid: (p.x, p.y) for nid, p in small_random.positions.items()}
-        run_scenario(small_random, multiflow_config(TransportVariant.VEGAS,
-                                                    packet_target=60))
+        Scenario(multiflow_spec(small_random, TransportVariant.VEGAS,
+                                packet_target=60)).run()
         after = {nid: (p.x, p.y) for nid, p in small_random.positions.items()}
         assert before == after

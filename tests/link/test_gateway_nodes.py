@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
 from repro.experiments.scenarios import build_named_scenario
@@ -19,10 +20,12 @@ from repro.experiments.workload import (
     Workload,
 )
 from repro.link.gateway import GatewayStaticRouting, WiredNode
+from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.link.wired import WiredPort
 from repro.net.headers import IpHeader, IpProtocol, UdpHeader
 from repro.net.packet import Packet
 from repro.topology import backbone_tail, backbone_topology, chain_topology
+from repro.topology.backbone import BackboneTopology
 
 
 def make_udp_packet(src, dst, seq=0):
@@ -141,12 +144,65 @@ class TestWiredTimelineEvents:
         assert all(flow.delivered_packets > 0 for flow in result.flows)
 
 
+def wired_chain_spec(timeline):
+    """A 2-hop chain on the ``wired`` link layer: no node has a radio."""
+    return ScenarioSpec(
+        topology=chain_topology(hops=2),
+        config=ScenarioConfig(variant="newreno", routing="static",
+                              link_layer="wired", packet_target=50,
+                              max_sim_time=30.0, seed=3),
+        timeline=tuple(timeline))
+
+
+def stub_network_spec(timeline):
+    """Node 0 is wired-only, bridged by gateway 1 onto the radio chain 1-2-3."""
+    chain = chain_topology(hops=3)
+    topology = BackboneTopology(
+        name="stub-network", positions=chain.positions, flows=chain.flows,
+        link_plan=LinkPlan(
+            wireless_nodes=(1, 2, 3),
+            segments=(WiredSegmentSpec(nodes=(0, 1)),),
+            gateways=(1,),
+            subnet_of={1: 0, 2: 0, 3: 0},
+            gateway_of_subnet={0: 1},
+        ))
+    return ScenarioSpec(
+        topology=topology,
+        config=ScenarioConfig(variant="newreno", routing="static",
+                              packet_target=50, max_sim_time=30.0, seed=3),
+        timeline=tuple(timeline))
+
+
+class TestTimelineEventsTheLinkPlanCannotActOn:
+    """Rejected when the scenario is built, not at the event's time mid-run."""
+
+    @pytest.mark.parametrize("event", [ScenarioEvent.node_down(20.0, 2),
+                                       ScenarioEvent.node_up(20.0, 1)])
+    def test_node_event_on_a_node_without_a_radio(self, event):
+        with pytest.raises(ConfigurationError, match="has no radio"):
+            Scenario(wired_chain_spec([event]))
+
+    @pytest.mark.parametrize("event", [ScenarioEvent.link_down(20.0, 0, 2),
+                                       ScenarioEvent.link_up(20.0, 3, 0)])
+    def test_link_event_between_a_wired_only_node_and_a_radio(self, event):
+        with pytest.raises(ConfigurationError,
+                           match="share neither a bus nor radios"):
+            Scenario(stub_network_spec([event]))
+
+    def test_events_the_plan_can_act_on_still_build(self):
+        Scenario(stub_network_spec([ScenarioEvent.link_down(1.0, 0, 1),
+                                    ScenarioEvent.link_down(1.0, 1, 3),
+                                    ScenarioEvent.node_down(1.0, 2)]))
+        Scenario(wired_chain_spec([ScenarioEvent.link_down(1.0, 0, 2)]))
+
+
 class TestPureWiredScenarios:
     def test_wired_link_layer_delivers_with_static_routing(self):
         config = ScenarioConfig(variant="newreno", routing="static",
                                 link_layer="wired", packet_target=100,
                                 max_sim_time=30.0, seed=3)
-        scenario = Scenario(chain_topology(hops=3), config)
+        scenario = Scenario(ScenarioSpec(topology=chain_topology(hops=3),
+                                         config=config))
         assert all(isinstance(node, WiredNode)
                    for node in scenario.nodes.values())
         assert all(node.radio is None for node in scenario.nodes.values())
@@ -163,7 +219,8 @@ class TestPureWiredScenarios:
         config = ScenarioConfig(variant="newreno", routing="aodv",
                                 link_layer="wired", packet_target=50,
                                 max_sim_time=30.0, seed=3)
-        scenario = Scenario(chain_topology(hops=2), config)
+        scenario = Scenario(ScenarioSpec(topology=chain_topology(hops=2),
+                                         config=config))
         result = scenario.run()
         assert result.reached_packet_target
 

@@ -85,14 +85,15 @@ class TestScenarioEnergy:
 
     def test_scenario_result_carries_energy(self):
         from repro.experiments.config import ScenarioConfig, TransportVariant
-        from repro.experiments.runner import run_scenario
+        from repro.experiments.runner import Scenario
+        from repro.experiments.workload import ScenarioSpec
         from repro.topology.chain import chain_topology
 
-        result = run_scenario(
-            chain_topology(hops=2),
-            ScenarioConfig(variant=TransportVariant.VEGAS, packet_target=40,
-                           max_sim_time=30.0),
-        )
+        result = Scenario(ScenarioSpec(
+            topology=chain_topology(hops=2),
+            config=ScenarioConfig(variant=TransportVariant.VEGAS,
+                                  packet_target=40, max_sim_time=30.0),
+        )).run()
         assert result.energy is not None
         assert result.energy.total_joules > 0
         assert result.energy.transmit_joules > 0

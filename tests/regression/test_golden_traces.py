@@ -29,6 +29,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.results import ScenarioResult
 from repro.experiments.runner import Scenario
 from repro.experiments.scenarios import build_named_scenario
+from repro.experiments.workload import ScenarioSpec
 from repro.net.packet import reset_packet_ids
 from repro.topology.random_topology import random_topology
 
@@ -51,7 +52,7 @@ def _build_random(tracer: Tracer) -> Scenario:
                                flow_count=5, seed=11)
     config = ScenarioConfig(variant="vegas", packet_target=150, seed=11,
                             max_sim_time=120.0)
-    return Scenario(topology, config, tracer=tracer)
+    return Scenario(ScenarioSpec(topology=topology, config=config), tracer=tracer)
 
 
 def _build_mobile_chain(tracer: Tracer) -> Scenario:

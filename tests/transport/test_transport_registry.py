@@ -9,6 +9,7 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig, TransportVariant, resolve_variant
 from repro.experiments.runner import Scenario
+from repro.experiments.workload import ScenarioSpec
 from repro.topology.chain import chain_topology
 from repro.transport.newreno import NewRenoSender
 from repro.transport.registry import (
@@ -91,7 +92,8 @@ class TestCombinedBuiltinVariant:
     def test_builds_clamped_sender_and_thinning_sink(self):
         config = ScenarioConfig(variant="newreno-at-optwin", newreno_max_cwnd=3.0,
                                 packet_target=50, max_sim_time=20.0)
-        scenario = Scenario(chain_topology(hops=2), config)
+        scenario = Scenario(ScenarioSpec(topology=chain_topology(hops=2),
+                                         config=config))
         assert isinstance(scenario.senders[0], NewRenoSender)
         assert scenario.senders[0].max_cwnd == 3.0
         assert isinstance(scenario.sinks[0], AckThinningSink)
@@ -130,7 +132,8 @@ class TestCustomVariant:
     def test_scenario_builds_and_runs_custom_variant(self, clamped_vegas_profile):
         config = ScenarioConfig(variant="test-vegas-a1", packet_target=25,
                                 max_sim_time=30.0)
-        scenario = Scenario(chain_topology(hops=2), config)
+        scenario = Scenario(ScenarioSpec(topology=chain_topology(hops=2),
+                                         config=config))
         assert isinstance(scenario.senders[0], VegasSender)
         assert type(scenario.sinks[0]) is TcpSink
         result = scenario.run()
