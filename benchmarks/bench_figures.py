@@ -30,16 +30,12 @@ from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 import pytest
 
 from repro.core.statistics import mean
-from repro.experiments.config import (
-    DEFAULT_HOP_COUNTS,
-    PAPER_BANDWIDTHS,
-    ScenarioConfig,
-    TransportVariant as V,
-)
+from repro.experiments.config import DEFAULT_HOP_COUNTS, PAPER_BANDWIDTHS, ScenarioConfig
 from repro.experiments.paced_udp import default_sweep_intervals
 from repro.experiments.results import ScenarioResult, format_table
 from repro.experiments.study import StudyResult, SweepPoint, SweepSpec, run_study
 from repro.topology.random_topology import random_topology
+from repro.transport.registry import get_transport
 
 #: Delivered packets per single-flow chain point (paper: 110 000).
 PACKET_TARGET = 250
@@ -61,11 +57,11 @@ CAPTURE, NO_CAPTURE = 10.0, 1e9
 SEVEN_HOP_OPTIMAL_WINDOW = 3.0
 
 #: Variant line-ups, in the paper's legend order.
-CHAIN_VARIANTS = (V.VEGAS, V.NEWRENO, V.NEWRENO_ACK_THINNING, V.PACED_UDP)
-MULTIFLOW_VARIANTS = (V.VEGAS, V.NEWRENO, V.VEGAS_ACK_THINNING, V.NEWRENO_ACK_THINNING)
-BANDWIDTH_VARIANTS = MULTIFLOW_VARIANTS + (V.NEWRENO_OPTIMAL_WINDOW, V.PACED_UDP)
+CHAIN_VARIANTS = ("vegas", "newreno", "newreno-at", "paced-udp")
+MULTIFLOW_VARIANTS = ("vegas", "newreno", "vegas-at", "newreno-at")
+BANDWIDTH_VARIANTS = MULTIFLOW_VARIANTS + ("newreno-optwin", "paced-udp")
 
-CHAIN = ScenarioConfig(variant=V.VEGAS, bandwidth_mbps=2.0, packet_target=PACKET_TARGET,
+CHAIN = ScenarioConfig(variant="vegas", bandwidth_mbps=2.0, packet_target=PACKET_TARGET,
                        max_sim_time=400.0, seed=SEED)
 MULTIFLOW = ScenarioConfig(packet_target=MULTIFLOW_PACKET_TARGET, max_sim_time=300.0,
                            seed=SEED)
@@ -82,14 +78,14 @@ VEGAS_ALPHA = SweepSpec(
 VEGAS_THINNING = SweepSpec(
     name="vegas-thinning", topology="chain",
     axes={"vegas_alpha": ALPHAS, "hops": DEFAULT_HOP_COUNTS},
-    base=CHAIN.with_variant(V.VEGAS_ACK_THINNING))
+    base=CHAIN.with_variant("vegas-at"))
 VEGAS_ALPHA_BANDWIDTH = SweepSpec(
     name="vegas-alpha-bandwidth", topology="chain", topology_params={"hops": 7},
     axes={"vegas_alpha": ALPHAS, "bandwidth_mbps": PAPER_BANDWIDTHS}, base=CHAIN)
 PACED_UDP = SweepSpec(
     name="paced-udp", topology="chain", topology_params={"hops": 7},
     axes={"udp_interval": tuple(default_sweep_intervals(2.0, points=7, spread=0.4))},
-    base=CHAIN.with_variant(V.PACED_UDP))
+    base=CHAIN.with_variant("paced-udp"))
 BANDWIDTH_COMPARISON = SweepSpec(
     name="bandwidth-comparison", topology="chain", topology_params={"hops": 7},
     axes={"variant": BANDWIDTH_VARIANTS, "bandwidth_mbps": PAPER_BANDWIDTHS}, base=CHAIN,
@@ -105,7 +101,7 @@ CAPTURE_ABLATION = SweepSpec(
     axes={"capture_threshold": (CAPTURE, NO_CAPTURE)}, base=CHAIN)
 ROUTING_ABLATION = SweepSpec(
     name="routing-ablation", topology="chain", topology_params={"hops": 7},
-    axes={"routing": ("aodv", "static")}, base=CHAIN.with_variant(V.NEWRENO))
+    axes={"routing": ("aodv", "static")}, base=CHAIN.with_variant("newreno"))
 
 _cache = os.environ.get("REPRO_STUDY_CACHE")
 #: Result store every sweep reads and fills; None runs without one.
@@ -154,8 +150,8 @@ def label(axis: str, coords: Mapping[str, object]) -> object:
     with the Vegas variant it tunes."""
     value = coords[axis]
     if axis == "vegas_alpha":
-        return f"{coords['variant'].value} α={value:g}"
-    return getattr(value, "value", value)
+        return f"{get_transport(coords['variant']).label} α={value:g}"
+    return get_transport(value).label if axis == "variant" else value
 
 
 def points(figure: Figure) -> Iterator[Tuple[SweepSpec, SweepPoint, Dict[str, object]]]:
@@ -325,7 +321,7 @@ def energy(r: ScenarioResult) -> Dict[str, float]:
 
 
 def tcp_only(coords):
-    return coords["variant"].is_tcp
+    return coords["variant"] != "paced-udp"
 
 
 FIGURES: Tuple[Figure, ...] = (
@@ -348,7 +344,7 @@ FIGURES: Tuple[Figure, ...] = (
            "window near the optimum.",
            (VEGAS_ALPHA, VEGAS_THINNING), "vegas_alpha", "hops", goodput,
            (fig5_thinning_gains_little,),
-           keep=lambda c: c["variant"] is V.VEGAS_ACK_THINNING or c["vegas_alpha"] == 2.0),
+           keep=lambda c: c["variant"] == "vegas-at" or c["vegas_alpha"] == 2.0),
     Figure("fig6", "Figure 6: goodput [kbit/s] vs. number of hops (2 Mbit/s)",
            "paced UDP is the upper bound; Vegas achieves up to 83 % more goodput than "
            "NewReno (≈ 75 % at 8 hops); NewReno + ACK thinning sits close to (slightly "

@@ -13,7 +13,7 @@ from benchmarks.bench_figures import (
     points,
     routing_false_failures_need_aodv,
 )
-from repro.experiments.config import DEFAULT_HOP_COUNTS, TransportVariant
+from repro.experiments.config import DEFAULT_HOP_COUNTS
 
 BY_ID = {figure.id: figure for figure in FIGURES}
 
@@ -50,7 +50,7 @@ def test_figures_6_to_9_and_energy_read_one_sweep():
 
 
 def test_fig5_plain_series_is_fig2_alpha_2():
-    plain = fingerprints("fig5", variant=TransportVariant.VEGAS)
+    plain = fingerprints("fig5", variant="vegas")
     assert len(plain) == len(DEFAULT_HOP_COUNTS)
     assert plain == fingerprints("fig2", vegas_alpha=2.0)
 
@@ -60,7 +60,7 @@ def test_ablation_baselines_are_fig4_and_fig11_points():
     aodv = fingerprints("ablation-routing", routing="aodv")
     assert len(capture) == len(aodv) == 1
     assert capture == fingerprints("fig4", vegas_alpha=2.0, bandwidth_mbps=2.0)
-    assert aodv == fingerprints("fig11", variant=TransportVariant.NEWRENO, bandwidth_mbps=2.0)
+    assert aodv == fingerprints("fig11", variant="newreno", bandwidth_mbps=2.0)
 
 
 def test_optimum_at_an_end_of_the_pacing_sweep_fails():

@@ -19,7 +19,6 @@ import argparse
 from repro import ScenarioConfig, format_table
 from repro.experiments.smoke import smoke_scaled
 from repro.experiments.study import SweepSpec, run_study
-from repro.transport.registry import transport_key
 
 
 def main() -> None:
@@ -54,7 +53,7 @@ def main() -> None:
     for point in study.points:
         metrics = point.run.metrics or {}
         rows.append([
-            transport_key(point.values["variant"]),
+            point.values["variant"],
             point.values["cell_hops"],
             round(point.mean_goodput_kbps, 1),
             int(metrics.get("link.wired.bus0.collisions", 0)),

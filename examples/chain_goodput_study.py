@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ScenarioConfig, SweepSpec, TransportVariant, format_table, run_study
+from repro import ScenarioConfig, SweepSpec, format_table, get_transport, run_study
 from repro.experiments.smoke import smoke_scaled
 
 
@@ -35,12 +35,7 @@ def main() -> None:
         max_sim_time=600.0,
         seed=args.seed,
     )
-    variants = (
-        TransportVariant.VEGAS,
-        TransportVariant.NEWRENO,
-        TransportVariant.NEWRENO_ACK_THINNING,
-        TransportVariant.PACED_UDP,
-    )
+    variants = ("vegas", "newreno", "newreno-at", "paced-udp")
     spec = SweepSpec(name="chain-comparison", topology="chain",
                      axes={"variant": variants, "hops": args.hops}, base=base)
     results = run_study(spec).nested("variant", "hops", leaf=lambda p: p.run)
@@ -50,7 +45,7 @@ def main() -> None:
         for hops in args.hops:
             rows.append([hops] + [measure(results[v][hops]) for v in variants])
         print(f"\n--- {title} ---")
-        print(format_table(["hops"] + [v.value for v in variants], rows))
+        print(format_table(["hops"] + [get_transport(v).label for v in variants], rows))
 
     table_for("Figure 6: goodput [kbit/s]",
               lambda r: round(r.aggregate_goodput_kbps, 1))

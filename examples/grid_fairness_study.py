@@ -20,8 +20,8 @@ from repro import (
     Scenario,
     ScenarioConfig,
     ScenarioSpec,
-    TransportVariant,
     format_table,
+    get_transport,
     grid_topology,
 )
 from repro.experiments.smoke import smoke_scaled
@@ -37,12 +37,7 @@ def main() -> None:
     args = parser.parse_args()
 
     topology = grid_topology()
-    variants = (
-        TransportVariant.VEGAS,
-        TransportVariant.NEWRENO,
-        TransportVariant.VEGAS_ACK_THINNING,
-        TransportVariant.NEWRENO_ACK_THINNING,
-    )
+    variants = ("vegas", "newreno", "vegas-at", "newreno-at")
 
     rows = []
     for variant in variants:
@@ -55,7 +50,7 @@ def main() -> None:
         )
         result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         rows.append(
-            [variant.value]
+            [get_transport(variant).label]
             + [round(flow.goodput_kbps, 1) for flow in result.flows]
             + [round(result.aggregate_goodput_kbps, 1), round(result.fairness_index, 3)]
         )

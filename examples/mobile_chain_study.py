@@ -22,7 +22,14 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro import ScenarioConfig, SweepSpec, build_named_scenario, format_table, run_study
+from repro import (
+    ScenarioConfig,
+    SweepSpec,
+    build_named_scenario,
+    format_table,
+    get_transport,
+    run_study,
+)
 from repro.experiments.smoke import smoke_scaled
 from repro.core.tracing import Tracer
 
@@ -65,15 +72,14 @@ def sweep_speed(args: argparse.Namespace) -> None:
         replications=args.replications,
     )
     started = time.perf_counter()
-    study = run_study(spec, store=args.cache_dir or None)
+    study = run_study(spec, store=args.store or None)
     elapsed = time.perf_counter() - started
 
     rows = []
     for point in study.points:
         interval = point.goodput_interval
-        variant = point.values["variant"]
         rows.append([
-            getattr(variant, "value", variant),
+            get_transport(point.values["variant"]).label,
             f"{point.values['mobility_speed']:g}",
             interval.mean / 1000.0,
             interval.half_width / 1000.0,
@@ -96,8 +102,8 @@ def main() -> None:
                         default=smoke_scaled(["vegas", "newreno"], ["vegas"]))
     parser.add_argument("--replications", type=int,
                         default=smoke_scaled(2, 1))
-    parser.add_argument("--cache-dir", default=".study-cache",
-                        help="JSON result cache directory ('' disables)")
+    parser.add_argument("--store", default=".study-cache",
+                        help="result-store directory ('' disables)")
     args = parser.parse_args()
 
     show_break_and_repair(args.packets)

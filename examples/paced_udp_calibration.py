@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ScenarioConfig, SweepSpec, TransportVariant, format_table, run_study
+from repro import ScenarioConfig, SweepSpec, format_table, run_study
 from repro.experiments.smoke import smoke_scaled
 from repro.experiments.paced_udp import default_sweep_intervals, table2_propagation_delays
 
@@ -43,7 +43,7 @@ def main() -> None:
     ))
 
     base = ScenarioConfig(
-        variant=TransportVariant.PACED_UDP,
+        variant="paced-udp",
         bandwidth_mbps=args.bandwidth,
         packet_target=args.packets,
         max_sim_time=600.0,

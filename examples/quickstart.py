@@ -19,9 +19,9 @@ from repro import (
     Scenario,
     ScenarioConfig,
     ScenarioSpec,
-    TransportVariant,
     chain_topology,
     format_table,
+    get_transport,
 )
 from repro.experiments.smoke import smoke_scaled
 
@@ -37,13 +37,7 @@ def main() -> None:
     args = parser.parse_args()
 
     topology = chain_topology(hops=args.hops)
-    variants = (
-        TransportVariant.VEGAS,
-        TransportVariant.NEWRENO,
-        TransportVariant.VEGAS_ACK_THINNING,
-        TransportVariant.NEWRENO_ACK_THINNING,
-        TransportVariant.PACED_UDP,
-    )
+    variants = ("vegas", "newreno", "vegas-at", "newreno-at", "paced-udp")
 
     rows = []
     for variant in variants:
@@ -57,7 +51,7 @@ def main() -> None:
         result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         flow = result.flows[0]
         rows.append([
-            variant.value,
+            get_transport(variant).label,
             round(result.aggregate_goodput_kbps, 1),
             round(flow.retransmissions_per_packet, 4),
             round(flow.average_window, 2),

@@ -22,8 +22,8 @@ from repro import (
     Scenario,
     ScenarioConfig,
     ScenarioSpec,
-    TransportVariant,
     format_table,
+    get_transport,
     random_topology,
 )
 from repro.experiments.smoke import smoke_scaled
@@ -48,16 +48,11 @@ def main() -> None:
     )
     print(f"Generated connected random topology: {topology.node_count} nodes, "
           f"{len(topology.flows)} flows")
-    for index, flow in enumerate(topology.flows, start=1):
-        print(f"  FTP{index}: node {flow.source} -> node {flow.destination} "
-              f"({topology.hop_count(flow.source, flow.destination)} hops)")
+    for index, (source, destination) in enumerate(topology.flows, start=1):
+        print(f"  FTP{index}: node {source} -> node {destination} "
+              f"({topology.hop_count(source, destination)} hops)")
 
-    variants = (
-        TransportVariant.VEGAS,
-        TransportVariant.NEWRENO,
-        TransportVariant.VEGAS_ACK_THINNING,
-        TransportVariant.NEWRENO_ACK_THINNING,
-    )
+    variants = ("vegas", "newreno", "vegas-at", "newreno-at")
     rows = []
     for variant in variants:
         config = ScenarioConfig(
@@ -66,7 +61,7 @@ def main() -> None:
         )
         result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         rows.append(
-            [variant.value]
+            [get_transport(variant).label]
             + [round(flow.goodput_kbps, 1) for flow in result.flows]
             + [round(result.aggregate_goodput_kbps, 1), round(result.fairness_index, 3)]
         )

@@ -11,7 +11,7 @@ from the cache instantly.
 Run with::
 
     python examples/study_sweep.py [--packets 250] [--replications 3]
-        [--hops 2 4 8] [--variants vegas newreno] [--cache-dir .study-cache]
+        [--hops 2 4 8] [--variants vegas newreno] [--store .study-cache]
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro import (
     StudyResult,
     SweepSpec,
     format_table,
+    get_transport,
     run_study,
     transport_names,
 )
@@ -42,8 +43,8 @@ def main() -> None:
     parser.add_argument("--bandwidth", type=float, default=2.0)
     parser.add_argument("--replications", type=int, default=smoke_scaled(3, 1),
                         help="independent seeds per sweep point")
-    parser.add_argument("--cache-dir", default=".study-cache",
-                        help="JSON result cache directory ('' disables)")
+    parser.add_argument("--store", default=".study-cache",
+                        help="result-store directory ('' disables)")
     parser.add_argument("--serial", action="store_true",
                         help="force serial in-process execution")
     parser.add_argument("--save", metavar="PATH",
@@ -63,7 +64,7 @@ def main() -> None:
     study = run_study(
         spec,
         backend="serial" if args.serial else None,
-        store=args.cache_dir or None,
+        store=args.store or None,
     )
     elapsed = time.perf_counter() - started
 
@@ -71,8 +72,7 @@ def main() -> None:
     for point in study.points:
         interval = point.goodput_interval
         rows.append([
-            point.values["variant"].value
-            if hasattr(point.values["variant"], "value") else point.values["variant"],
+            get_transport(point.values["variant"]).label,
             point.values["hops"],
             interval.mean / 1000.0,
             interval.half_width / 1000.0,

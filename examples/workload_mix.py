@@ -32,14 +32,13 @@ from repro import (
 )
 from repro.experiments.smoke import smoke_scaled
 from repro.phy.propagation import Position
-from repro.topology.base import FlowSpec as TopologyFlow
 from repro.topology.base import Topology
 
 
 def two_flow_chain(hops: int) -> Topology:
     """A chain whose two flows share the full path (coexistence stress)."""
     positions = {i: Position(x=i * 200.0, y=0.0) for i in range(hops + 1)}
-    flows = [TopologyFlow(source=0, destination=hops) for _ in range(2)]
+    flows = [(0, hops), (0, hops)]
     return Topology(name=f"chain-{hops}-2flows", positions=positions,
                     flows=flows)
 
@@ -90,7 +89,7 @@ def run_mix_study(args) -> None:
         replications=args.replications,
     )
     study = run_study(spec, backend="serial" if args.serial else "process-pool",
-                      store=args.cache_dir or None)
+                      store=args.store or None)
 
     print(f"\n=== traffic-mix sweep ({args.replications} seed(s)/point) ===")
     rows = []
@@ -116,8 +115,8 @@ def main() -> None:
     parser.add_argument("--replications", type=int,
                         default=smoke_scaled(2, 1),
                         help="independent seeds per sweep point")
-    parser.add_argument("--cache-dir", default="",
-                        help="JSON result cache directory ('' disables)")
+    parser.add_argument("--store", default="",
+                        help="result-store directory ('' disables)")
     parser.add_argument("--serial", action="store_true",
                         help="force serial in-process execution")
     args = parser.parse_args()

@@ -39,7 +39,6 @@ from repro.experiments.config import (
     PAPER_BANDWIDTHS,
     PAPER_HOP_COUNTS,
     ScenarioConfig,
-    TransportVariant,
 )
 from repro.experiments.results import FlowResult, ScenarioResult, format_table
 from repro.experiments.workload import (
@@ -90,7 +89,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "ScenarioConfig",
-    "TransportVariant",
     "PAPER_BANDWIDTHS",
     "PAPER_HOP_COUNTS",
     "DEFAULT_HOP_COUNTS",

@@ -4,9 +4,8 @@ Five subsystems resolve pluggable components by short name — transports,
 topologies, mobility models, link layers and executor backends — and
 before this module each reimplemented the same ~60 lines:
 a module-level dict keyed by a case/space-normalised name, duplicate
-detection with a ``replace=`` escape hatch, alias lookup with hijack
-protection, a monotone generation counter for preset-cache invalidation,
-sorted listings and difflib "did you mean" suggestions.
+detection with a ``replace=`` escape hatch, sorted listings and difflib
+"did you mean" suggestions.
 
 :class:`NamedRegistry` is that machinery, once.  Each registry module stays
 the public API — thin functions with the exact signatures and error-message
@@ -26,7 +25,7 @@ caller passes explicitly.
 from __future__ import annotations
 
 import difflib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
 
@@ -55,78 +54,34 @@ class NamedRegistry:
         self.kind = kind
         self.suggestion_listing = suggestion_listing
         self._entries: Dict[str, object] = {}
-        #: Every lookup key (name, label, alias) → owning canonical key.
-        self._lookup: Dict[str, str] = {}
-        #: Canonical key → the (name, *aliases) spellings it registered.
-        self._aliases: Dict[str, Tuple[str, ...]] = {}
-        self._generation = 0
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def register(self, value: object, *, name: str,
-                 aliases: Iterable[str] = (),
                  replace: bool = False) -> None:
-        """Store ``value`` under ``name`` (plus optional alias spellings).
-
-        ``replace=True`` permits overwriting the same-name registration —
-        it never lets a registration hijack another entry's name or aliases.
-        Replacing drops the replaced entry's stale aliases.
+        """Store ``value`` under ``name``.
 
         Raises:
-            ConfigurationError: On a duplicate name without ``replace``, or
-                when any alias already points at a different entry.
+            ConfigurationError: On a duplicate name without ``replace``.
         """
         key = normalize_name(name)
         if key in self._entries and not replace:
             raise ConfigurationError(
                 f"{self.kind} {name!r} is already registered")
-        spellings = (name, *aliases)
-        for alias in spellings:
-            owner = self._lookup.get(normalize_name(alias))
-            if owner is not None and owner != key:
-                raise ConfigurationError(
-                    f"{self.kind} alias {alias!r} already points at {owner!r}"
-                )
-        if key in self._entries:
-            self._drop(key)  # drop the replaced entry's stale aliases
         self._entries[key] = value
-        self._aliases[key] = spellings
-        for alias in spellings:
-            self._lookup[normalize_name(alias)] = key
-        self._generation += 1
 
     def unregister(self, name: str) -> bool:
-        """Remove an entry by any of its spellings; unknown names are a no-op.
+        """Remove an entry by name; unknown names are a no-op.
 
         Returns:
-            True when an entry was removed (the generation advanced).
+            True when an entry was removed.
         """
-        key = self._lookup.get(normalize_name(name), normalize_name(name))
-        if key not in self._entries:
-            return False
-        self._drop(key)
-        self._generation += 1
-        return True
-
-    def _drop(self, key: str) -> None:
-        del self._entries[key]
-        for alias in self._aliases.pop(key, ()):
-            if self._lookup.get(normalize_name(alias)) == key:
-                del self._lookup[normalize_name(alias)]
+        return self._entries.pop(normalize_name(name), None) is not None
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def resolve_key(self, name: str) -> Optional[str]:
-        """Canonical key of any registered spelling, or None if unknown."""
-        return self._lookup.get(normalize_name(name))
-
-    def lookup(self, name: str) -> Optional[object]:
-        """The entry registered under any spelling, or None if unknown."""
-        key = self._lookup.get(normalize_name(name))
-        return None if key is None else self._entries[key]
-
     def get(self, name: str) -> object:
         """Resolve an entry by name.
 
@@ -137,7 +92,7 @@ class NamedRegistry:
                 (CLIs turn it into an exit-2 error); otherwise it lists the
                 registered names.
         """
-        entry = self.lookup(name)
+        entry = self._entries.get(normalize_name(name))
         if entry is None:
             raise ConfigurationError(self.unknown_message(name))
         return entry
@@ -164,15 +119,6 @@ class NamedRegistry:
     def values(self) -> List[object]:
         """All registered entries, sorted by canonical name."""
         return [self._entries[name] for name in self.names()]
-
-    @property
-    def generation(self) -> int:
-        """Monotone counter bumped on every successful (un)registration.
-
-        Lets derived caches (e.g. the generated scenario preset table)
-        detect that the set of registered entries changed.
-        """
-        return self._generation
 
     def __contains__(self, name: str) -> bool:
         return normalize_name(name) in self._entries

@@ -33,9 +33,6 @@ from repro.experiments.config import (
     PAPER_BANDWIDTHS,
     PAPER_HOP_COUNTS,
     ScenarioConfig,
-    TransportVariant,
-    resolve_variant,
-    variant_label,
 )
 from repro.experiments.results import FlowResult, ScenarioResult, format_table
 from repro.experiments.workload import (
@@ -80,9 +77,6 @@ __all__ = [
     "PAPER_BANDWIDTHS",
     "PAPER_HOP_COUNTS",
     "ScenarioConfig",
-    "TransportVariant",
-    "resolve_variant",
-    "variant_label",
     "FlowResult",
     "ScenarioResult",
     "format_table",

@@ -12,20 +12,16 @@ the *scenario-wide defaults*: each flow inherits them and may override the
 transport variant and the per-flow parameters (Vegas α, window clamp, UDP
 interval, TCP parameters, ACK thinning) through its ``FlowSpec``.
 
-The transport variant may be given as a :class:`TransportVariant` enum member
-(the paper's six variants), as a registry name (``"vegas-at"``), or as a
-display label (``"Vegas ACK Thinning"``); strings naming a variant that has no
-enum member — i.e. one added through
-:func:`repro.transport.registry.register_transport` — are kept as canonical
-registry names.  Variant-specific validation lives on the registered
+The transport variant is its registry key (``"vegas-at"``; see
+:func:`repro.transport.registry.transport_names`), held as a ``str``.
+Variant-specific validation lives on the registered
 :class:`repro.transport.registry.TransportProfile`, not here.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 from repro.link.registry import get_link_layer
 from repro.core.errors import ConfigurationError
@@ -36,75 +32,16 @@ from repro.transport.tcp_base import TcpConfig
 from repro.transport.vegas import VegasParameters
 
 
-class TransportVariant(enum.Enum):
-    """The transport protocol variants compared in the paper."""
-
-    NEWRENO = "NewReno"
-    VEGAS = "Vegas"
-    NEWRENO_ACK_THINNING = "NewReno ACK Thinning"
-    VEGAS_ACK_THINNING = "Vegas ACK Thinning"
-    NEWRENO_OPTIMAL_WINDOW = "NewReno Optimal Window"
-    PACED_UDP = "Paced UDP"
-
-    @property
-    def is_tcp(self) -> bool:
-        """True for the TCP variants (everything except paced UDP)."""
-        return self is not TransportVariant.PACED_UDP
-
-    @property
-    def uses_ack_thinning(self) -> bool:
-        """True if the sink applies dynamic ACK thinning."""
-        return self in (
-            TransportVariant.NEWRENO_ACK_THINNING,
-            TransportVariant.VEGAS_ACK_THINNING,
-        )
-
-    @property
-    def is_vegas(self) -> bool:
-        """True for the Vegas-based variants."""
-        return self in (TransportVariant.VEGAS, TransportVariant.VEGAS_ACK_THINNING)
-
-
-#: Canonical registry name → enum member, for the variants the enum covers.
-_VARIANT_BY_KEY = {transport_key(member): member for member in TransportVariant}
-
-#: A transport variant in any accepted spelling: enum member, registry name,
-#: label or alias.  Configs normalise strings back to the enum when possible.
-VariantLike = Union[TransportVariant, str]
-
-
-def resolve_variant(variant: VariantLike) -> VariantLike:
-    """Normalise a variant spelling.
-
-    Returns the matching :class:`TransportVariant` member when one exists
-    (so legacy ``config.variant is TransportVariant.VEGAS`` checks keep
-    working), otherwise the canonical registry name of the registered
-    profile.
-
-    Raises:
-        ConfigurationError: If the variant is not registered.
-    """
-    key = transport_key(variant)
-    if isinstance(variant, TransportVariant):
-        return variant
-    return _VARIANT_BY_KEY.get(key, key)
-
-
-def variant_label(variant: VariantLike) -> str:
-    """Human-readable label of a variant (``TransportVariant.value`` for
-    the built-ins, :attr:`TransportProfile.label` in general)."""
-    return get_transport(variant).label
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All parameters of one simulation scenario.
 
     Attributes:
-        variant: Scenario-wide default transport variant — an enum member, a
-            registry name (``"vegas-at"``) or a label; strings are normalised
-            by :func:`resolve_variant`.  Every flow runs this variant unless
-            its :class:`~repro.experiments.workload.FlowSpec` overrides it
+        variant: Scenario-wide default transport variant: its registry key
+            (``"vegas-at"``), normalised by
+            :func:`~repro.transport.registry.transport_key`.  Every flow runs
+            this variant unless its
+            :class:`~repro.experiments.workload.FlowSpec` overrides it
             (mixed-transport workloads; see ``docs/workloads.md``).
         bandwidth_mbps: 802.11 data rate (2, 5.5 or 11 in the paper).
         vegas_alpha: Vegas α (= β = γ) threshold in packets.
@@ -165,7 +102,7 @@ class ScenarioConfig:
             segments in seconds (also the collision vulnerability window).
     """
 
-    variant: VariantLike = TransportVariant.VEGAS
+    variant: str = "vegas"
     bandwidth_mbps: float = 2.0
     vegas_alpha: float = 2.0
     newreno_max_cwnd: Optional[float] = None
@@ -230,7 +167,7 @@ class ScenarioConfig:
                 "mobility models move radios; only the 'wireless' link "
                 "layer supports mobility"
             )
-        object.__setattr__(self, "variant", resolve_variant(self.variant))
+        object.__setattr__(self, "variant", transport_key(self.variant))
         get_transport(self.variant).validate_config(self)
 
     # ------------------------------------------------------------------
@@ -242,7 +179,7 @@ class ScenarioConfig:
             alpha=self.vegas_alpha, beta=self.vegas_alpha, gamma=self.vegas_alpha
         )
 
-    def with_variant(self, variant: VariantLike, **overrides) -> "ScenarioConfig":
+    def with_variant(self, variant: str, **overrides) -> "ScenarioConfig":
         """Copy of this config with a different transport variant."""
         return replace(self, variant=variant, **overrides)
 

@@ -30,7 +30,7 @@ This module is also the scenario-catalog generator::
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.core.tracing import NULL_TRACER, Tracer
@@ -43,11 +43,8 @@ from repro.experiments.workload import (
     Workload,
 )
 from repro.mobility.registry import mobility_profiles
-from repro.mobility.registry import registry_generation as _mobility_generation
 from repro.topology.registry import get_topology, topology_profiles
-from repro.topology.registry import registry_generation as _topology_generation
 from repro.transport.registry import transport_profiles
-from repro.transport.registry import registry_generation as _transport_generation
 
 #: Scenario factory type: returns a complete
 #: :class:`~repro.experiments.workload.ScenarioSpec`.
@@ -55,8 +52,6 @@ ScenarioFactory = Callable[[], ScenarioSpec]
 
 #: Hand-registered presets layered on top of the generated table.
 _EXTRA_SCENARIOS: Dict[str, ScenarioFactory] = {}
-#: Bumped on every register_scenario call (cache-invalidation stamp).
-_EXTRA_GENERATION = 0
 
 
 def _bandwidth_tag(bandwidth: float) -> str:
@@ -74,25 +69,13 @@ def _preset_factory(family: str, params: Dict[str, object], variant_name: str,
     return factory
 
 
-#: Memoized preset table: rebuilt only when the transport/topology/mobility
-#: registries (tracked via their generation counters) or the hand-registered
-#: extras change.
-_PRESET_CACHE: Tuple[Tuple[int, int, int, int], Dict[str, ScenarioFactory]] = (
-    (-1, -1, -1, -1), {},
-)
-
-
 def _generated_presets() -> Dict[str, ScenarioFactory]:
     """The preset table for the currently registered profiles.
 
-    The returned dict is the internal cache — treat it as read-only; use
-    :func:`register_scenario` to add presets.
+    Built afresh on every call (about a millisecond for the built-ins), so
+    it always reflects the registries; use :func:`register_scenario` to add
+    presets.
     """
-    global _PRESET_CACHE
-    stamp = (_transport_generation(), _topology_generation(),
-             _mobility_generation(), _EXTRA_GENERATION)
-    if _PRESET_CACHE[0] == stamp:
-        return _PRESET_CACHE[1]
     mobile_variants = [(m.preset_tag, m.name) for m in mobility_profiles()
                        if m.preset_tag is not None]
     presets: Dict[str, ScenarioFactory] = {}
@@ -118,7 +101,6 @@ def _generated_presets() -> Dict[str, ScenarioFactory]:
                         profile.name, bandwidth, overrides,
                     )
     presets.update(_EXTRA_SCENARIOS)
-    _PRESET_CACHE = (stamp, presets)
     return presets
 
 
@@ -129,11 +111,9 @@ def register_scenario(name: str, factory: ScenarioFactory,
     Raises:
         ConfigurationError: If the name collides without ``replace_existing``.
     """
-    global _EXTRA_GENERATION
     if not replace_existing and name in _generated_presets():
         raise ConfigurationError(f"scenario {name!r} is already registered")
     _EXTRA_SCENARIOS[name] = factory
-    _EXTRA_GENERATION += 1
 
 
 # ======================================================================
@@ -164,7 +144,7 @@ def _random50_tcp_with_udp_background() -> ScenarioSpec:
 
     topology = random_topology(node_count=50, area=(1300.0, 800.0),
                                flow_count=5, seed=11)
-    endpoints = topology.flow_endpoints()
+    endpoints = topology.flows
     flows = [FlowSpec(source=s, destination=d, variant="newreno")
              for s, d in endpoints[:-1]]
     flows.append(FlowSpec(source=endpoints[-1][0], destination=endpoints[-1][1],
@@ -384,9 +364,8 @@ def catalog_markdown() -> str:
         "",
     ]
     lines.extend(_markdown_table(
-        ["name", "label", "aliases", "preset overrides"],
+        ["name", "label", "preset overrides"],
         [[f"`{p.name}`", p.label,
-          ", ".join(f"`{alias}`" for alias in p.aliases) or "—",
           _format_params(dict(p.preset_overrides))]
          for p in _transports()],
     ))

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import hashlib
 import itertools
 import json
@@ -74,7 +73,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.io import atomic_write_text
 from repro.core.statistics import ConfidenceInterval, confidence_interval
 from repro.core.tracing import NULL_TRACER, Tracer
-from repro.experiments.config import ScenarioConfig, resolve_variant
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.exec.aggregate import ProgressSnapshot, StreamingAggregator
 from repro.experiments.exec.backends import (
     ExecutionContext,
@@ -96,7 +95,7 @@ from repro.experiments.results import ScenarioResult
 from repro.experiments.workload import ScenarioEvent, ScenarioSpec, Workload
 from repro.topology.base import Topology
 from repro.topology.registry import build_topology, get_topology
-from repro.transport.registry import transport_key
+from repro.transport.registry import get_transport, transport_key
 
 #: ScenarioConfig field names; axis keys in this set override the config.
 #: Axis keys prefixed ``workload.`` are passed to the sweep's workload
@@ -142,8 +141,6 @@ def _jsonable(value: object) -> object:
     """Recursively convert a value into JSON-serializable primitives."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _jsonable(dataclasses.asdict(value))
-    if isinstance(value, enum.Enum):
-        return value.value
     if isinstance(value, Mapping):
         return {str(key): _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -179,8 +176,8 @@ class SweepSpec:
             are topology builder parameters.  ``seed`` may not be an axis —
             use ``replications``.
         base: Baseline :class:`ScenarioConfig` every point starts from.
-        variant_overrides: Per-variant config overrides (keyed by any variant
-            spelling) applied when that variant is the point's variant —
+        variant_overrides: Per-variant config overrides (keyed by variant
+            name) applied when that variant is the point's variant —
             e.g. ``{"newreno-optwin": {"newreno_max_cwnd": 3.0}}``.  Axis
             values take precedence over these.
         workload: Fixed per-flow :class:`~repro.experiments.workload.Workload`
@@ -273,9 +270,8 @@ class SweepSpec:
     def points(self) -> List[SweepPoint]:
         """All sweep points, in cartesian order (last axis fastest).
 
-        Variant axis values are normalised (enum member for the built-ins,
-        canonical registry name otherwise) so that point lookups and JSON
-        round trips are spelling-independent.
+        Variant axis values are normalised to their registry keys so that
+        point lookups and JSON round trips are spelling-independent.
         """
         names = self.axis_names
         combos = itertools.product(*(tuple(self.axes[a]) for a in names))
@@ -283,7 +279,7 @@ class SweepSpec:
         for index, combo in enumerate(combos):
             values = dict(zip(names, combo))
             if "variant" in values:
-                values["variant"] = resolve_variant(values["variant"])
+                values["variant"] = transport_key(values["variant"])
             points.append(SweepPoint(index=index, values=values))
         return points
 
@@ -445,11 +441,8 @@ class PointResult:
 
     def to_dict(self) -> dict:
         """JSON-serializable representation (see :meth:`from_dict`)."""
-        values = dict(self.values)
-        if "variant" in values:
-            values["variant"] = transport_key(values["variant"])
         return {
-            "values": values,
+            "values": dict(self.values),
             "seeds": list(self.seeds),
             "runs": [run.to_dict() for run in self.runs],
         }
@@ -457,12 +450,9 @@ class PointResult:
     @classmethod
     def from_dict(cls, data: dict) -> "PointResult":
         """Rebuild from :meth:`to_dict` output (axis values must be
-        JSON-native; the ``variant`` axis is restored to its enum member)."""
-        values = dict(data["values"])
-        if "variant" in values:
-            values["variant"] = resolve_variant(values["variant"])
+        JSON-native)."""
         return cls(
-            values=values,
+            values=dict(data["values"]),
             seeds=list(data["seeds"]),
             runs=[ScenarioResult.from_dict(r) for r in data["runs"]],
         )
@@ -480,15 +470,15 @@ class StudyResult:
     def point(self, **axis_values: object) -> PointResult:
         """The point whose axis values match ``axis_values`` exactly.
 
-        A ``variant`` value may be given in any registered spelling (enum
-        member, registry name, label); it is normalised before matching.
+        A ``variant`` value is normalised to its registry key (lookup is
+        case-insensitive) before matching.
 
         Raises:
             KeyError: If no point matches.
         """
         if "variant" in axis_values:
             axis_values = dict(axis_values,
-                               variant=resolve_variant(axis_values["variant"]))
+                               variant=transport_key(axis_values["variant"]))
         for point in self.points:
             if all(point.values.get(k) == v for k, v in axis_values.items()):
                 return point
@@ -868,7 +858,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     for point in study.points:
         interval = point.goodput_interval
         label = ", ".join(
-            f"{k}={getattr(v, 'value', v)}" for k, v in point.values.items())
+            f"{k}={get_transport(v).label if k == 'variant' else v}"
+            for k, v in point.values.items())
         rows.append([label, interval.mean / 1000.0,
                      interval.half_width / 1000.0])
     print(format_table(["point", "goodput [kbit/s]", "± 95% CI"], rows))

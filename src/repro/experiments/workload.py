@@ -49,10 +49,10 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.experiments.config import ScenarioConfig, VariantLike, resolve_variant
+from repro.experiments.config import ScenarioConfig
 from repro.topology.base import Topology
 from repro.transport.ack_thinning import AckThinningPolicy
-from repro.transport.registry import get_transport
+from repro.transport.registry import get_transport, transport_key
 from repro.transport.tcp_base import TcpConfig
 
 __all__ = [
@@ -84,8 +84,9 @@ class FlowSpec:
     Attributes:
         source: Source node id (must exist in the scenario's topology).
         destination: Destination node id.
-        variant: Transport variant for *this* flow (any registered spelling);
-            ``None`` uses the scenario-wide ``config.variant``.
+        variant: Transport variant for *this* flow, its registry key
+            (``"vegas-at"``); ``None`` uses the scenario-wide
+            ``config.variant``.
         start_time: Simulated time the driving application starts; ``None``
             uses the scenario's staggered default
             (``(index - 1) * flow_start_stagger``).  A ``flow-start`` timeline
@@ -105,7 +106,7 @@ class FlowSpec:
 
     source: int
     destination: int
-    variant: Optional[VariantLike] = None
+    variant: Optional[str] = None
     start_time: Optional[float] = None
     stop_time: Optional[float] = None
     packet_limit: Optional[int] = None
@@ -131,7 +132,7 @@ class FlowSpec:
         if self.variant is not None:
             # Normalise eagerly so misspelled variants fail at spec time, and
             # spec equality / serialization is spelling-independent.
-            object.__setattr__(self, "variant", resolve_variant(self.variant))
+            object.__setattr__(self, "variant", transport_key(self.variant))
         for name in ("start_time", "stop_time"):
             value = getattr(self, name)
             if value is not None and (value < 0 or not math.isfinite(value)):
@@ -223,7 +224,7 @@ class Workload:
         """
         return cls(flows=tuple(
             FlowSpec(source=source, destination=destination, **common)
-            for source, destination in topology.flow_endpoints()
+            for source, destination in topology.flows
         ))
 
     def __len__(self) -> int:
@@ -235,19 +236,13 @@ class Workload:
     def __getitem__(self, index: int) -> FlowSpec:
         return self.flows[index]
 
-    def is_uniform(self, default: VariantLike) -> bool:
-        """True when every flow runs the scenario-wide default variant.
+    def is_uniform(self, default: str) -> bool:
+        """True when every flow runs ``default``, the scenario-wide variant key.
 
         A flow counts as uniform whether it inherits the default implicitly
         (``variant=None``) or names the same variant explicitly.
         """
-        from repro.transport.registry import transport_key
-
-        default_key = transport_key(default)
-        return all(
-            flow.variant is None or transport_key(flow.variant) == default_key
-            for flow in self.flows
-        )
+        return all(flow.variant in (None, default) for flow in self.flows)
 
 
 #: Timeline actions understood by the scenario runner.  Flow actions target a
@@ -420,8 +415,8 @@ class ScenarioSpec:
 
 def mixed_transport_workload(
     topology: Topology,
-    primary: VariantLike = "newreno",
-    secondary: VariantLike = "vegas",
+    primary: str = "newreno",
+    secondary: str = "vegas",
     secondary_flows: int = 0,
     **common: object,
 ) -> Workload:
@@ -442,7 +437,7 @@ def mixed_transport_workload(
     """
     if secondary_flows < 0:
         raise ConfigurationError("secondary_flows must be non-negative")
-    endpoints = topology.flow_endpoints()
+    endpoints = topology.flows
     cut = len(endpoints) - min(secondary_flows, len(endpoints))
     return Workload(flows=tuple(
         FlowSpec(source=source, destination=destination,

@@ -67,11 +67,6 @@ _LINK_LAYERS = NamedRegistry(
 )
 
 
-def registry_generation() -> int:
-    """Monotone counter bumped on every (un)registration."""
-    return _LINK_LAYERS.generation
-
-
 def register_link_layer(profile: LinkLayerProfile,
                         replace: bool = False) -> LinkLayerProfile:
     """Register a link-layer profile by name.

@@ -81,15 +81,6 @@ class MobilityProfile:
 _MOBILITY = NamedRegistry("mobility model")
 
 
-def registry_generation() -> int:
-    """Monotone counter bumped on every (un)registration.
-
-    Lets derived caches (e.g. the generated scenario preset table) detect
-    that the set of registered mobility families changed.
-    """
-    return _MOBILITY.generation
-
-
 def register_mobility(profile: MobilityProfile, replace: bool = False) -> MobilityProfile:
     """Register a mobility family by name.
 

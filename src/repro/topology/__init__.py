@@ -6,7 +6,7 @@ declarative study API and the scenario presets resolve topologies.
 """
 
 from repro.topology.backbone import BackboneTopology, backbone_tail, backbone_topology
-from repro.topology.base import FlowSpec, Topology, all_next_hop_tables, shortest_path_next_hops
+from repro.topology.base import Topology, all_next_hop_tables, shortest_path_next_hops
 from repro.topology.chain import chain_topology, hidden_terminal_pairs
 from repro.topology.grid import grid_topology, node_id_at
 from repro.topology.random_topology import random_topology
@@ -24,7 +24,6 @@ __all__ = [
     "BackboneTopology",
     "backbone_tail",
     "backbone_topology",
-    "FlowSpec",
     "TopologyProfile",
     "build_topology",
     "get_topology",

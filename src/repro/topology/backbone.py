@@ -30,7 +30,7 @@ from typing import Dict, Optional
 from repro.core.errors import ConfigurationError
 from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.phy.propagation import Position
-from repro.topology.base import FlowSpec, Topology
+from repro.topology.base import Topology
 
 #: Spacing between consecutive cell members (metres); matches the paper's
 #: 200 m chain spacing, i.e. just inside transmission range.
@@ -94,8 +94,8 @@ def backbone_topology(
             subnet_of[node_id] = cell
 
     flows = [
-        FlowSpec(backbone_tail(cells, cell_hops, cell),
-                 backbone_tail(cells, cell_hops, (cell + 1) % cells))
+        (backbone_tail(cells, cell_hops, cell),
+         backbone_tail(cells, cell_hops, (cell + 1) % cells))
         for cell in range(cells)
     ]
 

@@ -1,11 +1,12 @@
 """Topology descriptions and graph helpers.
 
 A :class:`Topology` is a declarative description — node positions plus the
-source/destination pairs of the traffic flows — that the experiment runner
-turns into a live network.  Graph helpers (connectivity, shortest-path next
-hops) run on :class:`ConnectivityGraph`, a breadth-first search over
-insertion-ordered adjacency lists, and are used both by the static-routing
-baseline and by the random-topology generator's connectivity check.
+``(source, destination)`` pairs of the traffic flows — that the experiment
+runner turns into a live network.  Graph helpers (connectivity,
+shortest-path next hops) run on :class:`ConnectivityGraph`, a breadth-first
+search over insertion-ordered adjacency lists, and are used both by the
+static-routing baseline and by the random-topology generator's connectivity
+check.
 """
 
 from __future__ import annotations
@@ -20,30 +21,6 @@ from repro.phy.propagation import Position, RangePropagationModel
 #: the all-pairs scan to the grid-indexed sweep.  Small placements stay on
 #: the simple loop (less constant-factor overhead, trivially auditable).
 _GRID_GRAPH_THRESHOLD = 128
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    """A traffic flow between two nodes (endpoint level).
-
-    Topology flows only name *where* traffic goes.  The experiment-level
-    :class:`repro.experiments.workload.FlowSpec` adds *how* (transport
-    variant, application timing, per-flow parameter overrides); topology
-    flows are lifted into workload flows by
-    :meth:`repro.experiments.workload.Workload.from_topology`.
-    """
-
-    source: int
-    destination: int
-
-    def __post_init__(self) -> None:
-        if self.source == self.destination:
-            raise TopologyError("flow source and destination must differ")
-
-    @property
-    def endpoints(self) -> Tuple[int, int]:
-        """The ``(source, destination)`` node pair."""
-        return (self.source, self.destination)
 
 
 class ConnectivityGraph:
@@ -113,13 +90,15 @@ class Topology:
     Attributes:
         name: Human-readable topology name.
         positions: Mapping from node id to :class:`Position`.
-        flows: Traffic flows (ordered; flow *i* in the paper's figures is
-            ``flows[i-1]`` here).
+        flows: ``(source, destination)`` node pairs of the traffic flows
+            (ordered; flow *i* in the paper's figures is ``flows[i-1]``
+            here).  :meth:`repro.experiments.workload.Workload.from_topology`
+            lifts them into workload flows.
     """
 
     name: str
     positions: Dict[int, Position]
-    flows: List[FlowSpec] = field(default_factory=list)
+    flows: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def node_count(self) -> int:
@@ -130,15 +109,6 @@ class Topology:
     def node_ids(self) -> List[int]:
         """Sorted node identifiers."""
         return sorted(self.positions)
-
-    def flow_endpoints(self) -> List[Tuple[int, int]]:
-        """The ``(source, destination)`` pairs of every flow, in order.
-
-        This is the seam the workload layer builds on: anything exposing
-        ``source``/``destination`` attributes (topology flow specs, workload
-        flow specs) can populate ``flows``.
-        """
-        return [(flow.source, flow.destination) for flow in self.flows]
 
     def connectivity_graph(
         self, propagation: RangePropagationModel | None = None

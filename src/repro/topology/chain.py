@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.core.errors import TopologyError
 from repro.phy.propagation import Position
-from repro.topology.base import FlowSpec, Topology
+from repro.topology.base import Topology
 
 #: Node spacing used throughout the paper (metres).
 DEFAULT_SPACING = 200.0
@@ -35,7 +35,7 @@ def chain_topology(hops: int, spacing: float = DEFAULT_SPACING) -> Topology:
     if hops < 1:
         raise TopologyError("a chain needs at least one hop")
     positions = {i: Position(x=i * spacing, y=0.0) for i in range(hops + 1)}
-    flows = [FlowSpec(source=0, destination=hops)]
+    flows = [(0, hops)]
     return Topology(name=f"chain-{hops}", positions=positions, flows=flows)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.phy.propagation import Position
-from repro.topology.base import FlowSpec, Topology
+from repro.topology.base import Topology
 
 #: Grid dimensions used by the paper.
 GRID_COLUMNS = 7
@@ -55,17 +55,13 @@ def grid_topology(
                 x=column * spacing, y=row * spacing
             )
 
-    flows: List[FlowSpec] = []
+    flows: List[Tuple[int, int]] = []
     # FTP1..FTP3: horizontal flows along each row, left to right.
     for row in range(rows):
-        flows.append(FlowSpec(
-            source=node_id_at(row, 0, columns),
-            destination=node_id_at(row, columns - 1, columns),
-        ))
+        flows.append((node_id_at(row, 0, columns),
+                      node_id_at(row, columns - 1, columns)))
     # FTP4..FTP6: vertical flows along selected columns, top to bottom.
     for column in vertical_flow_columns:
-        flows.append(FlowSpec(
-            source=node_id_at(0, column, columns),
-            destination=node_id_at(rows - 1, column, columns),
-        ))
+        flows.append((node_id_at(0, column, columns),
+                      node_id_at(rows - 1, column, columns)))
     return Topology(name=f"grid-{columns}x{rows}", positions=positions, flows=flows)

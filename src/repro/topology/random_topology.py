@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.errors import TopologyError
 from repro.phy.propagation import Position, RangePropagationModel
-from repro.topology.base import ConnectivityGraph, FlowSpec, Topology
+from repro.topology.base import ConnectivityGraph, Topology
 
 #: Defaults from the paper.
 DEFAULT_NODE_COUNT = 120
@@ -130,9 +130,9 @@ def _draw_flows(
     rng: random.Random,
     graph: ConnectivityGraph,
     min_flow_hops: int,
-) -> List[FlowSpec]:
+) -> List[Tuple[int, int]]:
     nodes = list(topology.positions)
-    flows: List[FlowSpec] = []
+    flows: List[Tuple[int, int]] = []
     used: set[int] = set()
     attempts = 0
     while len(flows) < flow_count:
@@ -149,7 +149,7 @@ def _draw_flows(
         # accept/reject decisions (and the RNG draw sequence) identical.
         if destination in graph.reach(source, cutoff=min_flow_hops - 1):
             continue
-        flows.append(FlowSpec(source=source, destination=destination))
+        flows.append((source, destination))
         used.add(source)
         used.add(destination)
     return flows

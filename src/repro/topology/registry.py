@@ -61,15 +61,6 @@ class TopologyProfile:
 _TOPOLOGIES = NamedRegistry("topology")
 
 
-def registry_generation() -> int:
-    """Monotone counter bumped on every (un)registration.
-
-    Lets derived caches (e.g. the generated scenario preset table) detect
-    that the set of registered topology families changed.
-    """
-    return _TOPOLOGIES.generation
-
-
 def register_topology(profile: TopologyProfile, replace: bool = False) -> TopologyProfile:
     """Register a topology family by name.
 

@@ -20,21 +20,20 @@ so adding a new transport variant is a ~30-line registration::
         build_sink=tcp_sink_factory,
     ))
 
-Profiles are looked up by canonical name (``"vegas-at"``), by display label
-(``"Vegas ACK Thinning"``), by any registered alias, or by a
-:class:`repro.experiments.config.TransportVariant` enum member — the legacy
-enum keeps working as a set of aliases for the built-in registrations.
+A variant is named by its registry key (``"vegas-at"``) everywhere; lookup
+is case- and space-insensitive.  The display label (``"Vegas ACK
+Thinning"``) only labels results and figure legends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Mapping, Optional
 
 from repro.app.cbr import CbrApplication
 from repro.app.ftp import FtpApplication
 from repro.core.errors import ConfigurationError
-from repro.core.registry import NamedRegistry
+from repro.core.registry import NamedRegistry, normalize_name
 from repro.transport.newreno import NewRenoSender
 from repro.transport.sink import AckThinningSink, TcpSink
 from repro.transport.udp import UdpSender, UdpSink
@@ -124,7 +123,6 @@ class TransportProfile:
         preset_overrides: Extra :class:`ScenarioConfig` fields the generated
             presets (and preset-style sweeps) apply for this variant, e.g. the
             window clamp the "optimal window" variant requires.
-        aliases: Additional lookup keys (case-insensitive).
     """
 
     name: str
@@ -134,7 +132,6 @@ class TransportProfile:
     build_application: ApplicationFactory = ftp_application
     validate: Optional[ConfigValidator] = None
     preset_overrides: Mapping[str, object] = field(default_factory=dict)
-    aliases: Tuple[str, ...] = ()
 
     def validate_config(self, config: "ScenarioConfig") -> None:
         """Run the profile's config validator, if any."""
@@ -145,35 +142,21 @@ class TransportProfile:
 _PROFILES = NamedRegistry("transport")
 
 
-def registry_generation() -> int:
-    """Monotone counter bumped on every (un)registration.
-
-    Lets derived caches (e.g. the generated scenario preset table) detect
-    that the set of registered transports changed.
-    """
-    return _PROFILES.generation
-
-
 def register_transport(profile: TransportProfile, replace: bool = False) -> TransportProfile:
-    """Register a transport profile under its name, label and aliases.
+    """Register a transport profile under its name.
 
     Args:
         profile: The profile to register.
         replace: Allow overwriting an existing registration with the same
-            name (aliases of *other* profiles still may not be shadowed).
+            name.
 
     Returns:
         The registered profile (for decorator-style use).
 
     Raises:
-        ConfigurationError: On a duplicate name/alias without ``replace``.
+        ConfigurationError: On a duplicate name without ``replace``.
     """
-    # replace only permits overwriting the same-name profile; the shared
-    # registry never lets a registration hijack another profile's name or
-    # aliases, and it drops the replaced profile's stale aliases.
-    _PROFILES.register(profile, name=profile.name,
-                       aliases=(profile.label, *profile.aliases),
-                       replace=replace)
+    _PROFILES.register(profile, name=profile.name, replace=replace)
     return profile
 
 
@@ -182,29 +165,23 @@ def unregister_transport(name: str) -> None:
     _PROFILES.unregister(name)
 
 
-def transport_key(variant: object) -> str:
-    """Canonical registry name for a variant given in any accepted form.
-
-    Accepts a canonical name, a label, an alias, or a ``TransportVariant``
-    enum member (matched through its ``value``).
+def transport_key(variant: str) -> str:
+    """Registry key of a variant name (case- and space-insensitive).
 
     Raises:
-        ConfigurationError: If the variant is unknown.
+        ConfigurationError: If the variant is not a registered name.
     """
-    raw = variant if isinstance(variant, str) else getattr(variant, "value", None)
-    if isinstance(raw, str):
-        key = _PROFILES.resolve_key(raw)
-        if key is not None:
-            return key
+    if isinstance(variant, str) and variant in _PROFILES:
+        return normalize_name(variant)
     raise ConfigurationError(
         f"unknown transport variant {variant!r}; registered: "
         f"{', '.join(transport_names())}"
     )
 
 
-def get_transport(variant: object) -> TransportProfile:
-    """Resolve a variant (name, label, alias or enum member) to its profile."""
-    return _PROFILES.lookup(transport_key(variant))
+def get_transport(variant: str) -> TransportProfile:
+    """Resolve a variant name to its profile."""
+    return _PROFILES.get(transport_key(variant))
 
 
 def transport_names() -> List[str]:

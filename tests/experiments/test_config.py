@@ -9,29 +9,12 @@ from repro.experiments.config import (
     PAPER_BANDWIDTHS,
     PAPER_HOP_COUNTS,
     ScenarioConfig,
-    TransportVariant,
 )
 
 
-class TestTransportVariant:
-    def test_is_tcp(self):
-        assert TransportVariant.VEGAS.is_tcp
-        assert TransportVariant.NEWRENO_OPTIMAL_WINDOW.is_tcp
-        assert not TransportVariant.PACED_UDP.is_tcp
-
-    def test_uses_ack_thinning(self):
-        assert TransportVariant.VEGAS_ACK_THINNING.uses_ack_thinning
-        assert TransportVariant.NEWRENO_ACK_THINNING.uses_ack_thinning
-        assert not TransportVariant.VEGAS.uses_ack_thinning
-
-    def test_is_vegas(self):
-        assert TransportVariant.VEGAS.is_vegas
-        assert TransportVariant.VEGAS_ACK_THINNING.is_vegas
-        assert not TransportVariant.NEWRENO.is_vegas
-
-    def test_paper_constants(self):
-        assert PAPER_BANDWIDTHS == (2.0, 5.5, 11.0)
-        assert PAPER_HOP_COUNTS == (2, 4, 8, 16, 32, 64)
+def test_paper_constants():
+    assert PAPER_BANDWIDTHS == (2.0, 5.5, 11.0)
+    assert PAPER_HOP_COUNTS == (2, 4, 8, 16, 32, 64)
 
 
 class TestScenarioConfig:
@@ -71,16 +54,15 @@ class TestScenarioConfig:
 
     def test_optimal_window_variant_requires_clamp(self):
         with pytest.raises(ConfigurationError):
-            ScenarioConfig(variant=TransportVariant.NEWRENO_OPTIMAL_WINDOW)
-        config = ScenarioConfig(variant=TransportVariant.NEWRENO_OPTIMAL_WINDOW,
-                                newreno_max_cwnd=3.0)
+            ScenarioConfig(variant="newreno-optwin")
+        config = ScenarioConfig(variant="newreno-optwin", newreno_max_cwnd=3.0)
         assert config.newreno_max_cwnd == 3.0
 
     def test_with_variant_copy(self):
         base = ScenarioConfig()
-        copy = base.with_variant(TransportVariant.NEWRENO)
-        assert copy.variant is TransportVariant.NEWRENO
-        assert base.variant is TransportVariant.VEGAS
+        copy = base.with_variant("newreno")
+        assert copy.variant == "newreno"
+        assert base.variant == "vegas"
 
     def test_with_bandwidth_copy(self):
         assert ScenarioConfig().with_bandwidth(11.0).bandwidth_mbps == 11.0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.statistics import confidence_interval
-from repro.experiments.config import ScenarioConfig, TransportVariant
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.exec import (
     ExecutorBackend,
     ProgressSnapshot,
@@ -35,8 +35,7 @@ def tiny_spec(**overrides) -> SweepSpec:
     defaults = dict(
         name="tiny",
         topology="chain",
-        axes={"variant": [TransportVariant.VEGAS, TransportVariant.NEWRENO],
-              "hops": [2, 3]},
+        axes={"variant": ["vegas", "newreno"], "hops": [2, 3]},
         base=tiny_config(),
     )
     defaults.update(overrides)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.experiments.config import ScenarioConfig, TransportVariant
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.exec.workqueue import (
     WorkItem,
     WorkItemState,
@@ -20,8 +20,7 @@ def tiny_spec(**overrides) -> SweepSpec:
     defaults = dict(
         name="tiny",
         topology="chain",
-        axes={"variant": [TransportVariant.VEGAS, TransportVariant.NEWRENO],
-              "hops": [2, 3]},
+        axes={"variant": ["vegas", "newreno"], "hops": [2, 3]},
         base=ScenarioConfig(packet_target=20, max_sim_time=25.0),
     )
     defaults.update(overrides)

@@ -59,7 +59,7 @@ print(json.dumps({
 """
 
 PUBLIC_NAMES = sorted([
-    "ScenarioConfig", "TransportVariant", "PAPER_BANDWIDTHS", "PAPER_HOP_COUNTS",
+    "ScenarioConfig", "PAPER_BANDWIDTHS", "PAPER_HOP_COUNTS",
     "DEFAULT_HOP_COUNTS", "FlowResult", "ScenarioResult", "format_table", "Scenario",
     "FlowSpec", "Workload", "ScenarioEvent", "ScenarioSpec",
     "mixed_transport_workload", "available_scenarios",

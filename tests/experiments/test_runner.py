@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.config import ScenarioConfig, TransportVariant
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
 from repro.experiments.scenarios import available_scenarios, build_named_scenario
 from repro.experiments.workload import ScenarioSpec
@@ -28,65 +28,64 @@ def scenario_for(variant, topology=None, **overrides):
 
 class TestScenarioWiring:
     def test_vegas_variant_builds_vegas_sender_and_plain_sink(self):
-        scenario = scenario_for(TransportVariant.VEGAS)
+        scenario = scenario_for("vegas")
         assert isinstance(scenario.senders[0], VegasSender)
         assert type(scenario.sinks[0]) is TcpSink
 
     def test_newreno_variant_builds_newreno_sender(self):
-        scenario = scenario_for(TransportVariant.NEWRENO)
+        scenario = scenario_for("newreno")
         assert isinstance(scenario.senders[0], NewRenoSender)
         assert scenario.senders[0].max_cwnd is None
 
     def test_ack_thinning_variants_use_thinning_sink(self):
-        for variant in (TransportVariant.VEGAS_ACK_THINNING,
-                        TransportVariant.NEWRENO_ACK_THINNING):
+        for variant in ("vegas-at", "newreno-at"):
             scenario = scenario_for(variant)
             assert isinstance(scenario.sinks[0], AckThinningSink)
 
     def test_optimal_window_variant_sets_clamp(self):
-        scenario = scenario_for(TransportVariant.NEWRENO_OPTIMAL_WINDOW,
+        scenario = scenario_for("newreno-optwin",
                                 newreno_max_cwnd=3.0)
         assert isinstance(scenario.senders[0], NewRenoSender)
         assert scenario.senders[0].max_cwnd == 3.0
 
     def test_paced_udp_variant_builds_udp_sender(self):
-        scenario = scenario_for(TransportVariant.PACED_UDP)
+        scenario = scenario_for("paced-udp")
         assert isinstance(scenario.senders[0], UdpSender)
 
     def test_vegas_alpha_propagated_to_sender(self):
-        scenario = scenario_for(TransportVariant.VEGAS, vegas_alpha=4.0)
+        scenario = scenario_for("vegas", vegas_alpha=4.0)
         params = scenario.senders[0].parameters
         assert params.alpha == params.beta == params.gamma == 4.0
 
     def test_one_node_per_topology_position(self):
-        scenario = scenario_for(TransportVariant.VEGAS, topology=grid_topology())
+        scenario = scenario_for("vegas", topology=grid_topology())
         assert len(scenario.nodes) == 21
 
     def test_one_flow_stats_per_flow(self):
-        scenario = scenario_for(TransportVariant.VEGAS, topology=grid_topology())
+        scenario = scenario_for("vegas", topology=grid_topology())
         assert len(scenario.flow_stats) == 6
         assert [stats.flow_id for stats in scenario.flow_stats] == list(range(1, 7))
 
     def test_aodv_is_default_routing(self):
-        scenario = scenario_for(TransportVariant.VEGAS)
+        scenario = scenario_for("vegas")
         assert all(isinstance(node.routing, AodvRouting) for node in scenario.nodes.values())
 
     def test_static_routing_installs_next_hops(self):
-        scenario = scenario_for(TransportVariant.VEGAS, routing="static",
+        scenario = scenario_for("vegas", routing="static",
                                 topology=chain_topology(hops=3))
         routing = scenario.nodes[0].routing
         assert isinstance(routing, StaticRouting)
         assert routing.next_hop_for(3) == 1
 
     def test_per_flow_batch_size_divides_packet_target(self):
-        scenario = scenario_for(TransportVariant.VEGAS, topology=grid_topology(),
+        scenario = scenario_for("vegas", topology=grid_topology(),
                                 packet_target=660, batch_count=11)
         assert scenario.flow_stats[0].batch_size == 660 // (6 * 11)
 
     def test_flow_packet_shares_distribute_remainder_exactly(self):
         # 1000 packets over 6 flows × 11 batches is not divisible: the
         # remainder must be spread over the leading flows, never dropped.
-        scenario = scenario_for(TransportVariant.VEGAS, topology=grid_topology(),
+        scenario = scenario_for("vegas", topology=grid_topology(),
                                 packet_target=1000, batch_count=11)
         shares = scenario._flow_packet_shares()
         assert sum(shares) == 1000
@@ -96,14 +95,14 @@ class TestScenarioWiring:
             share // 11 for share in shares]
 
     def test_flow_packet_shares_sum_for_prime_targets(self):
-        scenario = scenario_for(TransportVariant.VEGAS, topology=grid_topology(),
+        scenario = scenario_for("vegas", topology=grid_topology(),
                                 packet_target=997, batch_count=11)
         shares = scenario._flow_packet_shares()
         assert sum(shares) == 997
         assert max(shares) - min(shares) <= 1
 
     def test_udp_interval_override_used(self):
-        scenario = scenario_for(TransportVariant.PACED_UDP, udp_interval=0.042)
+        scenario = scenario_for("paced-udp", udp_interval=0.042)
         assert scenario.applications[0].interval == pytest.approx(0.042)
 
 
@@ -136,7 +135,7 @@ class TestRunnerCli:
 
 class TestScenarioExecution:
     def test_run_stops_at_packet_target(self):
-        scenario = scenario_for(TransportVariant.VEGAS, packet_target=40,
+        scenario = scenario_for("vegas", packet_target=40,
                                 max_sim_time=60.0)
         result = scenario.run()
         assert result.reached_packet_target
@@ -144,14 +143,14 @@ class TestScenarioExecution:
         assert result.simulated_time < 60.0
 
     def test_run_respects_time_limit_when_target_unreachable(self):
-        scenario = scenario_for(TransportVariant.VEGAS, packet_target=10_000_000,
+        scenario = scenario_for("vegas", packet_target=10_000_000,
                                 max_sim_time=3.0)
         result = scenario.run()
         assert not result.reached_packet_target
         assert result.simulated_time <= 3.0 + 1e-9
 
     def test_result_name_encodes_variant_and_bandwidth(self):
-        scenario = scenario_for(TransportVariant.NEWRENO, bandwidth_mbps=5.5)
+        scenario = scenario_for("newreno", bandwidth_mbps=5.5)
         result = scenario.run()
         assert "NewReno" in result.name
         assert "5.5" in result.name
@@ -168,7 +167,7 @@ class TestNamedScenarios:
         scenario = build_named_scenario("chain7-vegas-2mbps", packet_target=77, seed=9)
         assert scenario.config.packet_target == 77
         assert scenario.config.seed == 9
-        assert scenario.config.variant is TransportVariant.VEGAS
+        assert scenario.config.variant == "vegas"
         assert len(scenario.nodes) == 8
 
     def test_unknown_name_rejected(self):

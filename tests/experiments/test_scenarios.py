@@ -125,7 +125,6 @@ class TestRegisterScenario:
             # No public unregister exists for hand-written presets; drop the
             # test entry so later tests see the pristine generated table.
             scenarios_module._EXTRA_SCENARIOS.pop("custom-pair", None)
-            scenarios_module._EXTRA_GENERATION += 1
 
     def test_factory_returning_a_topology_config_pair_is_rejected(self):
         from repro.experiments import scenarios as scenarios_module
@@ -138,7 +137,6 @@ class TestRegisterScenario:
                 build_named_scenario("custom-legacy-pair")
         finally:
             scenarios_module._EXTRA_SCENARIOS.pop("custom-legacy-pair", None)
-            scenarios_module._EXTRA_GENERATION += 1
 
     def test_cannot_shadow_generated_preset_without_replace(self):
         with pytest.raises(ConfigurationError):

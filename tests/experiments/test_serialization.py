@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.statistics import ConfidenceInterval
-from repro.experiments.config import ScenarioConfig, TransportVariant
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.results import FlowResult, ScenarioResult
 from repro.experiments.runner import Scenario
 from repro.experiments.study import StudyResult, SweepSpec, run_study
@@ -65,7 +65,7 @@ class TestScenarioResultRoundTrip:
     def test_real_run_round_trip(self):
         result = Scenario(ScenarioSpec(
             topology=chain_topology(hops=2),
-            config=ScenarioConfig(variant=TransportVariant.VEGAS,
+            config=ScenarioConfig(variant="vegas",
                                   packet_target=25, max_sim_time=30.0),
         )).run()
         rebuilt = ScenarioResult.from_dict(json_round_trip(result.to_dict()))
@@ -79,14 +79,14 @@ class TestStudyResultRoundTrip:
         spec = SweepSpec(
             name="roundtrip",
             topology="chain",
-            axes={"variant": [TransportVariant.VEGAS, "newreno"], "hops": [2]},
+            axes={"variant": ["vegas", "newreno"], "hops": [2]},
             base=ScenarioConfig(packet_target=20, max_sim_time=25.0),
             replications=2,
         )
         study = run_study(spec, backend="serial")
         rebuilt = StudyResult.from_dict(json_round_trip(study.to_dict()))
         assert rebuilt == study
-        point = rebuilt.point(variant=TransportVariant.VEGAS, hops=2)
+        point = rebuilt.point(variant="vegas", hops=2)
         assert len(point.runs) == 2
 
     def test_save_and_load(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.tracing import Tracer
-from repro.experiments.config import ScenarioConfig, TransportVariant
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
 from repro.experiments.study import SweepSpec, run_study
 from repro.experiments.workload import ScenarioSpec
@@ -23,8 +23,7 @@ def tiny_spec(**overrides) -> SweepSpec:
     defaults = dict(
         name="tiny",
         topology="chain",
-        axes={"variant": [TransportVariant.VEGAS, TransportVariant.NEWRENO],
-              "hops": [2, 3]},
+        axes={"variant": ["vegas", "newreno"], "hops": [2, 3]},
         base=tiny_config(),
     )
     defaults.update(overrides)
@@ -37,9 +36,7 @@ class TestSweepSpec:
         assert len(points) == 4
         assert [p.values["hops"] for p in points] == [2, 3, 2, 3]
         assert [p.values["variant"] for p in points] == [
-            TransportVariant.VEGAS, TransportVariant.VEGAS,
-            TransportVariant.NEWRENO, TransportVariant.NEWRENO,
-        ]
+            "vegas", "vegas", "newreno", "newreno"]
 
     def test_axis_classification_config_vs_topology(self):
         spec = tiny_spec()
@@ -48,7 +45,7 @@ class TestSweepSpec:
 
     def test_variant_axis_accepts_registry_names(self):
         spec = tiny_spec(axes={"variant": ["vegas-at"], "hops": [2]})
-        assert spec.points()[0].values["variant"] is TransportVariant.VEGAS_ACK_THINNING
+        assert spec.points()[0].values["variant"] == "vegas-at"
 
     def test_seed_axis_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -79,13 +76,12 @@ class TestSweepSpec:
 
     def test_config_for_applies_variant_overrides_with_axis_precedence(self):
         spec = tiny_spec(
-            axes={"variant": [TransportVariant.NEWRENO_OPTIMAL_WINDOW],
-                  "hops": [2]},
+            axes={"variant": ["newreno-optwin"], "hops": [2]},
             variant_overrides={"newreno-optwin": {"newreno_max_cwnd": 3.0,
                                                   "queue_capacity": 10}},
         )
         config = spec.config_for(
-            {"variant": TransportVariant.NEWRENO_OPTIMAL_WINDOW,
+            {"variant": "newreno-optwin",
              "queue_capacity": 25, "hops": 2}, seed=9)
         assert config.newreno_max_cwnd == 3.0
         assert config.queue_capacity == 25  # axis value wins over override
@@ -97,8 +93,8 @@ class TestSweepSpec:
 
     def test_fingerprint_distinguishes_points_and_seeds(self):
         spec = tiny_spec()
-        values_a = {"variant": TransportVariant.VEGAS, "hops": 2}
-        values_b = {"variant": TransportVariant.VEGAS, "hops": 3}
+        values_a = {"variant": "vegas", "hops": 2}
+        values_b = {"variant": "vegas", "hops": 3}
         assert spec.fingerprint(values_a, 1) != spec.fingerprint(values_b, 1)
         assert spec.fingerprint(values_a, 1) != spec.fingerprint(values_a, 2)
         assert spec.fingerprint(values_a, 1) == spec.fingerprint(dict(values_a), 1)
@@ -133,9 +129,9 @@ class TestStudyExecution:
         spec = tiny_spec()
         study = run_study(spec, backend="serial")
         nested = study.nested("variant", "hops", leaf=lambda p: p.run)
-        assert set(nested) == {TransportVariant.VEGAS, TransportVariant.NEWRENO}
-        assert set(nested[TransportVariant.VEGAS]) == {2, 3}
-        assert nested[TransportVariant.VEGAS][2].delivered_packets >= 20
+        assert set(nested) == {"vegas", "newreno"}
+        assert set(nested["vegas"]) == {2, 3}
+        assert nested["vegas"][2].delivered_packets >= 20
 
     def test_point_lookup_and_missing_point(self):
         study = run_study(tiny_spec(axes={"hops": [2]}), backend="serial")
@@ -143,13 +139,13 @@ class TestStudyExecution:
         with pytest.raises(KeyError):
             study.point(hops=99)
 
-    def test_point_lookup_accepts_any_variant_spelling(self):
+    def test_point_lookup_normalises_variant_case(self):
         study = run_study(tiny_spec(axes={"variant": ["vegas"], "hops": [2]}),
                           backend="serial")
         by_name = study.point(variant="vegas", hops=2)
-        by_label = study.point(variant="Vegas", hops=2)
-        by_enum = study.point(variant=TransportVariant.VEGAS, hops=2)
-        assert by_name is by_label is by_enum
+        assert study.point(variant=" VEGAS ", hops=2) is by_name
+        with pytest.raises(ConfigurationError):
+            study.point(variant="Vegas ACK Thinning", hops=2)
 
     def test_code_change_invalidates_cache_fingerprint(self, monkeypatch):
         import repro.experiments.study as study_module

@@ -56,6 +56,16 @@ class TestRuns:
         assert "goodput [kbit/s]" in out
         assert "variant=Vegas, hops=2" in out
 
+    def test_every_variant_prints_its_label(self, capsys):
+        args = ["--variants", "vegas", "newreno-at-optwin",
+                "--axis", "newreno_max_cwnd=3.0", "--hops", "2",
+                "--packets", "15", "--replications", "1", "--quiet",
+                "--backend", "serial"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "variant=Vegas, hops=2" in out
+        assert "variant=NewReno ACK Thinning Optimal Window, hops=2" in out
+
     def test_progress_line_rendered_without_quiet(self, capsys):
         args = [a for a in run_args("--backend", "serial") if a != "--quiet"]
         assert main(args) == 0

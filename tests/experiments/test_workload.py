@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.tracing import Tracer, trace_digest
-from repro.experiments.config import ScenarioConfig, TransportVariant
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
 from repro.experiments.workload import (
     FlowSpec,
@@ -16,6 +16,7 @@ from repro.experiments.workload import (
     mixed_transport_workload,
 )
 from repro.net.packet import reset_packet_ids
+from repro.topology.base import Topology
 from repro.topology.chain import chain_topology
 from repro.topology.grid import grid_topology
 from repro.transport.registry import TransportProfile, transport_names
@@ -32,8 +33,8 @@ class TestFlowSpec:
             FlowSpec(source=0, destination=1, variant="cubic")
 
     def test_variant_spelling_normalised(self):
-        flow = FlowSpec(source=0, destination=1, variant="Vegas ACK Thinning")
-        assert flow.variant is TransportVariant.VEGAS_ACK_THINNING
+        flow = FlowSpec(source=0, destination=1, variant=" Vegas-AT ")
+        assert flow.variant == "vegas-at"
 
     def test_negative_times_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -59,7 +60,7 @@ class TestFlowSpec:
         flow = FlowSpec(source=0, destination=1, variant="vegas",
                         vegas_alpha=4.0, tcp=TcpConfig(mss=512))
         config = flow.effective_config(base)
-        assert config.variant is TransportVariant.VEGAS
+        assert config.variant == "vegas"
         assert config.vegas_alpha == 4.0
         assert config.tcp.mss == 512
         # Non-overridden fields are inherited.
@@ -75,7 +76,7 @@ class TestWorkload:
     def test_from_topology_lifts_endpoint_flows(self):
         workload = Workload.from_topology(grid_topology(), variant="vegas")
         assert len(workload) == 6
-        assert all(flow.variant is TransportVariant.VEGAS for flow in workload)
+        assert all(flow.variant == "vegas" for flow in workload)
 
     def test_is_uniform_compares_against_the_default(self):
         topology = chain_topology(hops=2)
@@ -122,6 +123,12 @@ class TestScenarioSpec:
         spec = ScenarioSpec(topology=chain_topology(hops=3))
         assert len(spec.workload) == 1
         assert spec.workload[0].endpoints == (0, 3)
+
+    def test_topology_self_flow_rejected(self):
+        chain = chain_topology(hops=2)
+        loop = Topology(name="loop", positions=chain.positions, flows=[(1, 1)])
+        with pytest.raises(ConfigurationError, match="must differ"):
+            ScenarioSpec(topology=loop)
 
     def test_unknown_flow_endpoint_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -250,13 +257,13 @@ class TestMixedTransportWorkload:
         workload = mixed_transport_workload(topology, primary="newreno",
                                             secondary="vegas", secondary_flows=2)
         variants = [flow.variant for flow in workload]
-        assert variants[:4] == [TransportVariant.NEWRENO] * 4
-        assert variants[4:] == [TransportVariant.VEGAS] * 2
+        assert variants[:4] == ["newreno"] * 4
+        assert variants[4:] == ["vegas"] * 2
 
     def test_secondary_count_clamped(self):
         workload = mixed_transport_workload(chain_topology(hops=2),
                                             secondary_flows=10)
-        assert [flow.variant for flow in workload] == [TransportVariant.VEGAS]
+        assert [flow.variant for flow in workload] == ["vegas"]
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -24,7 +24,6 @@ from repro.experiments.workload import (
     mixed_transport_workload,
 )
 from repro.net.packet import reset_packet_ids
-from repro.topology.base import FlowSpec as TopologyFlow
 from repro.topology.base import Topology
 from repro.topology.chain import chain_topology
 from repro.phy.propagation import Position
@@ -36,8 +35,7 @@ from repro.transport.vegas import VegasSender
 def two_flow_chain(hops: int = 3) -> Topology:
     """A chain carrying two end-to-end flows over the same path."""
     positions = {i: Position(x=i * 200.0, y=0.0) for i in range(hops + 1)}
-    flows = [TopologyFlow(source=0, destination=hops),
-             TopologyFlow(source=0, destination=hops)]
+    flows = [(0, hops), (0, hops)]
     return Topology(name=f"chain-{hops}-2flows", positions=positions, flows=flows)
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from benchmarks.bench_figures import FIGURES, reshape
-from repro.experiments.config import ScenarioConfig, TransportVariant
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
 from repro.experiments.study import SweepSpec, run_study
 from repro.experiments.workload import ScenarioSpec
@@ -37,13 +37,13 @@ class TestSmallGrid:
         return grid_topology(columns=5, rows=2, vertical_flow_columns=(2,))
 
     def test_flows_deliver_and_fairness_defined(self, small_grid):
-        result = Scenario(multiflow_spec(small_grid, TransportVariant.VEGAS)).run()
+        result = Scenario(multiflow_spec(small_grid, "vegas")).run()
         assert result.delivered_packets >= 180
         assert len(result.flows) == 3
         assert 1.0 / 3.0 <= result.fairness_index <= 1.0
 
     def test_aggregate_is_sum_of_flows(self, small_grid):
-        result = Scenario(multiflow_spec(small_grid, TransportVariant.NEWRENO)).run()
+        result = Scenario(multiflow_spec(small_grid, "newreno")).run()
         assert result.aggregate_goodput_bps == pytest.approx(
             sum(flow.goodput_bps for flow in result.flows)
         )
@@ -52,9 +52,8 @@ class TestSmallGrid:
         # Table 3 / 4 as the figure table lays them out: {variant: {bandwidth: Jain}}.
         sweep = SweepSpec(
             name="small-grid", topology=small_grid,
-            axes={"variant": [TransportVariant.VEGAS, TransportVariant.NEWRENO],
-                  "bandwidth_mbps": [11.0]},
-            base=multiflow_config(TransportVariant.VEGAS),
+            axes={"variant": ["vegas", "newreno"], "bandwidth_mbps": [11.0]},
+            base=multiflow_config("vegas"),
         )
         table3 = next(figure for figure in FIGURES if figure.id == "table3")
         table = reshape(replace(table3, sweeps=(sweep,)),
@@ -70,21 +69,21 @@ class TestSmallRandomTopology:
         return random_topology(node_count=30, area=(1200.0, 600.0), flow_count=3, seed=13)
 
     def test_flows_deliver_on_random_topology(self, small_random):
-        result = Scenario(multiflow_spec(small_random, TransportVariant.VEGAS,
+        result = Scenario(multiflow_spec(small_random, "vegas",
                                          packet_target=120)).run()
         assert result.delivered_packets >= 120
         assert len(result.flows) == 3
 
     def test_ack_thinning_variant_runs_on_random_topology(self, small_random):
         result = Scenario(multiflow_spec(small_random,
-                                         TransportVariant.VEGAS_ACK_THINNING,
+                                         "vegas-at",
                                          packet_target=120)).run()
         assert result.delivered_packets >= 120
 
     def test_same_topology_reused_across_variants(self, small_random):
         # The comparison in the paper keeps placements and endpoints fixed.
         before = {nid: (p.x, p.y) for nid, p in small_random.positions.items()}
-        Scenario(multiflow_spec(small_random, TransportVariant.VEGAS,
+        Scenario(multiflow_spec(small_random, "vegas",
                                 packet_target=60)).run()
         after = {nid: (p.x, p.y) for nid, p in small_random.positions.items()}
         assert before == after

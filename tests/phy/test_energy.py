@@ -84,14 +84,14 @@ class TestScenarioEnergy:
         assert report.delivered_kilobytes == pytest.approx(10.0)
 
     def test_scenario_result_carries_energy(self):
-        from repro.experiments.config import ScenarioConfig, TransportVariant
+        from repro.experiments.config import ScenarioConfig
         from repro.experiments.runner import Scenario
         from repro.experiments.workload import ScenarioSpec
         from repro.topology.chain import chain_topology
 
         result = Scenario(ScenarioSpec(
             topology=chain_topology(hops=2),
-            config=ScenarioConfig(variant=TransportVariant.VEGAS,
+            config=ScenarioConfig(variant="vegas",
                                   packet_target=40, max_sim_time=30.0),
         )).run()
         assert result.energy is not None

@@ -23,6 +23,25 @@ def test_readme_and_docs_snippets_are_current():
         assert problems == []
 
 
+def test_source_role_targets_resolve():
+    assert load_checker().check_sources(ROOT / "src" / "repro") == []
+
+
+def test_stale_dotted_references_are_reported(tmp_path):
+    checker = load_checker()
+    page = tmp_path / "page.md"
+    page.write_text("`repro.topology.Topology` and `repro.core.registry`\n"
+                    "then `repro.topology.base.NoSuchName`\n")
+    assert checker.check_file(page) == (0, [
+        f"{page}:2: unresolved reference 'repro.topology.base.NoSuchName'"])
+    module = tmp_path / "module.py"
+    module.write_text('"""See :class:`~repro.topology.Topology`,\n'
+                      ':attr:`repro.experiments.workload.FlowSpec.source` and\n'
+                      ':func:`repro.no_such_module.run`."""\n')
+    assert checker.check_sources(tmp_path) == [
+        f"{module}:3: unresolved reference 'repro.no_such_module.run'"]
+
+
 def test_stale_imports_and_syntax_errors_are_reported(tmp_path):
     checker = load_checker()
     page = tmp_path / "page.md"

@@ -6,16 +6,10 @@ import pytest
 
 from repro.core.errors import TopologyError
 from repro.phy.propagation import RangePropagationModel
-from repro.topology.base import FlowSpec, Topology, all_next_hop_tables, shortest_path_next_hops
+from repro.topology.base import Topology, all_next_hop_tables, shortest_path_next_hops
 from repro.topology.chain import chain_topology, hidden_terminal_pairs
 from repro.topology.grid import GRID_COLUMNS, GRID_ROWS, grid_topology, node_id_at
 from repro.topology.random_topology import random_topology
-
-
-class TestFlowSpec:
-    def test_source_equals_destination_rejected(self):
-        with pytest.raises(TopologyError):
-            FlowSpec(source=3, destination=3)
 
 
 class TestChainTopology:
@@ -27,7 +21,7 @@ class TestChainTopology:
 
     def test_single_flow_end_to_end(self):
         topology = chain_topology(hops=5)
-        assert topology.flows == [FlowSpec(source=0, destination=5)]
+        assert topology.flows == [(0, 5)]
 
     def test_invalid_hop_count(self):
         with pytest.raises(TopologyError):
@@ -63,11 +57,11 @@ class TestGridTopology:
         assert len(topology.flows) == 6
         horizontal = topology.flows[:3]
         vertical = topology.flows[3:]
-        for row, flow in enumerate(horizontal):
-            assert flow.source == node_id_at(row, 0)
-            assert flow.destination == node_id_at(row, GRID_COLUMNS - 1)
-        for flow in vertical:
-            assert flow.destination - flow.source == (GRID_ROWS - 1) * GRID_COLUMNS
+        for row, (source, destination) in enumerate(horizontal):
+            assert source == node_id_at(row, 0)
+            assert destination == node_id_at(row, GRID_COLUMNS - 1)
+        for source, destination in vertical:
+            assert destination - source == (GRID_ROWS - 1) * GRID_COLUMNS
 
     def test_adjacent_nodes_200m_apart(self):
         topology = grid_topology()
@@ -82,8 +76,7 @@ class TestGridTopology:
 
     def test_horizontal_flow_is_six_hops(self):
         topology = grid_topology()
-        flow = topology.flows[0]
-        assert topology.hop_count(flow.source, flow.destination) == 6
+        assert topology.hop_count(*topology.flows[0]) == 6
 
 
 class TestRandomTopology:
@@ -108,13 +101,13 @@ class TestRandomTopology:
     def test_flows_have_minimum_hop_distance(self):
         topology = random_topology(node_count=40, area=(1500.0, 600.0),
                                    flow_count=4, seed=5, min_flow_hops=2)
-        for flow in topology.flows:
-            assert topology.hop_count(flow.source, flow.destination) >= 2
+        for source, destination in topology.flows:
+            assert topology.hop_count(source, destination) >= 2
 
     def test_flow_endpoints_are_distinct_nodes(self):
         topology = random_topology(node_count=40, area=(1200.0, 600.0),
                                    flow_count=5, seed=11)
-        endpoints = [n for f in topology.flows for n in (f.source, f.destination)]
+        endpoints = [node for flow in topology.flows for node in flow]
         assert len(endpoints) == len(set(endpoints))
 
     def test_each_placement_builds_its_connectivity_graph_once(self, monkeypatch):

@@ -8,9 +8,14 @@ For every fenced ```` ```python ```` block in the given markdown files:
   imported module or a submodule of it — and every ``import repro…``
   module must exist.
 
+Dotted references must resolve too: every dotted ``repro.x.Name`` in single
+backticks in the markdown files, and every Sphinx role target naming ``repro.…``
+(``:class:``, ``:func:``, ``:meth:``, ``:mod:``, ``:attr:``, ``:data:``,
+``:exc:``) in the ``repro`` package's own sources.
+
 The blocks themselves are never executed: they may run long simulations.
 Imports are resolved against the ``repro`` package on ``sys.path``, so run
-it with ``src`` on the path.  Exit status 1 if any block fails.
+it with ``src`` on the path.  Exit status 1 if anything fails.
 
 Usage::
 
@@ -30,6 +35,13 @@ from typing import Iterator, List, Optional, Tuple
 #: A fenced python block: the opening fence line, the body, the closing fence.
 _PYTHON_BLOCK = re.compile(r"^```python[ \t]*\n(.*?)^```[ \t]*$",
                            re.MULTILINE | re.DOTALL)
+
+
+#: A dotted name in single backticks in markdown, e.g. ``repro.experiments.Scenario``.
+_MARKDOWN_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)`")
+#: A Sphinx role target in a docstring: ``:class:`~repro.topology.Topology```.
+_ROLE_REFERENCE = re.compile(
+    r":(?:class|func|meth|mod|attr|data|exc):`~?(repro(?:\.\w+)+)(?:\(\))?`")
 
 
 def python_blocks(markdown: str) -> Iterator[Tuple[int, str]]:
@@ -55,6 +67,46 @@ def _resolves(module: str, name: str) -> bool:
     except ImportError:
         return False
     return True
+
+
+def _resolves_dotted(target: str) -> bool:
+    """True when ``target`` names a module, or an attribute (or dataclass
+    field) reached from the longest importable module prefix."""
+    parts = target.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if name in getattr(found, "__dataclass_fields__", {}):
+                found = None  # a field without a class-level default
+            elif hasattr(found, name):
+                found = getattr(found, name)
+            else:
+                return False
+        return True
+    return False
+
+
+def check_references(text: str, path: Path, pattern: re.Pattern) -> List[str]:
+    """Unresolved dotted references ``pattern`` finds in ``text``."""
+    problems = []
+    for match in pattern.finditer(text):
+        if not _resolves_dotted(match.group(1)):
+            line = text.count("\n", 0, match.start()) + 1
+            problems.append(f"{path}:{line}: unresolved reference "
+                            f"{match.group(1)!r}")
+    return problems
+
+
+def check_sources(root: Path) -> List[str]:
+    """Unresolved role targets in the docstrings of every module under ``root``."""
+    problems = []
+    for source in sorted(root.rglob("*.py")):
+        problems += check_references(source.read_text(encoding="utf-8"), source,
+                                     _ROLE_REFERENCE)
+    return problems
 
 
 def check_block(source: str, path: Path, first_line: int) -> List[str]:
@@ -86,11 +138,13 @@ def check_block(source: str, path: Path, first_line: int) -> List[str]:
 
 def check_file(path: Path) -> Tuple[int, List[str]]:
     """``(blocks checked, problems)`` of one markdown file."""
-    blocks = list(python_blocks(path.read_text(encoding="utf-8")))
+    markdown = path.read_text(encoding="utf-8")
+    blocks = list(python_blocks(markdown))
     problems = []
     for line, source in blocks:
         problems += check_block(source, path, line)
-    return len(blocks), problems
+    return len(blocks), problems + check_references(markdown, path,
+                                                    _MARKDOWN_REFERENCE)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -102,10 +156,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         blocks, found = check_file(path)
         total += blocks
         problems += found
+    import repro
+
+    problems += check_sources(Path(repro.__file__).parent)
     for problem in problems:
         print(problem)
-    print(f"{total} python block(s) in {len(args.files)} file(s): "
-          f"{len(problems)} problem(s)")
+    print(f"{total} python block(s) in {len(args.files)} file(s) and the "
+          f"repro sources' role targets: {len(problems)} problem(s)")
     return 1 if problems else 0
 
 
