@@ -2,8 +2,9 @@
 
 Each test runs a fixed-seed scenario with tracing enabled, hashes the full
 event trace (every record: time, layer, event, node, details) and compares it
-— plus the key :class:`ScenarioResult` metrics and a digest of the whole
-metrics snapshot — against fixtures pinned in ``golden_traces.json``.  The
+— plus the key :class:`ScenarioResult` metrics, a digest of the whole
+metrics snapshot and a digest of its protocol part — against fixtures pinned
+in ``golden_traces.json``.  The
 fixtures were captured from the kernel *before* the fast-path rework, so a
 passing suite proves the optimised kernel is bit-identical to the original.
 
@@ -115,6 +116,19 @@ def _snapshot_digest(result: ScenarioResult) -> str:
     return hashlib.sha256(json.dumps(result.metrics).encode()).hexdigest()
 
 
+#: Snapshot entries that count how the engine ran the handlers, not what the
+#: simulated network did.
+ENGINE_COUNTS = ("core.events_processed", "core.edges_in_place")
+
+
+def _protocol_digest(result: ScenarioResult) -> str:
+    """SHA-256 of the snapshot without :data:`ENGINE_COUNTS`: what a change
+    to how handlers are scheduled must leave exactly as it was."""
+    protocol = {name: value for name, value in result.metrics.items()
+                if name not in ENGINE_COUNTS}
+    return hashlib.sha256(json.dumps(protocol).encode()).hexdigest()
+
+
 def _run_golden(name: str) -> dict:
     """The pinned fields of one golden run, plus its handler counts."""
     # Packet uids appear in trace records and come from a process-global
@@ -124,6 +138,7 @@ def _run_golden(name: str) -> dict:
     result = SCENARIOS[name](tracer).run()
     return {"trace_sha256": trace_digest(tracer), "metrics": _metrics(result),
             "snapshot_sha256": _snapshot_digest(result),
+            "protocol_sha256": _protocol_digest(result),
             "events": result.metrics["core.events_processed"],
             "edges": result.metrics["core.edges_in_place"]}
 
@@ -145,6 +160,9 @@ def test_golden_trace(name):
     assert actual["trace_sha256"] == expected["trace_sha256"], (
         f"{name}: event trace diverged from the pinned golden run "
         "(simulation behaviour changed)"
+    )
+    assert actual["protocol_sha256"] == expected["protocol_sha256"], (
+        f"{name}: a protocol metric's name, value or type changed"
     )
     assert actual["snapshot_sha256"] == expected["snapshot_sha256"], (
         f"{name}: a metric name, value or type in the snapshot changed"
@@ -205,5 +223,6 @@ def test_regenerate_fixtures():
     for name in sorted(SCENARIOS):
         run = _run_golden(name)
         fixtures[name] = {key: run[key] for key in
-                          ("trace_sha256", "metrics", "snapshot_sha256")}
+                          ("trace_sha256", "metrics", "snapshot_sha256",
+                           "protocol_sha256")}
     FIXTURE_PATH.write_text(json.dumps(fixtures, indent=2) + "\n")
