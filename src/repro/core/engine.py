@@ -45,6 +45,15 @@ passed; the caller then runs the edge in place.  Otherwise the edge goes
 through the queue under its reserved key (:meth:`~Simulator.schedule_reserved`).
 Handler order is the same either way, and so is the clock after every
 :meth:`~Simulator.run`.
+
+A reserved key need not become a handler at all.  An edge nobody but its
+owner would notice (the radio's *owed* signal ends) keeps its reserved key, so
+every other key is unchanged, and is settled by its owner the next time a
+handler keyed after it touches the owner.  ``(now, now_sequence)`` is the key
+of the handler running, or of the last one run, wherever it came from; once
+the clock moves to a horizon or the queue runs dry ``now_sequence`` is
+infinite, past every key at that time.  The owner settles what is keyed
+before it.
 """
 
 from __future__ import annotations
@@ -119,19 +128,24 @@ class Simulator:
         edges_in_place: Handlers run through :meth:`claim` so far, so
             ``events_processed + edges_in_place`` is the number of handlers
             invoked, whichever way each one got its turn.
+        now_sequence: Sequence half of the running (or last) handler's key;
+            ``inf`` once the clock has moved past it to a horizon or the queue
+            ran dry, ``-1`` before anything ran.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
+        self.now_sequence: float = -1
         self._queue: List[_Entry] = []
         self._sequence: int = 0
         self._events_processed: int = 0
         self.edges_in_place: int = 0
-        self._running: bool = False
         self._stop_requested: bool = False
-        # The running call's horizon and handler budget, as claim() sees them.
-        self._until: float = _inf
-        self._handler_limit: float = _inf
+        # What claim() sees of the running call: the latest time it may move
+        # the clock to (-inf while nothing runs and once stop() was called),
+        # and the handler budget (None without max_events).
+        self._claim_until: float = -_inf
+        self._handler_limit: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Scheduling API
@@ -214,8 +228,9 @@ class Simulator:
         :meth:`schedule_reserved`.  Only a handler at the top of its dispatch
         (nothing left to do at the current time) may ask.
         """
-        if (not self._running or self._stop_requested or time > self._until
-                or self._events_processed + self.edges_in_place + 1
+        if time > self._claim_until or (
+                self._handler_limit is not None
+                and self._events_processed + self.edges_in_place + 1
                 >= self._handler_limit):
             return False
         queue = self._queue
@@ -226,6 +241,7 @@ class Simulator:
             if head[0] < time or (head[0] == time and head[1] < sequence):
                 return False
         self.now = time
+        self.now_sequence = sequence
         self.edges_in_place += 1
         return True
 
@@ -239,24 +255,26 @@ class Simulator:
             until: Stop once the next event's time exceeds this value.  The
                 clock is advanced to ``until`` when the horizon is reached.
             max_events: Stop after this many handlers, counting edges run in
-                place (safety valve for tests).
+                place (safety valve for tests).  An owed signal end is not a
+                handler: it settles when its radio is next touched, so it
+                neither counts here nor moves the clock.
 
         Returns:
             The number of events dispatched from the queue during this call.
         """
-        processed = 0
+        started = self._events_processed
         queue = self._queue
         pop = heapq.heappop
-        self._running = True
+        horizon = _inf if until is None else until
         self._stop_requested = False
-        self._until = _inf if until is None else until
-        self._handler_limit = limit = _inf if max_events is None else (
+        self._claim_until = horizon
+        self._handler_limit = limit = None if max_events is None else (
             self._events_processed + self.edges_in_place + max_events)
         try:
             while queue:
                 if self._stop_requested:
                     break
-                if (max_events is not None and
+                if (limit is not None and
                         self._events_processed + self.edges_in_place >= limit):
                     break
                 entry = queue[0]
@@ -264,25 +282,28 @@ class Simulator:
                     pop(queue)
                     continue
                 time = entry[0]
-                if until is not None and time > until:
-                    self.now = until
+                if time > horizon:
+                    self.now = horizon
+                    self.now_sequence = _inf
                     break
                 pop(queue)
                 self.now = time
+                self.now_sequence = entry[1]
                 entry[2](*entry[3])
-                processed += 1
                 self._events_processed += 1
             else:
                 # Queue drained: advance the clock to the horizon if given.
                 if until is not None and until > self.now:
                     self.now = until
+                self.now_sequence = _inf
         finally:
-            self._running = False
-        return processed
+            self._claim_until = -_inf
+        return self._events_processed - started
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stop_requested = True
+        self._claim_until = -_inf
 
     # ------------------------------------------------------------------
     # Introspection
@@ -301,6 +322,7 @@ class Simulator:
         """Clear the event queue and reset the clock to zero."""
         self._queue.clear()
         self.now = 0.0
+        self.now_sequence = -1
         self._sequence = 0
         self._events_processed = 0
         self.edges_in_place = 0

@@ -77,6 +77,7 @@ from repro.phy.energy import (
     set_energy_values,
 )
 from repro.phy.propagation import RangePropagationModel
+from repro.phy.radio import Radio
 from repro.routing.aodv import AodvConfig
 from repro.routing.static import StaticRouting
 from repro.topology.base import Topology, all_next_hop_tables
@@ -290,10 +291,7 @@ class Scenario:
             metrics.add_probe(
                 f"mac.node{node_id}.queue_len", node.queue.__len__,
                 unit="packets", description="Interface-queue occupancy.")
-        install_energy_probes(
-            metrics, EnergyModel(), self.sim,
-            {node_id: node.radio.stats for node_id, node in self.nodes.items()
-             if node.radio is not None})
+        install_energy_probes(metrics, EnergyModel(), self.sim, self._radios())
 
     def _install_static_routes(self) -> None:
         plan = self.link_plan
@@ -522,7 +520,15 @@ class Scenario:
         """
         now = self.sim.now
         metrics = self.metrics
-        energy = self._energy_report(now)
+        radios = self._radios()
+        for radio in radios.values():
+            radio.settle()
+        (dropped, succeeded, false_route_failures, frames_sent,
+         delivered_bytes) = metrics.totals(
+            "mac.node*.data_dropped_retry", "mac.node*.data_tx_success",
+            "route.node*.false_route_failures", "phy.node*.frames_sent",
+            "tcp.flow*.bytes_delivered")
+        energy = self._energy_report(now, radios, delivered_bytes)
         # Handlers invoked = events through the queue + edges run in place.
         metrics.set("core.events_processed", self.sim.events_processed)
         metrics.set("core.edges_in_place", self.sim.edges_in_place)
@@ -537,8 +543,6 @@ class Scenario:
             flow_results.append(
                 self._flow_result(stats, flow_spec, profile.label, now))
 
-        dropped = metrics.total("mac.node*.data_dropped_retry")
-        succeeded = metrics.total("mac.node*.data_tx_success")
         finished = dropped + succeeded
         return ScenarioResult(
             name=f"{self.spec.display_name}/{self._variant_label()}"
@@ -548,20 +552,24 @@ class Scenario:
             simulated_time=now,
             delivered_packets=self.total_delivered,
             flows=flow_results,
-            false_route_failures=int(metrics.total("route.node*.false_route_failures")),
+            false_route_failures=int(false_route_failures),
             link_layer_drop_probability=dropped / finished if finished else 0.0,
-            mac_frames_sent=int(metrics.total("phy.node*.frames_sent")),
+            mac_frames_sent=int(frames_sent),
             reached_packet_target=reached_target,
             energy=energy,
             metrics=metrics.snapshot(),
             timeseries=metrics.timeseries_data() if metrics.enabled else None,
         )
 
-    def _energy_report(self, now: float):
+    def _radios(self) -> Dict[int, Radio]:
+        """Every node's radio, by node id (wired-only nodes have none)."""
+        return {node_id: node.radio for node_id, node in self.nodes.items()
+                if node.radio is not None}
+
+    def _energy_report(self, now: float, radios: Dict[int, Radio],
+                       delivered_bytes: float):
         model = EnergyModel()
-        radio_stats = {node_id: node.radio.stats
-                       for node_id, node in self.nodes.items()
-                       if node.radio is not None}
+        radio_stats = {node_id: radio.stats for node_id, radio in radios.items()}
         set_energy_values(self.metrics, model, now, radio_stats)
         airtimes = [
             {
@@ -570,7 +578,6 @@ class Scenario:
             }
             for stats in radio_stats.values()
         ]
-        delivered_bytes = self.metrics.total("tcp.flow*.bytes_delivered")
         return scenario_energy(model, now, airtimes, delivered_bytes)
 
     def _variant_label(self) -> str:

@@ -54,6 +54,23 @@ class _AccessPhase(enum.Enum):
     BACKOFF = "BACKOFF"
 
 
+# The states, phases and frame types as module names: the MAC compares them
+# on every frame and timer, and on CPython 3.11 reading an enum member
+# through its class costs several times as much as reading a global.
+_IDLE = MacState.IDLE
+_CONTEND = MacState.CONTEND
+_WAIT_CTS = MacState.WAIT_CTS
+_WAIT_ACK = MacState.WAIT_ACK
+_INACTIVE = _AccessPhase.INACTIVE
+_WAIT_IDLE = _AccessPhase.WAIT_IDLE
+_DIFS = _AccessPhase.DIFS
+_BACKOFF = _AccessPhase.BACKOFF
+_RTS = MacFrameType.RTS
+_CTS = MacFrameType.CTS
+_DATA = MacFrameType.DATA
+_ACK = MacFrameType.ACK
+
+
 class Ieee80211Mac(PhyListener):
     """One node's 802.11 DCF MAC instance.
 
@@ -96,8 +113,9 @@ class Ieee80211Mac(PhyListener):
         self.listener: Optional[MacListener] = None
         self.stats = MacStats(metrics, prefix=f"mac.node{node_id}")
 
-        self.state = MacState.IDLE
-        self._enter(_AccessPhase.INACTIVE)
+        self.state = _IDLE
+        self._access_phase = _INACTIVE
+        self.radio.notify_carrier = False
         self._current: Optional[Packet] = None
         self._current_next_hop: int = BROADCAST
         self._short_retries = 0
@@ -116,7 +134,7 @@ class Ieee80211Mac(PhyListener):
     # ==================================================================
     def _on_queue_activity(self) -> None:
         """Called by the interface queue whenever a packet is enqueued."""
-        if self._current is None and self.state is MacState.IDLE:
+        if self._current is None and self.state is _IDLE:
             self._dequeue_next()
 
     def _dequeue_next(self) -> None:
@@ -128,7 +146,7 @@ class Ieee80211Mac(PhyListener):
         self._short_retries = 0
         self._long_retries = 0
         self._backoff_slots_remaining = None
-        self.state = MacState.CONTEND
+        self.state = _CONTEND
         self._begin_access()
 
     # ==================================================================
@@ -136,16 +154,18 @@ class Ieee80211Mac(PhyListener):
     # ==================================================================
     def _enter(self, phase: _AccessPhase) -> None:
         """Change access phase.  Carrier transitions matter in every phase but
-        ``INACTIVE`` and to nothing else here, so the radio reports them then."""
+        ``INACTIVE`` and to nothing else here, so the radio reports them then
+        (its flag is written only when that changes)."""
+        if (phase is _INACTIVE) is not (self._access_phase is _INACTIVE):
+            self.radio.notify_carrier = phase is not _INACTIVE
         self._access_phase = phase
-        self.radio.notify_carrier = phase is not _AccessPhase.INACTIVE
 
     def _begin_access(self) -> None:
-        self._enter(_AccessPhase.WAIT_IDLE)
+        self._enter(_WAIT_IDLE)
         self._try_access()
 
     def _try_access(self) -> None:
-        if self._access_phase is not _AccessPhase.WAIT_IDLE:
+        if self._access_phase is not _WAIT_IDLE:
             return
         now = self.sim.now
         if self.radio.carrier_busy:
@@ -153,7 +173,7 @@ class Ieee80211Mac(PhyListener):
         if now < self._nav_until:
             self._schedule_nav_wakeup()
             return
-        self._enter(_AccessPhase.DIFS)
+        self._enter(_DIFS)
         self._difs_event = self.sim.schedule(self.timing.difs, self._difs_complete)
 
     def _schedule_nav_wakeup(self) -> None:
@@ -171,7 +191,7 @@ class Ieee80211Mac(PhyListener):
         if self._backoff_slots_remaining is None:
             window = self.timing.contention_window(self._attempt_index())
             self._backoff_slots_remaining = self.rng.randint(0, window)
-        self._enter(_AccessPhase.BACKOFF)
+        self._enter(_BACKOFF)
         self._backoff_started_at = self.sim.now
         delay = self._backoff_slots_remaining * self.timing.slot_time
         self._backoff_event = self.sim.schedule(delay, self._backoff_complete)
@@ -179,22 +199,22 @@ class Ieee80211Mac(PhyListener):
     def _backoff_complete(self) -> None:
         self._backoff_event = None
         self._backoff_slots_remaining = None
-        self._enter(_AccessPhase.INACTIVE)
+        self._enter(_INACTIVE)
         self._transmit_current()
 
     def _pause_access(self) -> None:
-        if self._access_phase is _AccessPhase.DIFS:
+        if self._access_phase is _DIFS:
             self.sim.cancel(self._difs_event)
             self._difs_event = None
-            self._enter(_AccessPhase.WAIT_IDLE)
-        elif self._access_phase is _AccessPhase.BACKOFF:
+            self._enter(_WAIT_IDLE)
+        elif self._access_phase is _BACKOFF:
             self.sim.cancel(self._backoff_event)
             self._backoff_event = None
             elapsed = self.sim.now - self._backoff_started_at
             slots_elapsed = int(elapsed / self.timing.slot_time)
             remaining = (self._backoff_slots_remaining or 0) - slots_elapsed
             self._backoff_slots_remaining = max(0, remaining)
-            self._enter(_AccessPhase.WAIT_IDLE)
+            self._enter(_WAIT_IDLE)
 
     def _attempt_index(self) -> int:
         return self._short_retries + self._long_retries
@@ -208,7 +228,7 @@ class Ieee80211Mac(PhyListener):
 
     def on_carrier_idle(self) -> None:
         """Resume channel access when the medium becomes idle."""
-        if self._access_phase is _AccessPhase.WAIT_IDLE:
+        if self._access_phase is _WAIT_IDLE:
             self._try_access()
 
     def on_frame_received(self, packet: Packet) -> None:
@@ -218,13 +238,13 @@ class Ieee80211Mac(PhyListener):
             # Overheard frame: update the NAV with its duration field.
             self._set_nav(mac.duration)
             return
-        if mac.frame_type is MacFrameType.RTS:
+        if mac.frame_type is _RTS:
             self._handle_rts(packet)
-        elif mac.frame_type is MacFrameType.CTS:
+        elif mac.frame_type is _CTS:
             self._handle_cts(packet)
-        elif mac.frame_type is MacFrameType.DATA:
+        elif mac.frame_type is _DATA:
             self._handle_data(packet)
-        elif mac.frame_type is MacFrameType.ACK:
+        elif mac.frame_type is _ACK:
             self._handle_ack(packet)
 
     def _set_nav(self, duration: float) -> None:
@@ -237,7 +257,7 @@ class Ieee80211Mac(PhyListener):
     # ==================================================================
     def _handle_rts(self, packet: Packet) -> None:
         mac = packet.require_mac()
-        if self.state in (MacState.WAIT_CTS, MacState.WAIT_ACK):
+        if self.state in (_WAIT_CTS, _WAIT_ACK):
             return  # busy with our own exchange
         if self.sim.now < self._nav_until:
             return  # virtual carrier says the medium is reserved
@@ -249,7 +269,7 @@ class Ieee80211Mac(PhyListener):
         )
 
     def _handle_cts(self, packet: Packet) -> None:
-        if self.state is not MacState.WAIT_CTS or self._current is None:
+        if self.state is not _WAIT_CTS or self._current is None:
             return
         self._response_timer.cancel()
         self.sim.schedule(self.timing.sifs, self._send_data_frame)
@@ -271,7 +291,7 @@ class Ieee80211Mac(PhyListener):
         self._deliver_up(packet)
 
     def _handle_ack(self, packet: Packet) -> None:
-        if self.state is not MacState.WAIT_ACK or self._current is None:
+        if self.state is not _WAIT_ACK or self._current is None:
             return
         self._response_timer.cancel()
         self.stats.data_tx_success += 1
@@ -315,8 +335,9 @@ class Ieee80211Mac(PhyListener):
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "mac", "broadcast", node=self.node_id,
                                uid=self._current.uid)
-        self.radio.transmit(self._current, duration)
-        self.sim.schedule(duration, self._broadcast_complete)
+        # Done once the frame is out: the frame's own transmission says so,
+        # right after the radio's end of it.
+        self.radio.transmit(self._current, duration, self._broadcast_complete)
 
     def _broadcast_complete(self) -> None:
         self._finish_current(success=True)
@@ -326,7 +347,7 @@ class Ieee80211Mac(PhyListener):
         frame_size = self._current.network_size + MacHeader.SIZE_DATA
         nav = self.timing.nav_for_rts(frame_size)
         rts = make_rts(self.node_id, self._current_next_hop, nav)
-        self.state = MacState.WAIT_CTS
+        self.state = _WAIT_CTS
         self.stats.rts_tx += 1
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "mac", "rts", node=self.node_id,
@@ -347,7 +368,7 @@ class Ieee80211Mac(PhyListener):
             nav=self.timing.nav_for_data(),
             retry=self._long_retries > 0,
         )
-        self.state = MacState.WAIT_ACK
+        self.state = _WAIT_ACK
         self.stats.data_tx_attempts += 1
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "mac", "data", node=self.node_id,
@@ -361,7 +382,7 @@ class Ieee80211Mac(PhyListener):
     def _on_response_timeout(self) -> None:
         if self._current is None:
             return
-        if self.state is MacState.WAIT_CTS:
+        if self.state is _WAIT_CTS:
             self.stats.rts_timeouts += 1
             self._short_retries += 1
             if self.tracer.enabled:
@@ -370,7 +391,7 @@ class Ieee80211Mac(PhyListener):
             if self._short_retries >= self.timing.short_retry_limit:
                 self._drop_current()
                 return
-        elif self.state is MacState.WAIT_ACK:
+        elif self.state is _WAIT_ACK:
             self.stats.ack_timeouts += 1
             self._long_retries += 1
             if self.tracer.enabled:
@@ -382,7 +403,7 @@ class Ieee80211Mac(PhyListener):
         else:
             return
         # Retry: contend again with a doubled contention window.
-        self.state = MacState.CONTEND
+        self.state = _CONTEND
         self._backoff_slots_remaining = None
         self._begin_access()
 
@@ -401,8 +422,8 @@ class Ieee80211Mac(PhyListener):
         self._short_retries = 0
         self._long_retries = 0
         self._backoff_slots_remaining = None
-        self.state = MacState.IDLE
-        self._enter(_AccessPhase.INACTIVE)
+        self.state = _IDLE
+        self._enter(_INACTIVE)
         if packet is not None and self.listener is not None:
             # Nobody else holds this packet: the MAC has let go of it and the
             # air carried snapshots.

@@ -50,6 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 Number = Union[int, float]
 
+#: Characters that make a name pattern more than a name (``fnmatch`` syntax).
+_WILDCARDS = frozenset("*?[")
+
 #: Default cadence (simulated seconds) of the periodic probe sampler.
 DEFAULT_SAMPLE_INTERVAL = 0.1
 
@@ -189,8 +192,41 @@ class MetricsRegistry:
         e.g. ``total("mac.node*.data_dropped_retry")`` is the network-wide
         retry-drop count.
         """
-        return sum(value for name, value in self._scalars()
-                   if fnmatchcase(name, pattern))
+        return self.totals(pattern)[0]
+
+    def totals(self, *patterns: str) -> List[Number]:
+        """:meth:`total` of each pattern, in one pass over the records.
+
+        A pattern whose last dotted part has no wildcard names one field: a
+        record without that field is passed over, and only a record with it
+        has its prefix matched, so a run's harvest costs a match per record
+        holding the field rather than one per scalar.
+        """
+        sums: List[Number] = [0] * len(patterns)
+        # Per pattern: (prefix pattern, field) if it names one field, else
+        # (None, the whole pattern).
+        plans = []
+        for pattern in patterns:
+            prefix_pattern, dot, field = pattern.rpartition(".")
+            if dot and not _WILDCARDS.intersection(field):
+                plans.append((prefix_pattern, field))
+            else:
+                plans.append((None, pattern))
+        for prefix, record in self._records.items():
+            fields = record.fields
+            for k, (prefix_pattern, field) in enumerate(plans):
+                if prefix_pattern is not None:
+                    if field in fields and fnmatchcase(prefix, prefix_pattern):
+                        sums[k] += getattr(record, field)
+                    continue
+                for name in fields:
+                    if fnmatchcase(f"{prefix}.{name}", field):
+                        sums[k] += getattr(record, name)
+        for name, value in self._values.items():
+            for k, pattern in enumerate(patterns):
+                if fnmatchcase(name, pattern):
+                    sums[k] += value
+        return sums
 
     # ------------------------------------------------------------------
     # Time series, probes and periodic sampling

@@ -16,7 +16,9 @@ traces bit-identical to the pre-index channel.
 
 A transmission makes two trips through the event queue, not one per receiver:
 one for its signal starts, one for the sender's end of the frame and the
-signal ends behind it: see :class:`_Transmission`.
+signal ends behind it: see :class:`_Transmission`.  The ends of quiet signals
+(undecodable, at a radio whose listener is not watching the carrier) are not
+in that chain at all: the radio settles them itself (:mod:`repro.phy.radio`).
 
 Positions may change mid-run: a :class:`~repro.mobility.base.MobilityManager`
 pushes updated positions through :meth:`WirelessChannel.set_positions`.
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import Simulator
 from repro.core.errors import ConfigurationError
@@ -92,7 +94,7 @@ class _Deliveries:
 
 class _Transmission:
     """One frame on the air: every receiver's signal start, the sender's own
-    end of the frame, and every receiver's signal end.
+    end of the frame, and the signal ends its receivers are owed.
 
     Each edge has the ``(time, sequence)`` key an event of its own would have:
     the starts' sequences are reserved as one block when the frame is sent
@@ -106,22 +108,35 @@ class _Transmission:
     place if the kernel confirms nothing queued comes before it
     (:meth:`~repro.core.engine.Simulator.claim`) and is queued under its
     reserved key otherwise.  Handler order is that of one event per edge.
+
+    The end chain holds only the ends a radio hands back from
+    ``signal_start``: a quiet signal's end stays with its radio, which
+    settles it.  ``on_sent``, the sender's completion of this frame, runs
+    right after the sender's end; it belongs to the frame, not the radio,
+    which may start another frame while this one is on the air.
     """
 
     __slots__ = ("sim", "sender", "deliveries", "packet", "duration", "sent_at",
-                 "first_sequence", "signals", "ended")
+                 "on_sent", "first_sequence", "started", "receivers", "signals",
+                 "ended")
 
     def __init__(self, sim: Simulator, sender: Radio, deliveries: _Deliveries,
-                 packet: Packet, duration: float) -> None:
+                 packet: Packet, duration: float,
+                 on_sent: Optional[Callable[[], None]] = None) -> None:
         self.sim = sim
         self.sender = sender
         self.deliveries = deliveries
         self.packet = packet
         self.duration = duration
         self.sent_at = sim.now
+        self.on_sent = on_sent
         self.first_sequence = sim.reserve_sequences(len(deliveries.radios))
-        #: Signals started so far, in ``deliveries`` order; ``ended`` of them
-        #: have ended, -1 while the sender's end (queued by the sender) is to come.
+        #: Signal starts run so far, in ``deliveries`` order.
+        self.started = 0
+        #: The end chain: radios owed an end, and their signals, in key order;
+        #: ``ended`` of them have ended, -1 while the sender's end (queued by
+        #: the sender) is to come.
+        self.receivers: List[Radio] = []
         self.signals: List[_Signal] = []
         self.ended = -1
         if deliveries.radios:
@@ -137,39 +152,47 @@ class _Transmission:
         delays = deliveries.delays
         powers = deliveries.powers
         offsets = deliveries.offsets
+        receivers = self.receivers
         signals = self.signals
         packet = self.packet
         duration = self.duration
-        index = len(signals)
+        index = self.started
         while True:
-            signal = radios[index].signal_start(packet, duration, receivable[index],
-                                                powers[index])
-            signals.append(signal)
-            if self.ended == index:
-                # Every edge of the end chain so far has run, so it has no
-                # head in the queue: the frame is shorter than the spread of
-                # delays and the chain ran dry.
-                sim.schedule_reserved(signal.end_time, signal.end_sequence,
-                                      self.run_ends)
+            radio = radios[index]
+            signal = radio.signal_start(packet, duration, receivable[index],
+                                        powers[index])
+            if signal is not None:
+                if self.ended == len(signals):
+                    # Every edge of the end chain so far has run, so it has
+                    # no head in the queue: the frame is shorter than the
+                    # spread of delays and the chain ran dry.
+                    sim.schedule_reserved(signal.end_time, signal.end_sequence,
+                                          self.run_ends)
+                receivers.append(radio)
+                signals.append(signal)
             index += 1
             if index == len(radios):
+                self.started = index
                 return
             time = self.sent_at + delays[index]
             sequence = self.first_sequence + offsets[index]
             if not sim.claim(time, sequence):
+                self.started = index
                 sim.schedule_reserved(time, sequence, self._run_starts)
                 return
 
     def run_ends(self) -> None:
         """Run the end chain from its head for as long as the kernel allows."""
         sim = self.sim
-        radios = self.deliveries.radios
+        receivers = self.receivers
         signals = self.signals
         index = self.ended
         if index < 0:
             self.sender._transmit_complete()
+            if self.on_sent is not None:
+                self.on_sent()
         else:
-            radios[index]._signal_end(signals[index])
+            receivers[index]._signal_end(signals[index])
         while True:
             index += 1
             if index == len(signals):
@@ -179,7 +202,7 @@ class _Transmission:
                 sim.schedule_reserved(signal.end_time, signal.end_sequence,
                                       self.run_ends)
                 break
-            radios[index]._signal_end(signal)
+            receivers[index]._signal_end(signal)
         self.ended = index
 
 
@@ -498,12 +521,13 @@ class WirelessChannel:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def broadcast(self, sender: Radio, packet: Packet,
-                  duration: float) -> _Transmission:
+    def broadcast(self, sender: Radio, packet: Packet, duration: float,
+                  on_sent: Optional[Callable[[], None]] = None) -> _Transmission:
         """Deliver ``packet`` from ``sender`` to every radio in range.
 
         Called by :meth:`repro.phy.radio.Radio.transmit`, which queues the
-        returned transmission's ``run_ends`` for the end of the frame.  The
+        returned transmission's ``run_ends`` for the end of the frame; that
+        runs the sender's end and then ``on_sent``.  The
         signal reaches each potential receiver after its own (tiny)
         propagation delay; whether it is decodable is decided by the
         receiving radio.  All receivers share one snapshot of the packet,
@@ -526,7 +550,8 @@ class WirelessChannel:
             offsets = deliveries.offsets
             deliveries = deliveries.reordered(sorted(
                 range(len(offsets)), key=lambda k: (now + delays[k], offsets[k])))
-        return _Transmission(self.sim, sender, deliveries, packet.copy(), duration)
+        return _Transmission(self.sim, sender, deliveries, packet.copy(), duration,
+                             on_sent)
 
     def _build_deliveries(self, sender_id: int) -> _Deliveries:
         """Compute and cache the in-range receiver list for ``sender_id``.

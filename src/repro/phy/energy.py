@@ -25,7 +25,7 @@ from repro.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.engine import Simulator
-    from repro.phy.radio import RadioStats
+    from repro.phy.radio import Radio, RadioStats
 
 
 @dataclass(frozen=True)
@@ -146,17 +146,19 @@ def install_energy_probes(
     registry: MetricsRegistry,
     model: EnergyModel,
     sim: "Simulator",
-    radio_stats: Mapping[int, "RadioStats"],
+    radios: Mapping[int, "Radio"],
 ) -> None:
     """Register per-node cumulative-energy probes (``phy.node<N>.energy``).
 
-    Each probe evaluates the linear power model against the radio's
-    cumulative airtimes at the moment it is sampled, giving an energy-vs-time series per
-    node when the registry's periodic sampler is enabled.  No-op on a
-    disabled registry.
+    Each probe settles the radio and evaluates the linear power model against
+    its cumulative airtimes at the moment it is sampled, giving an
+    energy-vs-time series per node when the registry's periodic sampler is
+    enabled.  No-op on a disabled registry.
     """
-    for node_id, stats in sorted(radio_stats.items()):
-        def probe(stats=stats) -> float:
+    for node_id, radio in sorted(radios.items()):
+        def probe(radio=radio) -> float:
+            radio.settle()
+            stats = radio.stats
             return model.node_energy(sim.now, stats.time_transmitting,
                                      stats.time_receiving)
         registry.add_probe(f"phy.node{node_id}.energy", probe, unit="J",

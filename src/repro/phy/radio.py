@@ -22,13 +22,26 @@ weak frame from a hidden node that arrives *first* destroys the stronger frame
 that follows, while the reverse order is saved by capture.
 
 The radio does not schedule its own signal edges.  The channel's transmission
-object calls :meth:`Radio.signal_start` and, one frame duration later,
-:meth:`Radio._signal_end` for each receiver, each at the ``(time, sequence)``
-key the edge's own event would have had (see
-:class:`repro.phy.channel._Transmission`).  The frame it passes is one
-snapshot shared by every receiver: read it, never change it.  The sender's
-own end of the frame heads that transmission's end chain: it is the one event
-:meth:`Radio.transmit` queues.
+object calls :meth:`Radio.signal_start` for each receiver at the
+``(time, sequence)`` key the start's own event would have had (see
+:class:`repro.phy.channel._Transmission`), and the start reserves the key of
+the signal's end.  The frame it passes is one snapshot shared by every
+receiver: read it, never change it.  The sender's own end of the frame heads
+that transmission's end chain: it is the one event :meth:`Radio.transmit`
+queues.
+
+Most signals a radio hears it cannot decode, and most arrive while its MAC
+has no use for the carrier.  The end of such a *quiet* signal — not
+receivable, :attr:`Radio.notify_carrier` off when it started — is *owed*: no
+edge runs it.  The radio keeps it and settles it, under its reserved key, the
+first time it is touched by something keyed later: a signal start, an end
+that does run, :meth:`Radio.transmit`, or :meth:`Radio.settle` (which every
+reader of :class:`RadioStats` calls first).  Settling releases the lock and
+counts the airtime, exactly as the end would have.  If the listener turns the
+carrier flag back on while ends are owed, the one owed end that could still
+report the carrier idle is queued as an edge again.  The other ends — a
+decodable signal, or any signal while the flag is on — run from the
+transmission's end chain at their keys.
 
 The radio also provides carrier sensing to the MAC: the medium is busy while
 any signal from within the carrier-sense (interference) range is on the air or
@@ -41,7 +54,8 @@ to send, which has no use for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from operator import attrgetter
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.core.engine import Simulator
 from repro.core.tracing import NULL_TRACER, Tracer
@@ -53,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.phy.channel import WirelessChannel
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Signal:
     """One signal currently arriving at this radio."""
 
@@ -67,10 +81,18 @@ class _Signal:
     corrupted: bool = False
 
 
+_end_key = attrgetter("end_time", "end_sequence")
+
+
 class RadioStats(StatsRecord):
     """Counters the radio maintains for diagnostics and energy accounting,
     published as ``phy.node<N>.<field>``.  The two cumulative airtimes feed
-    the energy model and start at ``0.0``."""
+    the energy model and start at ``0.0``.
+
+    ``time_receiving`` and ``frames_below_threshold`` lag behind the clock
+    by the radio's owed signal ends: a reader in mid-run calls
+    :meth:`Radio.settle` first (the scenario's result collection and energy
+    probes do)."""
 
     __slots__ = {
         "frames_sent": "Frames transmitted.",
@@ -124,16 +146,74 @@ class Radio:
         # end exactly at their end time, so the carrier is busy until then.
         self._signals_until: float = 0.0
         self._carrier_was_busy = False
-        #: Written by the listener: False while it has no use for
-        #: ``on_carrier_busy`` / ``on_carrier_idle``.
-        self.notify_carrier = True
+        self._notify = True
+        #: Quiet signals whose ends are owed (see the module docstring).
+        self._owed: List[_Signal] = []
+
+    @property
+    def notify_carrier(self) -> bool:
+        """Written by the listener: False while it has no use for
+        ``on_carrier_busy`` / ``on_carrier_idle``."""
+        return self._notify
+
+    @notify_carrier.setter
+    def notify_carrier(self, on: bool) -> None:
+        if on and not self._notify and self._owed:
+            self._watch_owed_ends()
+        self._notify = on
+
+    def _watch_owed_ends(self) -> None:
+        """The flag is turning on: settle what is due, and queue again the
+        owed end that will find the carrier idle, should one."""
+        sim = self.sim
+        self._settle(sim.now, sim.now_sequence)
+        # Only an end at the latest end time, once our own frame is out, can
+        # find the carrier idle; of those, the first to run (``_settle`` left
+        # the owed ends in key order).
+        last = self._signals_until
+        if last < self._transmitting_until:
+            return
+        owed = self._owed
+        for signal in owed:
+            if signal.end_time == last:
+                owed.remove(signal)
+                sim.schedule_reserved(signal.end_time, signal.end_sequence,
+                                      self._signal_end, signal)
+                return
+
+    def settle(self) -> None:
+        """Settle every owed end keyed before the running handler's
+        ``(now, now_sequence)``; call before reading :attr:`stats` in mid-run."""
+        if self._owed:
+            self._settle(self.sim.now, self.sim.now_sequence)
+
+    def _settle(self, time: float, sequence: float) -> None:
+        """Settle, in key order, the owed ends keyed before ``(time, sequence)``."""
+        owed = self._owed
+        if len(owed) > 1:
+            owed.sort(key=_end_key)
+        while owed:
+            signal = owed[0]
+            end_time = signal.end_time
+            if end_time > time or (end_time == time and signal.end_sequence >= sequence):
+                return
+            del owed[0]
+            self._signal_end(signal)
 
     # ------------------------------------------------------------------
     # Transmit path (called by the MAC)
     # ------------------------------------------------------------------
-    def transmit(self, packet: Packet, duration: float) -> None:
-        """Start transmitting ``packet``; it occupies the air for ``duration`` s."""
-        now = self.sim.now
+    def transmit(self, packet: Packet, duration: float,
+                 on_sent: Optional[Callable[[], None]] = None) -> None:
+        """Start transmitting ``packet``; it occupies the air for ``duration`` s.
+
+        ``on_sent``, if given, is called once the frame has left the antenna,
+        right after the radio's own end of it.
+        """
+        sim = self.sim
+        now = sim.now
+        if self._owed:
+            self._settle(now, sim.now_sequence)
         self._transmitting_until = max(self._transmitting_until, now + duration)
         stats = self.stats
         stats.frames_sent += 1
@@ -147,14 +227,14 @@ class Radio:
         if self.tracer.enabled:
             self.tracer.record(now, "phy", "tx_start", node=self.node_id, uid=packet.uid,
                                size=packet.size, duration=duration)
-        transmission = self.channel.broadcast(self, packet, duration)
+        transmission = self.channel.broadcast(self, packet, duration, on_sent)
         if not self._carrier_was_busy:
             self._carrier_was_busy = True
-            if self.notify_carrier and self.listener is not None:
+            if self._notify and self.listener is not None:
                 self.listener.on_carrier_busy()
         # Our own end of the frame heads the transmission's end chain: this
         # one event goes on to run the receivers' signal ends.
-        self.sim.schedule(duration, transmission.run_ends)
+        sim.schedule(duration, transmission.run_ends)
 
     def _transmit_complete(self) -> None:
         """Our frame has left the antenna (called by its transmission)."""
@@ -162,7 +242,7 @@ class Radio:
             now = self.sim.now
             if now >= self._transmitting_until and now >= self._signals_until:
                 self._carrier_was_busy = False
-                if self.notify_carrier and self.listener is not None:
+                if self._notify and self.listener is not None:
                     self.listener.on_carrier_idle()
 
     @property
@@ -174,7 +254,7 @@ class Radio:
     # Receive path (called by the channel)
     # ------------------------------------------------------------------
     def signal_start(self, packet: Packet, duration: float, receivable: bool,
-                     power: float = 1.0) -> _Signal:
+                     power: float = 1.0) -> Optional[_Signal]:
         """A signal begins arriving at this radio.
 
         Args:
@@ -187,9 +267,13 @@ class Radio:
 
         Returns:
             The signal, carrying the ``(end_time, end_sequence)`` key at
-            which the caller owes this radio a :meth:`_signal_end`.
+            which the caller owes this radio a :meth:`_signal_end`; None if
+            the signal is quiet and the radio keeps its end itself.
         """
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
+        if self._owed:
+            self._settle(now, sim.now_sequence)
         end_time = now + duration
         signal = _Signal(packet, receivable, power, end_time, duration)
         if end_time > self._signals_until:
@@ -218,37 +302,43 @@ class Radio:
         # A signal is arriving, so the carrier is busy.
         if not self._carrier_was_busy:
             self._carrier_was_busy = True
-            if self.notify_carrier and self.listener is not None:
+            if self._notify and self.listener is not None:
                 self.listener.on_carrier_busy()
         # The end edge takes its place in the event order here: after
         # whatever the carrier callback above has just scheduled.
-        signal.end_sequence = self.sim.reserve_sequences()
-        return signal
+        signal.end_sequence = sim.reserve_sequences()
+        if receivable or self._notify:
+            return signal
+        self._owed.append(signal)
+        return None
 
     def _signal_end(self, signal: _Signal) -> None:
+        """The end of ``signal``: an edge at its key, or settled."""
+        if self._owed:
+            self._settle(signal.end_time, signal.end_sequence)
+        now = signal.end_time
         if self._locked is signal:
             self._locked = None
             # The radio was listening to this signal for its whole duration
             # (energy accounting counts overheard and corrupted frames too).
             self.stats.time_receiving += signal.duration
-            if signal.corrupted or self.is_transmitting:
+            if signal.corrupted or now < self._transmitting_until:
                 pass
             elif not signal.receivable:
                 self.stats.frames_below_threshold += 1
             else:
                 self.stats.frames_received += 1
                 if self.tracer.enabled:
-                    self.tracer.record(self.sim.now, "phy", "rx_ok", node=self.node_id,
+                    self.tracer.record(now, "phy", "rx_ok", node=self.node_id,
                                        uid=signal.packet.uid)
                 if self.listener is not None:
                     self.listener.on_frame_received(signal.packet)
         # Nothing has started since the carrier was last found idle, so only
         # busy -> idle needs a look (as in _transmit_complete).
         if self._carrier_was_busy:
-            now = self.sim.now
             if now >= self._transmitting_until and now >= self._signals_until:
                 self._carrier_was_busy = False
-                if self.notify_carrier and self.listener is not None:
+                if self._notify and self.listener is not None:
                     self.listener.on_carrier_idle()
 
     # ------------------------------------------------------------------

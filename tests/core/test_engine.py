@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.engine import Simulator, Timer
@@ -247,6 +249,40 @@ class TestRunContract:
         sim.schedule(0.0, fired.append, "fresh")
         sim.run()
         assert fired == ["fresh"]
+
+    def test_now_sequence_is_the_running_handlers_key(self, make_sim):
+        """``(now, now_sequence)`` is the key of the handler running, queued
+        or claimed in place; after ``stop()`` the stopping handler's; past
+        every key at that time once the clock reaches a horizon or the queue
+        runs dry."""
+        sim = make_sim()
+        seen = []
+
+        def note():
+            seen.append((sim.now, sim.now_sequence))
+
+        first = sim.schedule(1.0, note)
+        edge = sim.reserve_sequences()
+
+        def note_and_claim():
+            note()
+            if sim.claim(2.0, edge):
+                note()
+
+        second = sim.schedule(1.5, note_and_claim)
+        stopper = sim.schedule(3.0, sim.stop)
+        last = sim.schedule(3.0, note)
+        sim.schedule(7.0, note)
+        sim.run()
+        assert seen == [(1.0, first.sequence), (1.5, second.sequence), (2.0, edge)]
+        assert (sim.now, sim.now_sequence) == (3.0, stopper.sequence)
+        sim.run(until=5.0)
+        assert seen[-1] == (3.0, last.sequence)
+        assert (sim.now, sim.now_sequence) == (5.0, math.inf)
+        sim.run()
+        assert (sim.now, sim.now_sequence) == (7.0, math.inf)
+        sim.reset()
+        assert sim.now_sequence == -1
 
     def test_dispatch_order_spans_time_scales(self, make_sim):
         """Microseconds to minutes, scheduled out of order: dispatch follows

@@ -156,6 +156,40 @@ class TestBroadcast:
         sim.run(until=1.0)
         assert bed.listeners[0].successes
 
+    @pytest.mark.parametrize("answer", ["cts", "ack"])
+    def test_a_response_sent_mid_broadcast_leaves_the_completion_to_it(self, sim, answer):
+        """A radio may start a CTS or an ACK while its broadcast is still on
+        the air.  The broadcast completes once, at its own end: the
+        completion belongs to the frame, not to the radio's latest one."""
+        bed = MacTestbed(sim, {0: (0, 0), 1: (200, 0)})
+        mac, radio = bed.macs[0], bed.macs[0].radio
+        sent = bed.send(0, BROADCAST, payload=1000)
+        completions = []
+        recorded = bed.listeners[0].on_mac_send_success
+
+        def on_mac_send_success(packet, next_hop):
+            completions.append((sim.now, packet))
+            recorded(packet, next_hop)
+
+        bed.listeners[0].on_mac_send_success = on_mac_send_success
+        while not radio.is_transmitting:
+            sim.run(max_events=1)
+        broadcast_end = radio._transmitting_until
+        timing = bed.timing
+        assert sim.now + timing.sifs + max(timing.cts_duration,
+                                           timing.ack_duration) < broadcast_end
+        if answer == "cts":
+            mac.on_frame_received(make_rts(src=1, dst=0, nav=0.004))
+        else:
+            data = Packet(payload_size=100)
+            attach_data_header(data, src=1, dst=0, nav=0.0, retry=False)
+            mac.on_frame_received(data)
+        sim.run(until=1.0)
+        assert (mac.stats.cts_tx, mac.stats.ack_tx) == (
+            (1, 0) if answer == "cts" else (0, 1))
+        assert radio.stats.frames_sent == 2
+        assert completions == [(broadcast_end, sent)]
+
 
 class TestVirtualCarrierSense:
     def test_overheard_rts_sets_nav(self, sim):

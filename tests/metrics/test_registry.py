@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fnmatch import fnmatchcase
+
 import pytest
 
 from repro.core.engine import Simulator
@@ -66,6 +68,23 @@ class TestSnapshotAndTotal:
         registry.set("mac.node2.drops", 1)
         assert registry.total("mac.node*.drops") == 6
         assert registry.total("nothing.*") == 0
+
+    def test_totals_match_every_name_against_every_pattern(self):
+        """One pass over the records, the same sums as matching each full
+        name: ``*`` spans dots, a wildcard may sit in the field part, and a
+        pattern without a dot names nothing here."""
+        registry = MetricsRegistry()
+        Drops(registry, prefix="mac.node0").drops = 2
+        node1 = Drops(registry, prefix="mac.node1")
+        node1.drops, node1.rts_tx = 3, 100
+        Drops(registry, prefix="mac.node1.sub").drops = 7
+        registry.set("mac.node2.drops", 1)
+        patterns = ["mac.node*.drops", "mac.node1.*", "*", "mac.node?.rts_tx",
+                    "mac.*.d[r]ops", "nothing.*", "drops"]
+        by_name = [sum(value for name, value in registry.snapshot().items()
+                       if fnmatchcase(name, pattern)) for pattern in patterns]
+        assert by_name == [13, 110, 113, 100, 13, 0, 0]
+        assert registry.totals(*patterns) == by_name
 
 
 class TestProbesAndSampling:

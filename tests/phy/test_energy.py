@@ -183,21 +183,44 @@ class TestEnergyMetrics:
         assert snapshot["phy.energy_total_joules"] == pytest.approx(total)
         assert total == pytest.approx(node0 + node1)
 
+    def _radios(self, sim, registry, *xs):
+        channel = WirelessChannel(sim)
+        radios = {}
+        for node_id, x in enumerate(xs):
+            radios[node_id] = Radio(sim, node_id, channel, metrics=registry)
+            channel.register(radios[node_id], Position(x, 0))
+        return radios
+
     def test_install_energy_probes_samples_over_time(self):
         sim = Simulator()
         registry = MetricsRegistry(enabled=True)
         model = EnergyModel(tx_power=2.0, rx_power=1.0, idle_power=0.5)
-        stats = self._stats(registry, 0, tx=0.0, rx=0.0)
-        install_energy_probes(registry, model, sim, {0: stats})
+        install_energy_probes(registry, model, sim, self._radios(sim, registry, 0))
         registry.start_sampling(sim, interval=1.0)
         sim.run(until=2.5)
         series = registry.timeseries_data()["phy.node0.energy"]
         # Idle-only node: energy grows linearly with idle power.
         assert series["values"] == pytest.approx([0.0, 0.5, 1.0])
 
+    def test_energy_probes_settle_owed_ends_first(self):
+        """An overheard frame's end is owed to a radio whose listener is not
+        watching the carrier; the probe still counts its receive time."""
+        sim = Simulator()
+        registry = MetricsRegistry(enabled=True)
+        model = EnergyModel(tx_power=2.0, rx_power=1.0, idle_power=0.5)
+        radios = self._radios(sim, registry, 0, 400)
+        radios[0].notify_carrier = False
+        install_energy_probes(registry, model, sim, {0: radios[0]})
+        registry.start_sampling(sim, interval=1.0)
+        radios[1].transmit(Packet(), duration=0.004)
+        sim.run(until=1.5)
+        assert radios[0]._owed == []
+        series = registry.timeseries_data()["phy.node0.energy"]
+        assert series["values"] == pytest.approx([0.0, 0.004 * 1.0 + 0.996 * 0.5])
+
     def test_install_energy_probes_noop_when_disabled(self):
         sim = Simulator()
         registry = MetricsRegistry(enabled=False)
-        stats = self._stats(registry, 0, tx=0.0, rx=0.0)
-        install_energy_probes(registry, EnergyModel(), sim, {0: stats})
+        install_energy_probes(registry, EnergyModel(), sim,
+                              self._radios(sim, registry, 0))
         assert registry.timeseries_data() == {}

@@ -2,21 +2,24 @@
 
 :class:`OracleChannel` delivers the way the channel did before transmissions
 walked their own edges: every receiver gets an event for its signal start and
-another for its signal end, the sender one for its own end of the frame, and
-every receiver a packet copy of its own.  It exists only here.  A seeded
-world — random or lattice geometry plus a hermit nobody can hear, reactive
-listeners that transmit back, simultaneous senders, frames shorter than the
-spread of propagation delays, nodes going down (senders in mid-frame among
-them) and moving while frames are in the air, runs cut by ``until``,
-``max_events`` and ``stop()`` — is played once on each channel (the oracle
-always on a new simulator, the real channel on each kernel of
+another for its signal end — the end of a quiet signal too, which the real
+channel leaves to the radio to settle — the sender one for its own end of the
+frame, and every receiver a packet copy of its own.  It exists only here.  A
+seeded world — random or lattice geometry plus a hermit nobody can hear,
+reactive listeners that transmit back, simultaneous senders, frames shorter
+than the spread of propagation delays, nodes going down (senders in
+mid-frame among them) and moving while frames are in the air, runs cut by
+``until``, ``max_events`` and ``stop()`` — is played once on each channel
+(the oracle always on a new simulator, the real channel on each kernel of
 ``tests.helpers.KERNELS``), and every listener callback ``(time, node,
-callback, uid)``, every ``RadioStats`` field, the clock, the handler count
-and the next free sequence number must agree.
+callback, uid)``, every ``RadioStats`` field (each radio settled first), the
+clock, the handler count and the next free sequence number must agree.
 
-A second differential holds the radio's carrier flag on the real channel
-alone: listeners that switch ``Radio.notify_carrier`` off and on at random
-against listeners that leave it on and ignore the callbacks themselves.
+Listeners that switch ``Radio.notify_carrier`` off and on at random make the
+radios owe the ends of quiet signals.  An owed end is not a handler, so those
+worlds are cut by ``until`` and ``stop()`` only and the handler count is left
+out: against the oracle, and against listeners that leave the flag on and
+ignore the callbacks themselves.
 """
 
 from __future__ import annotations
@@ -35,17 +38,26 @@ from repro.phy.radio import Radio, RadioStats
 
 class _SendersEndAlone:
     """What the oracle hands ``Radio.transmit`` to queue for the end of the
-    frame, under the key drawn there: the sender's end and nothing behind it."""
+    frame, under the key drawn there: the sender's end and nothing behind it
+    but the frame's completion."""
 
-    def __init__(self, sender):
-        self.run_ends = sender._transmit_complete
+    def __init__(self, sender, on_sent):
+        self.sender = sender
+        self.on_sent = on_sent
+
+    def run_ends(self):
+        self.sender._transmit_complete()
+        if self.on_sent is not None:
+            self.on_sent()
 
 
 class OracleChannel(WirelessChannel):
-    """One event per edge, the sender's end included; one packet copy per
-    receiver."""
+    """One event per edge, the sender's end and every quiet signal's end
+    included; one packet copy per receiver."""
 
-    def broadcast(self, sender, packet, duration):
+    quiet_ends = 0
+
+    def broadcast(self, sender, packet, duration, on_sent=None):
         self.stats.transmissions += 1
         self.stats.bytes_transmitted += packet.size
         deliveries = self._cached_payload(self._delivery_cache, sender.node_id)
@@ -58,10 +70,14 @@ class OracleChannel(WirelessChannel):
             self.sim.schedule(deliveries.delays[k], self._signal_start,
                               deliveries.radios[k], packet.copy(), duration,
                               deliveries.receivable[k], deliveries.powers[k])
-        return _SendersEndAlone(sender)
+        return _SendersEndAlone(sender, on_sent)
 
     def _signal_start(self, radio, packet, duration, receivable, power):
         signal = radio.signal_start(packet, duration, receivable, power)
+        if signal is None:
+            # A quiet signal: take back the end the radio would owe.
+            signal = radio._owed.pop()
+            self.quiet_ends += 1
         # The sequence signal_start has just taken, used on the spot: the
         # plain schedule(duration, ...) the radio used to end with.
         self.sim.schedule_reserved(signal.end_time, signal.end_sequence,
@@ -115,6 +131,8 @@ class FlagTalker(Talker):
     def switch(self):
         self.watching = not self.watching
         if self.gated:
+            if self.watching and self.radio._owed:
+                self.world.watched_owing += 1
             self.radio.notify_carrier = self.watching
         self.world.log.append((self.world.sim.now, self.radio.node_id,
                                "watching" if self.watching else "not watching",
@@ -152,6 +170,8 @@ class World:
         self.log = []
         self.budget = 60
         self.downed_on_air = 0
+        #: Times a listener turned the carrier flag on while ends were owed.
+        self.watched_owing = 0
         self.radios = []
         for node_id, (x, y) in enumerate(list(positions) + [self.HERMIT]):
             radio = Radio(self.sim, node_id, self.channel)
@@ -179,7 +199,9 @@ class World:
             channel.set_positions({node: Position(old.x + rng.uniform(-300, 300),
                                                   old.y + rng.uniform(-300, 300))})
 
-    def play(self):
+    def play(self, handler_cuts=True):
+        """Run the world in 16 cuts; with ``handler_cuts`` off, by ``until``
+        and ``stop()`` alone, and with no handler count in the checkpoints."""
         rng, sim = self.rng, self.sim
         for _ in range(12):
             at = rng.choice([0.0, 0.0, 1e-4, 1e-4, 2.5e-4, 1e-3, 0.5])
@@ -192,38 +214,50 @@ class World:
         sim.schedule(rng.choice([1e-6, 2e-4, 1.1e-3]), sim.stop)
         checkpoints = []
         for step in range(16):
-            if step % 3 == 0:
+            if step % 3 == 0 or (not handler_cuts and step % 3 == 1):
                 sim.run(until=sim.now + rng.choice([1e-6, 5e-5, 2e-4, 1e-3]))
+            elif not handler_cuts:
+                sim.run(until=sim.now + 1.0)
             elif step % 3 == 1:
                 sim.run(max_events=rng.randrange(1, 30))
             else:
                 sim.run(max_events=2000)
-            checkpoints.append((len(self.log), sim.now,
-                                sim.events_processed + sim.edges_in_place))
+            checkpoint = (len(self.log), sim.now, self.radio_stats())
+            if handler_cuts:
+                checkpoint += (sim.events_processed + sim.edges_in_place,)
+            checkpoints.append(checkpoint)
         return {
             "log": self.log,
             "checkpoints": checkpoints,
-            "radio stats": [{field: getattr(radio.stats, field)
-                             for field in RadioStats.fields}
-                            for radio in self.radios],
+            "radio stats": self.radio_stats(),
             "channel stats": vars(self.channel.stats),
             "next sequence": sim.reserve_sequences(),
         }
 
+    def radio_stats(self):
+        """Every field of every radio's stats, each radio settled first."""
+        for radio in self.radios:
+            radio.settle()
+        return [{field: getattr(radio.stats, field) for field in RadioStats.fields}
+                for radio in self.radios]
 
-def assert_same_as_oracle(make_sim, seed, positions):
-    expected = World(OracleChannel, Simulator(), seed, positions).play()
-    world = World(WirelessChannel, make_sim(), seed, positions)
-    actual = world.play()
+
+def assert_same_as_oracle(make_sim, seed, positions, talker_class=Talker):
+    gated = talker_class is FlagTalker
+    oracle = World(OracleChannel, Simulator(), seed, positions, talker_class)
+    expected = oracle.play(handler_cuts=not gated)
+    world = World(WirelessChannel, make_sim(), seed, positions, talker_class)
+    actual = world.play(handler_cuts=not gated)
     for key in expected:
         assert actual[key] == expected[key], key
-    return world
+    return oracle, world
 
 
 def assert_carrier_flag_only_silences(make_sim, seed, positions):
-    expected = World(WirelessChannel, make_sim(), seed, positions, DeafenedTalker).play()
+    expected = World(WirelessChannel, make_sim(), seed, positions,
+                     DeafenedTalker).play(handler_cuts=False)
     world = World(WirelessChannel, make_sim(), seed, positions, FlagTalker)
-    actual = world.play()
+    actual = world.play(handler_cuts=False)
     for key in expected:
         assert actual[key] == expected[key], key
     return world
@@ -254,7 +288,7 @@ class TestAgainstOneEventPerEdge:
         sends to nobody, senders go down in mid-frame."""
         frames = in_place = handlers = hermit_frames = downed_on_air = 0
         for seed in range(30):
-            world = assert_same_as_oracle(
+            _, world = assert_same_as_oracle(
                 make_sim, seed, [(150.0 * (seed % 4 + i), 90.0 * i) for i in range(8)])
             frames += sum(1 for entry in world.log if entry[2] == "frame")
             in_place += world.sim.edges_in_place
@@ -264,6 +298,36 @@ class TestAgainstOneEventPerEdge:
         assert frames > 100
         assert in_place > handlers // 4
         assert hermit_frames > 10 and downed_on_air > 10
+
+
+class TestOwedEnds:
+    """Listeners that switch the carrier flag at random, so quiet signals'
+    ends are owed and some are queued again: the same world as one event
+    per edge."""
+
+    @given(seed=st.integers(0, 2**32 - 1), positions=_scattered)
+    @settings(max_examples=100, deadline=None)
+    def test_scattered_nodes(self, make_sim, seed, positions):
+        assert_same_as_oracle(make_sim, seed, positions, FlagTalker)
+
+    @given(seed=st.integers(0, 2**32 - 1), positions=_lattice)
+    @settings(max_examples=100, deadline=None)
+    def test_equidistant_receivers(self, make_sim, seed, positions):
+        assert_same_as_oracle(make_sim, seed, positions, FlagTalker)
+
+    def test_ends_are_owed_and_watched_again(self, make_sim):
+        """A quarter of the signals or more are quiet, so their ends are
+        owed, and listeners turn the flag back on while ends are owed."""
+        frames = ends = owed = watched_owing = 0
+        for seed in range(30):
+            oracle, world = assert_same_as_oracle(
+                make_sim, seed, [(150.0 * (seed % 4 + i), 90.0 * i) for i in range(8)],
+                FlagTalker)
+            frames += sum(1 for entry in world.log if entry[2] == "frame")
+            ends += world.channel.stats.deliveries_attempted
+            owed += oracle.channel.quiet_ends
+            watched_owing += world.watched_owing
+        assert frames > 100 and owed > ends // 4 and watched_owing > 30
 
 
 class TestCarrierFlag:

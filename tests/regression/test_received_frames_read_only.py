@@ -5,9 +5,10 @@ passes it up as it is, and the layers above copy before they change anything
 (routing does, where it forwards).  The golden traces would show most
 violations as a changed digest; this names the culprit instead.  Every frame
 is recorded field by field when the channel takes its snapshot and compared
-after each listener that was handed it returns, and again once its last
-receiver's signal has ended; frames on a wired bus, shared the same way, are
-compared around their delivery.  Test-side only: nothing in a run checks.
+after each listener that was handed it returns, and again once its
+transmission's end chain has run its last end (the ends of quiet signals are
+not in it: nobody can decode those); frames on a wired bus, shared the same
+way, are compared around their delivery.  Test-side only: nothing in a run checks.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class FrameWatch:
         run_ends = _Transmission.run_ends
         deliver = WiredBus._deliver
 
-        def watched_broadcast(channel, sender, packet, duration):
-            transmission = broadcast(channel, sender, packet, duration)
+        def watched_broadcast(channel, sender, packet, duration, on_sent=None):
+            transmission = broadcast(channel, sender, packet, duration, on_sent)
             frame = transmission.packet
             watch.sent[id(frame)] = (frame, fields_of(frame))
             return transmission
@@ -66,7 +67,8 @@ class FrameWatch:
 
         def watched_run_ends(transmission):
             run_ends(transmission)
-            if transmission.ended == len(transmission.deliveries.radios):
+            if (transmission.started == len(transmission.deliveries.radios)
+                    and transmission.ended == len(transmission.signals)):
                 watch.compare(transmission.packet, "somebody who kept it")
                 del watch.sent[id(transmission.packet)]
 
