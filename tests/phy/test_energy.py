@@ -214,7 +214,6 @@ class TestEnergyMetrics:
         registry.start_sampling(sim, interval=1.0)
         radios[1].transmit(Packet(), duration=0.004)
         sim.run(until=1.5)
-        assert radios[0]._owed == []
         series = registry.timeseries_data()["phy.node0.energy"]
         assert series["values"] == pytest.approx([0.0, 0.004 * 1.0 + 0.996 * 0.5])
 
