@@ -35,7 +35,7 @@ from repro.experiments.paced_udp import default_sweep_intervals
 from repro.experiments.results import ScenarioResult, format_table
 from repro.experiments.study import StudyResult, SweepPoint, SweepSpec, run_study
 from repro.topology.random_topology import random_topology
-from repro.transport.registry import get_transport
+from repro.transport.registry import TRANSPORTS
 
 #: Delivered packets per single-flow chain point (paper: 110 000).
 PACKET_TARGET = 250
@@ -150,8 +150,8 @@ def label(axis: str, coords: Mapping[str, object]) -> object:
     with the Vegas variant it tunes."""
     value = coords[axis]
     if axis == "vegas_alpha":
-        return f"{get_transport(coords['variant']).label} α={value:g}"
-    return get_transport(value).label if axis == "variant" else value
+        return f"{TRANSPORTS.get(coords['variant']).label} α={value:g}"
+    return TRANSPORTS.get(value).label if axis == "variant" else value
 
 
 def points(figure: Figure) -> Iterator[Tuple[SweepSpec, SweepPoint, Dict[str, object]]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ScenarioConfig, SweepSpec, format_table, get_transport, run_study
+from repro import TRANSPORTS, ScenarioConfig, SweepSpec, format_table, run_study
 from repro.experiments.smoke import smoke_scaled
 
 
@@ -45,7 +45,7 @@ def main() -> None:
         for hops in args.hops:
             rows.append([hops] + [measure(results[v][hops]) for v in variants])
         print(f"\n--- {title} ---")
-        print(format_table(["hops"] + [get_transport(v).label for v in variants], rows))
+        print(format_table(["hops"] + [TRANSPORTS.get(v).label for v in variants], rows))
 
     table_for("Figure 6: goodput [kbit/s]",
               lambda r: round(r.aggregate_goodput_kbps, 1))

@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 
 from repro import (
+    TRANSPORTS,
     Scenario,
     ScenarioConfig,
     ScenarioSpec,
     format_table,
-    get_transport,
     grid_topology,
 )
 from repro.experiments.smoke import smoke_scaled
@@ -50,7 +50,7 @@ def main() -> None:
         )
         result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         rows.append(
-            [get_transport(variant).label]
+            [TRANSPORTS.get(variant).label]
             + [round(flow.goodput_kbps, 1) for flow in result.flows]
             + [round(result.aggregate_goodput_kbps, 1), round(result.fairness_index, 3)]
         )

@@ -23,11 +23,11 @@ import argparse
 import time
 
 from repro import (
+    TRANSPORTS,
     ScenarioConfig,
     SweepSpec,
     build_named_scenario,
     format_table,
-    get_transport,
     run_study,
 )
 from repro.experiments.smoke import smoke_scaled
@@ -79,7 +79,7 @@ def sweep_speed(args: argparse.Namespace) -> None:
     for point in study.points:
         interval = point.goodput_interval
         rows.append([
-            get_transport(point.values["variant"]).label,
+            TRANSPORTS.get(point.values["variant"]).label,
             f"{point.values['mobility_speed']:g}",
             interval.mean / 1000.0,
             interval.half_width / 1000.0,

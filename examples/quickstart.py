@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 
 from repro import (
+    TRANSPORTS,
     Scenario,
     ScenarioConfig,
     ScenarioSpec,
     chain_topology,
     format_table,
-    get_transport,
 )
 from repro.experiments.smoke import smoke_scaled
 
@@ -51,7 +51,7 @@ def main() -> None:
         result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         flow = result.flows[0]
         rows.append([
-            get_transport(variant).label,
+            TRANSPORTS.get(variant).label,
             round(result.aggregate_goodput_kbps, 1),
             round(flow.retransmissions_per_packet, 4),
             round(flow.average_window, 2),

@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 
 from repro import (
+    TRANSPORTS,
     Scenario,
     ScenarioConfig,
     ScenarioSpec,
     format_table,
-    get_transport,
     random_topology,
 )
 from repro.experiments.smoke import smoke_scaled
@@ -61,7 +61,7 @@ def main() -> None:
         )
         result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         rows.append(
-            [get_transport(variant).label]
+            [TRANSPORTS.get(variant).label]
             + [round(flow.goodput_kbps, 1) for flow in result.flows]
             + [round(result.aggregate_goodput_kbps, 1), round(result.fairness_index, 3)]
         )

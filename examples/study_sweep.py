@@ -22,13 +22,12 @@ import time
 from repro.experiments.smoke import smoke_scaled
 
 from repro import (
+    TRANSPORTS,
     ScenarioConfig,
     StudyResult,
     SweepSpec,
     format_table,
-    get_transport,
     run_study,
-    transport_names,
 )
 
 
@@ -39,7 +38,7 @@ def main() -> None:
     parser.add_argument("--hops", type=int, nargs="+",
                         default=smoke_scaled([2, 4, 8], [2, 4]))
     parser.add_argument("--variants", nargs="+", default=["vegas", "newreno"],
-                        help=f"any of: {', '.join(transport_names())}")
+                        help=f"any of: {', '.join(TRANSPORTS.names())}")
     parser.add_argument("--bandwidth", type=float, default=2.0)
     parser.add_argument("--replications", type=int, default=smoke_scaled(3, 1),
                         help="independent seeds per sweep point")
@@ -72,7 +71,7 @@ def main() -> None:
     for point in study.points:
         interval = point.goodput_interval
         rows.append([
-            get_transport(point.values["variant"]).label,
+            TRANSPORTS.get(point.values["variant"]).label,
             point.values["hops"],
             interval.mean / 1000.0,
             interval.half_width / 1000.0,

@@ -49,27 +49,12 @@ from repro.experiments.workload import (
     mixed_transport_workload,
 )
 from repro.metrics import MetricsRegistry, TimeSeries
-from repro.mobility.registry import (
-    MobilityProfile,
-    get_mobility,
-    mobility_names,
-    register_mobility,
-)
+from repro.mobility.registry import MOBILITY_MODELS, MobilityProfile
 from repro.topology.chain import chain_topology
 from repro.topology.grid import grid_topology
 from repro.topology.random_topology import random_topology
-from repro.topology.registry import (
-    TopologyProfile,
-    build_topology,
-    register_topology,
-    topology_names,
-)
-from repro.transport.registry import (
-    TransportProfile,
-    get_transport,
-    register_transport,
-    transport_names,
-)
+from repro.topology.registry import TOPOLOGIES, TopologyProfile
+from repro.transport.registry import TRANSPORTS, TransportProfile
 
 __version__ = "1.0.0"
 
@@ -78,9 +63,7 @@ def __getattr__(name: str):
     # Reached only for names not bound above: of those in __all__, that is
     # the runner, the preset catalog and the study plane, which
     # repro.experiments loads on first use, so that a process which only runs
-    # scenarios never imports the study plane and ``python -m
-    # repro.experiments.runner`` (or ``.scenarios``) finds its module not yet
-    # imported.
+    # scenarios never imports the study plane.
     if name in __all__:
         from repro import experiments
         return getattr(experiments, name)
@@ -108,23 +91,16 @@ __all__ = [
     "SweepSpec",
     "run_study",
     "ResultStore",
-    "backend_names",
-    "register_backend",
+    "BACKENDS",
     "chain_topology",
     "grid_topology",
     "random_topology",
+    "TOPOLOGIES",
     "TopologyProfile",
-    "build_topology",
-    "register_topology",
-    "topology_names",
+    "TRANSPORTS",
     "TransportProfile",
-    "get_transport",
-    "register_transport",
-    "transport_names",
+    "MOBILITY_MODELS",
     "MobilityProfile",
-    "get_mobility",
-    "register_mobility",
-    "mobility_names",
     "MetricsRegistry",
     "TimeSeries",
     "__version__",

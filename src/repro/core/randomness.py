@@ -41,7 +41,3 @@ class RandomManager:
             derived = (self._seed * 1_000_003 + zlib.crc32(name.encode("utf-8"))) & 0x7FFFFFFF
             self._streams[name] = random.Random(derived)
         return self._streams[name]
-
-    def spawn(self, offset: int) -> "RandomManager":
-        """Return a new manager with a seed offset, for replicated runs."""
-        return RandomManager(self._seed + int(offset))

@@ -1,40 +1,44 @@
 """Shared mechanics behind the named registries.
 
 Five subsystems resolve pluggable components by short name — transports,
-topologies, mobility models, link layers and executor backends — and
-before this module each reimplemented the same ~60 lines:
-a module-level dict keyed by a case/space-normalised name, duplicate
-detection with a ``replace=`` escape hatch, sorted listings and difflib
-"did you mean" suggestions.
+topologies, mobility models, link layers and executor backends.  Each
+registry module exports one :class:`NamedRegistry` constant, and that
+object is the API: register a profile, look one up, list them::
 
-:class:`NamedRegistry` is that machinery, once.  Each registry module stays
-the public API — thin functions with the exact signatures and error-message
-wording they always had — and delegates storage and bookkeeping here::
+    TOPOLOGIES = NamedRegistry("topology")
 
-    _TOPOLOGIES = NamedRegistry("topology")
+    TOPOLOGIES.register(TopologyProfile(name="star", builder=star_topology))
+    TOPOLOGIES.get("star").build(arms=4)
+    TOPOLOGIES.names()
 
-    def register_topology(profile, replace=False):
-        _TOPOLOGIES.register(profile, name=profile.name, replace=replace)
-        return profile
-
-The registry is deliberately value-agnostic: it stores whatever profile
-object the caller hands it and never inspects it beyond the ``name`` the
-caller passes explicitly.
+Names are case- and space-insensitive.  The registry stores whatever
+profile it is handed and reads nothing from it but its ``name``.
 """
 
 from __future__ import annotations
 
 import difflib
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, TypeVar
 
 from repro.core.errors import ConfigurationError
 
-__all__ = ["NamedRegistry", "normalize_name"]
+__all__ = ["NamedRegistry", "did_you_mean", "normalize_name"]
+
+P = TypeVar("P")
 
 
 def normalize_name(name: str) -> str:
     """Canonical registry key of a name (case- and space-insensitive)."""
     return name.strip().lower()
+
+
+def did_you_mean(name: str, names: Iterable[str]) -> str:
+    """``"; did you mean 'a', 'b'?"`` for the close matches of ``name``
+    among ``names``, or ``""`` when there are none."""
+    suggestions = difflib.get_close_matches(name, list(names), n=3, cutoff=0.5)
+    if not suggestions:
+        return ""
+    return f"; did you mean {', '.join(repr(s) for s in suggestions)}?"
 
 
 class NamedRegistry:
@@ -43,33 +47,24 @@ class NamedRegistry:
     Args:
         kind: Human-readable component kind used verbatim in error messages
             (``"topology"``, ``"link layer"``, ``"mobility model"``).
-        suggestion_listing: When set, :meth:`get` raises unknown-name errors
-            in the difflib-suggestion style, pointing at this CLI listing
-            command (``"python -m ... --list-backends"``); when ``None`` it
-            uses the "registered: a, b, c" style instead.
     """
 
-    def __init__(self, kind: str,
-                 suggestion_listing: Optional[str] = None) -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.suggestion_listing = suggestion_listing
         self._entries: Dict[str, object] = {}
 
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def register(self, value: object, *, name: str,
-                 replace: bool = False) -> None:
-        """Store ``value`` under ``name``.
+    def register(self, profile: P, replace: bool = False) -> P:
+        """Store ``profile`` under its ``name``; returns the profile.
 
         Raises:
             ConfigurationError: On a duplicate name without ``replace``.
         """
-        key = normalize_name(name)
+        key = normalize_name(profile.name)
         if key in self._entries and not replace:
             raise ConfigurationError(
-                f"{self.kind} {name!r} is already registered")
-        self._entries[key] = value
+                f"{self.kind} {profile.name!r} is already registered")
+        self._entries[key] = profile
+        return profile
 
     def unregister(self, name: str) -> bool:
         """Remove an entry by name; unknown names are a no-op.
@@ -79,39 +74,23 @@ class NamedRegistry:
         """
         return self._entries.pop(normalize_name(name), None) is not None
 
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
     def get(self, name: str) -> object:
         """Resolve an entry by name.
 
         Raises:
-            ConfigurationError: If the name is unknown.  With a
-                ``suggestion_listing`` the message carries difflib
-                close-match suggestions and the listing-command pointer
-                (CLIs turn it into an exit-2 error); otherwise it lists the
-                registered names.
+            ConfigurationError: If ``name`` is not a registered name (or not
+                a ``str`` at all); the message carries the close matches and
+                every registered name.
         """
-        entry = self._entries.get(normalize_name(name))
-        if entry is None:
-            raise ConfigurationError(self.unknown_message(name))
-        return entry
+        hint = ""
+        if isinstance(name, str):
+            entry = self._entries.get(normalize_name(name))
+            if entry is not None:
+                return entry
+            hint = did_you_mean(name, self.names())
+        raise ConfigurationError(f"unknown {self.kind} {name!r}{hint} "
+                                 f"(registered: {', '.join(self.names())})")
 
-    def unknown_message(self, name: str) -> str:
-        """The unknown-name error text :meth:`get` raises for ``name``."""
-        if self.suggestion_listing is None:
-            return (f"unknown {self.kind} {name!r}; "
-                    f"registered: {', '.join(self.names())}")
-        suggestions = difflib.get_close_matches(
-            name, self.names(), n=3, cutoff=0.5)
-        hint = (f"; did you mean {', '.join(repr(s) for s in suggestions)}?"
-                if suggestions else "")
-        return (f"unknown {self.kind} {name!r}{hint} "
-                f"(run `{self.suggestion_listing}` for all {self.kind}s)")
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def names(self) -> List[str]:
         """Sorted canonical names of every registered entry."""
         return sorted(self._entries)

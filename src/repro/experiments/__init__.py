@@ -11,8 +11,9 @@ Three layers, from low-level to high-level:
 * **Scenario execution** — ``Scenario(spec).run()`` turns one
   :class:`ScenarioSpec` into a :class:`ScenarioResult`; it is the only way
   to run a scenario.  The runner is transport-agnostic: variants are
-  resolved through :mod:`repro.transport.registry`, topologies are
-  addressable by name through :mod:`repro.topology.registry`, and
+  resolved through :data:`repro.transport.registry.TRANSPORTS`, topologies
+  are addressable by name through
+  :data:`repro.topology.registry.TOPOLOGIES`, and
   :func:`~repro.experiments.scenarios.build_named_scenario` instantiates
   ready-made presets generated from those registries.
 * **Declarative studies** — :class:`SweepSpec` describes a cartesian sweep
@@ -24,6 +25,10 @@ Three layers, from low-level to high-level:
   only missing items) and aggregated into a :class:`StudyResult` with
   cross-seed confidence intervals.  The paper's figures are rows of one
   table of such sweeps, ``benchmarks/bench_figures.py``.
+
+``python -m repro`` (:mod:`repro.__main__`) is the command line over all
+three: ``run`` a preset, ``study`` a sweep, ``list`` presets, link layers or
+backends, and ``catalog`` to write or check the preset catalog.
 """
 
 import importlib
@@ -45,18 +50,15 @@ from repro.experiments.workload import (
 
 #: Names imported on first use (PEP 562), and the module each lives in.
 #: Running a scenario loads neither the sweep machinery nor the executor
-#: backends' multiprocessing and concurrent.futures; and since the package
-#: does not import ``runner`` or ``scenarios`` itself, ``python -m`` can run
-#: either as ``__main__`` without finding it already imported.
+#: backends' multiprocessing and concurrent.futures.
 _LAZY = {
     "Scenario": "repro.experiments.runner",
     **dict.fromkeys(("available_scenarios", "build_named_scenario",
                      "register_scenario"), "repro.experiments.scenarios"),
     **dict.fromkeys(("PointResult", "StudyResult", "SweepSpec", "run_study"),
                     "repro.experiments.study"),
-    **dict.fromkeys(("ExecutorBackend", "ResultStore", "StudyExecutionError",
-                     "backend_names", "get_backend", "register_backend"),
-                    "repro.experiments.exec"),
+    **dict.fromkeys(("BACKENDS", "ExecutorBackend", "ResultStore",
+                     "StudyExecutionError"), "repro.experiments.exec"),
 }
 
 
@@ -88,10 +90,8 @@ __all__ = [
     "StudyResult",
     "SweepSpec",
     "run_study",
+    "BACKENDS",
     "ExecutorBackend",
     "ResultStore",
     "StudyExecutionError",
-    "backend_names",
-    "get_backend",
-    "register_backend",
 ]

@@ -13,7 +13,7 @@ transport variant and the per-flow parameters (Vegas α, window clamp, UDP
 interval, TCP parameters, ACK thinning) through its ``FlowSpec``.
 
 The transport variant is its registry key (``"vegas-at"``; see
-:func:`repro.transport.registry.transport_names`), held as a ``str``.
+:data:`repro.transport.registry.TRANSPORTS`), held as a ``str``.
 Variant-specific validation lives on the registered
 :class:`repro.transport.registry.TransportProfile`, not here.
 """
@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.link.registry import get_link_layer
+from repro.link.registry import LINK_LAYERS
 from repro.core.errors import ConfigurationError
-from repro.mobility.registry import get_mobility
+from repro.mobility.registry import MOBILITY_MODELS
 from repro.transport.ack_thinning import AckThinningPolicy
-from repro.transport.registry import get_transport, transport_key
+from repro.transport.registry import TRANSPORTS, transport_key
 from repro.transport.tcp_base import TcpConfig
 from repro.transport.vegas import VegasParameters
 
@@ -142,7 +142,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "aodv_expanding_ring requires routing='aodv'"
             )
-        get_mobility(self.mobility)  # fail fast on unknown mobility models
+        MOBILITY_MODELS.get(self.mobility)  # fail fast on unknown mobility models
         if self.mobility != "static" and self.routing == "static":
             raise ConfigurationError(
                 "static routing tables cannot follow moving nodes; "
@@ -156,7 +156,7 @@ class ScenarioConfig:
             raise ConfigurationError("mobility_update_interval must be positive")
         if self.metrics_interval <= 0:
             raise ConfigurationError("metrics_interval must be positive")
-        get_link_layer(self.link_layer)  # fail fast on unknown link layers
+        LINK_LAYERS.get(self.link_layer)  # fail fast on unknown link layers
         if self.wired_rate_mbps <= 0:
             raise ConfigurationError("wired_rate_mbps must be positive")
         if self.wired_propagation_delay < 0:
@@ -168,7 +168,7 @@ class ScenarioConfig:
                 "layer supports mobility"
             )
         object.__setattr__(self, "variant", transport_key(self.variant))
-        get_transport(self.variant).validate_config(self)
+        TRANSPORTS.get(self.variant).validate_config(self)
 
     # ------------------------------------------------------------------
     # Convenience derivations
@@ -182,10 +182,6 @@ class ScenarioConfig:
     def with_variant(self, variant: str, **overrides) -> "ScenarioConfig":
         """Copy of this config with a different transport variant."""
         return replace(self, variant=variant, **overrides)
-
-    def with_bandwidth(self, bandwidth_mbps: float) -> "ScenarioConfig":
-        """Copy of this config with a different 802.11 data rate."""
-        return replace(self, bandwidth_mbps=bandwidth_mbps)
 
     def scaled(self, packet_target: int) -> "ScenarioConfig":
         """Copy of this config with a different run length."""

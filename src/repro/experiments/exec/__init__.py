@@ -9,9 +9,10 @@ into a fault-tolerant execution pipeline:
 * :mod:`~repro.experiments.exec.store` — a crash-safe on-disk
   :class:`ResultStore` (atomic per-item files + NDJSON journal) from which an
   interrupted study resumes;
-* :mod:`~repro.experiments.exec.backends` — the :class:`ExecutorBackend`
-  registry (``serial`` reference loop, ``process-pool`` pull workers) and
-  :func:`run_work_item`, the task every backend runs;
+* :mod:`~repro.experiments.exec.backends` — :data:`BACKENDS`, the
+  :class:`ExecutorBackend` registry (``serial`` reference loop,
+  ``process-pool`` pull workers) and :func:`run_work_item`, the task every
+  backend runs;
 * :mod:`~repro.experiments.exec.aggregate` — streaming assembly of the
   :class:`~repro.experiments.study.StudyResult` with online cross-seed
   confidence intervals and progress/ETA reporting.
@@ -30,16 +31,12 @@ See ``docs/studies.md`` for the execution model and resume semantics.
 
 from repro.experiments.exec.aggregate import ProgressSnapshot, StreamingAggregator
 from repro.experiments.exec.backends import (
+    BACKENDS,
     ExecutionContext,
     ExecutorBackend,
     SimulatedCrash,
     StudyExecutionError,
-    backend_names,
-    executor_backends,
-    get_backend,
-    register_backend,
     run_work_item,
-    unregister_backend,
 )
 from repro.experiments.exec.store import ITEM_SCHEMA, ResultStore, StoreWarning
 from repro.experiments.exec.workqueue import (
@@ -53,16 +50,12 @@ from repro.experiments.exec.workqueue import (
 __all__ = [
     "ProgressSnapshot",
     "StreamingAggregator",
+    "BACKENDS",
     "ExecutionContext",
     "ExecutorBackend",
     "SimulatedCrash",
     "StudyExecutionError",
-    "backend_names",
-    "executor_backends",
-    "get_backend",
-    "register_backend",
     "run_work_item",
-    "unregister_backend",
     "ITEM_SCHEMA",
     "ResultStore",
     "StoreWarning",

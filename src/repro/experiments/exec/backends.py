@@ -1,10 +1,10 @@
 """Executor backends: pluggable drivers that drain the study work queue.
 
 Mirrors the transport/topology/mobility registries for the execution plane:
-an :class:`ExecutorBackend` is a named strategy for pulling
-:class:`~repro.experiments.exec.workqueue.WorkItem` s off the shared
-:class:`~repro.experiments.exec.workqueue.WorkQueue` and turning them into
-stored, aggregated results.  Two backends ship built in:
+an :class:`ExecutorBackend`, registered in :data:`BACKENDS`, is a named
+strategy for pulling :class:`~repro.experiments.exec.workqueue.WorkItem` s
+off the shared :class:`~repro.experiments.exec.workqueue.WorkQueue` and
+turning them into stored, aggregated results.  Two backends ship built in:
 
 ``serial``
     The reference backend: one in-process loop, lease → run → complete.
@@ -393,7 +393,8 @@ class ExecutorBackend:
     Attributes:
         name: Canonical registry key (``"serial"``, ``"process-pool"``).
         runner: Callable draining an :class:`ExecutionContext`'s queue.
-        description: One-line human description (``--list-backends``).
+        description: One-line human description (``python -m repro list
+            backends``).
     """
 
     name: str
@@ -401,56 +402,16 @@ class ExecutorBackend:
     description: str = ""
 
 
-_BACKENDS = NamedRegistry(
-    "executor backend",
-    suggestion_listing="python -m repro.experiments.study --list-backends",
-)
+#: Every executor backend, by name.
+BACKENDS = NamedRegistry("executor backend")
 
-
-def register_backend(backend: ExecutorBackend,
-                     replace: bool = False) -> ExecutorBackend:
-    """Register an executor backend by name.
-
-    Raises:
-        ConfigurationError: On a duplicate name without ``replace``.
-    """
-    _BACKENDS.register(backend, name=backend.name, replace=replace)
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend (mainly for tests); unknown names are ignored."""
-    _BACKENDS.unregister(name)
-
-
-def get_backend(name: str) -> ExecutorBackend:
-    """Resolve a backend by name.
-
-    Raises:
-        ConfigurationError: If the name is unknown; the message carries
-            difflib close-match suggestions and the ``--list-backends``
-            pointer (the study CLI turns it into an exit-2 error).
-    """
-    return _BACKENDS.get(name)
-
-
-def backend_names() -> List[str]:
-    """Sorted canonical names of all registered backends."""
-    return _BACKENDS.names()
-
-
-def executor_backends() -> List[ExecutorBackend]:
-    """All registered backends, sorted by name."""
-    return _BACKENDS.values()
-
-
-register_backend(ExecutorBackend(
+BACKENDS.register(ExecutorBackend(
     name="serial",
     runner=_run_serial,
     description="reference in-process loop; deterministic and tracer-capable",
 ))
 
-register_backend(ExecutorBackend(
+BACKENDS.register(ExecutorBackend(
     name="process-pool",
     runner=_run_process_pool,
     description="N worker processes pulling items from the queue; survives "

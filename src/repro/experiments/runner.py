@@ -41,16 +41,12 @@ single registry snapshot (no per-layer point-to-point sums); when
 cwnd/RTT series and runs a periodic probe sampler (queue occupancy, link
 churn, radio energy), all exported through ``ScenarioResult.timeseries``.
 
-Run ``python -m repro.experiments.runner --help`` for the command-line
-front end that executes a named scenario and exports its metrics as JSON.
+``python -m repro run --help`` shows the command line that runs a named
+scenario and exports its metrics as JSON.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.engine import Simulator
@@ -61,12 +57,12 @@ from repro.experiments.results import FlowResult, ScenarioResult
 from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.link.gateway import WiredNode, make_gateway
 from repro.link.plan import LinkPlan
-from repro.link.registry import get_link_layer, link_layer_profiles
+from repro.link.registry import LINK_LAYERS
 from repro.link.wired import WiredBus
 from repro.mac.timing import MacTiming, timing_for_bandwidth
 from repro.metrics import MetricsRegistry
 from repro.mobility.base import MobilityManager
-from repro.mobility.registry import get_mobility
+from repro.mobility.registry import MOBILITY_MODELS
 from repro.net.address import FlowAddress
 from repro.net.node import Node
 from repro.phy.channel import WirelessChannel
@@ -81,7 +77,7 @@ from repro.phy.radio import Radio
 from repro.routing.aodv import AodvConfig
 from repro.routing.static import StaticRouting
 from repro.topology.base import Topology, all_next_hop_tables
-from repro.transport.registry import TransportBuildContext, get_transport
+from repro.transport.registry import TRANSPORTS, TransportBuildContext
 from repro.transport.stats import FlowStats
 
 #: Base port numbers used for flow endpoints.
@@ -127,7 +123,7 @@ class Scenario:
         self.tracer = tracer
         self.metrics = MetricsRegistry(enabled=self.config.metrics)
         #: Scenario-wide default profile (flows may override per spec).
-        self.profile = get_transport(self.config.variant)
+        self.profile = TRANSPORTS.get(self.config.variant)
 
         config = self.config
         self.sim = Simulator()
@@ -163,7 +159,7 @@ class Scenario:
         plan = getattr(self.topology, "link_plan", None)
         if plan is not None:
             return plan
-        return get_link_layer(self.config.link_layer).build_plan(
+        return LINK_LAYERS.get(self.config.link_layer).build_plan(
             self.topology, self.config)
 
     def _build(self) -> None:
@@ -259,7 +255,7 @@ class Scenario:
         before mobility existed (pinned by the golden-trace tests).
         """
         config = self.config
-        model = get_mobility(config.mobility).build(
+        model = MOBILITY_MODELS.get(config.mobility).build(
             speed=config.mobility_speed, pause=config.mobility_pause,
         )
         if not model.mobile:
@@ -371,7 +367,7 @@ class Scenario:
 
     def _build_flow(self, index: int, flow_spec: FlowSpec, packet_share: int) -> None:
         config = flow_spec.effective_config(self.config)
-        profile = get_transport(config.variant)
+        profile = TRANSPORTS.get(config.variant)
         self.profiles.append(profile)
         flow = FlowAddress(
             src_node=flow_spec.source,
@@ -620,117 +616,3 @@ class Scenario:
             variant=variant_label,
             label=flow_spec.label,
         )
-
-
-# ======================================================================
-# Command-line front end
-# ======================================================================
-def main(argv: Optional[List[str]] = None) -> int:
-    """Run a named scenario and (optionally) export its metrics as JSON.
-
-    Examples::
-
-        PYTHONPATH=src python -m repro.experiments.runner --list
-        PYTHONPATH=src python -m repro.experiments.runner chain7-vegas-2mbps \\
-            --metrics --packets 500 -o chain7_metrics.json
-
-    With ``--metrics`` the exported JSON contains the full
-    ``ScenarioResult.to_dict()`` payload including the ``timeseries``
-    section (``tcp.flow1.cwnd``, ``mac.node3.queue_len``, …) — the raw
-    material of the paper's time-evolution figures.
-    """
-    # Imported lazily: repro.experiments.scenarios imports this module.
-    from repro.experiments.scenarios import available_scenarios, build_named_scenario
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner",
-        description="Run one named scenario, optionally exporting metric "
-                    "time series (cwnd, queue occupancy, energy) as JSON.",
-    )
-    parser.add_argument("scenario", nargs="?", default="chain7-vegas-2mbps",
-                        help="preset name (default: %(default)s); see --list")
-    parser.add_argument("--list", action="store_true",
-                        help="list available scenario presets and exit")
-    parser.add_argument("--link-layer", default=None, metavar="NAME",
-                        help="link-layer profile (see --list-link-layers); "
-                             "topologies with their own link plan, e.g. the "
-                             "backbone presets, ignore this")
-    parser.add_argument("--list-link-layers", action="store_true",
-                        help="list registered link-layer profiles and exit")
-    parser.add_argument("--metrics", action="store_true",
-                        help="enable the time-series metrics plane")
-    parser.add_argument("--metrics-interval", type=float, default=None,
-                        metavar="S", help="probe sampling cadence in simulated "
-                                          "seconds (default: config default)")
-    parser.add_argument("--packets", type=int, default=None,
-                        help="override the packet target")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the RNG seed")
-    parser.add_argument("--max-sim-time", type=float, default=None,
-                        help="override the simulated-time limit")
-    parser.add_argument("-o", "--output", type=Path, default=None,
-                        help="write the full result (ScenarioResult.to_dict) "
-                             "as JSON to this path")
-    args = parser.parse_args(argv)
-
-    if args.list:
-        # available_scenarios() is sorted; keep the output stable for piping.
-        for name in sorted(available_scenarios()):
-            print(name)
-        return 0
-    if args.list_link_layers:
-        for profile in link_layer_profiles():
-            print(f"{profile.name}: {profile.description}")
-        return 0
-
-    overrides: Dict[str, object] = {}
-    if args.link_layer is not None:
-        overrides["link_layer"] = args.link_layer
-    if args.metrics:
-        overrides["metrics"] = True
-    if args.metrics_interval is not None:
-        overrides["metrics_interval"] = args.metrics_interval
-    if args.packets is not None:
-        overrides["packet_target"] = args.packets
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.max_sim_time is not None:
-        overrides["max_sim_time"] = args.max_sim_time
-
-    try:
-        scenario = build_named_scenario(args.scenario, **overrides)
-    except ConfigurationError as exc:
-        # build_named_scenario's message already carries the difflib
-        # "did you mean" suggestions and the --list pointer.
-        print(exc, file=sys.stderr)
-        return 2
-    result = scenario.run()
-
-    print(f"{result.name}: {result.delivered_packets} packets in "
-          f"{result.simulated_time:.1f} s simulated, aggregate goodput "
-          f"{result.aggregate_goodput_kbps:.1f} kbit/s")
-    sim = scenario.sim
-    print(f"{sim.events_processed + sim.edges_in_place} handlers run: "
-          f"{sim.events_processed} events through the queue, "
-          f"{sim.edges_in_place} signal edges in place")
-    if result.timeseries is not None:
-        print(f"{len(result.timeseries)} time series collected:")
-        for name, data in sorted(result.timeseries.items()):
-            values = data["values"]
-            if not values:
-                continue
-            unit = f" {data['unit']}" if data.get("unit") else ""
-            print(f"  {name}: {len(values)} samples, "
-                  f"last {values[-1]:.4g}{unit}")
-
-    if args.output is not None:
-        from repro.core.io import atomic_write_text
-
-        atomic_write_text(args.output, json.dumps(result.to_dict(), indent=2,
-                                                  sort_keys=True) + "\n")
-        print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,21 +18,20 @@ a ``preset_tag`` additionally gets a mobile twin of each of those entries
 model therefore also registers its presets — no change here required.
 Additional hand-written presets can be added with :func:`register_scenario`.
 
-This module is also the scenario-catalog generator::
+:func:`catalog_markdown` renders every registered profile and preset as
+markdown; the command line writes it and checks the committed copy (CI fails
+when it is stale)::
 
-    PYTHONPATH=src python -m repro.experiments.scenarios --catalog -o docs/scenario-catalog.md
-    PYTHONPATH=src python -m repro.experiments.scenarios --check docs/scenario-catalog.md
-
-``--catalog`` renders every registered profile and preset as markdown;
-``--check`` exits non-zero when the committed catalog is stale (used by CI).
+    PYTHONPATH=src python -m repro catalog -o docs/scenario-catalog.md
+    PYTHONPATH=src python -m repro catalog --check docs/scenario-catalog.md
 """
 
 from __future__ import annotations
 
-import difflib
 from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
+from repro.core.registry import did_you_mean
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.config import PAPER_BANDWIDTHS, ScenarioConfig
 from repro.experiments.runner import Scenario
@@ -42,9 +41,9 @@ from repro.experiments.workload import (
     ScenarioSpec,
     Workload,
 )
-from repro.mobility.registry import mobility_profiles
-from repro.topology.registry import get_topology, topology_profiles
-from repro.transport.registry import transport_profiles
+from repro.mobility.registry import MOBILITY_MODELS
+from repro.topology.registry import TOPOLOGIES
+from repro.transport.registry import TRANSPORTS
 
 #: Scenario factory type: returns a complete
 #: :class:`~repro.experiments.workload.ScenarioSpec`.
@@ -62,7 +61,7 @@ def _preset_factory(family: str, params: Dict[str, object], variant_name: str,
                     bandwidth: float, overrides: Dict[str, object]) -> ScenarioFactory:
     def factory() -> ScenarioSpec:
         return ScenarioSpec(
-            topology=get_topology(family).build(**params),
+            topology=TOPOLOGIES.get(family).build(**params),
             config=ScenarioConfig(variant=variant_name, bandwidth_mbps=bandwidth,
                                   **overrides),
         )
@@ -76,11 +75,11 @@ def _generated_presets() -> Dict[str, ScenarioFactory]:
     it always reflects the registries; use :func:`register_scenario` to add
     presets.
     """
-    mobile_variants = [(m.preset_tag, m.name) for m in mobility_profiles()
+    mobile_variants = [(m.preset_tag, m.name) for m in MOBILITY_MODELS.values()
                        if m.preset_tag is not None]
     presets: Dict[str, ScenarioFactory] = {}
-    for profile in transport_profiles():
-        for topology in topology_profiles():
+    for profile in TRANSPORTS.values():
+        for topology in TOPOLOGIES.values():
             if topology.preset_prefix is None:
                 continue
             for bandwidth in PAPER_BANDWIDTHS:
@@ -124,7 +123,7 @@ def register_scenario(name: str, factory: ScenarioFactory,
 def _chain7_mixed_newreno_vegas() -> ScenarioSpec:
     """7-hop chain: a NewReno flow competing with a Vegas flow that enters
     the run mid-flight through a timeline ``flow-start`` event."""
-    topology = get_topology("chain").build(hops=7)
+    topology = TOPOLOGIES.get("chain").build(hops=7)
     return ScenarioSpec(
         name="chain7-mixed",
         topology=topology,
@@ -302,16 +301,12 @@ def build_named_scenario(
             close matches), or its factory returns anything but a
             :class:`ScenarioSpec`.
     """
-    factory = _generated_presets().get(name)
+    presets = _generated_presets()
+    factory = presets.get(name)
     if factory is None:
-        suggestions = difflib.get_close_matches(
-            name, available_scenarios(), n=3, cutoff=0.5)
-        hint = (f"; did you mean {', '.join(repr(s) for s in suggestions)}?"
-                if suggestions else "")
         raise ConfigurationError(
-            f"unknown scenario {name!r}{hint} "
-            f"(run `python -m repro.experiments.runner --list` for all "
-            f"{len(available_scenarios())} presets)"
+            f"unknown scenario {name!r}{did_you_mean(name, presets)} "
+            f"(run `python -m repro list` for all {len(presets)} presets)"
         )
     spec = factory()
     if not isinstance(spec, ScenarioSpec):
@@ -325,7 +320,7 @@ def build_named_scenario(
 
 
 # ======================================================================
-# Scenario catalog: markdown rendering and the freshness-check CLI
+# Scenario catalog: markdown rendering
 # ======================================================================
 def _markdown_table(headers: List[str], rows: List[List[str]]) -> List[str]:
     lines = ["| " + " | ".join(headers) + " |",
@@ -347,9 +342,6 @@ def catalog_markdown() -> str:
     ``docs/scenario-catalog.md`` can be diffed against a fresh render; CI
     fails when they differ.
     """
-    from repro.topology.registry import topology_profiles as _topologies
-    from repro.transport.registry import transport_profiles as _transports
-
     lines: List[str] = [
         "# Scenario catalog",
         "",
@@ -357,7 +349,7 @@ def catalog_markdown() -> str:
         "and the scenario presets generated from them.",
         "",
         "> **Generated file — do not edit.**  Regenerate with",
-        "> `PYTHONPATH=src python -m repro.experiments.scenarios --catalog -o docs/scenario-catalog.md`",
+        "> `PYTHONPATH=src python -m repro catalog -o docs/scenario-catalog.md`",
         "> after registering new profiles; CI fails when this file is stale.",
         "",
         "## Transport variants",
@@ -367,7 +359,7 @@ def catalog_markdown() -> str:
         ["name", "label", "preset overrides"],
         [[f"`{p.name}`", p.label,
           _format_params(dict(p.preset_overrides))]
-         for p in _transports()],
+         for p in TRANSPORTS.values()],
     ))
     lines += ["", "## Topology families", ""]
     lines.extend(_markdown_table(
@@ -375,7 +367,7 @@ def catalog_markdown() -> str:
         [[f"`{p.name}`", p.description or "—",
           f"`{p.preset_prefix}`" if p.preset_prefix else "—",
           _format_params(dict(p.preset_params))]
-         for p in _topologies()],
+         for p in TOPOLOGIES.values()],
     ))
     lines += ["", "## Mobility models", ""]
     lines.extend(_markdown_table(
@@ -384,7 +376,7 @@ def catalog_markdown() -> str:
         [[f"`{p.name}`", p.description or "—",
           f"`{p.preset_tag}`" if p.preset_tag else "—",
           f"{p.default_speed:g}", f"{p.default_pause:g}"]
-         for p in mobility_profiles()],
+         for p in MOBILITY_MODELS.values()],
     ))
     presets = _generated_presets()
     lines += [
@@ -398,11 +390,11 @@ def catalog_markdown() -> str:
     extras = sorted(_EXTRA_SCENARIOS)
     generated = sorted(name for name in presets if name not in _EXTRA_SCENARIOS)
     groups: Dict[str, List[str]] = {}
-    for topology in _topologies():
+    for topology in TOPOLOGIES.values():
         if topology.preset_prefix is None:
             continue
         groups[f"{topology.preset_prefix} (static)"] = []
-        for mobility in mobility_profiles():
+        for mobility in MOBILITY_MODELS.values():
             if mobility.preset_tag is not None:
                 groups[f"{topology.preset_prefix}-{mobility.preset_tag} "
                        f"({mobility.name})"] = []
@@ -423,51 +415,3 @@ def catalog_markdown() -> str:
         lines.append(", ".join(f"`{name}`" for name in extras))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point: list, render or freshness-check the scenario catalog."""
-    import argparse
-    from pathlib import Path
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.scenarios",
-        description="List scenario presets or (re)generate the markdown catalog.",
-    )
-    parser.add_argument("--catalog", action="store_true",
-                        help="render the markdown catalog instead of the name list")
-    parser.add_argument("-o", "--output", type=Path, default=None,
-                        help="write the catalog to this file instead of stdout")
-    parser.add_argument("--check", type=Path, default=None, metavar="PATH",
-                        help="exit 1 if PATH differs from a fresh catalog render")
-    args = parser.parse_args(argv)
-
-    if args.check is not None:
-        expected = catalog_markdown()
-        actual = args.check.read_text() if args.check.is_file() else None
-        if actual != expected:
-            print(f"{args.check} is stale; regenerate with:\n"
-                  "  PYTHONPATH=src python -m repro.experiments.scenarios "
-                  f"--catalog -o {args.check}")
-            return 1
-        print(f"{args.check} is up to date")
-        return 0
-    if args.catalog:
-        markdown = catalog_markdown()
-        if args.output is not None:
-            from repro.core.io import atomic_write_text
-
-            atomic_write_text(args.output, markdown)
-            print(f"wrote {args.output}")
-        else:
-            print(markdown, end="")
-        return 0
-    for name in available_scenarios():
-        print(name)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in CI
-    import sys
-
-    sys.exit(main())

@@ -19,8 +19,8 @@ sweeps as *data* instead of bespoke nested loops:
 * :class:`StudyResult` aggregates the per-seed results into cross-seed
   confidence intervals and round-trips through JSON.
 
-Run ``python -m repro.experiments.study --help`` for the command-line front
-end (backend selection, live progress, ``--store``/``--resume``).
+``python -m repro study --help`` shows the command line (backend selection,
+live progress, ``--store``/``--resume``).
 
 Quickstart::
 
@@ -57,14 +57,12 @@ registered variants are available in serial runs regardless.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import os
-import sys
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -76,13 +74,11 @@ from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.exec.aggregate import ProgressSnapshot, StreamingAggregator
 from repro.experiments.exec.backends import (
+    BACKENDS,
     ExecutionContext,
     ExecutorBackend,
-    SimulatedCrash,
     StudyExecutionError,
     WorkTask,
-    executor_backends,
-    get_backend,
     run_work_item,
 )
 from repro.experiments.exec.store import ResultStore
@@ -94,8 +90,8 @@ from repro.experiments.exec.workqueue import (
 from repro.experiments.results import ScenarioResult
 from repro.experiments.workload import ScenarioEvent, ScenarioSpec, Workload
 from repro.topology.base import Topology
-from repro.topology.registry import build_topology, get_topology
-from repro.transport.registry import get_transport, transport_key
+from repro.topology.registry import TOPOLOGIES
+from repro.transport.registry import transport_key
 
 #: ScenarioConfig field names; axis keys in this set override the config.
 #: Axis keys prefixed ``workload.`` are passed to the sweep's workload
@@ -220,7 +216,15 @@ class SweepSpec:
             if not list(values):
                 raise ConfigurationError(f"axis {axis!r} has no values")
         if isinstance(self.topology, str):
-            get_topology(self.topology)  # fail fast on unknown families
+            # Fail fast on unknown families and on parameters the family's
+            # builder does not take, rather than on every item at run time.
+            builder = TOPOLOGIES.get(self.topology).builder
+            try:
+                inspect.signature(builder).bind_partial(**dict.fromkeys(
+                    [*self.topology_params, *self.topology_axes]))
+            except TypeError as exc:
+                raise ConfigurationError(
+                    f"topology {self.topology!r}: {exc}") from None
         elif self.topology_axes:
             raise ConfigurationError(
                 "topology axes "
@@ -239,7 +243,7 @@ class SweepSpec:
         if (self.workload_params and self.workload_factory is None):
             raise ConfigurationError("workload_params require a workload_factory")
         object.__setattr__(self, "timeline", tuple(self.timeline))
-        for variant in self.variant_overrides:
+        for variant in [*self.variant_overrides, *self.axes.get("variant", ())]:
             transport_key(variant)  # fail fast on unknown variants
 
     # ------------------------------------------------------------------
@@ -249,11 +253,6 @@ class SweepSpec:
     def axis_names(self) -> Tuple[str, ...]:
         """Axis names in declaration order."""
         return tuple(self.axes)
-
-    @property
-    def config_axes(self) -> Tuple[str, ...]:
-        """Axes that override :class:`ScenarioConfig` fields."""
-        return tuple(a for a in self.axes if a in _CONFIG_FIELDS)
 
     @property
     def workload_axes(self) -> Tuple[str, ...]:
@@ -315,7 +314,8 @@ class SweepSpec:
         """The :class:`Topology` of one sweep point."""
         if not isinstance(self.topology, str):
             return self.topology
-        return build_topology(self.topology, **self._topology_builder_params(values))
+        return TOPOLOGIES.get(self.topology).build(
+            **self._topology_builder_params(values))
 
     def workload_params_for(self, values: Mapping[str, object]) -> Dict[str, object]:
         """The (prefix-stripped) workload-factory parameters of one point."""
@@ -594,7 +594,7 @@ def run_study(
     Args:
         spec: The sweep to execute.
         backend: Backend name or instance (see
-            :func:`repro.experiments.exec.backends.backend_names`); ``None``
+            :data:`repro.experiments.exec.backends.BACKENDS`); ``None``
             picks ``process-pool`` when more than one unfinished item exists
             and more than one worker is available, ``serial`` otherwise.
         max_workers: Process-pool size (default: ``os.cpu_count()``).
@@ -655,7 +655,7 @@ def run_study(
         backend = ("process-pool"
                    if queue.pending_count > 1 and workers > 1 else "serial")
     if not isinstance(backend, ExecutorBackend):
-        backend = get_backend(backend)
+        backend = BACKENDS.get(backend)
 
     ctx = ExecutionContext(
         spec=spec, queue=queue, aggregator=aggregator, store=store,
@@ -669,209 +669,3 @@ def run_study(
     if failed:
         raise StudyExecutionError(failed, aggregator.partial())
     return aggregator.result()
-
-
-# ======================================================================
-# Command-line front end
-# ======================================================================
-def _parse_axis_value(text: str) -> object:
-    """Parse one ``--axis`` value: int, then float, then bare string."""
-    for parse in (int, float):
-        try:
-            return parse(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_axis(argument: str) -> Tuple[str, List[object]]:
-    """Parse one ``--axis KEY=V1,V2,...`` argument."""
-    key, sep, values = argument.partition("=")
-    if not sep or not key or not values:
-        raise ConfigurationError(
-            f"--axis expects KEY=V1,V2,... (got {argument!r})")
-    return key, [_parse_axis_value(v) for v in values.split(",") if v]
-
-
-def _progress_printer(stream) -> Callable[..., None]:
-    """A progress callback rendering a live one-line status.
-
-    Uses carriage-return rewrites on a TTY and prints only on count changes
-    otherwise, so CI logs stay readable.
-    """
-    tty = hasattr(stream, "isatty") and stream.isatty()
-    last = {"text": None}
-
-    def show(snapshot) -> None:
-        text = snapshot.describe()
-        if text == last["text"]:
-            return
-        last["text"] = text
-        if tty:
-            print(f"\r{text}\x1b[K", end="", file=stream, flush=True)
-        else:
-            print(text, file=stream, flush=True)
-
-    return show
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Run a parameter study from the command line, resumably.
-
-    Examples::
-
-        PYTHONPATH=src python -m repro.experiments.study --list-backends
-        PYTHONPATH=src python -m repro.experiments.study \\
-            --backend process-pool --store .study-store --packets 100
-        # interrupted?  resume executes only the missing work items:
-        PYTHONPATH=src python -m repro.experiments.study \\
-            --backend process-pool --store .study-store --packets 100 --resume
-
-    Exit codes: 0 success; 1 work items failed after retries (checkpointed
-    progress is kept — fix the cause and ``--resume``); 2 configuration
-    error (unknown backend/topology/variant); 3 simulated crash
-    (``--fail-after`` test hook).
-    """
-    from repro.experiments.smoke import smoke_scaled
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.study",
-        description="Run a declarative parameter study through the resumable "
-                    "execution plane (work queue + checkpointed result "
-                    "store + pluggable executor backends).",
-    )
-    parser.add_argument("--list-backends", action="store_true",
-                        help="list registered executor backends and exit")
-    parser.add_argument("--backend", default=None,
-                        help="executor backend (default: auto-select; "
-                             "see --list-backends)")
-    parser.add_argument("--topology", default="chain",
-                        help="topology family for every point "
-                             "(default: %(default)s)")
-    parser.add_argument("--variants", nargs="+", default=["vegas", "newreno"],
-                        help="transport-variant axis values")
-    parser.add_argument("--hops", type=int, nargs="+", default=None,
-                        help="chain hop-count axis values "
-                             "(default: 2 4, smoke: 2 3)")
-    parser.add_argument("--axis", action="append", default=[],
-                        metavar="KEY=V1,V2",
-                        help="extra sweep axis (repeatable); values are "
-                             "parsed as int, float, then string")
-    parser.add_argument("--packets", type=int,
-                        default=smoke_scaled(250, 30),
-                        help="delivered packets per run "
-                             "(default: %(default)s)")
-    parser.add_argument("--replications", type=int,
-                        default=smoke_scaled(3, 2),
-                        help="independent seeds per sweep point "
-                             "(default: %(default)s)")
-    parser.add_argument("--bandwidth", type=float, default=2.0,
-                        help="link bandwidth in Mbit/s (default: %(default)s)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="base seed of replication 0")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        help="process-pool size bound")
-    parser.add_argument("--store", type=Path, default=None, metavar="DIR",
-                        help="checkpointed result-store directory (enables "
-                             "crash-resume)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted study from --store "
-                             "(fails fast when the store does not exist)")
-    parser.add_argument("--fail-after", type=int, default=None, metavar="K",
-                        help="testing hook: simulate a crash (exit 3) after "
-                             "K completed items; completed items stay "
-                             "checkpointed in --store")
-    parser.add_argument("--save", type=Path, default=None, metavar="PATH",
-                        help="write the final StudyResult as JSON to PATH")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the live progress line")
-    args = parser.parse_args(argv)
-
-    if args.list_backends:
-        backends = executor_backends()
-        width = max(len(b.name) for b in backends)
-        for backend in backends:
-            print(f"{backend.name:<{width}}  {backend.description}")
-        return 0
-
-    try:
-        if args.backend is not None:
-            get_backend(args.backend)  # fail fast: exit 2 + suggestions
-        if args.resume and args.store is None:
-            raise ConfigurationError("--resume requires --store DIR")
-        if args.resume and not args.store.is_dir():
-            raise ConfigurationError(
-                f"nothing to resume: store directory {args.store} does not "
-                "exist (run once with --store to create it)")
-        axes: Dict[str, Sequence[object]] = {"variant": args.variants}
-        if args.hops is not None:
-            axes["hops"] = args.hops
-        elif args.topology == "chain":
-            axes["hops"] = smoke_scaled([2, 4], [2, 3])
-        for axis_arg in args.axis:
-            key, values = _parse_axis(axis_arg)
-            axes[key] = values
-        spec = SweepSpec(
-            name="cli-study",
-            topology=args.topology,
-            axes=axes,
-            base=ScenarioConfig(bandwidth_mbps=args.bandwidth,
-                                packet_target=args.packets),
-            replications=args.replications,
-            base_seed=args.seed,
-        )
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    progress = None if args.quiet else _progress_printer(sys.stdout)
-    started = time.perf_counter()
-    try:
-        study = run_study(
-            spec,
-            backend=args.backend,
-            max_workers=args.max_workers,
-            store=args.store,
-            progress=progress,
-            fail_after=args.fail_after,
-        )
-    except SimulatedCrash as crash:
-        if progress is not None:
-            print()
-        print(f"{crash}", file=sys.stderr)
-        return 3
-    except StudyExecutionError as exc:
-        if progress is not None:
-            print()
-        print(f"study failed: {exc}", file=sys.stderr)
-        print(f"({len(exc.partial.points)} point(s) with completed "
-              "replications are checkpointed; fix the cause and --resume)",
-              file=sys.stderr)
-        return 1
-    elapsed = time.perf_counter() - started
-    if progress is not None:
-        print()
-
-    from repro.experiments.results import format_table
-
-    rows = []
-    for point in study.points:
-        interval = point.goodput_interval
-        label = ", ".join(
-            f"{k}={get_transport(v).label if k == 'variant' else v}"
-            for k, v in point.values.items())
-        rows.append([label, interval.mean / 1000.0,
-                     interval.half_width / 1000.0])
-    print(format_table(["point", "goodput [kbit/s]", "± 95% CI"], rows))
-    print(f"\n{len(study.points)} points × {spec.replications} seed(s) "
-          f"in {elapsed:.1f} s"
-          + (f" (store: {args.store})" if args.store else ""))
-
-    if args.save is not None:
-        path = study.save(args.save)
-        print(f"study written to {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

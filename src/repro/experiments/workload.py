@@ -52,7 +52,7 @@ from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.topology.base import Topology
 from repro.transport.ack_thinning import AckThinningPolicy
-from repro.transport.registry import get_transport, transport_key
+from repro.transport.registry import TRANSPORTS, transport_key
 from repro.transport.tcp_base import TcpConfig
 
 __all__ = [
@@ -379,7 +379,7 @@ class ScenarioSpec:
             flow_config = flow.effective_config(self.config)
             if id(flow_config) not in validated_configs:
                 validated_configs.add(id(flow_config))
-                get_transport(flow_config.variant).validate_config(flow_config)
+                TRANSPORTS.get(flow_config.variant).validate_config(flow_config)
         for event in self.timeline:
             if event.is_flow_event:
                 if not 1 <= event.target <= len(self.workload):

@@ -13,19 +13,13 @@ from repro.link.plan import (
     all_wireless_plan,
     single_bus_plan,
 )
-from repro.link.registry import (
-    LinkLayerProfile,
-    get_link_layer,
-    link_layer_names,
-    link_layer_profiles,
-    register_link_layer,
-    unregister_link_layer,
-)
+from repro.link.registry import LINK_LAYERS, LinkLayerProfile
 from repro.link.wired import WiredBus, WiredPort, WiredStats
 
 __all__ = [
     "GatewayAodvRouting",
     "GatewayStaticRouting",
+    "LINK_LAYERS",
     "LinkLayerProfile",
     "LinkPlan",
     "WiredBus",
@@ -34,11 +28,6 @@ __all__ = [
     "WiredSegmentSpec",
     "WiredStats",
     "all_wireless_plan",
-    "get_link_layer",
-    "link_layer_names",
-    "link_layer_profiles",
     "make_gateway",
-    "register_link_layer",
     "single_bus_plan",
-    "unregister_link_layer",
 ]

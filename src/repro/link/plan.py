@@ -108,14 +108,6 @@ class LinkPlan:
         """True when the plan has no wired segments (the historical path)."""
         return not self.segments
 
-    @property
-    def wired_only_nodes(self) -> FrozenSet[int]:
-        """Nodes with a wired port and no radio."""
-        wireless = set(self.wireless_nodes)
-        return frozenset(node_id for segment in self.segments
-                         for node_id in segment.nodes
-                         if node_id not in wireless)
-
     def segment_of(self, node_id: int) -> int:
         """Index of the segment a node is attached to.
 

@@ -2,11 +2,12 @@
 
 Mirrors :mod:`repro.transport.registry`, :mod:`repro.topology.registry`,
 :mod:`repro.mobility.registry` and the executor-backend registry for the link
-layer: every profile registers a *plan builder* under a short name,
-so a scenario selects its link layer declaratively
+layer: every profile registers a *plan builder* in :data:`LINK_LAYERS` under
+a short name, so a scenario selects its link layer declaratively
 (``ScenarioConfig(link_layer="wired")``), the Study API sweeps it like any
 other config axis (``axes={"link_layer": ["wireless", "wired"]}``) and the
-runner CLI exposes it as ``--link-layer`` / ``--list-link-layers``.
+command line exposes it as ``python -m repro run --link-layer NAME`` /
+``python -m repro list link-layers``.
 
 Two profiles ship built in:
 
@@ -27,9 +28,9 @@ no single profile name could.
 
 Registering a custom profile::
 
-    from repro.link.registry import LinkLayerProfile, register_link_layer
+    from repro.link.registry import LINK_LAYERS, LinkLayerProfile
 
-    register_link_layer(LinkLayerProfile(
+    LINK_LAYERS.register(LinkLayerProfile(
         name="dual-bus",
         build_plan=my_plan_builder,       # (topology, config) -> LinkPlan
         description="two bridged buses",
@@ -39,7 +40,7 @@ Registering a custom profile::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable
 
 from repro.core.registry import NamedRegistry
 from repro.link.plan import LinkPlan, all_wireless_plan, single_bus_plan
@@ -53,7 +54,8 @@ class LinkLayerProfile:
         name: Canonical registry key (``"wireless"``, ``"wired"``).
         build_plan: Callable ``(topology, config) -> LinkPlan`` partitioning
             the topology's nodes over the link layers.
-        description: One-line human description (``--list-link-layers``).
+        description: One-line human description (``python -m repro list
+            link-layers``).
     """
 
     name: str
@@ -61,54 +63,8 @@ class LinkLayerProfile:
     description: str = ""
 
 
-_LINK_LAYERS = NamedRegistry(
-    "link layer",
-    suggestion_listing="python -m repro.experiments.runner --list-link-layers",
-)
-
-
-def register_link_layer(profile: LinkLayerProfile,
-                        replace: bool = False) -> LinkLayerProfile:
-    """Register a link-layer profile by name.
-
-    Args:
-        profile: The profile to register.
-        replace: Allow overwriting an existing registration with the same name.
-
-    Returns:
-        The registered profile (for decorator-style use).
-
-    Raises:
-        ConfigurationError: On a duplicate name without ``replace``.
-    """
-    _LINK_LAYERS.register(profile, name=profile.name, replace=replace)
-    return profile
-
-
-def unregister_link_layer(name: str) -> None:
-    """Remove a profile (mainly for tests); unknown names are ignored."""
-    _LINK_LAYERS.unregister(name)
-
-
-def get_link_layer(name: str) -> LinkLayerProfile:
-    """Resolve a link-layer profile by name.
-
-    Raises:
-        ConfigurationError: If the name is unknown; the message carries
-            difflib close-match suggestions and the ``--list-link-layers``
-            pointer.
-    """
-    return _LINK_LAYERS.get(name)
-
-
-def link_layer_names() -> List[str]:
-    """Sorted canonical names of all registered link layers."""
-    return _LINK_LAYERS.names()
-
-
-def link_layer_profiles() -> List[LinkLayerProfile]:
-    """All registered link-layer profiles, sorted by name."""
-    return _LINK_LAYERS.values()
+#: Every link-layer profile, by name.
+LINK_LAYERS = NamedRegistry("link layer")
 
 
 # ======================================================================
@@ -124,14 +80,14 @@ def _wired_plan(topology, config) -> LinkPlan:
                            propagation_delay=config.wired_propagation_delay)
 
 
-register_link_layer(LinkLayerProfile(
+LINK_LAYERS.register(LinkLayerProfile(
     name="wireless",
     build_plan=_wireless_plan,
     description="802.11 MAC on the shared radio channel for every node "
                 "(default)",
 ))
 
-register_link_layer(LinkLayerProfile(
+LINK_LAYERS.register(LinkLayerProfile(
     name="wired",
     build_plan=_wired_plan,
     description="one shared Ethernet-style CSMA/CD bus carrying every node",

@@ -134,11 +134,6 @@ class WiredBus:
         """Attached node ids in registration order."""
         return list(self._ports)
 
-    @property
-    def busy_seconds(self) -> float:
-        """Cumulative airtime of successful transmissions."""
-        return self._busy_seconds
-
     def frame_duration(self, packet: Packet) -> float:
         """Serialization time of a frame at the bus rate."""
         return packet.size * 8 / (self.rate_mbps * 1_000_000.0)

@@ -79,10 +79,6 @@ class DropTailQueue:
         self.stats.dequeued += 1
         return self._queue.popleft()
 
-    def peek(self) -> Optional[Packet]:
-        """Return the head packet without removing it, or None if empty."""
-        return self._queue[0] if self._queue else None
-
     def remove_where(self, predicate: Callable[[Packet], bool]) -> int:
         """Remove all queued packets matching ``predicate``; returns the count."""
         kept = [p for p in self._queue if not predicate(p)]

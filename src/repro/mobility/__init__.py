@@ -10,7 +10,8 @@ organised like the rest of the stack:
   events and pushes changed positions into the wireless channel;
 * :mod:`repro.mobility.models` — the built-in models (static,
   random waypoint, random walk, Manhattan grid);
-* :mod:`repro.mobility.registry` — the :class:`MobilityProfile` registry,
+* :mod:`repro.mobility.registry` — :data:`MOBILITY_MODELS`, the
+  :class:`MobilityProfile` registry,
   mirroring :mod:`repro.transport.registry` and
   :mod:`repro.topology.registry`: scenario presets and
   :class:`~repro.experiments.study.SweepSpec` sweeps resolve mobility by name.
@@ -25,14 +26,7 @@ from repro.mobility.models import (
     RandomWaypointMobility,
     StaticMobility,
 )
-from repro.mobility.registry import (
-    MobilityProfile,
-    get_mobility,
-    mobility_names,
-    mobility_profiles,
-    register_mobility,
-    unregister_mobility,
-)
+from repro.mobility.registry import MOBILITY_MODELS, MobilityProfile
 
 __all__ = [
     "MobilityArea",
@@ -42,10 +36,6 @@ __all__ = [
     "RandomWaypointMobility",
     "RandomWalkMobility",
     "ManhattanGridMobility",
+    "MOBILITY_MODELS",
     "MobilityProfile",
-    "register_mobility",
-    "unregister_mobility",
-    "get_mobility",
-    "mobility_names",
-    "mobility_profiles",
 ]

@@ -16,9 +16,9 @@ registers its presets — no scenario-table change required.
 
 Registering a custom model::
 
-    from repro.mobility.registry import MobilityProfile, register_mobility
+    from repro.mobility.registry import MOBILITY_MODELS, MobilityProfile
 
-    register_mobility(MobilityProfile(
+    MOBILITY_MODELS.register(MobilityProfile(
         name="gauss-markov",
         builder=lambda speed, pause: GaussMarkovMobility(speed, alpha=0.8),
         description="temporally correlated heading drift",
@@ -29,7 +29,7 @@ Registering a custom model::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.core.registry import NamedRegistry
 from repro.mobility.base import MobilityModel
@@ -78,60 +78,20 @@ class MobilityProfile:
         return self.builder(effective_speed, effective_pause)
 
 
-_MOBILITY = NamedRegistry("mobility model")
-
-
-def register_mobility(profile: MobilityProfile, replace: bool = False) -> MobilityProfile:
-    """Register a mobility family by name.
-
-    Args:
-        profile: The profile to register.
-        replace: Allow overwriting an existing registration with the same name.
-
-    Returns:
-        The registered profile (for decorator-style use).
-
-    Raises:
-        ConfigurationError: On a duplicate name without ``replace``.
-    """
-    _MOBILITY.register(profile, name=profile.name, replace=replace)
-    return profile
-
-
-def unregister_mobility(name: str) -> None:
-    """Remove a mobility family (mainly for tests); unknown names are ignored."""
-    _MOBILITY.unregister(name)
-
-
-def get_mobility(name: str) -> MobilityProfile:
-    """Resolve a mobility family by name.
-
-    Raises:
-        ConfigurationError: If the name is unknown.
-    """
-    return _MOBILITY.get(name)
-
-
-def mobility_names() -> List[str]:
-    """Sorted canonical names of all registered mobility families."""
-    return _MOBILITY.names()
-
-
-def mobility_profiles() -> List[MobilityProfile]:
-    """All registered mobility profiles, sorted by name."""
-    return _MOBILITY.values()
+#: Every mobility-model family, by name.
+MOBILITY_MODELS = NamedRegistry("mobility model")
 
 
 # ======================================================================
 # Built-in registrations.
 # ======================================================================
-register_mobility(MobilityProfile(
+MOBILITY_MODELS.register(MobilityProfile(
     name="static",
     builder=lambda speed, pause: StaticMobility(),
     description="no movement; the paper's baseline (default)",
 ))
 
-register_mobility(MobilityProfile(
+MOBILITY_MODELS.register(MobilityProfile(
     name="random-waypoint",
     # min_speed is a tenth of the configured speed, floored at 0.1 m/s but
     # never above the configured speed itself, so every positive
@@ -146,7 +106,7 @@ register_mobility(MobilityProfile(
     default_pause=2.0,
 ))
 
-register_mobility(MobilityProfile(
+MOBILITY_MODELS.register(MobilityProfile(
     name="random-walk",
     builder=lambda speed, pause: RandomWalkMobility(
         speed=speed, turn_interval=pause,
@@ -157,7 +117,7 @@ register_mobility(MobilityProfile(
     default_pause=5.0,
 ))
 
-register_mobility(MobilityProfile(
+MOBILITY_MODELS.register(MobilityProfile(
     name="manhattan",
     # pause maps onto the per-intersection stop; block size stays at the
     # model's 100 m city-block default.

@@ -9,7 +9,6 @@ TCP agent).  Concrete implementations live in :mod:`repro.phy`,
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 from repro.net.packet import Packet
 
@@ -62,20 +61,8 @@ class MacListener(abc.ABC):
         """The MAC completed the frame exchange for ``packet``."""
 
 
-class RoutingListener(abc.ABC):
-    """Callbacks the routing layer delivers to the node that owns it."""
-
-    @abc.abstractmethod
-    def on_packet_for_host(self, packet: Packet) -> None:
-        """A data packet destined to this node should go up to transport."""
-
-
 class TransportListener(abc.ABC):
     """Callbacks a transport agent delivers to the application above it."""
-
-    @abc.abstractmethod
-    def on_can_send(self) -> None:
-        """The transport agent can accept more application data."""
 
     @abc.abstractmethod
     def on_data_delivered(self, num_bytes: int) -> None:

@@ -162,10 +162,6 @@ class Node:
         self._agents[agent.local_port] = agent
         agent.attach(self.send_from_transport)
 
-    def agent_on_port(self, port: int) -> Optional[TransportAgent]:
-        """Return the agent bound to ``port``, if any."""
-        return self._agents.get(port)
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------

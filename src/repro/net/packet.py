@@ -154,12 +154,6 @@ class Packet:
             raise PacketError(f"packet {self.uid} has no TCP header")
         return self.tcp
 
-    def require_udp(self) -> UdpHeader:
-        """Return the UDP header or raise :class:`PacketError` if absent."""
-        if self.udp is None:
-            raise PacketError(f"packet {self.uid} has no UDP header")
-        return self.udp
-
     def require_aodv(self) -> AodvHeader:
         """Return the AODV header or raise :class:`PacketError` if absent."""
         if self.aodv is None:

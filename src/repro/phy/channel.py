@@ -487,10 +487,6 @@ class WirelessChannel:
         self._impairment_generation += 1
         self._delivery_cache.clear()
 
-    def is_node_down(self, node_id: int) -> bool:
-        """True while ``node_id`` is scripted off the air."""
-        return node_id in self._down_nodes
-
     def set_link_blocked(self, a: int, b: int, blocked: bool = True) -> None:
         """Block (or unblock) the bidirectional link between two nodes.
 

@@ -1,7 +1,7 @@
 """Topologies evaluated in the paper: h-hop chain, 21-node grid, random field.
 
 Topology families are pluggable: :mod:`repro.topology.registry` makes them
-addressable by name (``build_topology("chain", hops=7)``), which is how the
+addressable by name (``TOPOLOGIES.get("chain").build(hops=7)``), which is how the
 declarative study API and the scenario presets resolve topologies.
 """
 
@@ -10,27 +10,14 @@ from repro.topology.base import Topology, all_next_hop_tables, shortest_path_nex
 from repro.topology.chain import chain_topology, hidden_terminal_pairs
 from repro.topology.grid import grid_topology, node_id_at
 from repro.topology.random_topology import random_topology
-from repro.topology.registry import (
-    TopologyProfile,
-    build_topology,
-    get_topology,
-    register_topology,
-    topology_names,
-    topology_profiles,
-    unregister_topology,
-)
+from repro.topology.registry import TOPOLOGIES, TopologyProfile
 
 __all__ = [
     "BackboneTopology",
     "backbone_tail",
     "backbone_topology",
+    "TOPOLOGIES",
     "TopologyProfile",
-    "build_topology",
-    "get_topology",
-    "register_topology",
-    "topology_names",
-    "topology_profiles",
-    "unregister_topology",
     "Topology",
     "all_next_hop_tables",
     "shortest_path_next_hops",

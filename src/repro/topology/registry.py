@@ -9,9 +9,9 @@ through this registry, and scenario presets are generated from it.
 
 Registering a new topology family::
 
-    from repro.topology.registry import TopologyProfile, register_topology
+    from repro.topology.registry import TOPOLOGIES, TopologyProfile
 
-    register_topology(TopologyProfile(
+    TOPOLOGIES.register(TopologyProfile(
         name="star",
         builder=star_topology,           # (**params) -> Topology
         description="hub-and-spoke star",
@@ -21,7 +21,7 @@ Registering a new topology family::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.core.registry import NamedRegistry
 from repro.topology.backbone import backbone_topology
@@ -58,52 +58,14 @@ class TopologyProfile:
         return self.builder(**params)
 
 
-_TOPOLOGIES = NamedRegistry("topology")
-
-
-def register_topology(profile: TopologyProfile, replace: bool = False) -> TopologyProfile:
-    """Register a topology family by name.
-
-    Raises:
-        ConfigurationError: On a duplicate name without ``replace``.
-    """
-    _TOPOLOGIES.register(profile, name=profile.name, replace=replace)
-    return profile
-
-
-def unregister_topology(name: str) -> None:
-    """Remove a topology family (mainly for tests); unknown names are ignored."""
-    _TOPOLOGIES.unregister(name)
-
-
-def get_topology(name: str) -> TopologyProfile:
-    """Resolve a topology family by name.
-
-    Raises:
-        ConfigurationError: If the name is unknown.
-    """
-    return _TOPOLOGIES.get(name)
-
-
-def build_topology(name: str, **params: object) -> Topology:
-    """Build a topology by family name and builder parameters."""
-    return get_topology(name).build(**params)
-
-
-def topology_names() -> List[str]:
-    """Sorted canonical names of all registered topology families."""
-    return _TOPOLOGIES.names()
-
-
-def topology_profiles() -> List[TopologyProfile]:
-    """All registered topology profiles, sorted by name."""
-    return _TOPOLOGIES.values()
+#: Every topology family, by name.
+TOPOLOGIES = NamedRegistry("topology")
 
 
 # ======================================================================
 # Built-in registrations: the three topologies the paper evaluates.
 # ======================================================================
-register_topology(TopologyProfile(
+TOPOLOGIES.register(TopologyProfile(
     name="chain",
     builder=chain_topology,
     description="h-hop chain, 200 m spacing, one end-to-end flow (Fig. 1)",
@@ -111,14 +73,14 @@ register_topology(TopologyProfile(
     preset_params={"hops": 7},
 ))
 
-register_topology(TopologyProfile(
+TOPOLOGIES.register(TopologyProfile(
     name="grid",
     builder=grid_topology,
     description="7x3 grid with three horizontal and three vertical flows (Fig. 15)",
     preset_prefix="grid",
 ))
 
-register_topology(TopologyProfile(
+TOPOLOGIES.register(TopologyProfile(
     name="random",
     builder=random_topology,
     description="uniform random field with random multihop flows (Sec. 4.4.2)",
@@ -127,7 +89,7 @@ register_topology(TopologyProfile(
                    "flow_count": 10, "seed": 7},
 ))
 
-register_topology(TopologyProfile(
+TOPOLOGIES.register(TopologyProfile(
     name="backbone",
     builder=backbone_topology,
     description="wired Ethernet spine of M gateways, each serving a K-hop "

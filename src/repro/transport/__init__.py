@@ -8,13 +8,10 @@ scenario runner uses to build senders, sinks and driving applications.
 from repro.transport.ack_thinning import AckThinningPolicy
 from repro.transport.newreno import NewRenoSender
 from repro.transport.registry import (
+    TRANSPORTS,
     TransportBuildContext,
     TransportProfile,
-    get_transport,
-    register_transport,
-    transport_names,
-    transport_profiles,
-    unregister_transport,
+    transport_key,
 )
 from repro.transport.rtt import RttEstimator
 from repro.transport.sink import AckThinningSink, TcpSink
@@ -25,13 +22,10 @@ from repro.transport.vegas import VegasParameters, VegasSender
 
 __all__ = [
     "AckThinningPolicy",
+    "TRANSPORTS",
     "TransportBuildContext",
     "TransportProfile",
-    "get_transport",
-    "register_transport",
-    "transport_names",
-    "transport_profiles",
-    "unregister_transport",
+    "transport_key",
     "NewRenoSender",
     "RttEstimator",
     "AckThinningSink",

@@ -8,9 +8,9 @@ factories that build the sender, the sink and the driving application for one
 flow — and registered here by name.  The runner only ever talks to a profile,
 so adding a new transport variant is a ~30-line registration::
 
-    from repro.transport.registry import TransportProfile, register_transport
+    from repro.transport.registry import TRANSPORTS, TransportProfile
 
-    register_transport(TransportProfile(
+    TRANSPORTS.register(TransportProfile(
         name="vegas-a4",
         label="Vegas alpha=4",
         build_sender=lambda ctx: VegasSender(
@@ -28,7 +28,7 @@ Thinning"``) only labels results and figure legends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from repro.app.cbr import CbrApplication
 from repro.app.ftp import FtpApplication
@@ -139,30 +139,8 @@ class TransportProfile:
             self.validate(config)
 
 
-_PROFILES = NamedRegistry("transport")
-
-
-def register_transport(profile: TransportProfile, replace: bool = False) -> TransportProfile:
-    """Register a transport profile under its name.
-
-    Args:
-        profile: The profile to register.
-        replace: Allow overwriting an existing registration with the same
-            name.
-
-    Returns:
-        The registered profile (for decorator-style use).
-
-    Raises:
-        ConfigurationError: On a duplicate name without ``replace``.
-    """
-    _PROFILES.register(profile, name=profile.name, replace=replace)
-    return profile
-
-
-def unregister_transport(name: str) -> None:
-    """Remove a profile (mainly for tests); unknown names are ignored."""
-    _PROFILES.unregister(name)
+#: Every transport variant, by registry key.
+TRANSPORTS = NamedRegistry("transport variant")
 
 
 def transport_key(variant: str) -> str:
@@ -171,27 +149,8 @@ def transport_key(variant: str) -> str:
     Raises:
         ConfigurationError: If the variant is not a registered name.
     """
-    if isinstance(variant, str) and variant in _PROFILES:
-        return normalize_name(variant)
-    raise ConfigurationError(
-        f"unknown transport variant {variant!r}; registered: "
-        f"{', '.join(transport_names())}"
-    )
-
-
-def get_transport(variant: str) -> TransportProfile:
-    """Resolve a variant name to its profile."""
-    return _PROFILES.get(transport_key(variant))
-
-
-def transport_names() -> List[str]:
-    """Sorted canonical names of all registered transports."""
-    return _PROFILES.names()
-
-
-def transport_profiles() -> List[TransportProfile]:
-    """All registered profiles, sorted by canonical name."""
-    return _PROFILES.values()
+    TRANSPORTS.get(variant)
+    return normalize_name(variant)
 
 
 # ======================================================================
@@ -242,35 +201,35 @@ def _require_max_cwnd(config: "ScenarioConfig") -> None:
         )
 
 
-register_transport(TransportProfile(
+TRANSPORTS.register(TransportProfile(
     name="newreno",
     label="NewReno",
     build_sender=_newreno_sender,
     build_sink=_tcp_sink,
 ))
 
-register_transport(TransportProfile(
+TRANSPORTS.register(TransportProfile(
     name="vegas",
     label="Vegas",
     build_sender=_vegas_sender,
     build_sink=_tcp_sink,
 ))
 
-register_transport(TransportProfile(
+TRANSPORTS.register(TransportProfile(
     name="newreno-at",
     label="NewReno ACK Thinning",
     build_sender=_newreno_sender,
     build_sink=_thinning_sink,
 ))
 
-register_transport(TransportProfile(
+TRANSPORTS.register(TransportProfile(
     name="vegas-at",
     label="Vegas ACK Thinning",
     build_sender=_vegas_sender,
     build_sink=_thinning_sink,
 ))
 
-register_transport(TransportProfile(
+TRANSPORTS.register(TransportProfile(
     name="newreno-optwin",
     label="NewReno Optimal Window",
     build_sender=_newreno_clamped_sender,
@@ -279,7 +238,7 @@ register_transport(TransportProfile(
     preset_overrides={"newreno_max_cwnd": 3.0},
 ))
 
-register_transport(TransportProfile(
+TRANSPORTS.register(TransportProfile(
     name="paced-udp",
     label="Paced UDP",
     build_sender=_udp_sender,
@@ -287,7 +246,7 @@ register_transport(TransportProfile(
     build_application=paced_udp_application,
 ))
 
-register_transport(TransportProfile(
+TRANSPORTS.register(TransportProfile(
     name="newreno-at-optwin",
     label="NewReno ACK Thinning Optimal Window",
     build_sender=_newreno_clamped_sender,

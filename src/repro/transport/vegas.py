@@ -90,19 +90,6 @@ class VegasSender(TcpSender):
             return self._epoch_rtt_sum / self._epoch_rtt_count
         return self.rtt.last_rtt
 
-    def expected_throughput(self) -> float:
-        """Expected throughput in packets/s (cwnd / baseRTT)."""
-        if self.base_rtt is None or self.base_rtt <= 0:
-            return 0.0
-        return self.cwnd / self.base_rtt
-
-    def actual_throughput(self) -> float:
-        """Actual throughput in packets/s (cwnd / current RTT)."""
-        rtt = self._current_rtt()
-        if rtt is None or rtt <= 0:
-            return 0.0
-        return self.cwnd / rtt
-
     def compute_diff(self) -> Optional[float]:
         """The Vegas ``diff`` in packets, or None before any RTT measurement."""
         rtt = self._current_rtt()

@@ -33,9 +33,3 @@ class TestRandomManager:
         value_first = first.stream("b").random()
         value_second = second.stream("b").random()
         assert value_first == value_second
-
-    def test_spawn_offsets_seed(self):
-        manager = RandomManager(seed=5)
-        spawned = manager.spawn(3)
-        assert spawned.seed == 8
-        assert spawned.stream("x").random() != manager.stream("x").random()

@@ -64,9 +64,6 @@ class TestScenarioConfig:
         assert copy.variant == "newreno"
         assert base.variant == "vegas"
 
-    def test_with_bandwidth_copy(self):
-        assert ScenarioConfig().with_bandwidth(11.0).bandwidth_mbps == 11.0
-
     def test_scaled_copy(self):
         assert ScenarioConfig().scaled(50).packet_target == 50
 

@@ -8,16 +8,13 @@ from repro.core.errors import ConfigurationError
 from repro.core.statistics import confidence_interval
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.exec import (
+    BACKENDS,
     ExecutorBackend,
     ProgressSnapshot,
     ResultStore,
     SimulatedCrash,
     StreamingAggregator,
     StudyExecutionError,
-    backend_names,
-    get_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.experiments.runner import Scenario
 from repro.experiments.study import SweepSpec, run_study
@@ -50,29 +47,29 @@ def canned_result():
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert backend_names() == ["process-pool", "serial"]
-        assert get_backend("serial").name == "serial"
-        assert get_backend("  SERIAL ").name == "serial"
+        assert BACKENDS.names() == ["process-pool", "serial"]
+        assert BACKENDS.get("serial").name == "serial"
+        assert BACKENDS.get("  SERIAL ").name == "serial"
 
     def test_unknown_backend_suggests_close_match(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            get_backend("proces-pool")
+            BACKENDS.get("proces-pool")
         message = str(excinfo.value)
         assert "did you mean 'process-pool'" in message
-        assert "--list-backends" in message
+        assert "(registered: process-pool, serial)" in message
 
     def test_register_and_unregister(self):
         backend = ExecutorBackend(name="noop", runner=lambda ctx: None,
                                   description="does nothing")
         try:
-            register_backend(backend)
-            assert "noop" in backend_names()
+            BACKENDS.register(backend)
+            assert "noop" in BACKENDS.names()
             with pytest.raises(ConfigurationError):
-                register_backend(backend)
-            register_backend(backend, replace=True)
+                BACKENDS.register(backend)
+            BACKENDS.register(backend, replace=True)
         finally:
-            unregister_backend("noop")
-        assert "noop" not in backend_names()
+            BACKENDS.unregister("noop")
+        assert "noop" not in BACKENDS.names()
 
 
 class TestBackendsAgree:
@@ -92,7 +89,7 @@ class TestBackendsAgree:
 
     def test_backend_instance_accepted(self):
         spec = tiny_spec(axes={"hops": [2]})
-        study = run_study(spec, backend=get_backend("serial"))
+        study = run_study(spec, backend=BACKENDS.get("serial"))
         assert study.points[0].run.reached_packet_target
 
 

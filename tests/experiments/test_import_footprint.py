@@ -3,8 +3,8 @@
 The paper's method is many short runs, so a run's fixed cost is paid hundreds
 of times per figure and once per pool worker.  Each check starts a fresh
 interpreter with only ``src`` on its path: the run path has to work on the
-standard library alone and must not load the study plane it does not use.
-The package roots must not import the modules ``python -m`` runs either.
+standard library alone and must not load the study plane it does not use,
+whether it is started from the library or from ``python -m repro run``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ USE_THE_STUDY_PLANE = """
 import json, sys
 import repro, repro.experiments
 from repro import run_study, SweepSpec, ResultStore
-from repro.experiments import ExecutorBackend, StudyExecutionError, get_backend
+from repro.experiments import BACKENDS, ExecutorBackend, StudyExecutionError
 missing = [f"{package.__name__}.{name}" for package in (repro, repro.experiments)
            for name in package.__all__ if not hasattr(package, name)]
 print(json.dumps({
@@ -64,11 +64,10 @@ PUBLIC_NAMES = sorted([
     "FlowSpec", "Workload", "ScenarioEvent", "ScenarioSpec",
     "mixed_transport_workload", "available_scenarios",
     "build_named_scenario", "PointResult", "StudyResult",
-    "SweepSpec", "run_study", "ResultStore", "backend_names",
-    "register_backend", "chain_topology", "grid_topology", "random_topology",
-    "TopologyProfile", "build_topology", "register_topology", "topology_names",
-    "TransportProfile", "get_transport", "register_transport", "transport_names",
-    "MobilityProfile", "get_mobility", "register_mobility", "mobility_names",
+    "SweepSpec", "run_study", "ResultStore", "BACKENDS",
+    "chain_topology", "grid_topology", "random_topology",
+    "TOPOLOGIES", "TopologyProfile", "TRANSPORTS", "TransportProfile",
+    "MOBILITY_MODELS", "MobilityProfile",
     "MetricsRegistry", "TimeSeries", "__version__",
 ])
 
@@ -93,6 +92,19 @@ def test_a_scenario_run_loads_only_what_it_needs():
         assert report["peak_kb"] / 1024.0 <= PEAK_RSS_LIMIT_MB
 
 
+def test_a_run_from_the_command_line_loads_only_what_it_needs():
+    """``-X importtime`` writes every module the interpreter imports to stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "repro", "run",
+                           "chain7-vegas-at-2mbps", "--packets", "30", "--seed", "3"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = [line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert "repro.experiments.runner" in modules
+    assert [name for name in UNWANTED if is_loaded(name, modules)] == []
+
+
 def test_the_study_plane_still_imports_from_the_package_roots():
     report = run_child(USE_THE_STUDY_PLANE)
     assert report["all"] == PUBLIC_NAMES
@@ -102,14 +114,13 @@ def test_the_study_plane_still_imports_from_the_package_roots():
     assert report["same_objects"] and report["study_loaded"]
 
 
-@pytest.mark.parametrize("module", ["repro.experiments.runner",
-                                    "repro.experiments.scenarios"])
-def test_python_m_runs_the_cli_modules_without_a_runpy_warning(module):
-    """The package roots resolve these modules on first use, so ``python -m``
-    does not find them already imported (runpy's RuntimeWarning)."""
+@pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
+def test_python_m_repro_runs_without_a_runpy_warning(args):
+    """``python -m repro`` finds ``repro.__main__`` not yet imported (runpy's
+    RuntimeWarning would be an error here)."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", module,
-                           "--help"], env=env, capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "repro",
+                           *args], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""

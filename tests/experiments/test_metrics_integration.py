@@ -15,8 +15,8 @@ import pytest
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.results import ScenarioResult
+from repro.__main__ import main
 from repro.experiments.runner import Scenario
-from repro.experiments.runner import main as runner_main
 from repro.experiments.scenarios import build_named_scenario
 from repro.experiments.study import SweepSpec, run_study
 from repro.experiments.workload import ScenarioSpec
@@ -137,14 +137,14 @@ class TestStudyMetricSelection:
 
 class TestRunnerCli:
     def test_list(self, capsys):
-        assert runner_main(["--list"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "chain7-vegas-2mbps" in out
 
     def test_metrics_export(self, tmp_path, capsys):
         out_path = tmp_path / "result.json"
-        code = runner_main([
-            "chain7-vegas-2mbps", "--metrics", "--packets", "40",
+        code = main([
+            "run", "chain7-vegas-2mbps", "--metrics", "--packets", "40",
             "--seed", "3", "--max-sim-time", "30", "-o", str(out_path),
         ])
         assert code == 0
@@ -155,6 +155,6 @@ class TestRunnerCli:
         assert len(restored.series("tcp.flow1.cwnd")[0]) > 0
 
     def test_plain_run_without_metrics(self, capsys):
-        assert runner_main(["chain7-vegas-2mbps", "--packets", "20",
-                            "--max-sim-time", "20"]) == 0
+        assert main(["run", "chain7-vegas-2mbps", "--packets", "20",
+                     "--max-sim-time", "20"]) == 0
         assert "time series" not in capsys.readouterr().out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
 from repro.experiments.scenarios import available_scenarios, build_named_scenario
@@ -108,29 +109,30 @@ class TestScenarioWiring:
 
 class TestRunnerCli:
     def test_list_prints_every_preset_sorted(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["--list"]) == 0
+        assert main(["list"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == sorted(lines)
         assert set(available_scenarios()) == set(lines)
 
-    def test_unknown_scenario_suggests_close_matches(self, capsys):
-        from repro.experiments.runner import main
+    def test_list_link_layers_prints_name_and_description(self, capsys):
+        from repro.link.registry import LINK_LAYERS
 
-        assert main(["chain7-vegs-2mbps"]) == 2
+        assert main(["list", "link-layers"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{p.name}: {p.description}" for p in LINK_LAYERS.values()]
+
+    def test_unknown_scenario_suggests_close_matches(self, capsys):
+        assert main(["run", "chain7-vegs-2mbps"]) == 2
         err = capsys.readouterr().err
         assert "unknown scenario" in err
         assert "did you mean" in err
         assert "chain7-vegas-2mbps" in err
 
     def test_unknown_scenario_without_match_still_points_at_list(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["zzzzzzzzzz"]) == 2
+        assert main(["run", "zzzzzzzzzz"]) == 2
         err = capsys.readouterr().err
         assert "did you mean" not in err
-        assert "--list" in err
+        assert "python -m repro list" in err
 
 
 class TestScenarioExecution:
@@ -182,10 +184,10 @@ class TestNamedScenarios:
         assert "chain7-vegas-2mbps" in str(excinfo.value)
 
     def test_every_registered_transport_has_presets_for_every_topology(self):
-        from repro.transport.registry import transport_profiles
+        from repro.transport.registry import TRANSPORTS
 
         names = set(available_scenarios())
-        for profile in transport_profiles():
+        for profile in TRANSPORTS.values():
             for prefix in ("chain7", "grid", "random"):
                 for btag in ("2mbps", "5.5mbps", "11mbps"):
                     assert f"{prefix}-{profile.name}-{btag}" in names
@@ -224,9 +226,7 @@ class TestNamedScenarios:
         assert len(scenario.workload) == 2
 
     def test_presets_follow_dynamic_transport_registrations(self):
-        from repro.transport.registry import (
-            TransportProfile, register_transport, unregister_transport,
-        )
+        from repro.transport.registry import TRANSPORTS, TransportProfile
         from repro.transport.sink import TcpSink
         from repro.transport.vegas import VegasSender
 
@@ -240,11 +240,11 @@ class TestNamedScenarios:
                 ctx.sim, ctx.flow, ctx.stats, mss=ctx.config.tcp.mss,
                 tracer=ctx.tracer),
         )
-        register_transport(profile)
+        TRANSPORTS.register(profile)
         try:
             assert "chain7-test-preset-variant-2mbps" in available_scenarios()
             scenario = build_named_scenario("chain7-test-preset-variant-2mbps")
             assert isinstance(scenario.senders[0], VegasSender)
         finally:
-            unregister_transport(profile.name)
+            TRANSPORTS.unregister(profile.name)
         assert "chain7-test-preset-variant-2mbps" not in available_scenarios()

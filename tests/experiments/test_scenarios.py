@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.__main__ import main
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenarios import (
@@ -19,25 +20,16 @@ from repro.experiments.scenarios import (
     register_scenario,
 )
 from repro.experiments.workload import ScenarioSpec
-from repro.mobility.registry import (
-    MobilityProfile,
-    register_mobility,
-    unregister_mobility,
-)
+from repro.mobility.registry import MOBILITY_MODELS, MobilityProfile
 from repro.mobility.models import RandomWalkMobility
 from repro.topology.chain import chain_topology
-from repro.topology.registry import TopologyProfile, register_topology, unregister_topology
-from repro.transport.registry import (
-    TransportProfile,
-    get_transport,
-    register_transport,
-    unregister_transport,
-)
+from repro.topology.registry import TOPOLOGIES, TopologyProfile
+from repro.transport.registry import TRANSPORTS, TransportProfile
 from repro.transport.vegas import VegasSender
 
 
 def _dummy_transport(name: str) -> TransportProfile:
-    base = get_transport("vegas")
+    base = TRANSPORTS.get("vegas")
     return TransportProfile(name=name, label=name.title(),
                             build_sender=base.build_sender,
                             build_sink=base.build_sink)
@@ -58,28 +50,28 @@ class TestGeneratedPresets:
         assert not any("-static-" in name for name in names)
 
     def test_new_transport_invalidates_generated_table(self):
-        register_transport(_dummy_transport("probe-tp"))
+        TRANSPORTS.register(_dummy_transport("probe-tp"))
         try:
             names = set(available_scenarios())
             assert "chain7-probe-tp-2mbps" in names
             assert "chain7-rwp-probe-tp-2mbps" in names
         finally:
-            unregister_transport("probe-tp")
+            TRANSPORTS.unregister("probe-tp")
         assert "chain7-probe-tp-2mbps" not in available_scenarios()
 
     def test_new_topology_invalidates_generated_table(self):
-        register_topology(TopologyProfile(
+        TOPOLOGIES.register(TopologyProfile(
             name="probe-topo", builder=chain_topology,
             preset_prefix="probe3", preset_params={"hops": 3},
         ))
         try:
             assert "probe3-vegas-2mbps" in available_scenarios()
         finally:
-            unregister_topology("probe-topo")
+            TOPOLOGIES.unregister("probe-topo")
         assert "probe3-vegas-2mbps" not in available_scenarios()
 
     def test_new_mobility_model_invalidates_generated_table(self):
-        register_mobility(MobilityProfile(
+        MOBILITY_MODELS.register(MobilityProfile(
             name="probe-walk",
             builder=lambda speed, pause: RandomWalkMobility(speed, pause),
             preset_tag="pwalk",
@@ -87,7 +79,7 @@ class TestGeneratedPresets:
         try:
             assert "chain7-pwalk-vegas-2mbps" in available_scenarios()
         finally:
-            unregister_mobility("probe-walk")
+            MOBILITY_MODELS.unregister("probe-walk")
         assert "chain7-pwalk-vegas-2mbps" not in available_scenarios()
 
     def test_mobile_preset_builds_scenario_with_manager(self):
@@ -196,3 +188,13 @@ class TestCatalog:
 
     def test_catalog_is_deterministic(self):
         assert catalog_markdown() == catalog_markdown()
+
+    def test_catalog_command_writes_and_checks_the_file(self, tmp_path, capsys):
+        path = tmp_path / "catalog.md"
+        assert main(["catalog", "-o", str(path)]) == 0
+        assert path.read_text() == catalog_markdown()
+        assert main(["catalog", "--check", str(path)]) == 0
+        assert "is up to date" in capsys.readouterr().out
+        path.write_text("stale\n")
+        assert main(["catalog", "--check", str(path)]) == 1
+        assert f"python -m repro catalog -o {path}" in capsys.readouterr().out

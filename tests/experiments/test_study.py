@@ -40,7 +40,6 @@ class TestSweepSpec:
 
     def test_axis_classification_config_vs_topology(self):
         spec = tiny_spec()
-        assert spec.config_axes == ("variant",)
         assert spec.topology_axes == ("hops",)
 
     def test_variant_axis_accepts_registry_names(self):
@@ -90,6 +89,19 @@ class TestSweepSpec:
     def test_unknown_variant_override_rejected(self):
         with pytest.raises(ConfigurationError):
             tiny_spec(variant_overrides={"cubic": {"queue_capacity": 10}})
+
+    def test_unknown_variant_axis_value_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="did you mean 'vegas'"):
+            SweepSpec(axes={"variant": ["vegsa"]})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"axes": {"nosuch": [1]}},
+        {"topology": "grid", "axes": {"hops": [2]}},
+        {"topology_params": {"nosuch": 1}},
+    ])
+    def test_parameter_the_topology_builder_does_not_take_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError, match="unexpected keyword"):
+            SweepSpec(**kwargs)
 
     def test_fingerprint_distinguishes_points_and_seeds(self):
         spec = tiny_spec()

@@ -1,4 +1,5 @@
-"""Tests for the ``python -m repro.experiments.study`` command line."""
+"""Tests for the ``python -m repro study`` command line (and ``list
+backends``)."""
 
 from __future__ import annotations
 
@@ -6,18 +7,18 @@ import json
 
 import pytest
 
-from repro.experiments.study import main
+from repro.__main__ import main
 
 
 def run_args(*extra: str) -> list:
     """A minimal fast study invocation."""
-    return ["--variants", "vegas", "--hops", "2", "--packets", "15",
+    return ["study", "--variants", "vegas", "--hops", "2", "--packets", "15",
             "--replications", "1", "--quiet", *extra]
 
 
 class TestListBackends:
     def test_lists_registered_backends(self, capsys):
-        assert main(["--list-backends"]) == 0
+        assert main(["list", "backends"]) == 0
         out = capsys.readouterr().out
         assert "serial" in out and "process-pool" in out
         assert "reference in-process loop" in out
@@ -29,7 +30,7 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "unknown executor backend" in err
         assert "did you mean 'process-pool'" in err
-        assert "--list-backends" in err
+        assert "(registered: process-pool, serial)" in err
 
     def test_unknown_topology_exits_2(self, capsys):
         assert main(run_args("--topology", "torus")) == 2
@@ -48,6 +49,21 @@ class TestErrors:
         assert main(run_args("--axis", "hops")) == 2
         assert "--axis expects" in capsys.readouterr().err
 
+    def test_unknown_variant_exits_2_without_traceback(self, capsys):
+        assert main(["study", "--variants", "vegsa", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown transport variant 'vegsa'" in err
+        assert "did you mean 'vegas'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [["--axis", "nosuch=1"],
+                                       ["--topology", "grid", "--hops", "2"]])
+    def test_axis_the_topology_does_not_take_exits_2(self, extra, capsys):
+        assert main(["study", "--quiet", *extra]) == 2
+        err = capsys.readouterr().err
+        assert "unexpected keyword argument" in err
+        assert "--resume" not in err
+
 
 class TestRuns:
     def test_run_prints_goodput_table(self, capsys):
@@ -57,7 +73,7 @@ class TestRuns:
         assert "variant=Vegas, hops=2" in out
 
     def test_every_variant_prints_its_label(self, capsys):
-        args = ["--variants", "vegas", "newreno-at-optwin",
+        args = ["study", "--variants", "vegas", "newreno-at-optwin",
                 "--axis", "newreno_max_cwnd=3.0", "--hops", "2",
                 "--packets", "15", "--replications", "1", "--quiet",
                 "--backend", "serial"]

@@ -14,14 +14,14 @@ from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.study import PointResult, SweepSpec
 from repro.experiments.workload import FlowSpec
-from repro.transport.registry import get_transport, transport_names
+from repro.transport.registry import TRANSPORTS
 
-KEYS = transport_names()
+KEYS = TRANSPORTS.names()
 
 
 def config_for(key: str) -> ScenarioConfig:
     """A valid config of ``key`` (the optimal-window variants need a clamp)."""
-    return ScenarioConfig(variant=key, **get_transport(key).preset_overrides)
+    return ScenarioConfig(variant=key, **TRANSPORTS.get(key).preset_overrides)
 
 
 def assert_key(value: object, key: str) -> None:
@@ -47,7 +47,7 @@ class TestOneSpelling:
 
 
 @pytest.mark.parametrize("key", [key for key in KEYS
-                                 if get_transport(key).label.lower() != key])
+                                 if TRANSPORTS.get(key).label.lower() != key])
 def test_a_label_is_not_a_spelling(key):
     with pytest.raises(ConfigurationError, match="registered: "):
-        ScenarioConfig(variant=get_transport(key).label)
+        ScenarioConfig(variant=TRANSPORTS.get(key).label)

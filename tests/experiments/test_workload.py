@@ -19,7 +19,7 @@ from repro.net.packet import reset_packet_ids
 from repro.topology.base import Topology
 from repro.topology.chain import chain_topology
 from repro.topology.grid import grid_topology
-from repro.transport.registry import TransportProfile, transport_names
+from repro.transport.registry import TRANSPORTS, TransportProfile
 from repro.transport.tcp_base import TcpConfig
 
 
@@ -169,7 +169,7 @@ class TestScenarioSpec:
             )),
         )
 
-    @pytest.mark.parametrize("variant", transport_names())
+    @pytest.mark.parametrize("variant", TRANSPORTS.names())
     def test_a_thousand_uniform_flows_share_one_validated_config(self, monkeypatch,
                                                                  variant):
         """Set-up cost is per distinct flow config, not per flow: the memo in

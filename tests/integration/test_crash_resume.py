@@ -20,11 +20,11 @@ import pytest
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.exec import (
+    BACKENDS,
     ResultStore,
     SimulatedCrash,
     StreamingAggregator,
     WorkQueue,
-    get_backend,
     run_work_item,
 )
 from repro.experiments.exec.backends import ExecutionContext
@@ -107,7 +107,7 @@ class TestLeaseExpiry:
             spec=spec, queue=queue, aggregator=StreamingAggregator(spec),
             clock=lambda: float(next(ticks)),
         )
-        get_backend("serial").runner(ctx)
+        BACKENDS.get("serial").runner(ctx)
 
         assert queue.finished and queue.failed_count == 0
         assert queue.retried == 1  # exactly the expired lease

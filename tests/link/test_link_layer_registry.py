@@ -7,50 +7,43 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.link.plan import LinkPlan, WiredSegmentSpec
-from repro.link.registry import (
-    LinkLayerProfile,
-    get_link_layer,
-    link_layer_names,
-    link_layer_profiles,
-    register_link_layer,
-    unregister_link_layer,
-)
+from repro.link.registry import LINK_LAYERS, LinkLayerProfile
 from repro.topology.chain import chain_topology
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert "wireless" in link_layer_names()
-        assert "wired" in link_layer_names()
+        assert "wireless" in LINK_LAYERS.names()
+        assert "wired" in LINK_LAYERS.names()
 
     def test_lookup_is_case_insensitive(self):
-        assert get_link_layer("Wireless").name == "wireless"
-        assert get_link_layer(" WIRED ").name == "wired"
+        assert LINK_LAYERS.get("Wireless").name == "wireless"
+        assert LINK_LAYERS.get(" WIRED ").name == "wired"
 
     def test_unknown_name_suggests_close_match(self):
         with pytest.raises(ConfigurationError,
                            match=r"did you mean 'wired'"):
-            get_link_layer("wried")
+            LINK_LAYERS.get("wried")
         with pytest.raises(ConfigurationError,
-                           match=r"--list-link-layers"):
-            get_link_layer("wried")
+                           match=r"\(registered: wired, wireless\)"):
+            LINK_LAYERS.get("wried")
 
     def test_duplicate_rejected_without_replace(self):
         profile = LinkLayerProfile(name="wireless",
                                    build_plan=lambda t, c: LinkPlan())
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_link_layer(profile)
+            LINK_LAYERS.register(profile)
 
     def test_register_and_unregister_custom_profile(self):
-        register_link_layer(LinkLayerProfile(
+        LINK_LAYERS.register(LinkLayerProfile(
             name="test-bus", build_plan=lambda t, c: LinkPlan(),
             description="for the registry test"))
         try:
-            assert get_link_layer("test-bus").description == "for the registry test"
-            assert any(p.name == "test-bus" for p in link_layer_profiles())
+            assert LINK_LAYERS.get("test-bus").description == "for the registry test"
+            assert any(p.name == "test-bus" for p in LINK_LAYERS.values())
         finally:
-            unregister_link_layer("test-bus")
-        assert "test-bus" not in link_layer_names()
+            LINK_LAYERS.unregister("test-bus")
+        assert "test-bus" not in LINK_LAYERS.names()
 
     def test_scenario_config_validates_link_layer(self):
         with pytest.raises(ConfigurationError, match="unknown link layer"):
@@ -65,7 +58,7 @@ class TestRegistry:
 class TestBuiltinPlans:
     def test_wireless_plan_covers_all_nodes_with_no_segments(self):
         topology = chain_topology(hops=3)
-        plan = get_link_layer("wireless").build_plan(topology, ScenarioConfig())
+        plan = LINK_LAYERS.get("wireless").build_plan(topology, ScenarioConfig())
         assert plan.is_pure_wireless
         assert plan.wireless_nodes == tuple(topology.node_ids)
         assert plan.gateways == ()
@@ -74,14 +67,13 @@ class TestBuiltinPlans:
         topology = chain_topology(hops=3)
         config = ScenarioConfig(link_layer="wired", wired_rate_mbps=100.0,
                                 wired_propagation_delay=1e-6)
-        plan = get_link_layer("wired").build_plan(topology, config)
+        plan = LINK_LAYERS.get("wired").build_plan(topology, config)
         assert not plan.is_pure_wireless
         assert plan.wireless_nodes == ()
         (segment,) = plan.segments
         assert segment.nodes == tuple(topology.node_ids)
         assert segment.rate_mbps == 100.0
         assert segment.propagation_delay == 1e-6
-        assert plan.wired_only_nodes == frozenset(topology.node_ids)
 
 
 class TestLinkPlanValidation:

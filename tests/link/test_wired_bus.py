@@ -185,5 +185,4 @@ class TestWiredBus:
         expected = bus.frame_duration(frame)
         queue_a.enqueue(frame)
         sim.run(until=1.0)
-        assert bus.busy_seconds == pytest.approx(expected)
         assert bus.finalize_utilization(1.0) == pytest.approx(expected)

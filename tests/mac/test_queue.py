@@ -54,13 +54,6 @@ class TestDropTailQueue:
         queue.enqueue(Packet())
         assert len(calls) == 1
 
-    def test_peek_does_not_remove(self):
-        queue = DropTailQueue()
-        packet = Packet()
-        queue.enqueue(packet)
-        assert queue.peek().uid == packet.uid
-        assert len(queue) == 1
-
     def test_high_watermark(self):
         queue = DropTailQueue(capacity=10)
         for _ in range(4):

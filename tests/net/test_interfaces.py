@@ -8,14 +8,13 @@ from repro.net.interfaces import (
     MacListener,
     PacketSink,
     PhyListener,
-    RoutingListener,
     TransportListener,
 )
 from repro.net.packet import Packet
 
 
 @pytest.mark.parametrize("contract", [
-    PhyListener, MacListener, RoutingListener, TransportListener, PacketSink,
+    PhyListener, MacListener, TransportListener, PacketSink,
 ])
 def test_contracts_cannot_be_instantiated_directly(contract):
     with pytest.raises(TypeError):
@@ -77,9 +76,6 @@ def test_transport_listener_and_packet_sink_contracts():
     class App(TransportListener):
         def __init__(self):
             self.delivered = 0
-
-        def on_can_send(self):
-            pass
 
         def on_data_delivered(self, num_bytes):
             self.delivered += num_bytes

@@ -59,12 +59,6 @@ class TestNodeConstruction:
 
 
 class TestAgentRegistration:
-    def test_register_and_lookup(self, sim, channel, randomness):
-        node = make_node(sim, channel, randomness)
-        agent = DummyAgent(sim, node_id=0, port=6001)
-        node.register_agent(agent)
-        assert node.agent_on_port(6001) is agent
-
     def test_register_wrong_node_rejected(self, sim, channel, randomness):
         node = make_node(sim, channel, randomness)
         agent = DummyAgent(sim, node_id=5, port=6001)

@@ -132,10 +132,6 @@ class TestRequireAccessors:
         with pytest.raises(PacketError):
             Packet().require_mac()
 
-    def test_require_udp_missing_raises(self):
-        with pytest.raises(PacketError):
-            Packet().require_udp()
-
     def test_require_aodv_missing_raises(self):
         with pytest.raises(PacketError):
             Packet().require_aodv()

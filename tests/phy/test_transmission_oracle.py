@@ -170,6 +170,8 @@ class World:
         self.log = []
         self.budget = 60
         self.downed_on_air = 0
+        #: Nodes this world has scripted off the air.
+        self.down = set()
         #: Times a listener turned the carrier flag on while ends were owed.
         self.watched_owing = 0
         self.radios = []
@@ -191,9 +193,11 @@ class World:
         if on_air and rng.random() < 0.5:
             node = rng.choice(on_air)       # a sender goes down in mid-frame
             channel.set_node_down(node, down=True)
+            self.down.add(node)
             self.downed_on_air += 1
         elif rng.random() < 0.5:
-            channel.set_node_down(node, down=not channel.is_node_down(node))
+            self.down ^= {node}
+            channel.set_node_down(node, down=node in self.down)
         else:
             old = channel.position_of(node)
             channel.set_positions({node: Position(old.x + rng.uniform(-300, 300),

@@ -12,29 +12,22 @@ from repro.experiments.runner import Scenario
 from repro.experiments.workload import ScenarioSpec
 from repro.topology.chain import chain_topology
 from repro.transport.newreno import NewRenoSender
-from repro.transport.registry import (
-    TransportProfile,
-    get_transport,
-    register_transport,
-    transport_key,
-    transport_names,
-    unregister_transport,
-)
+from repro.transport.registry import TRANSPORTS, TransportProfile, transport_key
 from repro.transport.sink import AckThinningSink, TcpSink
 from repro.transport.vegas import VegasSender
 
 
 class TestLookup:
     def test_builtin_variants_registered(self):
-        names = transport_names()
+        names = TRANSPORTS.names()
         for expected in ("newreno", "vegas", "newreno-at", "vegas-at",
                          "newreno-optwin", "paced-udp"):
             assert expected in names
 
     def test_lookup_is_case_and_space_insensitive(self):
-        profile = get_transport("vegas-at")
-        assert get_transport("VEGAS-AT") is profile
-        assert get_transport(" Vegas-AT ") is profile
+        profile = TRANSPORTS.get("vegas-at")
+        assert TRANSPORTS.get("VEGAS-AT") is profile
+        assert TRANSPORTS.get(" Vegas-AT ") is profile
 
     def test_transport_key_canonicalizes(self):
         assert transport_key("PACED-UDP") == "paced-udp"
@@ -42,15 +35,15 @@ class TestLookup:
 
     def test_label_is_not_a_lookup_key(self):
         with pytest.raises(ConfigurationError, match="registered: .*vegas-at"):
-            get_transport("Vegas ACK Thinning")
+            TRANSPORTS.get("Vegas ACK Thinning")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError):
-            get_transport("cubic")
+            TRANSPORTS.get("cubic")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError):
-            register_transport(TransportProfile(
+            TRANSPORTS.register(TransportProfile(
                 name="vegas", label="Vegas again",
                 build_sender=lambda ctx: None, build_sink=lambda ctx: None,
             ))
@@ -65,7 +58,7 @@ class TestRunnerIsVariantAgnostic:
         import repro.experiments.runner as runner_module
 
         source = inspect.getsource(runner_module).replace(runner_module.__doc__, "")
-        for name in transport_names():
+        for name in TRANSPORTS.names():
             assert f'"{name}"' not in source and f"'{name}'" not in source
 
 
@@ -101,9 +94,9 @@ def clamped_vegas_profile():
             tracer=ctx.tracer,
         ),
     )
-    register_transport(profile)
+    TRANSPORTS.register(profile)
     yield profile
-    unregister_transport(profile.name)
+    TRANSPORTS.unregister(profile.name)
 
 
 class TestCustomVariant:

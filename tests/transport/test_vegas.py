@@ -50,15 +50,6 @@ class TestDiffComputation:
         sender.set_cwnd(8.0)
         assert sender.compute_diff() == pytest.approx(8.0 * (0.2 - 0.1) / 0.2)
 
-    def test_expected_vs_actual_throughput(self, sim):
-        sender = make_sender(sim)
-        sender.base_rtt = 0.1
-        sender._epoch_rtt_sum = 0.2
-        sender._epoch_rtt_count = 1
-        sender.set_cwnd(4.0)
-        assert sender.expected_throughput() == pytest.approx(40.0)
-        assert sender.actual_throughput() == pytest.approx(20.0)
-
     def test_base_rtt_tracks_minimum(self, sim):
         sender, sink, stats, net = build_vegas_pair(sim, delay=0.05, data_limit=30)
         sender.start()
