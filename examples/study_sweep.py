@@ -45,7 +45,7 @@ def main() -> None:
     parser.add_argument("--store", default=".study-cache",
                         help="result-store directory ('' disables)")
     parser.add_argument("--serial", action="store_true",
-                        help="force serial in-process execution")
+                        help="run every item in this process (max_workers=1)")
     parser.add_argument("--save", metavar="PATH",
                         help="write the StudyResult as JSON to PATH")
     args = parser.parse_args()
@@ -62,7 +62,7 @@ def main() -> None:
     started = time.perf_counter()
     study = run_study(
         spec,
-        backend="serial" if args.serial else None,
+        max_workers=1 if args.serial else None,
         store=args.store or None,
     )
     elapsed = time.perf_counter() - started

@@ -88,7 +88,7 @@ def run_mix_study(args) -> None:
                             seed=args.seed),
         replications=args.replications,
     )
-    study = run_study(spec, backend="serial" if args.serial else "process-pool",
+    study = run_study(spec, max_workers=1 if args.serial else None,
                       store=args.store or None)
 
     print(f"\n=== traffic-mix sweep ({args.replications} seed(s)/point) ===")
@@ -118,7 +118,7 @@ def main() -> None:
     parser.add_argument("--store", default="",
                         help="result-store directory ('' disables)")
     parser.add_argument("--serial", action="store_true",
-                        help="force serial in-process execution")
+                        help="run every item in this process (max_workers=1)")
     args = parser.parse_args()
 
     run_scripted_scenario(args)

@@ -29,7 +29,7 @@ only the missing items)::
     spec = SweepSpec(topology="chain",
                      axes={"variant": ["vegas", "newreno"], "hops": [2, 4, 8]},
                      base=ScenarioConfig(packet_target=250), replications=3)
-    study = run_study(spec, backend="process-pool", store=".study-store")
+    study = run_study(spec, store=".study-store")
     for point in study.points:
         print(point.values, point.goodput_interval)
 """
@@ -91,7 +91,6 @@ __all__ = [
     "SweepSpec",
     "run_study",
     "ResultStore",
-    "BACKENDS",
     "chain_topology",
     "grid_topology",
     "random_topology",

@@ -2,14 +2,14 @@
 
 * ``run [SCENARIO]`` runs one named preset (``-o`` writes its result as JSON);
 * ``study`` runs a sweep through the resumable execution plane;
-* ``list [scenarios|link-layers|backends]`` prints a registry's names;
+* ``list [scenarios|link-layers]`` prints a registry's names;
 * ``catalog [-o PATH] [--check PATH]`` renders or checks the preset catalog.
 
 Exit codes: 0 success; 1 study items failed after retries (checkpointed
 progress is kept: fix the cause and ``--resume``) or a stale catalog; 2
 configuration error; 3 simulated crash (``study --fail-after``).  ``study``
-and ``list backends`` import the study plane inside their handlers, so
-``run`` loads no more than a scenario run does.
+imports the study plane inside its handler, so ``run`` loads no more than a
+scenario run does.
 """
 
 from __future__ import annotations
@@ -102,11 +102,9 @@ def _progress_printer(stream):
 
 
 def _study(args: argparse.Namespace) -> int:
-    from repro.experiments.exec import BACKENDS, SimulatedCrash, StudyExecutionError
+    from repro.experiments.exec import SimulatedCrash, StudyExecutionError
     from repro.experiments.study import SweepSpec, run_study
 
-    if args.backend is not None:
-        BACKENDS.get(args.backend)  # before run_study creates the --store
     if args.resume and args.store is None:
         raise ConfigurationError("--resume requires --store DIR")
     if args.resume and not args.store.is_dir():
@@ -128,8 +126,7 @@ def _study(args: argparse.Namespace) -> int:
     progress = None if args.quiet else _progress_printer(sys.stdout)
     started = time.perf_counter()
     try:
-        study = run_study(spec, backend=args.backend,
-                          max_workers=args.max_workers, store=args.store,
+        study = run_study(spec, max_workers=args.max_workers, store=args.store,
                           progress=progress, fail_after=args.fail_after)
     except SimulatedCrash as crash:
         if progress is not None:
@@ -168,15 +165,9 @@ def _study(args: argparse.Namespace) -> int:
 def _list(args: argparse.Namespace) -> int:
     if args.what == "scenarios":
         print("\n".join(available_scenarios()))
-    elif args.what == "link-layers":
+    else:
         for profile in LINK_LAYERS.values():
             print(f"{profile.name}: {profile.description}")
-    else:
-        from repro.experiments.exec import BACKENDS
-
-        width = max(len(name) for name in BACKENDS.names())
-        for backend in BACKENDS.values():
-            print(f"{backend.name:<{width}}  {backend.description}")
     return 0
 
 
@@ -221,7 +212,6 @@ def _parser() -> argparse.ArgumentParser:
 
     study = commands.add_parser("study", help="run a sweep, resumably")
     study.set_defaults(handler=_study)
-    study.add_argument("--backend", help="executor backend (default: auto)")
     study.add_argument("--topology", default="chain", help="topology family")
     study.add_argument("--variants", nargs="+", default=["vegas", "newreno"])
     study.add_argument("--hops", type=int, nargs="+",
@@ -235,7 +225,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="seeds per sweep point (default: %(default)s)")
     study.add_argument("--bandwidth", type=float, default=2.0, help="Mbit/s")
     study.add_argument("--seed", type=int, help="seed of replication 0")
-    study.add_argument("--max-workers", type=int, help="process-pool size")
+    study.add_argument("--max-workers", type=int, help="process-pool size, "
+                       "at least 1 (default: every core); 1 runs in-process")
     study.add_argument("--store", type=Path, metavar="DIR",
                        help="checkpointed result store (enables --resume)")
     study.add_argument("--resume", action="store_true")
@@ -249,7 +240,7 @@ def _parser() -> argparse.ArgumentParser:
     listing = commands.add_parser("list", help="print a registry's names")
     listing.set_defaults(handler=_list)
     listing.add_argument("what", nargs="?", default="scenarios",
-                         choices=("scenarios", "link-layers", "backends"))
+                         choices=("scenarios", "link-layers"))
 
     catalog = commands.add_parser("catalog", help="render or check the "
                                   "markdown scenario catalog")

@@ -18,17 +18,16 @@ Three layers, from low-level to high-level:
   ready-made presets generated from those registries.
 * **Declarative studies** — :class:`SweepSpec` describes a cartesian sweep
   (axes × replications) as data; :func:`run_study`, the only study driver,
-  executes it through the :mod:`repro.experiments.exec` execution plane: a
-  work queue of fingerprint-keyed items drained by a registered executor
-  backend (``serial`` or ``process-pool``), checkpointed into a crash-safe
-  :class:`~repro.experiments.exec.store.ResultStore` (resume re-executes
-  only missing items) and aggregated into a :class:`StudyResult` with
-  cross-seed confidence intervals.  The paper's figures are rows of one
+  runs its fingerprint-keyed items through :mod:`repro.experiments.exec`
+  (in-process or on a process pool, with retries), checkpointed into a
+  crash-safe :class:`~repro.experiments.exec.ResultStore` (resume
+  re-executes only missing items), and aggregates them into a
+  :class:`StudyResult` with cross-seed confidence intervals.  The paper's figures are rows of one
   table of such sweeps, ``benchmarks/bench_figures.py``.
 
 ``python -m repro`` (:mod:`repro.__main__`) is the command line over all
-three: ``run`` a preset, ``study`` a sweep, ``list`` presets, link layers or
-backends, and ``catalog`` to write or check the preset catalog.
+three: ``run`` a preset, ``study`` a sweep, ``list`` presets or link layers,
+and ``catalog`` to write or check the preset catalog.
 """
 
 import importlib
@@ -49,16 +48,16 @@ from repro.experiments.workload import (
 )
 
 #: Names imported on first use (PEP 562), and the module each lives in.
-#: Running a scenario loads neither the sweep machinery nor the executor
-#: backends' multiprocessing and concurrent.futures.
+#: Running a scenario loads neither the sweep machinery nor the study
+#: executor's concurrent.futures.
 _LAZY = {
     "Scenario": "repro.experiments.runner",
     **dict.fromkeys(("available_scenarios", "build_named_scenario",
                      "register_scenario"), "repro.experiments.scenarios"),
     **dict.fromkeys(("PointResult", "StudyResult", "SweepSpec", "run_study"),
                     "repro.experiments.study"),
-    **dict.fromkeys(("BACKENDS", "ExecutorBackend", "ResultStore",
-                     "StudyExecutionError"), "repro.experiments.exec"),
+    **dict.fromkeys(("ResultStore", "StudyExecutionError"),
+                    "repro.experiments.exec"),
 }
 
 
@@ -90,8 +89,6 @@ __all__ = [
     "StudyResult",
     "SweepSpec",
     "run_study",
-    "BACKENDS",
-    "ExecutorBackend",
     "ResultStore",
     "StudyExecutionError",
 ]

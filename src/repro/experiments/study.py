@@ -7,20 +7,16 @@ sweeps as *data* instead of bespoke nested loops:
 * :class:`SweepSpec` describes a cartesian sweep — a topology family (from
   :mod:`repro.topology.registry`), axes of scenario/topology parameters and a
   number of seed replications.
-* :func:`run_study` executes every sweep point through the
-  :mod:`repro.experiments.exec` execution plane: the sweep is exploded into
-  fingerprint-keyed work items on a
-  :class:`~repro.experiments.exec.workqueue.WorkQueue`, drained by a
-  registered :class:`~repro.experiments.exec.backends.ExecutorBackend`
-  (``serial`` or ``process-pool``), checkpointed into a crash-safe
-  :class:`~repro.experiments.exec.store.ResultStore` (``store=``) and
-  streamed into the result as items complete — so an interrupted study
-  resumes from disk, re-executing only the missing items.
+* :func:`run_study` runs every (point, seed) item of a sweep through
+  :mod:`repro.experiments.exec`: in-process or on a process pool, with
+  retries, and checkpointed into a crash-safe
+  :class:`~repro.experiments.exec.ResultStore` (``store=``), so an
+  interrupted study resumes from disk, re-executing only the missing items.
 * :class:`StudyResult` aggregates the per-seed results into cross-seed
   confidence intervals and round-trips through JSON.
 
-``python -m repro study --help`` shows the command line (backend selection,
-live progress, ``--store``/``--resume``).
+``python -m repro study --help`` shows the command line (live progress,
+``--store``/``--resume``).
 
 Quickstart::
 
@@ -33,7 +29,7 @@ Quickstart::
         base=ScenarioConfig(packet_target=250),
         replications=3,
     )
-    study = run_study(spec, backend="process-pool", store=".study-store")
+    study = run_study(spec, store=".study-store")
     for point in study.points:
         print(point.values, point.goodput_interval)
 
@@ -52,7 +48,7 @@ point's spec with the base config's seed.
 Parallel execution requires every sweep point to be picklable and every
 referenced transport/topology to be registered at import time of a module the
 worker processes also import (the built-ins always are); dynamically
-registered variants are available in serial runs regardless.
+registered variants are available in in-process runs regardless.
 """
 
 from __future__ import annotations
@@ -72,20 +68,16 @@ from repro.core.io import atomic_write_text
 from repro.core.statistics import ConfidenceInterval, confidence_interval
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.exec.aggregate import ProgressSnapshot, StreamingAggregator
-from repro.experiments.exec.backends import (
-    BACKENDS,
-    ExecutionContext,
-    ExecutorBackend,
-    StudyExecutionError,
-    WorkTask,
-    run_work_item,
-)
-from repro.experiments.exec.store import ResultStore
-from repro.experiments.exec.workqueue import (
-    DEFAULT_LEASE_TIMEOUT,
+from repro.experiments.exec import (
+    DEFAULT_ITEM_TIMEOUT,
     DEFAULT_MAX_RETRIES,
-    WorkQueue,
+    ProgressSnapshot,
+    ResultStore,
+    StudyExecutionError,
+    WorkItem,
+    WorkTask,
+    execute,
+    run_work_item,
 )
 from repro.experiments.results import ScenarioResult
 from repro.experiments.workload import ScenarioEvent, ScenarioSpec, Workload
@@ -570,60 +562,56 @@ class StudyResult:
 
 def run_study(
     spec: SweepSpec,
-    backend: Optional[Union[str, ExecutorBackend]] = None,
     max_workers: Optional[int] = None,
     store: Optional[Union[str, Path, ResultStore]] = None,
     tracer: Tracer = NULL_TRACER,
     progress: Optional[Callable[[ProgressSnapshot], None]] = None,
-    lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
+    item_timeout: float = DEFAULT_ITEM_TIMEOUT,
     max_retries: int = DEFAULT_MAX_RETRIES,
     task: WorkTask = run_work_item,
     fail_after: Optional[int] = None,
 ) -> StudyResult:
     """Run every (point, seed) combination of ``spec``.
 
-    The sweep is exploded into idempotent, fingerprint-keyed work items on a
-    :class:`~repro.experiments.exec.workqueue.WorkQueue`, items already in
-    the ``store`` are resumed from it, the remainder is drained by an
-    executor backend (:mod:`repro.experiments.exec`) and completions stream
-    into a :class:`~repro.experiments.exec.aggregate.StreamingAggregator`.
-    With a ``store``, completed items are checkpointed, so identical
-    configurations are never simulated twice — across calls, processes and
-    sessions — and an interrupted study re-executes only the missing items.
+    Each combination is one fingerprint-keyed work item.  Items already in
+    the ``store`` are resumed from it; the rest run in this process when
+    ``tracer`` is enabled, when one item is left or when ``max_workers`` is
+    1, and on a process pool otherwise.  With a ``store``, completed items
+    are checkpointed, so identical configurations are never simulated twice
+    — across calls, processes and sessions — and an interrupted study
+    re-executes only the missing items.
 
     Args:
         spec: The sweep to execute.
-        backend: Backend name or instance (see
-            :data:`repro.experiments.exec.backends.BACKENDS`); ``None``
-            picks ``process-pool`` when more than one unfinished item exists
-            and more than one worker is available, ``serial`` otherwise.
-        max_workers: Process-pool size (default: ``os.cpu_count()``).
-        store: A :class:`~repro.experiments.exec.store.ResultStore` or its
+        max_workers: Process-pool size, at least 1 (default:
+            ``os.cpu_count()``); 1 runs every item in this process.
+        store: A :class:`~repro.experiments.exec.ResultStore` or its
             directory; ``None`` keeps everything in memory (no resume).
-        tracer: Tracer passed to serially executed scenarios.  Worker
-            processes cannot share a tracer object, so pool runs trace into
-            :data:`~repro.core.tracing.NULL_TRACER`; run serially when traces
-            matter.
+        tracer: Tracer handed to every scenario.  Worker processes cannot
+            share a tracer, so an enabled one runs the study in-process.
         progress: Optional callback receiving a
-            :class:`~repro.experiments.exec.aggregate.ProgressSnapshot` after
-            every work-item transition.
-        lease_timeout: Seconds before an unfinished lease counts as a crash.
+            :class:`~repro.experiments.exec.ProgressSnapshot` after every
+            item completion or failed attempt.
+        item_timeout: Seconds a pool attempt may run before it counts as a
+            failed attempt.
         max_retries: Retry budget per item beyond the first attempt.  Only
             transient failures consume it.
         task: The per-item callable (test seam; defaults to
-            :func:`~repro.experiments.exec.backends.run_work_item`).
+            :func:`~repro.experiments.exec.run_work_item`).
         fail_after: Test/CI hook — simulate a crash (raise
-            :class:`~repro.experiments.exec.backends.SimulatedCrash`) after
-            this many items completed in this run; they are checkpointed.
+            :class:`~repro.experiments.exec.SimulatedCrash`) after this many
+            items completed in this run; they are checkpointed.
 
     Returns:
         A :class:`StudyResult` with points in cartesian sweep order and
-        replications in seed order — bit-identical whether it ran serial,
-        pooled, fresh or resumed.
+        replications in seed order — bit-identical whether it ran
+        in-process, pooled, fresh or resumed.
 
     Raises:
-        StudyExecutionError: If any work item stayed FAILED after its retry
-            budget (transient errors are retried with backoff; a
+        ConfigurationError: If ``max_workers`` < 1, ``item_timeout`` <= 0
+            or ``max_retries`` < 0.
+        StudyExecutionError: If any work item failed after its retry budget
+            (transient errors are retried with backoff; a
             :class:`~repro.core.errors.ConfigurationError` from a bad sweep
             point fails immediately, without retries).  The exception
             carries the failed items and a partial :class:`StudyResult`;
@@ -631,41 +619,39 @@ def run_study(
             later run re-executes only the failures.  It wraps whatever the
             scenario raised: inspect ``.failed[*].error`` for the cause.
     """
-    queue = WorkQueue.from_spec(spec, lease_timeout=lease_timeout,
-                                max_retries=max_retries)
-    aggregator = StreamingAggregator(spec)
+    workers = (os.cpu_count() or 1) if max_workers is None else max_workers
+    if workers < 1:
+        raise ConfigurationError(f"max_workers must be at least 1 (got {workers})")
+    if item_timeout <= 0:
+        raise ConfigurationError("item_timeout must be positive")
+    if max_retries < 0:
+        raise ConfigurationError("max_retries must be non-negative")
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
+    points, seeds = spec.points(), spec.seeds()
+    items = [
+        WorkItem(key=spec.fingerprint(point.values, seed), point_index=point.index,
+                 replication=rep, seed=seed, values=dict(point.values))
+        for point in points
+        for rep, seed in enumerate(seeds)
+    ]
+    results, failed = execute(
+        spec, items, store=store, workers=workers, tracer=tracer,
+        progress=progress, item_timeout=item_timeout, max_retries=max_retries,
+        task=task, fail_after=fail_after)
 
-    resumed = 0
-    if store is not None:
-        recovered = store.resume({item.key for item in queue.items})
-        for item in queue.items:
-            result = recovered.get(item.key)
-            if result is not None:
-                queue.mark_done(item)
-                aggregator.add(item.point_index, item.replication, result)
-                resumed += 1
-        if resumed:
-            store.append_journal({"event": "resume", "recovered": resumed,
-                                  "total": queue.total})
-
-    if backend is None:
-        workers = max_workers or os.cpu_count() or 1
-        backend = ("process-pool"
-                   if queue.pending_count > 1 and workers > 1 else "serial")
-    if not isinstance(backend, ExecutorBackend):
-        backend = BACKENDS.get(backend)
-
-    ctx = ExecutionContext(
-        spec=spec, queue=queue, aggregator=aggregator, store=store,
-        tracer=tracer, max_workers=max_workers, progress=progress,
-        task=task, fail_after=fail_after, resumed=resumed,
-    )
-    ctx.notify()
-    backend.runner(ctx)
-
-    failed = queue.failed_items()
+    # Items are point-major, so position point * len(seeds) + rep; a point
+    # keeps the replications that completed, in seed order.
+    study = StudyResult(name=spec.name, axis_names=spec.axis_names,
+                        replications=spec.replications, points=[])
+    for point in points:
+        done = [rep for rep in range(len(seeds))
+                if point.index * len(seeds) + rep in results]
+        if done:
+            study.points.append(PointResult(
+                values=dict(point.values),
+                seeds=[seeds[rep] for rep in done],
+                runs=[results[point.index * len(seeds) + rep] for rep in done]))
     if failed:
-        raise StudyExecutionError(failed, aggregator.partial())
-    return aggregator.result()
+        raise StudyExecutionError(failed, study)
+    return study

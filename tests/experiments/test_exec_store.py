@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.io import atomic_write_text
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.exec.store import (
+from repro.experiments.exec import (
     ITEM_SCHEMA,
     JOURNAL_NAME,
     ResultStore,
@@ -73,13 +73,6 @@ class TestPutGet:
         store.put("abc123", result)
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_legacy_raw_payload_still_readable(self, tmp_path, result):
-        # pre-envelope cache entries are the bare ScenarioResult dict
-        store = ResultStore(tmp_path)
-        store.item_path("legacy").parent.mkdir(parents=True, exist_ok=True)
-        store.item_path("legacy").write_text(json.dumps(result.to_dict()))
-        assert store.get("legacy") == result
-
 
 class TestInvalidEntries:
     def test_corrupt_json_skipped_with_warning(self, tmp_path):
@@ -95,6 +88,14 @@ class TestInvalidEntries:
         store.item_path("bad").write_text("[1, 2]")
         with pytest.warns(StoreWarning):
             assert store.get("bad") is None
+
+    def test_entry_without_envelope_skipped(self, tmp_path, result):
+        # a bare ScenarioResult dict: no build that hashes these keys wrote it
+        store = ResultStore(tmp_path)
+        store.item_path("bare").parent.mkdir(parents=True, exist_ok=True)
+        store.item_path("bare").write_text(json.dumps(result.to_dict()))
+        with pytest.warns(StoreWarning, match="schema version None"):
+            assert store.get("bare") is None
 
     def test_schema_mismatch_skipped(self, tmp_path, result):
         store = ResultStore(tmp_path)
@@ -137,13 +138,12 @@ class TestResume:
     def test_missing_directory_is_empty_store(self, tmp_path):
         store = ResultStore(tmp_path / "never-created")
         assert store.resume(["a", "b"]) == {}
-        assert list(store.stored_keys()) == []
 
-    def test_stored_keys_excludes_journal(self, tmp_path, result):
+    def test_item_glob_excludes_journal(self, tmp_path, result):
         store = ResultStore(tmp_path)
         store.put("abc", result)  # also journals
         assert store.journal_path.exists()
-        assert list(store.stored_keys()) == ["abc"]
+        assert [path.stem for path in tmp_path.glob("*.json")] == ["abc"]
 
 
 class TestJournal:

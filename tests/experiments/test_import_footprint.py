@@ -47,7 +47,7 @@ USE_THE_STUDY_PLANE = """
 import json, sys
 import repro, repro.experiments
 from repro import run_study, SweepSpec, ResultStore
-from repro.experiments import BACKENDS, ExecutorBackend, StudyExecutionError
+from repro.experiments import StudyExecutionError
 missing = [f"{package.__name__}.{name}" for package in (repro, repro.experiments)
            for name in package.__all__ if not hasattr(package, name)]
 print(json.dumps({
@@ -64,7 +64,7 @@ PUBLIC_NAMES = sorted([
     "FlowSpec", "Workload", "ScenarioEvent", "ScenarioSpec",
     "mixed_transport_workload", "available_scenarios",
     "build_named_scenario", "PointResult", "StudyResult",
-    "SweepSpec", "run_study", "ResultStore", "BACKENDS",
+    "SweepSpec", "run_study", "ResultStore",
     "chain_topology", "grid_topology", "random_topology",
     "TOPOLOGIES", "TopologyProfile", "TRANSPORTS", "TransportProfile",
     "MOBILITY_MODELS", "MobilityProfile",
@@ -110,7 +110,7 @@ def test_the_study_plane_still_imports_from_the_package_roots():
     assert report["all"] == PUBLIC_NAMES
     assert report["missing"] == []
     assert report["homes"] == ["repro.experiments.study", "repro.experiments.study",
-                               "repro.experiments.exec.store"]
+                               "repro.experiments.exec"]
     assert report["same_objects"] and report["study_loaded"]
 
 

@@ -112,7 +112,7 @@ class TestStudyMetricSelection:
             base=ScenarioConfig(packet_target=30, max_sim_time=30.0),
             replications=2,
         )
-        study = run_study(spec, backend="serial")
+        study = run_study(spec, max_workers=1)
         point = study.points[0]
         values = point.metric_values("mac.node*.data_tx_success")
         assert len(values) == 2
@@ -128,7 +128,7 @@ class TestStudyMetricSelection:
             base=ScenarioConfig(variant="vegas", packet_target=20,
                                 max_sim_time=20.0),
         )
-        study = run_study(spec, backend="serial")
+        study = run_study(spec, max_workers=1)
         table = study.nested(
             "hops", leaf=lambda p: p.metric_interval("phy.node*.frames_sent").mean)
         assert set(table) == {2, 3}

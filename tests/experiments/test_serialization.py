@@ -83,7 +83,7 @@ class TestStudyResultRoundTrip:
             base=ScenarioConfig(packet_target=20, max_sim_time=25.0),
             replications=2,
         )
-        study = run_study(spec, backend="serial")
+        study = run_study(spec, max_workers=1)
         rebuilt = StudyResult.from_dict(json_round_trip(study.to_dict()))
         assert rebuilt == study
         point = rebuilt.point(variant="vegas", hops=2)
@@ -96,6 +96,6 @@ class TestStudyResultRoundTrip:
             axes={"hops": [2]},
             base=ScenarioConfig(packet_target=15, max_sim_time=20.0),
         )
-        study = run_study(spec, backend="serial")
+        study = run_study(spec, max_workers=1)
         path = study.save(tmp_path / "study.json")
         assert StudyResult.load(path) == study

@@ -115,14 +115,14 @@ class TestSweepSpec:
 class TestStudyExecution:
     def test_single_replication_matches_a_direct_scenario_run(self):
         spec = tiny_spec(axes={"hops": [3]})
-        study = run_study(spec, backend="serial")
+        study = run_study(spec, max_workers=1)
         direct = Scenario(ScenarioSpec(topology=chain_topology(hops=3),
                                        config=tiny_config())).run()
         assert study.points[0].run == direct
 
     def test_replications_use_distinct_seeds_and_aggregate(self):
         spec = tiny_spec(axes={"hops": [2]}, replications=3)
-        study = run_study(spec, backend="serial")
+        study = run_study(spec, max_workers=1)
         point = study.points[0]
         assert len(point.runs) == 3
         assert point.seeds == [1, 2, 3]
@@ -133,27 +133,27 @@ class TestStudyExecution:
 
     def test_serial_and_parallel_runs_are_identical(self):
         spec = tiny_spec(replications=2, axes={"variant": ["vegas"], "hops": [2, 3]})
-        serial = run_study(spec, backend="serial")
-        pooled = run_study(spec, backend="process-pool", max_workers=2)
-        assert serial == pooled
+        serial = run_study(spec, max_workers=1)
+        pooled = run_study(spec, max_workers=2)
+        assert serial == pooled == run_study(spec)
 
     def test_nested_reshapes_by_axis(self):
         spec = tiny_spec()
-        study = run_study(spec, backend="serial")
+        study = run_study(spec, max_workers=1)
         nested = study.nested("variant", "hops", leaf=lambda p: p.run)
         assert set(nested) == {"vegas", "newreno"}
         assert set(nested["vegas"]) == {2, 3}
         assert nested["vegas"][2].delivered_packets >= 20
 
     def test_point_lookup_and_missing_point(self):
-        study = run_study(tiny_spec(axes={"hops": [2]}), backend="serial")
+        study = run_study(tiny_spec(axes={"hops": [2]}), max_workers=1)
         assert study.point(hops=2).run.delivered_packets >= 20
         with pytest.raises(KeyError):
             study.point(hops=99)
 
     def test_point_lookup_normalises_variant_case(self):
         study = run_study(tiny_spec(axes={"variant": ["vegas"], "hops": [2]}),
-                          backend="serial")
+                          max_workers=1)
         by_name = study.point(variant="vegas", hops=2)
         assert study.point(variant=" VEGAS ", hops=2) is by_name
         with pytest.raises(ConfigurationError):
@@ -168,16 +168,19 @@ class TestStudyExecution:
         monkeypatch.setattr(study_module, "_CODE_FINGERPRINT", "different-code")
         assert spec.fingerprint(values, 1) != before
 
-    def test_tracer_reaches_serial_scenarios(self):
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_enabled_tracer_reaches_the_scenarios(self, max_workers):
+        # a worker process cannot share the tracer: it runs the study in-process
         tracer = Tracer(enabled=True)
-        run_study(tiny_spec(axes={"hops": [2]}), backend="serial", tracer=tracer)
+        run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=max_workers,
+                  tracer=tracer)
         assert len(list(tracer)) > 0
 
 
 class TestStudyCache:
     def test_cache_hit_skips_simulation(self, tmp_path, monkeypatch):
         spec = tiny_spec(axes={"hops": [2]})
-        first = run_study(spec, backend="serial", store=tmp_path)
+        first = run_study(spec, max_workers=1, store=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 1
 
         import repro.experiments.runner as runner_module
@@ -186,21 +189,21 @@ class TestStudyCache:
             raise AssertionError("cache miss: scenario was re-simulated")
 
         monkeypatch.setattr(runner_module, "Scenario", boom)
-        second = run_study(spec, backend="serial", store=tmp_path)
+        second = run_study(spec, max_workers=1, store=tmp_path)
         assert second == first
 
     def test_corrupt_cache_entry_triggers_rerun(self, tmp_path):
         spec = tiny_spec(axes={"hops": [2]})
-        first = run_study(spec, backend="serial", store=tmp_path)
+        first = run_study(spec, max_workers=1, store=tmp_path)
         for path in tmp_path.glob("*.json"):
             path.write_text("{not json")
-        second = run_study(spec, backend="serial", store=tmp_path)
+        second = run_study(spec, max_workers=1, store=tmp_path)
         assert second == first
 
     def test_config_change_misses_cache(self, tmp_path):
-        run_study(tiny_spec(axes={"hops": [2]}), backend="serial", store=tmp_path)
+        run_study(tiny_spec(axes={"hops": [2]}), max_workers=1, store=tmp_path)
         run_study(tiny_spec(axes={"hops": [2]}, base=tiny_config(queue_capacity=10)),
-                  backend="serial", store=tmp_path)
+                  max_workers=1, store=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 2
 
 
@@ -211,4 +214,4 @@ def test_parallel_study_equals_serial_at_eight_runs():
         base=tiny_config(packet_target=120, max_sim_time=120.0),
         replications=2,
     )
-    assert run_study(spec, backend="serial") == run_study(spec, backend="process-pool")
+    assert run_study(spec, max_workers=1) == run_study(spec, max_workers=2)

@@ -1,5 +1,4 @@
-"""Tests for the ``python -m repro study`` command line (and ``list
-backends``)."""
+"""Tests for the ``python -m repro study`` command line."""
 
 from __future__ import annotations
 
@@ -16,21 +15,14 @@ def run_args(*extra: str) -> list:
             "--replications", "1", "--quiet", *extra]
 
 
-class TestListBackends:
-    def test_lists_registered_backends(self, capsys):
-        assert main(["list", "backends"]) == 0
-        out = capsys.readouterr().out
-        assert "serial" in out and "process-pool" in out
-        assert "reference in-process loop" in out
-
-
 class TestErrors:
-    def test_unknown_backend_exits_2_with_suggestion(self, capsys):
-        assert main(run_args("--backend", "proces-pool")) == 2
-        err = capsys.readouterr().err
-        assert "unknown executor backend" in err
-        assert "did you mean 'process-pool'" in err
-        assert "(registered: process-pool, serial)" in err
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_max_workers_below_one_exits_2(self, workers, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(run_args("--max-workers", workers,
+                             "--store", str(store))) == 2
+        assert "max_workers must be at least 1" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_unknown_topology_exits_2(self, capsys):
         assert main(run_args("--topology", "torus")) == 2
@@ -67,7 +59,7 @@ class TestErrors:
 
 class TestRuns:
     def test_run_prints_goodput_table(self, capsys):
-        assert main(run_args("--backend", "serial")) == 0
+        assert main(run_args("--max-workers", "1")) == 0
         out = capsys.readouterr().out
         assert "goodput [kbit/s]" in out
         assert "variant=Vegas, hops=2" in out
@@ -76,21 +68,21 @@ class TestRuns:
         args = ["study", "--variants", "vegas", "newreno-at-optwin",
                 "--axis", "newreno_max_cwnd=3.0", "--hops", "2",
                 "--packets", "15", "--replications", "1", "--quiet",
-                "--backend", "serial"]
+                "--max-workers", "1"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "variant=Vegas, hops=2" in out
         assert "variant=NewReno ACK Thinning Optimal Window, hops=2" in out
 
     def test_progress_line_rendered_without_quiet(self, capsys):
-        args = [a for a in run_args("--backend", "serial") if a != "--quiet"]
+        args = [a for a in run_args("--max-workers", "1") if a != "--quiet"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "1/1 done" in out
 
     def test_save_writes_study_json(self, tmp_path, capsys):
         out_path = tmp_path / "study.json"
-        assert main(run_args("--backend", "serial",
+        assert main(run_args("--max-workers", "1",
                              "--save", str(out_path))) == 0
         data = json.loads(out_path.read_text())
         assert data["schema"] == 1
@@ -99,7 +91,7 @@ class TestRuns:
     def test_link_layer_axis_sweeps_and_snapshots_wired_metrics(
             self, tmp_path, capsys):
         out_path = tmp_path / "study.json"
-        assert main(run_args("--backend", "serial",
+        assert main(run_args("--max-workers", "1",
                              "--axis", "link_layer=wireless,wired",
                              "--save", str(out_path))) == 0
         data = json.loads(out_path.read_text())
@@ -114,7 +106,7 @@ class TestRuns:
 
     def test_fail_after_exits_3_then_resume_succeeds(self, tmp_path, capsys):
         store = tmp_path / "store"
-        args = run_args("--backend", "serial", "--store", str(store))
+        args = run_args("--max-workers", "1", "--store", str(store))
         assert main([*args, "--fail-after", "0"]) == 3
         assert "simulated crash" in capsys.readouterr().err
         assert main([*args, "--resume"]) == 0

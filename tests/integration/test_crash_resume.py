@@ -1,15 +1,14 @@
 """Acceptance tests for crash-resume: kill a study mid-run, resume, compare.
 
-The contract pinned here is the PR's headline guarantee: a study interrupted
-after K of N items (worker death, driver kill, expired lease) and resumed
-from its result store re-executes exactly the N−K missing items and produces
-a StudyResult — including every streaming confidence interval — that is
-bit-identical to an uninterrupted run.
+The contract pinned here: a study interrupted after K of N items (driver
+kill, dead worker, hung worker) and resumed from its result store
+re-executes exactly the N−K missing items and produces a StudyResult —
+including every confidence interval — that is bit-identical to an
+uninterrupted run.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import signal
@@ -19,15 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.exec import (
-    BACKENDS,
-    ResultStore,
-    SimulatedCrash,
-    StreamingAggregator,
-    WorkQueue,
-    run_work_item,
-)
-from repro.experiments.exec.backends import ExecutionContext
+from repro.experiments import exec as exec_module
+from repro.experiments.exec import SimulatedCrash, StudyExecutionError, run_work_item
 from repro.experiments.study import SweepSpec, run_study
 
 
@@ -51,15 +43,15 @@ class TestCrashThenResume:
         crash_after = 3
 
         # uninterrupted reference run (no store: pure in-memory)
-        reference = run_study(spec, backend="serial")
+        reference = run_study(spec, max_workers=1)
 
         # run 1: simulated kill after 3 checkpointed items
         store = tmp_path / "store"
         with pytest.raises(SimulatedCrash) as excinfo:
-            run_study(spec, backend="serial", store=store,
+            run_study(spec, max_workers=1, store=store,
                       fail_after=crash_after)
         assert excinfo.value.completed == crash_after
-        assert len(list(ResultStore(store).stored_keys())) == crash_after
+        assert len(list(store.glob("*.json"))) == crash_after
 
         # run 2: resume — count what actually executes
         executed = []
@@ -68,7 +60,7 @@ class TestCrashThenResume:
             executed.append((dict(values), seed))
             return run_work_item(spec_, values, seed)
 
-        resumed = run_study(spec, backend="serial", store=store,
+        resumed = run_study(spec, max_workers=1, store=store,
                             task=counting_task)
         assert len(executed) == total - crash_after
 
@@ -83,37 +75,14 @@ class TestCrashThenResume:
     def test_double_resume_is_a_pure_replay(self, tmp_path):
         spec = small_spec(axes={"hops": [2]}, replications=2)
         store = tmp_path / "store"
-        first = run_study(spec, backend="serial", store=store)
+        first = run_study(spec, max_workers=1, store=store)
 
         def forbidden(spec_, values, seed, tracer=None):
             raise AssertionError("fully stored study must not execute")
 
-        again = run_study(spec, backend="serial", store=store,
+        again = run_study(spec, max_workers=1, store=store,
                           task=forbidden)
         assert again == first
-
-
-class TestLeaseExpiry:
-    def test_expired_lease_from_dead_worker_is_re_executed(self):
-        spec = small_spec(axes={"hops": [2]}, replications=2)
-        queue = WorkQueue.from_spec(spec, lease_timeout=300.0)
-
-        # a worker from a previous driver incarnation died holding a lease
-        doomed = queue.lease("dead-worker", now=0.0)
-        assert doomed is not None
-
-        ticks = itertools.count(start=1000)
-        ctx = ExecutionContext(
-            spec=spec, queue=queue, aggregator=StreamingAggregator(spec),
-            clock=lambda: float(next(ticks)),
-        )
-        BACKENDS.get("serial").runner(ctx)
-
-        assert queue.finished and queue.failed_count == 0
-        assert queue.retried == 1  # exactly the expired lease
-        assert doomed.state.value == "done"
-        study = ctx.aggregator.result()
-        assert study == run_study(spec, backend="serial")
 
 
 # Module-level so it pickles by reference into pool worker processes.
@@ -135,24 +104,45 @@ def _slow_logged_task(spec, values, seed, tracer=None):
 
 
 class TestHungWorkerRecovery:
-    def test_worker_outliving_its_lease_does_not_crash_the_study(
+    def test_attempt_outliving_item_timeout_counts_as_failed(
             self, tmp_path, monkeypatch):
-        # Every task runs longer than the lease timeout, so each lease
-        # expires while its pool future is still running.  The driver must
-        # not treat the late completion as a live lease (that used to raise
-        # ConfigurationError and kill the study); since the item was not
-        # re-leased yet, the late result is salvaged without re-execution.
-        log = tmp_path / "executions.log"
-        monkeypatch.setenv("REPRO_TEST_SLOW_LOG", str(log))
+        # With no retries, each timed-out attempt fails its item at once;
+        # the study does not wait for the late results.
+        monkeypatch.setenv("REPRO_TEST_SLOW_LOG", str(tmp_path / "executions.log"))
         spec = small_spec(axes={"hops": [2]}, replications=2)
 
-        study = run_study(spec, backend="process-pool", max_workers=1,
-                          task=_slow_logged_task, lease_timeout=0.2)
+        with pytest.raises(StudyExecutionError) as excinfo:
+            run_study(spec, max_workers=2, task=_slow_logged_task,
+                      item_timeout=0.2, max_retries=0)
 
-        assert study == run_study(spec, backend="serial")
-        # each item executed exactly once: late results were salvaged,
-        # never double-executed
+        assert len(excinfo.value.failed) == 2
+        assert "outlived item_timeout (0.2 s)" in str(excinfo.value)
+        assert excinfo.value.partial.points == []
+
+    def test_late_result_of_a_timed_out_attempt_is_kept(
+            self, tmp_path, monkeypatch):
+        # Every task runs longer than item_timeout, so each attempt counts
+        # as failed while its pool future is still running.  A long backoff
+        # keeps the retries from being submitted before the late results
+        # arrive (whichever comes first decides), so both are kept without
+        # re-execution.
+        log = tmp_path / "executions.log"
+        monkeypatch.setenv("REPRO_TEST_SLOW_LOG", str(log))
+        monkeypatch.setattr(exec_module, "BACKOFF_BASE", 30.0)
+        spec = small_spec(axes={"hops": [2]}, replications=2)
+        store = tmp_path / "store"
+
+        study = run_study(spec, max_workers=2, store=store,
+                          task=_slow_logged_task, item_timeout=0.2)
+
+        assert study == run_study(spec, max_workers=1)
+        # each item executed exactly once: late results were kept, never
+        # double-executed
         assert len(log.read_text().splitlines()) == 2
+        events = [json.loads(line)["event"] for line
+                  in (store / "journal.jsonl").read_text().splitlines()]
+        assert sorted(events) == ["done", "done", "retry", "retry",
+                                  "salvaged", "salvaged"]
 
 
 class TestProcessPoolWorkerDeath:
@@ -162,8 +152,8 @@ class TestProcessPoolWorkerDeath:
         monkeypatch.setenv("REPRO_TEST_CRASH_MARKER", str(marker))
         spec = small_spec(axes={"hops": [2]}, replications=2)
 
-        study = run_study(spec, backend="process-pool", max_workers=2,
-                          task=_die_once_task, max_retries=3)
+        study = run_study(spec, max_workers=2, task=_die_once_task,
+                          max_retries=3)
 
         assert marker.exists()  # the kill actually happened
-        assert study == run_study(spec, backend="serial")
+        assert study == run_study(spec, max_workers=1)

@@ -204,7 +204,7 @@ class TestWorkloadAxisStudy:
         assert spec.workload_axes == ("workload.secondary_flows",)
         assert spec.topology_axes == ()
 
-        study = run_study(spec, backend="serial")
+        study = run_study(spec, max_workers=1)
         assert len(study.points) == 3
         for point in study.points:
             assert point.seeds == [3, 4]

@@ -57,7 +57,7 @@ class TestSmallGrid:
         )
         table3 = next(figure for figure in FIGURES if figure.id == "table3")
         table = reshape(replace(table3, sweeps=(sweep,)),
-                        run=lambda spec: run_study(spec, backend="serial"))
+                        run=lambda spec: run_study(spec, max_workers=1))
         assert list(table) == ["Vegas", "NewReno"]
         assert all(list(per_bandwidth) == [11.0] for per_bandwidth in table.values())
         assert all(1.0 / 3.0 <= table[v][11.0] <= 1.0 for v in table)
