@@ -2,7 +2,7 @@
 
 * ``run [SCENARIO]`` runs one named preset (``-o`` writes its result as JSON);
 * ``study`` runs a sweep through the resumable execution plane;
-* ``list [scenarios|link-layers]`` prints a registry's names;
+* ``list [scenarios]`` prints the preset names;
 * ``catalog [-o PATH] [--check PATH]`` renders or checks the preset catalog.
 
 Exit codes: 0 success; 1 study items failed after retries (checkpointed
@@ -31,12 +31,11 @@ from repro.experiments.scenarios import (
     catalog_markdown,
 )
 from repro.experiments.smoke import smoke_scaled
-from repro.link.registry import LINK_LAYERS
 from repro.transport.registry import TRANSPORTS
 
 #: ``run`` options named after the ScenarioConfig field each one overrides.
-_RUN_OVERRIDES = ("link_layer", "metrics", "metrics_interval",
-                  "packet_target", "seed", "max_sim_time")
+_RUN_OVERRIDES = ("metrics", "metrics_interval", "packet_target", "seed",
+                  "max_sim_time")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -163,11 +162,7 @@ def _study(args: argparse.Namespace) -> int:
 
 
 def _list(args: argparse.Namespace) -> int:
-    if args.what == "scenarios":
-        print("\n".join(available_scenarios()))
-    else:
-        for profile in LINK_LAYERS.values():
-            print(f"{profile.name}: {profile.description}")
+    print("\n".join(available_scenarios()))
     return 0
 
 
@@ -198,7 +193,6 @@ def _parser() -> argparse.ArgumentParser:
     run.set_defaults(handler=_run)
     run.add_argument("scenario", nargs="?", default="chain7-vegas-2mbps",
                      help="preset name (default: %(default)s)")
-    run.add_argument("--link-layer", metavar="NAME", help="link-layer profile")
     run.add_argument("--metrics", action="store_const", const=True,
                      help="record time series (cwnd, queues, energy)")
     run.add_argument("--metrics-interval", type=float, metavar="S",
@@ -237,10 +231,10 @@ def _parser() -> argparse.ArgumentParser:
     study.add_argument("--quiet", action="store_true",
                        help="no live progress line")
 
-    listing = commands.add_parser("list", help="print a registry's names")
+    listing = commands.add_parser("list", help="print the preset names")
     listing.set_defaults(handler=_list)
     listing.add_argument("what", nargs="?", default="scenarios",
-                         choices=("scenarios", "link-layers"))
+                         choices=("scenarios",))
 
     catalog = commands.add_parser("catalog", help="render or check the "
                                   "markdown scenario catalog")

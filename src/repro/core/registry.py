@@ -1,9 +1,9 @@
 """Shared mechanics behind the named registries.
 
-Five subsystems resolve pluggable components by short name — transports,
-topologies, mobility models, link layers and executor backends.  Each
-registry module exports one :class:`NamedRegistry` constant, and that
-object is the API: register a profile, look one up, list them::
+Three subsystems resolve pluggable components by short name — transports,
+topologies and mobility models.  Each registry module exports one
+:class:`NamedRegistry` constant, and that object is the API: register a
+profile, look one up, list them::
 
     TOPOLOGIES = NamedRegistry("topology")
 
@@ -46,7 +46,7 @@ class NamedRegistry:
 
     Args:
         kind: Human-readable component kind used verbatim in error messages
-            (``"topology"``, ``"link layer"``, ``"mobility model"``).
+            (``"topology"``, ``"mobility model"``).
     """
 
     def __init__(self, kind: str) -> None:

@@ -256,9 +256,3 @@ class TimeWeightedAverage:
             return self._last_value if self._last_time is not None else 0.0
         return self._weighted_sum / self._total_time
 
-
-def relative_change(new: float, old: float) -> float:
-    """Return (new - old) / old, guarding against a zero baseline."""
-    if old == 0:
-        return 0.0 if new == 0 else math.inf
-    return (new - old) / old

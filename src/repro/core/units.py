@@ -55,21 +55,6 @@ def bits(size_bytes: int) -> int:
     return size_bytes * BITS_PER_BYTE
 
 
-def throughput_bps(total_bytes: int, duration_s: float) -> float:
-    """Return the throughput in bit/s for ``total_bytes`` over ``duration_s``.
-
-    Args:
-        total_bytes: Number of bytes delivered.
-        duration_s: Observation interval in seconds.
-
-    Returns:
-        Throughput in bits per second; 0.0 for a non-positive duration.
-    """
-    if duration_s <= 0:
-        return 0.0
-    return bits(total_bytes) / duration_s
-
-
 def kbps(value_bps: float) -> float:
     """Convert a bits-per-second value to kilobits per second."""
     return value_bps / KBPS

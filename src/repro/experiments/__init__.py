@@ -26,7 +26,7 @@ Three layers, from low-level to high-level:
   table of such sweeps, ``benchmarks/bench_figures.py``.
 
 ``python -m repro`` (:mod:`repro.__main__`) is the command line over all
-three: ``run`` a preset, ``study`` a sweep, ``list`` presets or link layers,
+three: ``run`` a preset, ``study`` a sweep, ``list`` presets,
 and ``catalog`` to write or check the preset catalog.
 """
 

@@ -2,10 +2,10 @@
 
 A :class:`ScenarioConfig` bundles every knob a paper experiment varies:
 transport variant, 802.11 bandwidth, Vegas α, ACK thinning, routing protocol,
-and the run length (packet target / batch structure).  The defaults reproduce
+and the run length (packet target and time limit).  The defaults reproduce
 the paper's setup at a scaled-down run length so the whole harness finishes on
-a laptop; set ``packet_target=110_000`` and ``batch_count=11`` for full
-paper-scale runs.
+a laptop; set ``packet_target=110_000`` for full paper-scale runs (the runner
+splits every run into the paper's 11 batch-means batches).
 
 Under the Workload API (:mod:`repro.experiments.workload`) the config holds
 the *scenario-wide defaults*: each flow inherits them and may override the
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.link.registry import LINK_LAYERS
 from repro.core.errors import ConfigurationError
 from repro.mobility.registry import MOBILITY_MODELS
 from repro.transport.ack_thinning import AckThinningPolicy
@@ -52,19 +51,13 @@ class ScenarioConfig:
             starting point (Section 4.2).
         packet_target: Total in-order packets to deliver (across all flows)
             before the run stops.  The paper uses 110 000.
-        batch_count: Number of batch-means batches the run is split into
-            (the first is discarded as the warm-up transient).
         max_sim_time: Hard wall on simulated seconds, in case a scenario
             starves and never reaches the packet target.
         seed: Master RNG seed.
         routing: ``"aodv"`` (paper) or ``"static"`` (ablation baseline).
         queue_capacity: Interface queue size in packets (50 in the paper).
-        flow_start_stagger: Gap in seconds between successive flow start
-            times, breaking artificial synchronization at t = 0.
         tcp: TCP parameters (Table 1 defaults).
         ack_thinning: ACK-thinning thresholds (S1/S2/S3 and the 100 ms timer).
-        run_slice: Granularity (simulated seconds) at which the runner checks
-            the stop condition.
         capture_threshold: PHY capture threshold (power ratio); 10 matches
             ns-2's ``CPThresh_``.  A very large value disables capture (every
             overlapping signal collides) and is used by the ablation bench.
@@ -91,15 +84,6 @@ class ScenarioConfig:
             flooding the full ``net_diameter_ttl``.  Off by default — flood
             behaviour and traces are untouched; the ``city10k`` presets turn
             it on because full-diameter floods dominate a 10k-node mesh.
-        link_layer: Link-layer profile resolved through
-            :mod:`repro.link.registry` (``"wireless"``, the default 802.11
-            plane, or ``"wired"``, one shared Ethernet-style CSMA/CD bus).
-            Topologies carrying their own link plan (the ``backbone``
-            family) override this; it is sweepable like any other axis.
-        wired_rate_mbps: Transmission rate of wired segments built by the
-            ``wired`` profile, in Mb/s.
-        wired_propagation_delay: One-way propagation delay of those
-            segments in seconds (also the collision vulnerability window).
     """
 
     variant: str = "vegas"
@@ -108,15 +92,12 @@ class ScenarioConfig:
     newreno_max_cwnd: Optional[float] = None
     udp_interval: Optional[float] = None
     packet_target: int = 1100
-    batch_count: int = 11
     max_sim_time: float = 4000.0
     seed: int = 1
     routing: str = "aodv"
     queue_capacity: int = 50
-    flow_start_stagger: float = 0.2
     tcp: TcpConfig = field(default_factory=TcpConfig)
     ack_thinning: AckThinningPolicy = field(default_factory=AckThinningPolicy)
-    run_slice: float = 5.0
     capture_threshold: float = 10.0
     mobility: str = "static"
     mobility_speed: Optional[float] = None
@@ -125,17 +106,12 @@ class ScenarioConfig:
     metrics: bool = False
     metrics_interval: float = 0.1
     aodv_expanding_ring: bool = False
-    link_layer: str = "wireless"
-    wired_rate_mbps: float = 10.0
-    wired_propagation_delay: float = 5e-6
 
     def __post_init__(self) -> None:
         if self.bandwidth_mbps <= 0:
             raise ConfigurationError("bandwidth must be positive")
         if self.packet_target <= 0:
             raise ConfigurationError("packet_target must be positive")
-        if self.batch_count < 2:
-            raise ConfigurationError("batch_count must be at least 2")
         if self.routing not in ("aodv", "static"):
             raise ConfigurationError(f"unknown routing {self.routing!r}")
         if self.aodv_expanding_ring and self.routing != "aodv":
@@ -156,17 +132,6 @@ class ScenarioConfig:
             raise ConfigurationError("mobility_update_interval must be positive")
         if self.metrics_interval <= 0:
             raise ConfigurationError("metrics_interval must be positive")
-        LINK_LAYERS.get(self.link_layer)  # fail fast on unknown link layers
-        if self.wired_rate_mbps <= 0:
-            raise ConfigurationError("wired_rate_mbps must be positive")
-        if self.wired_propagation_delay < 0:
-            raise ConfigurationError(
-                "wired_propagation_delay must be non-negative")
-        if self.link_layer != "wireless" and self.mobility != "static":
-            raise ConfigurationError(
-                "mobility models move radios; only the 'wireless' link "
-                "layer supports mobility"
-            )
         object.__setattr__(self, "variant", transport_key(self.variant))
         TRANSPORTS.get(self.variant).validate_config(self)
 
@@ -182,10 +147,6 @@ class ScenarioConfig:
     def with_variant(self, variant: str, **overrides) -> "ScenarioConfig":
         """Copy of this config with a different transport variant."""
         return replace(self, variant=variant, **overrides)
-
-    def scaled(self, packet_target: int) -> "ScenarioConfig":
-        """Copy of this config with a different run length."""
-        return replace(self, packet_target=packet_target)
 
 
 #: The three bandwidths studied in the paper, in Mbit/s.

@@ -57,7 +57,6 @@ from repro.experiments.results import FlowResult, ScenarioResult
 from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.link.gateway import WiredNode, make_gateway
 from repro.link.plan import LinkPlan
-from repro.link.registry import LINK_LAYERS
 from repro.link.wired import WiredBus
 from repro.mac.timing import MacTiming, timing_for_bandwidth
 from repro.metrics import MetricsRegistry
@@ -83,6 +82,18 @@ from repro.transport.stats import FlowStats
 #: Base port numbers used for flow endpoints.
 _SRC_PORT_BASE = 5000
 _DST_PORT_BASE = 6000
+
+#: Simulated seconds between checks of the stop condition, so a run can
+#: overshoot its packet target by up to one slice of deliveries.
+RUN_SLICE = 5.0
+
+#: Gap in seconds between the default start times of successive flows,
+#: breaking artificial synchronization at t = 0.
+FLOW_START_STAGGER = 0.2
+
+#: Batch-means batches each flow's deliveries are split into (the paper's
+#: 11; the first is discarded as the warm-up transient).
+BATCH_COUNT = 11
 
 
 class Scenario:
@@ -131,7 +142,12 @@ class Scenario:
         self.timing: MacTiming = timing_for_bandwidth(config.bandwidth_mbps)
         propagation = RangePropagationModel(capture_threshold=config.capture_threshold)
         self.channel = WirelessChannel(self.sim, propagation=propagation, tracer=tracer)
-        self.link_plan = self._resolve_link_plan()
+        plan = self.topology.link_plan
+        #: The topology's link plan; ``None`` there puts every node on the
+        #: radio plane.
+        self.link_plan: LinkPlan = (
+            plan if plan is not None
+            else LinkPlan(wireless_nodes=tuple(self.topology.node_ids)))
         self.buses: List[WiredBus] = [
             WiredBus(self.sim, rate_mbps=segment.rate_mbps,
                      propagation_delay=segment.propagation_delay,
@@ -152,16 +168,6 @@ class Scenario:
     # ==================================================================
     # Construction
     # ==================================================================
-    def _resolve_link_plan(self) -> LinkPlan:
-        """The topology's own link plan, or one built by the configured
-        link-layer profile (``"wireless"`` reproduces the historical
-        all-radio layout exactly)."""
-        plan = getattr(self.topology, "link_plan", None)
-        if plan is not None:
-            return plan
-        return LINK_LAYERS.get(self.config.link_layer).build_plan(
-            self.topology, self.config)
-
     def _build(self) -> None:
         self._build_nodes()
         self._build_mobility()
@@ -290,39 +296,27 @@ class Scenario:
         install_energy_probes(metrics, EnergyModel(), self.sim, self._radios())
 
     def _install_static_routes(self) -> None:
-        plan = self.link_plan
-        if plan.is_pure_wireless:
-            graph = self.topology.connectivity_graph(self.channel.propagation)
-            tables = all_next_hop_tables(graph)
-            for node_id, node in self.nodes.items():
-                routing = node.routing
-                if not isinstance(routing, StaticRouting):
-                    continue
-                for destination, next_hop in tables.get(node_id, {}).items():
-                    routing.set_next_hop(destination, next_hop)
-            return
-        self._install_static_routes_heterogeneous(plan)
-
-    def _install_static_routes_heterogeneous(self, plan: LinkPlan) -> None:
-        """Static tables for a plan with wired segments.
+        """Static next-hop tables for every node, from the link plan.
 
         Wireless nodes get shortest-path tables within their own radio
-        component plus a default route towards their subnet's gateway for
-        everything else; wired-only nodes get directly-connected routes to
-        their bus peers plus next-gateway routes for remote subnets.
-        Gateways' wired tables were installed at construction — here they
-        only receive their wireless-component table.
+        component plus, in a plan with subnets, a default route towards
+        their subnet's gateway for everything else; wired-only nodes get
+        directly-connected routes to their bus peers plus next-gateway routes
+        for remote subnets.  Gateways' wired tables were installed at
+        construction — here they only receive their wireless-component table.
+        The radio-plane graph keeps the topology's position order, so with
+        every node on the radio plane it is the topology's own graph.
         """
+        plan = self.link_plan
         all_ids = set(self.topology.node_ids)
         gateways = set(plan.gateways)
-        wireless_positions = {node_id: self.topology.positions[node_id]
-                              for node_id in plan.wireless_nodes}
-        tables: Dict[int, Dict[int, int]] = {}
-        if wireless_positions:
-            radio_plane = Topology(name=f"{self.topology.name}-radio-plane",
-                                   positions=wireless_positions)
-            graph = radio_plane.connectivity_graph(self.channel.propagation)
-            tables = all_next_hop_tables(graph)
+        wireless = set(plan.wireless_nodes)
+        radio_plane = Topology(
+            name=f"{self.topology.name}-radio-plane",
+            positions={node_id: position for node_id, position
+                       in self.topology.positions.items() if node_id in wireless})
+        tables = all_next_hop_tables(
+            radio_plane.connectivity_graph(self.channel.propagation))
         bus_members: Dict[int, set] = {}
         for segment in plan.segments:
             for node_id in segment.nodes:
@@ -336,7 +330,7 @@ class Scenario:
                 routing.set_next_hop(destination, next_hop)
             if node_id in gateways:
                 continue
-            if node_id in wireless_positions:
+            if node_id in wireless:
                 subnet = plan.subnet_of.get(node_id)
                 gateway = plan.gateway_of_subnet.get(subnet)
                 toward_gateway = local.get(gateway)
@@ -357,8 +351,8 @@ class Scenario:
         leading flows so the shares always sum to exactly the target.
 
         The share feeds each flow's batch-means batch size
-        (``share // batch_count``); before the remainder distribution a
-        target not divisible by ``flows * batch_count`` silently under-sized
+        (``share // BATCH_COUNT``); before the remainder distribution a
+        target not divisible by ``flows * BATCH_COUNT`` silently under-sized
         every flow's batches.
         """
         flows = max(1, len(self.workload))
@@ -375,14 +369,14 @@ class Scenario:
             dst_node=flow_spec.destination,
             dst_port=_DST_PORT_BASE + index,
         )
-        batch_size = max(1, packet_share // config.batch_count)
+        batch_size = max(1, packet_share // BATCH_COUNT)
         stats = FlowStats(flow_id=index, batch_size=batch_size,
                           registry=self.metrics)
         self.flow_stats.append(stats)
         if flow_spec.start_time is not None:
             start_time = flow_spec.start_time
         else:
-            start_time = (index - 1) * config.flow_start_stagger
+            start_time = (index - 1) * FLOW_START_STAGGER
 
         context = TransportBuildContext(
             sim=self.sim, flow=flow, stats=stats, config=config,
@@ -495,7 +489,7 @@ class Scenario:
         config = self.config
         reached = False
         while self.sim.now < config.max_sim_time:
-            horizon = min(self.sim.now + config.run_slice, config.max_sim_time)
+            horizon = min(self.sim.now + RUN_SLICE, config.max_sim_time)
             processed = self.sim.run(until=horizon)
             if self.total_delivered >= config.packet_target:
                 reached = True

@@ -212,8 +212,8 @@ def backbone_scenario_spec(variant: str = "newreno", cells: int = 2,
     """A heterogeneous backbone spec: wired gateway spine, wireless cells.
 
     The topology (:func:`repro.topology.backbone.backbone_topology`) carries
-    its own link plan, so the runner builds gateways and the spine bus
-    regardless of ``config.link_layer``.  Routing is static: plain AODV at a
+    its link plan, from which the runner builds gateways and the spine bus.
+    Routing is static: plain AODV at a
     cell member cannot discover a destination behind the wired spine (route
     requests do not cross subnets), which is exactly the addressing split
     :mod:`repro.link.gateway` documents.

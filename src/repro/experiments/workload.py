@@ -89,7 +89,8 @@ class FlowSpec:
             ``config.variant``.
         start_time: Simulated time the driving application starts; ``None``
             uses the scenario's staggered default
-            (``(index - 1) * flow_start_stagger``).  A ``flow-start`` timeline
+            (``(index - 1) * FLOW_START_STAGGER``, 0.2 s apart; see
+            :mod:`repro.experiments.runner`).  A ``flow-start`` timeline
             event on this flow takes precedence over both.
         stop_time: Simulated time the application stops generating traffic;
             ``None`` means the flow runs until the scenario ends.
@@ -364,6 +365,15 @@ class ScenarioSpec:
 
     def _validate(self) -> None:
         nodes = self.topology.positions
+        plan = self.topology.link_plan
+        if self.config.mobility != "static" and plan is not None:
+            without_radio = set(nodes) - set(plan.wireless_nodes)
+            if without_radio:
+                raise ConfigurationError(
+                    f"mobility {self.config.mobility!r} moves radios, but the "
+                    f"link plan of topology {self.topology.name!r} gives node "
+                    f"{min(without_radio)} none"
+                )
         # Flows sharing an effective config object (the memoized common case)
         # are validated once per distinct object, not once per flow.
         validated_configs = set()

@@ -1,5 +1,6 @@
-"""Pluggable link layers: the 802.11 wireless plane, wired shared-bus
-segments, and the gateway nodes that bridge between them."""
+"""Link layers beside the 802.11 plane: wired shared-bus segments, the
+gateway nodes that bridge them into the wireless mesh, and the
+:class:`LinkPlan` a topology carries to say which node sits where."""
 
 from repro.link.gateway import (
     GatewayAodvRouting,
@@ -7,27 +8,17 @@ from repro.link.gateway import (
     WiredNode,
     make_gateway,
 )
-from repro.link.plan import (
-    LinkPlan,
-    WiredSegmentSpec,
-    all_wireless_plan,
-    single_bus_plan,
-)
-from repro.link.registry import LINK_LAYERS, LinkLayerProfile
+from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.link.wired import WiredBus, WiredPort, WiredStats
 
 __all__ = [
     "GatewayAodvRouting",
     "GatewayStaticRouting",
-    "LINK_LAYERS",
-    "LinkLayerProfile",
     "LinkPlan",
     "WiredBus",
     "WiredNode",
     "WiredPort",
     "WiredSegmentSpec",
     "WiredStats",
-    "all_wireless_plan",
     "make_gateway",
-    "single_bus_plan",
 ]

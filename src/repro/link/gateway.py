@@ -16,7 +16,7 @@ neighbour.  A small :class:`_WiredIngress` adapter keeps the planes separate
 and hands wired arrivals to the gateway's forwarding logic directly.
 
 :class:`WiredNode` covers the degenerate case of a node with *only* a wired
-port (the ``wired`` link-layer profile, and pure-bus unit tests): it reuses
+port (a node its plan puts on a bus but not on the radio plane): it reuses
 :class:`~repro.net.node.Node`'s transport/agent plumbing with the radio and
 802.11 MAC replaced by a bus port.
 """

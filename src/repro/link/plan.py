@@ -7,15 +7,15 @@ more wired shared-bus segments (:class:`~repro.link.wired.WiredBus`), and
 names the *gateway* nodes that own one interface on each side and forward
 between them.
 
-Plans come from two places:
+A topology carries its plan as data (``Topology.link_plan``).  The default,
+``None``, puts every node on the radio plane — every scenario of the paper.
+:func:`repro.topology.backbone.backbone_topology` returns a topology whose
+plan describes its wired spine of gateways; a network of wired nodes only is
+a plan with one :class:`WiredSegmentSpec` over every node::
 
-* A :class:`~repro.link.registry.LinkLayerProfile` builds one from a plain
-  topology — the ``wireless`` profile puts every node on the radio plane
-  (the historical behaviour), the ``wired`` profile puts every node on a
-  single Ethernet-style bus.
-* A topology can carry its own plan (``topology.link_plan``), which then
-  takes precedence — :func:`repro.topology.backbone.backbone_topology` uses
-  this to describe its wired spine of gateways.
+    Topology(name="bus", positions=positions,
+             link_plan=LinkPlan(segments=(WiredSegmentSpec(
+                 nodes=tuple(sorted(positions))),)))
 
 Addressing is a static netmask split: :attr:`LinkPlan.subnet_of` assigns each
 wireless node (gateways included) to a numbered subnet, and
@@ -103,11 +103,6 @@ class LinkPlan:
                 raise ConfigurationError(
                     f"node {node_id} is on both planes but not a gateway")
 
-    @property
-    def is_pure_wireless(self) -> bool:
-        """True when the plan has no wired segments (the historical path)."""
-        return not self.segments
-
     def segment_of(self, node_id: int) -> int:
         """Index of the segment a node is attached to.
 
@@ -125,15 +120,3 @@ class LinkPlan:
         return frozenset(node_id for node_id, owner in self.subnet_of.items()
                          if owner == subnet)
 
-
-def all_wireless_plan(node_ids) -> LinkPlan:
-    """Plan putting every node on the 802.11 channel (default behaviour)."""
-    return LinkPlan(wireless_nodes=tuple(sorted(node_ids)))
-
-
-def single_bus_plan(node_ids, rate_mbps: float = 10.0,
-                    propagation_delay: float = 5e-6) -> LinkPlan:
-    """Plan putting every node on one shared Ethernet-style bus."""
-    return LinkPlan(segments=(WiredSegmentSpec(
-        nodes=tuple(sorted(node_ids)), rate_mbps=rate_mbps,
-        propagation_delay=propagation_delay),))

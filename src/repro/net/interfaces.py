@@ -2,8 +2,8 @@
 
 These small abstract base classes document the interfaces between layers and
 allow tests to substitute lightweight fakes (e.g. a scripted MAC below a real
-TCP agent).  Concrete implementations live in :mod:`repro.phy`,
-:mod:`repro.mac`, :mod:`repro.routing` and :mod:`repro.transport`.
+TCP agent).  Concrete implementations live in :mod:`repro.mac`,
+:mod:`repro.routing` and :mod:`repro.link`.
 """
 
 from __future__ import annotations
@@ -59,19 +59,3 @@ class MacListener(abc.ABC):
     @abc.abstractmethod
     def on_mac_send_success(self, packet: Packet, next_hop: int) -> None:
         """The MAC completed the frame exchange for ``packet``."""
-
-
-class TransportListener(abc.ABC):
-    """Callbacks a transport agent delivers to the application above it."""
-
-    @abc.abstractmethod
-    def on_data_delivered(self, num_bytes: int) -> None:
-        """``num_bytes`` of application data arrived in order at the receiver."""
-
-
-class PacketSink(abc.ABC):
-    """Anything that accepts packets handed down from an upper layer."""
-
-    @abc.abstractmethod
-    def accept(self, packet: Packet) -> None:
-        """Accept a packet for transmission/processing."""

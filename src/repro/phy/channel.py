@@ -297,10 +297,6 @@ class WirelessChannel:
         cell = self._grid.cell_key(position)
         self._cell_generation[cell] = self._cell_generation.get(cell, 0) + 1
 
-    def set_position(self, node_id: int, position: Position) -> None:
-        """Move a node (stale cache entries around it revalidate on lookup)."""
-        self.set_positions({node_id: position})
-
     def set_positions(self, positions: Mapping[int, Position]) -> None:
         """Move several nodes in one batch.
 

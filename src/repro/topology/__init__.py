@@ -5,7 +5,7 @@ addressable by name (``TOPOLOGIES.get("chain").build(hops=7)``), which is how th
 declarative study API and the scenario presets resolve topologies.
 """
 
-from repro.topology.backbone import BackboneTopology, backbone_tail, backbone_topology
+from repro.topology.backbone import backbone_tail, backbone_topology
 from repro.topology.base import Topology, all_next_hop_tables, shortest_path_next_hops
 from repro.topology.chain import chain_topology, hidden_terminal_pairs
 from repro.topology.grid import grid_topology, node_id_at
@@ -13,7 +13,6 @@ from repro.topology.random_topology import random_topology
 from repro.topology.registry import TOPOLOGIES, TopologyProfile
 
 __all__ = [
-    "BackboneTopology",
     "backbone_tail",
     "backbone_topology",
     "TOPOLOGIES",

@@ -15,17 +15,15 @@ Node numbering (stable under ``cells``/``cell_hops`` changes)::
     hop j of cell i (1-based)   -> M + i*K + (j-1)
     tail of cell i              -> M + i*K + (K-1)
 
-The topology carries its own :class:`~repro.link.plan.LinkPlan`
-(:attr:`BackboneTopology.link_plan`), which the scenario runner prefers over
-the configured link-layer profile: gateways own a radio *and* a spine port,
-cell members are wireless-only, and each cell is one addressing subnet
-fronted by its gateway.
+The topology carries its :class:`~repro.link.plan.LinkPlan` as
+``Topology.link_plan``: gateways own a radio *and* a spine port, cell members
+are wireless-only, and each cell is one addressing subnet fronted by its
+gateway.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.errors import ConfigurationError
 from repro.link.plan import LinkPlan, WiredSegmentSpec
@@ -41,13 +39,6 @@ DEFAULT_SPACING = 200.0
 DEFAULT_CELL_SEPARATION = 10_000.0
 
 
-@dataclass
-class BackboneTopology(Topology):
-    """A :class:`~repro.topology.base.Topology` carrying its own link plan."""
-
-    link_plan: Optional[LinkPlan] = None
-
-
 def backbone_tail(cells: int, cell_hops: int, cell: int) -> int:
     """Node id of the last (farthest-from-gateway) member of ``cell``."""
     return cells + cell * cell_hops + (cell_hops - 1)
@@ -60,7 +51,7 @@ def backbone_topology(
     cell_separation: float = DEFAULT_CELL_SEPARATION,
     wired_rate_mbps: float = 10.0,
     wired_propagation_delay: float = 5e-6,
-) -> BackboneTopology:
+) -> Topology:
     """Build a backbone of ``cells`` gateways bridging ``cell_hops``-hop cells.
 
     Args:
@@ -74,8 +65,9 @@ def backbone_topology(
             seconds.
 
     Returns:
-        A :class:`BackboneTopology` with one tail-to-next-tail flow per cell
-        and a :class:`~repro.link.plan.LinkPlan` describing the spine.
+        A :class:`~repro.topology.base.Topology` with one tail-to-next-tail
+        flow per cell and a :class:`~repro.link.plan.LinkPlan` describing the
+        spine.
     """
     if cells < 2:
         raise ConfigurationError("backbone needs at least 2 cells")
@@ -111,7 +103,7 @@ def backbone_topology(
         gateway_of_subnet={cell: cell for cell in range(cells)},
     )
 
-    return BackboneTopology(
+    return Topology(
         name=f"backbone-{cells}x{cell_hops}",
         positions=positions,
         flows=flows,

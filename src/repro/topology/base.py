@@ -1,8 +1,9 @@
 """Topology descriptions and graph helpers.
 
-A :class:`Topology` is a declarative description — node positions plus the
-``(source, destination)`` pairs of the traffic flows — that the experiment
-runner turns into a live network.  Graph helpers (connectivity,
+A :class:`Topology` is a declarative description — node positions, the
+``(source, destination)`` pairs of the traffic flows and, where not every
+node is on the radio plane, the link plan — that the experiment runner turns
+into a live network.  Graph helpers (connectivity,
 shortest-path next hops) run on :class:`ConnectivityGraph`, a breadth-first
 search over insertion-ordered adjacency lists, and are used both by the
 static-routing baseline and by the random-topology generator's connectivity
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import TopologyError
+from repro.link.plan import LinkPlan
 from repro.phy.propagation import Position, RangePropagationModel
 
 #: Node count above which :meth:`Topology.connectivity_graph` switches from
@@ -94,11 +96,14 @@ class Topology:
             (ordered; flow *i* in the paper's figures is ``flows[i-1]``
             here).  :meth:`repro.experiments.workload.Workload.from_topology`
             lifts them into workload flows.
+        link_plan: Which nodes sit on which link layer (wired segments,
+            gateways, subnets); ``None`` puts every node on the radio plane.
     """
 
     name: str
     positions: Dict[int, Position]
     flows: List[Tuple[int, int]] = field(default_factory=list)
+    link_plan: Optional[LinkPlan] = None
 
     @property
     def node_count(self) -> int:

@@ -14,7 +14,6 @@ from repro.core.statistics import (
     confidence_interval,
     jain_fairness_index,
     mean,
-    relative_change,
     sample_variance,
     student_t_quantile,
 )
@@ -32,13 +31,6 @@ class TestBasicStats:
 
     def test_variance_known_value(self):
         assert sample_variance([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == pytest.approx(32.0 / 7.0)
-
-    def test_relative_change(self):
-        assert relative_change(150.0, 100.0) == pytest.approx(0.5)
-
-    def test_relative_change_zero_baseline(self):
-        assert relative_change(0.0, 0.0) == 0.0
-        assert math.isinf(relative_change(1.0, 0.0))
 
 
 class TestConfidenceInterval:

@@ -11,7 +11,6 @@ from repro.core.units import (
     bits,
     kbps,
     mbps,
-    throughput_bps,
     transmission_time,
 )
 
@@ -44,12 +43,6 @@ class TestTransmissionTime:
 class TestConversions:
     def test_bits(self):
         assert bits(10) == 10 * BITS_PER_BYTE
-
-    def test_throughput(self):
-        assert throughput_bps(1250, 1.0) == pytest.approx(10_000.0)
-
-    def test_throughput_zero_duration(self):
-        assert throughput_bps(100, 0.0) == 0.0
 
     def test_kbps(self):
         assert kbps(250_000.0) == pytest.approx(250.0)

@@ -39,10 +39,6 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError):
             ScenarioConfig(packet_target=0)
 
-    def test_invalid_batch_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(batch_count=1)
-
     def test_unknown_routing_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(routing="dsr")
@@ -63,9 +59,6 @@ class TestScenarioConfig:
         copy = base.with_variant("newreno")
         assert copy.variant == "newreno"
         assert base.variant == "vegas"
-
-    def test_scaled_copy(self):
-        assert ScenarioConfig().scaled(50).packet_target == 50
 
     def test_ack_thinning_defaults(self):
         config = ScenarioConfig()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import Scenario
+from repro.experiments.runner import FLOW_START_STAGGER, RUN_SLICE, Scenario
 from repro.experiments.scenarios import available_scenarios, build_named_scenario
 from repro.experiments.workload import ScenarioSpec
 from repro.core.errors import ConfigurationError
@@ -80,14 +80,14 @@ class TestScenarioWiring:
 
     def test_per_flow_batch_size_divides_packet_target(self):
         scenario = scenario_for("vegas", topology=grid_topology(),
-                                packet_target=660, batch_count=11)
+                                packet_target=660)
         assert scenario.flow_stats[0].batch_size == 660 // (6 * 11)
 
     def test_flow_packet_shares_distribute_remainder_exactly(self):
         # 1000 packets over 6 flows × 11 batches is not divisible: the
         # remainder must be spread over the leading flows, never dropped.
         scenario = scenario_for("vegas", topology=grid_topology(),
-                                packet_target=1000, batch_count=11)
+                                packet_target=1000)
         shares = scenario._flow_packet_shares()
         assert sum(shares) == 1000
         assert shares == [167, 167, 167, 167, 166, 166]
@@ -97,10 +97,20 @@ class TestScenarioWiring:
 
     def test_flow_packet_shares_sum_for_prime_targets(self):
         scenario = scenario_for("vegas", topology=grid_topology(),
-                                packet_target=997, batch_count=11)
+                                packet_target=997)
         shares = scenario._flow_packet_shares()
         assert sum(shares) == 997
         assert max(shares) - min(shares) <= 1
+
+    def test_default_flow_starts_are_staggered(self):
+        scenario = scenario_for("vegas", topology=grid_topology())
+        assert [app.start_time for app in scenario.applications] == [
+            index * FLOW_START_STAGGER for index in range(6)]
+
+    def test_run_stops_at_the_end_of_a_slice(self):
+        result = scenario_for("vegas").run()
+        assert result.reached_packet_target
+        assert result.simulated_time % RUN_SLICE == 0
 
     def test_udp_interval_override_used(self):
         scenario = scenario_for("paced-udp", udp_interval=0.042)
@@ -114,12 +124,23 @@ class TestRunnerCli:
         assert lines == sorted(lines)
         assert set(available_scenarios()) == set(lines)
 
-    def test_list_link_layers_prints_name_and_description(self, capsys):
-        from repro.link.registry import LINK_LAYERS
+    def test_list_scenarios_is_the_default_listing(self, capsys):
+        assert main(["list"]) == 0
+        default = capsys.readouterr().out
+        assert main(["list", "scenarios"]) == 0
+        assert capsys.readouterr().out == default
 
-        assert main(["list", "link-layers"]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            f"{p.name}: {p.description}" for p in LINK_LAYERS.values()]
+    def test_list_link_layers_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["list", "link-layers"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_link_layer_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "backbone2x7-newreno", "--link-layer", "wired"])
+        assert exit_info.value.code == 2
+        assert "--link-layer" in capsys.readouterr().err
 
     def test_unknown_scenario_suggests_close_matches(self, capsys):
         assert main(["run", "chain7-vegs-2mbps"]) == 2

@@ -103,6 +103,20 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError, match="unexpected keyword"):
             SweepSpec(**kwargs)
 
+    @pytest.mark.parametrize("axis, values, attribute", [
+        ("wired_rate_mbps", [10, 100], "rate_mbps"),
+        ("wired_propagation_delay", [1e-6, 5e-5], "propagation_delay"),
+    ])
+    def test_backbone_spine_axis_reaches_the_builder(self, axis, values,
+                                                     attribute):
+        spec = SweepSpec(topology="backbone", axes={axis: values})
+        assert spec.topology_axes == (axis,)
+        built = []
+        for point in spec.points():
+            (bus,) = Scenario(spec.scenario_for(point.values, 1)).buses
+            built.append(getattr(bus, attribute))
+        assert built == values
+
     def test_fingerprint_distinguishes_points_and_seeds(self):
         spec = tiny_spec()
         values_a = {"variant": "vegas", "hops": 2}

@@ -49,7 +49,8 @@ class TestErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("extra", [["--axis", "nosuch=1"],
-                                       ["--topology", "grid", "--hops", "2"]])
+                                       ["--topology", "grid", "--hops", "2"],
+                                       ["--axis", "link_layer=wired"]])
     def test_axis_the_topology_does_not_take_exits_2(self, extra, capsys):
         assert main(["study", "--quiet", *extra]) == 2
         err = capsys.readouterr().err
@@ -88,20 +89,30 @@ class TestRuns:
         assert data["schema"] == 1
         assert len(data["points"]) == 1
 
-    def test_link_layer_axis_sweeps_and_snapshots_wired_metrics(
+    def test_backbone_spine_rate_axis_sweeps_and_snapshots_wired_metrics(
             self, tmp_path, capsys):
+        # The backbone topology carries its link plan; the spine rate is a
+        # builder parameter, so the axis reaches the bus it describes.
         out_path = tmp_path / "study.json"
-        assert main(run_args("--max-workers", "1",
-                             "--axis", "link_layer=wireless,wired",
-                             "--save", str(out_path))) == 0
+        assert main(["study", "--topology", "backbone", "--variants",
+                     "newreno", "--packets", "15", "--replications", "1",
+                     "--quiet", "--max-workers", "1",
+                     "--axis", "routing=static", "--axis", "cell_hops=1",
+                     "--axis", "wired_rate_mbps=10,100",
+                     "--save", str(out_path)]) == 0
         data = json.loads(out_path.read_text())
-        by_layer = {point["values"]["link_layer"]: point
-                    for point in data["points"]}
-        assert set(by_layer) == {"wireless", "wired"}
-        wired = by_layer["wired"]["runs"][0]["metrics"]
-        assert wired["link.wired.bus0.frames_delivered"] > 0
-        assert wired["link.wired.node0.frames_sent"] > 0
-        wireless = by_layer["wireless"]["runs"][0]["metrics"]
+        by_rate = {point["values"]["wired_rate_mbps"]: point["runs"][0]["metrics"]
+                   for point in data["points"]}
+        assert set(by_rate) == {10, 100}
+        for wired in by_rate.values():
+            assert wired["link.wired.bus0.frames_delivered"] > 0
+            assert wired["link.wired.node0.frames_sent"] > 0
+        assert (by_rate[100]["link.wired.bus0.utilization"]
+                < by_rate[10]["link.wired.bus0.utilization"] / 5)
+        chain_path = tmp_path / "chain.json"
+        assert main(run_args("--max-workers", "1",
+                             "--save", str(chain_path))) == 0
+        wireless = json.loads(chain_path.read_text())["points"][0]["runs"][0]["metrics"]
         assert not any(name.startswith("link.wired.") for name in wireless)
 
     def test_fail_after_exits_3_then_resume_succeeds(self, tmp_path, capsys):

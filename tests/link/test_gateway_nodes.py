@@ -7,6 +7,8 @@ untouched, scripted ``link-down`` on a wired segment, and pure-wired AODV.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -24,8 +26,12 @@ from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.link.wired import WiredPort
 from repro.net.headers import IpHeader, IpProtocol, UdpHeader
 from repro.net.packet import Packet
-from repro.topology import backbone_tail, backbone_topology, chain_topology
-from repro.topology.backbone import BackboneTopology
+from repro.topology import (
+    Topology,
+    backbone_tail,
+    backbone_topology,
+    chain_topology,
+)
 
 
 def make_udp_packet(src, dst, seq=0):
@@ -144,20 +150,27 @@ class TestWiredTimelineEvents:
         assert all(flow.delivered_packets > 0 for flow in result.flows)
 
 
+def wired_chain(hops):
+    """A chain whose plan puts every node on one shared bus: no node has a
+    radio."""
+    chain = chain_topology(hops=hops)
+    return replace(chain, link_plan=LinkPlan(
+        segments=(WiredSegmentSpec(nodes=tuple(chain.node_ids)),)))
+
+
 def wired_chain_spec(timeline):
-    """A 2-hop chain on the ``wired`` link layer: no node has a radio."""
+    """A 2-hop all-wired chain with static routes."""
     return ScenarioSpec(
-        topology=chain_topology(hops=2),
+        topology=wired_chain(hops=2),
         config=ScenarioConfig(variant="newreno", routing="static",
-                              link_layer="wired", packet_target=50,
-                              max_sim_time=30.0, seed=3),
+                              packet_target=50, max_sim_time=30.0, seed=3),
         timeline=tuple(timeline))
 
 
 def stub_network_spec(timeline):
     """Node 0 is wired-only, bridged by gateway 1 onto the radio chain 1-2-3."""
     chain = chain_topology(hops=3)
-    topology = BackboneTopology(
+    topology = Topology(
         name="stub-network", positions=chain.positions, flows=chain.flows,
         link_plan=LinkPlan(
             wireless_nodes=(1, 2, 3),
@@ -199,9 +212,8 @@ class TestTimelineEventsTheLinkPlanCannotActOn:
 class TestPureWiredScenarios:
     def test_wired_link_layer_delivers_with_static_routing(self):
         config = ScenarioConfig(variant="newreno", routing="static",
-                                link_layer="wired", packet_target=100,
-                                max_sim_time=30.0, seed=3)
-        scenario = Scenario(ScenarioSpec(topology=chain_topology(hops=3),
+                                packet_target=100, max_sim_time=30.0, seed=3)
+        scenario = Scenario(ScenarioSpec(topology=wired_chain(hops=3),
                                          config=config))
         assert all(isinstance(node, WiredNode)
                    for node in scenario.nodes.values())
@@ -217,9 +229,8 @@ class TestPureWiredScenarios:
     def test_wired_link_layer_delivers_with_aodv(self):
         # AODV control (RREQ broadcast, RREP unicast) rides the bus too.
         config = ScenarioConfig(variant="newreno", routing="aodv",
-                                link_layer="wired", packet_target=50,
-                                max_sim_time=30.0, seed=3)
-        scenario = Scenario(ScenarioSpec(topology=chain_topology(hops=2),
+                                packet_target=50, max_sim_time=30.0, seed=3)
+        scenario = Scenario(ScenarioSpec(topology=wired_chain(hops=2),
                                          config=config))
         result = scenario.run()
         assert result.reached_packet_target

@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.interfaces import (
-    MacListener,
-    PacketSink,
-    PhyListener,
-    TransportListener,
-)
+from repro.net.interfaces import MacListener, PhyListener
 from repro.net.packet import Packet
 
 
-@pytest.mark.parametrize("contract", [
-    PhyListener, MacListener, TransportListener, PacketSink,
-])
+@pytest.mark.parametrize("contract", [PhyListener, MacListener])
 def test_contracts_cannot_be_instantiated_directly(contract):
     with pytest.raises(TypeError):
         contract()
@@ -70,31 +63,6 @@ def test_complete_mac_listener_is_instantiable():
     recorder.on_mac_send_success(packet, 3)
     recorder.on_mac_send_failure(packet, 4)
     assert calls == ["delivery", "ok->3", "fail->4"]
-
-
-def test_transport_listener_and_packet_sink_contracts():
-    class App(TransportListener):
-        def __init__(self):
-            self.delivered = 0
-
-        def on_data_delivered(self, num_bytes):
-            self.delivered += num_bytes
-
-    class Collector(PacketSink):
-        def __init__(self):
-            self.packets = []
-
-        def accept(self, packet):
-            self.packets.append(packet)
-
-    app = App()
-    app.on_data_delivered(1460)
-    assert app.delivered == 1460
-
-    collector = Collector()
-    packet = Packet(payload_size=5)
-    collector.accept(packet)
-    assert collector.packets == [packet]
 
 
 def test_concrete_stack_classes_implement_the_contracts():

@@ -52,7 +52,7 @@ class TestRegistration:
 
     def test_set_position_unknown_node(self, sim, channel):
         with pytest.raises(ConfigurationError):
-            channel.set_position(9, Position(0, 0))
+            channel.set_positions({9: Position(0, 0)})
 
     def test_neighbors_within_transmission_range(self, sim, channel):
         add_node(sim, channel, 0, 0, 0)

@@ -44,7 +44,7 @@ class TestStatisticsProperties:
 
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=400))
     @settings(max_examples=50, deadline=None)
-    def test_batch_count_matches_deliveries(self, batch_size, deliveries):
+    def test_completed_batches_match_deliveries(self, batch_size, deliveries):
         batches = BatchMeans(batch_size=batch_size, discard_batches=0)
         for i in range(deliveries):
             batches.record_delivery(now=float(i + 1), cumulative_value=float(i + 1))

@@ -133,7 +133,7 @@ class TestGridIndexEquivalence:
         for _ in range(4):
             mover = data.draw(st.sampled_from(node_ids))
             x, y = data.draw(coordinates)
-            channel.set_position(mover, Position(x, y))
+            channel.set_positions({mover: Position(x, y)})
             assert_views_match_brute_force(channel)
 
 
