@@ -8,11 +8,14 @@ PHY/MAC/routing stack, plus small factory helpers used across test modules.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, Optional, Set
 
 from repro.core.engine import Simulator
+from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.net.address import FlowAddress
 from repro.net.packet import Packet
+from repro.topology.base import Topology
 from repro.transport.newreno import NewRenoSender
 from repro.transport.sink import AckThinningSink, TcpSink
 from repro.transport.stats import FlowStats
@@ -158,3 +161,10 @@ def reused_simulator() -> Simulator:
 #: a new simulator, and one reused after ``reset()``, which must be
 #: indistinguishable from a new one.
 KERNELS = {"reference": Simulator, "reset": reused_simulator}
+
+
+def wired_only(topology: Topology) -> Topology:
+    """``topology`` with a plan putting every node on one shared bus and none
+    on the radio plane."""
+    return replace(topology, link_plan=LinkPlan(
+        segments=(WiredSegmentSpec(nodes=tuple(topology.node_ids)),)))

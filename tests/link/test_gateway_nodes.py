@@ -7,8 +7,6 @@ untouched, scripted ``link-down`` on a wired segment, and pure-wired AODV.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -32,6 +30,7 @@ from repro.topology import (
     backbone_topology,
     chain_topology,
 )
+from tests.helpers import wired_only
 
 
 def make_udp_packet(src, dst, seq=0):
@@ -150,18 +149,10 @@ class TestWiredTimelineEvents:
         assert all(flow.delivered_packets > 0 for flow in result.flows)
 
 
-def wired_chain(hops):
-    """A chain whose plan puts every node on one shared bus: no node has a
-    radio."""
-    chain = chain_topology(hops=hops)
-    return replace(chain, link_plan=LinkPlan(
-        segments=(WiredSegmentSpec(nodes=tuple(chain.node_ids)),)))
-
-
 def wired_chain_spec(timeline):
     """A 2-hop all-wired chain with static routes."""
     return ScenarioSpec(
-        topology=wired_chain(hops=2),
+        topology=wired_only(chain_topology(hops=2)),
         config=ScenarioConfig(variant="newreno", routing="static",
                               packet_target=50, max_sim_time=30.0, seed=3),
         timeline=tuple(timeline))
@@ -213,8 +204,8 @@ class TestPureWiredScenarios:
     def test_wired_link_layer_delivers_with_static_routing(self):
         config = ScenarioConfig(variant="newreno", routing="static",
                                 packet_target=100, max_sim_time=30.0, seed=3)
-        scenario = Scenario(ScenarioSpec(topology=wired_chain(hops=3),
-                                         config=config))
+        scenario = Scenario(ScenarioSpec(
+            topology=wired_only(chain_topology(hops=3)), config=config))
         assert all(isinstance(node, WiredNode)
                    for node in scenario.nodes.values())
         assert all(node.radio is None for node in scenario.nodes.values())
@@ -230,8 +221,8 @@ class TestPureWiredScenarios:
         # AODV control (RREQ broadcast, RREP unicast) rides the bus too.
         config = ScenarioConfig(variant="newreno", routing="aodv",
                                 packet_target=50, max_sim_time=30.0, seed=3)
-        scenario = Scenario(ScenarioSpec(topology=wired_chain(hops=2),
-                                         config=config))
+        scenario = Scenario(ScenarioSpec(
+            topology=wired_only(chain_topology(hops=2)), config=config))
         result = scenario.run()
         assert result.reached_packet_target
 

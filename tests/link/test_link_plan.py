@@ -20,13 +20,7 @@ from repro.topology import (
     grid_topology,
     random_topology,
 )
-
-
-def wired_only(topology):
-    """``topology`` with every node on one shared bus and none on the radio
-    plane."""
-    return replace(topology, link_plan=LinkPlan(
-        segments=(WiredSegmentSpec(nodes=tuple(topology.node_ids)),)))
+from tests.helpers import wired_only
 
 
 class TestTopologyPlan:
