@@ -55,7 +55,6 @@ from repro.core.randomness import RandomManager
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.results import FlowResult, ScenarioResult
 from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
-from repro.link.gateway import WiredNode, make_gateway
 from repro.link.plan import LinkPlan
 from repro.link.wired import WiredBus
 from repro.mac.timing import MacTiming, timing_for_bandwidth
@@ -65,16 +64,10 @@ from repro.mobility.registry import MOBILITY_MODELS
 from repro.net.address import FlowAddress
 from repro.net.node import Node
 from repro.phy.channel import WirelessChannel
-from repro.phy.energy import (
-    EnergyModel,
-    install_energy_probes,
-    scenario_energy,
-    set_energy_values,
-)
+from repro.phy.energy import EnergyModel, install_energy_probes, record_energy
 from repro.phy.propagation import RangePropagationModel
 from repro.phy.radio import Radio
 from repro.routing.aodv import AodvConfig
-from repro.routing.static import StaticRouting
 from repro.topology.base import Topology, all_next_hop_tables
 from repro.transport.registry import TRANSPORTS, TransportBuildContext
 from repro.transport.stats import FlowStats
@@ -186,72 +179,39 @@ class Scenario:
         self.metrics.start_sampling(self.sim, self.config.metrics_interval)
 
     def _build_nodes(self) -> None:
+        """One node per topology node, in node-id order, each built from its
+        role in the link plan (a radio, a bus port, or both)."""
         # None keeps the AodvRouting default config object — bit-identical to
         # a build that predates the expanding-ring knob.
         aodv_config = (AodvConfig(expanding_ring=True)
                        if self.config.aodv_expanding_ring else None)
         plan = self.link_plan
         wireless = set(plan.wireless_nodes)
+        gateways = set(plan.gateways)
         bus_of: Dict[int, WiredBus] = {}
         for bus, segment in zip(self.buses, plan.segments):
             for node_id in segment.nodes:
                 bus_of[node_id] = bus
         for node_id in self.topology.node_ids:
-            if node_id in wireless:
-                self.nodes[node_id] = Node(
-                    sim=self.sim,
-                    node_id=node_id,
-                    position=self.topology.positions[node_id],
-                    channel=self.channel,
-                    timing=self.timing,
-                    randomness=self.randomness,
-                    routing=self.config.routing,
-                    queue_capacity=self.config.queue_capacity,
-                    aodv_config=aodv_config,
-                    tracer=self.tracer,
-                    metrics=self.metrics,
-                )
-            else:
-                self.nodes[node_id] = WiredNode(
-                    sim=self.sim,
-                    node_id=node_id,
-                    position=self.topology.positions[node_id],
-                    bus=bus_of[node_id],
-                    randomness=self.randomness,
-                    routing=self.config.routing,
-                    queue_capacity=self.config.queue_capacity,
-                    aodv_config=aodv_config,
-                    tracer=self.tracer,
-                    metrics=self.metrics,
-                )
-        # Gateways get their wired port (and forwarding routing) only after
-        # every port-less node registered, so bus port order is stable.
-        for gateway_id in sorted(plan.gateways):
-            subnet = plan.subnet_of.get(gateway_id)
-            make_gateway(
-                self.nodes[gateway_id], bus_of[gateway_id], self.randomness,
-                wired_next_hops=self._gateway_wired_table(gateway_id, plan),
-                wireless_subnet=plan.subnet_members(subnet),
+            bus = bus_of.get(node_id)
+            self.nodes[node_id] = Node(
+                sim=self.sim,
+                node_id=node_id,
+                position=self.topology.positions[node_id],
+                channel=self.channel if node_id in wireless else None,
+                timing=self.timing,
+                randomness=self.randomness,
                 routing=self.config.routing,
-                wired_queue_capacity=self.config.queue_capacity,
+                queue_capacity=self.config.queue_capacity,
                 aodv_config=aodv_config,
+                tracer=self.tracer,
+                metrics=self.metrics,
+                bus=bus,
+                wired_next_hops=(plan.wired_next_hops(node_id)
+                                 if bus is not None else {}),
+                wireless_subnet=(plan.subnet_members(plan.subnet_of.get(node_id))
+                                 if node_id in gateways else ()),
             )
-
-    def _gateway_wired_table(self, gateway_id: int, plan: LinkPlan) -> Dict[int, int]:
-        """Wired forwarding table of one gateway: bus members directly, plus
-        every node whose subnet gateway sits on the same bus via that
-        gateway."""
-        members = set(plan.segments[plan.segment_of(gateway_id)].nodes)
-        table: Dict[int, int] = {}
-        for member in members:
-            if member != gateway_id:
-                table[member] = member
-        for node_id, subnet in plan.subnet_of.items():
-            remote_gateway = plan.gateway_of_subnet.get(subnet)
-            if (remote_gateway is not None and remote_gateway != gateway_id
-                    and remote_gateway in members):
-                table.setdefault(node_id, remote_gateway)
-        return table
 
     def _build_mobility(self) -> None:
         """Attach a mobility manager when the configured model moves nodes.
@@ -296,19 +256,17 @@ class Scenario:
         install_energy_probes(metrics, EnergyModel(), self.sim, self._radios())
 
     def _install_static_routes(self) -> None:
-        """Static next-hop tables for every node, from the link plan.
+        """Static next-hop tables for the radio plane, from the link plan.
 
         Wireless nodes get shortest-path tables within their own radio
         component plus, in a plan with subnets, a default route towards
-        their subnet's gateway for everything else; wired-only nodes get
-        directly-connected routes to their bus peers plus next-gateway routes
-        for remote subnets.  Gateways' wired tables were installed at
-        construction — here they only receive their wireless-component table.
-        The radio-plane graph keeps the topology's position order, so with
-        every node on the radio plane it is the topology's own graph.
+        their subnet's gateway for everything else.  Wired tables
+        (:meth:`~repro.link.plan.LinkPlan.wired_next_hops`) were installed
+        when the nodes were built.  The radio-plane graph keeps the
+        topology's position order, so with every node on the radio plane it
+        is the topology's own graph.
         """
         plan = self.link_plan
-        all_ids = set(self.topology.node_ids)
         gateways = set(plan.gateways)
         wireless = set(plan.wireless_nodes)
         radio_plane = Topology(
@@ -317,34 +275,16 @@ class Scenario:
                        in self.topology.positions.items() if node_id in wireless})
         tables = all_next_hop_tables(
             radio_plane.connectivity_graph(self.channel.propagation))
-        bus_members: Dict[int, set] = {}
-        for segment in plan.segments:
-            for node_id in segment.nodes:
-                bus_members[node_id] = set(segment.nodes)
-        for node_id, node in self.nodes.items():
-            routing = node.routing
-            if not isinstance(routing, StaticRouting):
-                continue
-            local = tables.get(node_id, {})
+        for node_id, local in tables.items():
+            routing = self.nodes[node_id].routing
             for destination, next_hop in local.items():
                 routing.set_next_hop(destination, next_hop)
             if node_id in gateways:
                 continue
-            if node_id in wireless:
-                subnet = plan.subnet_of.get(node_id)
-                gateway = plan.gateway_of_subnet.get(subnet)
-                toward_gateway = local.get(gateway)
-                if toward_gateway is not None:
-                    routing.set_default_next_hop(toward_gateway)
-            else:
-                members = bus_members.get(node_id, set())
-                for destination in members - {node_id}:
-                    routing.set_next_hop(destination, destination)
-                for destination in all_ids - members - {node_id}:
-                    subnet = plan.subnet_of.get(destination)
-                    gateway = plan.gateway_of_subnet.get(subnet)
-                    if gateway is not None and gateway in members:
-                        routing.set_next_hop(destination, gateway)
+            gateway = plan.gateway_of_subnet.get(plan.subnet_of.get(node_id))
+            toward_gateway = local.get(gateway)
+            if toward_gateway is not None:
+                routing.set_default_next_hop(toward_gateway)
 
     def _flow_packet_shares(self) -> List[int]:
         """Per-flow shares of ``packet_target``, remainder spread over the
@@ -518,7 +458,10 @@ class Scenario:
             "mac.node*.data_dropped_retry", "mac.node*.data_tx_success",
             "route.node*.false_route_failures", "phy.node*.frames_sent",
             "tcp.flow*.bytes_delivered")
-        energy = self._energy_report(now, radios, delivered_bytes)
+        energy = record_energy(
+            metrics, EnergyModel(), now,
+            {node_id: radio.stats for node_id, radio in radios.items()},
+            delivered_bytes)
         # Handlers invoked = events through the queue + edges run in place.
         metrics.set("core.events_processed", self.sim.events_processed)
         metrics.set("core.edges_in_place", self.sim.edges_in_place)
@@ -555,20 +498,6 @@ class Scenario:
         """Every node's radio, by node id (wired-only nodes have none)."""
         return {node_id: node.radio for node_id, node in self.nodes.items()
                 if node.radio is not None}
-
-    def _energy_report(self, now: float, radios: Dict[int, Radio],
-                       delivered_bytes: float):
-        model = EnergyModel()
-        radio_stats = {node_id: radio.stats for node_id, radio in radios.items()}
-        set_energy_values(self.metrics, model, now, radio_stats)
-        airtimes = [
-            {
-                "time_transmitting": stats.time_transmitting,
-                "time_receiving": stats.time_receiving,
-            }
-            for stats in radio_stats.values()
-        ]
-        return scenario_energy(model, now, airtimes, delivered_bytes)
 
     def _variant_label(self) -> str:
         """Result label: the single variant's label, or the joined mix.

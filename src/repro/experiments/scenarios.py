@@ -215,8 +215,9 @@ def backbone_scenario_spec(variant: str = "newreno", cells: int = 2,
     its link plan, from which the runner builds gateways and the spine bus.
     Routing is static: plain AODV at a
     cell member cannot discover a destination behind the wired spine (route
-    requests do not cross subnets), which is exactly the addressing split
-    :mod:`repro.link.gateway` documents.
+    requests do not cross subnets), so
+    :class:`~repro.experiments.workload.ScenarioSpec` refuses these flows
+    under AODV.
 
     Args:
         variant: Transport variant every flow runs (the config's variant,

@@ -237,6 +237,12 @@ class SweepSpec:
         object.__setattr__(self, "timeline", tuple(self.timeline))
         for variant in [*self.variant_overrides, *self.axes.get("variant", ())]:
             transport_key(variant)  # fail fast on unknown variants
+        # Build each point's spec once, so a point no run could serve (an
+        # AODV flow that would have to cross a wired plane, say) is refused
+        # here rather than by every item at run time.
+        first_seed = self.seeds()[0]
+        for point in self.points():
+            self.scenario_for(point.values, first_seed)
 
     # ------------------------------------------------------------------
     # Sweep structure

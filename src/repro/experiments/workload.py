@@ -50,6 +50,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
+from repro.link.plan import LinkPlan
 from repro.topology.base import Topology
 from repro.transport.ack_thinning import AckThinningPolicy
 from repro.transport.registry import TRANSPORTS, transport_key
@@ -390,6 +391,8 @@ class ScenarioSpec:
             if id(flow_config) not in validated_configs:
                 validated_configs.add(id(flow_config))
                 TRANSPORTS.get(flow_config.variant).validate_config(flow_config)
+        if self.config.routing == "aodv" and plan is not None:
+            self._check_aodv_reach(plan)
         for event in self.timeline:
             if event.is_flow_event:
                 if not 1 <= event.target <= len(self.workload):
@@ -405,6 +408,30 @@ class ScenarioSpec:
                             f"timeline event {event.action!r} targets unknown "
                             f"node {node}"
                         )
+
+    def _check_aodv_reach(self, plan: LinkPlan) -> None:
+        """Refuse a flow AODV cannot carry on a link plan.
+
+        A route request never crosses a gateway's wired port, so a wireless
+        node that is not a gateway reaches only the wireless nodes of its
+        own subnet.  Both directions are checked: TCP acknowledgements
+        travel back along the same kind of route.
+        """
+        wireless = set(plan.wireless_nodes)
+        radio_only = wireless - set(plan.gateways)
+        for index, flow in enumerate(self.workload, start=1):
+            source, destination = flow.endpoints
+            for near, far in ((source, destination), (destination, source)):
+                if near in radio_only and (
+                        far not in wireless
+                        or plan.subnet_of.get(far) != plan.subnet_of.get(near)):
+                    raise ConfigurationError(
+                        f"flow {index} ({source} -> {destination}) leaves "
+                        f"node {near}'s wireless subnet on topology "
+                        f"{self.topology.name!r}, and AODV route requests do "
+                        "not cross the wired plane; use routing='static' "
+                        "(--axis routing=static on the command line)"
+                    )
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -2,12 +2,7 @@
 gateway nodes that bridge them into the wireless mesh, and the
 :class:`LinkPlan` a topology carries to say which node sits where."""
 
-from repro.link.gateway import (
-    GatewayAodvRouting,
-    GatewayStaticRouting,
-    WiredNode,
-    make_gateway,
-)
+from repro.link.gateway import GatewayAodvRouting, GatewayStaticRouting
 from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.link.wired import WiredBus, WiredPort, WiredStats
 
@@ -16,9 +11,7 @@ __all__ = [
     "GatewayStaticRouting",
     "LinkPlan",
     "WiredBus",
-    "WiredNode",
     "WiredPort",
     "WiredSegmentSpec",
     "WiredStats",
-    "make_gateway",
 ]

@@ -15,10 +15,8 @@ route from every frame it hears, and a wired peer is not a wireless
 neighbour.  A small :class:`_WiredIngress` adapter keeps the planes separate
 and hands wired arrivals to the gateway's forwarding logic directly.
 
-:class:`WiredNode` covers the degenerate case of a node with *only* a wired
-port (a node its plan puts on a bus but not on the radio plane): it reuses
-:class:`~repro.net.node.Node`'s transport/agent plumbing with the radio and
-802.11 MAC replaced by a bus port.
+:class:`~repro.net.node.Node` builds a gateway's routing agent from these
+classes when its plan gives it both a radio and a bus port.
 """
 
 from __future__ import annotations
@@ -26,17 +24,13 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Optional
 
 from repro.core.engine import Simulator
-from repro.core.errors import ConfigurationError
 from repro.core.tracing import NULL_TRACER, Tracer
-from repro.link.wired import WiredBus, WiredPort
 from repro.mac.frames import attach_data_header
 from repro.mac.queue import DropTailQueue
 from repro.metrics import MetricsRegistry, NULL_METRICS
 from repro.net.headers import BROADCAST
 from repro.net.interfaces import MacListener
-from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.phy.propagation import Position
 from repro.routing.aodv import AodvConfig, AodvRouting
 from repro.routing.base import RoutingStats
 from repro.routing.static import StaticRouting
@@ -78,17 +72,15 @@ class GatewayForwardingMixin:
     its ``stats``, ``tracer``, ``deliver_local`` and ``_deliver_or_forward``.
     """
 
+    stats_type = GatewayRoutingStats
+
     def _init_gateway(self, wired_queue: DropTailQueue,
                       wired_next_hops: Mapping[int, int],
-                      wireless_subnet: Iterable[int],
-                      metrics: MetricsRegistry = NULL_METRICS) -> None:
+                      wireless_subnet: Iterable[int]) -> None:
         self._wired_queue = wired_queue
         self._wired_next_hops = dict(wired_next_hops)
         self._wireless_subnet = frozenset(wireless_subnet)
         self.wired_listener: MacListener = _WiredIngress(self)
-        # Takes over the node's ``route.node<N>`` prefix from the record the
-        # routing agent just registered (and from the agent it replaces).
-        self.stats = GatewayRoutingStats(metrics, prefix=f"route.node{self.node_id}")
 
     @property
     def wired_next_hops(self) -> Mapping[int, int]:
@@ -151,8 +143,7 @@ class GatewayStaticRouting(GatewayForwardingMixin, StaticRouting):
                  metrics: MetricsRegistry = NULL_METRICS) -> None:
         StaticRouting.__init__(self, sim, node_id, queue, deliver_local,
                                next_hops, tracer, metrics)
-        self._init_gateway(wired_queue, wired_next_hops, wireless_subnet,
-                           metrics)
+        self._init_gateway(wired_queue, wired_next_hops, wireless_subnet)
 
     def _route(self, packet: Packet) -> None:
         ip = packet.require_ip()
@@ -190,8 +181,7 @@ class GatewayAodvRouting(GatewayForwardingMixin, AodvRouting):
                  metrics: MetricsRegistry = NULL_METRICS) -> None:
         AodvRouting.__init__(self, sim, node_id, queue, deliver_local, rng,
                              config=config, tracer=tracer, metrics=metrics)
-        self._init_gateway(wired_queue, wired_next_hops, wireless_subnet,
-                           metrics)
+        self._init_gateway(wired_queue, wired_next_hops, wireless_subnet)
 
     def _route_data(self, packet: Packet, originated: bool) -> None:
         ip = packet.require_ip()
@@ -204,91 +194,3 @@ class GatewayAodvRouting(GatewayForwardingMixin, AodvRouting):
                 self._drop_unknown_subnet(packet)
                 return
         super()._route_data(packet, originated)
-
-
-class WiredNode(Node):
-    """A node whose only interface is a port on a wired bus.
-
-    Reuses :class:`~repro.net.node.Node`'s transport/agent plumbing
-    (``register_agent``, ``deliver_local``, ``send_from_transport``) with the
-    radio and 802.11 MAC replaced by a :class:`~repro.link.wired.WiredPort`;
-    ``radio`` is ``None`` and energy accounting does not apply.
-    """
-
-    def __init__(self, sim: Simulator, node_id: int, position: Position,
-                 bus: WiredBus, randomness, routing: str = "static",
-                 queue_capacity: int = DropTailQueue.DEFAULT_CAPACITY,
-                 aodv_config: Optional[AodvConfig] = None,
-                 tracer: Tracer = NULL_TRACER,
-                 metrics: MetricsRegistry = NULL_METRICS) -> None:
-        # Deliberately no Node.__init__: that would build a radio and an
-        # 802.11 MAC on the wireless channel this node does not have.
-        self.sim = sim
-        self.node_id = node_id
-        self.position = position
-        self.tracer = tracer
-        self.metrics = metrics
-        self.radio = None
-        self.queue = DropTailQueue(capacity=queue_capacity)
-        self.port = WiredPort(sim, node_id, bus, self.queue,
-                              rng=randomness.stream(f"wired.{node_id}"),
-                              tracer=tracer, metrics=metrics)
-        self.mac = self.port
-        self.routing = self._build_routing(routing, randomness, aodv_config)
-        self.port.listener = self.routing
-        self._agents = {}
-        self.devices = [self.port]
-
-
-def make_gateway(node: Node, bus: WiredBus, randomness, *,
-                 wired_next_hops: Mapping[int, int],
-                 wireless_subnet: Iterable[int],
-                 routing: str = "static",
-                 wired_queue_capacity: int = DropTailQueue.DEFAULT_CAPACITY,
-                 aodv_config: Optional[AodvConfig] = None):
-    """Turn a regular wireless node into a gateway on ``bus``.
-
-    Attaches a wired port (with its own outbound queue), replaces the node's
-    routing protocol with the matching gateway variant, and rewires both
-    interfaces' listeners.  Returns the new routing protocol.
-
-    Args:
-        node: A fully built wireless :class:`~repro.net.node.Node`.
-        bus: The wired bus the gateway joins.
-        randomness: The scenario's random manager (streams are drawn by
-            name, so re-drawing ``aodv.<id>`` here yields the same stream
-            the node's original AODV instance used).
-        wired_next_hops: Destination -> next hop over the wired port.
-        wireless_subnet: Node ids of the gateway's own wireless subnet.
-        routing: ``"static"`` or ``"aodv"`` — must match the node's kind.
-        wired_queue_capacity: Capacity of the wired port's outbound queue.
-        aodv_config: AODV parameters (``routing="aodv"`` only).
-    """
-    wired_queue = DropTailQueue(capacity=wired_queue_capacity)
-    port = WiredPort(node.sim, node.node_id, bus, wired_queue,
-                     rng=randomness.stream(f"wired.{node.node_id}"),
-                     tracer=node.tracer, metrics=node.metrics)
-    if routing == "aodv":
-        gateway = GatewayAodvRouting(
-            node.sim, node.node_id, node.queue, node.deliver_local,
-            rng=randomness.stream(f"aodv.{node.node_id}"),
-            wired_queue=wired_queue, wired_next_hops=wired_next_hops,
-            wireless_subnet=wireless_subnet, config=aodv_config,
-            tracer=node.tracer, metrics=node.metrics)
-    elif routing == "static":
-        gateway = GatewayStaticRouting(
-            node.sim, node.node_id, node.queue, node.deliver_local,
-            next_hops={}, wired_queue=wired_queue,
-            wired_next_hops=wired_next_hops,
-            wireless_subnet=wireless_subnet,
-            tracer=node.tracer, metrics=node.metrics)
-    else:
-        raise ConfigurationError(
-            f"unknown routing protocol {routing!r} for gateway "
-            f"{node.node_id}; expected 'aodv' or 'static'")
-    node.routing = gateway
-    node.mac.listener = gateway
-    port.listener = gateway.wired_listener
-    node.wired_port = port
-    node.add_device(port)
-    return gateway

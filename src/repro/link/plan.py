@@ -120,3 +120,21 @@ class LinkPlan:
         return frozenset(node_id for node_id, owner in self.subnet_of.items()
                          if owner == subnet)
 
+    def wired_next_hops(self, node_id: int) -> Dict[int, int]:
+        """Wired forwarding table of a node on a segment.
+
+        Peers on the node's bus are reached directly; every member of a
+        subnet whose gateway shares that bus is reached via that gateway.
+        A gateway's own subnet is not in its table: it stays wireless.
+
+        Raises:
+            ConfigurationError: If the node is on no wired segment.
+        """
+        members = self.segments[self.segment_of(node_id)].nodes
+        table = {peer: peer for peer in members if peer != node_id}
+        for destination, subnet in self.subnet_of.items():
+            gateway = self.gateway_of_subnet.get(subnet)
+            if gateway != node_id and gateway in members:
+                table.setdefault(destination, gateway)
+        return table
+

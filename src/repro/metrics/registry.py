@@ -149,7 +149,7 @@ class MetricsRegistry:
         """Publish ``record``'s fields as ``<prefix>.<field>``.
 
         A record registered later under the same prefix replaces the earlier
-        one (a gateway's routing agent takes over its node's prefix).
+        one.
         """
         self._records[prefix] = record
 

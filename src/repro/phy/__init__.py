@@ -1,7 +1,7 @@
 """Physical layer: propagation model, shared channel and per-node radios."""
 
 from repro.phy.channel import ChannelStats, WirelessChannel
-from repro.phy.energy import EnergyModel, EnergyReport, scenario_energy
+from repro.phy.energy import EnergyModel, EnergyReport, record_energy
 from repro.phy.propagation import Position, RangePropagationModel, SPEED_OF_LIGHT
 from repro.phy.radio import Radio, RadioStats
 
@@ -10,7 +10,7 @@ __all__ = [
     "WirelessChannel",
     "EnergyModel",
     "EnergyReport",
-    "scenario_energy",
+    "record_energy",
     "Position",
     "RangePropagationModel",
     "SPEED_OF_LIGHT",

@@ -19,7 +19,7 @@ claim be checked quantitatively (the ``energy-proxy`` row of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.metrics import MetricsRegistry
 
@@ -110,35 +110,6 @@ class EnergyReport:
                    delivered_kilobytes=data["delivered_kilobytes"])
 
 
-def scenario_energy(
-    model: EnergyModel,
-    elapsed: float,
-    radio_airtimes: Iterable[Mapping[str, float]],
-    delivered_bytes: float,
-) -> EnergyReport:
-    """Aggregate an :class:`EnergyReport` over all radios of a scenario.
-
-    Args:
-        model: The power model.
-        elapsed: Simulated time of the run.
-        radio_airtimes: One mapping per radio with keys ``time_transmitting``
-            and ``time_receiving`` (seconds).
-        delivered_bytes: Application bytes delivered across all flows.
-    """
-    total = 0.0
-    transmit = 0.0
-    for airtime in radio_airtimes:
-        tx_time = float(airtime.get("time_transmitting", 0.0))
-        rx_time = float(airtime.get("time_receiving", 0.0))
-        total += model.node_energy(elapsed, tx_time, rx_time)
-        transmit += min(max(tx_time, 0.0), elapsed) * model.tx_power
-    return EnergyReport(
-        total_joules=total,
-        transmit_joules=transmit,
-        delivered_kilobytes=delivered_bytes / 1000.0,
-    )
-
-
 # ======================================================================
 # Metrics-plane integration
 # ======================================================================
@@ -165,22 +136,38 @@ def install_energy_probes(
                            description="Cumulative radio energy (linear model).")
 
 
-def set_energy_values(
+def record_energy(
     registry: MetricsRegistry,
     model: EnergyModel,
     elapsed: float,
     radio_stats: Mapping[int, "RadioStats"],
-) -> float:
-    """Set the end-of-run ``phy.node<N>.energy_joules`` values (J).
+    delivered_bytes: float,
+) -> EnergyReport:
+    """Evaluate every radio's energy once and publish it.
 
-    Returns the network-wide total, which is also published as
-    ``phy.energy_total_joules``.
+    Sets the end-of-run ``phy.node<N>.energy_joules`` values (J) and their
+    network-wide sum ``phy.energy_total_joules``, and returns the
+    :class:`EnergyReport` of the run.
+
+    Args:
+        registry: The scenario's metrics registry.
+        model: The power model.
+        elapsed: Simulated time of the run.
+        radio_stats: Each radio's airtime counters, by node id; summed in
+            node-id order.
+        delivered_bytes: Application bytes delivered across all flows.
     """
     total = 0.0
+    transmit = 0.0
     for node_id, stats in sorted(radio_stats.items()):
         joules = model.node_energy(elapsed, stats.time_transmitting,
                                    stats.time_receiving)
         registry.set(f"phy.node{node_id}.energy_joules", joules)
         total += joules
+        transmit += min(max(stats.time_transmitting, 0.0), elapsed) * model.tx_power
     registry.set("phy.energy_total_joules", total)
-    return total
+    return EnergyReport(
+        total_joules=total,
+        transmit_joules=transmit,
+        delivered_kilobytes=delivered_bytes / 1000.0,
+    )

@@ -60,6 +60,9 @@ class RoutingProtocol(MacListener, abc.ABC):
             ``route.node<N>.*``.
     """
 
+    #: Record type of the protocol's counters.
+    stats_type = RoutingStats
+
     def __init__(
         self,
         sim: Simulator,
@@ -74,7 +77,7 @@ class RoutingProtocol(MacListener, abc.ABC):
         self.queue = queue
         self.deliver_local = deliver_local
         self.tracer = tracer
-        self.stats = RoutingStats(metrics, prefix=f"route.node{node_id}")
+        self.stats = self.stats_type(metrics, prefix=f"route.node{node_id}")
 
     # ------------------------------------------------------------------
     # Downward path

@@ -109,13 +109,25 @@ class TestSweepSpec:
     ])
     def test_backbone_spine_axis_reaches_the_builder(self, axis, values,
                                                      attribute):
-        spec = SweepSpec(topology="backbone", axes={axis: values})
+        spec = SweepSpec(topology="backbone", axes={axis: values},
+                         base=ScenarioConfig(routing="static"))
         assert spec.topology_axes == (axis,)
         built = []
         for point in spec.points():
             (bus,) = Scenario(spec.scenario_for(point.values, 1)).buses
             built.append(getattr(bus, attribute))
         assert built == values
+
+    @pytest.mark.parametrize("axes, base", [
+        ({"cell_hops": [1]}, ScenarioConfig()),
+        ({"routing": ["static", "aodv"]}, ScenarioConfig()),
+        ({"cell_hops": [1, 2]}, ScenarioConfig(routing="aodv")),
+    ])
+    def test_point_aodv_cannot_route_is_refused_at_construction(self, axes,
+                                                                base):
+        # The backbone's own flows cross the spine, which AODV cannot.
+        with pytest.raises(ConfigurationError, match="routing=static"):
+            SweepSpec(topology="backbone", axes=axes, base=base)
 
     def test_fingerprint_distinguishes_points_and_seeds(self):
         spec = tiny_spec()

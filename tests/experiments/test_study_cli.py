@@ -48,6 +48,14 @@ class TestErrors:
         assert "did you mean 'vegas'" in err
         assert "Traceback" not in err
 
+    def test_backbone_under_aodv_exits_2_before_any_item_runs(
+            self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["study", "--topology", "backbone", "--packets", "20",
+                     "--quiet", "--store", str(store)]) == 2
+        assert "--axis routing=static" in capsys.readouterr().err
+        assert not store.exists()
+
     @pytest.mark.parametrize("extra", [["--axis", "nosuch=1"],
                                        ["--topology", "grid", "--hops", "2"],
                                        ["--axis", "link_layer=wired"]])

@@ -7,6 +7,8 @@ untouched, scripted ``link-down`` on a wired segment, and pure-wired AODV.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -19,11 +21,12 @@ from repro.experiments.workload import (
     ScenarioSpec,
     Workload,
 )
-from repro.link.gateway import GatewayStaticRouting, WiredNode
+from repro.link.gateway import GatewayStaticRouting
 from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.link.wired import WiredPort
 from repro.net.headers import IpHeader, IpProtocol, UdpHeader
 from repro.net.packet import Packet
+from repro.routing.base import RoutingProtocol
 from repro.topology import (
     Topology,
     backbone_tail,
@@ -63,13 +66,47 @@ class TestGatewayConstruction:
             assert gateway.radio is not None
             assert isinstance(gateway.routing, GatewayStaticRouting)
             assert isinstance(gateway.wired_port, WiredPort)
-            # The device list carries both interfaces, 802.11 MAC first.
-            assert gateway.devices == [gateway.mac, gateway.wired_port]
+            # Both interfaces, each with its own queue and listener.
+            assert gateway.mac.listener is gateway.routing
+            assert gateway.wired_port.listener is gateway.routing.wired_listener
+            assert gateway.wired_port.queue is not gateway.queue
         # Cell members are ordinary single-radio wireless nodes.
         member = scenario.nodes[2]
-        assert not isinstance(member, WiredNode)
-        assert member.devices == [member.mac]
+        assert member.radio is not None
+        assert member.mac is not None and member.wired_port is None
         assert scenario.buses[0].node_ids == [0, 1]
+
+    @pytest.mark.parametrize("build", [
+        lambda: backbone_scenario(),
+        lambda: backbone_scenario(routing="aodv",
+                                  flows=[FlowSpec(source=2, destination=4)]),
+        lambda: Scenario(stub_network_spec([])),
+        lambda: Scenario(wired_chain_spec([])),
+    ], ids=["backbone-static", "backbone-aodv", "stub", "all-wired"])
+    def test_every_node_builds_one_routing_agent(self, build, monkeypatch):
+        built = Counter()
+        original = RoutingProtocol.__init__
+
+        def counting(self, sim, node_id, *args, **kwargs):
+            built[node_id] += 1
+            original(self, sim, node_id, *args, **kwargs)
+
+        monkeypatch.setattr(RoutingProtocol, "__init__", counting)
+        scenario = build()
+        assert built == Counter(dict.fromkeys(scenario.nodes, 1))
+
+    @pytest.mark.parametrize("build, order", [
+        (lambda: backbone_scenario(), [0, 1]),
+        (lambda: Scenario(ScenarioSpec(
+            topology=backbone_topology(cells=3, cell_hops=2),
+            config=ScenarioConfig(routing="static"))), [0, 1, 2]),
+        (lambda: Scenario(stub_network_spec([])), [0, 1]),
+        (lambda: Scenario(wired_chain_spec([])), [0, 1, 2]),
+    ], ids=["backbone", "backbone3", "stub", "all-wired"])
+    def test_bus_ports_register_in_node_id_order(self, build, order):
+        # Wired-only nodes, then gateways: node-id order on these plans.
+        (bus,) = build().buses
+        assert bus.node_ids == order
 
     def test_gateway_wired_table_routes_remote_subnets(self):
         scenario = backbone_scenario()
@@ -206,9 +243,9 @@ class TestPureWiredScenarios:
                                 packet_target=100, max_sim_time=30.0, seed=3)
         scenario = Scenario(ScenarioSpec(
             topology=wired_only(chain_topology(hops=3)), config=config))
-        assert all(isinstance(node, WiredNode)
+        assert all(node.radio is None and node.mac is None
+                   and node.wired_port.queue is node.queue
                    for node in scenario.nodes.values())
-        assert all(node.radio is None for node in scenario.nodes.values())
         result = scenario.run()
         assert result.reached_packet_target
         assert result.metrics["link.wired.bus0.frames_delivered"] > 0

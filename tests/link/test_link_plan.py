@@ -9,7 +9,7 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
-from repro.experiments.workload import ScenarioSpec
+from repro.experiments.workload import FlowSpec, ScenarioSpec, Workload
 from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.routing.static import StaticRouting
 from repro.topology import (
@@ -32,6 +32,13 @@ class TestTopologyPlan:
         assert scenario.link_plan.segments == ()
         assert scenario.buses == []
         assert all(node.radio is not None for node in scenario.nodes.values())
+
+    def test_node_on_neither_plane_is_refused(self):
+        topology = replace(chain_topology(hops=2),
+                           link_plan=LinkPlan(wireless_nodes=(0, 1)))
+        with pytest.raises(ConfigurationError, match="node 2 needs a channel"):
+            Scenario(ScenarioSpec(topology=topology,
+                                  config=ScenarioConfig(routing="static")))
 
     def test_plan_segment_parameters_reach_the_bus(self):
         topology = replace(chain_topology(hops=3), link_plan=LinkPlan(
@@ -89,10 +96,89 @@ class TestMobilityNeedsRadios:
         ScenarioSpec(topology=wired_only(chain_topology(hops=2)))
 
     def test_backbone_with_mobility_is_accepted(self):
-        # Every backbone node, gateways included, has a radio.
+        # Every backbone node, gateways included, has a radio.  The flow
+        # stays inside cell 0: AODV (the default) cannot cross the spine.
         spec = ScenarioSpec(topology=backbone_topology(cells=2, cell_hops=2),
+                            workload=Workload(flows=(FlowSpec(2, 3),)),
                             config=ScenarioConfig(mobility="random-waypoint"))
         assert Scenario(spec).mobility is not None
+
+
+def stub_plan() -> LinkPlan:
+    """Node 0 is wired-only, bridged by gateway 1 onto the radio chain 1-2-3."""
+    return LinkPlan(wireless_nodes=(1, 2, 3),
+                    segments=(WiredSegmentSpec(nodes=(0, 1)),),
+                    gateways=(1,), subnet_of={1: 0, 2: 0, 3: 0},
+                    gateway_of_subnet={0: 1})
+
+
+class TestWiredNextHops:
+    def test_backbone_2x7(self):
+        plan = backbone_topology(cells=2, cell_hops=7).link_plan
+        assert plan.wired_next_hops(0) == {1: 1, **dict.fromkeys(range(9, 16), 1)}
+        assert plan.wired_next_hops(1) == {0: 0, **dict.fromkeys(range(2, 9), 0)}
+
+    def test_three_cell_backbone(self):
+        # Gateways 0-2; cell i is nodes 3 + 2i and 4 + 2i.
+        plan = backbone_topology(cells=3, cell_hops=2).link_plan
+        assert plan.wired_next_hops(0) == {1: 1, 2: 2, 5: 1, 6: 1, 7: 2, 8: 2}
+        assert plan.wired_next_hops(1) == {0: 0, 2: 2, 3: 0, 4: 0, 7: 2, 8: 2}
+        assert plan.wired_next_hops(2) == {0: 0, 1: 1, 3: 0, 4: 0, 5: 1, 6: 1}
+
+    def test_stub_network(self):
+        plan = stub_plan()
+        # The wired-only node reaches the whole radio chain via gateway 1.
+        assert plan.wired_next_hops(0) == {1: 1, 2: 1, 3: 1}
+        assert plan.wired_next_hops(1) == {0: 0}
+
+    def test_all_wired_plan_is_directly_connected(self):
+        plan = wired_only(chain_topology(hops=2)).link_plan
+        assert plan.wired_next_hops(1) == {0: 0, 2: 2}
+
+    def test_node_on_no_segment_has_no_wired_table(self):
+        with pytest.raises(ConfigurationError, match="not attached"):
+            stub_plan().wired_next_hops(2)
+
+
+class TestAodvAcrossPlanes:
+    """AODV route requests never cross a wired port, so ``ScenarioSpec``
+    refuses a flow AODV could not carry rather than run it to
+    ``max_sim_time`` with nothing delivered."""
+
+    def aodv_spec(self, topology, *flows, routing="aodv"):
+        workload = Workload(flows=tuple(FlowSpec(*flow) for flow in flows)) \
+            if flows else None
+        return ScenarioSpec(topology=topology, workload=workload,
+                            config=ScenarioConfig(routing=routing,
+                                                  packet_target=15,
+                                                  max_sim_time=200.0))
+
+    def test_backbone_default_flows_are_refused(self):
+        with pytest.raises(ConfigurationError, match="routing=static"):
+            self.aodv_spec(backbone_topology(cells=2, cell_hops=1))
+
+    @pytest.mark.parametrize("flow", [(2, 1), (1, 2), (0, 3), (2, 3)])
+    def test_either_endpoint_outside_its_subnet_is_refused(self, flow):
+        # Cell 0 is {0, 2}, cell 1 is {1, 3}: the member's replies (TCP
+        # ACKs included) would have to cross the spine too.
+        with pytest.raises(ConfigurationError, match="wireless subnet"):
+            self.aodv_spec(backbone_topology(cells=2, cell_hops=1), flow)
+
+    def test_wired_only_endpoint_is_refused(self):
+        chain = chain_topology(hops=3)
+        stub = replace(chain, link_plan=stub_plan())
+        with pytest.raises(ConfigurationError, match="node 3"):
+            self.aodv_spec(stub, (0, 3))
+
+    @pytest.mark.parametrize("flow", [(2, 4), (4, 0), (0, 4), (0, 1)])
+    def test_intra_cell_and_gateway_to_gateway_flows_run(self, flow):
+        self.aodv_spec(backbone_topology(cells=2, cell_hops=3), flow)
+
+    def test_all_wired_plan_runs_aodv(self):
+        self.aodv_spec(wired_only(chain_topology(hops=3)))
+
+    def test_static_routing_crosses_the_spine(self):
+        self.aodv_spec(backbone_topology(cells=2, cell_hops=1), routing="static")
 
 
 class TestLinkPlanValidation:

@@ -11,8 +11,7 @@ from repro.phy.energy import (
     EnergyModel,
     EnergyReport,
     install_energy_probes,
-    scenario_energy,
-    set_energy_values,
+    record_energy,
 )
 from repro.phy.propagation import Position
 from repro.phy.radio import Radio, RadioStats
@@ -68,20 +67,45 @@ class TestEnergyReport:
         assert report.transmit_joules_per_kilobyte == 0.0
 
 
+def airtime_stats(registry, node_id, tx, rx):
+    """A radio's airtime counters, as the runner harvests them."""
+    stats = RadioStats(registry, prefix=f"phy.node{node_id}")
+    stats.time_transmitting, stats.time_receiving = tx, rx
+    return stats
+
+
 class TestScenarioEnergy:
     def test_aggregates_over_radios(self):
+        registry = MetricsRegistry()
         model = EnergyModel(tx_power=2.0, rx_power=1.0, idle_power=0.5)
-        airtimes = [
-            {"time_transmitting": 1.0, "time_receiving": 2.0},
-            {"time_transmitting": 0.0, "time_receiving": 0.0},
-        ]
-        report = scenario_energy(model, elapsed=10.0, radio_airtimes=airtimes,
-                                 delivered_bytes=10_000)
+        radio_stats = {0: airtime_stats(registry, 0, tx=1.0, rx=2.0),
+                       1: airtime_stats(registry, 1, tx=0.0, rx=0.0)}
+        report = record_energy(registry, model, elapsed=10.0,
+                               radio_stats=radio_stats, delivered_bytes=10_000)
         expected_node0 = 1 * 2.0 + 2 * 1.0 + 7 * 0.5
         expected_node1 = 10 * 0.5
         assert report.total_joules == pytest.approx(expected_node0 + expected_node1)
         assert report.transmit_joules == pytest.approx(2.0)
         assert report.delivered_kilobytes == pytest.approx(10.0)
+
+    def test_report_and_values_sum_in_node_id_order(self):
+        # Floating-point sums depend on their order: the report's total and
+        # the published total are one sum, taken in node-id order whatever
+        # order the mapping is in.
+        registry = MetricsRegistry()
+        model = EnergyModel()
+        times = {7: (0.1, 0.3), 2: (1e-9, 0.7), 5: (0.33, 0.01)}
+        radio_stats = {node: airtime_stats(registry, node, *times[node])
+                       for node in (7, 2, 5)}
+        report = record_energy(registry, model, 3.0, radio_stats, 0.0)
+        expected = 0.0
+        for node in sorted(times):
+            expected += model.node_energy(3.0, *times[node])
+        snapshot = registry.snapshot()
+        assert report.total_joules == expected
+        assert snapshot["phy.energy_total_joules"] == expected
+        assert snapshot["phy.node5.energy_joules"] == model.node_energy(
+            3.0, *times[5])
 
     def test_scenario_result_carries_energy(self):
         from repro.experiments.config import ScenarioConfig
@@ -161,27 +185,22 @@ class TestRadioTransitionAccounting:
 
 
 class TestEnergyMetrics:
-    def _stats(self, registry, node_id, tx, rx):
-        stats = RadioStats(registry, prefix=f"phy.node{node_id}")
-        stats.time_transmitting, stats.time_receiving = tx, rx
-        return stats
-
-    def test_set_energy_values(self):
+    def test_record_energy_sets_values(self):
         registry = MetricsRegistry()
         model = EnergyModel(tx_power=2.0, rx_power=1.0, idle_power=0.5)
         radio_stats = {
-            0: self._stats(registry, 0, tx=1.0, rx=2.0),
-            1: self._stats(registry, 1, tx=0.0, rx=0.0),
+            0: airtime_stats(registry, 0, tx=1.0, rx=2.0),
+            1: airtime_stats(registry, 1, tx=0.0, rx=0.0),
         }
-        total = set_energy_values(registry, model, elapsed=10.0,
-                                  radio_stats=radio_stats)
+        report = record_energy(registry, model, elapsed=10.0,
+                               radio_stats=radio_stats, delivered_bytes=0.0)
         node0 = 1 * 2.0 + 2 * 1.0 + 7 * 0.5
         node1 = 10 * 0.5
         snapshot = registry.snapshot()
         assert snapshot["phy.node0.energy_joules"] == pytest.approx(node0)
         assert snapshot["phy.node1.energy_joules"] == pytest.approx(node1)
-        assert snapshot["phy.energy_total_joules"] == pytest.approx(total)
-        assert total == pytest.approx(node0 + node1)
+        assert snapshot["phy.energy_total_joules"] == report.total_joules
+        assert report.total_joules == pytest.approx(node0 + node1)
 
     def _radios(self, sim, registry, *xs):
         channel = WirelessChannel(sim)
