@@ -53,8 +53,6 @@ RANDOM_FIELD = random_topology(node_count=60, area=(1800.0, 800.0),
                                flow_count=FLOW_COUNT, seed=7)
 #: PHY capture threshold of ns-2 (``CPThresh_``), and one no frame reaches.
 CAPTURE, NO_CAPTURE = 10.0, 1e9
-#: The optimal NewReno window on the 7-hop chain (MaxWin = 3, Fu et al.).
-SEVEN_HOP_OPTIMAL_WINDOW = 3.0
 
 #: Variant line-ups, in the paper's legend order.
 CHAIN_VARIANTS = ("vegas", "newreno", "newreno-at", "paced-udp")
@@ -88,8 +86,7 @@ PACED_UDP = SweepSpec(
     base=CHAIN.with_variant("paced-udp"))
 BANDWIDTH_COMPARISON = SweepSpec(
     name="bandwidth-comparison", topology="chain", topology_params={"hops": 7},
-    axes={"variant": BANDWIDTH_VARIANTS, "bandwidth_mbps": PAPER_BANDWIDTHS}, base=CHAIN,
-    variant_overrides={"newreno-optwin": {"newreno_max_cwnd": SEVEN_HOP_OPTIMAL_WINDOW}})
+    axes={"variant": BANDWIDTH_VARIANTS, "bandwidth_mbps": PAPER_BANDWIDTHS}, base=CHAIN)
 GRID = SweepSpec(
     name="grid", topology="grid",
     axes={"variant": MULTIFLOW_VARIANTS, "bandwidth_mbps": PAPER_BANDWIDTHS}, base=MULTIFLOW)

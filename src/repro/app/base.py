@@ -58,9 +58,7 @@ class Application(abc.ABC):
         Used by scenario-timeline ``flow-start`` events, whose flows are not
         auto-scheduled; calling it on an already-started application is a
         no-op.  The event takes over the flow's schedule entirely, so a
-        configured ``start_time`` later than now is pulled forward
-        (subclasses that copy the start time into a helper object must keep
-        that copy in sync — see ``CbrApplication.start_now``).
+        configured ``start_time`` later than now is pulled forward.
         """
         self.start_time = min(self.start_time, self.sim.now)
         self._start_once()

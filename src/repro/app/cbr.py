@@ -1,4 +1,4 @@
-"""Constant-bit-rate application (drives the paced UDP source).
+"""Constant-bit-rate application (the paced UDP source).
 
 Used to model the paper's "optimally paced UDP": one 1460-byte datagram every
 *t* seconds, with *t* chosen offline for maximum goodput (Figure 10).
@@ -10,11 +10,19 @@ from typing import Optional
 
 from repro.app.base import Application
 from repro.core.engine import Simulator
-from repro.transport.udp import PacedUdpSource, UdpSender
+from repro.transport.udp import UdpSender
 
 
 class CbrApplication(Application):
-    """Constant-bit-rate traffic generator on top of a UDP sender."""
+    """Paces a :class:`UdpSender`: one datagram every ``interval`` seconds.
+
+    Args:
+        sim: Simulation engine.
+        sender: The UDP sender to drive.
+        interval: Time *t* between successive datagrams (s); must be positive.
+        start_time: Simulation time the application starts.
+        packet_limit: Optional cap on the number of datagrams sent.
+    """
 
     def __init__(
         self,
@@ -24,35 +32,28 @@ class CbrApplication(Application):
         start_time: float = 0.0,
         packet_limit: Optional[int] = None,
     ) -> None:
+        if interval <= 0:
+            raise ValueError("pacing interval must be positive")
         super().__init__(sim, start_time)
-        self.source = PacedUdpSource(
-            sim=sim,
-            sender=sender,
-            interval=interval,
-            start_time=start_time,
-            packet_limit=packet_limit,
-        )
-
-    @property
-    def interval(self) -> float:
-        """Inter-packet transmission time *t* in seconds."""
-        return self.source.interval
-
-    def start_now(self) -> None:
-        """Start pacing immediately (scenario-timeline ``flow-start``).
-
-        The source holds its own copy of ``start_time`` and re-applies the
-        delay in :meth:`~repro.transport.udp.PacedUdpSource.start`; a
-        timeline event takes over the schedule, so pull the source's start
-        up to now before starting.
-        """
-        self.source.start_time = min(self.source.start_time, self.sim.now)
-        super().start_now()
+        self.sender = sender
+        self.interval = interval
+        self.packet_limit = packet_limit
+        self._running = False
 
     def on_start(self) -> None:
-        """Start the CBR source."""
-        self.source.start()
+        """Send the first datagram one zero-delay event from now, then pace."""
+        self._running = True
+        self.sim.schedule(0.0, self._tick)
 
     def stop(self) -> None:
-        """Stop the CBR source."""
-        self.source.stop()
+        """Stop generating datagrams (the pending one still fires harmlessly)."""
+        self._running = False
+
+    def _tick(self) -> None:
+        if not self._running:
+            return
+        if self.packet_limit is not None and self.sender.datagrams_sent >= self.packet_limit:
+            self._running = False
+            return
+        self.sender.send_datagram()
+        self.sim.schedule(self.interval, self._tick)

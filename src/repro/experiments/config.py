@@ -7,10 +7,9 @@ the paper's setup at a scaled-down run length so the whole harness finishes on
 a laptop; set ``packet_target=110_000`` for full paper-scale runs (the runner
 splits every run into the paper's 11 batch-means batches).
 
-Under the Workload API (:mod:`repro.experiments.workload`) the config holds
-the *scenario-wide defaults*: each flow inherits them and may override the
-transport variant and the per-flow parameters (Vegas α, window clamp, UDP
-interval, TCP parameters, ACK thinning) through its ``FlowSpec``.
+Under the Workload API (:mod:`repro.experiments.workload`) every flow of a
+scenario shares this config; a flow's ``FlowSpec`` may name another
+transport variant and nothing else of it.
 
 The transport variant is its registry key (``"vegas-at"``; see
 :data:`repro.transport.registry.TRANSPORTS`), held as a ``str``.
@@ -55,7 +54,6 @@ class ScenarioConfig:
             starves and never reaches the packet target.
         seed: Master RNG seed.
         routing: ``"aodv"`` (paper) or ``"static"`` (ablation baseline).
-        queue_capacity: Interface queue size in packets (50 in the paper).
         tcp: TCP parameters (Table 1 defaults).
         ack_thinning: ACK-thinning thresholds (S1/S2/S3 and the 100 ms timer).
         capture_threshold: PHY capture threshold (power ratio); 10 matches
@@ -95,7 +93,6 @@ class ScenarioConfig:
     max_sim_time: float = 4000.0
     seed: int = 1
     routing: str = "aodv"
-    queue_capacity: int = 50
     tcp: TcpConfig = field(default_factory=TcpConfig)
     ack_thinning: AckThinningPolicy = field(default_factory=AckThinningPolicy)
     capture_threshold: float = 10.0

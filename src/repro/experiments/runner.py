@@ -53,6 +53,7 @@ from repro.core.engine import Simulator
 from repro.core.errors import ConfigurationError
 from repro.core.randomness import RandomManager
 from repro.core.tracing import NULL_TRACER, Tracer
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.results import FlowResult, ScenarioResult
 from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.link.plan import LinkPlan
@@ -172,8 +173,14 @@ class Scenario:
         self._event_started = {event.target for event in timeline
                                if event.action == "flow-start"}
         shares = self._flow_packet_shares()
+        # One config per distinct variant, however many flows run it.
+        configs: Dict[Optional[str], ScenarioConfig] = {}
         for index, flow_spec in enumerate(self.workload, start=1):
-            self._build_flow(index, flow_spec, shares[index - 1])
+            config = configs.get(flow_spec.variant)
+            if config is None:
+                config = configs[flow_spec.variant] = flow_spec.effective_config(
+                    self.config)
+            self._build_flow(index, flow_spec, config, shares[index - 1])
         self._schedule_timeline(timeline)
         self._install_probes()
         self.metrics.start_sampling(self.sim, self.config.metrics_interval)
@@ -202,7 +209,6 @@ class Scenario:
                 timing=self.timing,
                 randomness=self.randomness,
                 routing=self.config.routing,
-                queue_capacity=self.config.queue_capacity,
                 aodv_config=aodv_config,
                 tracer=self.tracer,
                 metrics=self.metrics,
@@ -299,8 +305,8 @@ class Scenario:
         base, remainder = divmod(self.config.packet_target, flows)
         return [base + (1 if index < remainder else 0) for index in range(flows)]
 
-    def _build_flow(self, index: int, flow_spec: FlowSpec, packet_share: int) -> None:
-        config = flow_spec.effective_config(self.config)
+    def _build_flow(self, index: int, flow_spec: FlowSpec, config: ScenarioConfig,
+                    packet_share: int) -> None:
         profile = TRANSPORTS.get(config.variant)
         self.profiles.append(profile)
         flow = FlowAddress(

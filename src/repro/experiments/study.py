@@ -34,9 +34,10 @@ Quickstart::
         print(point.values, point.goodput_interval)
 
 Axis keys that are :class:`~repro.experiments.config.ScenarioConfig` fields
-override the base config; keys prefixed ``workload.`` are stripped and passed
-to the sweep's ``workload_factory`` (so traffic mixes are sweepable, e.g.
-``axes={"workload.secondary_flows": [0, 1, 2]}`` with
+override the base config and the defaults the point's variant registers
+(``TransportProfile.preset_overrides``); keys prefixed ``workload.`` are
+stripped and passed to the sweep's ``workload_factory`` (so traffic mixes
+are sweepable, e.g. ``axes={"workload.secondary_flows": [0, 1, 2]}`` with
 :func:`~repro.experiments.workload.mixed_transport_workload` sweeps the
 number of Vegas flows competing with NewReno); every other key is passed to
 the topology builder (so ``hops`` reaches
@@ -83,7 +84,7 @@ from repro.experiments.results import ScenarioResult
 from repro.experiments.workload import ScenarioEvent, ScenarioSpec, Workload
 from repro.topology.base import Topology
 from repro.topology.registry import TOPOLOGIES
-from repro.transport.registry import transport_key
+from repro.transport.registry import TRANSPORTS, transport_key
 
 #: ScenarioConfig field names; axis keys in this set override the config.
 #: Axis keys prefixed ``workload.`` are passed to the sweep's workload
@@ -164,10 +165,9 @@ class SweepSpec:
             are topology builder parameters.  ``seed`` may not be an axis —
             use ``replications``.
         base: Baseline :class:`ScenarioConfig` every point starts from.
-        variant_overrides: Per-variant config overrides (keyed by variant
-            name) applied when that variant is the point's variant —
-            e.g. ``{"newreno-optwin": {"newreno_max_cwnd": 3.0}}``.  Axis
-            values take precedence over these.
+            Each point applies its variant's registered
+            :attr:`~repro.transport.registry.TransportProfile.preset_overrides`
+            (the optimal-window clamp, say) over it, then its config axes.
         workload: Fixed per-flow :class:`~repro.experiments.workload.Workload`
             shared by every point (its flows must match whatever topology the
             points build).  Mutually exclusive with ``workload_factory``.
@@ -189,7 +189,6 @@ class SweepSpec:
     topology_params: Mapping[str, object] = field(default_factory=dict)
     axes: Mapping[str, Sequence[object]] = field(default_factory=dict)
     base: ScenarioConfig = field(default_factory=ScenarioConfig)
-    variant_overrides: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     workload: Optional[Workload] = None
     workload_factory: Optional[WorkloadFactory] = None
     workload_params: Mapping[str, object] = field(default_factory=dict)
@@ -235,8 +234,6 @@ class SweepSpec:
         if (self.workload_params and self.workload_factory is None):
             raise ConfigurationError("workload_params require a workload_factory")
         object.__setattr__(self, "timeline", tuple(self.timeline))
-        for variant in [*self.variant_overrides, *self.axes.get("variant", ())]:
-            transport_key(variant)  # fail fast on unknown variants
         # Build each point's spec once, so a point no run could serve (an
         # AODV flow that would have to cross a wired plane, say) is refused
         # here rather than by every item at run time.
@@ -290,11 +287,8 @@ class SweepSpec:
     # ------------------------------------------------------------------
     def config_for(self, values: Mapping[str, object], seed: int) -> ScenarioConfig:
         """The :class:`ScenarioConfig` of one sweep point and seed."""
-        overrides: Dict[str, object] = {}
         variant = values.get("variant", self.base.variant)
-        for key, extra in self.variant_overrides.items():
-            if transport_key(key) == transport_key(variant):
-                overrides.update(extra)
+        overrides = dict(TRANSPORTS.get(variant).preset_overrides)
         overrides.update(
             {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
         )

@@ -5,9 +5,9 @@ scalar ``ScenarioConfig.variant`` applied to every flow of the topology.
 This module makes the workload a first-class composable object instead:
 
 * :class:`FlowSpec` — one traffic flow with its *own* transport variant,
-  application timing (start/stop), an optional packet budget, and per-flow
-  TCP/Vegas parameter overrides.  A flow that sets nothing inherits every
-  default from the scenario's :class:`~repro.experiments.config.ScenarioConfig`.
+  application timing (start/stop) and an optional packet budget.  Every
+  other run parameter is the scenario's
+  :class:`~repro.experiments.config.ScenarioConfig`, shared by all flows.
 * :class:`Workload` — an ordered collection of flow specs (the traffic mix of
   one scenario).
 * :class:`ScenarioEvent` — one scheduled intervention: start or stop a flow
@@ -46,15 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.link.plan import LinkPlan
 from repro.topology.base import Topology
-from repro.transport.ack_thinning import AckThinningPolicy
-from repro.transport.registry import TRANSPORTS, transport_key
-from repro.transport.tcp_base import TcpConfig
+from repro.transport.registry import transport_key
 
 __all__ = [
     "FlowSpec",
@@ -64,23 +62,15 @@ __all__ = [
     "mixed_transport_workload",
 ]
 
-#: Memo of validated per-flow configs, keyed by (base config, sorted override
-#: items).  ``dataclasses.replace`` re-runs the full ScenarioConfig
-#: ``__post_init__`` validation, which dominates scenario construction when
-#: thousands of flows share a handful of override combinations — uniform
-#: workloads collapse to one validation per distinct combination.  Both keys
-#: and values are frozen dataclasses, so sharing the result object is safe.
-_EFFECTIVE_CONFIG_CACHE: Dict[Tuple[ScenarioConfig, Tuple], ScenarioConfig] = {}
-_EFFECTIVE_CONFIG_CACHE_LIMIT = 1024
-
 
 @dataclass(frozen=True)
 class FlowSpec:
     """One traffic flow of a scenario workload.
 
-    Every optional field defaults to "inherit from the scenario config", so a
-    bare ``FlowSpec(source, destination)`` behaves exactly like a topology
-    flow lifted by a spec without a workload.
+    A flow chooses its variant, timing, budget and label; every other run
+    parameter is the scenario config's.  A bare ``FlowSpec(source,
+    destination)`` behaves exactly like a topology flow lifted by a spec
+    without a workload.
 
     Attributes:
         source: Source node id (must exist in the scenario's topology).
@@ -99,11 +89,6 @@ class FlowSpec:
             this many segments, CBR sources after this many datagrams);
             ``None`` means unbounded.
         label: Optional human-readable name carried into the per-flow result.
-        vegas_alpha: Per-flow Vegas α (= β = γ) override.
-        newreno_max_cwnd: Per-flow window clamp for the optimal-window variants.
-        udp_interval: Per-flow inter-packet time for paced UDP.
-        tcp: Per-flow :class:`~repro.transport.tcp_base.TcpConfig` override.
-        ack_thinning: Per-flow ACK-thinning policy override.
     """
 
     source: int
@@ -113,20 +98,6 @@ class FlowSpec:
     stop_time: Optional[float] = None
     packet_limit: Optional[int] = None
     label: Optional[str] = None
-    vegas_alpha: Optional[float] = None
-    newreno_max_cwnd: Optional[float] = None
-    udp_interval: Optional[float] = None
-    tcp: Optional[TcpConfig] = None
-    ack_thinning: Optional[AckThinningPolicy] = None
-
-    #: Fields that map one-to-one onto :class:`ScenarioConfig` overrides.
-    _CONFIG_OVERRIDES = (
-        "vegas_alpha",
-        "newreno_max_cwnd",
-        "udp_interval",
-        "tcp",
-        "ack_thinning",
-    )
 
     def __post_init__(self) -> None:
         if self.source == self.destination:
@@ -144,10 +115,6 @@ class FlowSpec:
             raise ConfigurationError("stop_time must be after start_time")
         if self.packet_limit is not None and self.packet_limit < 1:
             raise ConfigurationError("packet_limit must be at least 1")
-        if self.vegas_alpha is not None and self.vegas_alpha <= 0:
-            raise ConfigurationError("vegas_alpha must be positive")
-        if self.udp_interval is not None and self.udp_interval <= 0:
-            raise ConfigurationError("udp_interval must be positive")
 
     # ------------------------------------------------------------------
     # Resolution against the scenario-wide defaults
@@ -157,41 +124,16 @@ class FlowSpec:
         """The ``(source, destination)`` node pair."""
         return (self.source, self.destination)
 
-    def config_overrides(self) -> Dict[str, object]:
-        """The non-``None`` per-flow config overrides, including ``variant``."""
-        overrides: Dict[str, object] = {}
-        if self.variant is not None:
-            overrides["variant"] = self.variant
-        for name in self._CONFIG_OVERRIDES:
-            value = getattr(self, name)
-            if value is not None:
-                overrides[name] = value
-        return overrides
-
     def effective_config(self, base: ScenarioConfig) -> ScenarioConfig:
-        """The flow-level :class:`ScenarioConfig` this flow is built with.
+        """The :class:`ScenarioConfig` this flow is built with.
 
-        Returns ``base`` itself when the flow overrides nothing, so flows that
-        inherit everything are built from the identical config object.
-        Flows with identical overrides against the same base share one
-        validated config object (see ``_EFFECTIVE_CONFIG_CACHE``), making
-        thousand-flow uniform scenarios pay for validation once, not per flow.
+        ``base`` itself unless the flow names another variant, else a copy
+        of ``base`` running that variant (validated on construction, like
+        every config).
         """
-        overrides = self.config_overrides()
-        if not overrides:
+        if self.variant is None or self.variant == base.variant:
             return base
-        try:
-            key = (base, tuple(sorted(overrides.items())))
-            cached = _EFFECTIVE_CONFIG_CACHE.get(key)
-        except TypeError:
-            # Unhashable override value (a caller passed a bespoke mutable
-            # object): build an uncached fresh copy.
-            return replace(base, **overrides)
-        if cached is None:
-            if len(_EFFECTIVE_CONFIG_CACHE) >= _EFFECTIVE_CONFIG_CACHE_LIMIT:
-                _EFFECTIVE_CONFIG_CACHE.clear()
-            cached = _EFFECTIVE_CONFIG_CACHE[key] = replace(base, **overrides)
-        return cached
+        return replace(base, variant=self.variant)
 
 
 @dataclass(frozen=True)
@@ -342,8 +284,9 @@ class ScenarioSpec:
         topology: Node placement (flow endpoints come from the workload).
         workload: The traffic mix; ``None`` lifts the topology's own flows
             into a workload whose flows all inherit the config's defaults.
-        config: Scenario-wide defaults (bandwidth, seed, routing, mobility,
-            metrics, run length); flows inherit anything they don't override.
+        config: The run parameters every flow shares (bandwidth, seed,
+            routing, mobility, metrics, run length) and the default variant
+            of a flow that names none.
         timeline: Scheduled :class:`ScenarioEvent` interventions, executed
             deterministically in (time, declaration order).
         name: Optional scenario name (defaults to the topology name).
@@ -375,9 +318,7 @@ class ScenarioSpec:
                     f"link plan of topology {self.topology.name!r} gives node "
                     f"{min(without_radio)} none"
                 )
-        # Flows sharing an effective config object (the memoized common case)
-        # are validated once per distinct object, not once per flow.
-        validated_configs = set()
+        resolved_variants = set()
         for index, flow in enumerate(self.workload, start=1):
             for endpoint in flow.endpoints:
                 if endpoint not in nodes:
@@ -385,12 +326,12 @@ class ScenarioSpec:
                         f"flow {index} endpoint {endpoint} is not a node of "
                         f"topology {self.topology.name!r}"
                     )
-            # Fail fast on invalid per-flow variant/parameter combinations
-            # (e.g. an optimal-window flow without a window clamp).
-            flow_config = flow.effective_config(self.config)
-            if id(flow_config) not in validated_configs:
-                validated_configs.add(id(flow_config))
-                TRANSPORTS.get(flow_config.variant).validate_config(flow_config)
+            # Resolving a flow's config validates it, so an invalid variant
+            # for this config (an optimal-window flow without a window
+            # clamp) fails here; once per distinct variant, not per flow.
+            if flow.variant not in resolved_variants:
+                resolved_variants.add(flow.variant)
+                flow.effective_config(self.config)
         if self.config.routing == "aodv" and plan is not None:
             self._check_aodv_reach(plan)
         for event in self.timeline:

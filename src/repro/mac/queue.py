@@ -78,10 +78,3 @@ class DropTailQueue:
             return None
         self.stats.dequeued += 1
         return self._queue.popleft()
-
-    def remove_where(self, predicate: Callable[[Packet], bool]) -> int:
-        """Remove all queued packets matching ``predicate``; returns the count."""
-        kept = [p for p in self._queue if not predicate(p)]
-        removed = len(self._queue) - len(kept)
-        self._queue = deque(kept)
-        return removed

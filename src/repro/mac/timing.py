@@ -51,11 +51,6 @@ class MacTiming:
         """DIFS = SIFS + 2 slot times."""
         return self.sifs + 2 * self.slot_time
 
-    @property
-    def eifs(self) -> float:
-        """EIFS used after a corrupted reception (SIFS + ACK time + DIFS)."""
-        return self.sifs + self.ack_duration + self.difs
-
     # ------------------------------------------------------------------
     # Frame durations
     # ------------------------------------------------------------------

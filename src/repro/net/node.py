@@ -72,8 +72,6 @@ class Node:
         timing: MAC timing parameters (bandwidth dependent).
         randomness: Random-stream manager; the node derives per-layer streams.
         routing: ``"aodv"`` (default) or ``"static"``.
-        queue_capacity: Interface queue size in packets (the paper uses 50);
-            a gateway's wired port gets a queue of the same size.
         aodv_config: Optional AODV constants override.
         tracer: Optional tracer shared across the stack.
         metrics: Optional metrics registry shared across the stack; every
@@ -103,7 +101,6 @@ class Node:
         timing: MacTiming,
         randomness: RandomManager,
         routing: str = "aodv",
-        queue_capacity: int = DropTailQueue.DEFAULT_CAPACITY,
         aodv_config: Optional[AodvConfig] = None,
         tracer: Tracer = NULL_TRACER,
         metrics: MetricsRegistry = NULL_METRICS,
@@ -119,7 +116,7 @@ class Node:
         self.position = position
         self.tracer = tracer
         self.metrics = metrics
-        self.queue = DropTailQueue(capacity=queue_capacity)
+        self.queue = DropTailQueue()
         self.radio: Optional[Radio] = None
         self.mac: Optional[Ieee80211Mac] = None
         self.wired_port: Optional[WiredPort] = None
@@ -144,7 +141,7 @@ class Node:
             )
         if bus is not None:
             wired_queue = (self.queue if channel is None
-                           else DropTailQueue(capacity=queue_capacity))
+                           else DropTailQueue())
             self.wired_port = WiredPort(
                 sim, node_id, bus, wired_queue,
                 rng=randomness.stream(f"wired.{node_id}"),

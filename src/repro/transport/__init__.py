@@ -17,7 +17,7 @@ from repro.transport.rtt import RttEstimator
 from repro.transport.sink import AckThinningSink, TcpSink
 from repro.transport.stats import FlowStats
 from repro.transport.tcp_base import TcpConfig, TcpSender, TransportAgent
-from repro.transport.udp import PacedUdpSource, UdpSender, UdpSink
+from repro.transport.udp import UdpSender, UdpSink
 from repro.transport.vegas import VegasParameters, VegasSender
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "TcpConfig",
     "TcpSender",
     "TransportAgent",
-    "PacedUdpSource",
     "UdpSender",
     "UdpSink",
     "VegasParameters",

@@ -56,12 +56,10 @@ class TransportBuildContext:
         sim: The scenario's simulator.
         flow: Source/destination addresses of the flow.
         stats: Per-flow statistics collector shared by sender and sink.
-        config: The *flow-effective* scenario configuration: the scenario-wide
-            config with this flow's
-            :class:`~repro.experiments.workload.FlowSpec` overrides (variant,
-            Vegas α, window clamp, UDP interval, TCP parameters, ACK
-            thinning) already applied, so factories read one config and need
-            not know about per-flow overrides.
+        config: The scenario configuration running this flow's variant:
+            the scenario's own config, with ``variant`` replaced when the
+            flow's :class:`~repro.experiments.workload.FlowSpec` names
+            another one.  Every other parameter is the scenario's.
         timing: MAC timing derived from the configured bandwidth.
         tracer: Scenario-wide tracer.
         data_limit: Optional data-packet budget of the flow
@@ -121,8 +119,8 @@ class TransportProfile:
             (defaults to a persistent FTP transfer).
         validate: Optional scenario-config validator run at config time.
         preset_overrides: Extra :class:`ScenarioConfig` fields the generated
-            presets (and preset-style sweeps) apply for this variant, e.g. the
-            window clamp the "optimal window" variant requires.
+            presets and every sweep point running this variant apply, e.g.
+            the window clamp the "optimal window" variant requires.
     """
 
     name: str
@@ -229,6 +227,8 @@ TRANSPORTS.register(TransportProfile(
     build_sink=_thinning_sink,
 ))
 
+# The optimal-window variants clamp the window at MaxWin = 3, the optimal
+# NewReno window on the paper's 7-hop chain (Fu et al.).
 TRANSPORTS.register(TransportProfile(
     name="newreno-optwin",
     label="NewReno Optimal Window",

@@ -1,11 +1,11 @@
-"""UDP agents and the paced (CBR) UDP source.
+"""UDP agents.
 
 The paper uses an "optimally paced UDP" flow as an upper bound on the goodput a
 transport protocol can achieve over an IEEE 802.11 chain: a constant-bit-rate
 source that transmits one 1460-byte datagram every *t* seconds, with *t* tuned
 offline to the value that maximizes sink goodput (Figure 10).  There are no
 acknowledgements and no retransmissions; goodput is simply what arrives at the
-sink.
+sink.  :class:`~repro.app.cbr.CbrApplication` paces the sender.
 """
 
 from __future__ import annotations
@@ -99,53 +99,3 @@ class UdpSink(TransportAgent):
         """Record the arrival of a datagram."""
         self.received += 1
         self.stats.record_delivery(self.sim.now, packet.payload_size, packets=1)
-
-
-class PacedUdpSource:
-    """Constant-bit-rate driver for a :class:`UdpSender`.
-
-    Args:
-        sim: Simulation engine.
-        sender: The UDP sender to drive.
-        interval: Time *t* between successive datagram transmissions (s).
-        start_time: Simulation time of the first transmission.
-        packet_limit: Optional cap on the number of datagrams sent.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        sender: UdpSender,
-        interval: float,
-        start_time: float = 0.0,
-        packet_limit: Optional[int] = None,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("pacing interval must be positive")
-        self.sim = sim
-        self.sender = sender
-        self.interval = interval
-        self.start_time = start_time
-        self.packet_limit = packet_limit
-        self._running = False
-
-    def start(self) -> None:
-        """Schedule the first transmission."""
-        if self._running:
-            return
-        self._running = True
-        delay = max(0.0, self.start_time - self.sim.now)
-        self.sim.schedule(delay, self._tick)
-
-    def stop(self) -> None:
-        """Stop generating datagrams (the pending one still fires harmlessly)."""
-        self._running = False
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        if self.packet_limit is not None and self.sender.datagrams_sent >= self.packet_limit:
-            self._running = False
-            return
-        self.sender.send_datagram()
-        self.sim.schedule(self.interval, self._tick)

@@ -84,3 +84,31 @@ class TestCbrApplication:
         count = len(received)
         sim.run(until=0.5)
         assert len(received) <= count + 1
+
+    def test_rejects_nonpositive_interval(self, sim):
+        with pytest.raises(ValueError):
+            self._make(sim, interval=0.0)
+
+    def test_start_time_honoured(self, sim):
+        app, sender, received = self._make(sim, interval=0.01, start_time=0.5)
+        app.schedule_start()
+        sim.run(until=0.4)
+        assert sender.datagrams_sent == 0
+        sim.run(until=1.0)
+        assert received[0].created_at == pytest.approx(0.5)
+
+    def test_start_now_overrides_a_later_start_time(self, sim):
+        # A timeline flow-start: the first datagram leaves at the event.
+        app, sender, received = self._make(sim, interval=0.01, start_time=5.0)
+        sim.schedule(0.3, app.start_now)
+        sim.run(until=0.35)
+        assert received[0].created_at == pytest.approx(0.3)
+        assert 5 <= len(received) <= 6
+
+    def test_double_start_is_idempotent(self, sim):
+        app, sender, received = self._make(sim, interval=0.01)
+        app.schedule_start()
+        app.schedule_start()
+        sim.schedule(0.05, app.start_now)
+        sim.run(until=0.1)
+        assert sender.datagrams_sent <= 11

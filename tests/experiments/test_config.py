@@ -10,6 +10,7 @@ from repro.experiments.config import (
     PAPER_HOP_COUNTS,
     ScenarioConfig,
 )
+from repro.mac.queue import DropTailQueue
 
 
 def test_paper_constants():
@@ -24,7 +25,7 @@ class TestScenarioConfig:
         assert config.tcp.max_window == 64
         assert config.tcp.initial_window == 1
         assert config.vegas_alpha == 2.0
-        assert config.queue_capacity == 50
+        assert DropTailQueue.DEFAULT_CAPACITY == 50
         assert config.routing == "aodv"
 
     def test_vegas_parameters_alpha_equals_beta_equals_gamma(self):

@@ -73,22 +73,18 @@ class TestSweepSpec:
         spec = tiny_spec(axes={"hops": [2]}, replications=2, base_seed=40)
         assert spec.seeds() == [40, 41]
 
-    def test_config_for_applies_variant_overrides_with_axis_precedence(self):
-        spec = tiny_spec(
-            axes={"variant": ["newreno-optwin"], "hops": [2]},
-            variant_overrides={"newreno-optwin": {"newreno_max_cwnd": 3.0,
-                                                  "queue_capacity": 10}},
-        )
-        config = spec.config_for(
-            {"variant": "newreno-optwin",
-             "queue_capacity": 25, "hops": 2}, seed=9)
+    def test_optimal_window_point_takes_the_registered_clamp(self):
+        # No clamp in the base config: the variant's registry entry has it.
+        spec = tiny_spec(axes={"variant": ["newreno-optwin"], "hops": [2]})
+        config = spec.config_for({"variant": "newreno-optwin", "hops": 2}, seed=9)
         assert config.newreno_max_cwnd == 3.0
-        assert config.queue_capacity == 25  # axis value wins over override
         assert config.seed == 9
 
-    def test_unknown_variant_override_rejected(self):
-        with pytest.raises(ConfigurationError):
-            tiny_spec(variant_overrides={"cubic": {"queue_capacity": 10}})
+    def test_config_axis_wins_over_the_registered_clamp(self):
+        spec = tiny_spec(axes={"variant": ["newreno-optwin"],
+                               "newreno_max_cwnd": [4.0], "hops": [2]})
+        config = spec.config_for(spec.points()[0].values, seed=1)
+        assert config.newreno_max_cwnd == 4.0
 
     def test_unknown_variant_axis_value_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="did you mean 'vegas'"):
@@ -228,7 +224,7 @@ class TestStudyCache:
 
     def test_config_change_misses_cache(self, tmp_path):
         run_study(tiny_spec(axes={"hops": [2]}), max_workers=1, store=tmp_path)
-        run_study(tiny_spec(axes={"hops": [2]}, base=tiny_config(queue_capacity=10)),
+        run_study(tiny_spec(axes={"hops": [2]}, base=tiny_config(vegas_alpha=3.0)),
                   max_workers=1, store=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 2
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -20,7 +22,6 @@ from repro.topology.base import Topology
 from repro.topology.chain import chain_topology
 from repro.topology.grid import grid_topology
 from repro.transport.registry import TRANSPORTS, TransportProfile
-from repro.transport.tcp_base import TcpConfig
 
 
 class TestFlowSpec:
@@ -55,17 +56,16 @@ class TestFlowSpec:
         flow = FlowSpec(source=0, destination=1)
         assert flow.effective_config(base) is base
 
-    def test_effective_config_applies_per_flow_overrides(self):
-        base = ScenarioConfig(variant="newreno", vegas_alpha=2.0)
-        flow = FlowSpec(source=0, destination=1, variant="vegas",
-                        vegas_alpha=4.0, tcp=TcpConfig(mss=512))
-        config = flow.effective_config(base)
-        assert config.variant == "vegas"
-        assert config.vegas_alpha == 4.0
-        assert config.tcp.mss == 512
-        # Non-overridden fields are inherited.
-        assert config.packet_target == base.packet_target
+    def test_effective_config_swaps_in_the_flow_variant(self):
+        base = ScenarioConfig(variant="newreno", vegas_alpha=3.0)
+        assert FlowSpec(0, 1, variant="newreno").effective_config(base) is base
+        config = FlowSpec(0, 1, variant="vegas").effective_config(base)
+        assert config == base.with_variant("vegas")
 
+    def test_per_flow_parameters_are_gone(self):
+        # A flow sets its variant only; run parameters are the scenario's.
+        with pytest.raises(TypeError):
+            FlowSpec(0, 7, vegas_alpha=4.0)
 
 
 class TestWorkload:
@@ -160,35 +160,43 @@ class TestScenarioSpec:
                     FlowSpec(source=0, destination=2, variant="newreno-optwin"),
                 )),
             )
-        # With the per-flow clamp the same spec is valid.
+        # With the clamp on the scenario config the same spec is valid.
         ScenarioSpec(
             topology=chain_topology(hops=2),
             workload=Workload(flows=(
-                FlowSpec(source=0, destination=2, variant="newreno-optwin",
-                         newreno_max_cwnd=3.0),
+                FlowSpec(source=0, destination=2, variant="newreno-optwin"),
             )),
+            config=ScenarioConfig(newreno_max_cwnd=3.0),
         )
 
     @pytest.mark.parametrize("variant", TRANSPORTS.names())
     def test_a_thousand_uniform_flows_share_one_validated_config(self, monkeypatch,
                                                                  variant):
-        """Set-up cost is per distinct flow config, not per flow: the memo in
-        ``FlowSpec.effective_config`` hands every flow the same object, and
-        ``ScenarioSpec`` checks that object once, whatever the transport."""
-        monkeypatch.setattr("repro.experiments.workload._EFFECTIVE_CONFIG_CACHE", {})
+        """Set-up cost is per distinct flow variant, not per flow: the spec
+        and the runner each resolve (and so validate) one config for the
+        thousand flows, whatever the transport."""
         # The window clamp the optimal-window variants require; the others
         # ignore it.
         base = ScenarioConfig(packet_target=100, newreno_max_cwnd=3)
         flows = tuple(FlowSpec(source=index % 3, destination=3, variant=variant)
                       for index in range(1000))
-        shared = flows[0].effective_config(base)
-        checked = []
-        monkeypatch.setattr(TransportProfile, "validate_config",
-                            lambda profile, config: checked.append(config))
+        validated, replaced = [], []
+        validate = TransportProfile.validate_config
+        monkeypatch.setattr(
+            TransportProfile, "validate_config",
+            lambda profile, config: validated.append(config) or validate(profile, config))
+        monkeypatch.setattr(
+            "repro.experiments.workload.replace",
+            lambda config, **changes: replaced.append(changes) or replace(config, **changes))
+        # The base config runs one variant already: its flows need no copy.
+        expected = 0 if variant == base.variant else 1
         spec = ScenarioSpec(topology=chain_topology(hops=3),
                             workload=Workload(flows=flows), config=base)
-        assert len(checked) == 1 and checked[0] is shared
-        assert all(flow.effective_config(base) is shared for flow in spec.workload)
+        assert (len(validated), len(replaced)) == (expected, expected)
+        scenario = Scenario(spec)
+        assert (len(validated), len(replaced)) == (2 * expected, 2 * expected)
+        assert replaced == [{"variant": variant}] * (2 * expected)
+        assert len(scenario.senders) == 1000
 
     def test_sorted_timeline_is_stable(self):
         spec = ScenarioSpec(

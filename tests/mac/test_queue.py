@@ -60,13 +60,3 @@ class TestDropTailQueue:
             queue.enqueue(Packet())
         queue.dequeue()
         assert queue.stats.high_watermark == 4
-
-    def test_remove_where(self):
-        queue = DropTailQueue()
-        small = Packet(payload_size=10)
-        big = Packet(payload_size=1000)
-        queue.enqueue(small)
-        queue.enqueue(big)
-        removed = queue.remove_where(lambda p: p.payload_size > 100)
-        assert removed == 1
-        assert queue.dequeue().uid == small.uid

@@ -1,12 +1,10 @@
-"""Tests for UDP agents and the paced (CBR) source."""
+"""Tests for the UDP agents (pacing: ``tests/app/test_apps.py``)."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.net.address import FlowAddress
 from repro.transport.stats import FlowStats
-from repro.transport.udp import PacedUdpSource, UdpSender, UdpSink
+from repro.transport.udp import UdpSender, UdpSink
 
 FLOW = FlowAddress(src_node=0, src_port=5001, dst_node=1, dst_port=6001)
 
@@ -39,52 +37,3 @@ class TestUdpAgents:
     def test_sender_ignores_incoming_traffic(self, sim):
         sender, sink, stats = make_pair(sim)
         sender.receive(object())  # must not raise
-
-
-class TestPacedSource:
-    def test_rejects_nonpositive_interval(self, sim):
-        sender, _, _ = make_pair(sim)
-        with pytest.raises(ValueError):
-            PacedUdpSource(sim, sender, interval=0.0)
-
-    def test_constant_rate_generation(self, sim):
-        sender, sink, stats = make_pair(sim)
-        source = PacedUdpSource(sim, sender, interval=0.01)
-        source.start()
-        sim.run(until=1.0)
-        # ~100 packets in one second of 10 ms pacing.
-        assert 95 <= sender.datagrams_sent <= 101
-
-    def test_packet_limit_respected(self, sim):
-        sender, sink, stats = make_pair(sim)
-        source = PacedUdpSource(sim, sender, interval=0.01, packet_limit=7)
-        source.start()
-        sim.run(until=1.0)
-        assert sender.datagrams_sent == 7
-
-    def test_start_time_honoured(self, sim):
-        sender, sink, stats = make_pair(sim)
-        source = PacedUdpSource(sim, sender, interval=0.01, start_time=0.5)
-        source.start()
-        sim.run(until=0.4)
-        assert sender.datagrams_sent == 0
-        sim.run(until=1.0)
-        assert sender.datagrams_sent > 0
-
-    def test_stop_halts_generation(self, sim):
-        sender, sink, stats = make_pair(sim)
-        source = PacedUdpSource(sim, sender, interval=0.01)
-        source.start()
-        sim.run(until=0.1)
-        source.stop()
-        sent = sender.datagrams_sent
-        sim.run(until=0.5)
-        assert sender.datagrams_sent <= sent + 1
-
-    def test_double_start_is_idempotent(self, sim):
-        sender, sink, stats = make_pair(sim)
-        source = PacedUdpSource(sim, sender, interval=0.01)
-        source.start()
-        source.start()
-        sim.run(until=0.1)
-        assert sender.datagrams_sent <= 11
