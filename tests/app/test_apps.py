@@ -89,6 +89,23 @@ class TestCbrApplication:
         with pytest.raises(ValueError):
             self._make(sim, interval=0.0)
 
+    def test_datagrams_are_spaced_by_the_interval(self, sim):
+        app, sender, received = self._make(sim, interval=0.01, start_time=0.2)
+        app.schedule_start()
+        sim.run(until=0.25)
+        times = [packet.created_at for packet in received]
+        assert times[0] == pytest.approx(0.2)
+        assert [b - a for a, b in zip(times, times[1:])] == pytest.approx(
+            [0.01] * (len(times) - 1))
+
+    def test_packet_limit_ends_the_pacing_loop(self, sim):
+        app, sender, received = self._make(sim, interval=0.01, packet_limit=3)
+        app.schedule_start()
+        sim.run(until=1.0)
+        # The tick after the third datagram stops pacing: nothing is left queued.
+        assert sim.pending_events == 0
+        assert len(received) == 3
+
     def test_start_time_honoured(self, sim):
         app, sender, received = self._make(sim, interval=0.01, start_time=0.5)
         app.schedule_start()

@@ -28,6 +28,10 @@ class TestScenarioConfig:
         assert DropTailQueue.DEFAULT_CAPACITY == 50
         assert config.routing == "aodv"
 
+    def test_queue_capacity_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            ScenarioConfig(queue_capacity=10)
+
     def test_vegas_parameters_alpha_equals_beta_equals_gamma(self):
         params = ScenarioConfig(vegas_alpha=3.0).vegas_parameters()
         assert params.alpha == params.beta == params.gamma == 3.0

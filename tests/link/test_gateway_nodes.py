@@ -24,6 +24,7 @@ from repro.experiments.workload import (
 from repro.link.gateway import GatewayStaticRouting
 from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.link.wired import WiredPort
+from repro.mac.queue import DropTailQueue
 from repro.net.headers import IpHeader, IpProtocol, UdpHeader
 from repro.net.packet import Packet
 from repro.routing.base import RoutingProtocol
@@ -107,6 +108,13 @@ class TestGatewayConstruction:
         # Wired-only nodes, then gateways: node-id order on these plans.
         (bus,) = build().buses
         assert bus.node_ids == order
+
+    def test_every_interface_queue_has_the_default_capacity(self):
+        # No config knob: radio and wired queues, gateways' included, hold 50.
+        scenario = backbone_scenario()
+        queues = [node.queue for node in scenario.nodes.values()]
+        queues += [scenario.nodes[g].wired_port.queue for g in (0, 1)]
+        assert {queue.capacity for queue in queues} == {DropTailQueue.DEFAULT_CAPACITY}
 
     def test_gateway_wired_table_routes_remote_subnets(self):
         scenario = backbone_scenario()
