@@ -22,7 +22,7 @@ not its magnitudes.  Table 2 is analytic and has no row: tier-1 pins it
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
@@ -76,14 +76,14 @@ VEGAS_ALPHA = SweepSpec(
 VEGAS_THINNING = SweepSpec(
     name="vegas-thinning", topology="chain",
     axes={"vegas_alpha": ALPHAS, "hops": DEFAULT_HOP_COUNTS},
-    base=CHAIN.with_variant("vegas-at"))
+    base=replace(CHAIN, variant="vegas-at"))
 VEGAS_ALPHA_BANDWIDTH = SweepSpec(
     name="vegas-alpha-bandwidth", topology="chain", topology_params={"hops": 7},
     axes={"vegas_alpha": ALPHAS, "bandwidth_mbps": PAPER_BANDWIDTHS}, base=CHAIN)
 PACED_UDP = SweepSpec(
     name="paced-udp", topology="chain", topology_params={"hops": 7},
     axes={"udp_interval": tuple(default_sweep_intervals(2.0, points=7, spread=0.4))},
-    base=CHAIN.with_variant("paced-udp"))
+    base=replace(CHAIN, variant="paced-udp"))
 BANDWIDTH_COMPARISON = SweepSpec(
     name="bandwidth-comparison", topology="chain", topology_params={"hops": 7},
     axes={"variant": BANDWIDTH_VARIANTS, "bandwidth_mbps": PAPER_BANDWIDTHS}, base=CHAIN)
@@ -98,7 +98,7 @@ CAPTURE_ABLATION = SweepSpec(
     axes={"capture_threshold": (CAPTURE, NO_CAPTURE)}, base=CHAIN)
 ROUTING_ABLATION = SweepSpec(
     name="routing-ablation", topology="chain", topology_params={"hops": 7},
-    axes={"routing": ("aodv", "static")}, base=CHAIN.with_variant("newreno"))
+    axes={"routing": ("aodv", "static")}, base=replace(CHAIN, variant="newreno"))
 
 _cache = os.environ.get("REPRO_STUDY_CACHE")
 #: Result store every sweep reads and fills; None runs without one.

@@ -4,9 +4,9 @@
 Composes a scenario the paper could not run: a NewReno flow and a Vegas flow
 sharing a 7-hop 802.11 chain, with the Vegas flow entering mid-run through a
 timeline event and the middle node dropping off the air for a scripted
-outage.  Afterwards, a declarative study sweeps the *traffic mix* — the
-number of Vegas flows competing with NewReno — across seeds using the
-``workload.*`` axis support of :class:`repro.SweepSpec`.
+outage.  Afterwards it varies the *traffic mix* — the number of Vegas flows
+competing with NewReno — running each mix on a few seeds and reporting the
+cross-seed confidence interval of the aggregate goodput.
 
 Run with::
 
@@ -23,13 +23,10 @@ from repro import (
     ScenarioConfig,
     ScenarioEvent,
     ScenarioSpec,
-    SweepSpec,
-    Workload,
     chain_topology,
     format_table,
-    mixed_transport_workload,
-    run_study,
 )
+from repro.core.statistics import confidence_interval
 from repro.experiments.smoke import smoke_scaled
 from repro.phy.propagation import Position
 from repro.topology.base import Topology
@@ -48,10 +45,10 @@ def run_scripted_scenario(args) -> None:
     spec = ScenarioSpec(
         name="newreno-vs-late-vegas",
         topology=chain_topology(hops=args.hops),
-        workload=Workload(flows=(
+        workload=(
             FlowSpec(0, args.hops, variant="newreno"),
             FlowSpec(0, args.hops, variant="vegas", label="latecomer"),
-        )),
+        ),
         config=ScenarioConfig(packet_target=args.packets, max_sim_time=240.0,
                               seed=args.seed),
         timeline=(ScenarioEvent.flow_start(5.0, flow=2),
@@ -77,30 +74,31 @@ def run_scripted_scenario(args) -> None:
 
 
 def run_mix_study(args) -> None:
-    """Sweep the traffic mix: how many of the two flows run Vegas?"""
-    spec = SweepSpec(
-        name="vegas-share-study",
-        topology=two_flow_chain(args.hops),
-        workload_factory=mixed_transport_workload,
-        workload_params={"primary": "newreno", "secondary": "vegas"},
-        axes={"workload.secondary_flows": [0, 1, 2]},
-        base=ScenarioConfig(packet_target=args.packets, max_sim_time=240.0,
-                            seed=args.seed),
-        replications=args.replications,
-    )
-    study = run_study(spec, max_workers=1 if args.serial else None,
-                      store=args.store or None)
-
+    """Vary the traffic mix: how many of the two flows run Vegas?"""
+    topology = two_flow_chain(args.hops)
     print(f"\n=== traffic-mix sweep ({args.replications} seed(s)/point) ===")
     rows = []
-    for point in study.points:
-        vegas_flows = point.values["workload.secondary_flows"]
-        interval = point.goodput_interval
+    for vegas_flows in (0, 1, 2):
+        # The last ``vegas_flows`` flows run Vegas, the others NewReno.
+        cut = len(topology.flows) - vegas_flows
+        workload = tuple(
+            FlowSpec(source, destination,
+                     variant="newreno" if index < cut else "vegas")
+            for index, (source, destination) in enumerate(topology.flows))
+        runs = [
+            Scenario(ScenarioSpec(
+                topology=topology, workload=workload,
+                config=ScenarioConfig(packet_target=args.packets,
+                                      max_sim_time=240.0, seed=args.seed + rep),
+            )).run()
+            for rep in range(args.replications)
+        ]
+        interval = confidence_interval([run.aggregate_goodput_bps for run in runs])
         rows.append([
-            f"{vegas_flows}/2", point.run.variant,
+            f"{vegas_flows}/2", runs[0].variant,
             round(interval.mean / 1000.0, 1),
             round(interval.half_width / 1000.0, 1),
-            round(point.run.fairness_index, 3),
+            round(runs[0].fairness_index, 3),
         ])
     print(format_table(
         ["vegas flows", "variants", "goodput kbit/s", "±", "fairness"], rows))
@@ -114,11 +112,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--replications", type=int,
                         default=smoke_scaled(2, 1),
-                        help="independent seeds per sweep point")
-    parser.add_argument("--store", default="",
-                        help="result-store directory ('' disables)")
-    parser.add_argument("--serial", action="store_true",
-                        help="run every item in this process (max_workers=1)")
+                        help="independent seeds per traffic mix")
     args = parser.parse_args()
 
     run_scripted_scenario(args)

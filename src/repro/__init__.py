@@ -41,13 +41,7 @@ from repro.experiments.config import (
     ScenarioConfig,
 )
 from repro.experiments.results import FlowResult, ScenarioResult, format_table
-from repro.experiments.workload import (
-    FlowSpec,
-    ScenarioEvent,
-    ScenarioSpec,
-    Workload,
-    mixed_transport_workload,
-)
+from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.metrics import MetricsRegistry, TimeSeries
 from repro.mobility.registry import MOBILITY_MODELS, MobilityProfile
 from repro.topology.chain import chain_topology
@@ -80,10 +74,8 @@ __all__ = [
     "format_table",
     "Scenario",
     "FlowSpec",
-    "Workload",
     "ScenarioEvent",
     "ScenarioSpec",
-    "mixed_transport_workload",
     "available_scenarios",
     "build_named_scenario",
     "PointResult",

@@ -2,8 +2,8 @@
 
 Three layers, from low-level to high-level:
 
-* **Workload composition** — :class:`FlowSpec` / :class:`Workload` /
-  :class:`ScenarioEvent` / :class:`ScenarioSpec` describe *what runs*:
+* **Workload composition** — :class:`FlowSpec` / :class:`ScenarioEvent` /
+  :class:`ScenarioSpec` describe *what runs*:
   per-flow transport variants, application timing and budgets, and a
   scripted timeline of mid-run interventions.  See
   :mod:`repro.experiments.workload`.
@@ -39,13 +39,7 @@ from repro.experiments.config import (
     ScenarioConfig,
 )
 from repro.experiments.results import FlowResult, ScenarioResult, format_table
-from repro.experiments.workload import (
-    FlowSpec,
-    ScenarioEvent,
-    ScenarioSpec,
-    Workload,
-    mixed_transport_workload,
-)
+from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 
 #: Names imported on first use (PEP 562), and the module each lives in.
 #: Running a scenario loads neither the sweep machinery nor the study
@@ -72,8 +66,6 @@ __all__ = [
     "FlowSpec",
     "ScenarioEvent",
     "ScenarioSpec",
-    "Workload",
-    "mixed_transport_workload",
     "DEFAULT_HOP_COUNTS",
     "PAPER_BANDWIDTHS",
     "PAPER_HOP_COUNTS",

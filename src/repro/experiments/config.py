@@ -12,20 +12,21 @@ scenario shares this config; a flow's ``FlowSpec`` may name another
 transport variant and nothing else of it.
 
 The transport variant is its registry key (``"vegas-at"``; see
-:data:`repro.transport.registry.TRANSPORTS`), held as a ``str``.
-Variant-specific validation lives on the registered
-:class:`repro.transport.registry.TransportProfile`, not here.
+:data:`repro.transport.registry.TRANSPORTS`), held as a ``str``.  A
+variant-specific knob is a plain field that only that variant's sender reads:
+``vegas_alpha`` for the Vegas variants, ``newreno_max_cwnd`` for the two
+optimal-window variants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.errors import ConfigurationError
 from repro.mobility.registry import MOBILITY_MODELS
 from repro.transport.ack_thinning import AckThinningPolicy
-from repro.transport.registry import TRANSPORTS, transport_key
+from repro.transport.registry import transport_key
 from repro.transport.tcp_base import TcpConfig
 from repro.transport.vegas import VegasParameters
 
@@ -43,8 +44,9 @@ class ScenarioConfig:
             (mixed-transport workloads; see ``docs/workloads.md``).
         bandwidth_mbps: 802.11 data rate (2, 5.5 or 11 in the paper).
         vegas_alpha: Vegas α (= β = γ) threshold in packets.
-        newreno_max_cwnd: Window clamp for the "optimal window" variant
-            (the paper finds MaxWin = 3 for the 7-hop chain).
+        newreno_max_cwnd: Window clamp of the two "optimal window"
+            variants, the only senders that read it (MaxWin = 3, the optimal
+            NewReno window on the paper's 7-hop chain; Fu et al.).
         udp_interval: Inter-packet time *t* for paced UDP; None lets the
             harness use the analytically derived 4-hop propagation delay as a
             starting point (Section 4.2).
@@ -87,7 +89,7 @@ class ScenarioConfig:
     variant: str = "vegas"
     bandwidth_mbps: float = 2.0
     vegas_alpha: float = 2.0
-    newreno_max_cwnd: Optional[float] = None
+    newreno_max_cwnd: float = 3.0
     udp_interval: Optional[float] = None
     packet_target: int = 1100
     max_sim_time: float = 4000.0
@@ -130,7 +132,6 @@ class ScenarioConfig:
         if self.metrics_interval <= 0:
             raise ConfigurationError("metrics_interval must be positive")
         object.__setattr__(self, "variant", transport_key(self.variant))
-        TRANSPORTS.get(self.variant).validate_config(self)
 
     # ------------------------------------------------------------------
     # Convenience derivations
@@ -140,10 +141,6 @@ class ScenarioConfig:
         return VegasParameters(
             alpha=self.vegas_alpha, beta=self.vegas_alpha, gamma=self.vegas_alpha
         )
-
-    def with_variant(self, variant: str, **overrides) -> "ScenarioConfig":
-        """Copy of this config with a different transport variant."""
-        return replace(self, variant=variant, **overrides)
 
 
 #: The three bandwidths studied in the paper, in Mbit/s.

@@ -100,9 +100,10 @@ class Scenario:
 
     Attributes:
         spec: The :class:`ScenarioSpec` being run.
-        workload: The spec's per-flow workload.
+        workload: The spec's per-flow workload, a tuple of
+            :class:`~repro.experiments.workload.FlowSpec`.
         profiles: One resolved transport profile per flow, aligned with
-            ``workload.flows`` / ``flow_stats`` / ``senders``.
+            ``workload`` / ``flow_stats`` / ``senders``.
         metrics: The scenario's freshly created
             :class:`~repro.metrics.registry.MetricsRegistry` (its time-series
             plane follows ``config.metrics``).  Each scenario owns its own
@@ -127,8 +128,6 @@ class Scenario:
         self.workload = spec.workload
         self.tracer = tracer
         self.metrics = MetricsRegistry(enabled=self.config.metrics)
-        #: Scenario-wide default profile (flows may override per spec).
-        self.profile = TRANSPORTS.get(self.config.variant)
 
         config = self.config
         self.sim = Simulator()
@@ -512,8 +511,9 @@ class Scenario:
         legacy single-variant label, so existing result names — including
         the golden traces — are unchanged.
         """
-        if self.workload.is_uniform(self.config.variant):
-            return self.profile.label
+        default = self.config.variant
+        if all(flow.variant in (None, default) for flow in self.workload):
+            return TRANSPORTS.get(default).label
         labels = []
         for profile in self.profiles:
             if profile.label not in labels:

@@ -11,8 +11,7 @@ exploration can run a standard setup by name::
 The preset table is derived from the transport, topology and mobility
 registries: every registered transport variant automatically gets a
 ``chain7-<variant>-<bw>``, ``grid-<variant>-<bw>`` and ``random-<variant>-<bw>``
-entry per paper bandwidth, using the variant's ``preset_overrides`` (e.g. the
-window clamp the "optimal window" variant needs); every mobility profile with
+entry per paper bandwidth, on the config defaults; every mobility profile with
 a ``preset_tag`` additionally gets a mobile twin of each of those entries
 (``chain7-rwp-<variant>-<bw>``, …).  Registering a new transport or mobility
 model therefore also registers its presets — no change here required.
@@ -35,12 +34,7 @@ from repro.core.registry import did_you_mean
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.config import PAPER_BANDWIDTHS, ScenarioConfig
 from repro.experiments.runner import Scenario
-from repro.experiments.workload import (
-    FlowSpec,
-    ScenarioEvent,
-    ScenarioSpec,
-    Workload,
-)
+from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.mobility.registry import MOBILITY_MODELS
 from repro.topology.registry import TOPOLOGIES
 from repro.transport.registry import TRANSPORTS
@@ -58,12 +52,12 @@ def _bandwidth_tag(bandwidth: float) -> str:
 
 
 def _preset_factory(family: str, params: Dict[str, object], variant_name: str,
-                    bandwidth: float, overrides: Dict[str, object]) -> ScenarioFactory:
+                    bandwidth: float, mobility: str = "static") -> ScenarioFactory:
     def factory() -> ScenarioSpec:
         return ScenarioSpec(
             topology=TOPOLOGIES.get(family).build(**params),
             config=ScenarioConfig(variant=variant_name, bandwidth_mbps=bandwidth,
-                                  **overrides),
+                                  mobility=mobility),
         )
     return factory
 
@@ -87,17 +81,15 @@ def _generated_presets() -> Dict[str, ScenarioFactory]:
                         f"-{_bandwidth_tag(bandwidth)}")
                 presets[name] = _preset_factory(
                     topology.name, dict(topology.preset_params),
-                    profile.name, bandwidth, dict(profile.preset_overrides),
+                    profile.name, bandwidth,
                 )
                 for tag, mobility_name in mobile_variants:
-                    overrides = dict(profile.preset_overrides)
-                    overrides["mobility"] = mobility_name
                     presets[
                         f"{topology.preset_prefix}-{tag}-{profile.name}"
                         f"-{_bandwidth_tag(bandwidth)}"
                     ] = _preset_factory(
                         topology.name, dict(topology.preset_params),
-                        profile.name, bandwidth, overrides,
+                        profile.name, bandwidth, mobility_name,
                     )
     presets.update(_EXTRA_SCENARIOS)
     return presets
@@ -127,10 +119,10 @@ def _chain7_mixed_newreno_vegas() -> ScenarioSpec:
     return ScenarioSpec(
         name="chain7-mixed",
         topology=topology,
-        workload=Workload(flows=(
+        workload=(
             FlowSpec(source=0, destination=7, variant="newreno"),
             FlowSpec(source=0, destination=7, variant="vegas", label="latecomer"),
-        )),
+        ),
         config=ScenarioConfig(variant="newreno", bandwidth_mbps=2.0),
         timeline=(ScenarioEvent.flow_start(5.0, flow=2),),
     )
@@ -152,7 +144,7 @@ def _random50_tcp_with_udp_background() -> ScenarioSpec:
     return ScenarioSpec(
         name="random50-tcp-with-udp-background",
         topology=topology,
-        workload=Workload(flows=tuple(flows)),
+        workload=tuple(flows),
         config=ScenarioConfig(variant="newreno", bandwidth_mbps=2.0,
                               max_sim_time=300.0),
     )
@@ -247,10 +239,10 @@ def _backbone2x7_mixed_newreno_vegas() -> ScenarioSpec:
     return ScenarioSpec(
         name="backbone2x7-mixed",
         topology=topology,
-        workload=Workload(flows=(
+        workload=(
             FlowSpec(source=tail0, destination=tail1, variant="newreno"),
             FlowSpec(source=tail1, destination=tail0, variant="vegas"),
-        )),
+        ),
         config=ScenarioConfig(variant="newreno", bandwidth_mbps=2.0,
                               routing="static", max_sim_time=600.0),
     )
@@ -357,10 +349,8 @@ def catalog_markdown() -> str:
         "",
     ]
     lines.extend(_markdown_table(
-        ["name", "label", "preset overrides"],
-        [[f"`{p.name}`", p.label,
-          _format_params(dict(p.preset_overrides))]
-         for p in TRANSPORTS.values()],
+        ["name", "label"],
+        [[f"`{p.name}`", p.label] for p in TRANSPORTS.values()],
     ))
     lines += ["", "## Topology families", ""]
     lines.extend(_markdown_table(

@@ -33,16 +33,13 @@ Quickstart::
     for point in study.points:
         print(point.values, point.goodput_interval)
 
-Axis keys that are :class:`~repro.experiments.config.ScenarioConfig` fields
-override the base config and the defaults the point's variant registers
-(``TransportProfile.preset_overrides``); keys prefixed ``workload.`` are
-stripped and passed to the sweep's ``workload_factory`` (so traffic mixes
-are sweepable, e.g. ``axes={"workload.secondary_flows": [0, 1, 2]}`` with
-:func:`~repro.experiments.workload.mixed_transport_workload` sweeps the
-number of Vegas flows competing with NewReno); every other key is passed to
-the topology builder (so ``hops`` reaches
-:func:`repro.topology.chain.chain_topology`).  Seeds are never an axis:
-replication ``r`` runs with ``base_seed + r``, which makes a
+A sweep point is a config and a topology: ``ScenarioSpec(
+topology=topology_for(values), config=replace(base, seed=seed,
+**config_axes))``.  Axis keys that are
+:class:`~repro.experiments.config.ScenarioConfig` fields override the base
+config; every other key is passed to the topology builder (so ``hops``
+reaches :func:`repro.topology.chain.chain_topology`).  Seeds are never an
+axis: replication ``r`` runs with ``base_seed + r``, which makes a
 single-replication study bit-identical to ``Scenario(spec).run()`` on the
 point's spec with the base config's seed.
 
@@ -81,23 +78,14 @@ from repro.experiments.exec import (
     run_work_item,
 )
 from repro.experiments.results import ScenarioResult
-from repro.experiments.workload import ScenarioEvent, ScenarioSpec, Workload
+from repro.experiments.workload import ScenarioSpec
 from repro.topology.base import Topology
 from repro.topology.registry import TOPOLOGIES
-from repro.transport.registry import TRANSPORTS, transport_key
+from repro.transport.registry import transport_key
 
-#: ScenarioConfig field names; axis keys in this set override the config.
-#: Axis keys prefixed ``workload.`` are passed to the sweep's workload
-#: factory; every other axis key is passed to the topology builder.
+#: ScenarioConfig field names; axis keys in this set override the config,
+#: every other axis key is passed to the topology builder.
 _CONFIG_FIELDS = frozenset(ScenarioConfig.__dataclass_fields__)
-
-#: Axis-key prefix marking workload-factory parameters.
-_WORKLOAD_AXIS_PREFIX = "workload."
-
-#: Factory building a :class:`Workload` for one sweep point; must be a
-#: module-level callable (pickled by reference for the process pool).  It
-#: receives the point's topology plus the stripped ``workload.*`` axis values.
-WorkloadFactory = Callable[..., Workload]
 
 #: Bumped on cache *format* changes; cached-result *content* staleness is
 #: handled by :func:`_code_fingerprint`, which keys every cache entry to the
@@ -160,25 +148,11 @@ class SweepSpec:
             4.4.2).
         topology_params: Builder parameters common to every point.
         axes: Ordered mapping from axis name to the values it sweeps.
-            Config-field axes override ``base``; axes prefixed ``workload.``
-            are stripped and passed to ``workload_factory``; all other axes
-            are topology builder parameters.  ``seed`` may not be an axis —
-            use ``replications``.
-        base: Baseline :class:`ScenarioConfig` every point starts from.
-            Each point applies its variant's registered
-            :attr:`~repro.transport.registry.TransportProfile.preset_overrides`
-            (the optimal-window clamp, say) over it, then its config axes.
-        workload: Fixed per-flow :class:`~repro.experiments.workload.Workload`
-            shared by every point (its flows must match whatever topology the
-            points build).  Mutually exclusive with ``workload_factory``.
-        workload_factory: Module-level callable
-            ``factory(topology, **workload_params)`` building each point's
-            workload, e.g.
-            :func:`~repro.experiments.workload.mixed_transport_workload`;
-            required when ``workload.*`` axes are swept.
-        workload_params: Factory parameters common to every point.
-        timeline: :class:`~repro.experiments.workload.ScenarioEvent` timeline
-            applied to every point's scenario.
+            Config-field axes override ``base``; all other axes are topology
+            builder parameters.  ``seed`` may not be an axis — use
+            ``replications``.
+        base: Baseline :class:`ScenarioConfig` every point starts from; a
+            point overrides its config axes and its seed, nothing else.
         replications: Independent seeds per sweep point.
         base_seed: Seed of replication 0 (defaults to ``base.seed``);
             replication ``r`` uses ``base_seed + r``.
@@ -189,10 +163,6 @@ class SweepSpec:
     topology_params: Mapping[str, object] = field(default_factory=dict)
     axes: Mapping[str, Sequence[object]] = field(default_factory=dict)
     base: ScenarioConfig = field(default_factory=ScenarioConfig)
-    workload: Optional[Workload] = None
-    workload_factory: Optional[WorkloadFactory] = None
-    workload_params: Mapping[str, object] = field(default_factory=dict)
-    timeline: Tuple[ScenarioEvent, ...] = ()
     replications: int = 1
     base_seed: Optional[int] = None
 
@@ -222,18 +192,6 @@ class SweepSpec:
                 f"{sorted(self.topology_axes)} require a topology family name, "
                 "not a prebuilt Topology"
             )
-        if self.workload is not None and self.workload_factory is not None:
-            raise ConfigurationError(
-                "pass either a fixed workload or a workload_factory, not both"
-            )
-        if self.workload_axes and self.workload_factory is None:
-            raise ConfigurationError(
-                f"workload axes {sorted(self.workload_axes)} require a "
-                "workload_factory"
-            )
-        if (self.workload_params and self.workload_factory is None):
-            raise ConfigurationError("workload_params require a workload_factory")
-        object.__setattr__(self, "timeline", tuple(self.timeline))
         # Build each point's spec once, so a point no run could serve (an
         # AODV flow that would have to cross a wired plane, say) is refused
         # here rather than by every item at run time.
@@ -250,16 +208,9 @@ class SweepSpec:
         return tuple(self.axes)
 
     @property
-    def workload_axes(self) -> Tuple[str, ...]:
-        """Axes passed (prefix-stripped) to the workload factory."""
-        return tuple(a for a in self.axes if a.startswith(_WORKLOAD_AXIS_PREFIX))
-
-    @property
     def topology_axes(self) -> Tuple[str, ...]:
         """Axes passed to the topology builder."""
-        return tuple(a for a in self.axes
-                     if a not in _CONFIG_FIELDS
-                     and not a.startswith(_WORKLOAD_AXIS_PREFIX))
+        return tuple(a for a in self.axes if a not in _CONFIG_FIELDS)
 
     def points(self) -> List[SweepPoint]:
         """All sweep points, in cartesian order (last axis fastest).
@@ -287,19 +238,12 @@ class SweepSpec:
     # ------------------------------------------------------------------
     def config_for(self, values: Mapping[str, object], seed: int) -> ScenarioConfig:
         """The :class:`ScenarioConfig` of one sweep point and seed."""
-        variant = values.get("variant", self.base.variant)
-        overrides = dict(TRANSPORTS.get(variant).preset_overrides)
-        overrides.update(
-            {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
-        )
-        overrides["seed"] = seed
-        return replace(self.base, **overrides)
+        return replace(self.base, seed=seed, **{
+            k: v for k, v in values.items() if k in _CONFIG_FIELDS})
 
     def _topology_builder_params(self, values: Mapping[str, object]) -> Dict[str, object]:
         params = dict(self.topology_params)
-        params.update({k: v for k, v in values.items()
-                       if k not in _CONFIG_FIELDS
-                       and not k.startswith(_WORKLOAD_AXIS_PREFIX)})
+        params.update({k: v for k, v in values.items() if k not in _CONFIG_FIELDS})
         return params
 
     def topology_for(self, values: Mapping[str, object]) -> Topology:
@@ -309,33 +253,11 @@ class SweepSpec:
         return TOPOLOGIES.get(self.topology).build(
             **self._topology_builder_params(values))
 
-    def workload_params_for(self, values: Mapping[str, object]) -> Dict[str, object]:
-        """The (prefix-stripped) workload-factory parameters of one point."""
-        params = dict(self.workload_params)
-        params.update({
-            key[len(_WORKLOAD_AXIS_PREFIX):]: value
-            for key, value in values.items()
-            if key.startswith(_WORKLOAD_AXIS_PREFIX)
-        })
-        return params
-
-    def workload_for(self, values: Mapping[str, object],
-                     topology: Topology) -> Optional[Workload]:
-        """The :class:`Workload` of one sweep point (``None`` = the
-        topology's own flows)."""
-        if self.workload_factory is not None:
-            return self.workload_factory(topology, **self.workload_params_for(values))
-        return self.workload
-
     def scenario_for(self, values: Mapping[str, object], seed: int) -> ScenarioSpec:
-        """The complete :class:`ScenarioSpec` of one (point, seed) run."""
-        topology = self.topology_for(values)
-        return ScenarioSpec(
-            topology=topology,
-            workload=self.workload_for(values, topology),
-            config=self.config_for(values, seed),
-            timeline=self.timeline,
-        )
+        """The complete :class:`ScenarioSpec` of one (point, seed) run: the
+        point's topology with its own flows, and the point's config."""
+        return ScenarioSpec(topology=self.topology_for(values),
+                            config=self.config_for(values, seed))
 
     def fingerprint(self, values: Mapping[str, object], seed: int) -> str:
         """Stable cache key of one (point, seed) scenario run.
@@ -357,18 +279,6 @@ class SweepSpec:
             "config": _jsonable(self.config_for(values, seed)),
             "seed": seed,
         }
-        # Workload/timeline sections are only added when used, so legacy
-        # sweeps keep hitting their previously cached entries.
-        if self.workload_factory is not None:
-            payload["workload"] = {
-                "factory": f"{self.workload_factory.__module__}."
-                           f"{getattr(self.workload_factory, '__qualname__', repr(self.workload_factory))}",
-                "params": _jsonable(self.workload_params_for(values)),
-            }
-        elif self.workload is not None:
-            payload["workload"] = {"flows": _jsonable(self.workload)}
-        if self.timeline:
-            payload["timeline"] = _jsonable(self.timeline)
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

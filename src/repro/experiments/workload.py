@@ -2,14 +2,13 @@
 
 The paper's experiments all run *one* transport variant per scenario: a
 scalar ``ScenarioConfig.variant`` applied to every flow of the topology.
-This module makes the workload a first-class composable object instead:
+This module lets each flow of a scenario name its own:
 
 * :class:`FlowSpec` — one traffic flow with its *own* transport variant,
   application timing (start/stop) and an optional packet budget.  Every
   other run parameter is the scenario's
   :class:`~repro.experiments.config.ScenarioConfig`, shared by all flows.
-* :class:`Workload` — an ordered collection of flow specs (the traffic mix of
-  one scenario).
+  A scenario's workload is a tuple of them (the traffic mix).
 * :class:`ScenarioEvent` — one scheduled intervention: start or stop a flow
   mid-run, take a node down (radio silence) or bring it back, block or
   unblock an individual link.
@@ -27,10 +26,10 @@ drops off the air for ten seconds::
     spec = ScenarioSpec(
         name="coexistence-demo",
         topology=chain_topology(hops=7),
-        workload=Workload(flows=(
+        workload=(
             FlowSpec(0, 7, variant="newreno"),
             FlowSpec(0, 7, variant="vegas", label="latecomer"),
-        )),
+        ),
         config=ScenarioConfig(packet_target=400, seed=3),
         timeline=(ScenarioEvent.flow_start(5.0, flow=2),
                   ScenarioEvent.node_down(20.0, 3),
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
@@ -56,10 +55,8 @@ from repro.transport.registry import transport_key
 
 __all__ = [
     "FlowSpec",
-    "Workload",
     "ScenarioEvent",
     "ScenarioSpec",
-    "mixed_transport_workload",
 ]
 
 
@@ -134,59 +131,6 @@ class FlowSpec:
         if self.variant is None or self.variant == base.variant:
             return base
         return replace(base, variant=self.variant)
-
-
-@dataclass(frozen=True)
-class Workload:
-    """The traffic mix of one scenario: an ordered tuple of flow specs.
-
-    Flow *i* of the paper's figures is ``workload[i - 1]``; timeline events
-    and per-flow results use the same 1-based numbering.
-    """
-
-    flows: Tuple[FlowSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        flows = tuple(self.flows)
-        if not flows:
-            raise ConfigurationError("a workload needs at least one flow")
-        for flow in flows:
-            if not isinstance(flow, FlowSpec):
-                raise ConfigurationError(
-                    f"workload flows must be FlowSpec instances, got {flow!r}"
-                )
-        object.__setattr__(self, "flows", flows)
-
-    @classmethod
-    def from_topology(cls, topology: Topology, **common: object) -> "Workload":
-        """Lift a topology's endpoint flows into a workload.
-
-        Args:
-            topology: Provides the flow endpoints (``topology.flows``).
-            **common: :class:`FlowSpec` fields applied to every flow (e.g.
-                ``variant="vegas"``).
-        """
-        return cls(flows=tuple(
-            FlowSpec(source=source, destination=destination, **common)
-            for source, destination in topology.flows
-        ))
-
-    def __len__(self) -> int:
-        return len(self.flows)
-
-    def __iter__(self) -> Iterator[FlowSpec]:
-        return iter(self.flows)
-
-    def __getitem__(self, index: int) -> FlowSpec:
-        return self.flows[index]
-
-    def is_uniform(self, default: str) -> bool:
-        """True when every flow runs ``default``, the scenario-wide variant key.
-
-        A flow counts as uniform whether it inherits the default implicitly
-        (``variant=None``) or names the same variant explicitly.
-        """
-        return all(flow.variant in (None, default) for flow in self.flows)
 
 
 #: Timeline actions understood by the scenario runner.  Flow actions target a
@@ -282,8 +226,10 @@ class ScenarioSpec:
 
     Attributes:
         topology: Node placement (flow endpoints come from the workload).
-        workload: The traffic mix; ``None`` lifts the topology's own flows
-            into a workload whose flows all inherit the config's defaults.
+        workload: The traffic mix, a tuple of :class:`FlowSpec` (flow *i*
+            of the figures, of timeline events and of the per-flow results
+            is ``workload[i - 1]``); ``None`` lifts the topology's own flows,
+            each inheriting every scenario-wide default.
         config: The run parameters every flow shares (bandwidth, seed,
             routing, mobility, metrics, run length) and the default variant
             of a flow that names none.
@@ -293,17 +239,23 @@ class ScenarioSpec:
     """
 
     topology: Topology
-    workload: Optional[Workload] = None
+    workload: Optional[Tuple[FlowSpec, ...]] = None
     config: ScenarioConfig = field(default_factory=ScenarioConfig)
     timeline: Tuple[ScenarioEvent, ...] = ()
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.workload is None:
-            object.__setattr__(
-                self, "workload", Workload.from_topology(self.topology))
-        elif not isinstance(self.workload, Workload):
-            object.__setattr__(self, "workload", Workload(tuple(self.workload)))
+        workload = (
+            tuple(FlowSpec(source, destination)
+                  for source, destination in self.topology.flows)
+            if self.workload is None else tuple(self.workload))
+        if not workload:
+            raise ConfigurationError("a workload needs at least one flow")
+        for flow in workload:
+            if not isinstance(flow, FlowSpec):
+                raise ConfigurationError(
+                    f"workload flows must be FlowSpec instances, got {flow!r}")
+        object.__setattr__(self, "workload", workload)
         object.__setattr__(self, "timeline", tuple(self.timeline))
         self._validate()
 
@@ -318,7 +270,6 @@ class ScenarioSpec:
                     f"link plan of topology {self.topology.name!r} gives node "
                     f"{min(without_radio)} none"
                 )
-        resolved_variants = set()
         for index, flow in enumerate(self.workload, start=1):
             for endpoint in flow.endpoints:
                 if endpoint not in nodes:
@@ -326,12 +277,6 @@ class ScenarioSpec:
                         f"flow {index} endpoint {endpoint} is not a node of "
                         f"topology {self.topology.name!r}"
                     )
-            # Resolving a flow's config validates it, so an invalid variant
-            # for this config (an optimal-window flow without a window
-            # clamp) fails here; once per distinct variant, not per flow.
-            if flow.variant not in resolved_variants:
-                resolved_variants.add(flow.variant)
-                flow.effective_config(self.config)
         if self.config.routing == "aodv" and plan is not None:
             self._check_aodv_reach(plan)
         for event in self.timeline:
@@ -389,36 +334,3 @@ class ScenarioSpec:
     def display_name(self) -> str:
         """The spec's name, falling back to the topology name."""
         return self.name if self.name is not None else self.topology.name
-
-
-def mixed_transport_workload(
-    topology: Topology,
-    primary: str = "newreno",
-    secondary: str = "vegas",
-    secondary_flows: int = 0,
-    **common: object,
-) -> Workload:
-    """Workload where the last ``secondary_flows`` flows run ``secondary``.
-
-    A module-level (hence picklable) workload factory for traffic-mix sweeps:
-    sweep the ``workload.secondary_flows`` axis of a
-    :class:`~repro.experiments.study.SweepSpec` to vary e.g. the fraction of
-    Vegas flows competing with NewReno flows.
-
-    Args:
-        topology: Provides the flow endpoints.
-        primary: Variant of the leading flows.
-        secondary: Variant of the trailing ``secondary_flows`` flows.
-        secondary_flows: How many trailing flows run ``secondary``; clamped
-            to the number of topology flows.
-        **common: Extra :class:`FlowSpec` fields applied to every flow.
-    """
-    if secondary_flows < 0:
-        raise ConfigurationError("secondary_flows must be non-negative")
-    endpoints = topology.flows
-    cut = len(endpoints) - min(secondary_flows, len(endpoints))
-    return Workload(flows=tuple(
-        FlowSpec(source=source, destination=destination,
-                 variant=(primary if index < cut else secondary), **common)
-        for index, (source, destination) in enumerate(endpoints)
-    ))

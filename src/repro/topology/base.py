@@ -94,8 +94,8 @@ class Topology:
         positions: Mapping from node id to :class:`Position`.
         flows: ``(source, destination)`` node pairs of the traffic flows
             (ordered; flow *i* in the paper's figures is ``flows[i-1]``
-            here).  :meth:`repro.experiments.workload.Workload.from_topology`
-            lifts them into workload flows.
+            here).  A :class:`~repro.experiments.workload.ScenarioSpec`
+            without a workload lifts them into its flows.
         link_plan: Which nodes sit on which link layer (wired segments,
             gateways, subnets); ``None`` puts every node on the radio plane.
     """

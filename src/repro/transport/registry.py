@@ -27,12 +27,11 @@ Thinning"``) only labels results and figure legends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.app.cbr import CbrApplication
 from repro.app.ftp import FtpApplication
-from repro.core.errors import ConfigurationError
 from repro.core.registry import NamedRegistry, normalize_name
 from repro.transport.newreno import NewRenoSender
 from repro.transport.sink import AckThinningSink, TcpSink
@@ -81,8 +80,6 @@ AgentFactory = Callable[[TransportBuildContext], object]
 #: Factory building the application driving a sender; receives the context,
 #: the freshly built sender and the flow's start time.
 ApplicationFactory = Callable[[TransportBuildContext, object, float], object]
-#: Config validator; raises :class:`ConfigurationError` on bad parameters.
-ConfigValidator = Callable[["ScenarioConfig"], None]
 
 
 def ftp_application(ctx: TransportBuildContext, sender: object,
@@ -117,10 +114,6 @@ class TransportProfile:
         build_sink: Factory for the receiving transport agent.
         build_application: Factory for the application driving the sender
             (defaults to a persistent FTP transfer).
-        validate: Optional scenario-config validator run at config time.
-        preset_overrides: Extra :class:`ScenarioConfig` fields the generated
-            presets and every sweep point running this variant apply, e.g.
-            the window clamp the "optimal window" variant requires.
     """
 
     name: str
@@ -128,13 +121,6 @@ class TransportProfile:
     build_sender: AgentFactory
     build_sink: AgentFactory
     build_application: ApplicationFactory = ftp_application
-    validate: Optional[ConfigValidator] = None
-    preset_overrides: Mapping[str, object] = field(default_factory=dict)
-
-    def validate_config(self, config: "ScenarioConfig") -> None:
-        """Run the profile's config validator, if any."""
-        if self.validate is not None:
-            self.validate(config)
 
 
 #: Every transport variant, by registry key.
@@ -192,13 +178,6 @@ def _udp_sink(ctx: TransportBuildContext) -> UdpSink:
     return UdpSink(ctx.sim, ctx.flow, ctx.stats, tracer=ctx.tracer)
 
 
-def _require_max_cwnd(config: "ScenarioConfig") -> None:
-    if config.newreno_max_cwnd is None:
-        raise ConfigurationError(
-            f"{transport_key(config.variant)} requires newreno_max_cwnd to be set"
-        )
-
-
 TRANSPORTS.register(TransportProfile(
     name="newreno",
     label="NewReno",
@@ -227,15 +206,14 @@ TRANSPORTS.register(TransportProfile(
     build_sink=_thinning_sink,
 ))
 
-# The optimal-window variants clamp the window at MaxWin = 3, the optimal
-# NewReno window on the paper's 7-hop chain (Fu et al.).
+# The optimal-window variants clamp the window at
+# ``ScenarioConfig.newreno_max_cwnd`` (MaxWin = 3 by default, the optimal
+# NewReno window on the paper's 7-hop chain; Fu et al.).
 TRANSPORTS.register(TransportProfile(
     name="newreno-optwin",
     label="NewReno Optimal Window",
     build_sender=_newreno_clamped_sender,
     build_sink=_tcp_sink,
-    validate=_require_max_cwnd,
-    preset_overrides={"newreno_max_cwnd": 3.0},
 ))
 
 TRANSPORTS.register(TransportProfile(
@@ -251,6 +229,4 @@ TRANSPORTS.register(TransportProfile(
     label="NewReno ACK Thinning Optimal Window",
     build_sender=_newreno_clamped_sender,
     build_sink=_thinning_sink,
-    validate=_require_max_cwnd,
-    preset_overrides={"newreno_max_cwnd": 3.0},
 ))

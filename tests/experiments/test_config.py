@@ -53,17 +53,8 @@ class TestScenarioConfig:
             ScenarioConfig(routing="static", aodv_expanding_ring=True)
         assert ScenarioConfig(aodv_expanding_ring=True).aodv_expanding_ring
 
-    def test_optimal_window_variant_requires_clamp(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(variant="newreno-optwin")
-        config = ScenarioConfig(variant="newreno-optwin", newreno_max_cwnd=3.0)
-        assert config.newreno_max_cwnd == 3.0
-
-    def test_with_variant_copy(self):
-        base = ScenarioConfig()
-        copy = base.with_variant("newreno")
-        assert copy.variant == "newreno"
-        assert base.variant == "vegas"
+    def test_optimal_window_variant_defaults_to_the_paper_clamp(self):
+        assert ScenarioConfig(variant="newreno-optwin").newreno_max_cwnd == 3.0
 
     def test_ack_thinning_defaults(self):
         config = ScenarioConfig()

@@ -61,8 +61,7 @@ print(json.dumps({
 PUBLIC_NAMES = sorted([
     "ScenarioConfig", "PAPER_BANDWIDTHS", "PAPER_HOP_COUNTS",
     "DEFAULT_HOP_COUNTS", "FlowResult", "ScenarioResult", "format_table", "Scenario",
-    "FlowSpec", "Workload", "ScenarioEvent", "ScenarioSpec",
-    "mixed_transport_workload", "available_scenarios",
+    "FlowSpec", "ScenarioEvent", "ScenarioSpec", "available_scenarios",
     "build_named_scenario", "PointResult", "StudyResult",
     "SweepSpec", "run_study", "ResultStore",
     "chain_topology", "grid_topology", "random_topology",

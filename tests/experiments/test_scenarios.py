@@ -91,7 +91,7 @@ class TestGeneratedPresets:
         scenario = build_named_scenario("chain7-vegas-2mbps")
         assert scenario.mobility is None
 
-    def test_preset_applies_transport_overrides(self):
+    def test_optwin_preset_runs_the_default_clamp(self):
         scenario = build_named_scenario("chain7-newreno-optwin-2mbps")
         assert scenario.config.newreno_max_cwnd == 3.0
 

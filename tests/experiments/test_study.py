@@ -73,18 +73,40 @@ class TestSweepSpec:
         spec = tiny_spec(axes={"hops": [2]}, replications=2, base_seed=40)
         assert spec.seeds() == [40, 41]
 
-    def test_optimal_window_point_takes_the_registered_clamp(self):
-        # No clamp in the base config: the variant's registry entry has it.
+    def test_optimal_window_point_takes_the_default_clamp(self):
+        # No clamp in the base config: the config default is the paper's.
         spec = tiny_spec(axes={"variant": ["newreno-optwin"], "hops": [2]})
         config = spec.config_for({"variant": "newreno-optwin", "hops": 2}, seed=9)
         assert config.newreno_max_cwnd == 3.0
         assert config.seed == 9
 
-    def test_config_axis_wins_over_the_registered_clamp(self):
+    def test_base_clamp_reaches_optimal_window_points(self):
+        spec = tiny_spec(axes={"variant": ["newreno-optwin"], "hops": [2]},
+                         base=tiny_config(newreno_max_cwnd=4.0))
+        point = spec.points()[0].values
+        assert spec.config_for(point, seed=1).newreno_max_cwnd == 4.0
+        scenario = Scenario(spec.scenario_for(point, seed=1))
+        assert scenario.senders[0].max_cwnd == 4.0
+
+    def test_config_axis_sets_the_clamp(self):
         spec = tiny_spec(axes={"variant": ["newreno-optwin"],
                                "newreno_max_cwnd": [4.0], "hops": [2]})
         config = spec.config_for(spec.points()[0].values, seed=1)
         assert config.newreno_max_cwnd == 4.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("workload", None), ("workload_factory", None),
+        ("workload_params", {}), ("timeline", ())])
+    def test_workload_plane_fields_are_gone(self, field, value):
+        # A sweep point is a config and a topology, nothing else.
+        with pytest.raises(TypeError):
+            tiny_spec(**{field: value})
+
+    def test_workload_axis_is_a_topology_parameter(self):
+        # No third axis namespace: an unknown key goes to the builder, which
+        # refuses it.
+        with pytest.raises(ConfigurationError, match="unexpected keyword"):
+            tiny_spec(axes={"workload.secondary_flows": [0, 1]})
 
     def test_unknown_variant_axis_value_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="did you mean 'vegas'"):

@@ -19,11 +19,6 @@ from repro.transport.registry import TRANSPORTS
 KEYS = TRANSPORTS.names()
 
 
-def config_for(key: str) -> ScenarioConfig:
-    """A valid config of ``key`` (the optimal-window variants need a clamp)."""
-    return ScenarioConfig(variant=key, **TRANSPORTS.get(key).preset_overrides)
-
-
 def assert_key(value: object, key: str) -> None:
     assert value == key and type(value) is str
 
@@ -31,14 +26,14 @@ def assert_key(value: object, key: str) -> None:
 @pytest.mark.parametrize("key", KEYS)
 class TestOneSpelling:
     def test_config_holds_the_key(self, key):
-        assert_key(config_for(key).variant, key)
+        assert_key(ScenarioConfig(variant=key).variant, key)
 
     def test_workload_flow_holds_the_key(self, key):
         assert_key(FlowSpec(0, 1, variant=key).variant, key)
 
     def test_sweep_points_and_stored_results_hold_the_key(self, key):
         spec = SweepSpec(axes={"variant": [key.upper()], "hops": [2]},
-                         base=config_for(key))
+                         base=ScenarioConfig(variant=key))
         (point,) = spec.points()
         assert_key(point.values["variant"], key)
         stored = json.loads(json.dumps(

@@ -10,18 +10,12 @@ from repro.core.errors import ConfigurationError
 from repro.core.tracing import Tracer, trace_digest
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
-from repro.experiments.workload import (
-    FlowSpec,
-    ScenarioEvent,
-    ScenarioSpec,
-    Workload,
-    mixed_transport_workload,
-)
+from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.net.packet import reset_packet_ids
 from repro.topology.base import Topology
 from repro.topology.chain import chain_topology
 from repro.topology.grid import grid_topology
-from repro.transport.registry import TRANSPORTS, TransportProfile
+from repro.transport.registry import TRANSPORTS
 
 
 class TestFlowSpec:
@@ -60,7 +54,7 @@ class TestFlowSpec:
         base = ScenarioConfig(variant="newreno", vegas_alpha=3.0)
         assert FlowSpec(0, 1, variant="newreno").effective_config(base) is base
         config = FlowSpec(0, 1, variant="vegas").effective_config(base)
-        assert config == base.with_variant("vegas")
+        assert config == replace(base, variant="vegas")
 
     def test_per_flow_parameters_are_gone(self):
         # A flow sets its variant only; run parameters are the scenario's.
@@ -69,24 +63,43 @@ class TestFlowSpec:
 
 
 class TestWorkload:
+    """A workload is a plain tuple of :class:`FlowSpec` on the spec."""
+
     def test_empty_workload_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Workload(flows=())
+        chain = chain_topology(hops=2)
+        with pytest.raises(ConfigurationError, match="at least one flow"):
+            ScenarioSpec(topology=chain, workload=())
+        # A topology without flows lifts an empty workload: refused too.
+        flowless = Topology(name="flowless", positions=chain.positions, flows=[])
+        with pytest.raises(ConfigurationError, match="at least one flow"):
+            ScenarioSpec(topology=flowless)
 
-    def test_from_topology_lifts_endpoint_flows(self):
-        workload = Workload.from_topology(grid_topology(), variant="vegas")
-        assert len(workload) == 6
-        assert all(flow.variant == "vegas" for flow in workload)
+    def test_non_flowspec_element_rejected(self):
+        with pytest.raises(ConfigurationError, match="FlowSpec instances"):
+            ScenarioSpec(topology=chain_topology(hops=3), workload=[(0, 3)])
 
-    def test_is_uniform_compares_against_the_default(self):
-        topology = chain_topology(hops=2)
-        assert Workload.from_topology(topology).is_uniform("vegas")
-        # Naming the default explicitly is still uniform…
-        assert Workload.from_topology(topology,
-                                      variant="vegas").is_uniform("vegas")
+    def test_a_given_workload_is_held_as_a_tuple(self):
+        spec = ScenarioSpec(topology=chain_topology(hops=3),
+                            workload=[FlowSpec(0, 3)])
+        assert spec.workload == (FlowSpec(0, 3),)
+        assert type(spec.workload) is tuple
+
+    def test_no_workload_lifts_endpoint_flows(self):
+        spec = ScenarioSpec(topology=grid_topology())
+        assert [flow.endpoints for flow in spec.workload] == grid_topology().flows
+        assert all(flow.variant is None for flow in spec.workload)
+
+    @pytest.mark.parametrize("variant, label", [
+        (None, "Vegas"),
+        # Naming the default explicitly is still a single-variant run…
+        ("vegas", "Vegas"),
         # …naming a different variant is not.
-        assert not Workload.from_topology(topology,
-                                          variant="newreno").is_uniform("vegas")
+        ("newreno", "Vegas+NewReno"),
+    ])
+    def test_result_label_is_single_variant_when_uniform(self, variant, label):
+        spec = ScenarioSpec(topology=chain_topology(hops=2), workload=(
+            FlowSpec(0, 2), FlowSpec(0, 2, variant=variant)))
+        assert Scenario(spec)._variant_label() == label
 
 
 
@@ -134,7 +147,7 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError):
             ScenarioSpec(
                 topology=chain_topology(hops=2),
-                workload=Workload(flows=(FlowSpec(source=0, destination=9),)),
+                workload=(FlowSpec(source=0, destination=9),),
             )
 
     def test_timeline_flow_index_out_of_range_rejected(self):
@@ -152,50 +165,49 @@ class TestScenarioSpec:
             )
 
     def test_per_flow_variant_validation_fails_fast(self):
-        # Optimal-window NewReno requires a window clamp, per flow too.
-        with pytest.raises(ConfigurationError):
-            ScenarioSpec(
-                topology=chain_topology(hops=2),
-                workload=Workload(flows=(
-                    FlowSpec(source=0, destination=2, variant="newreno-optwin"),
-                )),
-            )
-        # With the clamp on the scenario config the same spec is valid.
+        # A scenario config with a window clamp runs a per-flow
+        # optimal-window flow.
         ScenarioSpec(
             topology=chain_topology(hops=2),
-            workload=Workload(flows=(
+            workload=(
                 FlowSpec(source=0, destination=2, variant="newreno-optwin"),
-            )),
+            ),
             config=ScenarioConfig(newreno_max_cwnd=3.0),
         )
+
+    def test_per_flow_optimal_window_flow_builds_with_the_default_clamp(self):
+        spec = ScenarioSpec(
+            topology=chain_topology(hops=2),
+            workload=(FlowSpec(source=0, destination=2, variant="newreno-optwin"),),
+            config=ScenarioConfig(variant="vegas"),
+        )
+        assert Scenario(spec).senders[0].max_cwnd == 3.0
 
     @pytest.mark.parametrize("variant", TRANSPORTS.names())
     def test_a_thousand_uniform_flows_share_one_validated_config(self, monkeypatch,
                                                                  variant):
         """Set-up cost is per distinct flow variant, not per flow: the spec
-        and the runner each resolve (and so validate) one config for the
-        thousand flows, whatever the transport."""
-        # The window clamp the optimal-window variants require; the others
-        # ignore it.
-        base = ScenarioConfig(packet_target=100, newreno_max_cwnd=3)
+        resolves no flow config and the runner one (validated on
+        construction) for the thousand flows, whatever the transport."""
+        base = ScenarioConfig(packet_target=100)
         flows = tuple(FlowSpec(source=index % 3, destination=3, variant=variant)
                       for index in range(1000))
         validated, replaced = [], []
-        validate = TransportProfile.validate_config
+        validate = ScenarioConfig.__post_init__
         monkeypatch.setattr(
-            TransportProfile, "validate_config",
-            lambda profile, config: validated.append(config) or validate(profile, config))
+            ScenarioConfig, "__post_init__",
+            lambda config: validated.append(config) or validate(config))
         monkeypatch.setattr(
             "repro.experiments.workload.replace",
             lambda config, **changes: replaced.append(changes) or replace(config, **changes))
+        spec = ScenarioSpec(topology=chain_topology(hops=3), workload=flows,
+                            config=base)
+        assert (validated, replaced) == ([], [])
+        scenario = Scenario(spec)
         # The base config runs one variant already: its flows need no copy.
         expected = 0 if variant == base.variant else 1
-        spec = ScenarioSpec(topology=chain_topology(hops=3),
-                            workload=Workload(flows=flows), config=base)
-        assert (len(validated), len(replaced)) == (expected, expected)
-        scenario = Scenario(spec)
-        assert (len(validated), len(replaced)) == (2 * expected, 2 * expected)
-        assert replaced == [{"variant": variant}] * (2 * expected)
+        assert len(validated) == expected
+        assert replaced == [{"variant": variant}] * expected
         assert len(scenario.senders) == 1000
 
     def test_sorted_timeline_is_stable(self):
@@ -232,7 +244,7 @@ class TestScenarioSpec:
 
         lifted = ScenarioSpec(topology=topology, config=config)
         named = ScenarioSpec(topology=topology, config=config,
-                             workload=Workload(flows=(FlowSpec(0, 3),)))
+                             workload=(FlowSpec(0, 3),))
         assert lifted.workload == named.workload
         assert run(lifted) == run(named)
 
@@ -250,7 +262,8 @@ class TestOneWayToBuildAndRun:
 
     @pytest.mark.parametrize("package", ["repro", "repro.experiments"])
     @pytest.mark.parametrize("name", ["ScenarioBuilder", "run_scenario",
-                                      "execute_study"])
+                                      "execute_study", "Workload",
+                                      "mixed_transport_workload"])
     def test_removed_entry_points_are_gone(self, package, name):
         import importlib
 
@@ -259,20 +272,11 @@ class TestOneWayToBuildAndRun:
         assert not hasattr(module, name)
 
 
-class TestMixedTransportWorkload:
-    def test_secondary_flow_count(self):
-        topology = grid_topology()
-        workload = mixed_transport_workload(topology, primary="newreno",
-                                            secondary="vegas", secondary_flows=2)
-        variants = [flow.variant for flow in workload]
-        assert variants[:4] == ["newreno"] * 4
-        assert variants[4:] == ["vegas"] * 2
-
-    def test_secondary_count_clamped(self):
-        workload = mixed_transport_workload(chain_topology(hops=2),
-                                            secondary_flows=10)
-        assert [flow.variant for flow in workload] == ["vegas"]
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            mixed_transport_workload(chain_topology(hops=2), secondary_flows=-1)
+    def test_removed_helpers_are_gone(self):
+        assert not hasattr(ScenarioConfig, "with_variant")
+        assert not hasattr(Scenario(ScenarioSpec(topology=chain_topology(hops=2))),
+                           "profile")
+        with pytest.raises(ImportError):
+            from repro.experiments.workload import Workload  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.experiments.workload import mixed_transport_workload  # noqa: F401

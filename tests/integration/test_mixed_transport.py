@@ -2,9 +2,8 @@
 
 Pins the Workload API v2 acceptance behaviour: a scenario mixing two
 transport variants plus a scripted timeline event runs deterministically
-(same seed → identical trace digest), both flows make progress, per-flow
-metrics stay keyed by spec, and the Study layer aggregates workload-axis
-sweeps across seeds.
+(same seed → identical trace digest), both flows make progress and per-flow
+metrics stay keyed by spec.
 """
 
 from __future__ import annotations
@@ -15,14 +14,7 @@ from repro.core.tracing import Tracer, trace_digest
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
 from repro.experiments.scenarios import build_named_scenario
-from repro.experiments.study import SweepSpec, run_study
-from repro.experiments.workload import (
-    FlowSpec,
-    ScenarioEvent,
-    ScenarioSpec,
-    Workload,
-    mixed_transport_workload,
-)
+from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.net.packet import reset_packet_ids
 from repro.topology.base import Topology
 from repro.topology.chain import chain_topology
@@ -45,10 +37,10 @@ def mixed_chain_spec(**config_overrides) -> ScenarioSpec:
     defaults.update(config_overrides)
     return ScenarioSpec(
         topology=two_flow_chain(),
-        workload=Workload(flows=(
+        workload=(
             FlowSpec(source=0, destination=3, variant="newreno"),
             FlowSpec(source=0, destination=3, variant="vegas", label="vegas-bg"),
-        )),
+        ),
         config=ScenarioConfig(**defaults),
         timeline=(ScenarioEvent.flow_start(2.0, flow=2),),
     )
@@ -126,7 +118,7 @@ class TestTimelineNodeEvents:
         spec = ScenarioSpec(
             name="break-repair",
             topology=chain_topology(hops=3),
-            workload=Workload(flows=(FlowSpec(0, 3, variant="newreno"),)),
+            workload=(FlowSpec(0, 3, variant="newreno"),),
             config=ScenarioConfig(packet_target=400, max_sim_time=120.0, seed=3),
             timeline=(ScenarioEvent.node_down(8.0, 2),
                       ScenarioEvent.node_up(16.0, 2)),
@@ -145,8 +137,8 @@ class TestTimelineNodeEvents:
         spec = ScenarioSpec(
             name="bounded-udp",
             topology=chain_topology(hops=2),
-            workload=Workload(flows=(
-                FlowSpec(0, 2, variant="paced-udp", stop_time=5.0),)),
+            workload=(
+                FlowSpec(0, 2, variant="paced-udp", stop_time=5.0),),
             config=ScenarioConfig(variant="paced-udp", packet_target=10_000,
                                   max_sim_time=20.0, seed=1),
         )
@@ -165,8 +157,8 @@ class TestTimelineNodeEvents:
         spec = ScenarioSpec(
             name="early-udp",
             topology=chain_topology(hops=2),
-            workload=Workload(flows=(
-                FlowSpec(0, 2, variant="paced-udp", start_time=30.0),)),
+            workload=(
+                FlowSpec(0, 2, variant="paced-udp", start_time=30.0),),
             config=ScenarioConfig(variant="paced-udp", packet_target=10_000,
                                   max_sim_time=10.0, seed=1),
             timeline=(ScenarioEvent.flow_start(1.0, flow=1),),
@@ -182,60 +174,10 @@ class TestTimelineNodeEvents:
         spec = ScenarioSpec(
             name="bounded-tcp",
             topology=chain_topology(hops=2),
-            workload=Workload(flows=(
-                FlowSpec(0, 2, variant="newreno", packet_limit=25),)),
+            workload=(
+                FlowSpec(0, 2, variant="newreno", packet_limit=25),),
             config=ScenarioConfig(packet_target=10_000, max_sim_time=30.0, seed=1),
         )
         result = Scenario(spec).run()
         assert result.flow(1).delivered_packets == 25
 
-
-class TestWorkloadAxisStudy:
-    def test_study_runner_aggregates_workload_axis_across_seeds(self):
-        spec = SweepSpec(
-            name="vegas-share",
-            topology=two_flow_chain(),
-            workload_factory=mixed_transport_workload,
-            workload_params={"primary": "newreno", "secondary": "vegas"},
-            axes={"workload.secondary_flows": [0, 1, 2]},
-            base=ScenarioConfig(packet_target=60, max_sim_time=40.0, seed=3),
-            replications=2,
-        )
-        assert spec.workload_axes == ("workload.secondary_flows",)
-        assert spec.topology_axes == ()
-
-        study = run_study(spec, max_workers=1)
-        assert len(study.points) == 3
-        for point in study.points:
-            assert point.seeds == [3, 4]
-            assert len(point.runs) == 2
-            # Cross-seed aggregation works on any instrument.
-            assert len(point.metric_values("tcp.flow*.packets_delivered")) == 2
-            assert point.goodput_interval.mean > 0
-
-        all_newreno = study.point(**{"workload.secondary_flows": 0}).run
-        half_vegas = study.point(**{"workload.secondary_flows": 1}).run
-        assert all_newreno.variant == "NewReno"
-        assert half_vegas.variant == "NewReno+Vegas"
-        assert [f.variant for f in half_vegas.flows] == ["NewReno", "Vegas"]
-
-    def test_workload_axes_require_factory(self):
-        with pytest.raises(Exception):
-            SweepSpec(axes={"workload.secondary_flows": [0, 1]})
-
-    def test_fixed_workload_and_factory_are_mutually_exclusive(self):
-        workload = mixed_transport_workload(chain_topology(hops=2))
-        with pytest.raises(Exception):
-            SweepSpec(workload=workload,
-                      workload_factory=mixed_transport_workload)
-
-    def test_fingerprints_distinguish_workload_points(self):
-        spec = SweepSpec(
-            topology=two_flow_chain(),
-            workload_factory=mixed_transport_workload,
-            axes={"workload.secondary_flows": [0, 1]},
-            base=ScenarioConfig(packet_target=60),
-        )
-        points = spec.points()
-        assert (spec.fingerprint(points[0].values, seed=1)
-                != spec.fingerprint(points[1].values, seed=1))

@@ -16,7 +16,7 @@ from repro.core.tracing import Tracer, trace_digest
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
 from repro.experiments.scenarios import build_named_scenario
-from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec, Workload
+from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.net.packet import reset_packet_ids
 from repro.topology.chain import chain_topology
 
@@ -94,7 +94,7 @@ class TestScriptedOutageUnderMobility:
         spec = ScenarioSpec(
             name="node-outage-under-mobility",
             topology=chain_topology(hops=3),
-            workload=Workload(flows=(FlowSpec(0, 3, variant="newreno"),)),
+            workload=(FlowSpec(0, 3, variant="newreno"),),
             # Near-zero speed: the nodes technically move (so the manager
             # runs) but never far enough to change any link by geometry —
             # every link event below is caused by the scripted outage.

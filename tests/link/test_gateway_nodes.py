@@ -15,12 +15,7 @@ from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
 from repro.experiments.scenarios import build_named_scenario
-from repro.experiments.workload import (
-    FlowSpec,
-    ScenarioEvent,
-    ScenarioSpec,
-    Workload,
-)
+from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.link.gateway import GatewayStaticRouting
 from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.link.wired import WiredPort
@@ -48,13 +43,11 @@ def make_udp_packet(src, dst, seq=0):
 def backbone_scenario(routing="static", flows=None, timeline=(),
                       **config_overrides):
     topology = backbone_topology(cells=2, cell_hops=3)
-    workload = (Workload(flows=tuple(flows)) if flows is not None
-                else Workload.from_topology(topology, variant="newreno"))
     defaults = dict(variant="newreno", routing=routing, packet_target=400,
                     max_sim_time=30.0, seed=7)
     defaults.update(config_overrides)
     spec = ScenarioSpec(name="backbone-test", topology=topology,
-                        workload=workload, config=ScenarioConfig(**defaults),
+                        workload=flows, config=ScenarioConfig(**defaults),
                         timeline=tuple(timeline))
     return Scenario(spec)
 

@@ -9,7 +9,7 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import Scenario
-from repro.experiments.workload import FlowSpec, ScenarioSpec, Workload
+from repro.experiments.workload import FlowSpec, ScenarioSpec
 from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.routing.static import StaticRouting
 from repro.topology import (
@@ -99,7 +99,7 @@ class TestMobilityNeedsRadios:
         # Every backbone node, gateways included, has a radio.  The flow
         # stays inside cell 0: AODV (the default) cannot cross the spine.
         spec = ScenarioSpec(topology=backbone_topology(cells=2, cell_hops=2),
-                            workload=Workload(flows=(FlowSpec(2, 3),)),
+                            workload=(FlowSpec(2, 3),),
                             config=ScenarioConfig(mobility="random-waypoint"))
         assert Scenario(spec).mobility is not None
 
@@ -146,8 +146,7 @@ class TestAodvAcrossPlanes:
     ``max_sim_time`` with nothing delivered."""
 
     def aodv_spec(self, topology, *flows, routing="aodv"):
-        workload = Workload(flows=tuple(FlowSpec(*flow) for flow in flows)) \
-            if flows else None
+        workload = tuple(FlowSpec(*flow) for flow in flows) if flows else None
         return ScenarioSpec(topology=topology, workload=workload,
                             config=ScenarioConfig(routing=routing,
                                                   packet_target=15,

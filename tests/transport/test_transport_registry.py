@@ -74,9 +74,21 @@ class TestCombinedBuiltinVariant:
         assert scenario.senders[0].max_cwnd == 3.0
         assert isinstance(scenario.sinks[0], AckThinningSink)
 
-    def test_requires_window_clamp(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(variant="newreno-at-optwin")
+
+class TestProfileHasNoConfigHooks:
+    """A variant's knobs are plain config fields its sender reads."""
+
+    @pytest.mark.parametrize("hook", ["validate", "preset_overrides"])
+    def test_profile_takes_no_config_hook(self, hook):
+        with pytest.raises(TypeError):
+            TransportProfile(name="hooked", label="Hooked",
+                             build_sender=lambda ctx: None,
+                             build_sink=lambda ctx: None, **{hook: None})
+
+    def test_validator_names_are_gone(self):
+        assert not hasattr(TransportProfile, "validate_config")
+        with pytest.raises(ImportError):
+            from repro.transport.registry import ConfigValidator  # noqa: F401
 
 
 @pytest.fixture
