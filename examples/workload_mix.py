@@ -11,11 +11,15 @@ cross-seed confidence interval of the aggregate goodput.
 Run with::
 
     python examples/workload_mix.py [--packets 300] [--replications 2]
+
+It exits non-zero if the scripted outage did not happen or the latecomer
+delivered nothing: then the scenario did not show what it is here for.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro import (
     FlowSpec,
@@ -40,8 +44,17 @@ def two_flow_chain(hops: int) -> Topology:
                     flows=flows)
 
 
-def run_scripted_scenario(args) -> None:
-    """One mixed scenario with a timeline: late Vegas entry + node outage."""
+def run_scripted_scenario(args) -> list:
+    """One mixed scenario with a timeline: late Vegas entry + node outage.
+
+    Returns what went wrong: empty if the outage happened and the latecomer
+    delivered.
+    """
+    # A run checks its packet target every 5 simulated seconds and a smoke
+    # run reaches its 40 packets by the first check, so there the whole
+    # timeline happens within the first 5 s.
+    latecomer_start, outage_start, outage_end = smoke_scaled(
+        (5.0, 20.0, 28.0), (1.0, 2.0, 3.0))
     spec = ScenarioSpec(
         name="newreno-vs-late-vegas",
         topology=chain_topology(hops=args.hops),
@@ -51,9 +64,9 @@ def run_scripted_scenario(args) -> None:
         ),
         config=ScenarioConfig(packet_target=args.packets, max_sim_time=240.0,
                               seed=args.seed),
-        timeline=(ScenarioEvent.flow_start(5.0, flow=2),
-                  ScenarioEvent.node_down(20.0, args.hops // 2),
-                  ScenarioEvent.node_up(28.0, args.hops // 2)),
+        timeline=(ScenarioEvent.flow_start(latecomer_start, flow=2),
+                  ScenarioEvent.node_down(outage_start, args.hops // 2),
+                  ScenarioEvent.node_up(outage_end, args.hops // 2)),
     )
     result = Scenario(spec).run()
 
@@ -71,6 +84,12 @@ def run_scripted_scenario(args) -> None:
     print(f"timeline: {outages} scripted outage(s), "
           f"aggregate {result.aggregate_goodput_kbps:.1f} kbit/s, "
           f"fairness {result.fairness_index:.3f}")
+    problems = []
+    if outages < 1:
+        problems.append("the scripted outage did not happen")
+    if result.flows[1].delivered_packets == 0:
+        problems.append("the latecomer delivered nothing")
+    return problems
 
 
 def run_mix_study(args) -> None:
@@ -115,8 +134,10 @@ def main() -> None:
                         help="independent seeds per traffic mix")
     args = parser.parse_args()
 
-    run_scripted_scenario(args)
+    problems = run_scripted_scenario(args)
     run_mix_study(args)
+    if problems:
+        sys.exit("workload_mix: " + "; ".join(problems))
 
 
 if __name__ == "__main__":

@@ -44,7 +44,11 @@ stopped and neither the ``until`` horizon nor the ``max_events`` budget is
 passed; the caller then runs the edge in place.  Otherwise the edge goes
 through the queue under its reserved key (:meth:`~Simulator.schedule_reserved`).
 Handler order is the same either way, and so is the clock after every
-:meth:`~Simulator.run`.
+:meth:`~Simulator.run`.  A caller asking once per edge may make ``claim``'s
+common case itself — ``time <= _claim_until``, ``_handler_limit is None``
+and the key before ``_queue[0]``'s — then set ``now``, ``now_sequence`` and
+``edges_in_place`` as ``claim`` does, and leave every other edge to
+``claim``; the channel's chain loops do.
 
 A reserved key need not become a handler at all.  An edge nobody but its
 owner would notice (the radio's *owed* signal ends) keeps its reserved key, so

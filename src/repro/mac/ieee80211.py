@@ -336,8 +336,9 @@ class Ieee80211Mac(PhyListener):
             self.tracer.record(self.sim.now, "mac", "broadcast", node=self.node_id,
                                uid=self._current.uid)
         # Done once the frame is out: the frame's own transmission says so,
-        # right after the radio's end of it.
-        self.radio.transmit(self._current, duration, self._broadcast_complete)
+        # right after the radio's end of it.  The air carries a copy: we let
+        # go of our packet (and strip its MAC header) then.
+        self.radio.transmit(self._current.copy(), duration, self._broadcast_complete)
 
     def _broadcast_complete(self) -> None:
         self._finish_current(success=True)
@@ -354,7 +355,7 @@ class Ieee80211Mac(PhyListener):
                                dst=self._current_next_hop, uid=self._current.uid,
                                attempt=self._attempt_index())
         self.radio.transmit(rts, self.timing.rts_duration)
-        self._response_timer.start(self.timing.rts_duration + self.timing.cts_timeout())
+        self._response_timer.start(self.timing.rts_duration + self.timing.cts_timeout)
 
     def _send_data_frame(self) -> None:
         if self._current is None:
@@ -365,7 +366,7 @@ class Ieee80211Mac(PhyListener):
             self._current,
             src=self.node_id,
             dst=self._current_next_hop,
-            nav=self.timing.nav_for_data(),
+            nav=self.timing.data_nav,
             retry=self._long_retries > 0,
         )
         self.state = _WAIT_ACK
@@ -373,8 +374,9 @@ class Ieee80211Mac(PhyListener):
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "mac", "data", node=self.node_id,
                                dst=self._current_next_hop, uid=self._current.uid)
-        self.radio.transmit(self._current, duration)
-        self._response_timer.start(duration + self.timing.ack_timeout())
+        # The air carries a copy: a retry attaches a new header to ours.
+        self.radio.transmit(self._current.copy(), duration)
+        self._response_timer.start(duration + self.timing.ack_timeout)
 
     # ==================================================================
     # Timeouts and completion
@@ -426,7 +428,7 @@ class Ieee80211Mac(PhyListener):
         self._enter(_INACTIVE)
         if packet is not None and self.listener is not None:
             # Nobody else holds this packet: the MAC has let go of it and the
-            # air carried snapshots.
+            # air carried copies.
             packet.mac = None
             if success:
                 self.listener.on_mac_send_success(packet, next_hop)

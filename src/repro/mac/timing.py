@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.units import MBPS, MICROSECOND, transmission_time
+from repro.core.units import BITS_PER_BYTE, MBPS, MICROSECOND, transmission_time
 from repro.net.headers import MacHeader
 
 
@@ -33,6 +33,18 @@ class MacTiming:
         long_retry_limit: Maximum transmission attempts for DATA frames.
         rts_threshold: Packets larger than this (bytes) use the RTS/CTS
             handshake; the paper precedes every data packet with RTS/CTS.
+
+    The MAC reads the values below on every frame, so they are computed
+    once, when the timing is built, and stored as plain attributes:
+
+    * ``difs`` — SIFS + 2 slot times.
+    * ``rts_duration`` / ``cts_duration`` / ``ack_duration`` — on-air time of
+      each control frame at the basic rate (:meth:`control_duration`).
+    * ``cts_timeout`` — how long a sender waits for a CTS after finishing its
+      RTS: SIFS + CTS + 2 slots.
+    * ``ack_timeout`` — how long a sender waits for a MAC ACK after finishing
+      its DATA: SIFS + ACK + 2 slots.
+    * ``data_nav`` — the NAV a unicast DATA frame carries: SIFS + ACK.
     """
 
     data_rate: float = 2 * MBPS
@@ -46,10 +58,17 @@ class MacTiming:
     long_retry_limit: int = 4
     rts_threshold: int = 0
 
-    @property
-    def difs(self) -> float:
-        """DIFS = SIFS + 2 slot times."""
-        return self.sifs + 2 * self.slot_time
+    def __post_init__(self) -> None:
+        if self.data_rate <= 0:
+            raise ValueError(f"data_rate must be positive, got {self.data_rate}")
+        derive = object.__setattr__       # the dataclass is frozen
+        derive(self, "difs", self.sifs + 2 * self.slot_time)
+        derive(self, "rts_duration", self.control_duration(MacHeader.SIZE_RTS))
+        derive(self, "cts_duration", self.control_duration(MacHeader.SIZE_CTS))
+        derive(self, "ack_duration", self.control_duration(MacHeader.SIZE_ACK))
+        derive(self, "cts_timeout", self.sifs + self.cts_duration + 2 * self.slot_time)
+        derive(self, "ack_timeout", self.sifs + self.ack_duration + 2 * self.slot_time)
+        derive(self, "data_nav", self.sifs + self.ack_duration)
 
     # ------------------------------------------------------------------
     # Frame durations
@@ -58,28 +77,15 @@ class MacTiming:
         """On-air time of a control frame of ``size_bytes`` at the basic rate."""
         return self.plcp_overhead + transmission_time(size_bytes, self.basic_rate)
 
-    @property
-    def rts_duration(self) -> float:
-        """On-air time of an RTS frame."""
-        return self.control_duration(MacHeader.SIZE_RTS)
-
-    @property
-    def cts_duration(self) -> float:
-        """On-air time of a CTS frame."""
-        return self.control_duration(MacHeader.SIZE_CTS)
-
-    @property
-    def ack_duration(self) -> float:
-        """On-air time of a MAC-level ACK frame."""
-        return self.control_duration(MacHeader.SIZE_ACK)
-
     def data_duration(self, frame_size_bytes: int) -> float:
         """On-air time of a DATA frame whose total MAC frame size is given.
 
         The MAC header and payload are sent at the data rate; the PLCP
-        preamble/header always costs :attr:`plcp_overhead`.
+        preamble/header always costs :attr:`plcp_overhead`.  (The arithmetic
+        of :func:`~repro.core.units.transmission_time`, whose rate check the
+        constructor makes once.)
         """
-        return self.plcp_overhead + transmission_time(frame_size_bytes, self.data_rate)
+        return self.plcp_overhead + (frame_size_bytes * BITS_PER_BYTE) / self.data_rate
 
     # ------------------------------------------------------------------
     # Exchange durations / NAV values
@@ -96,18 +102,6 @@ class MacTiming:
     def nav_for_cts(self, data_frame_size: int) -> float:
         """NAV carried by a CTS: DATA + ACK + 2 SIFS."""
         return 2 * self.sifs + self.data_duration(data_frame_size) + self.ack_duration
-
-    def nav_for_data(self) -> float:
-        """NAV carried by a unicast DATA frame: ACK + SIFS."""
-        return self.sifs + self.ack_duration
-
-    def cts_timeout(self) -> float:
-        """How long a sender waits for a CTS after finishing its RTS."""
-        return self.sifs + self.cts_duration + 2 * self.slot_time
-
-    def ack_timeout(self) -> float:
-        """How long a sender waits for a MAC ACK after finishing its DATA."""
-        return self.sifs + self.ack_duration + 2 * self.slot_time
 
     def unicast_exchange_duration(self, data_frame_size: int) -> float:
         """Total channel time of a clean RTS/CTS/DATA/ACK exchange."""

@@ -27,8 +27,8 @@ class PhyListener(abc.ABC):
     def on_frame_received(self, packet: Packet) -> None:
         """A frame was successfully received (addressed to anyone).
 
-        ``packet`` is the one snapshot of the frame that every receiver of
-        the transmission is given: read it freely, ``packet.copy()`` before
+        ``packet`` is the one frame object that every receiver of the
+        transmission is given: read it freely, ``packet.copy()`` before
         changing anything.  Whoever it is passed on to is held to the same.
         """
 

@@ -3,16 +3,18 @@
 A :class:`Packet` carries an application payload size plus a stack of headers
 added as it descends the protocol stack.  Its :attr:`Packet.size` is the sum of
 the payload and all attached header sizes, which is what the PHY uses for
-serialization delay.  A frame on the air is one snapshot, copied from the
-sender's packet once per transmission and shared read-only by every receiver
-and every layer above it; per-hop mutation (TTL, MAC addressing) stays local
-because whoever wants to change a received packet copies it first — routing
-does, where it forwards one.  A frame that is read and dropped, or delivered
-to the local transport, is never copied.
+serialization delay.  A frame on the air is one object shared read-only by
+every receiver and every layer above it.  Only a sender that goes on changing
+its packet copies it for the air: the MAC copies the DATA or broadcast frame
+it may still retry or hand back, while an RTS, CTS or ACK is built for one
+transmission and goes out as it is.  Per-hop mutation (TTL, MAC addressing)
+stays local because whoever wants to change a received packet copies it
+first — routing does, where it forwards one.  A frame that is read and
+dropped, or delivered to the local transport, is never copied.
 
 Packets and their headers use ``__slots__`` and hand-rolled ``copy`` paths:
-one copy per transmission and one per hop forwarded still make packet copying
-a hot allocation site.
+one copy per DATA or broadcast transmission and one per hop forwarded still
+make packet copying a hot allocation site.
 """
 
 from __future__ import annotations
@@ -111,10 +113,10 @@ class Packet:
         """Return an independent copy of this packet (same uid, fresh headers).
 
         Implemented with ``__new__`` plus per-header ``clone()`` calls rather
-        than :func:`copy.deepcopy` or the dataclass constructor: the channel
-        snapshots every frame it carries and routing copies every packet it
-        forwards, so this is a hot path.  Call it before changing a packet
-        somebody else may hold — a received frame above all.
+        than :func:`copy.deepcopy` or the dataclass constructor: the MAC
+        copies every DATA and broadcast frame it sends and routing copies
+        every packet it forwards, so this is a hot path.  Call it before
+        changing a packet somebody else may hold — a received frame above all.
         """
         new = object.__new__(Packet)
         new.payload_size = self.payload_size

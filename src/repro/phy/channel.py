@@ -18,7 +18,10 @@ A transmission makes two trips through the event queue, not one per receiver:
 one for its signal starts, one for the sender's end of the frame and the
 signal ends behind it: see :class:`_Transmission`.  The ends of quiet signals
 (undecodable, at a radio whose listener is not watching the carrier) are not
-in that chain at all: the radio settles them itself (:mod:`repro.phy.radio`).
+in that chain at all: the radio keeps them in key order as they arrive and
+settles them itself (:mod:`repro.phy.radio`).  A frame on the air is the
+packet its sender passed, shared by every receiver; the channel copies
+nothing.
 
 Positions may change mid-run: a :class:`~repro.mobility.base.MobilityManager`
 pushes updated positions through :meth:`WirelessChannel.set_positions`.
@@ -44,7 +47,7 @@ from repro.core.engine import Simulator
 from repro.core.errors import ConfigurationError
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.net.packet import Packet
-from repro.phy.propagation import Position, RangePropagationModel
+from repro.phy.propagation import SPEED_OF_LIGHT, Position, RangePropagationModel
 from repro.phy.radio import Radio, _Signal
 from repro.phy.spatial import BLOCK_OFFSETS, CellKey, GridIndex
 
@@ -105,9 +108,13 @@ class _Transmission:
     after the sender's, which is older than and never later than any of them.
     So each series is a chain with only its head in the event queue — two
     queue trips per transmission: after an edge has run, the next one runs in
-    place if the kernel confirms nothing queued comes before it
-    (:meth:`~repro.core.engine.Simulator.claim`) and is queued under its
-    reserved key otherwise.  Handler order is that of one event per edge.
+    place if nothing queued comes before it and is queued under its reserved
+    key otherwise.  Handler order is that of one event per edge.  The loops
+    make :meth:`~repro.core.engine.Simulator.claim`'s test themselves, on the
+    queue head in place: when the run has no ``max_events`` budget, the key is
+    within its horizon and before the head's (tombstones included), the edge
+    runs; any other edge is left to ``claim``, which refuses it unless a
+    handler budget is what sent it there.
 
     The end chain holds only the ends a radio hands back from
     ``signal_start``: a quiet signal's end stays with its radio, which
@@ -146,6 +153,7 @@ class _Transmission:
 
     def _run_starts(self) -> None:
         sim = self.sim
+        queue = sim._queue
         deliveries = self.deliveries
         radios = deliveries.radios
         receivable = deliveries.receivable
@@ -156,6 +164,11 @@ class _Transmission:
         signals = self.signals
         packet = self.packet
         duration = self.duration
+        sent_at = self.sent_at
+        first_sequence = self.first_sequence
+        count = len(radios)
+        # Set by run() for the whole run: no handler changes it.
+        budgeted = sim._handler_limit is not None
         index = self.started
         while True:
             radio = radios[index]
@@ -171,12 +184,19 @@ class _Transmission:
                 receivers.append(radio)
                 signals.append(signal)
             index += 1
-            if index == len(radios):
+            if index == count:
                 self.started = index
                 return
-            time = self.sent_at + delays[index]
-            sequence = self.first_sequence + offsets[index]
-            if not sim.claim(time, sequence):
+            time = sent_at + delays[index]
+            sequence = first_sequence + offsets[index]
+            # Simulator.claim, its common case read off the queue head here.
+            if time <= sim._claim_until and not budgeted and (
+                    not queue or time < (head := queue[0])[0]
+                    or (time == head[0] and sequence < head[1])):
+                sim.now = time
+                sim.now_sequence = sequence
+                sim.edges_in_place += 1
+            elif not sim.claim(time, sequence):
                 self.started = index
                 sim.schedule_reserved(time, sequence, self._run_starts)
                 return
@@ -184,6 +204,8 @@ class _Transmission:
     def run_ends(self) -> None:
         """Run the end chain from its head for as long as the kernel allows."""
         sim = self.sim
+        queue = sim._queue
+        budgeted = sim._handler_limit is not None
         receivers = self.receivers
         signals = self.signals
         index = self.ended
@@ -198,9 +220,17 @@ class _Transmission:
             if index == len(signals):
                 break
             signal = signals[index]
-            if not sim.claim(signal.end_time, signal.end_sequence):
-                sim.schedule_reserved(signal.end_time, signal.end_sequence,
-                                      self.run_ends)
+            time = signal.end_time
+            sequence = signal.end_sequence
+            # Simulator.claim, its common case read off the queue head here.
+            if time <= sim._claim_until and not budgeted and (
+                    not queue or time < (head := queue[0])[0]
+                    or (time == head[0] and sequence < head[1])):
+                sim.now = time
+                sim.now_sequence = sequence
+                sim.edges_in_place += 1
+            elif not sim.claim(time, sequence):
+                sim.schedule_reserved(time, sequence, self.run_ends)
                 break
             receivers[index]._signal_end(signal)
         self.ended = index
@@ -426,16 +456,15 @@ class WirelessChannel:
             return list(cached)
         origin = self.position_of(node_id)
         positions = self._positions
-        can_receive = self.propagation.can_receive
-        # Inlined Position.distance_to (same operands, same order → identical
-        # IEEE result): this comprehension runs once per candidate of every
-        # neighbour rebuild, and the bound-method dispatch is measurable at
-        # metro scale.
+        # Inlined Position.distance_to and RangePropagationModel.can_receive
+        # (same operands, same order → identical IEEE result): this runs once
+        # per candidate of every neighbour rebuild.
         hypot = math.hypot
         ox, oy = origin.x, origin.y
+        transmission_range = self.propagation.transmission_range
         in_range = [
             other for other in self._grid.neighborhood(node_id)
-            if can_receive(hypot(ox - (p := positions[other]).x, oy - p.y))
+            if hypot(ox - (p := positions[other]).x, oy - p.y) <= transmission_range
         ]
         in_range.sort(key=self._registration_index.__getitem__)
         cell = self._grid.cell_of(node_id)
@@ -513,22 +542,24 @@ class WirelessChannel:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def broadcast(self, sender: Radio, packet: Packet, duration: float,
+    def broadcast(self, sender: Radio, packet: Packet, size: int, duration: float,
                   on_sent: Optional[Callable[[], None]] = None) -> _Transmission:
-        """Deliver ``packet`` from ``sender`` to every radio in range.
+        """Deliver ``packet`` (``size`` bytes) from ``sender`` to every radio
+        in range.
 
         Called by :meth:`repro.phy.radio.Radio.transmit`, which queues the
         returned transmission's ``run_ends`` for the end of the frame; that
         runs the sender's end and then ``on_sent``.  The
         signal reaches each potential receiver after its own (tiny)
         propagation delay; whether it is decodable is decided by the
-        receiving radio.  All receivers share one snapshot of the packet,
-        taken here: the sender may go on changing its own, and nobody may
-        change the snapshot.
+        receiving radio.  All receivers share the packet as it was sent: a
+        sender that goes on changing its packet sends a copy (the MAC copies
+        the frame it may retry or hand back), and nobody changes a frame on
+        the air.
         """
         stats = self.stats
         stats.transmissions += 1
-        stats.bytes_transmitted += packet.size
+        stats.bytes_transmitted += size
         sender_id = sender.node_id
         deliveries = self._cached_payload(self._delivery_cache, sender_id)
         if deliveries is None:
@@ -542,8 +573,7 @@ class WirelessChannel:
             offsets = deliveries.offsets
             deliveries = deliveries.reordered(sorted(
                 range(len(offsets)), key=lambda k: (now + delays[k], offsets[k])))
-        return _Transmission(self.sim, sender, deliveries, packet.copy(), duration,
-                             on_sent)
+        return _Transmission(self.sim, sender, deliveries, packet, duration, on_sent)
 
     def _build_deliveries(self, sender_id: int) -> _Deliveries:
         """Compute and cache the in-range receiver list for ``sender_id``.
@@ -553,7 +583,9 @@ class WirelessChannel:
         registration order, so each signal start gets the sequence number it
         would from scanning the full radio table — golden traces depend on
         that.  The columns are then put in delay order, the order the signals
-        start in.
+        start in.  Distance, class, delay and power are the
+        :class:`~repro.phy.propagation.RangePropagationModel` methods' own
+        float operations, inlined.
         """
         radios: List[Radio] = []
         receivable: List[bool] = []
@@ -567,19 +599,24 @@ class WirelessChannel:
                                 key=self._registration_index.__getitem__)
             positions = self._positions
             origin = positions[sender_id]
+            ox, oy = origin.x, origin.y
+            hypot = math.hypot
             propagation = self.propagation
+            transmission_range = propagation.transmission_range
+            interference_range = propagation.interference_range
+            exponent = -propagation.path_loss_exponent
             for receiver_id in candidates:
                 if receiver_id in down:
                     continue
                 if blocked and self.is_link_blocked(sender_id, receiver_id):
                     continue
-                distance = origin.distance_to(positions[receiver_id])
-                can_decode, interferes = propagation.classify(distance)
-                if interferes:
+                position = positions[receiver_id]
+                distance = hypot(ox - position.x, oy - position.y)
+                if distance <= interference_range:
                     radios.append(all_radios[receiver_id])
-                    receivable.append(can_decode)
-                    delays.append(propagation.propagation_delay(distance))
-                    powers.append(propagation.relative_power(distance))
+                    receivable.append(distance <= transmission_range)
+                    delays.append(distance / SPEED_OF_LIGHT)
+                    powers.append((distance if distance >= 1.0 else 1.0) ** exponent)
         count = len(radios)
         # By delay; a stable sort keeps equal delays in registration order.
         deliveries = _Deliveries(radios, receivable, delays, powers, range(count),

@@ -25,10 +25,10 @@ The radio does not schedule its own signal edges.  The channel's transmission
 object calls :meth:`Radio.signal_start` for each receiver at the
 ``(time, sequence)`` key the start's own event would have had (see
 :class:`repro.phy.channel._Transmission`), and the start reserves the key of
-the signal's end.  The frame it passes is one snapshot shared by every
-receiver: read it, never change it.  The sender's own end of the frame heads
-that transmission's end chain: it is the one event :meth:`Radio.transmit`
-queues.
+the signal's end.  The frame it passes is the packet the sender transmitted,
+shared by every receiver: read it, never change it.  The sender's own end of
+the frame heads that transmission's end chain: it is the one event
+:meth:`Radio.transmit` queues.
 
 Most signals a radio hears it cannot decode, and most arrive while its MAC
 has no use for the carrier.  The end of such a *quiet* signal — not
@@ -37,9 +37,13 @@ edge runs it.  The radio keeps it and settles it, under its reserved key, the
 first time it is touched by something keyed later: a signal start, an end
 that does run, :meth:`Radio.transmit`, or :meth:`Radio.settle` (which every
 reader of :class:`RadioStats` calls first).  Settling releases the lock and
-counts the airtime, exactly as the end would have.  If the listener turns the
-carrier flag back on while ends are owed, the one owed end that could still
-report the carrier idle is queued as an edge again.  The other ends — a
+counts the airtime, exactly as the end would have.  The owed ends are kept
+in key order as they arrive — a new one has the newest sequence, so it goes
+after every owed end that does not end later than it — and a touch compares
+its key with the first owed end's before it settles anything, so the common
+touch, with nothing due, costs that one comparison.  If the listener turns
+the carrier flag back on while ends are owed, the one owed end that could
+still report the carrier idle is queued as an edge again.  The other ends — a
 decodable signal, or any signal while the flag is on — run from the
 transmission's end chain at their keys.
 
@@ -53,6 +57,7 @@ to send, which has no use for them.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, List, Optional, TYPE_CHECKING
@@ -69,7 +74,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 @dataclass(slots=True, eq=False)
 class _Signal:
-    """One signal currently arriving at this radio."""
+    """One signal currently arriving at this radio.
+
+    :meth:`Radio.signal_start` builds one per receiver of every frame, so it
+    fills the slots of ``object.__new__(_Signal)`` itself instead of calling
+    the generated ``__init__``.
+    """
 
     packet: Packet
     receivable: bool
@@ -82,6 +92,7 @@ class _Signal:
 
 
 _end_key = attrgetter("end_time", "end_sequence")
+_new = object.__new__
 
 
 class RadioStats(StatsRecord):
@@ -168,8 +179,8 @@ class Radio:
         sim = self.sim
         self._settle(sim.now, sim.now_sequence)
         # Only an end at the latest end time, once our own frame is out, can
-        # find the carrier idle; of those, the first to run (``_settle`` left
-        # the owed ends in key order).
+        # find the carrier idle; of those, the first to run (the owed ends
+        # are in key order).
         last = self._signals_until
         if last < self._transmitting_until:
             return
@@ -188,10 +199,12 @@ class Radio:
             self._settle(self.sim.now, self.sim.now_sequence)
 
     def _settle(self, time: float, sequence: float) -> None:
-        """Settle, in key order, the owed ends keyed before ``(time, sequence)``."""
+        """Settle, in key order, the owed ends keyed before ``(time, sequence)``.
+
+        Each settled end is the first owed one, so the :meth:`_signal_end`
+        that settles it finds nothing owed before it.
+        """
         owed = self._owed
-        if len(owed) > 1:
-            owed.sort(key=_end_key)
         while owed:
             signal = owed[0]
             end_time = signal.end_time
@@ -215,9 +228,10 @@ class Radio:
         if self._owed:
             self._settle(now, sim.now_sequence)
         self._transmitting_until = max(self._transmitting_until, now + duration)
+        size = packet.size
         stats = self.stats
         stats.frames_sent += 1
-        stats.bytes_sent += packet.size
+        stats.bytes_sent += size
         stats.time_transmitting += duration
         # Transmitting corrupts anything we were in the middle of receiving.
         if self._locked is not None:
@@ -226,8 +240,8 @@ class Radio:
             self._locked = None
         if self.tracer.enabled:
             self.tracer.record(now, "phy", "tx_start", node=self.node_id, uid=packet.uid,
-                               size=packet.size, duration=duration)
-        transmission = self.channel.broadcast(self, packet, duration, on_sent)
+                               size=size, duration=duration)
+        transmission = self.channel.broadcast(self, packet, size, duration, on_sent)
         if not self._carrier_was_busy:
             self._carrier_was_busy = True
             if self._notify and self.listener is not None:
@@ -272,10 +286,24 @@ class Radio:
         """
         sim = self.sim
         now = sim.now
-        if self._owed:
-            self._settle(now, sim.now_sequence)
+        # Settle the owed ends keyed before this start (_settle, in place:
+        # nearly every settle is made here).
+        owed = self._owed
+        while owed:
+            first = owed[0]
+            if first.end_time > now or (first.end_time == now
+                                        and first.end_sequence >= sim.now_sequence):
+                break
+            del owed[0]
+            self._signal_end(first)
         end_time = now + duration
-        signal = _Signal(packet, receivable, power, end_time, duration)
+        signal = _new(_Signal)
+        signal.packet = packet
+        signal.receivable = receivable
+        signal.power = power
+        signal.end_time = end_time
+        signal.duration = duration
+        signal.corrupted = False
         if end_time > self._signals_until:
             self._signals_until = end_time
 
@@ -288,7 +316,8 @@ class Radio:
             self._locked = signal
         else:
             # Overlap with the locked signal: capture or collision.
-            if locked.power / max(power, 1e-30) >= self.capture_threshold:
+            floored = power if power > 1e-30 else 1e-30    # max(power, 1e-30)
+            if locked.power / floored >= self.capture_threshold:
                 self.stats.frames_captured += 1
                 signal.corrupted = True
             else:
@@ -305,18 +334,27 @@ class Radio:
             if self._notify and self.listener is not None:
                 self.listener.on_carrier_busy()
         # The end edge takes its place in the event order here: after
-        # whatever the carrier callback above has just scheduled.
-        signal.end_sequence = sim.reserve_sequences()
+        # whatever the carrier callback above has just scheduled.  (This is
+        # Simulator.reserve_sequences, drawn in place.)
+        sequence = signal.end_sequence = sim._sequence
+        sim._sequence = sequence + 1
         if receivable or self._notify:
             return signal
-        self._owed.append(signal)
+        if owed and owed[-1].end_time > end_time:
+            insort(owed, signal, key=_end_key)
+        else:
+            owed.append(signal)
         return None
 
     def _signal_end(self, signal: _Signal) -> None:
         """The end of ``signal``: an edge at its key, or settled."""
-        if self._owed:
-            self._settle(signal.end_time, signal.end_sequence)
         now = signal.end_time
+        owed = self._owed
+        if owed:
+            first = owed[0]
+            if first.end_time < now or (first.end_time == now
+                                        and first.end_sequence < signal.end_sequence):
+                self._settle(now, signal.end_sequence)
         if self._locked is signal:
             self._locked = None
             # The radio was listening to this signal for its whole duration

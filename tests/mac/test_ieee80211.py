@@ -9,7 +9,7 @@ from repro.mac.frames import attach_data_header, make_rts
 from repro.mac.ieee80211 import Ieee80211Mac, MacState
 from repro.mac.queue import DropTailQueue
 from repro.mac.timing import timing_for_bandwidth
-from repro.net.headers import BROADCAST, IpHeader, IpProtocol
+from repro.net.headers import BROADCAST, IpHeader, IpProtocol, MacFrameType
 from repro.net.interfaces import MacListener
 from repro.net.packet import Packet
 from repro.phy.channel import WirelessChannel
@@ -225,3 +225,98 @@ class TestHiddenTerminalChain:
         sim.run(until=5.0)
         assert len(bed.listeners[1].delivered) == 1
         assert len(bed.listeners[4].delivered) == 1
+
+
+class AirWatch:
+    """What each radio of a testbed transmits and what each MAC receives,
+    with the fields of every received frame as it arrived."""
+
+    def __init__(self, bed):
+        self.transmitted = []       # (node, frame object)
+        self.received = []          # (node, frame object, MAC header fields)
+        for node_id, mac in bed.macs.items():
+            self._watch(node_id, mac)
+
+    def _watch(self, node_id, mac):
+        radio, watch = mac.radio, self
+        transmit, receive = radio.transmit, mac.on_frame_received
+
+        def watched_transmit(packet, duration, on_sent=None):
+            watch.transmitted.append((node_id, packet))
+            transmit(packet, duration, on_sent)
+
+        def watched_receive(packet):
+            header = packet.mac
+            watch.received.append((node_id, packet, (header.frame_type, header.src,
+                                                     header.dst, header.retry)))
+            receive(packet)
+
+        radio.transmit = watched_transmit
+        mac.on_frame_received = watched_receive
+
+    def sent_objects(self):
+        return [frame for _, frame in self.transmitted]
+
+
+class TestWhatTheAirCarries:
+    """Only the frame the sender goes on changing (the MAC's current DATA or
+    broadcast packet) is copied for the air; a control frame is sent as
+    built.  No later change of the sender's packet reaches a receiver."""
+
+    def test_control_frames_reach_receivers_uncopied(self, sim, monkeypatch):
+        copies = []
+        copy = Packet.copy
+        monkeypatch.setattr(Packet, "copy", lambda self: copies.append(self) or copy(self))
+        bed = MacTestbed(sim, {0: (0, 0), 1: (200, 0)})
+        watch = AirWatch(bed)
+        sent = bed.send(0, 1)
+        sim.run(until=1.0)
+        kinds = [fields[0] for _, _, fields in watch.received]
+        assert kinds == [MacFrameType.RTS, MacFrameType.CTS, MacFrameType.DATA,
+                         MacFrameType.ACK]
+        sent_objects = watch.sent_objects()
+        for _, frame, fields in watch.received:
+            assert any(frame is other for other in sent_objects)
+            if fields[0] is not MacFrameType.DATA:
+                assert frame.payload_size == 0 and frame.ip is None
+        # One copy for the one DATA transmission, of the sender's packet.
+        assert len(copies) == 1 and copies[0] is sent
+
+    def test_a_retry_header_does_not_reach_the_first_attempts_frame(self, sim):
+        bed = MacTestbed(sim, {0: (0, 0), 1: (200, 0)})
+        watch = AirWatch(bed)
+        channel = bed.channel
+
+        class LoseTheFirstAck(RecordingMacListener):
+            def on_mac_delivery(self, packet):
+                super().on_mac_delivery(packet)
+                if len(self.delivered) == 1:
+                    channel.set_link_blocked(0, 1)
+                    sim.schedule(0.005, channel.set_link_blocked, 0, 1, False)
+
+        bed.macs[1].listener = bed.listeners[1] = LoseTheFirstAck()
+        sent = bed.send(0, 1)
+        sim.run(until=1.0)
+        data = [(frame, fields) for node, frame, fields in watch.received
+                if node == 1 and fields[0] is MacFrameType.DATA]
+        assert [fields[3] for _, fields in data] == [False, True]
+        stats = bed.macs[0].stats
+        assert stats.ack_timeouts >= 1 and stats.data_tx_success == 1
+        # The sender let go of its packet (header stripped) once the retry
+        # was acknowledged; each frame on the air kept the header it carried.
+        assert sent.mac is None
+        for frame, (frame_type, src, dst, retry) in data:
+            assert frame is not sent
+            assert (frame.mac.frame_type, frame.mac.src, frame.mac.dst,
+                    frame.mac.retry) == (frame_type, src, dst, retry)
+        delivered = bed.listeners[1].delivered
+        assert len(delivered) == 1 and delivered[0].mac.retry is False
+
+    def test_a_finished_broadcast_keeps_its_header_on_the_air(self, sim):
+        bed = MacTestbed(sim, {0: (0, 0), 1: (200, 0), 2: (-200, 0)})
+        sent = bed.send(0, BROADCAST)
+        sim.run(until=1.0)
+        frames = bed.listeners[1].delivered + bed.listeners[2].delivered
+        assert len(frames) == 2 and frames[0] is frames[1]
+        assert sent.mac is None and bed.listeners[0].successes
+        assert frames[0] is not sent and frames[0].mac.dst == BROADCAST

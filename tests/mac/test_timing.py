@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.units import MBPS
+from repro.core.units import MBPS, transmission_time
 from repro.experiments.paced_udp import four_hop_propagation_delay, table2_propagation_delays
 from repro.mac.timing import MacTiming, timing_for_bandwidth
+from repro.net.headers import MacHeader
 
 
 class TestBasicTiming:
@@ -60,11 +63,11 @@ class TestNavAndTimeouts:
 
     def test_cts_timeout_exceeds_cts_arrival(self):
         timing = timing_for_bandwidth(2.0)
-        assert timing.cts_timeout() > timing.sifs + timing.cts_duration
+        assert timing.cts_timeout > timing.sifs + timing.cts_duration
 
     def test_ack_timeout_exceeds_ack_arrival(self):
         timing = timing_for_bandwidth(2.0)
-        assert timing.ack_timeout() > timing.sifs + timing.ack_duration
+        assert timing.ack_timeout > timing.sifs + timing.ack_duration
 
     def test_exchange_duration_sums_components(self):
         timing = timing_for_bandwidth(2.0)
@@ -73,6 +76,42 @@ class TestNavAndTimeouts:
             timing.rts_duration + timing.cts_duration + timing.ack_duration
             + timing.data_duration(1534) + 3 * timing.sifs
         )
+
+
+class TestDerivedValuesComputedOnce:
+    """The values the MAC reads on every frame are attributes computed when
+    the timing is built, to the bit what the formulas give."""
+
+    @pytest.mark.parametrize("bandwidth", [2.0, 5.5, 11.0])
+    def test_equal_to_the_formulas(self, bandwidth):
+        timing = timing_for_bandwidth(bandwidth)
+
+        def control(size):
+            return timing.plcp_overhead + transmission_time(size, timing.basic_rate)
+
+        assert timing.difs == timing.sifs + 2 * timing.slot_time
+        assert timing.rts_duration == control(MacHeader.SIZE_RTS)
+        assert timing.cts_duration == control(MacHeader.SIZE_CTS)
+        assert timing.ack_duration == control(MacHeader.SIZE_ACK)
+        assert timing.cts_timeout == (timing.sifs + control(MacHeader.SIZE_CTS)
+                                      + 2 * timing.slot_time)
+        assert timing.ack_timeout == (timing.sifs + control(MacHeader.SIZE_ACK)
+                                      + 2 * timing.slot_time)
+        assert timing.data_nav == timing.sifs + control(MacHeader.SIZE_ACK)
+        for size in (34, 74, 1534, 1574):
+            assert timing.data_duration(size) == (
+                timing.plcp_overhead + transmission_time(size, timing.data_rate))
+
+    def test_follow_a_replaced_field(self):
+        timing = replace(MacTiming(), sifs=20e-6, slot_time=9e-6)
+        assert timing.difs == 20e-6 + 2 * 9e-6
+        assert timing.data_nav == 20e-6 + timing.ack_duration
+
+    def test_rates_must_be_positive(self):
+        with pytest.raises(ValueError):
+            MacTiming(data_rate=0.0)
+        with pytest.raises(ValueError):
+            MacTiming(basic_rate=0.0)
 
 
 class TestContentionWindow:

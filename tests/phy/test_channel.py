@@ -87,22 +87,18 @@ class TestBroadcastDelivery:
         sim.run()
         assert sender.listener.received == []
 
-    def test_receivers_share_a_snapshot_taken_at_transmit(self, sim, channel):
+    def test_receivers_share_the_frame_as_sent(self, sim, channel):
+        """The channel copies nothing: every receiver gets the object the
+        sender transmitted.  A sender that goes on changing its packet sends a
+        copy (the MAC's DATA and broadcast frames: tests/mac)."""
         sender = add_node(sim, channel, 0, 0, 0)
         a = add_node(sim, channel, 1, 200, 0)
         b = add_node(sim, channel, 2, -200, 0)
-        original = Packet(payload_size=10, ip=IpHeader(src=0, dst=1, protocol=IpProtocol.UDP, ttl=9))
-        sender.transmit(original, duration=0.001)
-        # What the sender does to its packet afterwards (a MAC retry flag, a
-        # queue re-addressing it) must not reach frames already on the air.
-        original.ip.ttl = 1
-        original.payload_size = 99
+        frame = Packet(payload_size=10, ip=IpHeader(src=0, dst=1, protocol=IpProtocol.UDP, ttl=9))
+        sender.transmit(frame, duration=0.001)
         sim.run()
-        received_a = a.listener.received[0]
-        received_b = b.listener.received[0]
-        assert received_a is received_b and received_a is not original
-        assert received_a.uid == original.uid
-        assert (received_a.ip.ttl, received_a.payload_size) == (9, 10)
+        (received_a,), (received_b,) = a.listener.received, b.listener.received
+        assert received_a is frame and received_b is frame
 
     def test_channel_stats_counted(self, sim, channel):
         sender = add_node(sim, channel, 0, 0, 0)
@@ -383,6 +379,23 @@ class TestDeliveryListIsTheLinkStructure:
         # Reading again rebuilds nothing.
         assert delivery_lists(channel) == pristine
         assert channel.stats.delivery_rebuilds == 5 * senders
+
+    def test_columns_are_the_propagation_models_answers(self, sim, channel):
+        """The channel does the model's arithmetic in place; every column
+        entry and neighbour list equals what the model's methods answer."""
+        populate(sim, channel)
+        model = channel.propagation
+        for sender, (edges, _) in delivery_lists(channel).items():
+            others = [node for node in FIELD if node != sender]
+            assert sorted(node for node, *_ in edges) == sorted(
+                node for node in others if model.can_interfere(channel.distance(sender, node)))
+            for node, delay, receivable, power, _ in edges:
+                distance = FIELD[sender].distance_to(FIELD[node])
+                assert (receivable, True) == model.classify(distance)
+                assert delay == model.propagation_delay(distance)
+                assert power == model.relative_power(distance)
+            assert channel.geometric_neighbors_of(sender) == [
+                node for node in others if model.can_receive(channel.distance(sender, node))]
 
     def test_only_interfering_pairs_are_remembered(self, sim, channel):
         populate(sim, channel)

@@ -57,9 +57,9 @@ class OracleChannel(WirelessChannel):
 
     quiet_ends = 0
 
-    def broadcast(self, sender, packet, duration, on_sent=None):
+    def broadcast(self, sender, packet, size, duration, on_sent=None):
         self.stats.transmissions += 1
-        self.stats.bytes_transmitted += packet.size
+        self.stats.bytes_transmitted += size
         deliveries = self._cached_payload(self._delivery_cache, sender.node_id)
         if deliveries is None:
             deliveries = self._build_deliveries(sender.node_id)
@@ -75,8 +75,10 @@ class OracleChannel(WirelessChannel):
     def _signal_start(self, radio, packet, duration, receivable, power):
         signal = radio.signal_start(packet, duration, receivable, power)
         if signal is None:
-            # A quiet signal: take back the end the radio would owe.
-            signal = radio._owed.pop()
+            # A quiet signal: take back the end the radio would owe, the one
+            # with the newest sequence (owed ends are kept in key order).
+            signal = max(radio._owed, key=lambda owed: owed.end_sequence)
+            radio._owed.remove(signal)
             self.quiet_ends += 1
         # The sequence signal_start has just taken, used on the spot: the
         # plain schedule(duration, ...) the radio used to end with.
@@ -381,3 +383,148 @@ def test_delays_that_round_to_one_arrival_time_start_in_sequence_order(make_sim)
             if callback == "busy" and node != 0]
     assert [node for _, node in busy] == [2, 1, 1, 2]
     assert busy[0][0] < busy[1][0] and busy[2][0] == busy[3][0]
+
+
+class ClaimEveryEdge(Simulator):
+    """A kernel that always runs with a handler budget (a billion handlers
+    when the caller sets none), so the channel's loops leave every edge to
+    :meth:`Simulator.claim` — the test they otherwise make in place on the
+    queue head.  Same handlers, same clock, same edges in place."""
+
+    def run(self, until=None, max_events=None):
+        return super().run(until, 10**9 if max_events is None else max_events)
+
+
+class LineListener(PhyListener):
+    """Logs every callback; the line's ``stopper`` calls ``stop()`` from its
+    first carrier-busy callback, in the middle of the start chain."""
+
+    def __init__(self, line, radio, stops):
+        self.line = line
+        self.radio = radio
+        self.stops = stops
+
+    def _note(self, callback, uid=None):
+        self.line.log.append((self.line.sim.now, self.radio.node_id, callback, uid))
+
+    def on_frame_received(self, packet):
+        self._note("frame", packet.uid)
+
+    def on_carrier_busy(self):
+        self._note("busy")
+        if self.stops:
+            self.stops = False
+            self.line.sim.stop()
+
+    def on_carrier_idle(self):
+        self._note("idle")
+
+
+class Line:
+    """Node 0 at the origin, ``receivers`` more every 60 m along a line: the
+    first four can decode it, the rest only sense it, and every listener
+    keeps the carrier flag on, so every start and end is a handler."""
+
+    RECEIVERS = 8
+    #: Frame length: the ends start well after the last start.
+    DURATION = 1e-3
+
+    def __init__(self, channel_class, sim, stopper=None):
+        reset_packet_ids()
+        self.sim = sim
+        self.channel = channel_class(sim)
+        self.log = []
+        self.radios = []
+        for node_id in range(self.RECEIVERS + 1):
+            radio = Radio(sim, node_id, self.channel)
+            self.channel.register(radio, Position(60.0 * node_id, 0.0))
+            radio.listener = LineListener(self, radio, stops=node_id == stopper)
+            self.radios.append(radio)
+        sim.schedule(0.0, self.radios[0].transmit, Packet(payload_size=10), self.DURATION)
+
+    def checkpoint(self):
+        sim = self.sim
+        return {"log": list(self.log), "now": sim.now,
+                "handlers": sim.events_processed + sim.edges_in_place,
+                "edges in place": sim.edges_in_place}
+
+
+def stop_from_a_carrier_callback(channel_class, sim):
+    line = Line(channel_class, sim, stopper=3)
+    checkpoints = []
+    for _ in range(3):
+        sim.run()
+        checkpoints.append(line.checkpoint())
+    return checkpoints
+
+
+def budget_runs_out(channel_class, sim):
+    line = Line(channel_class, sim)
+    checkpoints = []
+    while sim.pending_events:
+        sim.run(max_events=3)
+        checkpoints.append(line.checkpoint())
+    return checkpoints
+
+
+def tombstones_in_the_chains(channel_class, sim):
+    line = Line(channel_class, sim)
+    # Between the third and fourth receivers' starts (400 m and 600 m of
+    # propagation), and between two of their ends.
+    for at in (5e-7, Line.DURATION + 5e-7):
+        sim.cancel(sim.schedule_at(at, lambda: None))
+    sim.run()
+    return [line.checkpoint()]
+
+
+class TestInPlaceHeadTest:
+    """The chain loops decide in place whether the next edge runs: against
+    one event per edge (same handlers at the same times) and against
+    leaving every edge to ``claim`` (same edges in place) where a run is cut
+    in mid-chain or a tombstone lies in the chain's span."""
+
+    @staticmethod
+    def assert_same(play):
+        oracle = play(OracleChannel, Simulator())
+        in_place = play(WirelessChannel, Simulator())
+        claimed = play(WirelessChannel, ClaimEveryEdge())
+        assert len(in_place) == len(oracle)
+        for actual, expected in zip(in_place, oracle):
+            for key in ("log", "now", "handlers"):
+                assert actual[key] == expected[key], key
+            assert expected["edges in place"] == 0
+        assert in_place == claimed
+        return in_place
+
+    def test_stop_from_a_carrier_callback_in_mid_chain(self):
+        first, second, third = self.assert_same(stop_from_a_carrier_callback)
+        # The first run ends at the stopper's start: the receivers after it
+        # have not heard the frame yet.
+        busy = [node for _, node, callback, _ in first["log"] if callback == "busy"]
+        assert busy == [0, 1, 2, 3]
+        assert second["handlers"] == third["handlers"] == 2 * Line.RECEIVERS + 2
+
+    def test_max_events_running_out_in_mid_chain(self):
+        checkpoints = self.assert_same(budget_runs_out)
+        assert [c["handlers"] for c in checkpoints] == [3, 6, 9, 12, 15, 18]
+        assert checkpoints[-1]["edges in place"] > 0
+
+    def test_a_tombstone_inside_the_chains_span(self):
+        (checkpoint,) = self.assert_same(tombstones_in_the_chains)
+        # Queued: the transmit call, the transmission's two trips and one
+        # more per chain past its tombstone; the other 13 of 18 handlers ran
+        # in place.
+        assert checkpoint["handlers"] == 2 * Line.RECEIVERS + 2
+        assert checkpoint["edges in place"] == checkpoint["handlers"] - 5
+
+    @given(seed=st.integers(0, 2**32 - 1), positions=_scattered)
+    @settings(max_examples=60, deadline=None)
+    def test_random_worlds_run_the_same_edges_in_place(self, seed, positions):
+        """The seeded worlds above, cut by ``until``, ``max_events`` and
+        ``stop()``: the same edges run in place as when ``claim`` decides."""
+        results, edges = [], []
+        for sim in (Simulator(), ClaimEveryEdge()):
+            world = World(WirelessChannel, sim, seed, positions)
+            results.append(world.play())
+            edges.append(sim.edges_in_place)
+        assert results[0] == results[1] and edges[0] == edges[1]

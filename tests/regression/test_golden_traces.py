@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.tracing import Tracer, trace_digest
+from repro.core.tracing import NULL_TRACER, Tracer, trace_digest
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.results import ScenarioResult
 from repro.experiments.runner import Scenario
@@ -171,6 +171,21 @@ def test_golden_trace(name):
     assert actual["events"] + actual["edges"] == GOLDEN_HANDLERS[name]
     # At least half the handlers are signal edges that skipped the queue.
     assert actual["edges"] > actual["events"]
+
+
+@pytest.mark.skipif(REGEN, reason="regenerating fixtures")
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_untraced_run_matches_the_pinned_golden(name):
+    """Ledger, command-line and study runs take the untraced path
+    (``NULL_TRACER``): it runs the simulation the traced golden pins, to the
+    same snapshot and the same handler count."""
+    reset_packet_ids()
+    result = SCENARIOS[name](NULL_TRACER).run()
+    expected = _load_fixtures()[name]
+    assert _metrics(result) == expected["metrics"]
+    assert _snapshot_digest(result) == expected["snapshot_sha256"]
+    assert (result.metrics["core.events_processed"]
+            + result.metrics["core.edges_in_place"]) == GOLDEN_HANDLERS[name]
 
 
 def test_golden_runs_are_reproducible_within_process():

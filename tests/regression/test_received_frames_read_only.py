@@ -52,8 +52,8 @@ class FrameWatch:
         run_ends = _Transmission.run_ends
         deliver = WiredBus._deliver
 
-        def watched_broadcast(channel, sender, packet, duration, on_sent=None):
-            transmission = broadcast(channel, sender, packet, duration, on_sent)
+        def watched_broadcast(channel, sender, packet, size, duration, on_sent=None):
+            transmission = broadcast(channel, sender, packet, size, duration, on_sent)
             frame = transmission.packet
             watch.sent[id(frame)] = (frame, fields_of(frame))
             return transmission
