@@ -1,6 +1,6 @@
 """Core simulation infrastructure: event engine, randomness, statistics, tracing."""
 
-from repro.core.engine import Event, Simulator, Timer
+from repro.core.engine import Simulator, Timer
 from repro.core.errors import (
     ConfigurationError,
     PacketError,
@@ -22,7 +22,6 @@ from repro.core.statistics import (
 from repro.core.tracing import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
-    "Event",
     "Simulator",
     "Timer",
     "SimulationError",

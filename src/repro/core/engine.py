@@ -20,15 +20,15 @@ Performance notes
 This module is the hottest code in the simulator, so it deliberately trades a
 little purity for speed:
 
-* Heap entries are plain tuples ``(time, sequence, callback, args, event)``.
-  The unique, monotonically increasing ``sequence`` breaks time ties at
-  C speed (tuple comparison never reaches the callback), which both pins the
-  FIFO-among-equals ordering explicitly and avoids a Python-level ``__lt__``
-  call per heap comparison.
-* :class:`Event` is a ``__slots__`` handle used only for cancellation and
-  introspection; the run loop reads the callback straight out of the tuple.
-* Cancellation is a tombstone: the event is flagged and skipped when it
-  reaches the top of the heap, so ``cancel`` is O(1).
+* A heap entry is a plain list ``[time, sequence, callback, args]``, and
+  that list is also the handle :meth:`~Simulator.schedule` returns: one
+  object per scheduled call.  The unique, monotonically increasing
+  ``sequence`` breaks time ties at C speed (list comparison never reaches
+  the callback), which both pins the FIFO-among-equals ordering explicitly
+  and avoids a Python-level ``__lt__`` call per heap comparison.
+* Cancellation is a tombstone: ``cancel`` clears the entry's callback slot,
+  and an entry with no callback is dropped, unrun, when it reaches the top
+  of the heap, so ``cancel`` is O(1).
 
 Edge keys
 ---------
@@ -64,64 +64,12 @@ from __future__ import annotations
 
 import heapq
 from math import inf as _inf, isfinite as _isfinite
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.core.errors import SchedulingError
 
-#: Heap entry layout: (time, sequence, callback, args, event-handle).
-_Entry = Tuple[float, int, Callable[..., None], tuple, "Event"]
-
-
-class Event:
-    """A scheduled callback.
-
-    Events are ordered by ``(time, sequence)`` where ``sequence`` is a
-    monotonically increasing insertion counter; this makes event ordering
-    deterministic even when two events share the same timestamp.
-    """
-
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        sequence: int,
-        callback: Callable[..., None],
-        args: tuple = (),
-        cancelled: bool = False,
-    ) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.args = args
-        self.cancelled = cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        """Explicit ``(time, sequence)`` ordering (FIFO among same-time events)."""
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.time == other.time and self.sequence == other.sequence
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.sequence))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time!r}, seq={self.sequence}{state})"
-
-    def cancel(self) -> None:
-        """Mark this event as cancelled; it will be skipped when popped."""
-        self.cancelled = True
-
-    @property
-    def is_pending(self) -> bool:
-        """True if the event has not been cancelled."""
-        return not self.cancelled
+#: Heap entry and handle: [time, sequence, callback or None, args].
+_Entry = List[Any]
 
 
 class Simulator:
@@ -154,7 +102,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling API
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> _Entry:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Args:
@@ -163,7 +111,7 @@ class Simulator:
             *args: Positional arguments passed to the callback.
 
         Returns:
-            The scheduled :class:`Event`, which may be cancelled later.
+            The queued entry, a handle for :meth:`cancel`.
 
         Raises:
             SchedulingError: If ``delay`` is negative or not finite.
@@ -175,11 +123,11 @@ class Simulator:
         time = self.now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, sequence, callback, args)
-        heapq.heappush(self._queue, (time, sequence, callback, args, event))
-        return event
+        entry = [time, sequence, callback, args]
+        heapq.heappush(self._queue, entry)
+        return entry
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> _Entry:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``.
 
         Raises:
@@ -191,19 +139,20 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, sequence, callback, args)
-        heapq.heappush(self._queue, (time, sequence, callback, args, event))
-        return event
+        entry = [time, sequence, callback, args]
+        heapq.heappush(self._queue, entry)
+        return entry
 
-    def cancel(self, event: Optional[Event]) -> None:
-        """Cancel a previously scheduled event.
+    def cancel(self, entry: Optional[_Entry]) -> None:
+        """Cancel a previously scheduled call.
 
-        Cancelling ``None`` or an already-cancelled event is a no-op, which
-        lets protocol code unconditionally cancel its timer handles.  The
-        event stays in the heap as a tombstone and is discarded when popped.
+        Cancelling ``None``, a cancelled entry or one that already ran is a
+        no-op, which lets protocol code unconditionally cancel its timer
+        handles.  The entry stays in the heap as a tombstone (its callback
+        cleared) and is discarded when popped.
         """
-        if event is not None:
-            event.cancelled = True
+        if entry is not None:
+            entry[2] = None
 
     # ------------------------------------------------------------------
     # Edge keys (see the module docstring)
@@ -215,7 +164,7 @@ class Simulator:
         return first
 
     def schedule_reserved(self, time: float, sequence: int,
-                          callback: Callable[..., None], *args: Any) -> Event:
+                          callback: Callable[..., None], *args: Any) -> _Entry:
         """:meth:`schedule_at` under a sequence from :meth:`reserve_sequences`."""
         upcoming = self._sequence
         self._sequence = sequence
@@ -282,7 +231,8 @@ class Simulator:
                         self._events_processed + self.edges_in_place >= limit):
                     break
                 entry = queue[0]
-                if entry[4].cancelled:
+                callback = entry[2]
+                if callback is None:
                     pop(queue)
                     continue
                 time = entry[0]
@@ -293,7 +243,7 @@ class Simulator:
                 pop(queue)
                 self.now = time
                 self.now_sequence = entry[1]
-                entry[2](*entry[3])
+                callback(*entry[3])
                 self._events_processed += 1
             else:
                 # Queue drained: advance the clock to the horizon if given.
@@ -315,7 +265,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (excluding cancelled tombstones)."""
-        return sum(1 for entry in self._queue if not entry[4].cancelled)
+        return sum(1 for entry in self._queue if entry[2] is not None)
 
     @property
     def events_processed(self) -> int:
@@ -338,44 +288,35 @@ class Timer:
 
     Protocol code frequently needs "(re)start this timeout, cancel it when the
     awaited thing happens".  ``Timer`` wraps that pattern so the owner does not
-    have to track raw :class:`Event` handles.
+    have to track raw queue entries.
     """
 
-    __slots__ = ("_sim", "_callback", "_event")
+    __slots__ = ("_sim", "_callback", "_entry")
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
         self._sim = sim
         self._callback = callback
-        self._event: Optional[Event] = None
+        self._entry: Optional[_Entry] = None
 
     def start(self, delay: float) -> None:
         """Start (or restart) the timer to fire ``delay`` seconds from now."""
-        event = self._event
-        if event is not None:
-            event.cancelled = True
-        self._event = self._sim.schedule(delay, self._fire)
+        entry = self._entry
+        if entry is not None:
+            entry[2] = None
+        self._entry = self._sim.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         """Cancel the timer if it is pending."""
-        event = self._event
-        if event is not None:
-            event.cancelled = True
-            self._event = None
+        entry = self._entry
+        if entry is not None:
+            entry[2] = None
+            self._entry = None
 
     def _fire(self) -> None:
-        self._event = None
+        self._entry = None
         self._callback()
 
     @property
     def is_pending(self) -> bool:
         """True if the timer is armed and has not fired or been cancelled."""
-        event = self._event
-        return event is not None and not event.cancelled
-
-    @property
-    def expiry_time(self) -> Optional[float]:
-        """Absolute time at which the timer will fire, or None if idle."""
-        event = self._event
-        if event is not None and not event.cancelled:
-            return event.time
-        return None
+        return self._entry is not None

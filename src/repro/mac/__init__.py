@@ -2,7 +2,7 @@
 
 from repro.mac.frames import attach_data_header, is_for, make_ack, make_cts, make_rts
 from repro.mac.ieee80211 import Ieee80211Mac, MacState
-from repro.mac.queue import DropTailQueue, QueueStats
+from repro.mac.queue import DropTailQueue
 from repro.mac.stats import MacStats
 from repro.mac.timing import MacTiming, timing_for_bandwidth
 
@@ -15,7 +15,6 @@ __all__ = [
     "Ieee80211Mac",
     "MacState",
     "DropTailQueue",
-    "QueueStats",
     "MacStats",
     "MacTiming",
     "timing_for_bandwidth",

@@ -177,7 +177,7 @@ class Ieee80211Mac(PhyListener):
         self._difs_event = self.sim.schedule(self.timing.difs, self._difs_complete)
 
     def _schedule_nav_wakeup(self) -> None:
-        if self._nav_wakeup_event is not None and self._nav_wakeup_event.is_pending:
+        if self._nav_wakeup_event is not None:
             return
         delay = max(0.0, self._nav_until - self.sim.now)
         self._nav_wakeup_event = self.sim.schedule(delay, self._nav_expired)
@@ -236,27 +236,24 @@ class Ieee80211Mac(PhyListener):
         mac = packet.require_mac()
         if mac.dst != self.node_id and mac.dst != BROADCAST:
             # Overheard frame: update the NAV with its duration field.
-            self._set_nav(mac.duration)
+            duration = mac.duration
+            if duration > 0:
+                self._nav_until = max(self._nav_until, self.sim.now + duration)
             return
-        if mac.frame_type is _RTS:
-            self._handle_rts(packet)
-        elif mac.frame_type is _CTS:
-            self._handle_cts(packet)
-        elif mac.frame_type is _DATA:
-            self._handle_data(packet)
-        elif mac.frame_type is _ACK:
-            self._handle_ack(packet)
-
-    def _set_nav(self, duration: float) -> None:
-        if duration <= 0:
-            return
-        self._nav_until = max(self._nav_until, self.sim.now + duration)
+        frame_type = mac.frame_type
+        if frame_type is _RTS:
+            self._handle_rts(mac)
+        elif frame_type is _CTS:
+            self._handle_cts()
+        elif frame_type is _DATA:
+            self._handle_data(packet, mac)
+        elif frame_type is _ACK:
+            self._handle_ack()
 
     # ==================================================================
     # Receiver side
     # ==================================================================
-    def _handle_rts(self, packet: Packet) -> None:
-        mac = packet.require_mac()
+    def _handle_rts(self, mac: MacHeader) -> None:
         if self.state in (_WAIT_CTS, _WAIT_ACK):
             return  # busy with our own exchange
         if self.sim.now < self._nav_until:
@@ -268,14 +265,13 @@ class Ieee80211Mac(PhyListener):
             self.timing.sifs, self.radio.transmit, cts, self.timing.cts_duration
         )
 
-    def _handle_cts(self, packet: Packet) -> None:
+    def _handle_cts(self) -> None:
         if self.state is not _WAIT_CTS or self._current is None:
             return
         self._response_timer.cancel()
         self.sim.schedule(self.timing.sifs, self._send_data_frame)
 
-    def _handle_data(self, packet: Packet) -> None:
-        mac = packet.require_mac()
+    def _handle_data(self, packet: Packet, mac: MacHeader) -> None:
         if mac.dst == BROADCAST:
             self._deliver_up(packet)
             return
@@ -290,7 +286,7 @@ class Ieee80211Mac(PhyListener):
             return
         self._deliver_up(packet)
 
-    def _handle_ack(self, packet: Packet) -> None:
+    def _handle_ack(self) -> None:
         if self.state is not _WAIT_ACK or self._current is None:
             return
         self._response_timer.cancel()

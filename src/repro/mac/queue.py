@@ -2,26 +2,18 @@
 
 The paper uses a 50-packet DropTail buffer at every node and explicitly reports
 that no buffer overflow occurs in its scenarios; the queue still implements the
-drop so that the invariant can be *checked* rather than assumed.
+drop so that the invariant can be *checked* rather than assumed.  The queue
+keeps no counters of its own: its callers (routing, and a gateway's wired
+side) count a refused packet as ``route.node<N>.packets_dropped_queue_full``,
+and the metrics plane samples occupancy as ``mac.node<N>.queue_len``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Optional
 
 from repro.net.packet import Packet
-
-
-@dataclass
-class QueueStats:
-    """Counters for the interface queue."""
-
-    enqueued: int = 0
-    dequeued: int = 0
-    dropped_overflow: int = 0
-    high_watermark: int = 0
 
 
 class DropTailQueue:
@@ -44,7 +36,6 @@ class DropTailQueue:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
         self.on_enqueue = on_enqueue
-        self.stats = QueueStats()
         self._queue: Deque[Packet] = deque()
 
     def __len__(self) -> int:
@@ -63,11 +54,8 @@ class DropTailQueue:
     def enqueue(self, packet: Packet) -> bool:
         """Append ``packet``; returns False (and drops it) when full."""
         if self.is_full:
-            self.stats.dropped_overflow += 1
             return False
         self._queue.append(packet)
-        self.stats.enqueued += 1
-        self.stats.high_watermark = max(self.stats.high_watermark, len(self._queue))
         if self.on_enqueue is not None:
             self.on_enqueue()
         return True
@@ -76,5 +64,4 @@ class DropTailQueue:
         """Pop and return the head packet, or None if empty."""
         if not self._queue:
             return None
-        self.stats.dequeued += 1
         return self._queue.popleft()

@@ -90,11 +90,27 @@ class TestCancellation:
         assert sim.run() == 0
 
     def test_pending_events_excludes_cancelled(self, sim):
-        keep = sim.schedule(1.0, lambda: None)
-        drop = sim.schedule(2.0, lambda: None)
+        fired = []
+        sim.schedule(1.0, fired.append, "keep")
+        drop = sim.schedule(2.0, fired.append, "drop")
         sim.cancel(drop)
         assert sim.pending_events == 1
-        assert keep.is_pending
+        assert sim.run() == 1 and fired == ["keep"]
+
+    def test_the_handle_is_the_queued_entry(self, sim):
+        late = sim.schedule(2.0, lambda: None)
+        assert sim._queue[0] is late
+        early = sim.schedule_at(1.0, lambda: None)
+        assert sim._queue[0] is early
+        edge = sim.schedule_reserved(0.5, sim.reserve_sequences(), lambda: None)
+        assert sim._queue[0] is edge and len(sim._queue) == 3
+
+    def test_a_cancelled_entry_stays_queued_as_a_tombstone(self, sim):
+        handle = sim.schedule(1.0, lambda: None)
+        sim.cancel(handle)
+        assert sim._queue == [handle] and handle[2] is None
+        assert sim.pending_events == 0
+        assert sim.run() == 0 and not sim._queue
 
 
 class TestRunControl:
@@ -152,9 +168,9 @@ class TestRunControl:
         sim.schedule(1.0, stopper)
         cancelled.extend(sim.schedule(delay, lambda: None)
                          for delay in (1.0, 3.0, 5.0, 9.0))
-        live = None if live_at is None else sim.schedule(live_at, lambda: None)
+        if live_at is not None:
+            sim.schedule(live_at, lambda: None)
         assert sim.run() == 1 and sim.now == 1.0
-        return live
 
     def test_run_until_after_stop_over_tombstones_lands_on_the_horizon(self, make_sim):
         sim = make_sim()
@@ -165,10 +181,10 @@ class TestRunControl:
 
     def test_run_until_after_stop_leaves_a_later_live_event_pending(self, make_sim):
         sim = make_sim()
-        live = self._stop_and_cancel(sim, live_at=7.0)
+        self._stop_and_cancel(sim, live_at=7.0)
         assert sim.run(until=5.0) == 0
         assert sim.now == 5.0
-        assert live.is_pending and sim.pending_events == 1
+        assert sim.pending_events == 1
         assert sim.run() == 1 and sim.now == 7.0
 
     def test_events_processed_counter(self, sim):
@@ -194,10 +210,11 @@ class TestRunControl:
         sim.reset()
         fired = []
         fresh = sim.schedule(1.0, fired.append, "fresh")
-        # Same (time, sequence) key, so the handles compare equal ...
-        assert fresh == stale
+        # Same (time, sequence) key, but a different entry ...
+        assert fresh[:2] == stale[:2] and fresh is not stale
         sim.cancel(stale)
-        # ... but only the stale one is a tombstone.
+        # ... so only the stale one is a tombstone.
+        assert sim.pending_events == 1
         assert sim.run() == 1 and fired == ["fresh"]
 
 
@@ -274,10 +291,10 @@ class TestRunContract:
         last = sim.schedule(3.0, note)
         sim.schedule(7.0, note)
         sim.run()
-        assert seen == [(1.0, first.sequence), (1.5, second.sequence), (2.0, edge)]
-        assert (sim.now, sim.now_sequence) == (3.0, stopper.sequence)
+        assert seen == [(1.0, first[1]), (1.5, second[1]), (2.0, edge)]
+        assert (sim.now, sim.now_sequence) == (3.0, stopper[1])
         sim.run(until=5.0)
-        assert seen[-1] == (3.0, last.sequence)
+        assert seen[-1] == (3.0, last[1])
         assert (sim.now, sim.now_sequence) == (5.0, math.inf)
         sim.run()
         assert (sim.now, sim.now_sequence) == (7.0, math.inf)
@@ -382,12 +399,13 @@ class TestTimer:
         sim.run()
         assert not timer.is_pending
 
-    def test_timer_expiry_time(self, sim):
+    def test_timer_restart_leaves_one_live_entry_and_one_tombstone(self, sim):
         timer = Timer(sim, lambda: None)
-        timer.start(4.0)
-        assert timer.expiry_time == pytest.approx(4.0)
-        timer.cancel()
-        assert timer.expiry_time is None
+        timer.start(1.0)
+        timer.start(3.0)
+        assert len(sim._queue) == 2
+        assert [entry[2] is None for entry in sorted(sim._queue)] == [True, False]
+        assert sim.pending_events == 1
 
     def test_timer_can_be_restarted_after_firing(self, sim):
         fired = []
@@ -425,15 +443,6 @@ class TestTieBreaking:
             sim.cancel(events[index])
         sim.run()
         assert order == [1, 2, 5, 6, 7, 9]
-
-    def test_event_lt_is_time_then_sequence(self, sim):
-        early = sim.schedule(1.0, lambda: None)
-        late_same_time = sim.schedule(1.0, lambda: None)
-        later = sim.schedule(2.0, lambda: None)
-        assert early.sequence < late_same_time.sequence
-        assert early < late_same_time      # same time: sequence breaks the tie
-        assert late_same_time < later      # different time: time wins
-        assert not (later < early)
 
     def test_zero_delay_event_scheduled_mid_run_respects_fifo(self, sim):
         order = []

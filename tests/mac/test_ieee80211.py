@@ -215,6 +215,26 @@ class TestVirtualCarrierSense:
         assert mac1.stats.cts_tx == 0
 
 
+class TestReceivePath:
+    @pytest.mark.parametrize("kind", ["rts", "data"])
+    def test_a_received_frame_reads_its_mac_header_once(self, sim, monkeypatch, kind):
+        bed = MacTestbed(sim, {0: (0, 0), 1: (200, 0)})
+        if kind == "rts":
+            frame = make_rts(src=0, dst=1, nav=0.004)
+        else:
+            frame = Packet(payload_size=100)
+            attach_data_header(frame, src=0, dst=1, nav=0.0, retry=False)
+        reads = []
+        require_mac = Packet.require_mac
+        monkeypatch.setattr(Packet, "require_mac",
+                            lambda self: reads.append(self) or require_mac(self))
+        mac = bed.macs[1]
+        mac.on_frame_received(frame)
+        assert reads == [frame]
+        assert (mac.stats.cts_tx, mac.stats.ack_tx) == (
+            (1, 0) if kind == "rts" else (0, 1))
+
+
 class TestHiddenTerminalChain:
     def test_concurrent_senders_eventually_deliver(self, sim):
         # Nodes 0->1 and 3->4: node 3 is hidden from node 0.  Collisions may

@@ -26,13 +26,13 @@ class TestDropTailQueue:
     def test_dequeue_empty_returns_none(self):
         assert DropTailQueue().dequeue() is None
 
-    def test_overflow_drops_and_counts(self):
+    def test_overflow_refuses_the_newest_packet(self):
         queue = DropTailQueue(capacity=2)
-        assert queue.enqueue(Packet())
-        assert queue.enqueue(Packet())
+        kept = [Packet(), Packet()]
+        assert all(queue.enqueue(packet) for packet in kept)
         assert not queue.enqueue(Packet())
-        assert queue.stats.dropped_overflow == 1
         assert len(queue) == 2
+        assert [queue.dequeue() for _ in kept] == kept
 
     def test_is_empty_is_full(self):
         queue = DropTailQueue(capacity=1)
@@ -53,10 +53,3 @@ class TestDropTailQueue:
         queue.enqueue(Packet())
         queue.enqueue(Packet())
         assert len(calls) == 1
-
-    def test_high_watermark(self):
-        queue = DropTailQueue(capacity=10)
-        for _ in range(4):
-            queue.enqueue(Packet())
-        queue.dequeue()
-        assert queue.stats.high_watermark == 4

@@ -10,13 +10,13 @@ per-frame work of the hot path without a timing.
 
 Comprehensions are functions of their own up to Python 3.11 and inlined from
 3.12 on, so a ceiling holds for one interpreter version only; pass one per
-version (``--ceiling 3.12=68``).  With ceilings given and none for the
+version (``--ceiling 3.12=56``).  With ceilings given and none for the
 running version, the script exits 2.
 
 Usage::
 
     PYTHONPATH=src:. python tools/calls_per_frame.py chain7_vegas_at \\
-        --seed 3 --packet-target 500 [--ceiling 3.12=68] [--top 20]
+        --seed 3 --packet-target 500 [--ceiling 3.12=56] [--top 20]
 
 Exit status 1 if the reading is above the running version's ceiling.
 """
