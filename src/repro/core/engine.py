@@ -37,18 +37,15 @@ channel's per-receiver signal edges) can skip the heap without changing the
 order anything runs in.  It *reserves* each callback's sequence number where
 it would have called ``schedule`` (:meth:`~Simulator.reserve_sequences`), so
 every edge owns exactly the ``(time, sequence)`` key its own event would have
-had.  After one edge has run it asks :meth:`~Simulator.claim` for the next:
-the simulator says yes — and moves the clock — only when that key is strictly
-smaller than every queued event's (tombstones included), the run has not been
-stopped and neither the ``until`` horizon nor the ``max_events`` budget is
-passed; the caller then runs the edge in place.  Otherwise the edge goes
-through the queue under its reserved key (:meth:`~Simulator.schedule_reserved`).
+had.  After one edge has run, the next runs in place when its key is inside
+the run's horizon (``_in_place_until``: the ``until`` of the running
+:meth:`~Simulator.run`, minus infinity once :meth:`~Simulator.stop` was
+called or while nothing runs) and strictly before the key of ``_queue[0]``,
+tombstones included; the caller then sets ``now``, ``now_sequence`` and
+``edges_in_place`` itself and runs the edge.  Every other edge goes through
+the queue under its reserved key (:meth:`~Simulator.schedule_reserved`).
 Handler order is the same either way, and so is the clock after every
-:meth:`~Simulator.run`.  A caller asking once per edge may make ``claim``'s
-common case itself — ``time <= _claim_until``, ``_handler_limit is None``
-and the key before ``_queue[0]``'s — then set ``now``, ``now_sequence`` and
-``edges_in_place`` as ``claim`` does, and leave every other edge to
-``claim``; the channel's chain loops do.
+:meth:`~Simulator.run`.  The channel's chain loops are the one caller.
 
 A reserved key need not become a handler at all.  An edge nobody but its
 owner would notice (the radio's *owed* signal ends) keeps its reserved key, so
@@ -77,7 +74,7 @@ class Simulator:
 
     Attributes:
         now: Current simulation time in seconds.
-        edges_in_place: Handlers run through :meth:`claim` so far, so
+        edges_in_place: Edges run in place so far (see *Edge keys*), so
             ``events_processed + edges_in_place`` is the number of handlers
             invoked, whichever way each one got its turn.
         now_sequence: Sequence half of the running (or last) handler's key;
@@ -93,11 +90,9 @@ class Simulator:
         self._events_processed: int = 0
         self.edges_in_place: int = 0
         self._stop_requested: bool = False
-        # What claim() sees of the running call: the latest time it may move
-        # the clock to (-inf while nothing runs and once stop() was called),
-        # and the handler budget (None without max_events).
-        self._claim_until: float = -_inf
-        self._handler_limit: Optional[int] = None
+        # The latest key time an edge may run in place at (see *Edge keys*):
+        # -inf while nothing runs and once stop() was called.
+        self._in_place_until: float = -_inf
 
     # ------------------------------------------------------------------
     # Scheduling API
@@ -173,44 +168,15 @@ class Simulator:
         finally:
             self._sequence = upcoming
 
-    def claim(self, time: float, sequence: int) -> bool:
-        """Move the clock to ``time`` if the edge ``(time, sequence)`` is next.
-
-        True means the run loop would have popped exactly this key now, so
-        the caller runs the edge in place; False means it must go through
-        :meth:`schedule_reserved`.  Only a handler at the top of its dispatch
-        (nothing left to do at the current time) may ask.
-        """
-        if time > self._claim_until or (
-                self._handler_limit is not None
-                and self._events_processed + self.edges_in_place + 1
-                >= self._handler_limit):
-            return False
-        queue = self._queue
-        if queue:
-            # A cancelled head counts too: the run loop is the one place
-            # tombstones are dropped, so run() sees the queue it always did.
-            head = queue[0]
-            if head[0] < time or (head[0] == time and head[1] < sequence):
-                return False
-        self.now = time
-        self.now_sequence = sequence
-        self.edges_in_place += 1
-        return True
-
     # ------------------------------------------------------------------
     # Execution API
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[float] = None) -> int:
         """Run the simulation.
 
         Args:
             until: Stop once the next event's time exceeds this value.  The
                 clock is advanced to ``until`` when the horizon is reached.
-            max_events: Stop after this many handlers, counting edges run in
-                place (safety valve for tests).  An owed signal end is not a
-                handler: it settles when its radio is next touched, so it
-                neither counts here nor moves the clock.
 
         Returns:
             The number of events dispatched from the queue during this call.
@@ -220,15 +186,10 @@ class Simulator:
         pop = heapq.heappop
         horizon = _inf if until is None else until
         self._stop_requested = False
-        self._claim_until = horizon
-        self._handler_limit = limit = None if max_events is None else (
-            self._events_processed + self.edges_in_place + max_events)
+        self._in_place_until = horizon
         try:
             while queue:
                 if self._stop_requested:
-                    break
-                if (limit is not None and
-                        self._events_processed + self.edges_in_place >= limit):
                     break
                 entry = queue[0]
                 callback = entry[2]
@@ -251,13 +212,13 @@ class Simulator:
                     self.now = until
                 self.now_sequence = _inf
         finally:
-            self._claim_until = -_inf
+            self._in_place_until = -_inf
         return self._events_processed - started
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stop_requested = True
-        self._claim_until = -_inf
+        self._in_place_until = -_inf
 
     # ------------------------------------------------------------------
     # Introspection
@@ -273,7 +234,13 @@ class Simulator:
         return self._events_processed
 
     def reset(self) -> None:
-        """Clear the event queue and reset the clock to zero."""
+        """Clear the event queue and reset the clock to zero.
+
+        Every queued entry is cancelled first, so a handle kept from before
+        (a :class:`Timer`'s among them) reads as spent.
+        """
+        for entry in self._queue:
+            entry[2] = None
         self._queue.clear()
         self.now = 0.0
         self.now_sequence = -1
@@ -318,5 +285,7 @@ class Timer:
 
     @property
     def is_pending(self) -> bool:
-        """True if the timer is armed and has not fired or been cancelled."""
-        return self._entry is not None
+        """True if the timer is armed and has not fired or been cancelled
+        (by :meth:`cancel` or the simulator's :meth:`~Simulator.reset`)."""
+        entry = self._entry
+        return entry is not None and entry[2] is not None

@@ -110,11 +110,9 @@ class _Transmission:
     queue trips per transmission: after an edge has run, the next one runs in
     place if nothing queued comes before it and is queued under its reserved
     key otherwise.  Handler order is that of one event per edge.  The loops
-    make :meth:`~repro.core.engine.Simulator.claim`'s test themselves, on the
-    queue head in place: when the run has no ``max_events`` budget, the key is
-    within its horizon and before the head's (tombstones included), the edge
-    runs; any other edge is left to ``claim``, which refuses it unless a
-    handler budget is what sent it there.
+    apply the engine's one rule (:mod:`repro.core.engine`, *Edge keys*): an
+    edge runs in place when its key is within the run's horizon and before
+    the queue head's, tombstones included.
 
     The end chain holds only the ends a radio hands back from
     ``signal_start``: a quiet signal's end stays with its radio, which
@@ -167,8 +165,6 @@ class _Transmission:
         sent_at = self.sent_at
         first_sequence = self.first_sequence
         count = len(radios)
-        # Set by run() for the whole run: no handler changes it.
-        budgeted = sim._handler_limit is not None
         index = self.started
         while True:
             radio = radios[index]
@@ -189,14 +185,13 @@ class _Transmission:
                 return
             time = sent_at + delays[index]
             sequence = first_sequence + offsets[index]
-            # Simulator.claim, its common case read off the queue head here.
-            if time <= sim._claim_until and not budgeted and (
+            if time <= sim._in_place_until and (
                     not queue or time < (head := queue[0])[0]
                     or (time == head[0] and sequence < head[1])):
                 sim.now = time
                 sim.now_sequence = sequence
                 sim.edges_in_place += 1
-            elif not sim.claim(time, sequence):
+            else:
                 self.started = index
                 sim.schedule_reserved(time, sequence, self._run_starts)
                 return
@@ -205,7 +200,6 @@ class _Transmission:
         """Run the end chain from its head for as long as the kernel allows."""
         sim = self.sim
         queue = sim._queue
-        budgeted = sim._handler_limit is not None
         receivers = self.receivers
         signals = self.signals
         index = self.ended
@@ -222,14 +216,13 @@ class _Transmission:
             signal = signals[index]
             time = signal.end_time
             sequence = signal.end_sequence
-            # Simulator.claim, its common case read off the queue head here.
-            if time <= sim._claim_until and not budgeted and (
+            if time <= sim._in_place_until and (
                     not queue or time < (head := queue[0])[0]
                     or (time == head[0] and sequence < head[1])):
                 sim.now = time
                 sim.now_sequence = sequence
                 sim.edges_in_place += 1
-            elif not sim.claim(time, sequence):
+            else:
                 sim.schedule_reserved(time, sequence, self.run_ends)
                 break
             receivers[index]._signal_end(signal)

@@ -12,6 +12,8 @@ from repro.core.backends import kernel_backend_profiles
 from repro.core.engine import Simulator
 from repro.experiments.scenarios import build_named_scenario
 
+from tests.helpers import run_in_place
+
 
 class TestProfile:
     def test_one_profile_named_reference(self):
@@ -34,7 +36,7 @@ class TestProfile:
     def test_class_level_wrappers_see_every_queue_entry(self, monkeypatch):
         """Wrappers on the class's ``schedule`` / ``schedule_at``, as the
         ledger installs them, see every event that enters the queue, a
-        reserved key included; an edge claimed in place enters none."""
+        reserved key included; an edge run in place enters none."""
         (profile,) = kernel_backend_profiles()
         kernel_class = type(profile.create())
         seen = []
@@ -51,7 +53,7 @@ class TestProfile:
         def head():
             first = sim.reserve_sequences(2)
             sim.schedule_reserved(2.0, first + 1, fired.append, "queued")
-            if sim.claim(1.0, first):
+            if run_in_place(sim, 1.0, first):
                 fired.append("in place")
 
         sim.schedule(1.0, head)

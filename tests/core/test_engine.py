@@ -9,6 +9,8 @@ import pytest
 from repro.core.engine import Simulator, Timer
 from repro.core.errors import SchedulingError
 
+from tests.helpers import run_in_place
+
 
 class TestScheduling:
     def test_events_run_in_time_order(self, sim):
@@ -134,13 +136,6 @@ class TestRunControl:
         sim.run(until=3.0)
         assert sim.now == pytest.approx(3.0)
 
-    def test_max_events_limit(self, sim):
-        for _ in range(10):
-            sim.schedule(1.0, lambda: None)
-        processed = sim.run(max_events=4)
-        assert processed == 4
-        assert sim.pending_events == 6
-
     def test_stop_from_callback(self, sim):
         fired = []
 
@@ -150,8 +145,11 @@ class TestRunControl:
 
         sim.schedule(1.0, stopper)
         sim.schedule(2.0, fired.append, "after")
-        sim.run()
-        assert fired == ["stop"]
+        assert sim.run() == 1
+        assert fired == ["stop"] and sim.now == 1.0
+        # The rest runs on the next call.
+        assert sim.run() == 1
+        assert fired == ["stop", "after"]
 
     @staticmethod
     def _stop_and_cancel(sim, live_at=None):
@@ -239,25 +237,12 @@ class TestRunContract:
         sim.run(until=9.0)
         assert sim.now == 9.0
 
-    def test_max_events_and_stop(self, make_sim):
-        sim = make_sim()
-        count = []
-        for i in range(10):
-            sim.schedule(0.1 * i, count.append, i)
-        assert sim.run(max_events=3) == 3
-        sim.schedule(0.0, sim.stop)
-        # stop() returns after the current event (the stop event itself);
-        # the remaining seven fire on the next run call.
-        assert sim.run() == 1
-        assert sim.run() == 7
-        assert count == list(range(10))
-
     def test_reset_clears_everything(self, make_sim):
         sim = make_sim()
         sim.schedule(0.5, lambda: None)
         sim.schedule(2.5, lambda: None)
         sim.schedule(10.0, lambda: None)
-        sim.run(max_events=1)
+        sim.run(until=1.0)
         sim.reset()
         assert sim.now == 0.0
         assert sim.pending_events == 0
@@ -269,7 +254,7 @@ class TestRunContract:
 
     def test_now_sequence_is_the_running_handlers_key(self, make_sim):
         """``(now, now_sequence)`` is the key of the handler running, queued
-        or claimed in place; after ``stop()`` the stopping handler's; past
+        or run in place; after ``stop()`` the stopping handler's; past
         every key at that time once the clock reaches a horizon or the queue
         runs dry."""
         sim = make_sim()
@@ -281,12 +266,12 @@ class TestRunContract:
         first = sim.schedule(1.0, note)
         edge = sim.reserve_sequences()
 
-        def note_and_claim():
+        def note_and_run_in_place():
             note()
-            if sim.claim(2.0, edge):
+            if run_in_place(sim, 2.0, edge):
                 note()
 
-        second = sim.schedule(1.5, note_and_claim)
+        second = sim.schedule(1.5, note_and_run_in_place)
         stopper = sim.schedule(3.0, sim.stop)
         last = sim.schedule(3.0, note)
         sim.schedule(7.0, note)
@@ -406,6 +391,15 @@ class TestTimer:
         assert len(sim._queue) == 2
         assert [entry[2] is None for entry in sorted(sim._queue)] == [True, False]
         assert sim.pending_events == 1
+
+    def test_reset_leaves_no_timer_pending(self, sim):
+        timer = Timer(sim, lambda: None)
+        timer.start(1.0)
+        sim.reset()
+        assert not timer.is_pending
+        timer.start(1.0)
+        assert timer.is_pending
+        assert len(sim._queue) == 1 and sim.pending_events == 1
 
     def test_timer_can_be_restarted_after_firing(self, sim):
         fired = []

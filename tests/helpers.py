@@ -15,6 +15,9 @@ from repro.core.engine import Simulator
 from repro.link.plan import LinkPlan, WiredSegmentSpec
 from repro.net.address import FlowAddress
 from repro.net.packet import Packet
+from repro.phy.channel import WirelessChannel
+from repro.phy.propagation import Position
+from repro.phy.radio import Radio
 from repro.topology.base import Topology
 from repro.transport.newreno import NewRenoSender
 from repro.transport.sink import AckThinningSink, TcpSink
@@ -135,22 +138,42 @@ def build_vegas_pair(
     return sender, sink, stats, network
 
 
+def run_in_place(sim: Simulator, time: float, sequence: int) -> bool:
+    """Run the edge keyed ``(time, sequence)`` in place if the engine's rule
+    lets it (``repro.core.engine``, *Edge keys*), as the channel's chain
+    loops do: key inside the run's horizon and before the queue head's,
+    tombstones included.  Then the clock is on the edge and True comes back;
+    False means the caller queues it under its key."""
+    queue = sim._queue
+    if time > sim._in_place_until or (queue and queue[0][:2] < [time, sequence]):
+        return False
+    sim.now = time
+    sim.now_sequence = sequence
+    sim.edges_in_place += 1
+    return True
+
+
 def reused_simulator() -> Simulator:
     """A simulator that has run a program and then been ``reset()``.
 
     The program leaves every piece of run state behind: the clock moved,
-    sequence numbers reserved, an edge run in place, a live event and a
-    tombstone queued, ``stop()`` requested.
+    sequence numbers reserved, an edge run in place (a frame between two
+    radios, the receiver's end of it right after the sender's), a live event
+    and a tombstone queued, ``stop()`` requested.
     """
     sim = Simulator()
+    channel = WirelessChannel(sim)
+    sender, receiver = Radio(sim, 0, channel), Radio(sim, 1, channel)
+    channel.register(sender, Position(0.0, 0.0))
+    channel.register(receiver, Position(100.0, 0.0))
 
     def dirty():
-        sim.claim(sim.now, sim.reserve_sequences(3))
         sim.cancel(sim.schedule(1.0, lambda: None))
-        sim.schedule_reserved(sim.now + 2.0, sim.reserve_sequences(), lambda: None)
+        sim.schedule_reserved(sim.now + 2.0, sim.reserve_sequences(3), lambda: None)
         sim.stop()
 
-    sim.schedule(0.5, dirty)
+    sim.schedule(0.5, sender.transmit, Packet(payload_size=10), 1e-3)
+    sim.schedule(0.6, dirty)
     sim.run(until=10.0)
     assert sim.edges_in_place == 1 and sim.pending_events == 1
     sim.reset()

@@ -172,8 +172,17 @@ class TestBroadcast:
             recorded(packet, next_hop)
 
         bed.listeners[0].on_mac_send_success = on_mac_send_success
-        while not radio.is_transmitting:
-            sim.run(max_events=1)
+        # Run to the moment the broadcast goes on the air.
+        transmit = radio.transmit
+
+        def transmit_and_stop(*args):
+            transmit(*args)
+            sim.stop()
+
+        radio.transmit = transmit_and_stop
+        sim.run()
+        del radio.transmit
+        assert radio.is_transmitting
         broadcast_end = radio._transmitting_until
         timing = bed.timing
         assert sim.now + timing.sifs + max(timing.cts_duration,

@@ -9,7 +9,7 @@ seeded world — random or lattice geometry plus a hermit nobody can hear,
 reactive listeners that transmit back, simultaneous senders, frames shorter
 than the spread of propagation delays, nodes going down (senders in
 mid-frame among them) and moving while frames are in the air, runs cut by
-``until``, ``max_events`` and ``stop()`` — is played once on each channel
+``until`` and ``stop()`` — is played once on each channel
 (the oracle always on a new simulator, the real channel on each kernel of
 ``tests.helpers.KERNELS``), and every listener callback ``(time, node,
 callback, uid)``, every ``RadioStats`` field (each radio settled first), the
@@ -17,9 +17,8 @@ clock, the handler count and the next free sequence number must agree.
 
 Listeners that switch ``Radio.notify_carrier`` off and on at random make the
 radios owe the ends of quiet signals.  An owed end is not a handler, so those
-worlds are cut by ``until`` and ``stop()`` only and the handler count is left
-out: against the oracle, and against listeners that leave the flag on and
-ignore the callbacks themselves.
+worlds' checkpoints leave the handler count out: against the oracle, and
+against listeners that leave the flag on and ignore the callbacks themselves.
 """
 
 from __future__ import annotations
@@ -205,9 +204,10 @@ class World:
             channel.set_positions({node: Position(old.x + rng.uniform(-300, 300),
                                                   old.y + rng.uniform(-300, 300))})
 
-    def play(self, handler_cuts=True):
-        """Run the world in 16 cuts; with ``handler_cuts`` off, by ``until``
-        and ``stop()`` alone, and with no handler count in the checkpoints."""
+    def play(self, count_handlers=True):
+        """Run the world in 16 cuts, by ``until`` and by ``stop()`` at a
+        random time; with ``count_handlers`` off, the checkpoints leave the
+        handler count out."""
         rng, sim = self.rng, self.sim
         for _ in range(12):
             at = rng.choice([0.0, 0.0, 1e-4, 1e-4, 2.5e-4, 1e-3, 0.5])
@@ -220,16 +220,15 @@ class World:
         sim.schedule(rng.choice([1e-6, 2e-4, 1.1e-3]), sim.stop)
         checkpoints = []
         for step in range(16):
-            if step % 3 == 0 or (not handler_cuts and step % 3 == 1):
+            if step % 3 == 0:
                 sim.run(until=sim.now + rng.choice([1e-6, 5e-5, 2e-4, 1e-3]))
-            elif not handler_cuts:
-                sim.run(until=sim.now + 1.0)
             elif step % 3 == 1:
-                sim.run(max_events=rng.randrange(1, 30))
+                sim.schedule(rng.choice([0.0, 1e-6, 2e-5, 1e-4, 4e-4]), sim.stop)
+                sim.run()
             else:
-                sim.run(max_events=2000)
+                sim.run(until=sim.now + 1.0)
             checkpoint = (len(self.log), sim.now, self.radio_stats())
-            if handler_cuts:
+            if count_handlers:
                 checkpoint += (sim.events_processed + sim.edges_in_place,)
             checkpoints.append(checkpoint)
         return {
@@ -251,9 +250,9 @@ class World:
 def assert_same_as_oracle(make_sim, seed, positions, talker_class=Talker):
     gated = talker_class is FlagTalker
     oracle = World(OracleChannel, Simulator(), seed, positions, talker_class)
-    expected = oracle.play(handler_cuts=not gated)
+    expected = oracle.play(count_handlers=not gated)
     world = World(WirelessChannel, make_sim(), seed, positions, talker_class)
-    actual = world.play(handler_cuts=not gated)
+    actual = world.play(count_handlers=not gated)
     for key in expected:
         assert actual[key] == expected[key], key
     return oracle, world
@@ -261,9 +260,9 @@ def assert_same_as_oracle(make_sim, seed, positions, talker_class=Talker):
 
 def assert_carrier_flag_only_silences(make_sim, seed, positions):
     expected = World(WirelessChannel, make_sim(), seed, positions,
-                     DeafenedTalker).play(handler_cuts=False)
+                     DeafenedTalker).play(count_handlers=False)
     world = World(WirelessChannel, make_sim(), seed, positions, FlagTalker)
-    actual = world.play(handler_cuts=False)
+    actual = world.play(count_handlers=False)
     for key in expected:
         assert actual[key] == expected[key], key
     return world
@@ -385,16 +384,6 @@ def test_delays_that_round_to_one_arrival_time_start_in_sequence_order(make_sim)
     assert busy[0][0] < busy[1][0] and busy[2][0] == busy[3][0]
 
 
-class ClaimEveryEdge(Simulator):
-    """A kernel that always runs with a handler budget (a billion handlers
-    when the caller sets none), so the channel's loops leave every edge to
-    :meth:`Simulator.claim` — the test they otherwise make in place on the
-    queue head.  Same handlers, same clock, same edges in place."""
-
-    def run(self, until=None, max_events=None):
-        return super().run(until, 10**9 if max_events is None else max_events)
-
-
 class LineListener(PhyListener):
     """Logs every callback; the line's ``stopper`` calls ``stop()`` from its
     first carrier-busy callback, in the middle of the start chain."""
@@ -458,13 +447,21 @@ def stop_from_a_carrier_callback(channel_class, sim):
     return checkpoints
 
 
-def budget_runs_out(channel_class, sim):
+def uncut(channel_class, sim):
     line = Line(channel_class, sim)
-    checkpoints = []
-    while sim.pending_events:
-        sim.run(max_events=3)
-        checkpoints.append(line.checkpoint())
-    return checkpoints
+    sim.run()
+    return [line.checkpoint()]
+
+
+def cut_at(horizon):
+    """A play that runs the line to ``horizon``, then on to the end."""
+    def play(channel_class, sim):
+        line = Line(channel_class, sim)
+        sim.run(until=horizon)
+        checkpoints = [line.checkpoint()]
+        sim.run()
+        return checkpoints + [line.checkpoint()]
+    return play
 
 
 def tombstones_in_the_chains(channel_class, sim):
@@ -479,21 +476,18 @@ def tombstones_in_the_chains(channel_class, sim):
 
 class TestInPlaceHeadTest:
     """The chain loops decide in place whether the next edge runs: against
-    one event per edge (same handlers at the same times) and against
-    leaving every edge to ``claim`` (same edges in place) where a run is cut
+    one event per edge (same handlers at the same times) where a run is cut
     in mid-chain or a tombstone lies in the chain's span."""
 
     @staticmethod
     def assert_same(play):
         oracle = play(OracleChannel, Simulator())
         in_place = play(WirelessChannel, Simulator())
-        claimed = play(WirelessChannel, ClaimEveryEdge())
         assert len(in_place) == len(oracle)
         for actual, expected in zip(in_place, oracle):
             for key in ("log", "now", "handlers"):
                 assert actual[key] == expected[key], key
             assert expected["edges in place"] == 0
-        assert in_place == claimed
         return in_place
 
     def test_stop_from_a_carrier_callback_in_mid_chain(self):
@@ -504,10 +498,20 @@ class TestInPlaceHeadTest:
         assert busy == [0, 1, 2, 3]
         assert second["handlers"] == third["handlers"] == 2 * Line.RECEIVERS + 2
 
-    def test_max_events_running_out_in_mid_chain(self):
-        checkpoints = self.assert_same(budget_runs_out)
-        assert [c["handlers"] for c in checkpoints] == [3, 6, 9, 12, 15, 18]
-        assert checkpoints[-1]["edges in place"] > 0
+    def test_a_horizon_at_each_start_and_end_time(self):
+        """``run(until=t)`` at the time of each of the frame's edges, then on
+        to the end: at the cut, the uncut run's log up to ``t`` and the clock
+        on ``t``; at the end, its log, clock and handler count."""
+        (whole,) = self.assert_same(uncut)
+        times = sorted({time for time, *_ in whole["log"]})
+        # The transmit call, every start, the sender's end, every end.
+        assert len(times) == whole["handlers"] == 2 * Line.RECEIVERS + 2
+        for horizon in times:
+            cut, end = self.assert_same(cut_at(horizon))
+            assert cut["log"] == [entry for entry in whole["log"] if entry[0] <= horizon]
+            assert cut["now"] == horizon
+            for key in ("log", "now", "handlers"):
+                assert end[key] == whole[key], (horizon, key)
 
     def test_a_tombstone_inside_the_chains_span(self):
         (checkpoint,) = self.assert_same(tombstones_in_the_chains)
@@ -516,15 +520,3 @@ class TestInPlaceHeadTest:
         # in place.
         assert checkpoint["handlers"] == 2 * Line.RECEIVERS + 2
         assert checkpoint["edges in place"] == checkpoint["handlers"] - 5
-
-    @given(seed=st.integers(0, 2**32 - 1), positions=_scattered)
-    @settings(max_examples=60, deadline=None)
-    def test_random_worlds_run_the_same_edges_in_place(self, seed, positions):
-        """The seeded worlds above, cut by ``until``, ``max_events`` and
-        ``stop()``: the same edges run in place as when ``claim`` decides."""
-        results, edges = [], []
-        for sim in (Simulator(), ClaimEveryEdge()):
-            world = World(WirelessChannel, sim, seed, positions)
-            results.append(world.play())
-            edges.append(sim.edges_in_place)
-        assert results[0] == results[1] and edges[0] == edges[1]

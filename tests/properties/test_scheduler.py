@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import Simulator, Timer
 
-from tests.helpers import reused_simulator
+from tests.helpers import reused_simulator, run_in_place
 
 #: Delays drawn from a small grid so same-time collisions are common — the
 #: interesting case for tie-breaking.
@@ -163,7 +163,7 @@ def _run_edge_program(sim, seed, in_place):
     a few microseconds apart whose sequence numbers are taken when the burst
     starts.  With ``in_place`` false each is an ordinary event (the oracle);
     with it true they form a chain in key order, only the head queued, each
-    next edge claimed or queued under its reserved key.  Every handler draws
+    next edge run in place or queued under its reserved key.  Every handler draws
     from the same RNG, so one handler out of order derails the whole log.
     """
     rng = random.Random(seed)
@@ -204,7 +204,7 @@ def _run_edge_program(sim, seed, in_place):
             position += 1
             if position == len(keys):
                 return
-            if not sim.claim(*keys[position]):
+            if not run_in_place(sim, *keys[position]):
                 sim.schedule_reserved(*keys[position], chain, keys, position, burst_id)
                 return
 
@@ -214,12 +214,11 @@ def _run_edge_program(sim, seed, in_place):
     runs = random.Random(seed ^ 0x5EED)
     for _ in range(30):
         mode = runs.random()
-        if mode < 0.4:
+        if mode < 0.5:
             sim.run(until=sim.now + runs.choice([0.0, 1e-6, 4e-6, 1e-3, 0.7, 5.0]))
-        elif mode < 0.8:
-            sim.run(max_events=runs.randrange(1, 40))
         else:
-            sim.run(max_events=400)
+            sim.schedule(runs.choice([0.0, 1e-6, 2e-6, 6e-4, 0.3, 5.0]), sim.stop)
+            sim.run()
         checkpoints.append((len(log), sim.now,
                             sim.events_processed + sim.edges_in_place))
     return log, checkpoints, sim.edges_in_place
@@ -233,7 +232,7 @@ class TestEdgeKeys:
     @settings(max_examples=150, deadline=None)
     def test_edges_in_place_match_one_event_per_edge(self, make_sim, seed):
         """Same ``(time, tag)`` handler log, same clock and same handler count
-        after every ``run(until=...)`` / ``run(max_events=...)`` / ``stop()``,
+        after every ``run(until=...)`` and every run cut by ``stop()``,
         whether an edge took the queue or not.  The oracle is always a new
         simulator, so a reused one is held to it as well."""
         oracle = Simulator()
@@ -273,89 +272,9 @@ class TestEdgeKeys:
         sim.run()
         assert fired == ["before", "reserved", "after"]
 
-    def test_claim_is_refused_outside_run(self, make_sim):
-        sim = make_sim()
-        assert not sim.claim(0.0, sim.reserve_sequences())
-        assert (sim.now, sim.edges_in_place) == (0.0, 0)
-
-    @pytest.mark.parametrize("rival, claimed", [
-        (None, True),               # nothing else pending
-        ("later time", True),
-        ("same time, later sequence", True),
-        ("same time, earlier sequence", False),
-        ("earlier time", False),
-        ("earlier time, cancelled", False),     # tombstones are run()'s to drop
-    ])
-    def test_claim_succeeds_only_for_the_strictly_next_key(self, make_sim, rival,
-                                                           claimed):
-        # Microseconds apart, as signal edges are.
-        sim = make_sim()
-        answers = []
-        edge_time = 1.0 + 2e-6
-
-        def first():
-            if rival and "earlier sequence" in rival:
-                sim.schedule_at(edge_time, lambda: None)
-            edge = sim.reserve_sequences()
-            if rival and "later sequence" in rival:
-                sim.schedule_at(edge_time, lambda: None)
-            if rival == "later time":
-                sim.schedule_at(1.0 + 3e-6, lambda: None)
-            if rival and rival.startswith("earlier time"):
-                event = sim.schedule_at(1.0 + 1e-6, lambda: None)
-                if "cancelled" in rival:
-                    sim.cancel(event)
-            answers.append((sim.claim(edge_time, edge), sim.now, sim.edges_in_place))
-
-        sim.schedule(1.0, first)
-        sim.run(until=3.0)
-        assert answers == [(True, edge_time, 1) if claimed else (False, 1.0, 0)]
-
-    def test_claim_respects_stop_and_until(self, make_sim):
-        sim = make_sim()
-        answers = []
-
-        def beyond_the_horizon():
-            answers.append(sim.claim(5.0, sim.reserve_sequences()))
-
-        def stopped():
-            sim.stop()
-            answers.append(sim.claim(sim.now, sim.reserve_sequences()))
-
-        sim.schedule(1.0, beyond_the_horizon)
-        sim.run(until=4.0)
-        sim.schedule(0.0, stopped)
-        sim.run()
-        assert answers == [False, False] and sim.edges_in_place == 0
-
-    @given(st.integers(min_value=1, max_value=12))
-    @settings(max_examples=24, deadline=None)
-    def test_max_events_counts_edges_run_in_place(self, make_sim, budget):
-        sim = make_sim()
-        ran = []
-
-        def chain(sequence):
-            while True:
-                ran.append(sequence)
-                sequence += 1
-                if sequence == first + 10:
-                    return
-                if not sim.claim(1.0, sequence):
-                    sim.schedule_reserved(1.0, sequence, chain, sequence)
-                    return
-
-        first = sim.reserve_sequences(10)
-        sim.schedule_reserved(1.0, first, chain, first)
-        sim.schedule(2.0, ran.append, "tail")
-        sim.run(max_events=budget)
-        assert len(ran) == min(budget, 11)
-        assert sim.events_processed + sim.edges_in_place == len(ran)
-        sim.run()
-        assert ran == list(range(10)) + ["tail"]
-
     def test_reset_clears_the_edge_counter(self, make_sim):
         sim = make_sim()
-        sim.schedule(0.0, lambda: sim.claim(0.0, sim.reserve_sequences()))
+        sim.schedule(0.0, lambda: run_in_place(sim, 0.0, sim.reserve_sequences()))
         sim.run()
         assert sim.edges_in_place == 1
         sim.reset()
