@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import Simulator
@@ -394,7 +395,7 @@ class LineListener(PhyListener):
         self.stops = stops
 
     def _note(self, callback, uid=None):
-        self.line.log.append((self.line.sim.now, self.radio.node_id, callback, uid))
+        self.line.note(self.radio.node_id, callback, uid)
 
     def on_frame_received(self, packet):
         self._note("frame", packet.uid)
@@ -423,6 +424,8 @@ class Line:
         self.sim = sim
         self.channel = channel_class(sim)
         self.log = []
+        #: ``sim.edges_in_place`` at each entry of ``log``.
+        self.in_place = []
         self.radios = []
         for node_id in range(self.RECEIVERS + 1):
             radio = Radio(sim, node_id, self.channel)
@@ -431,11 +434,16 @@ class Line:
             self.radios.append(radio)
         sim.schedule(0.0, self.radios[0].transmit, Packet(payload_size=10), self.DURATION)
 
+    def note(self, node, callback, uid=None):
+        self.log.append((self.sim.now, node, callback, uid))
+        self.in_place.append(self.sim.edges_in_place)
+
     def checkpoint(self):
         sim = self.sim
         return {"log": list(self.log), "now": sim.now,
                 "handlers": sim.events_processed + sim.edges_in_place,
-                "edges in place": sim.edges_in_place}
+                "edges in place": sim.edges_in_place,
+                "in place at": list(self.in_place)}
 
 
 def stop_from_a_carrier_callback(channel_class, sim):
@@ -464,6 +472,56 @@ def cut_at(horizon):
     return play
 
 
+def edge_times(callback):
+    """Receiver 2's and receiver 3's ``callback`` times in an uncut run:
+    their signal starts for ``"busy"``, their ends for ``"idle"``."""
+    (whole,) = uncut(OracleChannel, Simulator())
+    times = {node: time for time, node, name, _ in whole["log"] if name == callback}
+    return times[2], times[3]
+
+
+def against_a_rival(callback, rival):
+    """A play: the line's frame and one more event, the ``rival``, keyed
+    against receiver 3's signal start (``"busy"``) or end (``"idle"``); its
+    handler logs itself as node ``-1``.
+
+    An earlier sequence is drawn before the run, so before the edge's; a later
+    one after the edge's key is drawn: at the transmit call for a start, at
+    the receiver's own start for an end, so from a handler at 0 or mid-frame.
+    """
+    previous, edge = edge_times(callback)
+    time = {"later time": edge + (edge - previous) / 2,
+            "earlier time": (previous + edge) / 2,
+            "earlier time, cancelled": (previous + edge) / 2}.get(rival, edge)
+    placed_at = 0.0 if callback == "busy" else Line.DURATION / 2
+
+    def play(channel_class, sim):
+        line = Line(channel_class, sim)
+
+        def place():
+            event = sim.schedule_at(time, line.note, -1, "rival")
+            if rival.endswith("cancelled"):
+                sim.cancel(event)
+
+        if rival == "same time, earlier sequence":
+            place()
+        elif rival is not None:
+            sim.schedule_at(placed_at, place)
+        sim.run()
+        return [line.checkpoint()]
+    return play
+
+
+def ran_in_place(checkpoint, node, callback):
+    """Whether the edge behind ``node``'s ``callback`` ran in place: the
+    count of edges in place went up by one since the one before it in its
+    chain, node ``node - 1``'s."""
+    keys = [entry[1:3] for entry in checkpoint["log"]]
+    counts = checkpoint["in place at"]
+    return (counts[keys.index((node, callback))]
+            - counts[keys.index((node - 1, callback))]) == 1
+
+
 def tombstones_in_the_chains(channel_class, sim):
     line = Line(channel_class, sim)
     # Between the third and fourth receivers' starts (400 m and 600 m of
@@ -477,12 +535,13 @@ def tombstones_in_the_chains(channel_class, sim):
 class TestInPlaceHeadTest:
     """The chain loops decide in place whether the next edge runs: against
     one event per edge (same handlers at the same times) where a run is cut
-    in mid-chain or a tombstone lies in the chain's span."""
+    in mid-chain, a tombstone lies in the chain's span or another event's key
+    is next to an edge's."""
 
     @staticmethod
-    def assert_same(play):
+    def assert_same(play, make_sim=Simulator):
         oracle = play(OracleChannel, Simulator())
-        in_place = play(WirelessChannel, Simulator())
+        in_place = play(WirelessChannel, make_sim())
         assert len(in_place) == len(oracle)
         for actual, expected in zip(in_place, oracle):
             for key in ("log", "now", "handlers"):
@@ -520,3 +579,52 @@ class TestInPlaceHeadTest:
         # in place.
         assert checkpoint["handlers"] == 2 * Line.RECEIVERS + 2
         assert checkpoint["edges in place"] == checkpoint["handlers"] - 5
+
+    @pytest.mark.parametrize("callback", ["busy", "idle"], ids=["start", "end"])
+    @pytest.mark.parametrize("rival, in_place", [
+        (None, True),               # nothing else pending
+        ("later time", True),
+        ("same time, later sequence", True),
+        ("same time, earlier sequence", False),
+        ("earlier time", False),
+        ("earlier time, cancelled", False),     # tombstones are run()'s to drop
+    ])
+    def test_an_edge_runs_in_place_only_before_the_queue_head(
+            self, make_sim, callback, rival, in_place):
+        """Receiver 3's signal start or end, right after receiver 2's in its
+        chain, runs in place exactly when its key is before every queued
+        key; otherwise it waits in the queue under its key.  Either way the
+        handlers run in key order, as with one event per edge."""
+        (checkpoint,) = self.assert_same(against_a_rival(callback, rival), make_sim)
+        assert ran_in_place(checkpoint, 3, callback) is in_place
+        keys = [entry[1:3] for entry in checkpoint["log"]]
+        if rival is not None and not rival.endswith("cancelled"):
+            before = keys.index((-1, "rival")) < keys.index((3, callback))
+            assert before is not in_place
+        else:
+            assert (-1, "rival") not in keys
+
+    @pytest.mark.parametrize("cut", ["until", "stop"])
+    def test_an_edge_past_the_horizon_or_after_stop_waits_in_the_queue(
+            self, make_sim, cut):
+        """A run cut between receiver 2's and receiver 3's signal starts, by
+        a horizon or by ``stop()`` from receiver 2's carrier-busy callback,
+        leaves receiver 3's start queued under its key: the next call runs
+        it as an event, and the chain goes on in place after it."""
+        previous, edge = edge_times("busy")
+        horizon = (previous + edge) / 2
+
+        def play(channel_class, sim):
+            line = Line(channel_class, sim, stopper=2 if cut == "stop" else None)
+            sim.run(until=horizon if cut == "until" else None)
+            checkpoints = [line.checkpoint()]
+            sim.run()
+            return checkpoints + [line.checkpoint()]
+
+        at_cut, end = self.assert_same(play, make_sim)
+        busy = [node for _, node, callback, _ in at_cut["log"] if callback == "busy"]
+        assert busy == [0, 1, 2]
+        assert at_cut["now"] == (horizon if cut == "until" else previous)
+        assert not ran_in_place(end, 3, "busy")
+        assert ran_in_place(end, 4, "busy")
+        assert end["handlers"] == 2 * Line.RECEIVERS + 2
