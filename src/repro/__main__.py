@@ -2,11 +2,10 @@
 
 * ``run [SCENARIO]`` runs one named preset (``-o`` writes its result as JSON);
 * ``study`` runs a sweep through the resumable execution plane;
-* ``list [scenarios]`` prints the preset names;
-* ``catalog [-o PATH] [--check PATH]`` renders or checks the preset catalog.
+* ``list`` prints the preset names.
 
 Exit codes: 0 success; 1 study items failed after retries (checkpointed
-progress is kept: fix the cause and ``--resume``) or a stale catalog; 2
+progress is kept: fix the cause and ``--resume``); 2
 configuration error; 3 simulated crash (``study --fail-after``).  ``study``
 imports the study plane inside its handler, so ``run`` loads no more than a
 scenario run does.
@@ -25,11 +24,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.io import atomic_write_text
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.results import format_table
-from repro.experiments.scenarios import (
-    available_scenarios,
-    build_named_scenario,
-    catalog_markdown,
-)
+from repro.experiments.scenarios import available_scenarios, build_named_scenario
 from repro.experiments.smoke import smoke_scaled
 from repro.transport.registry import TRANSPORTS
 
@@ -166,22 +161,6 @@ def _list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _catalog(args: argparse.Namespace) -> int:
-    markdown = catalog_markdown()
-    if args.check is not None:
-        if not args.check.is_file() or args.check.read_text() != markdown:
-            print(f"{args.check} is stale; regenerate with:\n"
-                  f"  PYTHONPATH=src python -m repro catalog -o {args.check}")
-            return 1
-        print(f"{args.check} is up to date")
-    elif args.output is not None:
-        atomic_write_text(args.output, markdown)
-        print(f"wrote {args.output}")
-    else:
-        print(markdown, end="")
-    return 0
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -233,15 +212,6 @@ def _parser() -> argparse.ArgumentParser:
 
     listing = commands.add_parser("list", help="print the preset names")
     listing.set_defaults(handler=_list)
-    listing.add_argument("what", nargs="?", default="scenarios",
-                         choices=("scenarios",))
-
-    catalog = commands.add_parser("catalog", help="render or check the "
-                                  "markdown scenario catalog")
-    catalog.set_defaults(handler=_catalog)
-    catalog.add_argument("-o", "--output", type=Path, metavar="PATH")
-    catalog.add_argument("--check", type=Path, metavar="PATH",
-                         help="exit 1 if PATH differs from a fresh render")
     return parser
 
 

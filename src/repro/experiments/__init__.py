@@ -15,7 +15,7 @@ Three layers, from low-level to high-level:
   are addressable by name through
   :data:`repro.topology.registry.TOPOLOGIES`, and
   :func:`~repro.experiments.scenarios.build_named_scenario` instantiates
-  ready-made presets generated from those registries.
+  the ready-made presets of :data:`~repro.experiments.scenarios.SCENARIOS`.
 * **Declarative studies** — :class:`SweepSpec` describes a cartesian sweep
   (axes × replications) as data; :func:`run_study`, the only study driver,
   runs its fingerprint-keyed items through :mod:`repro.experiments.exec`
@@ -26,8 +26,7 @@ Three layers, from low-level to high-level:
   table of such sweeps, ``benchmarks/bench_figures.py``.
 
 ``python -m repro`` (:mod:`repro.__main__`) is the command line over all
-three: ``run`` a preset, ``study`` a sweep, ``list`` presets,
-and ``catalog`` to write or check the preset catalog.
+three: ``run`` a preset, ``study`` a sweep and ``list`` the presets.
 """
 
 import importlib
@@ -46,8 +45,8 @@ from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 #: executor's concurrent.futures.
 _LAZY = {
     "Scenario": "repro.experiments.runner",
-    **dict.fromkeys(("available_scenarios", "build_named_scenario",
-                     "register_scenario"), "repro.experiments.scenarios"),
+    **dict.fromkeys(("available_scenarios", "build_named_scenario"),
+                    "repro.experiments.scenarios"),
     **dict.fromkeys(("PointResult", "StudyResult", "SweepSpec", "run_study"),
                     "repro.experiments.study"),
     **dict.fromkeys(("ResultStore", "StudyExecutionError"),
@@ -76,7 +75,6 @@ __all__ = [
     "Scenario",
     "available_scenarios",
     "build_named_scenario",
-    "register_scenario",
     "PointResult",
     "StudyResult",
     "SweepSpec",

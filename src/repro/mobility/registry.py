@@ -7,13 +7,6 @@ that a scenario can select movement declaratively
 mobility parameters like any other config axis
 (``axes={"mobility_speed": [1, 5, 20]}``).
 
-Profiles that set :attr:`MobilityProfile.preset_tag` take part in scenario
-preset generation: :mod:`repro.experiments.scenarios` emits a
-``<topology>-<tag>-<variant>-<bandwidth>`` preset (e.g.
-``chain7-rwp-vegas-2mbps``) for every registered transport, preset topology
-and paper bandwidth.  Registering a new mobility model therefore also
-registers its presets — no scenario-table change required.
-
 Registering a custom model::
 
     from repro.mobility.registry import MOBILITY_MODELS, MobilityProfile
@@ -21,8 +14,6 @@ Registering a custom model::
     MOBILITY_MODELS.register(MobilityProfile(
         name="gauss-markov",
         builder=lambda speed, pause: GaussMarkovMobility(speed, alpha=0.8),
-        description="temporally correlated heading drift",
-        preset_tag="gm",
     ))
 """
 
@@ -54,19 +45,12 @@ class MobilityProfile:
             ``mobility_pause``); each family maps them onto its own
             parameters (random walk, for instance, reads ``pause`` as its
             turn interval).
-        description: One-line human description (shown in the scenario
-            catalog).
-        preset_tag: Short tag used in generated scenario preset names;
-            ``None`` opts the family out of preset generation (the static
-            family opts out — the plain presets already are static).
         default_speed: ``speed`` used when the scenario does not set one.
         default_pause: ``pause`` used when the scenario does not set one.
     """
 
     name: str
     builder: Callable[[float, float], MobilityModel]
-    description: str = ""
-    preset_tag: Optional[str] = None
     default_speed: float = 5.0
     default_pause: float = 2.0
 
@@ -85,10 +69,10 @@ MOBILITY_MODELS = NamedRegistry("mobility model")
 # ======================================================================
 # Built-in registrations.
 # ======================================================================
+# No movement: the paper's baseline and the config default.
 MOBILITY_MODELS.register(MobilityProfile(
     name="static",
     builder=lambda speed, pause: StaticMobility(),
-    description="no movement; the paper's baseline (default)",
 ))
 
 MOBILITY_MODELS.register(MobilityProfile(
@@ -100,8 +84,6 @@ MOBILITY_MODELS.register(MobilityProfile(
         min_speed=min(speed, max(0.1, speed / 10.0)), max_speed=speed,
         pause_time=pause,
     ),
-    description="travel to a uniform waypoint at uniform speed, pause, repeat",
-    preset_tag="rwp",
     default_speed=10.0,
     default_pause=2.0,
 ))
@@ -111,8 +93,6 @@ MOBILITY_MODELS.register(MobilityProfile(
     builder=lambda speed, pause: RandomWalkMobility(
         speed=speed, turn_interval=pause,
     ),
-    description="constant-speed walk, uniform heading redraw every pause interval",
-    preset_tag="rwalk",
     default_speed=5.0,
     default_pause=5.0,
 ))
@@ -124,8 +104,6 @@ MOBILITY_MODELS.register(MobilityProfile(
     builder=lambda speed, pause: ManhattanGridMobility(
         speed=speed, pause_time=pause,
     ),
-    description="street-grid movement with probabilistic turns at intersections",
-    preset_tag="mht",
     default_speed=8.0,
     default_pause=1.0,
 ))

@@ -5,7 +5,7 @@ Mirrors :mod:`repro.transport.registry` for topologies: every topology family
 under a short name, so experiment descriptions can address a topology as
 ``("chain", {"hops": 7})`` instead of importing a builder function.  The
 declarative :class:`repro.experiments.study.SweepSpec` resolves topologies
-through this registry, and scenario presets are generated from it.
+through this registry.
 
 Registering a new topology family::
 
@@ -14,14 +14,13 @@ Registering a new topology family::
     TOPOLOGIES.register(TopologyProfile(
         name="star",
         builder=star_topology,           # (**params) -> Topology
-        description="hub-and-spoke star",
     ))
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.registry import NamedRegistry
 from repro.topology.backbone import backbone_topology
@@ -38,20 +37,10 @@ class TopologyProfile:
     Attributes:
         name: Canonical registry key (``"chain"``, ``"grid"``, ``"random"``).
         builder: Callable returning a :class:`Topology` from keyword params.
-        description: One-line human description.
-        preset_prefix: When set, the scenario preset registry generates a
-            ``<prefix>-<variant>-<bandwidth>`` preset for this family per
-            registered transport and paper bandwidth; ``None`` opts the
-            family out of preset generation.
-        preset_params: Builder parameters those presets use (e.g. the
-            paper's focal 7-hop chain).
     """
 
     name: str
     builder: Callable[..., Topology]
-    description: str = ""
-    preset_prefix: Optional[str] = None
-    preset_params: Mapping[str, object] = field(default_factory=dict)
 
     def build(self, **params: object) -> Topology:
         """Build a topology instance from this family."""
@@ -63,39 +52,11 @@ TOPOLOGIES = NamedRegistry("topology")
 
 
 # ======================================================================
-# Built-in registrations: the three topologies the paper evaluates.
+# Built-in registrations: the paper's chain (Fig. 1), grid (Fig. 15) and
+# random field (Sec. 4.4.2), and a wired spine of gateways serving wireless
+# chain cells.
 # ======================================================================
-TOPOLOGIES.register(TopologyProfile(
-    name="chain",
-    builder=chain_topology,
-    description="h-hop chain, 200 m spacing, one end-to-end flow (Fig. 1)",
-    preset_prefix="chain7",
-    preset_params={"hops": 7},
-))
-
-TOPOLOGIES.register(TopologyProfile(
-    name="grid",
-    builder=grid_topology,
-    description="7x3 grid with three horizontal and three vertical flows (Fig. 15)",
-    preset_prefix="grid",
-))
-
-TOPOLOGIES.register(TopologyProfile(
-    name="random",
-    builder=random_topology,
-    description="uniform random field with random multihop flows (Sec. 4.4.2)",
-    preset_prefix="random",
-    preset_params={"node_count": 120, "area": (2500.0, 1000.0),
-                   "flow_count": 10, "seed": 7},
-))
-
-TOPOLOGIES.register(TopologyProfile(
-    name="backbone",
-    builder=backbone_topology,
-    description="wired Ethernet spine of M gateways, each serving a K-hop "
-                "wireless chain cell",
-    # Hand-registered presets only (repro.experiments.scenarios); the
-    # auto-generated <prefix>-<variant>-<bandwidth> matrix would multiply a
-    # heterogeneous scenario that only makes sense with static routing.
-    preset_prefix=None,
-))
+TOPOLOGIES.register(TopologyProfile(name="chain", builder=chain_topology))
+TOPOLOGIES.register(TopologyProfile(name="grid", builder=grid_topology))
+TOPOLOGIES.register(TopologyProfile(name="random", builder=random_topology))
+TOPOLOGIES.register(TopologyProfile(name="backbone", builder=backbone_topology))

@@ -76,11 +76,10 @@ class TestRegistration:
     def test_replace_overwrites(self):
         original = MOBILITY_MODELS.get("static")
         replacement = MobilityProfile(name="static",
-                                      builder=lambda speed, pause: StaticMobility(),
-                                      description="replaced")
+                                      builder=lambda speed, pause: StaticMobility())
         MOBILITY_MODELS.register(replacement, replace=True)
         try:
-            assert MOBILITY_MODELS.get("static").description == "replaced"
+            assert MOBILITY_MODELS.get("static") is replacement
         finally:
             MOBILITY_MODELS.register(original, replace=True)
 

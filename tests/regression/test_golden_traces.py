@@ -33,6 +33,7 @@ from repro.experiments.scenarios import build_named_scenario
 from repro.experiments.workload import ScenarioSpec
 from repro.net.packet import reset_packet_ids
 from repro.topology.random_topology import random_topology
+from repro.topology.registry import TOPOLOGIES
 
 FIXTURE_PATH = Path(__file__).parent / "golden_traces.json"
 REGEN = bool(os.environ.get("REGEN_GOLDEN_TRACES"))
@@ -195,9 +196,33 @@ def test_golden_runs_are_reproducible_within_process():
     assert first == second
 
 
-#: A deterministic sample of the preset catalog: one representative per
-#: transport family, each mobility model, the random field with UDP
-#: background, mixed transports and the wired backbone, run small.
+#: The sampled points that are no preset, each as (topology family, transport
+#: variant, bandwidth in Mbit/s, mobility model); a chain is the paper's 7-hop
+#: one, a grid the builder's default.
+SAMPLE_POINTS = {
+    "chain7-newreno-at-optwin-2mbps": ("chain", "newreno-at-optwin", 2.0, "static"),
+    "chain7-paced-udp-2mbps": ("chain", "paced-udp", 2.0, "static"),
+    "chain7-mht-vegas-at-2mbps": ("chain", "vegas-at", 2.0, "manhattan"),
+    "chain7-rwalk-newreno-2mbps": ("chain", "newreno", 2.0, "random-walk"),
+    "chain7-rwp-paced-udp-2mbps": ("chain", "paced-udp", 2.0, "random-waypoint"),
+    "grid-newreno-5.5mbps": ("grid", "newreno", 5.5, "static"),
+    "grid-mht-newreno-at-2mbps": ("grid", "newreno-at", 2.0, "manhattan"),
+}
+
+
+def _sample_spec(name: str) -> ScenarioSpec:
+    family, variant, bandwidth, mobility = SAMPLE_POINTS[name]
+    params = {"hops": 7} if family == "chain" else {}
+    return ScenarioSpec(
+        topology=TOPOLOGIES.get(family).build(**params),
+        config=ScenarioConfig(variant=variant, bandwidth_mbps=bandwidth,
+                              mobility=mobility))
+
+
+#: A deterministic sample of runs: one representative per transport family,
+#: each mobility model, the random field with UDP background, mixed
+#: transports and the wired backbone, run small.  Names not in
+#: :data:`SAMPLE_POINTS` are presets.
 PRESET_SAMPLE = [
     "chain7-vegas-2mbps",
     "chain7-newreno-at-optwin-2mbps",
@@ -216,8 +241,13 @@ PRESET_SAMPLE = [
 def _run_preset(name: str) -> dict:
     reset_packet_ids()
     tracer = Tracer(enabled=True)
-    result = build_named_scenario(name, tracer=tracer, packet_target=40, seed=7,
-                                  max_sim_time=2.0).run()
+    overrides = {"packet_target": 40, "seed": 7, "max_sim_time": 2.0}
+    if name in SAMPLE_POINTS:
+        scenario = Scenario(_sample_spec(name).with_config(**overrides),
+                            tracer=tracer)
+    else:
+        scenario = build_named_scenario(name, tracer=tracer, **overrides)
+    result = scenario.run()
     return {"trace_sha256": trace_digest(tracer), "metrics": _metrics(result),
             "handlers": result.metrics["core.events_processed"]
             + result.metrics["core.edges_in_place"]}
@@ -227,7 +257,7 @@ def _run_preset(name: str) -> dict:
 def test_preset_rerun_is_identical(name):
     """A second run of a sampled preset in the same process replays the
     first bit for bit: what one run leaves cached (effective flow configs,
-    generated presets, delivery tables) changes nothing in the next."""
+    delivery tables) changes nothing in the next."""
     first = _run_preset(name)
     assert first["metrics"]["delivered_packets"] > 0
     assert _run_preset(name) == first

@@ -66,3 +66,19 @@ def test_stale_imports_and_syntax_errors_are_reported(tmp_path):
     # The syntax error's wording varies across Python versions.
     assert len(problems) == 3
     assert problems[2].startswith(f"{page}:10: does not compile: ")
+
+
+def test_unknown_preset_names_are_reported(tmp_path):
+    checker = load_checker()
+    page = tmp_path / "page.md"
+    page.write_text(
+        "```python\n"
+        'build_named_scenario("grid-newreno-2mbps", seed=3)\n'
+        'build_named_scenario("grid-newreno-11mbps")\n'
+        "```\n"
+        "    python -m repro run chain7-vegas-2mbps --packets 30\n"
+        "    python -m repro run --packets 30\n"
+        "    python -m repro run chain7-paced-udp-2mbps\n")
+    assert checker.check_file(page) == (1, [
+        f"{page}:3: unknown preset 'grid-newreno-11mbps'",
+        f"{page}:7: unknown preset 'chain7-paced-udp-2mbps'"])

@@ -6,7 +6,13 @@ Counts the ``call`` events ``sys.setprofile`` reports while
 included, C functions not — and divides by the frames the run sent
 (radio frames plus wired-bus frames, the ledger's ``frames``).  The count is
 exact for a seed and an interpreter version, so a ceiling on it guards the
-per-frame work of the hot path without a timing.
+per-frame work of the hot path without a timing.  The count does not
+depend on what ran earlier in the process: an unprofiled first slice of the
+same run goes first, so what a process does once (``re`` pattern compiles
+behind ``fnmatch``, lazy imports) stays out of it, and the cyclic garbage
+collector is off while it counts, since where a collection falls depends on
+the allocations before it and a ``gc.callbacks`` entry or a finalizer it
+runs is a Python call.
 
 Comprehensions are functions of their own up to Python 3.11 and inlined from
 3.12 on, so a ceiling holds for one interpreter version only; pass one per
@@ -24,6 +30,7 @@ Exit status 1 if the reading is above the running version's ceiling.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections import Counter
 from typing import Dict, Optional, Tuple
@@ -45,6 +52,8 @@ def count_calls(workload: str, seed: int, packet_target: Optional[int] = None,
     overrides = dict(spec.overrides, seed=seed)
     if packet_target is not None:
         overrides["packet_target"] = packet_target
+    # One packet ends the warm-up at its first run slice.
+    build_named_scenario(spec.preset, **dict(overrides, packet_target=1)).run()
     reset_packet_ids()
     scenario = build_named_scenario(spec.preset, **overrides)
     calls = [0]
@@ -61,11 +70,16 @@ def count_calls(workload: str, seed: int, packet_target: Optional[int] = None,
             if event == "call":
                 calls[0] += 1
 
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = scenario.run()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     totals = family_totals(result.metrics)
     frames = int(totals.get("phy.frames_sent", 0) + totals.get("link.wired.frames_sent", 0))
     return calls[0], frames, by_function

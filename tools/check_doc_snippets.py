@@ -13,6 +13,10 @@ backticks in the markdown files, and every Sphinx role target naming ``repro.…
 (``:class:``, ``:func:``, ``:meth:``, ``:mod:``, ``:attr:``, ``:data:``,
 ``:exc:``) in the ``repro`` package's own sources.
 
+Presets named in the markdown files must exist: every
+``build_named_scenario("NAME"`` and every ``python -m repro run NAME`` names
+a key of :data:`repro.experiments.scenarios.SCENARIOS`.
+
 The blocks themselves are never executed: they may run long simulations.
 Imports are resolved against the ``repro`` package on ``sys.path``, so run
 it with ``src`` on the path.  Exit status 1 if anything fails.
@@ -42,6 +46,11 @@ _MARKDOWN_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)`")
 #: A Sphinx role target in a docstring: ``:class:`~repro.topology.Topology```.
 _ROLE_REFERENCE = re.compile(
     r":(?:class|func|meth|mod|attr|data|exc):`~?(repro(?:\.\w+)+)(?:\(\))?`")
+#: A preset named in markdown: ``build_named_scenario("NAME"`` or
+#: ``python -m repro run NAME`` (an option after ``run`` is not a name).
+_PRESET_REFERENCE = re.compile(
+    r"""build_named_scenario\(\s*["']([^"']+)["']"""
+    r"""|python3? -m repro run[ \t]+([^\s`'"\\-][^\s`'"\\]*)""")
 
 
 def python_blocks(markdown: str) -> Iterator[Tuple[int, str]]:
@@ -100,6 +109,19 @@ def check_references(text: str, path: Path, pattern: re.Pattern) -> List[str]:
     return problems
 
 
+def check_presets(text: str, path: Path) -> List[str]:
+    """Preset names in ``text`` that are not keys of ``SCENARIOS``."""
+    from repro.experiments.scenarios import SCENARIOS
+
+    problems = []
+    for match in _PRESET_REFERENCE.finditer(text):
+        name = match.group(1) or match.group(2)
+        if name not in SCENARIOS:
+            line = text.count("\n", 0, match.start()) + 1
+            problems.append(f"{path}:{line}: unknown preset {name!r}")
+    return problems
+
+
 def check_sources(root: Path) -> List[str]:
     """Unresolved role targets in the docstrings of every module under ``root``."""
     problems = []
@@ -143,8 +165,8 @@ def check_file(path: Path) -> Tuple[int, List[str]]:
     problems = []
     for line, source in blocks:
         problems += check_block(source, path, line)
-    return len(blocks), problems + check_references(markdown, path,
-                                                    _MARKDOWN_REFERENCE)
+    problems += check_references(markdown, path, _MARKDOWN_REFERENCE)
+    return len(blocks), problems + check_presets(markdown, path)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
