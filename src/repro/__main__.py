@@ -4,9 +4,8 @@
 * ``study`` runs a sweep through the resumable execution plane;
 * ``list`` prints the preset names.
 
-Exit codes: 0 success; 1 study items failed after retries (checkpointed
-progress is kept: fix the cause and ``--resume``); 2
-configuration error; 3 simulated crash (``study --fail-after``).  ``study``
+Exit codes: 0 success; 1 study items failed (checkpointed progress is
+kept: fix the cause and ``--resume``); 2 configuration error.  ``study``
 imports the study plane inside its handler, so ``run`` loads no more than a
 scenario run does.
 """
@@ -96,7 +95,7 @@ def _progress_printer(stream):
 
 
 def _study(args: argparse.Namespace) -> int:
-    from repro.experiments.exec import SimulatedCrash, StudyExecutionError
+    from repro.experiments.exec import StudyExecutionError
     from repro.experiments.study import SweepSpec, run_study
 
     if args.resume and args.store is None:
@@ -121,33 +120,36 @@ def _study(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         study = run_study(spec, max_workers=args.max_workers, store=args.store,
-                          progress=progress, fail_after=args.fail_after)
-    except SimulatedCrash as crash:
-        if progress is not None:
-            print()
-        print(crash, file=sys.stderr)
-        return 3
+                          progress=progress)
     except StudyExecutionError as exc:
         if progress is not None:
             print()
         print(f"study failed: {exc}", file=sys.stderr)
-        print(f"({len(exc.partial.points)} point(s) with completed "
-              "replications are checkpointed; fix the cause and --resume)",
-              file=sys.stderr)
+        if args.store is not None:
+            print(f"({len(exc.partial.points)} point(s) with completed "
+                  f"replications are checkpointed in {args.store}; fix the "
+                  "cause and --resume)", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - started
     if progress is not None:
         print()
 
-    rows = []
+    rows, short = [], 0
     for point in study.points:
         interval = point.goodput_interval
         label = ", ".join(
             f"{k}={TRANSPORTS.get(v).label if k == 'variant' else v}"
             for k, v in point.values.items())
+        if not all(run.reached_packet_target for run in point.runs):
+            label += " *"
+            short += 1
         rows.append([label, interval.mean / 1000.0,
                      interval.half_width / 1000.0])
     print(format_table(["point", "goodput [kbit/s]", "± 95% CI"], rows))
+    if short:
+        print(f"* {short} point(s) ended short of the {args.packets}-packet "
+              "target in at least one seed (max_sim_time reached or traffic "
+              "ran out)")
     print(f"\n{len(study.points)} points × {spec.replications} seed(s) "
           f"in {elapsed:.1f} s"
           + (f" (store: {args.store})" if args.store else ""))
@@ -203,8 +205,6 @@ def _parser() -> argparse.ArgumentParser:
     study.add_argument("--store", type=Path, metavar="DIR",
                        help="checkpointed result store (enables --resume)")
     study.add_argument("--resume", action="store_true")
-    study.add_argument("--fail-after", type=int, metavar="K", help="testing "
-                       "hook: simulate a crash (exit 3) after K items")
     study.add_argument("--save", type=Path, metavar="PATH",
                        help="write the StudyResult as JSON here")
     study.add_argument("--quiet", action="store_true",

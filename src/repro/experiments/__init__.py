@@ -18,10 +18,10 @@ Three layers, from low-level to high-level:
   the ready-made presets of :data:`~repro.experiments.scenarios.SCENARIOS`.
 * **Declarative studies** — :class:`SweepSpec` describes a cartesian sweep
   (axes × replications) as data; :func:`run_study`, the only study driver,
-  runs its fingerprint-keyed items through :mod:`repro.experiments.exec`
-  (in-process or on a process pool, with retries), checkpointed into a
-  crash-safe :class:`~repro.experiments.exec.ResultStore` (resume
-  re-executes only missing items), and aggregates them into a
+  runs each of its fingerprint-keyed items once through
+  :mod:`repro.experiments.exec` (in-process or on a process pool),
+  checkpointed into a crash-safe :class:`~repro.experiments.exec.ResultStore`
+  (resume re-executes only missing items), and aggregates them into a
   :class:`StudyResult` with cross-seed confidence intervals.  The paper's figures are rows of one
   table of such sweeps, ``benchmarks/bench_figures.py``.
 

@@ -2,25 +2,25 @@
 
 :func:`~repro.experiments.study.run_study`, the only study driver, explodes a
 sweep into one :class:`WorkItem` per (sweep point, replication seed), keyed by
-the spec's configuration fingerprint, and hands them to :func:`execute`.  A
-scenario run is a pure function of that key, so at-least-once execution is
-safe.  Around the runs this module adds resume from a :class:`ResultStore`,
-retry with exponential backoff, and, in the pool, a per-attempt timeout and
-recovery from dead worker processes.  Items run in-process when the caller's
-tracer is enabled (a worker process cannot share it), when one item is left
-or with one worker; otherwise on a ``ProcessPoolExecutor``.  The assembled
-:class:`~repro.experiments.study.StudyResult` is bit-identical either way
-(``docs/studies.md``).
+the spec's configuration fingerprint, and hands them to :func:`execute`.  Each
+item runs once per call.  A finished item is checkpointed into the
+:class:`ResultStore`; an item whose task raised, or whose worker process died,
+is reported in :class:`StudyExecutionError`, and the same study on the same
+store resumes it: a scenario run is a pure function of its key, so re-running
+what is missing is the one recovery path.  Items run in-process when the
+caller's tracer is enabled (a worker process cannot share it), when one item
+is left or with one worker; otherwise on a ``ProcessPoolExecutor``.  The
+assembled :class:`~repro.experiments.study.StudyResult` is bit-identical
+either way (``docs/studies.md``).
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
 import json
-import math
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +28,7 @@ from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Tuple, TYPE_CHECKING, Union,
 )
 
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import SimulationError
 from repro.core.io import atomic_write_text
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.results import ScenarioResult
@@ -36,26 +36,9 @@ from repro.experiments.results import ScenarioResult
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.study import StudyResult, SweepSpec
 
-#: Seconds an attempt may run in the pool before it counts as failed.
-DEFAULT_ITEM_TIMEOUT = 300.0
-
-#: Re-tries granted after an item's first failed attempt.
-DEFAULT_MAX_RETRIES = 2
-
-#: Retry ``n`` of an item waits ``BACKOFF_BASE * 2**(n-1)`` seconds.
-BACKOFF_BASE = 0.25
-
 #: Version of the per-item envelope; entries of another version are skipped
 #: (and re-executed), never parsed on faith.
 ITEM_SCHEMA = 1
-
-#: Journal file name: ``.jsonl``, so a ``*.json`` scan for item files never
-#: mistakes the journal for a result entry.
-JOURNAL_NAME = "journal.jsonl"
-
-# Indirections the tests patch to drive retry backoff on a fake clock.
-_clock = time.monotonic
-_sleep = time.sleep
 
 
 # ======================================================================
@@ -70,16 +53,14 @@ class ResultStore:
 
     Every finished item is one JSON file written atomically
     (write-temp-then-``os.replace``), so a process killed at any instant
-    leaves no entry or a complete one.  The journal records how a study ran
-    (done / retry / failed / salvaged / resume) but is advisory: the item
-    files are the single source of truth.  Entries that are unreadable,
+    leaves no entry or a complete one.  Entries that are unreadable,
     schema-mismatched or do not decode are skipped with a
     :class:`StoreWarning` and their items re-executed, so a damaged store can
     slow a study down but never poison it.
 
     Args:
-        root: Directory holding the item files and the journal.  Created on
-            first write; a missing directory reads as an empty store.
+        root: Directory holding the item files.  Created on first write; a
+            missing directory reads as an empty store.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -89,31 +70,13 @@ class ResultStore:
         """The on-disk path of one item entry."""
         return self.root / f"{key}.json"
 
-    @property
-    def journal_path(self) -> Path:
-        """The on-disk path of the NDJSON journal."""
-        return self.root / JOURNAL_NAME
-
     def put(self, key: str, result: ScenarioResult) -> Path:
-        """Atomically publish one finished item result and journal it."""
+        """Atomically publish one finished item result."""
         envelope = {"schema": ITEM_SCHEMA, "key": key, "result": result.to_dict()}
-        path = atomic_write_text(
+        return atomic_write_text(
             self.item_path(key),
             json.dumps(envelope, sort_keys=True, separators=(",", ":")),
         )
-        self.append_journal({"event": "done", "key": key})
-        return path
-
-    def append_journal(self, record: Dict[str, object]) -> None:
-        """Append one event line to the journal (single ``write`` call).
-
-        A torn final line (kill mid-append) is ignored by readers, and
-        losing the journal loses nothing but history.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(dict(record, ts=time.time()), sort_keys=True)
-        with self.journal_path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
 
     def get(self, key: str) -> Optional[ScenarioResult]:
         """The stored result for ``key``, or None when absent or invalid.
@@ -187,9 +150,7 @@ class WorkItem:
         replication: Replication index (``seed = base_seed + replication``).
         seed: The RNG seed this run uses.
         values: The point's axis values.
-        attempts: Attempts started so far.
-        error: Description of the last failed attempt, if any.
-        not_before: Earliest clock reading at which a retry may start.
+        error: Why the item failed, if it did.
     """
 
     key: str
@@ -197,9 +158,7 @@ class WorkItem:
     replication: int
     seed: int
     values: Mapping[str, object]
-    attempts: int = 0
     error: Optional[str] = None
-    not_before: float = 0.0
 
     @property
     def item_id(self) -> str:
@@ -214,8 +173,7 @@ class ProgressSnapshot:
     Attributes:
         total: Total work items in the study.
         done: Items finished successfully, including ``resumed`` ones.
-        failed: Items that exhausted their retry budget (terminal).
-        retried: Attempts that failed and were granted a retry.
+        failed: Items whose run raised or whose worker process died.
         resumed: Items satisfied from the result store without executing.
         elapsed: Wall-clock seconds since execution started.
         eta: Estimated seconds to completion (None until at least one item
@@ -225,7 +183,6 @@ class ProgressSnapshot:
     total: int
     done: int
     failed: int
-    retried: int
     resumed: int
     elapsed: float
     eta: Optional[float]
@@ -247,15 +204,13 @@ class ProgressSnapshot:
             parts.append(f"{self.resumed} resumed")
         if self.failed:
             parts.append(f"{self.failed} failed")
-        if self.retried:
-            parts.append(f"{self.retried} retried")
         if self.eta is not None and self.remaining:
             parts.append(f"eta {self.eta:.1f}s")
         return " · ".join(parts)
 
 
 class StudyExecutionError(SimulationError):
-    """Raised when work items exhausted their retries.
+    """Raised when work items failed.
 
     Attributes:
         failed: The failed :class:`WorkItem` s, in sweep order.
@@ -273,22 +228,7 @@ class StudyExecutionError(SimulationError):
         )
         more = f" (+{len(self.failed) - 3} more)" if len(self.failed) > 3 else ""
         super().__init__(
-            f"{len(self.failed)} work item(s) failed after retries: "
-            f"{described}{more}"
-        )
-
-
-class SimulatedCrash(RuntimeError):
-    """Raised by the ``fail_after`` hook to emulate a mid-study kill.
-
-    Carries the number of items completed (and so checkpointed) before it.
-    """
-
-    def __init__(self, completed: int) -> None:
-        self.completed = completed
-        super().__init__(
-            f"simulated crash after {completed} completed item(s); "
-            "resume with the same --store to continue"
+            f"{len(self.failed)} work item(s) failed: {described}{more}"
         )
 
 
@@ -315,8 +255,7 @@ WorkTask = Callable[..., ScenarioResult]
 class _Run:
     """The bookkeeping of one :func:`execute` call.
 
-    ``todo`` holds the positions of items waiting to run, ascending, so a
-    retried item keeps its place ahead of later items once its backoff ends.
+    ``todo`` holds the positions of the items to run, ascending.
     """
 
     spec: "SweepSpec"
@@ -325,84 +264,47 @@ class _Run:
     progress: Optional[Callable[[ProgressSnapshot], None]]
     task: WorkTask
     tracer: Tracer
-    fail_after: Optional[int]
-    max_retries: int
     results: Dict[int, ScenarioResult] = field(default_factory=dict)
     todo: List[int] = field(default_factory=list)
     failed: List[int] = field(default_factory=list)
-    retried: int = 0
     resumed: int = 0
     executed: int = 0
-    started: float = field(default_factory=lambda: _clock())
+    started: float = field(default_factory=time.monotonic)
 
     def notify(self) -> None:
         """Hand the progress callback, if any, a snapshot."""
         if self.progress is None:
             return
-        elapsed = _clock() - self.started
+        elapsed = time.monotonic() - self.started
         done = len(self.results)
         eta = None
         if self.executed:
             eta = elapsed / self.executed * (len(self.items) - done - len(self.failed))
         self.progress(ProgressSnapshot(
             total=len(self.items), done=done, failed=len(self.failed),
-            retried=self.retried, resumed=self.resumed, elapsed=elapsed, eta=eta,
+            resumed=self.resumed, elapsed=elapsed, eta=eta,
         ))
 
-    def journal(self, event: str, item: WorkItem, **extra: object) -> None:
-        if self.store is not None:
-            self.store.append_journal({"event": event, "item": item.item_id,
-                                       "key": item.key, "attempts": item.attempts,
-                                       **extra})
+    def settle(self, position: int, outcome: Callable[[], ScenarioResult]) -> None:
+        """Record the outcome of one item, in-process or pooled alike.
 
-    def take_ready(self, now: float) -> Optional[int]:
-        """Remove and return the first waiting item out of backoff, if any."""
-        for index, position in enumerate(self.todo):
-            if self.items[position].not_before <= now:
-                return self.todo.pop(index)
-        return None
-
-    def unqueue(self, position: int) -> bool:
-        """Take ``position`` off the waiting list; False if it is not on it."""
-        index = bisect.bisect_left(self.todo, position)
-        if index < len(self.todo) and self.todo[index] == position:
-            del self.todo[index]
-            return True
-        return False
-
-    def seconds_until_ready(self, now: float) -> float:
-        """Seconds until the earliest backoff ends (``inf`` if none waits)."""
-        return max(0.0, min((self.items[position].not_before - now
-                             for position in self.todo), default=math.inf))
-
-    def complete(self, position: int, result: ScenarioResult) -> None:
-        """Checkpoint one finished item; honours ``fail_after``."""
-        if self.store is not None:
-            self.store.put(self.items[position].key, result)
-        self.results[position] = result
-        self.executed += 1
-        self.notify()
-        if self.fail_after is not None and self.executed >= self.fail_after:
-            raise SimulatedCrash(self.executed)
-
-    def fail(self, position: int, error: str, terminal: bool = False) -> None:
-        """Record one failed attempt: retry with backoff, or fail the item."""
-        item = self.items[position]
-        item.error = error
-        if terminal or item.attempts > self.max_retries:
+        ``outcome`` returns the item's result or raises what its run raised
+        (a ``BrokenProcessPool`` when its worker died): a result is
+        checkpointed, an exception fails the item.  A ``BaseException`` that
+        is not an ``Exception`` (``KeyboardInterrupt``) ends the study, with
+        every item settled so far in the store.
+        """
+        try:
+            result = outcome()
+        except Exception as exc:  # noqa: BLE001 - the failure is reported
+            self.items[position].error = repr(exc)
             self.failed.append(position)
-            self.journal("failed", item, error=error)
         else:
-            item.not_before = _clock() + BACKOFF_BASE * 2 ** (item.attempts - 1)
-            bisect.insort(self.todo, position)
-            self.retried += 1
-            self.journal("retry", item, error=error)
+            if self.store is not None:
+                self.store.put(self.items[position].key, result)
+            self.results[position] = result
+            self.executed += 1
         self.notify()
-
-    def fail_attempt(self, position: int, exc: Exception) -> None:
-        """A task raised: a ConfigurationError fails the same way on every
-        attempt, so it fails the item without retries."""
-        self.fail(position, repr(exc), terminal=isinstance(exc, ConfigurationError))
 
 
 def execute(
@@ -413,22 +315,17 @@ def execute(
     workers: int,
     tracer: Tracer,
     progress: Optional[Callable[[ProgressSnapshot], None]],
-    item_timeout: float,
-    max_retries: int,
     task: WorkTask,
-    fail_after: Optional[int],
 ) -> Tuple[Dict[int, ScenarioResult], List[WorkItem]]:
-    """Resume ``items`` from ``store``, run the rest and return the outcome.
+    """Resume ``items`` from ``store``, run each of the rest once and return
+    the outcome.
 
     Returns:
-        The results by position in ``items``, and the items that failed
-        after their retries, in ``items`` order.
-
-    Raises:
-        SimulatedCrash: After ``fail_after`` items completed in this call.
+        The results by position in ``items``, and the items that failed, in
+        ``items`` order.
     """
     run = _Run(spec=spec, items=items, store=store, progress=progress, task=task,
-               tracer=tracer, fail_after=fail_after, max_retries=max_retries)
+               tracer=tracer)
     recovered = {} if store is None else store.resume({item.key for item in items})
     for position, item in enumerate(items):
         if item.key in recovered:
@@ -436,109 +333,40 @@ def execute(
         else:
             run.todo.append(position)
     run.resumed = len(run.results)
-    if run.resumed:
-        store.append_journal({"event": "resume", "recovered": run.resumed,
-                              "total": len(items)})
     run.notify()
     if tracer.enabled or workers == 1 or len(run.todo) == 1:
-        _run_in_process(run)
+        for position in run.todo:
+            item = items[position]
+            run.settle(position, functools.partial(
+                run.task, run.spec, item.values, item.seed, run.tracer))
     elif run.todo:
-        _run_in_pool(run, min(workers, len(run.todo)), item_timeout)
+        _run_in_pool(run, min(workers, len(run.todo)))
     return run.results, [items[position] for position in sorted(run.failed)]
 
 
-def _run_in_process(run: _Run) -> None:
-    """Run every item in this process, one at a time, sharing the tracer."""
-    while run.todo:
-        position = run.take_ready(_clock())
-        if position is None:
-            _sleep(run.seconds_until_ready(_clock()))
-            continue
-        item = run.items[position]
-        item.attempts += 1
-        try:
-            result = run.task(run.spec, item.values, item.seed, run.tracer)
-        except Exception as exc:  # noqa: BLE001 - a failed attempt is recorded
-            run.fail_attempt(position, exc)
-        else:
-            run.complete(position, result)
+def _run_in_pool(run: _Run, workers: int) -> None:
+    """Submit every item to a process pool and settle each as it completes.
 
-
-def _run_in_pool(run: _Run, workers: int, item_timeout: float) -> None:
-    """Keep up to ``workers`` attempts in a process pool until all finish.
-
-    ``running`` maps each live attempt's future to (position, attempt
-    number, deadline).  An attempt past its deadline is counted as failed and
-    moves to ``late``, where it still holds its worker; if it then succeeds
-    while its item still waits for the retry, the result is kept.  A dead
-    worker process breaks the pool: every running attempt fails and a new
-    pool takes over.
+    A worker process that dies breaks the pool: it fails every future still
+    running or queued, and those items are left for the next resume.  The
+    pool is shut down before this returns, so no worker outlives the study;
+    an interrupt cancels the queued items and waits only for running ones.
     """
-    running: Dict[Future, Tuple[int, int, float]] = {}
-    late: Dict[Future, Tuple[int, int, float]] = {}
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        while run.todo or running:
-            now = _clock()
-            for future in [f for f, (_, _, end) in running.items() if end <= now]:
-                late[future] = running.pop(future)
-                run.fail(late[future][0],
-                         f"attempt outlived item_timeout ({item_timeout:g} s)")
-            broken = False
-            while len(running) + len(late) < workers:
-                position = run.take_ready(now)
-                if position is None:
-                    break
-                item = run.items[position]
-                item.attempts += 1
-                try:
-                    future = pool.submit(run.task, run.spec, item.values, item.seed)
-                except BrokenProcessPool as exc:
-                    run.fail(position, f"worker pool broke ({exc})")
-                    broken = True
-                    break
-                running[future] = (position, item.attempts, now + item_timeout)
-            if not broken:
-                if not running and not late:
-                    _sleep(run.seconds_until_ready(_clock()))
-                    continue
-                timeout = min((deadline for _, _, deadline in running.values()),
-                              default=now + item_timeout) - now
-                if len(running) + len(late) < workers:
-                    timeout = min(timeout, run.seconds_until_ready(now))
-                done, _ = wait([*running, *late], timeout=max(timeout, 0.0),
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    broken = _settle(run, future, running, late) or broken
-            if broken:
-                for position, _, _ in running.values():
-                    run.fail(position, "worker process died")
-                running.clear()
-                late.clear()
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=workers)
+        futures = {_submit(pool, run, position): position for position in run.todo}
+        for future in as_completed(futures):
+            run.settle(futures[future], future.result)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _settle(run: _Run, future: Future, running: Dict[Future, Tuple[int, int, float]],
-            late: Dict[Future, Tuple[int, int, float]]) -> bool:
-    """Record one finished attempt; True if its worker process died."""
-    is_late = future in late
-    position, attempt, _ = (late if is_late else running).pop(future)
+def _submit(pool: ProcessPoolExecutor, run: _Run, position: int) -> Future:
+    """Submit one item; a pool that broke during submission fails it."""
+    item = run.items[position]
     try:
-        result = future.result()
-    except BrokenProcessPool:
-        if not is_late:
-            run.fail(position, "worker process died")
-        return True
-    except Exception as exc:  # noqa: BLE001 - a failed attempt is recorded
-        if not is_late:
-            run.fail_attempt(position, exc)
-        return False
-    if not is_late:
-        run.complete(position, result)
-    elif run.items[position].attempts == attempt and run.unqueue(position):
-        run.journal("salvaged", run.items[position])
-        run.complete(position, result)
-    return False
+        return pool.submit(run.task, run.spec, item.values, item.seed)
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future

@@ -7,11 +7,12 @@ sweeps as *data* instead of bespoke nested loops:
 * :class:`SweepSpec` describes a cartesian sweep — a topology family (from
   :mod:`repro.topology.registry`), axes of scenario/topology parameters and a
   number of seed replications.
-* :func:`run_study` runs every (point, seed) item of a sweep through
-  :mod:`repro.experiments.exec`: in-process or on a process pool, with
-  retries, and checkpointed into a crash-safe
+* :func:`run_study` runs every (point, seed) item of a sweep once through
+  :mod:`repro.experiments.exec`, in-process or on a process pool, and
+  checkpoints it into a crash-safe
   :class:`~repro.experiments.exec.ResultStore` (``store=``), so an
-  interrupted study resumes from disk, re-executing only the missing items.
+  interrupted or failed study resumes from disk, re-executing only the
+  missing items.
 * :class:`StudyResult` aggregates the per-seed results into cross-seed
   confidence intervals and round-trips through JSON.
 
@@ -67,8 +68,6 @@ from repro.core.statistics import ConfidenceInterval, confidence_interval
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.exec import (
-    DEFAULT_ITEM_TIMEOUT,
-    DEFAULT_MAX_RETRIES,
     ProgressSnapshot,
     ResultStore,
     StudyExecutionError,
@@ -476,20 +475,17 @@ def run_study(
     store: Optional[Union[str, Path, ResultStore]] = None,
     tracer: Tracer = NULL_TRACER,
     progress: Optional[Callable[[ProgressSnapshot], None]] = None,
-    item_timeout: float = DEFAULT_ITEM_TIMEOUT,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     task: WorkTask = run_work_item,
-    fail_after: Optional[int] = None,
 ) -> StudyResult:
     """Run every (point, seed) combination of ``spec``.
 
     Each combination is one fingerprint-keyed work item.  Items already in
-    the ``store`` are resumed from it; the rest run in this process when
-    ``tracer`` is enabled, when one item is left or when ``max_workers`` is
-    1, and on a process pool otherwise.  With a ``store``, completed items
-    are checkpointed, so identical configurations are never simulated twice
-    — across calls, processes and sessions — and an interrupted study
-    re-executes only the missing items.
+    the ``store`` are resumed from it; each of the rest runs once, in this
+    process when ``tracer`` is enabled, when one item is left or when
+    ``max_workers`` is 1, and on a process pool otherwise.  With a
+    ``store``, completed items are checkpointed, so identical configurations
+    are never simulated twice — across calls, processes and sessions — and
+    an interrupted or failed study re-executes only the missing items.
 
     Args:
         spec: The sweep to execute.
@@ -501,16 +497,9 @@ def run_study(
             share a tracer, so an enabled one runs the study in-process.
         progress: Optional callback receiving a
             :class:`~repro.experiments.exec.ProgressSnapshot` after every
-            item completion or failed attempt.
-        item_timeout: Seconds a pool attempt may run before it counts as a
-            failed attempt.
-        max_retries: Retry budget per item beyond the first attempt.  Only
-            transient failures consume it.
+            item that completes or fails.
         task: The per-item callable (test seam; defaults to
             :func:`~repro.experiments.exec.run_work_item`).
-        fail_after: Test/CI hook — simulate a crash (raise
-            :class:`~repro.experiments.exec.SimulatedCrash`) after this many
-            items completed in this run; they are checkpointed.
 
     Returns:
         A :class:`StudyResult` with points in cartesian sweep order and
@@ -518,24 +507,17 @@ def run_study(
         in-process, pooled, fresh or resumed.
 
     Raises:
-        ConfigurationError: If ``max_workers`` < 1, ``item_timeout`` <= 0
-            or ``max_retries`` < 0.
-        StudyExecutionError: If any work item failed after its retry budget
-            (transient errors are retried with backoff; a
-            :class:`~repro.core.errors.ConfigurationError` from a bad sweep
-            point fails immediately, without retries).  The exception
-            carries the failed items and a partial :class:`StudyResult`;
-            with a ``store`` the completed items are checkpointed, so a
-            later run re-executes only the failures.  It wraps whatever the
-            scenario raised: inspect ``.failed[*].error`` for the cause.
+        ConfigurationError: If ``max_workers`` < 1.
+        StudyExecutionError: If any work item's run raised or its worker
+            process died.  The exception carries the failed items and a
+            partial :class:`StudyResult`; with a ``store`` the completed
+            items are checkpointed, so the same call re-executes only the
+            failures.  It wraps whatever the scenario raised: inspect
+            ``.failed[*].error`` for the cause.
     """
     workers = (os.cpu_count() or 1) if max_workers is None else max_workers
     if workers < 1:
         raise ConfigurationError(f"max_workers must be at least 1 (got {workers})")
-    if item_timeout <= 0:
-        raise ConfigurationError("item_timeout must be positive")
-    if max_retries < 0:
-        raise ConfigurationError("max_retries must be non-negative")
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
     points, seeds = spec.points(), spec.seeds()
@@ -547,8 +529,7 @@ def run_study(
     ]
     results, failed = execute(
         spec, items, store=store, workers=workers, tracer=tracer,
-        progress=progress, item_timeout=item_timeout, max_retries=max_retries,
-        task=task, fail_after=fail_after)
+        progress=progress, task=task)
 
     # Items are point-major, so position point * len(seeds) + rep; a point
     # keeps the replications that completed, in seed order.

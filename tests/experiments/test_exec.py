@@ -1,14 +1,16 @@
 """Tests for study execution through run_study: where items run, their order,
-retry with backoff, failures, progress and the crash hook.
+failures (each item runs once), interrupts, progress and resume.
 
-Faults of pool workers (timeouts, dead processes) are in
+Crash-resume end to end and dead pool workers are in
 ``tests/integration/test_crash_resume.py``.
 """
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,6 @@ from repro.experiments import exec as exec_module
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.exec import (
     ProgressSnapshot,
-    SimulatedCrash,
     StudyExecutionError,
     run_work_item,
 )
@@ -59,23 +60,37 @@ def _logged_task(spec, values, seed, tracer=None):
     return run_work_item(spec, values, seed)
 
 
-def _fails_first_attempt_task(spec, values, seed, tracer=None):
-    """Fail each item's first attempt (marked by a file), then run it."""
-    marker = Path(os.environ["REPRO_TEST_EXEC_LOG"]).with_name(
-        f"failed-{values['hops']}-{seed}")
-    if not marker.exists():
-        marker.write_text("first attempt failed")
-        raise RuntimeError("transient")
-    return _logged_task(spec, values, seed)
-
-
-def _bad_hops_three_task(spec, values, seed, tracer=None):
-    """Log every attempt; hops 3 is a bad sweep point."""
-    with Path(os.environ["REPRO_TEST_EXEC_LOG"]).open("a") as handle:
+def _reverse_order_task(spec, values, seed, tracer=None):
+    """Run once the item of the next ``hops`` up to 4 has finished, then log
+    ``hops:seed:pid``: items of hops 2, 3 and 4 complete in reverse order."""
+    log = Path(os.environ["REPRO_TEST_EXEC_LOG"])
+    deadline = time.monotonic() + 30.0  # fail the assertion, never hang
+    while (values["hops"] < 4 and time.monotonic() < deadline
+           and values["hops"] + 1 not in [hops for hops, _, _ in
+                                          logged_attempts(log)]):
+        time.sleep(0.01)
+    result = run_work_item(spec, values, seed)
+    with log.open("a") as handle:
         handle.write(f"{values['hops']}:{seed}:{os.getpid()}\n")
+    return result
+
+
+def _fails_in_reverse_order_task(spec, values, seed, tracer=None):
+    """Fail every item, the earlier the item the later."""
+    time.sleep(0.15 * (5 - values["hops"]))
+    raise RuntimeError(f"hops {values['hops']} failed")
+
+
+class Interrupt(BaseException):
+    """Stands in for a kill: not an ``Exception``, so no item catches it."""
+
+
+def _interrupt_at_hops_three_task(spec, values, seed, tracer=None):
+    """Run every item but interrupt the study at hops 3."""
     if values["hops"] == 3:
-        raise ConfigurationError("hops=3 is not a valid point")
-    return run_work_item(spec, values, seed)
+        time.sleep(0.3)
+        raise Interrupt("killed")
+    return _logged_task(spec, values, seed)
 
 
 def _fails_at_hops_task(spec, values, seed, tracer=None):
@@ -87,8 +102,25 @@ def _fails_at_hops_task(spec, values, seed, tracer=None):
     return run_work_item(spec, values, seed)
 
 
-def _forbidden_task(spec, values, seed, tracer=None):
-    raise AssertionError("this study must not execute an item")
+def _sleep_or_fail_task(spec, values, seed, tracer=None):
+    """hops 2 raises at once; every other item sleeps half a second."""
+    if values["hops"] == 2:
+        raise RuntimeError("doomed item")
+    time.sleep(0.5)
+    return run_work_item(spec, values, seed)
+
+
+def interrupt_after(count: int):
+    """An in-process task that runs ``count`` items, then interrupts."""
+    executed = []
+
+    def task(spec, values, seed, tracer=None):
+        if len(executed) == count:
+            raise Interrupt(f"killed after {count} item(s)")
+        executed.append((values["hops"], seed))
+        return run_work_item(spec, values, seed)
+
+    return task
 
 
 @pytest.fixture
@@ -107,38 +139,18 @@ def logged_attempts(log: Path):
             for line in log.read_text().splitlines()]
 
 
-def journal_events(store: Path):
-    return [json.loads(line) for line
-            in (store / "journal.jsonl").read_text().splitlines()]
-
-
 @pytest.fixture(scope="module")
 def canned_result():
     return Scenario(ScenarioSpec(topology=chain_topology(hops=2),
                                  config=tiny_config(packet_target=10))).run()
 
 
-class FakeClock:
-    """Stands in for the executor's clock and sleep: sleeping advances it."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.slept = []
-
-    def __call__(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.slept.append(seconds)
-        self.now += seconds
-
-
 @pytest.fixture
-def clock(monkeypatch) -> FakeClock:
-    fake = FakeClock()
-    monkeypatch.setattr(exec_module, "_clock", fake)
-    monkeypatch.setattr(exec_module, "_sleep", fake.sleep)
-    return fake
+def no_sleep(monkeypatch):
+    """Records every ``time.sleep`` of this process (there should be none)."""
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    return slept
 
 
 class TestWhereItemsRun:
@@ -180,15 +192,19 @@ class TestWhereItemsRun:
 
         monkeypatch.setattr(exec_module, "ProcessPoolExecutor", no_pool)
         assert run_study(spec, max_workers=2, store=tmp_path,
-                         task=_forbidden_task) == first
+                         task=forbidden) == first
 
-    @pytest.mark.parametrize("setting", [
-        {"max_workers": 0}, {"max_workers": -2},
-        {"item_timeout": 0.0}, {"max_retries": -1},
-    ])
+    @pytest.mark.parametrize("setting", [{"max_workers": 0}, {"max_workers": -2}])
     def test_invalid_setting_rejected_before_anything_runs(self, setting):
         with pytest.raises(ConfigurationError):
             run_study(tiny_spec(axes={"hops": [2]}), task=forbidden, **setting)
+
+    @pytest.mark.parametrize("option", ["max_retries", "item_timeout",
+                                        "fail_after"])
+    def test_run_study_takes_no_retry_timeout_or_crash_option(self, option):
+        with pytest.raises(TypeError):
+            run_study(tiny_spec(axes={"hops": [2]}), task=forbidden,
+                      **{option: 1})
 
 
 class TestItems:
@@ -224,87 +240,15 @@ class TestItems:
         assert run_study(spec, max_workers=1, store=tmp_path,
                          task=forbidden) == first
 
-
-    def test_completion_order_does_not_change_the_result(self, clock):
-        # the first item fails once and, as the clock stands still while the
-        # others run, its backoff makes it complete last
-        spec = tiny_spec(axes={"hops": [2, 3]}, replications=2)
-        attempts = []
-
-        def first_item_late(spec_, values, seed, tracer=None):
-            attempts.append((values["hops"], seed))
-            if len(attempts) == 1:
-                raise RuntimeError("transient")
-            return run_work_item(spec_, values, seed)
-
-        study = run_study(spec, max_workers=1, task=first_item_late)
-        assert attempts[-1] == (2, 1)
-        assert study == run_study(spec, max_workers=1)
-
-
-class TestRetry:
-    def test_backoff_doubles_from_a_quarter_second(self, clock, canned_result):
-        starts = []
-
-        def fails_twice(spec_, values, seed, tracer=None):
-            starts.append(clock.now)
-            if len(starts) < 3:
-                raise RuntimeError("transient")
-            return canned_result
-
-        study = run_study(tiny_spec(axes={"hops": [2]}), max_workers=1,
-                          task=fails_twice)
-        assert starts == [0.0, 0.25, 0.75]
-        assert clock.slept == [0.25, 0.5]
-        assert study.points[0].run == canned_result
-
-    def test_ready_items_run_while_one_waits_and_a_retry_keeps_its_place(
-            self, clock, canned_result):
-        order = []
-
-        def task(spec_, values, seed, tracer=None):
-            order.append(values["hops"])
-            if order == [2]:
-                raise RuntimeError("transient")
-            if values["hops"] == 3:
-                clock.now += 1.0  # outlasts the first item's backoff
-            return canned_result
-
-        run_study(tiny_spec(axes={"hops": [2, 3, 4]}), max_workers=1, task=task)
-        assert order == [2, 3, 2, 4]
-        assert clock.slept == []
-
-    def test_retry_recovers_transient_failure(self, canned_result):
-        attempts = []
-
-        def flaky_once(spec_, values, seed, tracer=None):
-            attempts.append(seed)
-            if len(attempts) == 1:
-                raise RuntimeError("transient")
-            return canned_result
-
-        seen = []
-        study = run_study(tiny_spec(axes={"hops": [2]}), max_workers=1,
-                          task=flaky_once, progress=seen.append)
-        assert len(attempts) == 2
-        assert study.points[0].run == canned_result
-        assert seen[-1].retried == 1
-
-
-    def test_pool_retry_recovers_transient_failures(self, exec_log):
-        spec = tiny_spec(axes={"hops": [2, 3]})
-        seen = []
-        study = run_study(spec, max_workers=2, task=_fails_first_attempt_task,
-                          progress=seen.append)
-        # each item's first attempt failed; each ran once more and succeeded
-        assert sorted((hops, seed) for hops, seed, _ in
-                      logged_attempts(exec_log)) == [(2, 1), (3, 1)]
-        assert (seen[-1].done, seen[-1].retried, seen[-1].failed) == (2, 2, 0)
+    def test_completion_order_does_not_change_the_result(self, exec_log):
+        spec = tiny_spec(axes={"hops": [2, 3, 4]})
+        study = run_study(spec, max_workers=3, task=_reverse_order_task)
+        assert [hops for hops, _, _ in logged_attempts(exec_log)] == [4, 3, 2]
         assert study == run_study(spec, max_workers=1)
 
 
 class TestFailures:
-    def test_failing_task_retries_then_surfaces_partial(self, canned_result):
+    def test_failing_item_surfaces_partial(self, canned_result):
         calls = []
 
         def flaky(spec_, values, seed, tracer=None):
@@ -315,18 +259,50 @@ class TestFailures:
 
         with pytest.raises(StudyExecutionError) as excinfo:
             run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=1,
-                      task=flaky, max_retries=1)
+                      task=flaky)
         error = excinfo.value
         assert len(error.failed) == 1
         assert error.failed[0].values["hops"] == 3
         assert "doomed item" in str(error)
-        # 1 success + (1 first attempt + 1 retry) for the doomed item
-        assert len(calls) == 3
+        assert calls == [{"hops": 2}, {"hops": 3}]
         # the partial result still carries the point that succeeded
         assert len(error.partial.points) == 1
         assert error.partial.points[0].values["hops"] == 2
 
-    def test_zero_retries_fails_on_the_first_error(self, canned_result):
+    @pytest.mark.parametrize("error", [RuntimeError, ConfigurationError])
+    def test_failing_item_is_attempted_once(self, error, canned_result,
+                                            no_sleep):
+        calls = []
+
+        def doomed(spec_, values, seed, tracer=None):
+            calls.append(values["hops"])
+            if values["hops"] == 3:
+                raise error("doomed item")
+            return canned_result
+
+        seen = []
+        with pytest.raises(StudyExecutionError) as excinfo:
+            run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=1,
+                      task=doomed, progress=seen.append)
+        assert calls == [2, 3]
+        assert no_sleep == []
+        assert [item.values for item in excinfo.value.failed] == [{"hops": 3}]
+        assert (seen[-1].done, seen[-1].failed) == (1, 1)
+
+    def test_pool_failing_item_is_attempted_once(self, exec_log, monkeypatch,
+                                                 no_sleep):
+        monkeypatch.setenv("REPRO_TEST_EXEC_FAIL_HOPS", "3")
+        with pytest.raises(StudyExecutionError) as excinfo:
+            run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=2,
+                      task=_fails_at_hops_task)
+        assert sorted(hops for hops, _, _ in logged_attempts(exec_log)) == [2, 3]
+        assert no_sleep == []
+        assert [item.values for item in excinfo.value.failed] == [{"hops": 3}]
+        assert [point.values for point in excinfo.value.partial.points] == [
+            {"hops": 2}]
+        assert "doomed item" in str(excinfo.value)
+
+    def test_items_after_a_failure_still_run(self, canned_result):
         calls = []
 
         def doomed(spec_, values, seed, tracer=None):
@@ -335,53 +311,40 @@ class TestFailures:
                 raise RuntimeError("doomed item")
             return canned_result
 
-        seen = []
         with pytest.raises(StudyExecutionError) as excinfo:
-            run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=1,
-                      task=doomed, max_retries=0, progress=seen.append)
-        assert calls == [2, 3]
-        assert [item.values for item in excinfo.value.failed] == [{"hops": 3}]
-        assert (seen[-1].done, seen[-1].failed, seen[-1].retried) == (1, 1, 0)
-
-    def test_configuration_error_is_terminal_without_retry(self, canned_result):
-        # deterministic bad-sweep-point errors must not be re-simulated
-        calls = []
-
-        def bad_point(spec_, values, seed, tracer=None):
-            calls.append(dict(values))
-            if values["hops"] == 3:
-                raise ConfigurationError("hops=3 is not a valid point")
-            return canned_result
-
-        with pytest.raises(StudyExecutionError) as excinfo:
-            run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=1,
-                      task=bad_point, max_retries=5)
-        # 1 success + exactly 1 attempt for the bad point — no retries
-        assert len(calls) == 2
-        assert len(excinfo.value.failed) == 1
-        assert "hops=3" in str(excinfo.value)
-
-
-    def test_pool_configuration_error_is_terminal_without_retry(self, exec_log):
-        with pytest.raises(StudyExecutionError) as excinfo:
-            run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=2,
-                      task=_bad_hops_three_task, max_retries=5)
-        assert sorted(hops for hops, _, _ in logged_attempts(exec_log)) == [2, 3]
-        assert [item.values for item in excinfo.value.failed] == [{"hops": 3}]
+            run_study(tiny_spec(axes={"hops": [2, 3, 4]}), max_workers=1,
+                      task=doomed)
+        assert calls == [2, 3, 4]
         assert [point.values for point in excinfo.value.partial.points] == [
-            {"hops": 2}]
+            {"hops": 2}, {"hops": 4}]
 
-    def test_pool_zero_retries_fails_on_the_first_error(self, exec_log,
-                                                          monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_EXEC_FAIL_HOPS", "3")
+    def test_pool_reports_failed_items_in_sweep_order(self):
+        with pytest.raises(StudyExecutionError) as excinfo:
+            run_study(tiny_spec(axes={"hops": [2, 3, 4]}), max_workers=3,
+                      task=_fails_in_reverse_order_task)
+        assert [item.item_id for item in excinfo.value.failed] == [
+            "0:0", "1:0", "2:0"]
+
+    def test_pool_broken_while_submitting_fails_the_items(self, monkeypatch):
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, *args):
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(exec_module, "ProcessPoolExecutor", BrokenPool)
         with pytest.raises(StudyExecutionError) as excinfo:
             run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=2,
-                      task=_fails_at_hops_task, max_retries=0)
-        assert sorted(hops for hops, _, _ in logged_attempts(exec_log)) == [2, 3]
-        assert [item.attempts for item in excinfo.value.failed] == [1]
-        assert "doomed item" in str(excinfo.value)
+                      task=forbidden)
+        assert [item.values for item in excinfo.value.failed] == [
+            {"hops": 2}, {"hops": 3}]
+        assert "a worker died" in excinfo.value.failed[0].error
 
-    def test_failed_items_carry_identity_attempts_and_last_error(self):
+    def test_failed_items_carry_identity_and_error(self):
         calls = []
 
         def always_fails(spec_, values, seed, tracer=None):
@@ -391,12 +354,12 @@ class TestFailures:
         with pytest.raises(StudyExecutionError) as excinfo:
             run_study(tiny_spec(axes={"hops": [2]}, replications=2,
                                 base_seed=5),
-                      max_workers=1, task=always_fails, max_retries=2)
+                      max_workers=1, task=always_fails)
         failed = excinfo.value.failed
         assert [item.item_id for item in failed] == ["0:0", "0:1"]
         assert [item.seed for item in failed] == [5, 6]
-        assert [item.attempts for item in failed] == [3, 3]
-        assert failed[-1].error == repr(RuntimeError("attempt 6"))
+        assert calls == [5, 6]
+        assert failed[-1].error == repr(RuntimeError("attempt 2"))
 
     def test_error_message_names_three_failures_and_counts_the_rest(self):
         def always_fails(spec_, values, seed, tracer=None):
@@ -404,12 +367,61 @@ class TestFailures:
 
         with pytest.raises(StudyExecutionError) as excinfo:
             run_study(tiny_spec(axes={"hops": [2]}, replications=5),
-                      max_workers=1, task=always_fails, max_retries=0)
+                      max_workers=1, task=always_fails)
         message = str(excinfo.value)
-        assert message.startswith("5 work item(s) failed after retries")
+        assert message.startswith("5 work item(s) failed: item 0:0")
         assert "item 0:2" in message and "item 0:3" not in message
         assert message.endswith("(+2 more)")
         assert excinfo.value.partial.points == []
+
+    def test_resume_reruns_only_the_failed_item(self, tmp_path, canned_result):
+        def doomed(spec_, values, seed, tracer=None):
+            if values["hops"] == 3:
+                raise RuntimeError("doomed item")
+            return canned_result
+
+        spec = tiny_spec(axes={"hops": [2, 3]})
+        with pytest.raises(StudyExecutionError):
+            run_study(spec, max_workers=1, store=tmp_path, task=doomed)
+        calls = []
+
+        def fixed(spec_, values, seed, tracer=None):
+            calls.append(values["hops"])
+            return canned_result
+
+        resumed = run_study(spec, max_workers=1, store=tmp_path, task=fixed)
+        assert calls == [3]
+        assert [point.run for point in resumed.points] == [canned_result] * 2
+
+    def test_pool_resume_reruns_only_the_failed_items(self, tmp_path, exec_log,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_EXEC_FAIL_HOPS", "3")
+        spec = tiny_spec(axes={"hops": [2, 3]}, replications=2)
+        with pytest.raises(StudyExecutionError):
+            run_study(spec, max_workers=2, store=tmp_path,
+                      task=_fails_at_hops_task)
+        exec_log.unlink()
+        resumed = run_study(spec, max_workers=2, store=tmp_path,
+                            task=_logged_task)
+        assert sorted((hops, seed) for hops, seed, _ in
+                      logged_attempts(exec_log)) == [(3, 1), (3, 2)]
+        assert resumed == run_study(spec, max_workers=1)
+
+
+class TestNoWorkerOutlivesTheStudy:
+    def test_after_a_pooled_study_returns(self, exec_log):
+        run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=2,
+                  task=_logged_task)
+        assert multiprocessing.active_children() == []
+
+    def test_after_a_pooled_study_fails(self):
+        with pytest.raises(StudyExecutionError) as excinfo:
+            run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=2,
+                      task=_sleep_or_fail_task)
+        assert multiprocessing.active_children() == []
+        # the failure did not abandon the sleeping item
+        assert [point.values for point in excinfo.value.partial.points] == [
+            {"hops": 3}]
 
 
 class TestProgressAndResume:
@@ -421,20 +433,24 @@ class TestProgressAndResume:
         assert seen[-1].total == 2 and seen[-1].failed == 0
 
     def test_progress_snapshot_describe(self):
-        snap = ProgressSnapshot(total=10, done=4, failed=1, retried=2,
-                                resumed=3, elapsed=5.0, eta=7.5)
+        snap = ProgressSnapshot(total=10, done=4, failed=1, resumed=3,
+                                elapsed=5.0, eta=7.5)
         assert snap.remaining == 5
         assert snap.executed == 1
-        text = snap.describe()
-        assert "4/10 done" in text
-        assert "3 resumed" in text and "1 failed" in text
-        assert "2 retried" in text and "eta 7.5s" in text
+        assert snap.describe() == "4/10 done · 3 resumed · 1 failed · eta 7.5s"
 
-    def test_fail_after_raises_with_checkpointed_items(self, tmp_path):
+    def test_pool_progress_reports_each_item_once(self, exec_log):
+        seen = []
+        run_study(tiny_spec(axes={"hops": [2, 3]}, replications=2),
+                  max_workers=2, task=_logged_task, progress=seen.append)
+        assert [s.done for s in seen] == [0, 1, 2, 3, 4]
+        assert seen[-1].failed == 0 and seen[-1].executed == 4
+
+    def test_interrupt_propagates_with_earlier_items_stored(self, tmp_path):
         spec = tiny_spec(axes={"hops": [2]}, replications=3)
-        with pytest.raises(SimulatedCrash) as excinfo:
-            run_study(spec, max_workers=1, store=tmp_path, fail_after=2)
-        assert excinfo.value.completed == 2
+        with pytest.raises(Interrupt):
+            run_study(spec, max_workers=1, store=tmp_path,
+                      task=interrupt_after(2))
         assert len(list(tmp_path.glob("*.json"))) == 2
 
     def test_store_resume_skips_completed_items(self, tmp_path):
@@ -455,54 +471,34 @@ class TestProgressAndResume:
         assert seen[-1].remaining == 0 and seen[-1].executed == 3
 
     def test_describe_omits_zero_counts_and_a_finished_eta(self):
-        snap = ProgressSnapshot(total=2, done=2, failed=0, retried=0,
-                                resumed=0, elapsed=1.0, eta=0.0)
+        snap = ProgressSnapshot(total=2, done=2, failed=0, resumed=0,
+                                elapsed=1.0, eta=0.0)
         assert snap.describe() == "2/2 done"
 
-    def test_fail_after_in_the_pool_checkpoints_the_completed_item(
+    def test_interrupt_in_the_pool_stops_workers_and_resume_completes(
             self, tmp_path, exec_log):
         spec = tiny_spec(axes={"hops": [2, 3]}, replications=2)
-        with pytest.raises(SimulatedCrash) as excinfo:
-            run_study(spec, max_workers=2, store=tmp_path, task=_logged_task,
-                      fail_after=1)
-        assert excinfo.value.completed == 1
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        store = tmp_path / "store"
+        with pytest.raises(Interrupt):
+            run_study(spec, max_workers=2, store=store,
+                      task=_interrupt_at_hops_three_task)
+        assert multiprocessing.active_children() == []
+        # only finished items, each a complete entry: no temp files
+        assert ({path.name for path in store.glob("*")}
+                <= {f"{spec.fingerprint({'hops': 2}, seed)}.json"
+                    for seed in (1, 2)})
+        resumed = run_study(spec, max_workers=2, store=store,
+                            task=_logged_task)
+        assert resumed == run_study(spec, max_workers=1)
 
     def test_pool_resume_executes_only_the_missing_items(self, tmp_path,
                                                          exec_log):
         spec = tiny_spec(axes={"hops": [2, 3]}, replications=2)
-        with pytest.raises(SimulatedCrash):
-            run_study(spec, max_workers=1, store=tmp_path, fail_after=2)
+        with pytest.raises(Interrupt):
+            run_study(spec, max_workers=1, store=tmp_path,
+                      task=interrupt_after(2))
         resumed = run_study(spec, max_workers=2, store=tmp_path,
                             task=_logged_task)
         assert sorted((hops, seed) for hops, seed, _ in
                       logged_attempts(exec_log)) == [(3, 1), (3, 2)]
         assert resumed == run_study(spec, max_workers=1)
-
-
-class TestJournal:
-    def test_retries_and_failures_are_journaled(self, tmp_path, canned_result):
-        def doomed(spec_, values, seed, tracer=None):
-            if values["hops"] == 3:
-                raise RuntimeError("doomed item")
-            return canned_result
-
-        with pytest.raises(StudyExecutionError):
-            run_study(tiny_spec(axes={"hops": [2, 3]}), max_workers=1,
-                      store=tmp_path, task=doomed, max_retries=1)
-        events = journal_events(tmp_path)
-        assert [event["event"] for event in events] == ["done", "retry", "failed"]
-        retry, failed = events[1:]
-        assert (retry["item"], retry["attempts"]) == ("1:0", 1)
-        assert (failed["item"], failed["attempts"]) == ("1:0", 2)
-        assert "doomed item" in failed["error"]
-
-    def test_resume_is_journaled_with_the_recovered_count(self, tmp_path,
-                                                          canned_result):
-        spec = tiny_spec(axes={"hops": [2, 3]})
-        run_study(spec, max_workers=1, store=tmp_path,
-                  task=lambda *args: canned_result)
-        run_study(spec, max_workers=1, store=tmp_path, task=forbidden)
-        resume = journal_events(tmp_path)[-1]
-        assert resume["event"] == "resume"
-        assert (resume["recovered"], resume["total"]) == (2, 2)

@@ -8,12 +8,7 @@ import pytest
 
 from repro.core.io import atomic_write_text
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.exec import (
-    ITEM_SCHEMA,
-    JOURNAL_NAME,
-    ResultStore,
-    StoreWarning,
-)
+from repro.experiments.exec import ITEM_SCHEMA, ResultStore, StoreWarning
 from repro.experiments.results import ScenarioResult
 from repro.experiments.runner import Scenario
 from repro.experiments.workload import ScenarioSpec
@@ -139,30 +134,7 @@ class TestResume:
         store = ResultStore(tmp_path / "never-created")
         assert store.resume(["a", "b"]) == {}
 
-    def test_item_glob_excludes_journal(self, tmp_path, result):
+    def test_put_writes_only_the_item_file(self, tmp_path, result):
         store = ResultStore(tmp_path)
-        store.put("abc", result)  # also journals
-        assert store.journal_path.exists()
-        assert [path.stem for path in tmp_path.glob("*.json")] == ["abc"]
-
-
-class TestJournal:
-    def test_put_appends_done_event(self, tmp_path, result):
-        store = ResultStore(tmp_path)
-        store.put("k1", result)
-        store.put("k2", result)
-        lines = store.journal_path.read_text().splitlines()
-        events = [json.loads(line) for line in lines]
-        assert [e["event"] for e in events] == ["done", "done"]
-        assert [e["key"] for e in events] == ["k1", "k2"]
-        assert all("ts" in e for e in events)
-
-    def test_journal_name_is_not_an_item_glob_match(self, tmp_path):
-        assert not JOURNAL_NAME.endswith(".json")
-
-    def test_custom_records_appended(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.append_journal({"event": "resume", "recovered": 3})
-        record = json.loads(store.journal_path.read_text())
-        assert record["event"] == "resume"
-        assert record["recovered"] == 3
+        store.put("abc", result)
+        assert [path.name for path in tmp_path.iterdir()] == ["abc.json"]

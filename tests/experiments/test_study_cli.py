@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.experiments.runner import Scenario
 
 
 def run_args(*extra: str) -> list:
@@ -65,6 +66,12 @@ class TestErrors:
         assert "unexpected keyword argument" in err
         assert "--resume" not in err
 
+    def test_there_is_no_crash_hook_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(run_args("--fail-after", "1"))
+        assert excinfo.value.code == 2
+        assert "--fail-after" in capsys.readouterr().err
+
 
 class TestRuns:
     def test_run_prints_goodput_table(self, capsys):
@@ -72,6 +79,25 @@ class TestRuns:
         out = capsys.readouterr().out
         assert "goodput [kbit/s]" in out
         assert "variant=Vegas, hops=2" in out
+        # every point reached its packet target: nothing is marked
+        assert "*" not in out
+
+    def test_points_short_of_their_packet_target_are_marked(self, tmp_path,
+                                                           capsys):
+        out_path = tmp_path / "study.json"
+        assert main(["study", "--variants", "vegas", "--hops", "2", "4",
+                     "--packets", "250", "--axis", "max_sim_time=1.0",
+                     "--replications", "1", "--quiet", "--max-workers", "1",
+                     "--save", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "variant=Vegas, hops=2, max_sim_time=1.0 *" in out
+        assert "variant=Vegas, hops=4, max_sim_time=1.0 *" in out
+        assert ("* 2 point(s) ended short of the 250-packet target in at "
+                "least one seed") in out
+        runs = [point["runs"][0]
+                for point in json.loads(out_path.read_text())["points"]]
+        assert [run["reached_packet_target"] for run in runs] == [False, False]
+        assert all(run["delivered_packets"] < 250 for run in runs)
 
     def test_every_variant_prints_its_label(self, capsys):
         args = ["study", "--variants", "vegas", "newreno-at-optwin",
@@ -123,10 +149,30 @@ class TestRuns:
         wireless = json.loads(chain_path.read_text())["points"][0]["runs"][0]["metrics"]
         assert not any(name.startswith("link.wired.") for name in wireless)
 
-    def test_fail_after_exits_3_then_resume_succeeds(self, tmp_path, capsys):
+    def test_failed_item_exits_1_then_resume_succeeds(self, tmp_path, capsys,
+                                                      monkeypatch):
+        real_run = Scenario.run
+
+        def doomed_at_three_hops(scenario):
+            if len(scenario.spec.topology.node_ids) == 4:
+                raise RuntimeError("doomed run")
+            return real_run(scenario)
+
         store = tmp_path / "store"
-        args = run_args("--max-workers", "1", "--store", str(store))
-        assert main([*args, "--fail-after", "0"]) == 3
-        assert "simulated crash" in capsys.readouterr().err
+        storeless = ["study", "--variants", "vegas", "--hops", "2", "3",
+                     "--packets", "15", "--replications", "1", "--quiet",
+                     "--max-workers", "1"]
+        args = [*storeless, "--store", str(store)]
+        with monkeypatch.context() as patch:
+            patch.setattr(Scenario, "run", doomed_at_three_hops)
+            # without a store nothing is checkpointed, so nothing to resume
+            assert main(storeless) == 1
+            assert "--resume" not in capsys.readouterr().err
+            assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "study failed: 1 work item(s) failed" in err
+        assert "doomed run" in err and "--resume" in err
+        assert len(list(store.glob("*.json"))) == 1
         assert main([*args, "--resume"]) == 0
-        assert "goodput" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "hops=2" in out and "hops=3" in out

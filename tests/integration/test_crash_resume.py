@@ -1,25 +1,23 @@
 """Acceptance tests for crash-resume: kill a study mid-run, resume, compare.
 
-The contract pinned here: a study interrupted after K of N items (driver
-kill, dead worker, hung worker) and resumed from its result store
-re-executes exactly the N−K missing items and produces a StudyResult —
-including every confidence interval — that is bit-identical to an
-uninterrupted run.
+The contract pinned here: a study interrupted after K of N items (a kill of
+the driver, a dead worker) and resumed from its result store re-executes
+exactly the N−K missing items and produces a StudyResult — including every
+confidence interval — that is bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments import exec as exec_module
-from repro.experiments.exec import SimulatedCrash, StudyExecutionError, run_work_item
+from repro.experiments.exec import StudyExecutionError, run_work_item
 from repro.experiments.study import SweepSpec, run_study
 
 
@@ -35,8 +33,14 @@ def small_spec(**overrides) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
+class Killed(BaseException):
+    """Stands in for a kill of the driver: no ``except Exception`` stops it."""
+
+
 class TestCrashThenResume:
-    def test_resume_executes_exactly_the_missing_items(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_executes_exactly_the_missing_items(self, tmp_path,
+                                                       monkeypatch, workers):
         spec = small_spec()
         total = len(spec.points()) * spec.replications
         assert total == 8
@@ -45,24 +49,29 @@ class TestCrashThenResume:
         # uninterrupted reference run (no store: pure in-memory)
         reference = run_study(spec, max_workers=1)
 
-        # run 1: simulated kill after 3 checkpointed items
-        store = tmp_path / "store"
-        with pytest.raises(SimulatedCrash) as excinfo:
-            run_study(spec, max_workers=1, store=store,
-                      fail_after=crash_after)
-        assert excinfo.value.completed == crash_after
-        assert len(list(store.glob("*.json"))) == crash_after
-
-        # run 2: resume — count what actually executes
-        executed = []
-
-        def counting_task(spec_, values, seed, tracer=None):
-            executed.append((dict(values), seed))
+        # run 1: killed after 3 checkpointed items
+        def killed_after_three(spec_, values, seed, tracer=None):
+            if len(list(store.glob("*"))) == crash_after:
+                raise Killed()
             return run_work_item(spec_, values, seed)
 
-        resumed = run_study(spec, max_workers=1, store=store,
-                            task=counting_task)
+        store = tmp_path / "store"
+        with pytest.raises(Killed):
+            run_study(spec, max_workers=1, store=store, task=killed_after_three)
+        # exactly the finished items, each a complete entry: no temp files
+        stored = {path.name for path in store.iterdir()}
+        assert len(stored) == crash_after
+        assert all(name.endswith(".json") for name in stored)
+
+        # run 2: resume, in-process or pooled, logging what actually executes
+        log = tmp_path / "executed.log"
+        monkeypatch.setenv("REPRO_TEST_EXECUTED_LOG", str(log))
+        resumed = run_study(spec, max_workers=workers, store=store,
+                            task=_logged_task)
+        executed = log.read_text().split()
         assert len(executed) == total - crash_after
+        assert ({f"{key}.json" for key in executed}
+                == {path.name for path in store.iterdir()} - stored)
 
         # bit-identical to the uninterrupted run, CIs included
         assert resumed == reference
@@ -85,7 +94,14 @@ class TestCrashThenResume:
         assert again == first
 
 
-# Module-level so it pickles by reference into pool worker processes.
+# Module-level tasks pickle by reference into pool worker processes.
+def _logged_task(spec, values, seed, tracer=None):
+    """Run the item and log its fingerprint to ``REPRO_TEST_EXECUTED_LOG``."""
+    with Path(os.environ["REPRO_TEST_EXECUTED_LOG"]).open("a") as handle:
+        handle.write(spec.fingerprint(values, seed) + "\n")
+    return run_work_item(spec, values, seed)
+
+
 def _die_once_task(spec, values, seed, tracer=None):
     marker = Path(os.environ["REPRO_TEST_CRASH_MARKER"])
     if not marker.exists():
@@ -94,66 +110,22 @@ def _die_once_task(spec, values, seed, tracer=None):
     return run_work_item(spec, values, seed)
 
 
-# Module-level so it pickles by reference into pool worker processes.
-def _slow_logged_task(spec, values, seed, tracer=None):
-    log = Path(os.environ["REPRO_TEST_SLOW_LOG"])
-    with log.open("a") as handle:
-        handle.write(f"{sorted(values.items())}:{seed}\n")
-    time.sleep(0.6)
-    return run_work_item(spec, values, seed)
-
-
-class TestHungWorkerRecovery:
-    def test_attempt_outliving_item_timeout_counts_as_failed(
-            self, tmp_path, monkeypatch):
-        # With no retries, each timed-out attempt fails its item at once;
-        # the study does not wait for the late results.
-        monkeypatch.setenv("REPRO_TEST_SLOW_LOG", str(tmp_path / "executions.log"))
-        spec = small_spec(axes={"hops": [2]}, replications=2)
-
-        with pytest.raises(StudyExecutionError) as excinfo:
-            run_study(spec, max_workers=2, task=_slow_logged_task,
-                      item_timeout=0.2, max_retries=0)
-
-        assert len(excinfo.value.failed) == 2
-        assert "outlived item_timeout (0.2 s)" in str(excinfo.value)
-        assert excinfo.value.partial.points == []
-
-    def test_late_result_of_a_timed_out_attempt_is_kept(
-            self, tmp_path, monkeypatch):
-        # Every task runs longer than item_timeout, so each attempt counts
-        # as failed while its pool future is still running.  A long backoff
-        # keeps the retries from being submitted before the late results
-        # arrive (whichever comes first decides), so both are kept without
-        # re-execution.
-        log = tmp_path / "executions.log"
-        monkeypatch.setenv("REPRO_TEST_SLOW_LOG", str(log))
-        monkeypatch.setattr(exec_module, "BACKOFF_BASE", 30.0)
-        spec = small_spec(axes={"hops": [2]}, replications=2)
-        store = tmp_path / "store"
-
-        study = run_study(spec, max_workers=2, store=store,
-                          task=_slow_logged_task, item_timeout=0.2)
-
-        assert study == run_study(spec, max_workers=1)
-        # each item executed exactly once: late results were kept, never
-        # double-executed
-        assert len(log.read_text().splitlines()) == 2
-        events = [json.loads(line)["event"] for line
-                  in (store / "journal.jsonl").read_text().splitlines()]
-        assert sorted(events) == ["done", "done", "retry", "retry",
-                                  "salvaged", "salvaged"]
-
-
 class TestProcessPoolWorkerDeath:
-    def test_killed_worker_items_are_requeued_and_study_completes(
+    def test_killed_worker_fails_its_items_and_resume_completes(
             self, tmp_path, monkeypatch):
         marker = tmp_path / "died.marker"
         monkeypatch.setenv("REPRO_TEST_CRASH_MARKER", str(marker))
         spec = small_spec(axes={"hops": [2]}, replications=2)
+        store = tmp_path / "store"
 
-        study = run_study(spec, max_workers=2, task=_die_once_task,
-                          max_retries=3)
-
+        with pytest.raises(StudyExecutionError) as excinfo:
+            run_study(spec, max_workers=2, store=store, task=_die_once_task)
         assert marker.exists()  # the kill actually happened
-        assert study == run_study(spec, max_workers=1)
+        failed = excinfo.value.failed
+        assert failed and all("BrokenProcessPool" in item.error
+                              for item in failed)
+        assert multiprocessing.active_children() == []
+
+        resumed = run_study(spec, max_workers=2, store=store,
+                            task=_die_once_task)
+        assert resumed == run_study(spec, max_workers=1)
