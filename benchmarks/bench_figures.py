@@ -147,8 +147,8 @@ def label(axis: str, coords: Mapping[str, object]) -> object:
     with the Vegas variant it tunes."""
     value = coords[axis]
     if axis == "vegas_alpha":
-        return f"{TRANSPORTS.get(coords['variant']).label} α={value:g}"
-    return TRANSPORTS.get(value).label if axis == "variant" else value
+        return f"{TRANSPORTS[coords['variant']].label} α={value:g}"
+    return TRANSPORTS[value].label if axis == "variant" else value
 
 
 def points(figure: Figure) -> Iterator[Tuple[SweepSpec, SweepPoint, Dict[str, object]]]:

@@ -45,7 +45,7 @@ def main() -> None:
         for hops in args.hops:
             rows.append([hops] + [measure(results[v][hops]) for v in variants])
         print(f"\n--- {title} ---")
-        print(format_table(["hops"] + [TRANSPORTS.get(v).label for v in variants], rows))
+        print(format_table(["hops"] + [TRANSPORTS[v].label for v in variants], rows))
 
     table_for("Figure 6: goodput [kbit/s]",
               lambda r: round(r.aggregate_goodput_kbps, 1))

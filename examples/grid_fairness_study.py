@@ -50,7 +50,7 @@ def main() -> None:
         )
         result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         rows.append(
-            [TRANSPORTS.get(variant).label]
+            [TRANSPORTS[config.variant].label]
             + [round(flow.goodput_kbps, 1) for flow in result.flows]
             + [round(result.aggregate_goodput_kbps, 1), round(result.fairness_index, 3)]
         )

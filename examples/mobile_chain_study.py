@@ -79,7 +79,7 @@ def sweep_speed(args: argparse.Namespace) -> None:
     for point in study.points:
         interval = point.goodput_interval
         rows.append([
-            TRANSPORTS.get(point.values["variant"]).label,
+            TRANSPORTS[point.values["variant"]].label,
             f"{point.values['mobility_speed']:g}",
             interval.mean / 1000.0,
             interval.half_width / 1000.0,

@@ -51,7 +51,7 @@ def main() -> None:
         result = Scenario(ScenarioSpec(topology=topology, config=config)).run()
         flow = result.flows[0]
         rows.append([
-            TRANSPORTS.get(variant).label,
+            TRANSPORTS[config.variant].label,
             round(result.aggregate_goodput_kbps, 1),
             round(flow.retransmissions_per_packet, 4),
             round(flow.average_window, 2),

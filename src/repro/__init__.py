@@ -43,11 +43,11 @@ from repro.experiments.config import (
 from repro.experiments.results import FlowResult, ScenarioResult, format_table
 from repro.experiments.workload import FlowSpec, ScenarioEvent, ScenarioSpec
 from repro.metrics import MetricsRegistry, TimeSeries
-from repro.mobility.registry import MOBILITY_MODELS, MobilityProfile
+from repro.mobility.registry import MOBILITY_MODELS
 from repro.topology.chain import chain_topology
 from repro.topology.grid import grid_topology
 from repro.topology.random_topology import random_topology
-from repro.topology.registry import TOPOLOGIES, TopologyProfile
+from repro.topology.registry import TOPOLOGIES
 from repro.transport.registry import TRANSPORTS, TransportProfile
 
 __version__ = "1.0.0"
@@ -87,11 +87,9 @@ __all__ = [
     "grid_topology",
     "random_topology",
     "TOPOLOGIES",
-    "TopologyProfile",
     "TRANSPORTS",
     "TransportProfile",
     "MOBILITY_MODELS",
-    "MobilityProfile",
     "MetricsRegistry",
     "TimeSeries",
     "__version__",

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.io import atomic_write_text
+from repro.core.registry import lookup
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.results import format_table
 from repro.experiments.scenarios import available_scenarios, build_named_scenario
@@ -97,6 +98,7 @@ def _progress_printer(stream):
 def _study(args: argparse.Namespace) -> int:
     from repro.experiments.exec import StudyExecutionError
     from repro.experiments.study import SweepSpec, run_study
+    from repro.topology.registry import TOPOLOGIES
 
     if args.resume and args.store is None:
         raise ConfigurationError("--resume requires --store DIR")
@@ -104,14 +106,15 @@ def _study(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"nothing to resume: store directory {args.store} does not "
             "exist (run once with --store to create it)")
+    topology = lookup(TOPOLOGIES, "topology", args.topology)
     axes: Dict[str, Sequence[object]] = {"variant": args.variants}
     if args.hops is not None:
         axes["hops"] = args.hops
-    elif args.topology == "chain":
+    elif topology == "chain":
         axes["hops"] = smoke_scaled([2, 4], [2, 3])
     axes.update(_parse_axis(axis) for axis in args.axis)
     spec = SweepSpec(
-        name="cli-study", topology=args.topology, axes=axes,
+        name="cli-study", topology=topology, axes=axes,
         base=ScenarioConfig(bandwidth_mbps=args.bandwidth,
                             packet_target=args.packets),
         replications=args.replications, base_seed=args.seed)
@@ -138,7 +141,7 @@ def _study(args: argparse.Namespace) -> int:
     for point in study.points:
         interval = point.goodput_interval
         label = ", ".join(
-            f"{k}={TRANSPORTS.get(v).label if k == 'variant' else v}"
+            f"{k}={TRANSPORTS[v].label if k == 'variant' else v}"
             for k, v in point.values.items())
         if not all(run.reached_packet_target for run in point.runs):
             label += " *"

@@ -1,35 +1,22 @@
-"""Shared mechanics behind the named registries.
+"""Name lookup shared by the three name tables.
 
-Three subsystems resolve pluggable components by short name — transports,
-topologies and mobility models.  Each registry module exports one
-:class:`NamedRegistry` constant, and that object is the API: register a
-profile, look one up, list them::
-
-    TOPOLOGIES = NamedRegistry("topology")
-
-    TOPOLOGIES.register(TopologyProfile(name="star", builder=star_topology))
-    TOPOLOGIES.get("star").build(arms=4)
-    TOPOLOGIES.names()
-
-Names are case- and space-insensitive.  The registry stores whatever
-profile it is handed and reads nothing from it but its ``name``.
+Transports, topologies and mobility models are chosen by short name.  Each
+is a plain ``dict`` literal in its own module, from canonical lower-case name
+to what it builds — :data:`repro.transport.registry.TRANSPORTS`,
+:data:`repro.topology.registry.TOPOLOGIES` and
+:data:`repro.mobility.registry.MOBILITY_MODELS` — so adding an entry means
+editing that module's table.  A name is made canonical once, where it enters
+a config or a sweep, by :func:`lookup`; inside, every use is ``TABLE[key]``.
 """
 
 from __future__ import annotations
 
 import difflib
-from typing import Dict, Iterable, List, TypeVar
+from typing import Iterable, Mapping
 
 from repro.core.errors import ConfigurationError
 
-__all__ = ["NamedRegistry", "did_you_mean", "normalize_name"]
-
-P = TypeVar("P")
-
-
-def normalize_name(name: str) -> str:
-    """Canonical registry key of a name (case- and space-insensitive)."""
-    return name.strip().lower()
+__all__ = ["did_you_mean", "lookup"]
 
 
 def did_you_mean(name: str, names: Iterable[str]) -> str:
@@ -41,66 +28,25 @@ def did_you_mean(name: str, names: Iterable[str]) -> str:
     return f"; did you mean {', '.join(repr(s) for s in suggestions)}?"
 
 
-class NamedRegistry:
-    """Name → profile store shared by every pluggable-component registry.
+def lookup(table: Mapping[str, object], kind: str, name: object) -> str:
+    """Canonical key of ``name`` in ``table`` (case- and space-insensitive).
 
     Args:
-        kind: Human-readable component kind used verbatim in error messages
+        table: A name table (canonical lower-case name → entry).
+        kind: Human-readable entry kind used verbatim in the error message
             (``"topology"``, ``"mobility model"``).
+        name: The name to resolve.
+
+    Raises:
+        ConfigurationError: If ``name`` is not a key of ``table`` (or not a
+            ``str`` at all); the message carries the close matches and every
+            name in the table.
     """
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._entries: Dict[str, object] = {}
-
-    def register(self, profile: P, replace: bool = False) -> P:
-        """Store ``profile`` under its ``name``; returns the profile.
-
-        Raises:
-            ConfigurationError: On a duplicate name without ``replace``.
-        """
-        key = normalize_name(profile.name)
-        if key in self._entries and not replace:
-            raise ConfigurationError(
-                f"{self.kind} {profile.name!r} is already registered")
-        self._entries[key] = profile
-        return profile
-
-    def unregister(self, name: str) -> bool:
-        """Remove an entry by name; unknown names are a no-op.
-
-        Returns:
-            True when an entry was removed.
-        """
-        return self._entries.pop(normalize_name(name), None) is not None
-
-    def get(self, name: str) -> object:
-        """Resolve an entry by name.
-
-        Raises:
-            ConfigurationError: If ``name`` is not a registered name (or not
-                a ``str`` at all); the message carries the close matches and
-                every registered name.
-        """
-        hint = ""
-        if isinstance(name, str):
-            entry = self._entries.get(normalize_name(name))
-            if entry is not None:
-                return entry
-            hint = did_you_mean(name, self.names())
-        raise ConfigurationError(f"unknown {self.kind} {name!r}{hint} "
-                                 f"(registered: {', '.join(self.names())})")
-
-    def names(self) -> List[str]:
-        """Sorted canonical names of every registered entry."""
-        return sorted(self._entries)
-
-    def values(self) -> List[object]:
-        """All registered entries, sorted by canonical name."""
-        return [self._entries[name] for name in self.names()]
-
-    def __contains__(self, name: str) -> bool:
-        return normalize_name(name) in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    hint = ""
+    if isinstance(name, str):
+        key = name.strip().lower()
+        if key in table:
+            return key
+        hint = did_you_mean(name, sorted(table))
+    raise ConfigurationError(f"unknown {kind} {name!r}{hint} "
+                             f"(registered: {', '.join(sorted(table))})")

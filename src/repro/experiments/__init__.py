@@ -1,4 +1,4 @@
-"""Experiment harness: scenarios, workloads, registries, declarative studies.
+"""Experiment harness: scenarios, workloads, declarative studies.
 
 Three layers, from low-level to high-level:
 
@@ -11,9 +11,8 @@ Three layers, from low-level to high-level:
 * **Scenario execution** — ``Scenario(spec).run()`` turns one
   :class:`ScenarioSpec` into a :class:`ScenarioResult`; it is the only way
   to run a scenario.  The runner is transport-agnostic: variants are
-  resolved through :data:`repro.transport.registry.TRANSPORTS`, topologies
-  are addressable by name through
-  :data:`repro.topology.registry.TOPOLOGIES`, and
+  chosen by name from the :data:`repro.transport.registry.TRANSPORTS` dict,
+  topologies from the :data:`repro.topology.registry.TOPOLOGIES` dict, and
   :func:`~repro.experiments.scenarios.build_named_scenario` instantiates
   the ready-made presets of :data:`~repro.experiments.scenarios.SCENARIOS`.
 * **Declarative studies** — :class:`SweepSpec` describes a cartesian sweep

@@ -11,8 +11,9 @@ Under the Workload API (:mod:`repro.experiments.workload`) every flow of a
 scenario shares this config; a flow's ``FlowSpec`` may name another
 transport variant and nothing else of it.
 
-The transport variant is its registry key (``"vegas-at"``; see
-:data:`repro.transport.registry.TRANSPORTS`), held as a ``str``.  A
+The transport variant is its canonical name (``"vegas-at"``, a key of
+:data:`repro.transport.registry.TRANSPORTS`), held as a ``str``; so is the
+mobility model (a key of :data:`repro.mobility.registry.MOBILITY_MODELS`).  A
 variant-specific knob is a plain field that only that variant's sender reads:
 ``vegas_alpha`` for the Vegas variants, ``newreno_max_cwnd`` for the two
 optimal-window variants.
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.errors import ConfigurationError
+from repro.core.registry import lookup
 from repro.mobility.registry import MOBILITY_MODELS
 from repro.transport.ack_thinning import AckThinningPolicy
 from repro.transport.registry import transport_key
@@ -36,8 +38,8 @@ class ScenarioConfig:
     """All parameters of one simulation scenario.
 
     Attributes:
-        variant: Scenario-wide default transport variant: its registry key
-            (``"vegas-at"``), normalised by
+        variant: Scenario-wide default transport variant: its canonical
+            name (``"vegas-at"``), normalised by
             :func:`~repro.transport.registry.transport_key`.  Every flow runs
             this variant unless its
             :class:`~repro.experiments.workload.FlowSpec` overrides it
@@ -61,16 +63,16 @@ class ScenarioConfig:
         capture_threshold: PHY capture threshold (power ratio); 10 matches
             ns-2's ``CPThresh_``.  A very large value disables capture (every
             overlapping signal collides) and is used by the ablation bench.
-        mobility: Mobility model name resolved through
-            :mod:`repro.mobility.registry` (``"static"``, the default, keeps
-            the paper's fixed topologies; ``"random-waypoint"`` /
-            ``"random-walk"`` move the nodes).
+        mobility: Mobility model: its canonical name in
+            :data:`repro.mobility.registry.MOBILITY_MODELS` (``"static"``,
+            the default, keeps the paper's fixed topologies;
+            ``"random-waypoint"`` / ``"random-walk"`` move the nodes).
         mobility_speed: Speed knob in m/s (meaning is model-specific: maximum
             leg speed for random waypoint, constant speed for random walk);
-            ``None`` uses the registered profile's default.
+            ``None`` uses the model builder's default.
         mobility_pause: Pause knob in seconds (waypoint pause time for random
             waypoint, heading-redraw interval for random walk); ``None`` uses
-            the profile's default.
+            the builder's default.
         mobility_update_interval: Seconds between periodic position updates.
         metrics: Enable the time-series metrics plane: per-flow cwnd/RTT
             series, periodic probe sampling (queue occupancy, link churn,
@@ -117,7 +119,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "aodv_expanding_ring requires routing='aodv'"
             )
-        MOBILITY_MODELS.get(self.mobility)  # fail fast on unknown mobility models
+        object.__setattr__(self, "mobility", lookup(
+            MOBILITY_MODELS, "mobility model", self.mobility))
         if self.mobility != "static" and self.routing == "static":
             raise ConfigurationError(
                 "static routing tables cannot follow moving nodes; "

@@ -15,15 +15,16 @@ scenario-wide defaults::
                         config=ScenarioConfig(variant="vegas"))
     result = Scenario(spec).run()
 
-The runner is registry-driven on every axis: each flow's transport variant is
-resolved through :mod:`repro.transport.registry` (the registered
+The runner is driven by name tables on every axis: each flow's transport
+variant is an entry of :data:`repro.transport.registry.TRANSPORTS` (its
 :class:`~repro.transport.registry.TransportProfile` builds the sender, sink
 and driving application for that flow — different flows of one scenario may
-use different variants) and the configured mobility model is resolved through
-:mod:`repro.mobility.registry` (a :class:`~repro.mobility.base.MobilityManager`
-drives node positions for mobile models; the default ``"static"`` model adds
-no events at all).  Adding a transport variant or mobility model therefore
-never requires touching this module.
+use different variants) and the configured mobility model is a builder in
+:data:`repro.mobility.registry.MOBILITY_MODELS` (a
+:class:`~repro.mobility.base.MobilityManager` drives node positions for
+mobile models; the default ``"static"`` model adds no events at all).
+Adding a transport variant or mobility model therefore never requires
+touching this module.
 
 Timeline events (:class:`~repro.experiments.workload.ScenarioEvent`) are
 checked against the built link plan and scheduled at build time in (time,
@@ -226,9 +227,9 @@ class Scenario:
         before mobility existed (pinned by the golden-trace tests).
         """
         config = self.config
-        model = MOBILITY_MODELS.get(config.mobility).build(
-            speed=config.mobility_speed, pause=config.mobility_pause,
-        )
+        knobs = {"speed": config.mobility_speed, "pause": config.mobility_pause}
+        model = MOBILITY_MODELS[config.mobility](
+            **{knob: value for knob, value in knobs.items() if value is not None})
         if not model.mobile:
             return
         self.mobility = MobilityManager(
@@ -306,7 +307,7 @@ class Scenario:
 
     def _build_flow(self, index: int, flow_spec: FlowSpec, config: ScenarioConfig,
                     packet_share: int) -> None:
-        profile = TRANSPORTS.get(config.variant)
+        profile = TRANSPORTS[config.variant]
         self.profiles.append(profile)
         flow = FlowAddress(
             src_node=flow_spec.source,
@@ -513,7 +514,7 @@ class Scenario:
         """
         default = self.config.variant
         if all(flow.variant in (None, default) for flow in self.workload):
-            return TRANSPORTS.get(default).label
+            return TRANSPORTS[default].label
         labels = []
         for profile in self.profiles:
             if profile.label not in labels:

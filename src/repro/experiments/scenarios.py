@@ -83,14 +83,14 @@ def city_scenario_spec(
     the config's variant, so a ``variant=`` override switches them all; only
     the channel's grid spatial index and lazy cache invalidation make
     populations of this size tractable.
-    ``mobility`` selects any registered mobile profile — the shipped presets
+    ``mobility`` selects any mobile model of ``MOBILITY_MODELS`` — the presets
     use ``random-waypoint`` and ``manhattan``.  Above 1000 nodes the spec
     turns on expanding-ring AODV search so route discoveries stop flooding
     the full 10k-node diameter; at 1000 and below everything stays
     byte-identical to the original ``city1k`` presets.
 
     Args:
-        mobility: Registered mobility-profile name.
+        mobility: Mobility model name (a key of ``MOBILITY_MODELS``).
         node_count: Mesh size (1000 for the ``city1k`` presets, 10000 for
             ``city10k``).
         seed: Placement/flow seed.

@@ -4,9 +4,9 @@ The paper's whole evaluation is one large parameter sweep: transport variants
 × bandwidths × topologies × hop counts × Vegas α.  This module expresses such
 sweeps as *data* instead of bespoke nested loops:
 
-* :class:`SweepSpec` describes a cartesian sweep — a topology family (from
-  :mod:`repro.topology.registry`), axes of scenario/topology parameters and a
-  number of seed replications.
+* :class:`SweepSpec` describes a cartesian sweep — a topology family (a
+  name in :data:`repro.topology.registry.TOPOLOGIES`), axes of
+  scenario/topology parameters and a number of seed replications.
 * :func:`run_study` runs every (point, seed) item of a sweep once through
   :mod:`repro.experiments.exec`, in-process or on a process pool, and
   checkpoints it into a crash-safe
@@ -43,11 +43,6 @@ reaches :func:`repro.topology.chain.chain_topology`).  Seeds are never an
 axis: replication ``r`` runs with ``base_seed + r``, which makes a
 single-replication study bit-identical to ``Scenario(spec).run()`` on the
 point's spec with the base config's seed.
-
-Parallel execution requires every sweep point to be picklable and every
-referenced transport/topology to be registered at import time of a module the
-worker processes also import (the built-ins always are); dynamically
-registered variants are available in in-process runs regardless.
 """
 
 from __future__ import annotations
@@ -64,6 +59,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.core.errors import ConfigurationError
 from repro.core.io import atomic_write_text
+from repro.core.registry import lookup
 from repro.core.statistics import ConfidenceInterval, confidence_interval
 from repro.core.tracing import NULL_TRACER, Tracer
 from repro.experiments.config import ScenarioConfig
@@ -140,8 +136,9 @@ class SweepSpec:
 
     Attributes:
         name: Study name (used in result files and reports).
-        topology: Topology family name (resolved through
-            :mod:`repro.topology.registry`) or a prebuilt
+        topology: Topology family name (a key of
+            :data:`repro.topology.registry.TOPOLOGIES`, made canonical at
+            construction) or a prebuilt
             :class:`~repro.topology.base.Topology` shared by every point
             (e.g. one fixed random placement, as in the paper's Section
             4.4.2).
@@ -178,10 +175,11 @@ class SweepSpec:
         if isinstance(self.topology, str):
             # Fail fast on unknown families and on parameters the family's
             # builder does not take, rather than on every item at run time.
-            builder = TOPOLOGIES.get(self.topology).builder
+            object.__setattr__(self, "topology",
+                               lookup(TOPOLOGIES, "topology", self.topology))
             try:
-                inspect.signature(builder).bind_partial(**dict.fromkeys(
-                    [*self.topology_params, *self.topology_axes]))
+                inspect.signature(TOPOLOGIES[self.topology]).bind_partial(
+                    **dict.fromkeys([*self.topology_params, *self.topology_axes]))
             except TypeError as exc:
                 raise ConfigurationError(
                     f"topology {self.topology!r}: {exc}") from None
@@ -214,7 +212,7 @@ class SweepSpec:
     def points(self) -> List[SweepPoint]:
         """All sweep points, in cartesian order (last axis fastest).
 
-        Variant axis values are normalised to their registry keys so that
+        Variant axis values are normalised to their canonical names so that
         point lookups and JSON round trips are spelling-independent.
         """
         names = self.axis_names
@@ -249,8 +247,7 @@ class SweepSpec:
         """The :class:`Topology` of one sweep point."""
         if not isinstance(self.topology, str):
             return self.topology
-        return TOPOLOGIES.get(self.topology).build(
-            **self._topology_builder_params(values))
+        return TOPOLOGIES[self.topology](**self._topology_builder_params(values))
 
     def scenario_for(self, values: Mapping[str, object], seed: int) -> ScenarioSpec:
         """The complete :class:`ScenarioSpec` of one (point, seed) run: the
@@ -371,7 +368,7 @@ class StudyResult:
     def point(self, **axis_values: object) -> PointResult:
         """The point whose axis values match ``axis_values`` exactly.
 
-        A ``variant`` value is normalised to its registry key (lookup is
+        A ``variant`` value is normalised to its canonical name (lookup is
         case-insensitive) before matching.
 
         Raises:

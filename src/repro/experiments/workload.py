@@ -72,7 +72,7 @@ class FlowSpec:
     Attributes:
         source: Source node id (must exist in the scenario's topology).
         destination: Destination node id.
-        variant: Transport variant for *this* flow, its registry key
+        variant: Transport variant for *this* flow, its ``TRANSPORTS`` key
             (``"vegas-at"``); ``None`` uses the scenario-wide
             ``config.variant``.
         start_time: Simulated time the driving application starts; ``None``

@@ -1,4 +1,4 @@
-"""Node mobility: models, the periodic position driver and the profile registry.
+"""Node mobility: models, the periodic position driver and the name table.
 
 The paper evaluates *static* chain/grid/random topologies; this package opens
 the orthogonal scenario axis of node movement and time-varying links.  It is
@@ -10,11 +10,10 @@ organised like the rest of the stack:
   events and pushes changed positions into the wireless channel;
 * :mod:`repro.mobility.models` — the built-in models (static,
   random waypoint, random walk, Manhattan grid);
-* :mod:`repro.mobility.registry` — :data:`MOBILITY_MODELS`, the
-  :class:`MobilityProfile` registry,
-  mirroring :mod:`repro.transport.registry` and
+* :mod:`repro.mobility.registry` — :data:`MOBILITY_MODELS`, a dict from
+  canonical model name to builder, like :mod:`repro.transport.registry` and
   :mod:`repro.topology.registry`: scenario presets and
-  :class:`~repro.experiments.study.SweepSpec` sweeps resolve mobility by name.
+  :class:`~repro.experiments.study.SweepSpec` sweeps choose mobility by name.
 
 See ``docs/mobility.md`` for the design rationale and a worked example.
 """
@@ -26,7 +25,7 @@ from repro.mobility.models import (
     RandomWaypointMobility,
     StaticMobility,
 )
-from repro.mobility.registry import MOBILITY_MODELS, MobilityProfile
+from repro.mobility.registry import MOBILITY_MODELS
 
 __all__ = [
     "MobilityArea",
@@ -37,5 +36,4 @@ __all__ = [
     "RandomWalkMobility",
     "ManhattanGridMobility",
     "MOBILITY_MODELS",
-    "MobilityProfile",
 ]

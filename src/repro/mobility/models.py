@@ -37,7 +37,7 @@ from repro.phy.propagation import Position
 class StaticMobility(MobilityModel):
     """The no-op model: every node stays where the topology placed it.
 
-    Exists so "no mobility" is a registry entry like any other —
+    Exists so "no mobility" is a table entry like any other —
     ``ScenarioConfig(mobility="static")`` is the default and scenario
     construction skips the manager entirely for immobile models.
     """

@@ -1,28 +1,27 @@
-"""Named mobility-profile registry.
+"""Mobility models by name.
 
-Mirrors :mod:`repro.transport.registry` and :mod:`repro.topology.registry` for
-mobility models: every model family registers a builder under a short name so
-that a scenario can select movement declaratively
-(``ScenarioConfig(mobility="random-waypoint")``) and the Study API can sweep
-mobility parameters like any other config axis
+Every model family is a builder under its canonical name in the
+:data:`MOBILITY_MODELS` dict, so that a scenario can select movement
+declaratively (``ScenarioConfig(mobility="random-waypoint")``) and the Study
+API can sweep mobility parameters like any other config axis
 (``axes={"mobility_speed": [1, 5, 20]}``).
 
-Registering a custom model::
+A builder takes the two uniform scenario knobs as keywords, ``speed`` (m/s)
+and ``pause`` (s)
+(:attr:`~repro.experiments.config.ScenarioConfig.mobility_speed` /
+``mobility_pause``), and maps them onto its own model's parameters (random
+walk, for instance, reads ``pause`` as its turn interval).  Its keyword
+defaults are the values used when the scenario does not set a knob.  Adding
+a model means adding an entry to the dict literal::
 
-    from repro.mobility.registry import MOBILITY_MODELS, MobilityProfile
-
-    MOBILITY_MODELS.register(MobilityProfile(
-        name="gauss-markov",
-        builder=lambda speed, pause: GaussMarkovMobility(speed, alpha=0.8),
-    ))
+    "gauss-markov": lambda speed=5.0, pause=2.0: GaussMarkovMobility(
+        speed, alpha=0.8),
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict
 
-from repro.core.registry import NamedRegistry
 from repro.mobility.base import MobilityModel
 from repro.mobility.models import (
     ManhattanGridMobility,
@@ -31,79 +30,23 @@ from repro.mobility.models import (
     StaticMobility,
 )
 
-
-@dataclass(frozen=True)
-class MobilityProfile:
-    """One registered mobility-model family.
-
-    Attributes:
-        name: Canonical registry key (``"static"``, ``"random-waypoint"``,
-            ``"random-walk"``).
-        builder: Callable ``(speed, pause) -> MobilityModel``.  ``speed`` and
-            ``pause`` are the two uniform scenario knobs
-            (:attr:`~repro.experiments.config.ScenarioConfig.mobility_speed` /
-            ``mobility_pause``); each family maps them onto its own
-            parameters (random walk, for instance, reads ``pause`` as its
-            turn interval).
-        default_speed: ``speed`` used when the scenario does not set one.
-        default_pause: ``pause`` used when the scenario does not set one.
-    """
-
-    name: str
-    builder: Callable[[float, float], MobilityModel]
-    default_speed: float = 5.0
-    default_pause: float = 2.0
-
-    def build(self, speed: Optional[float] = None,
-              pause: Optional[float] = None) -> MobilityModel:
-        """Build a model instance, filling unset knobs with the defaults."""
-        effective_speed = self.default_speed if speed is None else speed
-        effective_pause = self.default_pause if pause is None else pause
-        return self.builder(effective_speed, effective_pause)
-
-
-#: Every mobility-model family, by name.
-MOBILITY_MODELS = NamedRegistry("mobility model")
-
-
-# ======================================================================
-# Built-in registrations.
-# ======================================================================
-# No movement: the paper's baseline and the config default.
-MOBILITY_MODELS.register(MobilityProfile(
-    name="static",
-    builder=lambda speed, pause: StaticMobility(),
-))
-
-MOBILITY_MODELS.register(MobilityProfile(
-    name="random-waypoint",
+#: Every mobility-model family, by canonical name.
+MOBILITY_MODELS: Dict[str, Callable[..., MobilityModel]] = {
+    # No movement: the paper's baseline and the config default.
+    "static": lambda speed=5.0, pause=2.0: StaticMobility(),
     # min_speed is a tenth of the configured speed, floored at 0.1 m/s but
     # never above the configured speed itself, so every positive
     # mobility_speed that passes config validation builds a valid model.
-    builder=lambda speed, pause: RandomWaypointMobility(
+    "random-waypoint": lambda speed=10.0, pause=2.0: RandomWaypointMobility(
         min_speed=min(speed, max(0.1, speed / 10.0)), max_speed=speed,
         pause_time=pause,
     ),
-    default_speed=10.0,
-    default_pause=2.0,
-))
-
-MOBILITY_MODELS.register(MobilityProfile(
-    name="random-walk",
-    builder=lambda speed, pause: RandomWalkMobility(
+    "random-walk": lambda speed=5.0, pause=5.0: RandomWalkMobility(
         speed=speed, turn_interval=pause,
     ),
-    default_speed=5.0,
-    default_pause=5.0,
-))
-
-MOBILITY_MODELS.register(MobilityProfile(
-    name="manhattan",
     # pause maps onto the per-intersection stop; block size stays at the
     # model's 100 m city-block default.
-    builder=lambda speed, pause: ManhattanGridMobility(
+    "manhattan": lambda speed=8.0, pause=1.0: ManhattanGridMobility(
         speed=speed, pause_time=pause,
     ),
-    default_speed=8.0,
-    default_pause=1.0,
-))
+}

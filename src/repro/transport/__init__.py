@@ -1,7 +1,8 @@
 """Transport layer: TCP NewReno, TCP Vegas, ACK thinning sinks, UDP/paced UDP.
 
-Variants are pluggable: :mod:`repro.transport.registry` maps variant names to
-:class:`~repro.transport.registry.TransportProfile` factory bundles, which the
+Variants are chosen by name: :data:`repro.transport.registry.TRANSPORTS` is a
+dict from canonical variant name to a
+:class:`~repro.transport.registry.TransportProfile` factory bundle, which the
 scenario runner uses to build senders, sinks and driving applications.
 """
 

@@ -1,38 +1,34 @@
-"""Pluggable transport-variant registry.
+"""Transport variants by name.
 
 The paper compares six transport variants (NewReno, Vegas, both with dynamic
 ACK thinning, window-clamped NewReno and optimally paced UDP).  Instead of
 hard-wiring those variants as ``if/elif`` chains inside the scenario runner,
-each variant is described by a :class:`TransportProfile` — a named bundle of
-factories that build the sender, the sink and the driving application for one
-flow — and registered here by name.  The runner only ever talks to a profile,
-so adding a new transport variant is a ~30-line registration::
+each variant is a :class:`TransportProfile` — a bundle of factories that
+build the sender, the sink and the driving application for one flow — under
+its canonical name in the :data:`TRANSPORTS` dict.  The runner only ever
+talks to a profile, so adding a variant means adding an entry to that dict
+literal::
 
-    from repro.transport.registry import TRANSPORTS, TransportProfile
-
-    TRANSPORTS.register(TransportProfile(
-        name="vegas-a4",
+    "vegas-a4": TransportProfile(
         label="Vegas alpha=4",
-        build_sender=lambda ctx: VegasSender(
-            ctx.sim, ctx.flow, ctx.stats, config=ctx.config.tcp,
-            parameters=VegasParameters(alpha=4, beta=4, gamma=4),
-            tracer=ctx.tracer),
-        build_sink=tcp_sink_factory,
-    ))
+        build_sender=_vegas_a4_sender,
+        build_sink=_tcp_sink,
+    ),
 
-A variant is named by its registry key (``"vegas-at"``) everywhere; lookup
-is case- and space-insensitive.  The display label (``"Vegas ACK
-Thinning"``) only labels results and figure legends.
+A variant is named by its key (``"vegas-at"``) everywhere;
+:func:`transport_key` makes a spelling canonical (case- and
+space-insensitive) where it enters a config.  The display label (``"Vegas
+ACK Thinning"``) only labels results and figure legends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.app.cbr import CbrApplication
 from repro.app.ftp import FtpApplication
-from repro.core.registry import NamedRegistry, normalize_name
+from repro.core.registry import lookup
 from repro.transport.newreno import NewRenoSender
 from repro.transport.sink import AckThinningSink, TcpSink
 from repro.transport.udp import UdpSender, UdpSink
@@ -104,11 +100,9 @@ def paced_udp_application(ctx: TransportBuildContext, sender: object,
 
 @dataclass(frozen=True)
 class TransportProfile:
-    """One registered transport variant.
+    """One transport variant; its name is its key in :data:`TRANSPORTS`.
 
     Attributes:
-        name: Canonical registry key (short slug, e.g. ``"vegas-at"``); also
-            the tag used in generated scenario preset names.
         label: Human-readable label used in result names and figure legends.
         build_sender: Factory for the sending transport agent.
         build_sink: Factory for the receiving transport agent.
@@ -116,32 +110,12 @@ class TransportProfile:
             (defaults to a persistent FTP transfer).
     """
 
-    name: str
     label: str
     build_sender: AgentFactory
     build_sink: AgentFactory
     build_application: ApplicationFactory = ftp_application
 
 
-#: Every transport variant, by registry key.
-TRANSPORTS = NamedRegistry("transport variant")
-
-
-def transport_key(variant: str) -> str:
-    """Registry key of a variant name (case- and space-insensitive).
-
-    Raises:
-        ConfigurationError: If the variant is not a registered name.
-    """
-    TRANSPORTS.get(variant)
-    return normalize_name(variant)
-
-
-# ======================================================================
-# Built-in registrations: the paper's six variants plus one combined
-# variant (ACK thinning + window clamp) that exists purely to show that
-# new variants are registry entries, not runner changes.
-# ======================================================================
 def _tcp_sink(ctx: TransportBuildContext) -> TcpSink:
     return TcpSink(ctx.sim, ctx.flow, ctx.stats, mss=ctx.config.tcp.mss,
                    tracer=ctx.tracer)
@@ -178,55 +152,57 @@ def _udp_sink(ctx: TransportBuildContext) -> UdpSink:
     return UdpSink(ctx.sim, ctx.flow, ctx.stats, tracer=ctx.tracer)
 
 
-TRANSPORTS.register(TransportProfile(
-    name="newreno",
-    label="NewReno",
-    build_sender=_newreno_sender,
-    build_sink=_tcp_sink,
-))
+#: Every transport variant, by canonical name: the paper's six and one
+#: combined variant.
+TRANSPORTS: Dict[str, TransportProfile] = {
+    "newreno": TransportProfile(
+        label="NewReno",
+        build_sender=_newreno_sender,
+        build_sink=_tcp_sink,
+    ),
+    "vegas": TransportProfile(
+        label="Vegas",
+        build_sender=_vegas_sender,
+        build_sink=_tcp_sink,
+    ),
+    "newreno-at": TransportProfile(
+        label="NewReno ACK Thinning",
+        build_sender=_newreno_sender,
+        build_sink=_thinning_sink,
+    ),
+    "vegas-at": TransportProfile(
+        label="Vegas ACK Thinning",
+        build_sender=_vegas_sender,
+        build_sink=_thinning_sink,
+    ),
+    # The optimal-window variants clamp the window at
+    # ``ScenarioConfig.newreno_max_cwnd`` (MaxWin = 3 by default, the optimal
+    # NewReno window on the paper's 7-hop chain; Fu et al.).
+    "newreno-optwin": TransportProfile(
+        label="NewReno Optimal Window",
+        build_sender=_newreno_clamped_sender,
+        build_sink=_tcp_sink,
+    ),
+    "paced-udp": TransportProfile(
+        label="Paced UDP",
+        build_sender=_udp_sender,
+        build_sink=_udp_sink,
+        build_application=paced_udp_application,
+    ),
+    # ACK thinning + window clamp: shows that a new variant is a table
+    # entry, not a runner change.
+    "newreno-at-optwin": TransportProfile(
+        label="NewReno ACK Thinning Optimal Window",
+        build_sender=_newreno_clamped_sender,
+        build_sink=_thinning_sink,
+    ),
+}
 
-TRANSPORTS.register(TransportProfile(
-    name="vegas",
-    label="Vegas",
-    build_sender=_vegas_sender,
-    build_sink=_tcp_sink,
-))
 
-TRANSPORTS.register(TransportProfile(
-    name="newreno-at",
-    label="NewReno ACK Thinning",
-    build_sender=_newreno_sender,
-    build_sink=_thinning_sink,
-))
+def transport_key(variant: str) -> str:
+    """Canonical key of a variant name (case- and space-insensitive).
 
-TRANSPORTS.register(TransportProfile(
-    name="vegas-at",
-    label="Vegas ACK Thinning",
-    build_sender=_vegas_sender,
-    build_sink=_thinning_sink,
-))
-
-# The optimal-window variants clamp the window at
-# ``ScenarioConfig.newreno_max_cwnd`` (MaxWin = 3 by default, the optimal
-# NewReno window on the paper's 7-hop chain; Fu et al.).
-TRANSPORTS.register(TransportProfile(
-    name="newreno-optwin",
-    label="NewReno Optimal Window",
-    build_sender=_newreno_clamped_sender,
-    build_sink=_tcp_sink,
-))
-
-TRANSPORTS.register(TransportProfile(
-    name="paced-udp",
-    label="Paced UDP",
-    build_sender=_udp_sender,
-    build_sink=_udp_sink,
-    build_application=paced_udp_application,
-))
-
-TRANSPORTS.register(TransportProfile(
-    name="newreno-at-optwin",
-    label="NewReno ACK Thinning Optimal Window",
-    build_sender=_newreno_clamped_sender,
-    build_sink=_thinning_sink,
-))
+    Raises:
+        ConfigurationError: If the variant is not a key of :data:`TRANSPORTS`.
+    """
+    return lookup(TRANSPORTS, "transport variant", variant)

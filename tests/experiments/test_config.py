@@ -28,6 +28,24 @@ class TestScenarioConfig:
         assert DropTailQueue.DEFAULT_CAPACITY == 50
         assert config.routing == "aodv"
 
+    def test_static_mobility_in_any_spelling_keeps_static_routing(self):
+        config = ScenarioConfig(mobility="Static", routing="static")
+        assert config.mobility == "static"
+
+    @pytest.mark.parametrize("variant, mobility", [
+        ("Vegas-AT", " Random-Walk "), (" NEWRENO", "MANHATTAN")])
+    def test_names_are_held_canonical(self, variant, mobility):
+        canonical = ScenarioConfig(variant=variant.strip().lower(),
+                                   mobility=mobility.strip().lower())
+        assert ScenarioConfig(variant=variant, mobility=mobility) == canonical
+
+    def test_unknown_mobility_model_lists_every_model(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown mobility model 'teleport' "
+                                 r"\(registered: manhattan, random-walk, "
+                                 r"random-waypoint, static\)"):
+            ScenarioConfig(mobility="teleport")
+
     def test_queue_capacity_is_not_a_config_field(self):
         with pytest.raises(TypeError):
             ScenarioConfig(queue_capacity=10)

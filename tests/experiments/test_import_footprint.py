@@ -65,8 +65,7 @@ PUBLIC_NAMES = sorted([
     "build_named_scenario", "PointResult", "StudyResult",
     "SweepSpec", "run_study", "ResultStore",
     "chain_topology", "grid_topology", "random_topology",
-    "TOPOLOGIES", "TopologyProfile", "TRANSPORTS", "TransportProfile",
-    "MOBILITY_MODELS", "MobilityProfile",
+    "TOPOLOGIES", "TRANSPORTS", "TransportProfile", "MOBILITY_MODELS",
     "MetricsRegistry", "TimeSeries", "__version__",
 ])
 

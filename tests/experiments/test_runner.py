@@ -224,13 +224,12 @@ class TestNamedScenarios:
         assert scenario.config.seed == 8
         assert len(scenario.workload) == 2
 
-    def test_presets_follow_dynamic_transport_registrations(self):
+    def test_presets_follow_dynamic_transport_registrations(self, monkeypatch):
         from repro.transport.registry import TRANSPORTS, TransportProfile
         from repro.transport.sink import TcpSink
         from repro.transport.vegas import VegasSender
 
-        profile = TransportProfile(
-            name="test-preset-variant",
+        monkeypatch.setitem(TRANSPORTS, "test-preset-variant", TransportProfile(
             label="Preset Variant (test)",
             build_sender=lambda ctx: VegasSender(
                 ctx.sim, ctx.flow, ctx.stats, config=ctx.config.tcp,
@@ -238,11 +237,7 @@ class TestNamedScenarios:
             build_sink=lambda ctx: TcpSink(
                 ctx.sim, ctx.flow, ctx.stats, mss=ctx.config.tcp.mss,
                 tracer=ctx.tracer),
-        )
-        TRANSPORTS.register(profile)
-        try:
-            scenario = build_named_scenario("chain7-vegas-2mbps",
-                                            variant="test-preset-variant")
-            assert isinstance(scenario.senders[0], VegasSender)
-        finally:
-            TRANSPORTS.unregister(profile.name)
+        ))
+        scenario = build_named_scenario("chain7-vegas-2mbps",
+                                        variant="test-preset-variant")
+        assert isinstance(scenario.senders[0], VegasSender)

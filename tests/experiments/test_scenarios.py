@@ -14,11 +14,12 @@ from repro.experiments.scenarios import (
     available_scenarios,
     build_named_scenario,
 )
+from repro.experiments.study import SweepSpec
 from repro.experiments.workload import ScenarioSpec
 from repro.mobility.models import RandomWalkMobility
-from repro.mobility.registry import MOBILITY_MODELS, MobilityProfile
+from repro.mobility.registry import MOBILITY_MODELS
 from repro.topology.chain import chain_topology
-from repro.topology.registry import TOPOLOGIES, TopologyProfile
+from repro.topology.registry import TOPOLOGIES
 from repro.transport.registry import TRANSPORTS
 from repro.transport.vegas import VegasSender
 
@@ -72,43 +73,35 @@ class TestPresets:
 
 
 class TestRegistriesReachScenarios:
-    """A registered transport, topology family or mobility model is runnable
-    as a direct spec, with no change to the preset table."""
+    """A new transport, topology family or mobility model in its name table
+    is runnable as a direct spec, with no change to the preset table."""
 
-    @pytest.mark.parametrize("variant", TRANSPORTS.names())
+    @pytest.mark.parametrize("variant", sorted(TRANSPORTS))
     def test_every_transport_runs_on_every_paper_topology(self, variant):
         for family, params in (("chain", {"hops": 7}), ("grid", {}),
                                ("random", {})):
             scenario = Scenario(ScenarioSpec(
-                topology=TOPOLOGIES.get(family).build(**params),
+                topology=TOPOLOGIES[family](**params),
                 config=ScenarioConfig(variant=variant)))
-            assert [profile.name for profile in scenario.profiles] == (
-                [variant] * len(scenario.workload)), family
+            assert scenario.profiles == (
+                [TRANSPORTS[variant]] * len(scenario.workload)), family
 
-    def test_new_topology_family_builds_a_scenario(self):
-        TOPOLOGIES.register(TopologyProfile(name="probe-topo",
-                                            builder=chain_topology))
-        try:
-            scenario = Scenario(ScenarioSpec(
-                topology=TOPOLOGIES.get("probe-topo").build(hops=3),
-                config=ScenarioConfig()))
-            assert len(scenario.spec.topology.node_ids) == 4
-        finally:
-            TOPOLOGIES.unregister("probe-topo")
-        assert "probe-topo" not in TOPOLOGIES
+    def test_new_topology_family_builds_a_scenario(self, monkeypatch):
+        monkeypatch.setitem(TOPOLOGIES, "probe-topo", chain_topology)
+        spec = SweepSpec(name="probe", topology="Probe-Topo",
+                         axes={"hops": [3]})
+        assert spec.topology == "probe-topo"
+        scenario = Scenario(spec.scenario_for(spec.points()[0].values, seed=1))
+        assert len(scenario.spec.topology.node_ids) == 4
 
-    def test_new_mobility_model_moves_a_scenario(self):
-        MOBILITY_MODELS.register(MobilityProfile(
-            name="probe-walk",
-            builder=lambda speed, pause: RandomWalkMobility(speed, pause)))
-        try:
-            scenario = build_named_scenario("chain7-vegas-2mbps",
-                                            mobility="probe-walk")
-            assert scenario.mobility is not None
-            assert isinstance(scenario.mobility.model, RandomWalkMobility)
-        finally:
-            MOBILITY_MODELS.unregister("probe-walk")
-        assert "probe-walk" not in MOBILITY_MODELS
+    def test_new_mobility_model_moves_a_scenario(self, monkeypatch):
+        monkeypatch.setitem(
+            MOBILITY_MODELS, "probe-walk",
+            lambda speed=5.0, pause=2.0: RandomWalkMobility(speed, pause))
+        scenario = build_named_scenario("chain7-vegas-2mbps",
+                                        mobility="probe-walk")
+        assert scenario.mobility is not None
+        assert isinstance(scenario.mobility.model, RandomWalkMobility)
 
 
 class TestBuildNamedScenarioErrors:
@@ -142,13 +135,12 @@ class TestVariantOverride:
                                       "chain7-vegas-at-2mbps"])
     def test_every_flow_runs_the_overridden_variant(self, name):
         scenario = build_named_scenario(name, variant="vegas")
-        assert [profile.name for profile in scenario.profiles] == (
-            ["vegas"] * len(scenario.workload))
+        assert scenario.profiles == (
+            [TRANSPORTS["vegas"]] * len(scenario.workload))
         assert all(isinstance(sender, VegasSender)
                    for sender in scenario.senders)
 
     def test_mixed_presets_keep_their_per_flow_variants(self):
         scenario = build_named_scenario("backbone2x7-mixed-newreno-vegas",
                                         variant="vegas")
-        assert [profile.name for profile in scenario.profiles] == [
-            "newreno", "vegas"]
+        assert scenario.profiles == [TRANSPORTS["newreno"], TRANSPORTS["vegas"]]

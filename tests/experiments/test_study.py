@@ -156,6 +156,25 @@ class TestSweepSpec:
         assert spec.fingerprint(values_a, 1) == spec.fingerprint(dict(values_a), 1)
 
 
+class TestNameSpellings:
+    """A topology or mobility name in any spelling is one spec and one
+    store key, so a resume with another spelling re-runs nothing."""
+
+    def test_topology_spellings_share_a_store_key(self):
+        upper = tiny_spec(topology=" Chain", axes={"hops": [2]})
+        lower = tiny_spec(topology="chain", axes={"hops": [2]})
+        assert upper.topology == "chain"
+        assert upper == lower
+        assert upper.fingerprint({"hops": 2}, 1) == lower.fingerprint({"hops": 2}, 1)
+
+    def test_mobility_spellings_share_a_store_key(self):
+        upper = tiny_spec(axes={"hops": [2]},
+                          base=tiny_config(mobility="Random-Walk"))
+        lower = tiny_spec(axes={"hops": [2]},
+                          base=tiny_config(mobility="random-walk"))
+        assert upper.fingerprint({"hops": 2}, 1) == lower.fingerprint({"hops": 2}, 1)
+
+
 class TestStudyExecution:
     def test_single_replication_matches_a_direct_scenario_run(self):
         spec = tiny_spec(axes={"hops": [3]})

@@ -109,6 +109,13 @@ class TestRuns:
         assert "variant=Vegas, hops=2" in out
         assert "variant=NewReno ACK Thinning Optimal Window, hops=2" in out
 
+    def test_chain_in_any_spelling_gets_the_default_hops_axis(self, capsys):
+        assert main(["study", "--topology", " Chain", "--variants", "VEGAS",
+                     "--packets", "15", "--replications", "1", "--quiet",
+                     "--max-workers", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "variant=Vegas, hops=2" in out
+
     def test_progress_line_rendered_without_quiet(self, capsys):
         args = [a for a in run_args("--max-workers", "1") if a != "--quiet"]
         assert main(args) == 0

@@ -1,4 +1,4 @@
-"""A transport variant has one spelling: its registry key, held as a ``str``.
+"""A transport variant has one spelling: its key in ``TRANSPORTS``, a ``str``.
 
 Configs, workload flows, sweep points and stored point results all carry the
 key; the display label is not a lookup key.
@@ -16,7 +16,7 @@ from repro.experiments.study import PointResult, SweepSpec
 from repro.experiments.workload import FlowSpec
 from repro.transport.registry import TRANSPORTS
 
-KEYS = TRANSPORTS.names()
+KEYS = sorted(TRANSPORTS)
 
 
 def assert_key(value: object, key: str) -> None:
@@ -42,7 +42,7 @@ class TestOneSpelling:
 
 
 @pytest.mark.parametrize("key", [key for key in KEYS
-                                 if TRANSPORTS.get(key).label.lower() != key])
+                                 if TRANSPORTS[key].label.lower() != key])
 def test_a_label_is_not_a_spelling(key):
     with pytest.raises(ConfigurationError, match="registered: "):
-        ScenarioConfig(variant=TRANSPORTS.get(key).label)
+        ScenarioConfig(variant=TRANSPORTS[key].label)

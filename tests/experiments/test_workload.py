@@ -183,7 +183,7 @@ class TestScenarioSpec:
         )
         assert Scenario(spec).senders[0].max_cwnd == 3.0
 
-    @pytest.mark.parametrize("variant", TRANSPORTS.names())
+    @pytest.mark.parametrize("variant", sorted(TRANSPORTS))
     def test_a_thousand_uniform_flows_share_one_validated_config(self, monkeypatch,
                                                                  variant):
         """Set-up cost is per distinct flow variant, not per flow: the spec

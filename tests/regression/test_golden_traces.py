@@ -214,7 +214,7 @@ def _sample_spec(name: str) -> ScenarioSpec:
     family, variant, bandwidth, mobility = SAMPLE_POINTS[name]
     params = {"hops": 7} if family == "chain" else {}
     return ScenarioSpec(
-        topology=TOPOLOGIES.get(family).build(**params),
+        topology=TOPOLOGIES[family](**params),
         config=ScenarioConfig(variant=variant, bandwidth_mbps=bandwidth,
                               mobility=mobility))
 

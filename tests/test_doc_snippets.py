@@ -82,3 +82,27 @@ def test_unknown_preset_names_are_reported(tmp_path):
     assert checker.check_file(page) == (1, [
         f"{page}:3: unknown preset 'grid-newreno-11mbps'",
         f"{page}:7: unknown preset 'chain7-paced-udp-2mbps'"])
+
+
+def test_unknown_variant_topology_and_mobility_names_are_reported(tmp_path):
+    checker = load_checker()
+    page = tmp_path / "page.md"
+    page.write_text(
+        "```python\n"
+        'ScenarioConfig(variant="Vegas-AT", mobility="random-walk")\n'
+        'ScenarioConfig(variant="vegass")\n'
+        'SweepSpec(topology="torus", base=ScenarioConfig(mobility="teleport"))\n'
+        "```\n"
+        "    python -m repro study --topology Grid --variants vegas paced-udp\n"
+        "    python -m repro study --topology backbone --variants newreno cubic \\\n"
+        "        --axis routing=static\n"
+        "Pass `--variants` to choose.\n")
+    blocks, problems = checker.check_file(page)
+    assert blocks == 1
+    assert [problem.split(";")[0].split(" (")[0] for problem in problems] == [
+        f"{page}:3: unknown transport variant 'vegass'",
+        f"{page}:4: unknown topology 'torus'",
+        f"{page}:4: unknown mobility model 'teleport'",
+        f"{page}:7: unknown transport variant 'cubic'",
+    ]
+    assert "did you mean 'vegas'" in problems[0]

@@ -1,4 +1,4 @@
-"""Tests for the pluggable transport-variant registry."""
+"""Tests for the transport-variant name table."""
 
 from __future__ import annotations
 
@@ -18,36 +18,23 @@ from repro.transport.vegas import VegasSender
 
 
 class TestLookup:
-    def test_builtin_variants_registered(self):
-        names = TRANSPORTS.names()
+    def test_builtin_variants_present(self):
         for expected in ("newreno", "vegas", "newreno-at", "vegas-at",
                          "newreno-optwin", "paced-udp"):
-            assert expected in names
+            assert expected in TRANSPORTS
 
-    def test_lookup_is_case_and_space_insensitive(self):
-        profile = TRANSPORTS.get("vegas-at")
-        assert TRANSPORTS.get("VEGAS-AT") is profile
-        assert TRANSPORTS.get(" Vegas-AT ") is profile
-
-    def test_transport_key_canonicalizes(self):
+    def test_transport_key_is_case_and_space_insensitive(self):
+        assert transport_key("VEGAS-AT") == "vegas-at"
+        assert transport_key(" Vegas-AT ") == "vegas-at"
         assert transport_key("PACED-UDP") == "paced-udp"
-        assert transport_key(" Vegas ") == "vegas"
 
     def test_label_is_not_a_lookup_key(self):
         with pytest.raises(ConfigurationError, match="registered: .*vegas-at"):
-            TRANSPORTS.get("Vegas ACK Thinning")
+            transport_key("Vegas ACK Thinning")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError):
-            TRANSPORTS.get("cubic")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TRANSPORTS.register(TransportProfile(
-                name="vegas", label="Vegas again",
-                build_sender=lambda ctx: None, build_sink=lambda ctx: None,
-            ))
-
+            transport_key("cubic")
 
 
 class TestRunnerIsVariantAgnostic:
@@ -58,12 +45,12 @@ class TestRunnerIsVariantAgnostic:
         import repro.experiments.runner as runner_module
 
         source = inspect.getsource(runner_module).replace(runner_module.__doc__, "")
-        for name in TRANSPORTS.names():
+        for name in TRANSPORTS:
             assert f'"{name}"' not in source and f"'{name}'" not in source
 
 
 class TestCombinedBuiltinVariant:
-    """newreno-at-optwin exists purely as a registration — no runner code."""
+    """newreno-at-optwin exists purely as a table entry — no runner code."""
 
     def test_builds_clamped_sender_and_thinning_sink(self):
         config = ScenarioConfig(variant="newreno-at-optwin", newreno_max_cwnd=3.0,
@@ -81,7 +68,7 @@ class TestProfileHasNoConfigHooks:
     @pytest.mark.parametrize("hook", ["validate", "preset_overrides"])
     def test_profile_takes_no_config_hook(self, hook):
         with pytest.raises(TypeError):
-            TransportProfile(name="hooked", label="Hooked",
+            TransportProfile(label="Hooked",
                              build_sender=lambda ctx: None,
                              build_sink=lambda ctx: None, **{hook: None})
 
@@ -92,10 +79,9 @@ class TestProfileHasNoConfigHooks:
 
 
 @pytest.fixture
-def clamped_vegas_profile():
-    """A brand-new variant registered on the fly: Vegas with α=1 thresholds."""
+def clamped_vegas_profile(monkeypatch):
+    """A brand-new variant, in the table for one test only."""
     profile = TransportProfile(
-        name="test-vegas-a1",
         label="Vegas alpha=1 (test)",
         build_sender=lambda ctx: VegasSender(
             ctx.sim, ctx.flow, ctx.stats, config=ctx.config.tcp,
@@ -106,9 +92,8 @@ def clamped_vegas_profile():
             tracer=ctx.tracer,
         ),
     )
-    TRANSPORTS.register(profile)
-    yield profile
-    TRANSPORTS.unregister(profile.name)
+    monkeypatch.setitem(TRANSPORTS, "test-vegas-a1", profile)
+    return profile
 
 
 class TestCustomVariant:
@@ -127,7 +112,3 @@ class TestCustomVariant:
         result = scenario.run()
         assert result.delivered_packets >= 25
         assert result.variant == "Vegas alpha=1 (test)"
-
-    def test_unregistered_variant_rejected_after_teardown(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(variant="test-vegas-a1")

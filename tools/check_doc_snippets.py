@@ -15,7 +15,13 @@ backticks in the markdown files, and every Sphinx role target naming ``repro.…
 
 Presets named in the markdown files must exist: every
 ``build_named_scenario("NAME"`` and every ``python -m repro run NAME`` names
-a key of :data:`repro.experiments.scenarios.SCENARIOS`.
+a key of :data:`repro.experiments.scenarios.SCENARIOS`.  So must the variant,
+topology and mobility names: every ``variant="…"``, ``topology="…"`` and
+``mobility="…"`` literal and every ``--variants`` / ``--topology`` argument
+names an entry of :data:`repro.transport.registry.TRANSPORTS`,
+:data:`repro.topology.registry.TOPOLOGIES` or
+:data:`repro.mobility.registry.MOBILITY_MODELS` (in any spelling a config
+accepts).
 
 The blocks themselves are never executed: they may run long simulations.
 Imports are resolved against the ``repro`` package on ``sys.path``, so run
@@ -51,6 +57,12 @@ _ROLE_REFERENCE = re.compile(
 _PRESET_REFERENCE = re.compile(
     r"""build_named_scenario\(\s*["']([^"']+)["']"""
     r"""|python3? -m repro run[ \t]+([^\s`'"\\-][^\s`'"\\]*)""")
+#: A variant, topology or mobility name in markdown: a ``variant="NAME"``
+#: literal, or the arguments of ``--variants`` / ``--topology`` up to the
+#: next option.
+_NAME_REFERENCE = re.compile(
+    r"""\b(variant|topology|mobility)\s*=\s*["']([^"']*)["']"""
+    r"""|--(variants|topology)((?:[ \t]+[^\s`'"()\\-][^\s`'"()\\]*)+)""")
 
 
 def python_blocks(markdown: str) -> Iterator[Tuple[int, str]]:
@@ -122,6 +134,34 @@ def check_presets(text: str, path: Path) -> List[str]:
     return problems
 
 
+def check_names(text: str, path: Path) -> List[str]:
+    """Variant, topology and mobility names in ``text`` that no table holds."""
+    from repro.core.errors import ConfigurationError
+    from repro.core.registry import lookup
+    from repro.mobility.registry import MOBILITY_MODELS
+    from repro.topology.registry import TOPOLOGIES
+    from repro.transport.registry import TRANSPORTS
+
+    tables = {"variant": (TRANSPORTS, "transport variant"),
+              "variants": (TRANSPORTS, "transport variant"),
+              "topology": (TOPOLOGIES, "topology"),
+              "mobility": (MOBILITY_MODELS, "mobility model")}
+    problems = []
+    for match in _NAME_REFERENCE.finditer(text):
+        if match.group(1):
+            field, names = match.group(1), [match.group(2)]
+        else:
+            field, names = match.group(3), match.group(4).split()
+        table, kind = tables[field]
+        for name in names:
+            try:
+                lookup(table, kind, name)
+            except ConfigurationError as exc:
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(f"{path}:{line}: {exc}")
+    return problems
+
+
 def check_sources(root: Path) -> List[str]:
     """Unresolved role targets in the docstrings of every module under ``root``."""
     problems = []
@@ -166,7 +206,8 @@ def check_file(path: Path) -> Tuple[int, List[str]]:
     for line, source in blocks:
         problems += check_block(source, path, line)
     problems += check_references(markdown, path, _MARKDOWN_REFERENCE)
-    return len(blocks), problems + check_presets(markdown, path)
+    return len(blocks), (problems + check_presets(markdown, path)
+                         + check_names(markdown, path))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
